@@ -19,15 +19,14 @@ from .channels import (
     make_channel,
 )
 from .entanglement import (
-    MeasureReport,
     SchmidtPair,
     concurrence,
     concurrence_closed,
     entropy_symmetry_check,
+    fidelity_closed,
     iconcurrence,
     iconcurrence_closed,
     iconcurrence_noisy_closed,
-    measure_report,
     noisy_pair_density,
     ppt_closed,
     ppt_spectrum,
@@ -36,7 +35,7 @@ from .entanglement import (
     schmidt_coefficients,
     von_neumann_entropy,
 )
-from .linalg import EigenSystem, hermitian_eigensystem, is_hermitian, is_psd, is_unitary, kron, psd_sqrt
+from .linalg import EigenSystem, hermitian_eigensystem, is_hermitian, is_unitary, kron, psd_sqrt
 from .states import (
     DensityMatrix,
     PureState,
@@ -48,14 +47,23 @@ from .states import (
     tensor,
     to_density,
 )
-from .sweep import ChannelSpec, SweepConfig, SweepRow, VerifyCheck, diff_sweep, emit, run_sweep, verify
+from .sweep import (
+    MEASURES,
+    ChannelSpec,
+    Measure,
+    SweepConfig,
+    SweepRow,
+    VerifyCheck,
+    diff_sweep,
+    emit,
+    run_sweep,
+    verify,
+)
 from .switch import (
-    CNOT,
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    TOFFOLI,
     SwitchOperator,
     circuit_unitary,
     evolve,

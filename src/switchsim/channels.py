@@ -26,34 +26,13 @@ from .switch import IDENTITY_2, PAULI_X, PAULI_Z
 
 CHANNEL_KINDS = ("PF", "BF", "AD", "PD")
 
-_KIND_ALIASES = {
-    "pf": "PF",
-    "phaseflip": "PF",
-    "phase-flip": "PF",
-    "phase_flip": "PF",
-    "bf": "BF",
-    "bitflip": "BF",
-    "bit-flip": "BF",
-    "bit_flip": "BF",
-    "ad": "AD",
-    "amplitudedamping": "AD",
-    "amplitude-damping": "AD",
-    "amplitude_damping": "AD",
-    "pd": "PD",
-    "phasedamping": "PD",
-    "phase-damping": "PD",
-    "phase_damping": "PD",
-}
-
 #: max deviation of sum E_k^dagger E_k from identity
 COMPLETENESS_ATOL = 1e-12
 
 
-def canonical_kind(kind: str) -> str:
-    key = str(kind).lower().replace(" ", "")
-    if key not in _KIND_ALIASES:
+def check_kind(kind: str) -> None:
+    if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
-    return _KIND_ALIASES[key]
 
 
 @dataclass(frozen=True)
@@ -86,7 +65,7 @@ class KrausChannel:
 
 def make_channel(kind: str, p: float) -> KrausChannel:
     """Build one of the four single-qubit channels at probability ``p``."""
-    kind = canonical_kind(kind)
+    check_kind(kind)
     if not (math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
     sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
@@ -169,7 +148,7 @@ def average_fidelity_closed(kind: str, p: float, t: float) -> float:
     PF and BF give (p (cos t + 3)^2 + 2) / 18; AD and PD carry the
     sqrt(1-p) factors of their damping operators.
     """
-    kind = canonical_kind(kind)
+    check_kind(kind)
     if not (math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
     c3 = math.cos(t) + 3.0
@@ -187,13 +166,14 @@ def average_fidelity_monte_carlo(
     u_target: np.ndarray,
     channel: KrausChannel,
     samples: int = 100_000,
-    seed: int = 0,
+    rng=0,
 ):
     """Estimate the average fidelity by sampling Haar-random pure inputs.
 
     Independent of the trace formula: draws |psi> uniformly, pushes it
     through the channel and measures <psi| U^dag K(|psi><psi|) U |psi>.
-    Returns (mean, standard_error).
+    ``rng`` is a numpy Generator or anything ``np.random.default_rng``
+    accepts. Returns (mean, standard_error).
     """
     u = linalg.as_matrix(u_target)
     n = u.shape[0]
@@ -201,7 +181,7 @@ def average_fidelity_monte_carlo(
         raise ValueError(
             f"dimension mismatch: target is {u.shape}, channel dim is {channel.dim}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng)
     g = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     psi = g / np.linalg.norm(g, axis=1, keepdims=True)
     phi = psi @ u.T  # rows are U|psi>

@@ -55,7 +55,6 @@ def _add_channel_flags(parser: argparse.ArgumentParser, required: bool = False) 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampling oracles")
     parser.add_argument(
         "--log-base", choices=("e", "2"), default="e",
         help="entropy unit: natural log (nats) or log2 (bits)",
@@ -85,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_diff = sub.add_parser("diff", help="|noisy - clean| of a measure over the grid")
-    p_diff.add_argument("--measure", choices=sw.NOISY_MEASURES, required=True)
+    p_diff.add_argument("--measure", choices=sw.mixed_measures(), required=True)
     _add_grid_flags(p_diff)
     _add_channel_flags(p_diff, required=True)
     _add_output_flags(p_diff)
@@ -108,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--a-steps", type=int, default=50)
     p_verify.add_argument("--t-steps", type=int, default=50)
-    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
         "--log-base", choices=("e", "2"), default="e",
         help="entropy unit: natural log (nats) or log2 (bits)",
@@ -134,7 +132,6 @@ def _config_from(args, measure: Optional[str] = None) -> sw.SweepConfig:
         channel=channel,
         log_base=args.log_base,
         compare=getattr(args, "compare", False),
-        seed=args.seed,
     )
 
 
@@ -156,7 +153,6 @@ def main(argv=None) -> int:
                 a_steps=args.a_steps,
                 t_steps=args.t_steps,
                 log_base=args.log_base,
-                seed=args.seed,
                 inject_error=args.inject_error,
             )
             width = max(len(c.name) for c in checks)

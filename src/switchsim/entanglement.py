@@ -13,13 +13,12 @@ amplitudes only; complex inputs should use the numeric routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, apply_channel, canonical_kind, lift
+from .channels import KrausChannel, apply_channel, check_kind, lift
 from .states import DensityMatrix, PureState, partial_trace, partial_transpose, to_density
 from .switch import PAULI_Y
 
@@ -35,17 +34,6 @@ class SchmidtPair(NamedTuple):
 
     lambda0: float
     lambda1: float
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """All diagnostics of one 2-qubit pure state, for sweep aggregation."""
-
-    concurrence: float
-    iconcurrence: float
-    entropy: float
-    ppt_min_eig: float
-    schmidt: SchmidtPair
 
 
 def _floored(values: np.ndarray) -> np.ndarray:
@@ -103,6 +91,16 @@ def ppt_closed(alpha0: complex, beta0: complex, t: float) -> np.ndarray:
     swap = y * math.sin(t) * math.cos(t)
     root = math.sqrt(x**2 + 2 * x * y + y**2 * math.cos(2 * t) ** 2)
     return np.sort(np.array([-swap, swap, (1 - root) / 2, (1 + root) / 2]))
+
+
+def fidelity_closed(alpha0: complex, beta0: complex, t: float) -> float:
+    """Closed form of switch_fidelity for the input |A>|0>|1>:
+
+        | |alpha|^2 + sin(t) |beta|^2 |
+
+    The bracket turns negative where sin(t) < 0; the overlap is its modulus.
+    """
+    return abs(abs(alpha0) ** 2 + math.sin(t) * abs(beta0) ** 2)
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -166,7 +164,7 @@ def iconcurrence_noisy_closed(
 ) -> float:
     """Closed-form I-concurrence of the switched pair with noise of strength
     ``p`` on the first qubit, one expression per channel kind."""
-    kind = canonical_kind(kind)
+    check_kind(kind)
     if not (math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
     a, b = complex(alpha0), complex(beta0)
@@ -233,10 +231,8 @@ def reduced_entropy_closed(
         (1 -+ sqrt(2|a b|^2 + |a|^4 + |b|^4 cos^2(2t))) / 2.
     """
     scale = _log_scale(log_base)
-    x, y = abs(alpha0) ** 2, abs(beta0) ** 2
-    root = math.sqrt(min(1.0, 2 * x * y + x**2 + y**2 * math.cos(2 * t) ** 2))
     total = 0.0
-    for lam in ((1.0 - root) / 2.0, (1.0 + root) / 2.0):
+    for lam in reduced_eigenvalues_closed(alpha0, beta0, t):
         if lam > 0.0:
             total -= lam * math.log(lam)
     return total * scale
@@ -274,14 +270,3 @@ def noisy_pair_density(
     pair = switched_pair(a_state, t)
     return apply_channel(to_density(pair), lift(channel, qubit, 2))
 
-
-def measure_report(psi: PureState) -> MeasureReport:
-    """All diagnostics of a 2-qubit pure state in one record."""
-    rho = to_density(psi)
-    return MeasureReport(
-        concurrence=concurrence(rho),
-        iconcurrence=iconcurrence(rho),
-        entropy=von_neumann_entropy(partial_trace(rho, {1})),
-        ppt_min_eig=float(ppt_spectrum(rho)[0]),
-        schmidt=schmidt_coefficients(psi),
-    )

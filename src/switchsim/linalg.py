@@ -32,17 +32,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m).T)
 
 
-def trace(m: np.ndarray) -> complex:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices (associative, bilinear)."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -63,13 +52,6 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     return float(np.max(np.abs(dagger(a) @ a - eye))) <= tol
 
 
-def is_psd(m: np.ndarray, tol: float = -PSD_EIGENVALUE_FLOOR) -> bool:
-    if not is_hermitian(m, max(tol, HERMITIAN_ATOL)):
-        return False
-    w = np.linalg.eigvalsh(_hermitize(as_matrix(m)))
-    return float(w[0]) >= -tol
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2
 
@@ -80,10 +62,6 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
 
 
 def hermitian_eigensystem(m: np.ndarray) -> EigenSystem:

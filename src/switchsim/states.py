@@ -31,15 +31,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bit(index: int, qubit: int, n_qubits: int) -> int:
-    return (index >> (n_qubits - 1 - qubit)) & 1
-
-
-def _with_bit(index: int, qubit: int, n_qubits: int, bit: int) -> int:
-    mask = 1 << (n_qubits - 1 - qubit)
-    return (index | mask) if bit else (index & ~mask)
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over ``n_qubits`` qubits."""
@@ -136,11 +127,7 @@ def to_density(psi: PureState) -> DensityMatrix:
 
 
 def partial_trace(rho: DensityMatrix, discard) -> DensityMatrix:
-    """Trace out the given qubits, keeping the rest in original order.
-
-    Implemented by index arithmetic over basis states; registers here never
-    exceed three qubits.
-    """
+    """Trace out the given qubits, keeping the rest in original order."""
     n = rho.n_qubits
     discard = set(discard)
     if not discard:
@@ -152,23 +139,12 @@ def partial_trace(rho: DensityMatrix, discard) -> DensityMatrix:
 
     keep = [q for q in range(n) if q not in discard]
     dropped = sorted(discard)
-    m, d = len(keep), len(dropped)
-    out = np.zeros((2**m, 2**m), dtype=complex)
-    for r in range(2**m):
-        for c in range(2**m):
-            acc = 0.0 + 0.0j
-            for e in range(2**d):
-                row = col = 0
-                for j, q in enumerate(keep):
-                    row = _with_bit(row, q, n, _bit(r, j, m))
-                    col = _with_bit(col, q, n, _bit(c, j, m))
-                for j, q in enumerate(dropped):
-                    b = _bit(e, j, d)
-                    row = _with_bit(row, q, n, b)
-                    col = _with_bit(col, q, n, b)
-                acc += rho.matrix[row, col]
-            out[r, c] = acc
-    return DensityMatrix(m, out)
+    m, d = 2 ** len(keep), 2 ** len(dropped)
+    # one row axis and one column axis per qubit, grouped as
+    # (kept rows, dropped rows, kept columns, dropped columns)
+    axes = keep + dropped + [n + q for q in keep] + [n + q for q in dropped]
+    grouped = rho.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape(m, d, m, d)
+    return DensityMatrix(len(keep), np.trace(grouped, axis1=1, axis2=3))
 
 
 def partial_transpose(rho: DensityMatrix, qubit: int) -> np.ndarray:
@@ -181,13 +157,8 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> np.ndarray:
         raise ValueError(f"partial transpose is defined here for 2 qubits, got {rho.n_qubits}")
     if qubit not in (0, 1):
         raise ValueError(f"qubit index must be 0 or 1, got {qubit}")
-    n = 2
-    out = np.empty_like(rho.matrix)
-    for r in range(4):
-        for c in range(4):
-            rb, cb = _bit(r, qubit, n), _bit(c, qubit, n)
-            out[r, c] = rho.matrix[_with_bit(r, qubit, n, cb), _with_bit(c, qubit, n, rb)]
-    return out
+    # axes (row qubit 0, row qubit 1, column qubit 0, column qubit 1)
+    return rho.matrix.reshape(2, 2, 2, 2).swapaxes(qubit, 2 + qubit).reshape(4, 4)
 
 
 def project_control(psi: PureState, qubit: int, bit: int) -> PureState:
@@ -202,10 +173,7 @@ def project_control(psi: PureState, qubit: int, bit: int) -> PureState:
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    picked = np.array(
-        [i for i in range(psi.dim) if _bit(i, qubit, n) == bit], dtype=int
-    )
-    branch = psi.amplitudes[picked]
+    branch = psi.amplitudes.reshape((2,) * n).take(bit, axis=qubit).reshape(-1)
     mass = float(np.sum(np.abs(branch) ** 2))
     if mass <= 1e-12:
         raise ValueError(

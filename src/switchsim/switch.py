@@ -29,28 +29,6 @@ PAULI_Y = _const([[0, 1j], [-1j, 0]])
 PAULI_Z = _const([[1, 0], [0, -1]])
 IDENTITY_2 = _const([[1, 0], [0, 1]])
 
-CNOT = _const(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ]
-)
-
-TOFFOLI = _const(
-    [
-        [1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 0, 0, 1, 0],
-    ]
-)
-
 
 @dataclass(frozen=True)
 class SwitchOperator:
@@ -154,8 +132,9 @@ def fidelity(phi: PureState, psi: PureState) -> float:
 def switch_fidelity(psi0: PureState, t: float) -> float:
     """Overlap of the state at time ``t`` with the completed swap at pi/2.
 
-    For |A>|0>|1> with real amplitudes (alpha, beta) this evaluates to
-    alpha^2 + sin(t) beta^2; it reaches 1 at t = pi/2 for every input.
+    For |A>|0>|1> with amplitudes (alpha, beta) this evaluates to
+    | |alpha|^2 + sin(t) |beta|^2 | (entanglement.fidelity_closed); it
+    reaches 1 at t = pi/2 for every input.
     """
     if psi0.n_qubits != 3:
         raise ValueError(f"the switch acts on 3 qubits, got {psi0.n_qubits}")

@@ -173,7 +173,7 @@ def test_criterion_9_average_fidelity():
     u = switch.switch_unitary(0.9).matrix
     for kind in ch.CHANNEL_KINDS:
         lifted = ch.lift(ch.make_channel(kind, 0.74), 0, 3)
-        mean, stderr = ch.average_fidelity_monte_carlo(u, lifted, samples=100_000, seed=2024)
+        mean, stderr = ch.average_fidelity_monte_carlo(u, lifted, samples=100_000, rng=2024)
         exact = ch.average_fidelity_numeric(u, lifted)
         assert abs(mean - exact) <= 3 * stderr, (kind, mean, exact, stderr)
     _ok(9, f"average fidelity, max err {worst:.2e}; PF=BF within {flip:.2e}; Monte Carlo agrees")

@@ -173,8 +173,8 @@ def test_average_fidelity_decreases_with_noise_strength():
 def test_monte_carlo_estimate_is_deterministic_and_consistent():
     u = switch.switch_unitary(0.7).matrix
     lifted = ch.lift(ch.make_channel("PD", 0.5), 0, 3)
-    first = ch.average_fidelity_monte_carlo(u, lifted, samples=20_000, seed=99)
-    second = ch.average_fidelity_monte_carlo(u, lifted, samples=20_000, seed=99)
+    first = ch.average_fidelity_monte_carlo(u, lifted, samples=20_000, rng=99)
+    second = ch.average_fidelity_monte_carlo(u, lifted, samples=20_000, rng=99)
     assert first == second
     mean, stderr = first
     exact = ch.average_fidelity_numeric(u, lifted)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from switchsim import cli
+
 VERIFY_FAST = [
     "verify", "--a-steps", "5", "--t-steps", "7",
 ]
@@ -39,7 +41,7 @@ def test_sweep_writes_files_byte_identically(tmp_path):
     out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
     args = (
         "sweep", "--measure", "iconcurrence", "--channel", "AD", "--p", "0.74",
-        "--a-steps", "3", "--t-steps", "9", "--compare", "--seed", "5",
+        "--a-steps", "3", "--t-steps", "9", "--compare",
     )
     assert run_cli(*args, "--out", str(out1)).returncode == 0
     assert run_cli(*args, "--out", str(out2)).returncode == 0
@@ -100,3 +102,11 @@ def test_out_path_failure_exits_2(tmp_path):
     )
     assert result.returncode == 2
     assert "error:" in result.stderr
+
+
+def test_verify_rejects_a_non_finite_injected_error(capsys):
+    for bad in ("nan", "inf"):
+        argv = ["verify", "--inject-error", bad, "--measure", "concurrence",
+                "--a-steps", "3", "--t-steps", "3"]
+        assert cli.main(argv) == 2
+        assert "finite" in capsys.readouterr().err

@@ -289,19 +289,20 @@ def test_detection_agreement_across_the_grid():
     for a in np.linspace(0, math.pi / 2, 50):
         for t in np.linspace(0, math.pi / 2, 50):
             psi = pair(float(a), float(t))
-            report = ent.measure_report(psi)
-            ppt_says = report.ppt_min_eig < -1e-9
-            schmidt_says = report.schmidt.lambda0 > 1e-9
-            concurrence_says = report.concurrence > 1e-9
+            rho = to_density(psi)
+            ppt_says = ent.ppt_spectrum(rho)[0] < -1e-9
+            schmidt_says = ent.schmidt_coefficients(psi).lambda0 > 1e-9
+            concurrence_says = ent.concurrence(rho) > 1e-9
             assert ppt_says == schmidt_says == concurrence_says
 
 
 def test_every_measure_vanishes_at_the_endpoints():
     for a in np.linspace(0, math.pi / 2, 25):
         for t in (0.0, math.pi / 2):
-            report = ent.measure_report(pair(float(a), t))
-            assert report.concurrence <= 1e-9
-            assert report.iconcurrence <= 1e-9
-            assert report.entropy <= 1e-9
-            assert report.schmidt.lambda0 <= 1e-9
-            assert report.ppt_min_eig >= -1e-9
+            psi = pair(float(a), t)
+            rho = to_density(psi)
+            assert ent.concurrence(rho) <= 1e-9
+            assert ent.iconcurrence(rho) <= 1e-9
+            assert ent.von_neumann_entropy(partial_trace(rho, {1})) <= 1e-9
+            assert ent.schmidt_coefficients(psi).lambda0 <= 1e-9
+            assert ent.ppt_spectrum(rho)[0] >= -1e-9

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from randstates import random_pure
+from randstates import random_density, random_pure
 
 from switchsim.states import (
     DensityMatrix,
@@ -123,6 +124,39 @@ def test_partial_trace_of_product_recovers_factor():
         assert np.allclose(
             partial_trace(rho, {1}).matrix, to_density(psi1).matrix, atol=1e-12
         )
+
+
+def _partial_trace_loop(m, n, discard):
+    # reference: sum the matrix entries over basis indices, one index at a time
+    keep = [q for q in range(n) if q not in discard]
+    dropped = sorted(discard)
+
+    def index(kept_bits, dropped_bits):
+        i = 0
+        for q, b in list(zip(keep, kept_bits)) + list(zip(dropped, dropped_bits)):
+            i |= b << (n - 1 - q)
+        return i
+
+    def bits(value, width):
+        return [(value >> (width - 1 - j)) & 1 for j in range(width)]
+
+    out = np.zeros((2 ** len(keep),) * 2, dtype=complex)
+    for r in range(2 ** len(keep)):
+        for c in range(2 ** len(keep)):
+            for e in range(2 ** len(dropped)):
+                d = bits(e, len(dropped))
+                out[r, c] += m[index(bits(r, len(keep)), d), index(bits(c, len(keep)), d)]
+    return out
+
+
+def test_partial_trace_matches_index_loop_reference():
+    rng = np.random.default_rng(4)
+    for n in (2, 3):
+        rho = random_density(rng, n)
+        for size in range(1, n):
+            for discard in itertools.combinations(range(n), size):
+                got = partial_trace(rho, set(discard)).matrix
+                assert np.array_equal(got, _partial_trace_loop(rho.matrix, n, set(discard)))
 
 
 def test_partial_transpose_leaves_diagonal_states_alone():

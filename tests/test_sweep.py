@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from switchsim import entanglement as ent
 from switchsim.sweep import ChannelSpec, SweepConfig, SweepRow, diff_sweep, emit, run_sweep, verify
 
 
@@ -137,7 +138,7 @@ def test_emit_rejects_unknown_format_and_bad_paths(tmp_path):
 
 
 def test_emit_is_deterministic(tmp_path):
-    config = SweepConfig(measure="entropy", a_steps=3, t_steps=7, compare=True, seed=4)
+    config = SweepConfig(measure="entropy", a_steps=3, t_steps=7, compare=True)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     emit(run_sweep(config), "csv", str(first))
     emit(run_sweep(config), "csv", str(second))
@@ -172,3 +173,25 @@ def test_verify_rejects_unknown_measures():
 def test_verify_respects_log_base():
     checks = verify(measures=["entropy"], a_steps=5, t_steps=5, log_base="2")
     assert all(c.passed for c in checks)
+
+
+def test_fidelity_closed_form_holds_where_sin_t_is_negative():
+    # numeric |<psi(pi/2)|psi(t)>| is 1 at t = -pi/2; alpha^2 + sin(t) beta^2 is -1
+    rows = run_sweep(
+        SweepConfig(measure="fidelity", a=0.0, t_min=-1.5708, t_max=0.0, t_steps=3, compare=True)
+    )
+    assert rows[0].value_numeric == pytest.approx(1.0, abs=1e-8)
+    assert all(r.abs_err <= 1e-12 for r in rows)
+
+
+def test_verify_fails_when_a_route_returns_nan(monkeypatch):
+    monkeypatch.setattr(ent, "concurrence", lambda rho: math.nan)
+    [check] = verify(measures=["concurrence"], a_steps=3, t_steps=3)
+    assert math.isnan(check.max_abs_err)
+    assert not check.passed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_verify_rejects_a_non_finite_injected_error(bad):
+    with pytest.raises(ValueError, match="finite"):
+        verify(measures=["concurrence"], a_steps=3, t_steps=3, inject_error=bad)

@@ -7,8 +7,6 @@ from randstates import random_pure
 from switchsim import linalg, switch
 from switchsim.states import PureState, make_qubit, qubit_from_angle, tensor
 from switchsim.switch import (
-    CNOT,
-    TOFFOLI,
     circuit_unitary,
     evolve,
     fidelity,
@@ -24,25 +22,8 @@ SWAP_PERMUTATION[[3, 5]] = SWAP_PERMUTATION[[5, 3]]
 
 
 def test_gate_constants_are_unitary():
-    for g in (switch.PAULI_X, switch.PAULI_Y, switch.PAULI_Z, CNOT, TOFFOLI):
+    for g in (switch.PAULI_X, switch.PAULI_Y, switch.PAULI_Z, switch.IDENTITY_2):
         assert linalg.is_unitary(g, 1e-12)
-
-
-def test_cnot_truth_table():
-    for a in (0, 1):
-        for b in (0, 1):
-            col = 2 * a + b
-            out = 2 * a + (a ^ b)
-            assert CNOT[out, col] == 1
-
-
-def test_toffoli_truth_table():
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                col = 4 * a + 2 * b + c
-                out = 4 * a + 2 * b + ((a & b) ^ c)
-                assert TOFFOLI[out, col] == 1
 
 
 def test_hamiltonian_entries_and_trace():
