@@ -11,6 +11,10 @@ operators parametrized by a probability p:
 Note the convention split: PF/BF are noiseless at p = 1, while AD/PD are
 noiseless at p = 0. The conventions are kept exactly as stated so the
 closed-form comparisons stay literal.
+
+``apply_kraus`` and ``average_fidelities`` work on stacks of density
+matrices and of target unitaries; ``apply_channel`` and
+``average_fidelity_numeric`` are their single-matrix case.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, _frozen
+from .states import DensityMatrix, _adopt, _frozen, checked_density
 from .switch import IDENTITY_2, PAULI_X, PAULI_Z
 
 CHANNEL_KINDS = ("PF", "BF", "AD", "PD")
@@ -103,21 +107,32 @@ def lift(channel: KrausChannel, qubit: int, n_qubits: int) -> KrausChannel:
     )
 
 
-def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """sum_k E_k rho E_k^dagger; preserves trace, Hermiticity and positivity."""
-    if rho.dim != channel.dim:
+def _require_dim(dim: int, channel: KrausChannel, what: str) -> None:
+    if dim != channel.dim:
         raise ValueError(
-            f"dimension mismatch: state is {rho.dim}-dimensional, "
+            f"dimension mismatch: {what} is {dim}-dimensional, "
             f"channel is {channel.dim}-dimensional"
         )
-    out = np.zeros_like(rho.matrix)
-    for e in channel.operators:
-        out = out + e @ rho.matrix @ linalg.dagger(e)
-    return DensityMatrix(rho.n_qubits, out)
 
 
-def average_fidelity_numeric(u_target: np.ndarray, channel: KrausChannel) -> float:
-    """Average gate fidelity of a noisy implementation against a target unitary.
+def apply_kraus(m: np.ndarray, channel: KrausChannel) -> np.ndarray:
+    """sum_k E_k rho E_k^dagger for each density matrix rho of a stack, as
+    one broadcast product over (point, operator) summed over the operators;
+    the results are checked as a DensityMatrix is."""
+    _require_dim(m.shape[-1], channel, "state")
+    ops = np.stack(channel.operators)
+    terms = ops @ m[..., None, :, :] @ linalg.dagger(ops)
+    return checked_density(np.sum(terms, axis=-3, initial=0.0))
+
+
+def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
+    """sum_k E_k rho E_k^dagger; preserves trace, Hermiticity and positivity."""
+    return _adopt(DensityMatrix, rho.n_qubits, apply_kraus(rho.matrix, channel))
+
+
+def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
+    """Average gate fidelity of a noisy implementation against each target
+    unitary of a stack.
 
     With M_k = U^dagger E_k and n the dimension,
 
@@ -125,20 +140,20 @@ def average_fidelity_numeric(u_target: np.ndarray, channel: KrausChannel) -> flo
 
     For a trace-preserving channel the first term equals n.
     """
-    u = linalg.as_matrix(u_target)
-    n = u.shape[0]
-    if u.shape != (n, n) or n != channel.dim:
-        raise ValueError(
-            f"dimension mismatch: target is {u.shape}, channel dim is {channel.dim}"
-        )
-    ud = linalg.dagger(u)
-    total = 0.0
-    trace_sum = np.zeros((n, n), dtype=complex)
-    for e in channel.operators:
-        m = ud @ e
-        trace_sum = trace_sum + linalg.dagger(m) @ m
-        total += abs(np.trace(m)) ** 2
-    return float((np.trace(trace_sum).real + total) / (n * (n + 1)))
+    n = u.shape[-1]
+    if u.ndim < 2 or u.shape[-2] != n:
+        raise ValueError(f"targets must be square matrices, got shape {u.shape}")
+    _require_dim(n, channel, "target")
+    linalg.require_finite(u, "matrix entries")
+    m = linalg.dagger(u)[..., None, :, :] @ np.stack(channel.operators)
+    gram = np.sum(linalg.dagger(m) @ m, axis=-3, initial=0.0)
+    overlap = np.sum(np.abs(np.trace(m, axis1=-2, axis2=-1)) ** 2, axis=-1, initial=0.0)
+    return (np.trace(gram, axis1=-2, axis2=-1).real + overlap) / (n * (n + 1))
+
+
+def average_fidelity_numeric(u_target: np.ndarray, channel: KrausChannel) -> float:
+    """average_fidelities of one target unitary."""
+    return float(average_fidelities(linalg.as_matrix(u_target), channel))
 
 
 def average_fidelity_closed(kind: str, p: float, t: float) -> float:

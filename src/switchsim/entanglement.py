@@ -8,24 +8,41 @@ out verbatim rather than simplified so the comparison stays literal.
 
 Closed forms involving nested square roots are validated on real
 amplitudes only; complex inputs should use the numeric routes.
+
+Each numeric measure is one stacked kernel with a plural name
+(``schmidt_spectra``, ``ppt_spectra``, ``concurrences``, ``iconcurrences``,
+``entropies``) over arrays with one state per point along the leading axes;
+the single-state functions call it on one state. The closed forms are
+scalar ``math`` code, evaluated one point at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, apply_channel, check_kind, lift
-from .states import DensityMatrix, PureState, partial_trace, partial_transpose, to_density
-from .switch import PAULI_Y
+from .channels import KrausChannel, apply_kraus, check_kind, lift
+from .states import (
+    DensityMatrix,
+    PureState,
+    _adopt,
+    densities,
+    partial_trace,
+    partial_traces,
+    partial_transposes,
+)
+from .switch import PAULI_Y, switched_pairs
 
 #: spectral weight below this is eigensolver noise; treating it as exactly
 #: zero keeps sqrt-based measures exact at separable points instead of
 #: inflating them to ~sqrt(machine eps)
 SPECTRAL_NOISE_FLOOR = 1e-13
+
+#: the two-qubit spin flip Y x Y of the concurrence
+_YY = np.kron(PAULI_Y, PAULI_Y)
 
 
 class SchmidtPair(NamedTuple):
@@ -40,19 +57,29 @@ def _floored(values: np.ndarray) -> np.ndarray:
     return np.where(values < SPECTRAL_NOISE_FLOOR, 0.0, values)
 
 
+def _positive(values: np.ndarray) -> np.ndarray:
+    """max(0, v) per entry, with Python's max semantics: -0.0 and NaN read 0."""
+    return np.where(values > 0.0, values, 0.0)
+
+
 def _sqrt_floored(value: float) -> float:
     # square roots amplify rounding residue near zero to ~1e-8; both the
     # numeric and closed routes must zero it for their comparison to hold
     return 0.0 if value < SPECTRAL_NOISE_FLOOR else math.sqrt(value)
 
 
+def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of a
+    stack, as square roots of the reduced-state spectrum; shape (..., 2)."""
+    w, _ = linalg.eigh(partial_traces(densities(psi), 2, {1}))
+    return np.sqrt(_floored(w))
+
+
 def schmidt_coefficients(psi: PureState) -> SchmidtPair:
     """Schmidt coefficients as square roots of the reduced-state spectrum."""
     if psi.n_qubits != 2:
         raise ValueError(f"Schmidt coefficients need a 2-qubit state, got {psi.n_qubits}")
-    reduced = partial_trace(to_density(psi), {1})
-    w = linalg.hermitian_eigensystem(reduced.matrix).eigenvalues
-    lam = np.sqrt(_floored(w))
+    lam = schmidt_spectra(psi.amplitudes)
     return SchmidtPair(float(lam[0]), float(lam[1]))
 
 
@@ -69,13 +96,21 @@ def schmidt_closed(beta0: complex, t: float) -> SchmidtPair:
     return SchmidtPair(lam0, lam1)
 
 
-def ppt_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Ascending eigenvalues of the partial transpose on the second qubit.
+def ppt_spectra(rho: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the partial transpose on the second qubit of
+    each 2-qubit density matrix of a stack; shape (..., 4).
 
     A negative eigenvalue witnesses entanglement; the spectrum is the same
     whichever qubit is transposed.
     """
-    return linalg.hermitian_eigensystem(partial_transpose(rho, 1)).eigenvalues
+    return linalg.eigh(partial_transposes(rho, 1))[0]
+
+
+def ppt_spectrum(rho: DensityMatrix) -> np.ndarray:
+    """ppt_spectra of one 2-qubit density matrix."""
+    if rho.n_qubits != 2:
+        raise ValueError(f"the PPT spectrum needs a 2-qubit state, got {rho.n_qubits}")
+    return ppt_spectra(rho.matrix)
 
 
 def ppt_closed(alpha0: complex, beta0: complex, t: float) -> np.ndarray:
@@ -103,23 +138,27 @@ def fidelity_closed(alpha0: complex, beta0: complex, t: float) -> float:
     return abs(abs(alpha0) ** 2 + math.sin(t) * abs(beta0) ** 2)
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence max(0, l1 - l2 - l3 - l4).
+def concurrences(rho: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence max(0, l1 - l2 - l3 - l4) of each density
+    matrix of a stack.
 
     The l_i are the descending eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho))
     with the spin-flipped state rho~ = (Y x Y) conj(rho) (Y x Y), obtained
     here as square roots of the sandwiched product's spectrum (floored at
     the noise level, see SPECTRAL_NOISE_FLOOR).
     """
+    rho_tilde = _YY @ np.conj(rho) @ _YY
+    root = linalg.psd_sqrt(rho)
+    w, _ = linalg.eigh(root @ rho_tilde @ root)
+    lam = np.sqrt(_floored(w))[..., ::-1]
+    return _positive(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """concurrences of one 2-qubit density matrix."""
     if rho.n_qubits != 2:
         raise ValueError(f"concurrence needs a 2-qubit state, got {rho.n_qubits}")
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    rho_tilde = yy @ np.conj(rho.matrix) @ yy
-    root = linalg.psd_sqrt(rho.matrix)
-    sandwiched = root @ rho_tilde @ root
-    w = linalg.hermitian_eigensystem(sandwiched).eigenvalues
-    lam = np.sqrt(_floored(w))[::-1]
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(concurrences(rho.matrix))
 
 
 def concurrence_closed(beta0: complex, t: float) -> float:
@@ -129,20 +168,26 @@ def concurrence_closed(beta0: complex, t: float) -> float:
     return abs(beta0**2 * math.sin(2 * t))
 
 
-def iconcurrence(rho: DensityMatrix, traced_side: str = "B") -> float:
-    """sqrt(2 (1 - purity)) of the state left after tracing out one side.
+def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:
+    """sqrt(2 (1 - purity)) of the state left after tracing out one side, for
+    each 2-qubit density matrix of a stack.
 
     Equals the concurrence on pure 2-qubit states. On mixed states it is
     applied exactly as defined (purity of the reduced state), which is what
     the noisy closed forms reproduce.
     """
-    if rho.n_qubits != 2:
-        raise ValueError(f"I-concurrence needs a 2-qubit state, got {rho.n_qubits}")
     if traced_side not in ("A", "B"):
         raise ValueError(f"traced_side must be 'A' or 'B', got {traced_side!r}")
-    reduced = partial_trace(rho, {0} if traced_side == "A" else {1})
-    purity = float(np.trace(reduced.matrix @ reduced.matrix).real)
-    return _sqrt_floored(2.0 * (1.0 - purity))
+    reduced = partial_traces(rho, 2, {0} if traced_side == "A" else {1})
+    purity = np.trace(reduced @ reduced, axis1=-2, axis2=-1).real
+    return np.sqrt(_floored(2.0 * (1.0 - purity)))
+
+
+def iconcurrence(rho: DensityMatrix, traced_side: str = "B") -> float:
+    """iconcurrences of one 2-qubit density matrix."""
+    if rho.n_qubits != 2:
+        raise ValueError(f"I-concurrence needs a 2-qubit state, got {rho.n_qubits}")
+    return float(iconcurrences(rho.matrix, traced_side))
 
 
 def iconcurrence_closed(alpha0: complex, beta0: complex, t: float) -> float:
@@ -201,17 +246,23 @@ def iconcurrence_noisy_closed(
     return _sqrt_floored(inner)
 
 
-def von_neumann_entropy(rho: DensityMatrix, log_base: str = "e") -> float:
-    """-sum l log(l) over the spectrum, with 0 log 0 = 0.
+def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
+    """-sum l log(l) over the spectrum of each density matrix of a stack,
+    with 0 log 0 = 0.
 
     ``log_base`` selects nats ("e", the default) or bits ("2").
     """
     scale = _log_scale(log_base)
-    w = linalg.hermitian_eigensystem(rho.matrix).eigenvalues
-    w = np.clip(w, 0.0, None)
-    positive = w[w > 0]
+    w = np.clip(linalg.eigh(rho)[0], 0.0, None)
+    positive = w > 0
+    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
     # an eigenvalue rounding to 1+eps would otherwise leave -eps behind
-    return max(0.0, float(-np.sum(positive * np.log(positive)) * scale))
+    return _positive(-np.sum(terms, axis=-1) * scale)
+
+
+def von_neumann_entropy(rho: DensityMatrix, log_base: str = "e") -> float:
+    """entropies of one density matrix."""
+    return float(entropies(rho.matrix, log_base))
 
 
 def _log_scale(log_base: str) -> float:
@@ -260,13 +311,20 @@ def entropy_symmetry_check(rho_ab: DensityMatrix, log_base: str = "e"):
     return s_a, s_b
 
 
+def pair_densities(
+    a_amps: np.ndarray, t, lifted: Optional[KrausChannel] = None
+) -> np.ndarray:
+    """Run the switch on |A>|0>|1> to time ``t`` for each |A> of a stack of
+    amplitude pairs, drop the control, and apply ``lifted``, a channel
+    already lifted onto the pair, when one is given; shape (..., 4, 4)."""
+    rho = densities(switched_pairs(a_amps, t))
+    return rho if lifted is None else apply_kraus(rho, lifted)
+
+
 def noisy_pair_density(
     a_state: PureState, t: float, channel: KrausChannel, qubit: int = 0
 ) -> DensityMatrix:
     """Run the switch on |A>|0>|1> to time ``t``, drop the control, then
     apply a single-qubit channel to one of the data qubits."""
-    from .switch import switched_pair  # local to avoid cycle
-
-    pair = switched_pair(a_state, t)
-    return apply_channel(to_density(pair), lift(channel, qubit, 2))
+    return _adopt(DensityMatrix, 2, pair_densities(a_state.amplitudes, t, lift(channel, qubit, 2)))
 

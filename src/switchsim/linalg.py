@@ -1,8 +1,15 @@
-"""Dense complex linear algebra helpers for small (2x2 .. 8x8) matrices.
+"""Dense complex linear algebra for small (2x2 .. 8x8) matrices and stacks
+of them.
 
 Everything in this package carries states and operators as plain numpy
-arrays of dtype complex128. The matrices are tiny, so the helpers here
-favour strict validation and clear failure modes over speed.
+arrays of dtype complex128. A *stack* is an array of shape (..., d, d):
+one matrix per grid point along the leading axes. The stacked helpers run
+numpy's gufuncs (`matmul`, `eigh`, `eigvalsh`) over the whole stack in one
+call, and their checks test every matrix of the stack and raise on the
+first that fails, with the message a single matrix would get; a single
+matrix is the stack with no leading axes. Products go through `matmul`
+rather than `einsum`, so a stacked result carries the same bits as the
+same product taken one matrix at a time.
 """
 
 from __future__ import annotations
@@ -17,19 +24,35 @@ HERMITIAN_ATOL = 1e-10
 PSD_EIGENVALUE_FLOOR = -1e-10
 
 
+def require(ok, values, message: str) -> None:
+    """Raise ValueError unless every entry of the boolean stack ``ok`` holds.
+
+    ``message`` is formatted with ``value``, the entry of ``values`` at the
+    first failing position, as a Python float.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        value = float(np.broadcast_to(values, ok.shape)[~ok][0])
+        raise ValueError(message.format(value=value))
+
+
+def require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} contain NaN or Inf")
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-d complex array (no NaN/Inf admitted)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got array of shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+    require_finite(a, "matrix entries")
     return a
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m).T)
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -37,11 +60,16 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def hermitian_deviation(m: np.ndarray) -> np.ndarray:
+    """max |M - M^dagger| entry of each matrix of a stack."""
+    return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_ATOL) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
-    return float(np.max(np.abs(a - dagger(a)))) <= tol
+    return float(hermitian_deviation(a)) <= tol
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
@@ -52,7 +80,7 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     return float(np.max(np.abs(dagger(a) @ a - eye))) <= tol
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
+def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2
 
 
@@ -64,6 +92,19 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvector columns of every matrix of a
+    stack of finite Hermitian matrices; rejects the stack if any matrix is
+    not Hermitian within HERMITIAN_ATOL."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"eigensystem needs square matrices, got shape {m.shape}")
+    require_finite(m, "matrix entries")
+    deviation = hermitian_deviation(m)
+    require(deviation <= HERMITIAN_ATOL, deviation,
+            "matrix is not Hermitian: max |M - M^dagger| entry is {value:.3e}")
+    return np.linalg.eigh(hermitize(m))
+
+
 def hermitian_eigensystem(m: np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix.
 
@@ -71,30 +112,20 @@ def hermitian_eigensystem(m: np.ndarray) -> EigenSystem:
     the reconstruction V diag(w) V^dagger matches the input to relative
     Frobenius error well below 1e-10.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"eigensystem needs a square matrix, got shape {a.shape}")
-    deviation = float(np.max(np.abs(a - dagger(a))))
-    if deviation > HERMITIAN_ATOL:
-        raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dagger| entry is {deviation:.3e}"
-        )
-    w, v = np.linalg.eigh(_hermitize(a))
+    w, v = eigh(as_matrix(m))
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix, or of each
+    matrix of a stack.
 
     Eigenvalues in (PSD_EIGENVALUE_FLOOR, 0) are numerical noise from
     operator products and are clamped to zero; anything lower is rejected.
     """
-    sys = hermitian_eigensystem(m)
-    w = sys.eigenvalues
-    if float(w[0]) < PSD_EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {float(w[0]):.3e}"
-        )
+    w, v = eigh(np.asarray(m, dtype=complex))
+    require(w[..., 0] >= PSD_EIGENVALUE_FLOOR, w[..., 0],
+            "matrix is not positive semidefinite: min eigenvalue {value:.3e}")
     w = np.where(w < 0, 0.0, w)
-    s = (sys.eigenvectors * np.sqrt(w)) @ dagger(sys.eigenvectors)
-    return _hermitize(s)
+    s = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return hermitize(s)

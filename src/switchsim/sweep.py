@@ -10,6 +10,11 @@ whenever the entry has a closed form for the configuration (clean runs for
 every measure, noisy runs for the I-concurrence and the average fidelity
 with noise on qubit 0). Output is deterministic: identical configurations
 produce byte-identical files.
+
+The numeric route evaluates the grid as stacked arrays, BLOCK_POINTS points
+at a time, so that the memory it holds does not grow with the grid; each
+stage of a block is checked once. Closed forms are scalar code, called per
+point. A grid may hold at most MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -29,24 +34,30 @@ from . import states, switch
 #: verification gate per measure
 DEFAULT_TOLERANCE = 1e-9
 AVG_FIDELITY_TOLERANCE = 1e-10
+#: grid points evaluated together as one stack; bounds the memory a sweep
+#: holds in arrays, whatever the size of its grid
+BLOCK_POINTS = 512
+#: largest grid (a_steps * t_steps) a sweep accepts
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
 class Measure:
     """One diagnostic: how to compute it twice, and how close the two must be.
 
-    ``numeric(a, t, lifted, log_base)`` computes the value from the evolved
-    state; ``lifted`` is the channel already lifted onto the register, or
+    ``numeric(a, t, lifted, log_base)`` computes the values at the points
+    (a[i], t[i]) of two equal-length arrays from the evolved states, as one
+    stack; ``lifted`` is the channel already lifted onto the register, or
     None for a clean run. ``closed(alpha0, beta0, t, log_base)`` is the
-    clean closed form and ``noisy_closed(kind, p, t, alpha0, beta0)`` the
-    closed form under noise on qubit 0; either may be None. ``mixed`` says
-    whether the numeric route accepts a noisy (mixed) pair; ``gate`` marks a
-    property of the noisy switch itself, which needs a channel and lifts it
-    onto all three qubits.
+    clean closed form at one point and ``noisy_closed(kind, p, t, alpha0,
+    beta0)`` the closed form under noise on qubit 0; either may be None.
+    ``mixed`` says whether the numeric route accepts a noisy (mixed) pair;
+    ``gate`` marks a property of the noisy switch itself, which needs a
+    channel and lifts it onto all three qubits.
     """
 
     name: str
-    numeric: Callable[[float, float, Optional[ch.KrausChannel], str], float]
+    numeric: Callable[[np.ndarray, np.ndarray, Optional[ch.KrausChannel], str], np.ndarray]
     closed: Optional[Callable[[complex, complex, float, str], float]]
     noisy_closed: Optional[Callable[[str, float, float, complex, complex], float]]
     tolerance: float
@@ -54,21 +65,8 @@ class Measure:
     gate: bool = False
 
 
-def _pure_pair(a: float, t: float) -> states.PureState:
-    return switch.switched_pair(states.qubit_from_angle(a), t)
-
-
-def _pair(a: float, t: float, lifted: Optional[ch.KrausChannel]) -> states.DensityMatrix:
-    """The switched pair as a density matrix, after the channel if one is given."""
-    rho = states.to_density(_pure_pair(a, t))
-    return rho if lifted is None else ch.apply_channel(rho, lifted)
-
-
-def _register(a: float) -> states.PureState:
-    """The switch's input |A>|0>|1>."""
-    return states.tensor(
-        [states.qubit_from_angle(a), states.make_qubit(1.0, 0.0), states.make_qubit(0.0, 1.0)]
-    )
+def _pair_densities(a: np.ndarray, t: np.ndarray, lifted) -> np.ndarray:
+    return ent.pair_densities(states.angle_qubits(a), t, lifted)
 
 
 # The routes call through module attributes instead of holding function
@@ -76,47 +74,51 @@ def _register(a: float) -> states.PureState:
 MEASURES = {m.name: m for m in (
     Measure(
         "schmidt",
-        numeric=lambda a, t, lifted, base: ent.schmidt_coefficients(_pure_pair(a, t)).lambda0,
+        numeric=lambda a, t, lifted, base: ent.schmidt_spectra(
+            switch.switched_pairs(states.angle_qubits(a), t)
+        )[:, 0],
         closed=lambda al, be, t, base: ent.schmidt_closed(be, t).lambda0,
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=False,
     ),
     Measure(
         "ppt",
-        numeric=lambda a, t, lifted, base: float(ent.ppt_spectrum(_pair(a, t, lifted))[0]),
+        numeric=lambda a, t, lifted, base: ent.ppt_spectra(_pair_densities(a, t, lifted))[:, 0],
         closed=lambda al, be, t, base: float(ent.ppt_closed(al, be, t)[0]),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
         "concurrence",
-        numeric=lambda a, t, lifted, base: ent.concurrence(_pair(a, t, lifted)),
+        numeric=lambda a, t, lifted, base: ent.concurrences(_pair_densities(a, t, lifted)),
         closed=lambda al, be, t, base: ent.concurrence_closed(be, t),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
         "iconcurrence",
-        numeric=lambda a, t, lifted, base: ent.iconcurrence(_pair(a, t, lifted), "B"),
+        numeric=lambda a, t, lifted, base: ent.iconcurrences(_pair_densities(a, t, lifted), "B"),
         closed=lambda al, be, t, base: ent.iconcurrence_closed(al, be, t),
         noisy_closed=lambda kind, p, t, al, be: ent.iconcurrence_noisy_closed(kind, p, t, al, be),
         tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
         "entropy",
-        numeric=lambda a, t, lifted, base: ent.von_neumann_entropy(
-            states.partial_trace(_pair(a, t, lifted), {1}), base
+        numeric=lambda a, t, lifted, base: ent.entropies(
+            states.partial_traces(_pair_densities(a, t, lifted), 2, {1}), base
         ),
         closed=lambda al, be, t, base: ent.reduced_entropy_closed(al, be, t, base),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
         "fidelity",
-        numeric=lambda a, t, lifted, base: switch.switch_fidelity(_register(a), t),
+        numeric=lambda a, t, lifted, base: switch.switch_fidelities(
+            switch.registers(states.angle_qubits(a)), t
+        ),
         closed=lambda al, be, t, base: ent.fidelity_closed(al, be, t),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=False,
     ),
     Measure(
         "avg_fidelity",
-        numeric=lambda a, t, lifted, base: ch.average_fidelity_numeric(
-            switch.switch_unitary(t).matrix, lifted
+        numeric=lambda a, t, lifted, base: ch.average_fidelities(
+            switch.switch_unitaries(t), lifted
         ),
         closed=None,
         noisy_closed=lambda kind, p, t, al, be: ch.average_fidelity_closed(kind, p, t),
@@ -168,6 +170,11 @@ class SweepConfig:
             raise ValueError(f"t_steps must be >= 2, got {self.t_steps}")
         if self.a_steps < 1:
             raise ValueError(f"a_steps must be >= 1, got {self.a_steps}")
+        if self.a_steps * self.t_steps > MAX_GRID_POINTS:
+            raise ValueError(
+                f"a grid of {self.a_steps} x {self.t_steps} points exceeds the "
+                f"limit of {MAX_GRID_POINTS:,} points"
+            )
         for name in ("a", "t_min", "t_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -183,10 +190,10 @@ class SweepConfig:
     def t_values(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.t_steps)
 
-    def grid(self) -> list:
-        """(a, t) of every grid point: a outer, t fastest."""
-        ts = [float(t) for t in self.t_values()]
-        return [(float(a), t) for a in self.a_values() for t in ts]
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays of a and t over every grid point: a outer, t fastest."""
+        a, t = self.a_values(), self.t_values()
+        return np.repeat(a, len(t)), np.tile(t, len(a))
 
 
 @dataclass(frozen=True)
@@ -198,14 +205,16 @@ class SweepRow:
     abs_err: Optional[float] = None
 
 
-Route = Callable[[float, float], float]
+Numeric = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Closed = Callable[[float, float], float]
 
 
-def _routes(config: SweepConfig) -> tuple[Route, Optional[Route]]:
-    """The numeric route of ``config`` and its closed form as functions of
-    (a, t). The closed form is None without ``compare`` or where the table
-    has none (noise on qubit 1 included). The channel is built and lifted
-    here, once per configuration."""
+def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed]]:
+    """The numeric route of ``config`` as a function of stacked (a, t), and
+    its closed form as a function of one (a, t). The closed form is None
+    without ``compare`` or where the table has none (noise on qubit 1
+    included). The channel is built and lifted here, once per
+    configuration."""
     m = MEASURES[config.measure]
     spec, base = config.channel, config.log_base
     if m.gate and spec is None:
@@ -217,7 +226,7 @@ def _routes(config: SweepConfig) -> tuple[Route, Optional[Route]]:
         )
     lifted = None if spec is None else ch.lift(spec.make(), spec.qubit, 3 if m.gate else 2)
 
-    def numeric(a: float, t: float) -> float:
+    def numeric(a: np.ndarray, t: np.ndarray) -> np.ndarray:
         return m.numeric(a, t, lifted, base)
 
     if not config.compare:
@@ -231,21 +240,33 @@ def _routes(config: SweepConfig) -> tuple[Route, Optional[Route]]:
     return numeric, lambda a, t: m.noisy_closed(spec.kind, spec.p, t, math.sin(a), math.cos(a))
 
 
-def _row(t: float, a: float, numeric: float, closed: Optional[float]) -> SweepRow:
-    if closed is None:
-        return SweepRow(t=t, a=a, value_numeric=numeric)
-    return SweepRow(
-        t=t, a=a, value_numeric=numeric, value_closed=closed, abs_err=abs(numeric - closed)
-    )
+def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The numeric route over the grid points (a, t), BLOCK_POINTS at a time."""
+    return np.concatenate([
+        numeric(a[i:i + BLOCK_POINTS], t[i:i + BLOCK_POINTS])
+        for i in range(0, len(a), BLOCK_POINTS)
+    ])
+
+
+def _rows(a: np.ndarray, t: np.ndarray, values: np.ndarray, closed) -> list[SweepRow]:
+    """One row per grid point; ``closed(a, t)`` gives the closed column, or
+    None leaves it empty."""
+    rows = []
+    for a_i, t_i, value in zip(a.tolist(), t.tolist(), values.tolist()):
+        if closed is None:
+            rows.append(SweepRow(t=t_i, a=a_i, value_numeric=value))
+        else:
+            c = closed(a_i, t_i)
+            rows.append(SweepRow(t=t_i, a=a_i, value_numeric=value, value_closed=c,
+                                 abs_err=abs(value - c)))
+    return rows
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """One row per grid point, a outer, t fastest."""
     numeric, closed = _routes(config)
-    return [
-        _row(t, a, numeric(a, t), None if closed is None else closed(a, t))
-        for a, t in config.grid()
-    ]
+    a, t = config.grid()
+    return _rows(a, t, _evaluate(numeric, a, t), closed)
 
 
 def diff_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -256,13 +277,12 @@ def diff_sweep(config: SweepConfig) -> list[SweepRow]:
         raise ValueError(f"diff is defined for {mixed_measures()}, got {config.measure!r}")
     noisy, noisy_closed = _routes(config)
     clean, clean_closed = _routes(replace(config, channel=None))
-    rows = []
-    for a, t in config.grid():
-        closed = None
-        if noisy_closed is not None and clean_closed is not None:
-            closed = abs(noisy_closed(a, t) - clean_closed(a, t))
-        rows.append(_row(t, a, abs(noisy(a, t) - clean(a, t)), closed))
-    return rows
+    a, t = config.grid()
+    values = np.abs(_evaluate(noisy, a, t) - _evaluate(clean, a, t))
+    closed = None
+    if noisy_closed is not None and clean_closed is not None:
+        closed = lambda a, t: abs(noisy_closed(a, t) - clean_closed(a, t))  # noqa: E731
+    return _rows(a, t, values, closed)
 
 
 @dataclass(frozen=True)
@@ -308,7 +328,7 @@ def verify(
     plan += [(m, kind) for m in table if m.noisy_closed is not None for kind in ch.CHANNEL_KINDS]
     avg_p = [float(p) for p in np.linspace(0.0, 1.0, avg_grid)]
 
-    checks = []
+    checks, values = [], {}
     for m, kind in plan:
         if kind is None:
             configs = [SweepConfig(m.name, a_steps=a_steps, t_steps=t_steps,
@@ -320,20 +340,17 @@ def verify(
             configs = [SweepConfig(m.name, a_steps=noisy_a_steps, t_steps=t_steps,
                                    channel=ChannelSpec(kind, p), compare=True)
                        for p in NOISY_P_VALUES]
-        errors = [abs(r.value_numeric - (r.value_closed + inject_error))
-                  for config in configs for r in run_sweep(config)]
+        rows = [r for config in configs for r in run_sweep(config)]
+        errors = [abs(r.value_numeric - (r.value_closed + inject_error)) for r in rows]
         name = m.name if kind is None else f"{m.name}[{kind}]"
+        values[name] = np.array([r.value_numeric for r in rows])
         # np.max, unlike max(), lets a NaN through, and a NaN fails the check
         checks.append(VerifyCheck(name, float(np.max(errors)), m.tolerance))
 
     if "avg_fidelity" in wanted:
-        # the two flip channels must agree with each other exactly
-        def flip(kind: str, p: float) -> list[SweepRow]:
-            return run_sweep(SweepConfig("avg_fidelity", t_steps=avg_grid,
-                                         channel=ChannelSpec(kind, p)))
-
-        errors = [abs(pf.value_numeric - bf.value_numeric)
-                  for p in avg_p for pf, bf in zip(flip("PF", p), flip("BF", p))]
+        # the two flip channels must agree with each other exactly; the
+        # [PF] and [BF] checks have computed both on the same grid
+        errors = np.abs(values["avg_fidelity[PF]"] - values["avg_fidelity[BF]"])
         checks.append(VerifyCheck("avg_fidelity[PF=BF]", float(np.max(errors)), 1e-12))
 
     return checks

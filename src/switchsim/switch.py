@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import PureState, _frozen
+from .states import PureState, _adopt, _frozen, branches, kron_vectors, normalized
 
 
 def _const(rows) -> np.ndarray:
@@ -28,6 +28,8 @@ PAULI_X = _const([[0, 1], [1, 0]])
 PAULI_Y = _const([[0, 1j], [-1j, 0]])
 PAULI_Z = _const([[1, 0], [0, -1]])
 IDENTITY_2 = _const([[1, 0], [0, 1]])
+KET_0 = _const([1, 0])
+KET_1 = _const([0, 1])
 
 
 @dataclass(frozen=True)
@@ -54,21 +56,29 @@ def switch_hamiltonian() -> np.ndarray:
     return h
 
 
-def switch_unitary(t: float) -> SwitchOperator:
-    """Closed-form exp(-i t H) of the switch generator.
+def switch_unitaries(t) -> np.ndarray:
+    """Closed-form exp(-i t H) of the switch generator at each time of a
+    stack, shape (..., 8, 8).
 
     Identity everywhere except the 2x2 block on indices {3, 5}, which is
     [[cos t, -i sin t], [-i sin t, cos t]].
     """
-    if not math.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise ValueError("time must be finite")
-    u = np.eye(8, dtype=complex)
-    c, s = math.cos(t), math.sin(t)
-    u[3, 3] = c
-    u[5, 5] = c
-    u[3, 5] = -1j * s
-    u[5, 3] = -1j * s
-    return SwitchOperator(t=t, matrix=u)
+    u = np.zeros(t.shape + (8, 8), dtype=complex)
+    u[..., range(8), range(8)] = 1.0
+    c, s = np.cos(t), np.sin(t)
+    u[..., 3, 3] = c
+    u[..., 5, 5] = c
+    u[..., 3, 5] = -1j * s
+    u[..., 5, 3] = -1j * s
+    return u
+
+
+def switch_unitary(t: float) -> SwitchOperator:
+    """The switch unitary at one time ``t`` (see switch_unitaries)."""
+    return SwitchOperator(t=t, matrix=switch_unitaries(t))
 
 
 def switch_unitary_oracle(t: float) -> np.ndarray:
@@ -113,11 +123,22 @@ def circuit_unitary() -> np.ndarray:
     return cn @ tof @ cn
 
 
+def evolved(amps: np.ndarray, t) -> np.ndarray:
+    """U(t) applied to each 3-qubit amplitude vector of a stack, checked as a
+    PureState is; ``t`` is one time or one per vector."""
+    return normalized((switch_unitaries(t) @ amps[..., None])[..., 0])
+
+
 def evolve(psi: PureState, t: float) -> PureState:
     """Apply the switch at time ``t`` to a 3-qubit register."""
     if psi.n_qubits != 3:
         raise ValueError(f"the switch acts on 3 qubits, got {psi.n_qubits}")
-    return PureState(3, switch_unitary(t).matrix @ psi.amplitudes)
+    return _adopt(PureState, 3, evolved(psi.amplitudes, t))
+
+
+def overlaps(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """|<phi|psi>| of each pair of amplitude vectors of two stacks."""
+    return np.abs((np.conj(phi)[..., None, :] @ psi[..., :, None])[..., 0, 0])
 
 
 def fidelity(phi: PureState, psi: PureState) -> float:
@@ -126,33 +147,46 @@ def fidelity(phi: PureState, psi: PureState) -> float:
         raise ValueError(
             f"fidelity needs equal arity, got {phi.n_qubits} and {psi.n_qubits}"
         )
-    return float(abs(np.vdot(phi.amplitudes, psi.amplitudes)))
+    return float(overlaps(phi.amplitudes, psi.amplitudes))
 
 
-def switch_fidelity(psi0: PureState, t: float) -> float:
-    """Overlap of the state at time ``t`` with the completed swap at pi/2.
+def switch_fidelities(regs: np.ndarray, t) -> np.ndarray:
+    """Overlap of each 3-qubit register of the stack ``regs`` at time ``t``
+    with its completed swap at pi/2.
 
     For |A>|0>|1> with amplitudes (alpha, beta) this evaluates to
     | |alpha|^2 + sin(t) |beta|^2 | (entanglement.fidelity_closed); it
     reaches 1 at t = pi/2 for every input.
     """
+    return overlaps(evolved(regs, math.pi / 2), evolved(regs, t))
+
+
+def switch_fidelity(psi0: PureState, t: float) -> float:
+    """switch_fidelities of one register at one time."""
     if psi0.n_qubits != 3:
         raise ValueError(f"the switch acts on 3 qubits, got {psi0.n_qubits}")
-    return fidelity(evolve(psi0, math.pi / 2), evolve(psi0, t))
+    return float(switch_fidelities(psi0.amplitudes, t))
+
+
+def registers(a_amps: np.ndarray) -> np.ndarray:
+    """The switch input |A>|0>|1> for each normalized |A> of a stack of
+    amplitude pairs, checked as a PureState is."""
+    return normalized(kron_vectors(a_amps, KET_0, KET_1))
+
+
+def switched_pairs(a_amps: np.ndarray, t) -> np.ndarray:
+    """Data-qubit pairs after running the switch on |A>|0>|1> to time ``t``.
+
+    Evolves each register of the stack and drops the control qubit (which
+    stays |1> exactly); each result is the 2-qubit vector
+    (alpha, -i sin(t) beta, cos(t) beta, 0). Every stage is checked as the
+    PureState it stands for.
+    """
+    return branches(evolved(registers(a_amps), t), 3, qubit=2, bit=1)
 
 
 def switched_pair(a_state: PureState, t: float) -> PureState:
-    """Data-qubit pair after running the switch on |A>|0>|1> to time ``t``.
-
-    Evolves the register and drops the control qubit (which stays |1>
-    exactly); the result is the 2-qubit vector
-    (alpha, -i sin(t) beta, cos(t) beta, 0).
-    """
-    from .states import make_qubit, project_control, tensor  # local to avoid cycle
-
+    """switched_pairs of one single-qubit state at one time."""
     if a_state.n_qubits != 1:
         raise ValueError("a_state must be a single qubit")
-    zero = make_qubit(1.0, 0.0)
-    one = make_qubit(0.0, 1.0)
-    evolved = evolve(tensor([a_state, zero, one]), t)
-    return project_control(evolved, qubit=2, bit=1)
+    return _adopt(PureState, 2, switched_pairs(a_state.amplitudes, t))

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from switchsim import cli
+from switchsim import sweep as sw
 
 VERIFY_FAST = [
     "verify", "--a-steps", "5", "--t-steps", "7",
@@ -110,3 +111,17 @@ def test_verify_rejects_a_non_finite_injected_error(capsys):
                 "--a-steps", "3", "--t-steps", "3"]
         assert cli.main(argv) == 2
         assert "finite" in capsys.readouterr().err
+
+
+def test_grid_cap_exits_2_before_building_the_grid(monkeypatch, capsys):
+    def no_grid(self):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(sw.SweepConfig, "grid", no_grid)
+    huge = ["--a-steps", "100000", "--t-steps", "100000"]
+    for argv in (["sweep", "--measure", "concurrence", *huge],
+                 ["diff", "--measure", "concurrence", "--channel", "AD", *huge],
+                 ["avg-fidelity", "--channel", "AD", *huge],
+                 ["verify", *huge]):
+        assert cli.main(argv) == 2
+        assert "exceeds the limit" in capsys.readouterr().err

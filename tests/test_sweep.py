@@ -5,7 +5,17 @@ import math
 import pytest
 
 from switchsim import entanglement as ent
-from switchsim.sweep import ChannelSpec, SweepConfig, SweepRow, diff_sweep, emit, run_sweep, verify
+from switchsim import channels as ch
+from switchsim.sweep import (
+    MAX_GRID_POINTS,
+    ChannelSpec,
+    SweepConfig,
+    SweepRow,
+    diff_sweep,
+    emit,
+    run_sweep,
+    verify,
+)
 
 
 def test_config_validation():
@@ -17,6 +27,9 @@ def test_config_validation():
         SweepConfig(measure="concurrence", a_steps=0)
     with pytest.raises(ValueError):
         SweepConfig(measure="concurrence", t_min=1.0, t_max=0.5)
+    with pytest.raises(ValueError, match="limit"):
+        SweepConfig(measure="concurrence", a_steps=MAX_GRID_POINTS // 100 + 1, t_steps=100)
+    SweepConfig(measure="concurrence", a_steps=MAX_GRID_POINTS // 100, t_steps=100)
     with pytest.raises(ValueError):
         ChannelSpec("PF", 1.2)
     with pytest.raises(ValueError):
@@ -165,6 +178,17 @@ def test_verify_fails_under_injected_error():
     assert any(not c.passed for c in checks)
 
 
+def test_verify_lifts_each_average_fidelity_channel_once(monkeypatch):
+    # 4 kinds x 20 values of p; the PF=BF check reuses the [PF] and [BF] values
+    calls = []
+    lift = ch.lift
+    monkeypatch.setattr(ch, "lift", lambda *args: calls.append(args) or lift(*args))
+    checks = verify(measures=["avg_fidelity"])
+    assert len(calls) == 80
+    assert [c.name for c in checks][-1] == "avg_fidelity[PF=BF]"
+    assert all(c.passed for c in checks)
+
+
 def test_verify_rejects_unknown_measures():
     with pytest.raises(ValueError):
         verify(measures=["negativity"])
@@ -185,7 +209,14 @@ def test_fidelity_closed_form_holds_where_sin_t_is_negative():
 
 
 def test_verify_fails_when_a_route_returns_nan(monkeypatch):
-    monkeypatch.setattr(ent, "concurrence", lambda rho: math.nan)
+    concurrences = ent.concurrences
+
+    def nan_at_an_interior_point(rho):
+        values = concurrences(rho)
+        values[4] = math.nan
+        return values
+
+    monkeypatch.setattr(ent, "concurrences", nan_at_an_interior_point)
     [check] = verify(measures=["concurrence"], a_steps=3, t_steps=3)
     assert math.isnan(check.max_abs_err)
     assert not check.passed
