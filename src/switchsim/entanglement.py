@@ -62,6 +62,12 @@ def _positive(values: np.ndarray) -> np.ndarray:
     return np.where(values > 0.0, values, 0.0)
 
 
+def _zero_below_floor(root: float) -> float:
+    # the numeric routes floor the spectrum, whose entries are squares of
+    # these closed forms; a closed form must read 0 wherever they do
+    return 0.0 if root * root < SPECTRAL_NOISE_FLOOR else root
+
+
 def _sqrt_floored(value: float) -> float:
     # square roots amplify rounding residue near zero to ~1e-8; both the
     # numeric and closed routes must zero it for their comparison to hold
@@ -87,13 +93,16 @@ def schmidt_closed(beta0: complex, t: float) -> SchmidtPair:
     """Closed-form Schmidt pair of the switched |A>|0> pair at time ``t``:
 
         lambda_{0,1} = sqrt(1 -+ sqrt(1 - |beta|^4 sin^2(2t))) / sqrt(2)
+
+    lambda0 reads 0 where lambda0^2 is below SPECTRAL_NOISE_FLOOR, as the
+    numeric route reads it.
     """
     if abs(beta0) > 1 + 1e-12:
         raise ValueError(f"|beta0| must be <= 1, got {abs(beta0)!r}")
     inner = math.sqrt(max(0.0, 1.0 - abs(beta0) ** 4 * math.sin(2 * t) ** 2))
     lam0 = math.sqrt(max(0.0, 1.0 - inner)) / math.sqrt(2.0)
     lam1 = math.sqrt(1.0 + inner) / math.sqrt(2.0)
-    return SchmidtPair(lam0, lam1)
+    return SchmidtPair(_zero_below_floor(lam0), lam1)
 
 
 def ppt_spectra(rho: np.ndarray) -> np.ndarray:
@@ -162,10 +171,11 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def concurrence_closed(beta0: complex, t: float) -> float:
-    """|beta^2 sin(2t)| for the switched pair."""
+    """|beta^2 sin(2t)| for the switched pair; 0 where its square is below
+    SPECTRAL_NOISE_FLOOR, as the numeric route reads it."""
     if abs(beta0) > 1 + 1e-12:
         raise ValueError(f"|beta0| must be <= 1, got {abs(beta0)!r}")
-    return abs(beta0**2 * math.sin(2 * t))
+    return _zero_below_floor(abs(beta0**2 * math.sin(2 * t)))
 
 
 def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:

@@ -69,11 +69,6 @@ def test_a_sweep_lifts_its_channel_once(monkeypatch, name):
     assert len(calls) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the numeric route floors the spectrum at SPECTRAL_NOISE_FLOOR and reads 0 "
-    "where these closed forms, which apply no floor, still read up to about 3e-7",
-)
 @pytest.mark.parametrize("name", ["schmidt", "concurrence"])
 def test_closed_form_matches_the_numeric_route_near_separable_points(name):
     # beta = cos(a) is about 1e-3, so the measure is about 1e-8 at t = 0.01
