@@ -145,9 +145,14 @@ def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
         raise ValueError(f"targets must be square matrices, got shape {u.shape}")
     _require_dim(n, channel, "target")
     linalg.require_finite(u, "matrix entries")
-    m = linalg.dagger(u)[..., None, :, :] @ np.stack(channel.operators)
-    gram = np.sum(linalg.dagger(m) @ m, axis=-3, initial=0.0)
-    overlap = np.sum(np.abs(np.trace(m, axis1=-2, axis2=-1)) ** 2, axis=-1, initial=0.0)
+    ud = linalg.dagger(u)
+    gram, overlap = 0.0, 0.0
+    # one operator at a time: a stack of 8 x 8 products per operator is
+    # the largest array held, whatever the number of operators
+    for e in channel.operators:
+        m = ud @ e
+        gram = gram + linalg.dagger(m) @ m
+        overlap = overlap + np.abs(np.trace(m, axis1=-2, axis2=-1)) ** 2
     return (np.trace(gram, axis1=-2, axis2=-1).real + overlap) / (n * (n + 1))
 
 

@@ -35,8 +35,11 @@ from . import states, switch
 DEFAULT_TOLERANCE = 1e-9
 AVG_FIDELITY_TOLERANCE = 1e-10
 #: grid points evaluated together as one stack; bounds the memory a sweep
-#: holds in arrays, whatever the size of its grid
-BLOCK_POINTS = 512
+#: holds in arrays, whatever the size of its grid. The 8 x 8 average-fidelity
+#: route holds about 6 KB per point at its peak, so 128 points keep a sweep's
+#: peak memory near that of evaluating one point at a time, while the
+#: per-block call overhead stays small against the work of a block
+BLOCK_POINTS = 128
 #: largest grid (a_steps * t_steps) a sweep accepts
 MAX_GRID_POINTS = 1_000_000
 
@@ -281,7 +284,7 @@ def diff_sweep(config: SweepConfig) -> list[SweepRow]:
     values = np.abs(_evaluate(noisy, a, t) - _evaluate(clean, a, t))
     closed = None
     if noisy_closed is not None and clean_closed is not None:
-        closed = lambda a, t: abs(noisy_closed(a, t) - clean_closed(a, t))  # noqa: E731
+        closed = lambda a, t: abs(noisy_closed(a, t) - clean_closed(a, t))
     return _rows(a, t, values, closed)
 
 
@@ -328,7 +331,7 @@ def verify(
     plan += [(m, kind) for m in table if m.noisy_closed is not None for kind in ch.CHANNEL_KINDS]
     avg_p = [float(p) for p in np.linspace(0.0, 1.0, avg_grid)]
 
-    checks, values = [], {}
+    checks, flips = [], {}
     for m, kind in plan:
         if kind is None:
             configs = [SweepConfig(m.name, a_steps=a_steps, t_steps=t_steps,
@@ -340,17 +343,21 @@ def verify(
             configs = [SweepConfig(m.name, a_steps=noisy_a_steps, t_steps=t_steps,
                                    channel=ChannelSpec(kind, p), compare=True)
                        for p in NOISY_P_VALUES]
-        rows = [r for config in configs for r in run_sweep(config)]
-        errors = [abs(r.value_numeric - (r.value_closed + inject_error)) for r in rows]
+        errors, numeric = [], []
+        for config in configs:
+            for r in run_sweep(config):
+                errors.append(abs(r.value_numeric - (r.value_closed + inject_error)))
+                numeric.append(r.value_numeric)
         name = m.name if kind is None else f"{m.name}[{kind}]"
-        values[name] = np.array([r.value_numeric for r in rows])
         # np.max, unlike max(), lets a NaN through, and a NaN fails the check
         checks.append(VerifyCheck(name, float(np.max(errors)), m.tolerance))
+        if m.name == "avg_fidelity" and kind in ("PF", "BF"):
+            flips[kind] = np.array(numeric)
 
     if "avg_fidelity" in wanted:
         # the two flip channels must agree with each other exactly; the
         # [PF] and [BF] checks have computed both on the same grid
-        errors = np.abs(values["avg_fidelity[PF]"] - values["avg_fidelity[BF]"])
+        errors = np.abs(flips["PF"] - flips["BF"])
         checks.append(VerifyCheck("avg_fidelity[PF=BF]", float(np.max(errors)), 1e-12))
 
     return checks
