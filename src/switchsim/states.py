@@ -184,24 +184,19 @@ def to_density(psi: PureState) -> DensityMatrix:
     return _adopt(DensityMatrix, psi.n_qubits, densities(psi.amplitudes))
 
 
-def _discard_set(qubits, n: int) -> list:
-    qubits = set(qubits)
-    if not qubits:
-        raise ValueError("discard set must not be empty")
-    if not qubits <= set(range(n)):
-        raise ValueError(f"discard set {sorted(qubits)} out of range for {n} qubits")
-    if qubits == set(range(n)):
-        raise ValueError("cannot discard every qubit")
-    return sorted(qubits)
-
-
 def partial_traces(m: np.ndarray, n_qubits: int, discard) -> np.ndarray:
     """Trace the qubits in ``discard`` out of each n-qubit density matrix of
     a stack, keeping the rest in original order; the results are checked as
     a DensityMatrix is."""
-    n = n_qubits
-    dropped = _discard_set(discard, n)
-    keep = [q for q in range(n) if q not in dropped]
+    n, discard = n_qubits, set(discard)
+    if not discard:
+        raise ValueError("discard set must not be empty")
+    if not discard <= set(range(n)):
+        raise ValueError(f"discard set {sorted(discard)} out of range for {n} qubits")
+    if discard == set(range(n)):
+        raise ValueError("cannot discard every qubit")
+    keep = [q for q in range(n) if q not in discard]
+    dropped = sorted(discard)
     k, d = 2 ** len(keep), 2 ** len(dropped)
     lead = m.shape[:-2]
     b = len(lead)
