@@ -146,13 +146,15 @@ def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
     _require_dim(n, channel, "target")
     linalg.require_finite(u, "matrix entries")
     ud = linalg.dagger(u)
-    gram, overlap = 0.0, 0.0
-    # one operator at a time: a stack of 8 x 8 products per operator is
-    # the largest array held, whatever the number of operators
+    gram = np.zeros(u.shape, dtype=complex)
+    overlap = 0.0
+    # one operator at a time, accumulating in place: the stacks held stay
+    # a few, whatever the number of operators
     for e in channel.operators:
         m = ud @ e
-        gram = gram + linalg.dagger(m) @ m
+        gram += linalg.dagger(m) @ m
         overlap = overlap + np.abs(np.trace(m, axis1=-2, axis2=-1)) ** 2
+        del m
     return (np.trace(gram, axis1=-2, axis2=-1).real + overlap) / (n * (n + 1))
 
 

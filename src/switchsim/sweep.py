@@ -36,10 +36,10 @@ DEFAULT_TOLERANCE = 1e-9
 AVG_FIDELITY_TOLERANCE = 1e-10
 #: grid points evaluated together as one stack; bounds the memory a sweep
 #: holds in arrays, whatever the size of its grid. The 8 x 8 average-fidelity
-#: route holds about 6 KB per point at its peak, so 128 points keep a sweep's
-#: peak memory near that of evaluating one point at a time, while the
-#: per-block call overhead stays small against the work of a block
-BLOCK_POINTS = 128
+#: route holds about 6 KB per point at its peak; 64 points keep a sweep's
+#: peak memory at that of evaluating one point at a time (512 raised it by
+#: about 4 MB), at the cost of more calls per grid than larger blocks
+BLOCK_POINTS = 64
 #: largest grid (a_steps * t_steps) a sweep accepts
 MAX_GRID_POINTS = 1_000_000
 
@@ -251,16 +251,19 @@ def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     ])
 
 
-def _rows(a: np.ndarray, t: np.ndarray, values: np.ndarray, closed) -> list[SweepRow]:
-    """One row per grid point; ``closed(a, t)`` gives the closed column, or
-    None leaves it empty."""
+def _rows(config: SweepConfig, values: np.ndarray, closed) -> list[SweepRow]:
+    """One row per grid point, a outer, t fastest; ``closed(a, t)`` gives the
+    closed column, or None leaves it empty. Rows share the float objects of
+    their a and t values."""
+    ts = config.t_values().tolist()
+    points = ((a, t) for a in config.a_values().tolist() for t in ts)
     rows = []
-    for a_i, t_i, value in zip(a.tolist(), t.tolist(), values.tolist()):
+    for (a, t), value in zip(points, values.tolist()):
         if closed is None:
-            rows.append(SweepRow(t=t_i, a=a_i, value_numeric=value))
+            rows.append(SweepRow(t=t, a=a, value_numeric=value))
         else:
-            c = closed(a_i, t_i)
-            rows.append(SweepRow(t=t_i, a=a_i, value_numeric=value, value_closed=c,
+            c = closed(a, t)
+            rows.append(SweepRow(t=t, a=a, value_numeric=value, value_closed=c,
                                  abs_err=abs(value - c)))
     return rows
 
@@ -268,8 +271,7 @@ def _rows(a: np.ndarray, t: np.ndarray, values: np.ndarray, closed) -> list[Swee
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """One row per grid point, a outer, t fastest."""
     numeric, closed = _routes(config)
-    a, t = config.grid()
-    return _rows(a, t, _evaluate(numeric, a, t), closed)
+    return _rows(config, _evaluate(numeric, *config.grid()), closed)
 
 
 def diff_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -285,7 +287,7 @@ def diff_sweep(config: SweepConfig) -> list[SweepRow]:
     closed = None
     if noisy_closed is not None and clean_closed is not None:
         closed = lambda a, t: abs(noisy_closed(a, t) - clean_closed(a, t))
-    return _rows(a, t, values, closed)
+    return _rows(config, values, closed)
 
 
 @dataclass(frozen=True)

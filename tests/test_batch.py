@@ -123,10 +123,11 @@ A_STEPS, T_STEPS = 7, 101
 #: stride through the grid and the last point
 N_POINTS = A_STEPS * T_STEPS
 SAMPLE = sorted(
-    {i for b in range(BLOCK_POINTS, N_POINTS, BLOCK_POINTS) for i in range(b - 4, b + 4)}
+    {i for b in range(BLOCK_POINTS, N_POINTS, BLOCK_POINTS) for i in range(b - 2, b + 2)}
     | set(range(0, N_POINTS, 37))
     | {N_POINTS - 1}
 )
+assert SAMPLE[-1] == N_POINTS - 1 and N_POINTS % BLOCK_POINTS
 P = 0.37
 
 
