@@ -140,9 +140,9 @@ def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
 
     For a trace-preserving channel the first term equals n.
     """
-    n = u.shape[-1]
-    if u.ndim < 2 or u.shape[-2] != n:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError(f"targets must be square matrices, got shape {u.shape}")
+    n = u.shape[-1]
     _require_dim(n, channel, "target")
     linalg.require_finite(u, "matrix entries")
     ud = linalg.dagger(u)
