@@ -122,11 +122,14 @@ def ppt_spectrum(rho: DensityMatrix) -> np.ndarray:
     return ppt_spectra(rho.matrix)
 
 
-def ppt_closed(alpha0: complex, beta0: complex, t: float) -> np.ndarray:
-    """Closed-form partial-transpose spectrum of the switched pair (ascending).
+def ppt_eigenvalues_closed(
+    alpha0: complex, beta0: complex, t: float
+) -> tuple[float, float, float, float]:
+    """The four closed-form partial-transpose eigenvalues of the switched
+    pair, unsorted.
 
-    For real amplitudes the four eigenvalues are +-|beta|^2 sin(t) cos(t)
-    and (1 -+ sqrt(|alpha|^4 + 2|alpha beta|^2 + |beta|^4 cos^2(2t))) / 2.
+    For real amplitudes they are +-|beta|^2 sin(t) cos(t) and
+    (1 -+ sqrt(|alpha|^4 + 2|alpha beta|^2 + |beta|^4 cos^2(2t))) / 2.
     """
     norm_sq = abs(alpha0) ** 2 + abs(beta0) ** 2
     if abs(norm_sq - 1.0) > 1e-10:
@@ -134,7 +137,13 @@ def ppt_closed(alpha0: complex, beta0: complex, t: float) -> np.ndarray:
     x, y = abs(alpha0) ** 2, abs(beta0) ** 2
     swap = y * math.sin(t) * math.cos(t)
     root = math.sqrt(x**2 + 2 * x * y + y**2 * math.cos(2 * t) ** 2)
-    return np.sort(np.array([-swap, swap, (1 - root) / 2, (1 + root) / 2]))
+    return -swap, swap, (1 - root) / 2, (1 + root) / 2
+
+
+def ppt_closed(alpha0: complex, beta0: complex, t: float) -> np.ndarray:
+    """Closed-form partial-transpose spectrum of the switched pair, ascending:
+    ppt_eigenvalues_closed sorted."""
+    return np.sort(np.array(ppt_eigenvalues_closed(alpha0, beta0, t)))
 
 
 def fidelity_closed(alpha0: complex, beta0: complex, t: float) -> float:

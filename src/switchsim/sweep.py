@@ -14,16 +14,25 @@ produce byte-identical files.
 The numeric route evaluates the grid as stacked arrays, BLOCK_POINTS points
 at a time, so that the memory it holds does not grow with the grid; each
 stage of a block is checked once. Closed forms are scalar code, called per
-point. A grid may hold at most MAX_GRID_POINTS points.
+point into one closed column per grid, with sin a and cos a computed once
+per a value; ``verify`` compares that column with the numeric array
+directly and builds no rows. A grid may hold at most MAX_GRID_POINTS points.
+
+Emission writes the text itself: each CSV or JSON row is one ``%`` template
+over the row's fields. A JSON value is its 12-digit ``%.12g`` text wherever
+that already is the text ``json.dumps`` gives the rounded float, which is
+everywhere except integral values, ``e+`` exponents, ``e-3xx`` exponents
+and non-finite values; those few take the encoder's text.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -86,7 +95,7 @@ MEASURES = {m.name: m for m in (
     Measure(
         "ppt",
         numeric=lambda a, t, lifted, base: ent.ppt_spectra(_pair_densities(a, t, lifted))[:, 0],
-        closed=lambda al, be, t, base: float(ent.ppt_closed(al, be, t)[0]),
+        closed=lambda al, be, t, base: min(ent.ppt_eigenvalues_closed(al, be, t)),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
@@ -199,8 +208,10 @@ class SweepConfig:
         return np.repeat(a, len(t)), np.tile(t, len(a))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One grid point of a sweep; the closed column and abs_err are None
+    where no closed form applies."""
+
     t: float
     a: float
     value_numeric: float
@@ -209,14 +220,14 @@ class SweepRow:
 
 
 Numeric = Callable[[np.ndarray, np.ndarray], np.ndarray]
-Closed = Callable[[float, float], float]
+Closed = Callable[[float, float, float], float]
 
 
 def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed]]:
     """The numeric route of ``config`` as a function of stacked (a, t), and
-    its closed form as a function of one (a, t). The closed form is None
-    without ``compare`` or where the table has none (noise on qubit 1
-    included). The channel is built and lifted here, once per
+    its closed form as a function of one (sin a, cos a, t). The closed form
+    is None without ``compare`` or where the table has none (noise on qubit
+    1 included). The channel is built and lifted here, once per
     configuration."""
     m = MEASURES[config.measure]
     spec, base = config.channel, config.log_base
@@ -237,10 +248,10 @@ def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed]]:
     if spec is None:
         if m.closed is None:
             return numeric, None
-        return numeric, lambda a, t: m.closed(math.sin(a), math.cos(a), t, base)
+        return numeric, lambda al, be, t: m.closed(al, be, t, base)
     if spec.qubit != 0 or m.noisy_closed is None:
         return numeric, None
-    return numeric, lambda a, t: m.noisy_closed(spec.kind, spec.p, t, math.sin(a), math.cos(a))
+    return numeric, lambda al, be, t: m.noisy_closed(spec.kind, spec.p, t, al, be)
 
 
 def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -251,21 +262,32 @@ def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     ])
 
 
-def _rows(config: SweepConfig, values: np.ndarray, closed) -> list[SweepRow]:
-    """One row per grid point, a outer, t fastest; ``closed(a, t)`` gives the
-    closed column, or None leaves it empty. Rows share the float objects of
-    their a and t values."""
+def _closed_column(config: SweepConfig, closed: Closed) -> list[float]:
+    """``closed`` at every grid point, a outer, t fastest; sin a and cos a
+    are computed once per a value."""
     ts = config.t_values().tolist()
-    points = ((a, t) for a in config.a_values().tolist() for t in ts)
-    rows = []
-    for (a, t), value in zip(points, values.tolist()):
-        if closed is None:
-            rows.append(SweepRow(t=t, a=a, value_numeric=value))
-        else:
-            c = closed(a, t)
-            rows.append(SweepRow(t=t, a=a, value_numeric=value, value_closed=c,
-                                 abs_err=abs(value - c)))
-    return rows
+    column = []
+    for a in config.a_values().tolist():
+        alpha0, beta0 = math.sin(a), math.cos(a)
+        column += [closed(alpha0, beta0, t) for t in ts]
+    return column
+
+
+def _rows(config: SweepConfig, values: np.ndarray, closed: Optional[Closed]) -> list[SweepRow]:
+    """One row per grid point, a outer, t fastest; ``closed`` fills the
+    closed column and abs_err, or None leaves them empty. Rows share the
+    float objects of their a and t values."""
+    ts = config.t_values().tolist()
+    t_column = ts * config.a_steps
+    a_column = [a for a in config.a_values().tolist() for _ in ts]
+    values = values.tolist()
+    if closed is None:
+        fields = zip(t_column, a_column, values, repeat(None), repeat(None))
+    else:
+        column = _closed_column(config, closed)
+        errors = map(abs, map(operator.sub, values, column))
+        fields = zip(t_column, a_column, values, column, errors)
+    return list(map(SweepRow._make, fields))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -286,7 +308,7 @@ def diff_sweep(config: SweepConfig) -> list[SweepRow]:
     values = np.abs(_evaluate(noisy, a, t) - _evaluate(clean, a, t))
     closed = None
     if noisy_closed is not None and clean_closed is not None:
-        closed = lambda a, t: abs(noisy_closed(a, t) - clean_closed(a, t))
+        closed = lambda al, be, t: abs(noisy_closed(al, be, t) - clean_closed(al, be, t))
     return _rows(config, values, closed)
 
 
@@ -302,6 +324,29 @@ class VerifyCheck:
 
 
 NOISY_P_VALUES = (0.0, 0.25, 0.5, 0.74, 1.0)
+
+
+def _battery(wanted, a_steps, t_steps, noisy_a_steps, avg_grid, log_base) -> list:
+    """(check name, measure, channel kind or None, configurations) of each
+    closed-form check of ``verify``, in order; see there."""
+    table = [m for m in MEASURES.values() if m.name in wanted]
+    plan = [(m, None) for m in table if m.closed is not None]
+    plan += [(m, kind) for m in table if m.noisy_closed is not None for kind in ch.CHANNEL_KINDS]
+    avg_p = [float(p) for p in np.linspace(0.0, 1.0, avg_grid)]
+    battery = []
+    for m, kind in plan:
+        if kind is None:
+            configs = [SweepConfig(m.name, a_steps=a_steps, t_steps=t_steps,
+                                   log_base=log_base, compare=True)]
+        elif m.gate:
+            configs = [SweepConfig(m.name, t_steps=avg_grid, channel=ChannelSpec(kind, p),
+                                   compare=True) for p in avg_p]
+        else:
+            configs = [SweepConfig(m.name, a_steps=noisy_a_steps, t_steps=t_steps,
+                                   channel=ChannelSpec(kind, p), compare=True)
+                       for p in NOISY_P_VALUES]
+        battery.append((m.name if kind is None else f"{m.name}[{kind}]", m, kind, configs))
+    return battery
 
 
 def verify(
@@ -321,6 +366,8 @@ def verify(
     the PF=BF agreement of the average fidelity. ``inject_error`` is added
     to every closed-form value; it exists so the harness can prove it fails
     when the two routes disagree. A NaN from either route fails its check.
+    The numeric values are compared with the closed column directly, with
+    no rows built, by the same float operations a row's abs_err takes.
     """
     wanted = MEASURES if measures is None else measures
     unknown = set(wanted) - set(MEASURES)
@@ -328,33 +375,20 @@ def verify(
         raise ValueError(f"unknown measures: {sorted(unknown)}")
     if not math.isfinite(inject_error):
         raise ValueError(f"inject_error must be finite, got {inject_error!r}")
-    table = [m for m in MEASURES.values() if m.name in wanted]
-    plan = [(m, None) for m in table if m.closed is not None]
-    plan += [(m, kind) for m in table if m.noisy_closed is not None for kind in ch.CHANNEL_KINDS]
-    avg_p = [float(p) for p in np.linspace(0.0, 1.0, avg_grid)]
-
     checks, flips = [], {}
-    for m, kind in plan:
-        if kind is None:
-            configs = [SweepConfig(m.name, a_steps=a_steps, t_steps=t_steps,
-                                   log_base=log_base, compare=True)]
-        elif m.gate:
-            configs = [SweepConfig(m.name, t_steps=avg_grid, channel=ChannelSpec(kind, p),
-                                   compare=True) for p in avg_p]
-        else:
-            configs = [SweepConfig(m.name, a_steps=noisy_a_steps, t_steps=t_steps,
-                                   channel=ChannelSpec(kind, p), compare=True)
-                       for p in NOISY_P_VALUES]
+    for name, m, kind, configs in _battery(wanted, a_steps, t_steps, noisy_a_steps,
+                                           avg_grid, log_base):
         errors, numeric = [], []
         for config in configs:
-            for r in run_sweep(config):
-                errors.append(abs(r.value_numeric - (r.value_closed + inject_error)))
-                numeric.append(r.value_numeric)
-        name = m.name if kind is None else f"{m.name}[{kind}]"
+            route, closed = _routes(config)
+            values = _evaluate(route, *config.grid())
+            expected = np.array(_closed_column(config, closed)) + inject_error
+            errors.append(np.abs(values - expected))
+            numeric.append(values)
         # np.max, unlike max(), lets a NaN through, and a NaN fails the check
-        checks.append(VerifyCheck(name, float(np.max(errors)), m.tolerance))
+        checks.append(VerifyCheck(name, float(np.max(np.concatenate(errors))), m.tolerance))
         if m.name == "avg_fidelity" and kind in ("PF", "BF"):
-            flips[kind] = np.array(numeric)
+            flips[kind] = np.concatenate(numeric)
 
     if "avg_fidelity" in wanted:
         # the two flip channels must agree with each other exactly; the
@@ -363,10 +397,6 @@ def verify(
         checks.append(VerifyCheck("avg_fidelity[PF=BF]", float(np.max(errors)), 1e-12))
 
     return checks
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.12g}"
 
 
 def emit(rows: Sequence[SweepRow], fmt: str = "csv", destination=None) -> None:
@@ -391,29 +421,45 @@ def emit(rows: Sequence[SweepRow], fmt: str = "csv", destination=None) -> None:
             raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
 
 
+#: the CSV line of a row, keyed by (value_closed is None, abs_err is None);
+#: "%.0s" prints a None as nothing, so every template takes the whole row
+_CSV_LINES = {
+    (closed, err): "%.12g,%.12g,%.12g," + ("%.0s" if closed else "%.12g")
+                   + "," + ("%.0s" if err else "%.12g")
+    for closed in (False, True) for err in (False, True)
+}
+
+_JSON_ROW = (
+    '  {\n    "t": %s,\n    "a": %s,\n    "value": %s,\n'
+    '    "value_closed": %s,\n    "abs_err": %s\n  }'
+)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _render_csv(rows: Sequence[SweepRow]) -> str:
     lines = ["t,a,value,value_closed,abs_err"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (_fmt(r.t), _fmt(r.a), _fmt(r.value_numeric), _fmt(r.value_closed), _fmt(r.abs_err))
-            )
-        )
+    lines += [_CSV_LINES[r[3] is None, r[4] is None] % r for r in rows]
     return "\n".join(lines) + "\n"
 
 
-def _render_json(rows: Sequence[SweepRow]) -> str:
-    def number(value: Optional[float]):
-        return None if value is None else float(f"{value:.12g}")
+def _json_number(value: Optional[float]) -> str:
+    """The JSON text of float(f"{value:.12g}") as json.dumps writes it;
+    null for None."""
+    if value is None:
+        return "null"
+    text = "%.12g" % value
+    # positional with a fraction, or an exponent in e-01 .. e-29 and
+    # e-40 .. e-299: already the shortest text of the float it reads as
+    if ("." in text or "e-" in text) and "e+" not in text and "e-3" not in text:
+        return text
+    # integral, e+ and e-3x/e-3xx (subnormals included), or not finite
+    return _NON_FINITE.get(text) or repr(float(text))
 
-    payload = [
-        {
-            "t": number(r.t),
-            "a": number(r.a),
-            "value": number(r.value_numeric),
-            "value_closed": number(r.value_closed),
-            "abs_err": number(r.abs_err),
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+
+def _render_json(rows: Sequence[SweepRow]) -> str:
+    """The text json.dumps(rows as objects, indent=2) gives, and a final
+    newline, written directly; keys t, a, value, value_closed, abs_err."""
+    if not rows:
+        return "[]\n"
+    body = ",\n".join([_JSON_ROW % tuple(map(_json_number, r)) for r in rows])
+    return "[\n" + body + "\n]\n"

@@ -40,6 +40,16 @@ def test_closed_form_matches_the_numeric_route(name, kind, a, t, p):
     assert row.abs_err <= MEASURES[name].tolerance, (row.value_numeric, row.value_closed)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=angles, t=st.one_of(st.sampled_from([0.0, math.pi / 2]), times))
+def test_ppt_closed_column_is_the_least_eigenvalue_bit_for_bit(a, t):
+    # the sweep's ppt closed column takes min() of the unsorted eigenvalues;
+    # repr tells -0.0 from 0.0, which the column prints differently
+    alpha0, beta0 = math.sin(a), math.cos(a)
+    least = min(ent.ppt_eigenvalues_closed(alpha0, beta0, t))
+    assert repr(least) == repr(float(ent.ppt_closed(alpha0, beta0, t)[0]))
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("a closed form ran on the numeric route")
 

@@ -1,13 +1,17 @@
 import io
 import json
 import math
+import random
+import struct
 
 import pytest
 
 from switchsim import entanglement as ent
 from switchsim import channels as ch
+from switchsim import sweep
 from switchsim.sweep import (
     MAX_GRID_POINTS,
+    MEASURES,
     ChannelSpec,
     SweepConfig,
     SweepRow,
@@ -143,6 +147,85 @@ def test_emit_json_keys_and_nulls():
     ]
 
 
+def test_sweep_row_takes_keywords_with_defaults_and_is_immutable():
+    row = SweepRow(t=0.5, a=0.25, value_numeric=0.1)
+    assert (row.value_closed, row.abs_err) == (None, None)
+    assert SweepRow(0.5, 0.25, 0.1, abs_err=2.0).abs_err == 2.0
+    with pytest.raises(AttributeError):
+        row.value_numeric = 0.2
+    with pytest.raises(AttributeError):
+        row.abs_err = 0.0
+
+
+def _reference_csv(rows):
+    """The renderer as it was written before it formatted whole rows."""
+    def fmt(value):
+        return "" if value is None else f"{value:.12g}"
+
+    lines = ["t,a,value,value_closed,abs_err"]
+    for r in rows:
+        lines.append(",".join(
+            (fmt(r.t), fmt(r.a), fmt(r.value_numeric), fmt(r.value_closed), fmt(r.abs_err))
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(rows):
+    """The renderer as it was written before it wrote the JSON text itself."""
+    def number(value):
+        return None if value is None else float(f"{value:.12g}")
+
+    payload = [
+        {
+            "t": number(r.t),
+            "a": number(r.a),
+            "value": number(r.value_numeric),
+            "value_closed": number(r.value_closed),
+            "abs_err": number(r.abs_err),
+        }
+        for r in rows
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+#: values whose 12-digit text json.dumps writes differently: integral (some
+#: only after rounding), e+ exponents, e-3xx exponents and subnormals, and
+#: the non-finite values, beside ordinary ones
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 1e11, 123456789012.0, 999999999999.5, 1.5e13,
+    1e15, 1e16, 1e17, 1e-4, 1e-5, 1.5e-35, 1e-30, 1e-300, 5e-324, 1e-310,
+    math.inf, -math.inf, math.nan,
+]
+
+
+def _random_doubles(n, seed=20240611):
+    """Doubles from uniformly drawn bit patterns: every exponent, and NaN
+    payloads, subnormals and infinities among them."""
+    rng = random.Random(seed)
+    return [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(n)]
+
+
+def _rows_over(values):
+    """Rows that put every value in every field, with the optional fields
+    also empty in each combination."""
+    n = len(values)
+    rows = [SweepRow(*(values[(i + k) % n] for k in range(5))) for i in range(n)]
+    for i, v in enumerate(values):
+        w = values[(i + 1) % n]
+        rows += [SweepRow(v, w, v), SweepRow(w, v, v, None, w), SweepRow(v, v, w, v, None)]
+    return rows
+
+
+@pytest.mark.parametrize("values", [[], EDGE_VALUES, _random_doubles(2000)],
+                         ids=["empty", "edges", "random-bits"])
+def test_renderers_match_the_reference_renderers(values):
+    rows = _rows_over(values)
+    for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
+        buf = io.StringIO()
+        emit(rows, fmt, buf)
+        assert buf.getvalue() == reference(rows), fmt
+
+
 def test_emit_rejects_unknown_format_and_bad_paths(tmp_path):
     with pytest.raises(ValueError):
         emit([], "yaml")
@@ -176,6 +259,24 @@ def test_verify_fails_under_injected_error():
         measures=["avg_fidelity"], avg_grid=5, inject_error=1e-6
     )
     assert any(not c.passed for c in checks)
+
+
+@pytest.mark.parametrize("inject_error", [0.0, 1e-6])
+def test_verify_errors_equal_those_of_the_sweep_rows(inject_error):
+    # verify builds no rows; its maxima must be those the rows give, bit for bit
+    grid = dict(a_steps=4, t_steps=5, noisy_a_steps=2, avg_grid=3, log_base="e")
+    checks = {c.name: c.max_abs_err for c in verify(**grid, inject_error=inject_error)}
+    flips = {}
+    battery = sweep._battery(MEASURES, **grid)
+    for name, m, kind, configs in battery:
+        rows = [r for config in configs for r in run_sweep(config)]
+        expected = max(abs(r.value_numeric - (r.value_closed + inject_error)) for r in rows)
+        assert checks.pop(name) == expected, name
+        if m.name == "avg_fidelity" and kind in ("PF", "BF"):
+            flips[kind] = [r.value_numeric for r in rows]
+    expected = max(abs(pf - bf) for pf, bf in zip(flips["PF"], flips["BF"]))
+    assert checks.pop("avg_fidelity[PF=BF]") == expected
+    assert not checks and len(battery) == 14
 
 
 def test_verify_lifts_each_average_fidelity_channel_once(monkeypatch):
