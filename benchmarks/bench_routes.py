@@ -1,0 +1,54 @@
+"""Numeric routes of a sweep: each measure's stacked route through
+`sweep._evaluate` on a 50 x 101 grid, clean, and under amplitude damping
+where the route accepts a channel, in the blocks `sweep._routes` sizes;
+and the two state checks, `states.checked_density` and
+`states.normalized`, on a 256-point stack, the size of a pair route's
+block.
+
+    pytest benchmarks/bench_routes.py
+    pytest benchmarks/bench_routes.py --benchmark-json BENCH_routes.json
+
+The file name keeps it out of the test suite's collection.
+"""
+
+import numpy as np
+import pytest
+
+from switchsim import states, switch, sweep
+
+NOISE = sweep.ChannelSpec("AD", 0.3)
+ROUTES = [
+    (name, spec)
+    for name, m in sweep.MEASURES.items()
+    for spec in ([] if m.gate else [None]) + ([NOISE] if m.mixed or m.gate else [])
+]
+
+
+@pytest.mark.parametrize(
+    "name, spec", ROUTES, ids=[n if s is None else f"{n}[{s.kind}]" for n, s in ROUTES]
+)
+def test_route(benchmark, name, spec):
+    benchmark.group = "sweep.routes"
+    config = sweep.SweepConfig(name, a_steps=50, t_steps=101, channel=spec)
+    numeric, _, block = sweep._routes(config)
+    a, t = config.grid()
+    values = benchmark(sweep._evaluate, numeric, a, t, block)
+    assert values.shape == (5050,)
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    """256 switched pairs, shape (256, 4)."""
+    a = np.linspace(0.0, np.pi / 2, 256)
+    return switch.switched_pairs(states.angle_qubits(a), np.linspace(0.0, np.pi / 2, 256))
+
+
+def test_checked_density(benchmark, pairs):
+    benchmark.group = "states.checks"
+    rho = states.densities(pairs)
+    assert benchmark(states.checked_density, rho) is rho
+
+
+def test_normalized(benchmark, pairs):
+    benchmark.group = "states.checks"
+    assert benchmark(states.normalized, pairs).shape == (256, 4)

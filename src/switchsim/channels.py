@@ -14,7 +14,10 @@ closed-form comparisons stay literal.
 
 ``apply_kraus`` and ``average_fidelities`` work on stacks of density
 matrices and of target unitaries; ``apply_channel`` and
-``average_fidelity_numeric`` are their single-matrix case.
+``average_fidelity_numeric`` are their single-matrix case. A
+``KrausChannel`` checks its completeness when it is built; ``lift`` embeds
+a channel into a register without checking it again, since the lifted
+operators are complete whenever the channel's are.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, _adopt, _frozen, checked_density
+from .states import DensityMatrix, _adopt, _frozen
 from .switch import IDENTITY_2, PAULI_X, PAULI_Z
 
 CHANNEL_KINDS = ("PF", "BF", "AD", "PD")
@@ -96,15 +99,20 @@ def lift(channel: KrausChannel, qubit: int, n_qubits: int) -> KrausChannel:
         raise ValueError(f"only single-qubit channels can be lifted, got dim {channel.dim}")
     if not 0 <= qubit < n_qubits:
         raise ValueError(f"qubit index {qubit} out of range for {n_qubits} qubits")
+    left, right = 2**qubit, 2 ** (n_qubits - 1 - qubit)
     lifted = []
     for e in channel.operators:
-        op = np.eye(1, dtype=complex)
-        for q in range(n_qubits):
-            op = np.kron(op, e if q == qubit else np.eye(2, dtype=complex))
-        lifted.append(op)
-    return KrausChannel(
-        kind=channel.kind, p=channel.p, operators=tuple(lifted), dim=2**n_qubits
-    )
+        if right > 1:
+            e = np.kron(e, np.eye(right, dtype=complex))
+        if left > 1:
+            e = np.kron(np.eye(left, dtype=complex), e)
+        lifted.append(_frozen(e))
+    # (sum E^dag E) x I = I: complete by construction, so not checked again
+    out = object.__new__(KrausChannel)
+    for name, value in (("kind", channel.kind), ("p", channel.p),
+                        ("operators", tuple(lifted)), ("dim", 2**n_qubits)):
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _require_dim(dim: int, channel: KrausChannel, what: str) -> None:
@@ -117,12 +125,13 @@ def _require_dim(dim: int, channel: KrausChannel, what: str) -> None:
 
 def apply_kraus(m: np.ndarray, channel: KrausChannel) -> np.ndarray:
     """sum_k E_k rho E_k^dagger for each density matrix rho of a stack, as
-    one broadcast product over (point, operator) summed over the operators;
-    the results are checked as a DensityMatrix is."""
+    one broadcast product over (point, operator) summed over the operators.
+    A complete channel maps density matrices to density matrices, so the
+    results are not checked again."""
     _require_dim(m.shape[-1], channel, "state")
     ops = np.stack(channel.operators)
     terms = ops @ m[..., None, :, :] @ linalg.dagger(ops)
-    return checked_density(np.sum(terms, axis=-3, initial=0.0))
+    return np.sum(terms, axis=-3, initial=0.0)
 
 
 def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:

@@ -12,8 +12,12 @@ amplitudes only; complex inputs should use the numeric routes.
 Each numeric measure is one stacked kernel with a plural name
 (``schmidt_spectra``, ``ppt_spectra``, ``concurrences``, ``iconcurrences``,
 ``entropies``) over arrays with one state per point along the leading axes;
-the single-state functions call it on one state. The closed forms are
-scalar ``math`` code, evaluated one point at a time.
+the single-state functions call it on one state. The kernels that
+eigensolve a density matrix (``schmidt_spectra`` and ``entropies``, and
+``concurrences`` through ``linalg.psd_sqrt``) read its positivity from
+that eigensolve: the stages that build the matrices do not check it (see
+``states``). The closed forms are scalar ``math`` code, evaluated one
+point at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .states import (
     partial_trace,
     partial_traces,
     partial_transposes,
+    require_psd,
 )
 from .switch import PAULI_Y, switched_pairs
 
@@ -74,11 +79,20 @@ def _sqrt_floored(value: float) -> float:
     return 0.0 if value < SPECTRAL_NOISE_FLOOR else math.sqrt(value)
 
 
+def _psd_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of each density matrix of a stack, rejected as
+    DensityMatrix rejects it if any eigenvalue is below the PSD floor: the
+    positivity check of the stages that built the matrices, read from the
+    eigensolve the measure needs anyway."""
+    w, _ = linalg.eigh(rho)
+    require_psd(w[..., 0])
+    return w
+
+
 def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
     """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of a
     stack, as square roots of the reduced-state spectrum; shape (..., 2)."""
-    w, _ = linalg.eigh(partial_traces(densities(psi), 2, {1}))
-    return np.sqrt(_floored(w))
+    return np.sqrt(_floored(_psd_spectrum(partial_traces(densities(psi), 2, {1}))))
 
 
 def schmidt_coefficients(psi: PureState) -> SchmidtPair:
@@ -272,7 +286,7 @@ def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
     ``log_base`` selects nats ("e", the default) or bits ("2").
     """
     scale = _log_scale(log_base)
-    w = np.clip(linalg.eigh(rho)[0], 0.0, None)
+    w = np.clip(_psd_spectrum(rho), 0.0, None)
     positive = w > 0
     terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
     # an eigenvalue rounding to 1+eps would otherwise leave -eps behind

@@ -12,11 +12,20 @@ arithmetic, so norm-breaking bugs stay visible to the tests.
 The functions with plural names work on stacks: amplitude vectors of shape
 (..., 2**n) and matrices of shape (..., 2**n, 2**n), one per grid point
 along the leading axes. ``normalized`` and ``checked_density`` are the
-checks the two state types make, run once over a whole stack, and every
-stacked function that yields states runs them on its result. The state
-types and the single-state functions are the stack with no leading axes:
-the constructors call the checks on one vector or matrix, and a function
-such as ``partial_trace`` wraps the already checked result of its stacked
+checks the two state types make, run once over a whole stack. A stage
+runs a check where its result could fail it: ``normalized`` on every
+stack of amplitude vectors, since it also rescales them, and
+``checked_density`` only in the ``DensityMatrix`` constructor. The stages
+that build density matrices from input already checked (``densities``
+from normalized vectors, ``partial_traces`` from density matrices,
+``channels.apply_kraus`` from density matrices and a channel whose
+completeness was checked) do not check their result: Hermiticity, unit
+trace and positivity hold there by construction, up to rounding far below
+DENSITY_ATOL and linalg.PSD_EIGENVALUE_FLOOR. The measures that
+eigensolve a density matrix read its positivity from that eigensolve.
+The state types and the single-state functions are the stack with no
+leading axes: the constructors call the checks on one vector or matrix,
+and a function such as ``partial_trace`` wraps the result of its stacked
 twin without checking it again.
 """
 
@@ -70,10 +79,16 @@ def checked_density(m: np.ndarray) -> np.ndarray:
     tr = np.trace(m, axis1=-2, axis2=-1).real
     linalg.require(np.abs(tr - 1.0) <= DENSITY_ATOL, tr,
                    "density matrix trace is {value!r}, expected 1")
-    low = np.linalg.eigvalsh(linalg.hermitize(m))[..., 0]
+    require_psd(np.linalg.eigvalsh(linalg.hermitize(m))[..., 0])
+    return m
+
+
+def require_psd(low: np.ndarray) -> None:
+    """Reject a stack of density matrices whose least eigenvalues ``low``
+    include one below linalg.PSD_EIGENVALUE_FLOOR, with the message of
+    DensityMatrix."""
     linalg.require(low >= linalg.PSD_EIGENVALUE_FLOOR, low,
                    "density matrix is not PSD: min eigenvalue {value:.3e}")
-    return m
 
 
 def _adopt(cls, n_qubits: int, array: np.ndarray):
@@ -174,9 +189,9 @@ def tensor(states) -> PureState:
 
 
 def densities(amps: np.ndarray) -> np.ndarray:
-    """|psi><psi| of each amplitude vector of a stack, checked as a
-    DensityMatrix is."""
-    return checked_density(amps[..., :, None] * np.conj(amps)[..., None, :])
+    """|psi><psi| of each normalized amplitude vector of a stack; a density
+    matrix by construction, so not checked again."""
+    return amps[..., :, None] * np.conj(amps)[..., None, :]
 
 
 def to_density(psi: PureState) -> DensityMatrix:
@@ -186,8 +201,8 @@ def to_density(psi: PureState) -> DensityMatrix:
 
 def partial_traces(m: np.ndarray, n_qubits: int, discard) -> np.ndarray:
     """Trace the qubits in ``discard`` out of each n-qubit density matrix of
-    a stack, keeping the rest in original order; the results are checked as
-    a DensityMatrix is."""
+    a stack, keeping the rest in original order; the partial trace of a
+    density matrix is one, so the results are not checked again."""
     n, discard = n_qubits, set(discard)
     if not discard:
         raise ValueError("discard set must not be empty")
@@ -204,7 +219,7 @@ def partial_traces(m: np.ndarray, n_qubits: int, discard) -> np.ndarray:
     # (kept rows, dropped rows, kept columns, dropped columns)
     axes = [*range(b), *(b + q for q in keep + dropped), *(b + n + q for q in keep + dropped)]
     grouped = m.reshape(lead + (2,) * (2 * n)).transpose(axes).reshape(lead + (k, d, k, d))
-    return checked_density(np.trace(grouped, axis1=b + 1, axis2=b + 3))
+    return np.trace(grouped, axis1=b + 1, axis2=b + 3)
 
 
 def partial_trace(rho: DensityMatrix, discard) -> DensityMatrix:

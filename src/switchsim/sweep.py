@@ -11,12 +11,17 @@ every measure, noisy runs for the I-concurrence and the average fidelity
 with noise on qubit 0). Output is deterministic: identical configurations
 produce byte-identical files.
 
-The numeric route evaluates the grid as stacked arrays, BLOCK_POINTS points
-at a time, so that the memory it holds does not grow with the grid; each
-stage of a block is checked once. Closed forms are scalar code, called per
-point into one closed column per grid, with sin a and cos a computed once
-per a value; ``verify`` compares that column with the numeric array
-directly and builds no rows. A grid may hold at most MAX_GRID_POINTS points.
+The numeric route evaluates the grid as stacked arrays, in blocks sized by
+the bytes of the route's matrices (BLOCK_POINTS points for a gate route, 4
+times that for a pair route), so that the memory it holds does not grow
+with the grid. The (a, t) values of a block are checked at its boundary,
+the amplitude vectors at every stage, and the density matrices once, by
+the eigensolve of the measure where it has one (see ``states``). The
+block size does not change a bit of the values. Closed forms are scalar
+code, called per point into one closed column per grid, with sin a and
+cos a computed once per a value; ``verify`` compares that column with the
+numeric array directly and builds no rows. A grid may hold at most
+MAX_GRID_POINTS points.
 
 Emission writes the text itself: each CSV or JSON row is one ``%`` template
 over the row's fields. A JSON value is its 12-digit ``%.12g`` text wherever
@@ -43,11 +48,17 @@ from . import states, switch
 #: verification gate per measure
 DEFAULT_TOLERANCE = 1e-9
 AVG_FIDELITY_TOLERANCE = 1e-10
-#: grid points evaluated together as one stack; bounds the memory a sweep
-#: holds in arrays, whatever the size of its grid. The 8 x 8 average-fidelity
-#: route holds about 6 KB per point at its peak; 64 points keep a sweep's
-#: peak memory at that of evaluating one point at a time (512 raised it by
-#: about 4 MB), at the cost of more calls per grid than larger blocks
+#: grid points a gate route evaluates together as one stack. A gate route
+#: works on 8 x 8 matrices; every other route measures 4 x 4 pair matrices,
+#: a quarter of the bytes, and takes 4 * BLOCK_POINTS points, so that the
+#: matrix stacks a measure works on stay at 64 KiB per block (the 8 x 8
+#: unitaries that evolve a block's registers are transient). Blocks bound
+#: the memory a sweep holds in arrays, whatever the size of its grid: the
+#: average-fidelity route holds about 6 KB per point at its peak, and 64
+#: points keep a sweep's peak memory at that of evaluating one point at a
+#: time (512 raised it by about 4 MB). Larger blocks pay numpy's per-call
+#: cost fewer times per grid: 1,024-point pair blocks took about 10% less
+#: time than 256 but raised peak memory by 4 to 7%
 BLOCK_POINTS = 64
 #: largest grid (a_steps * t_steps) a sweep accepts
 MAX_GRID_POINTS = 1_000_000
@@ -223,11 +234,12 @@ Numeric = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Closed = Callable[[float, float, float], float]
 
 
-def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed]]:
-    """The numeric route of ``config`` as a function of stacked (a, t), and
-    its closed form as a function of one (sin a, cos a, t). The closed form
-    is None without ``compare`` or where the table has none (noise on qubit
-    1 included). The channel is built and lifted here, once per
+def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed], int]:
+    """The numeric route of ``config`` as a function of stacked (a, t), its
+    closed form as a function of one (sin a, cos a, t), and the number of
+    points the numeric route takes per block (see BLOCK_POINTS). The closed
+    form is None without ``compare`` or where the table has none (noise on
+    qubit 1 included). The channel is built and lifted here, once per
     configuration."""
     m = MEASURES[config.measure]
     spec, base = config.channel, config.log_base
@@ -239,26 +251,23 @@ def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed]]:
             f"only; drop the channel or pick one of {mixed_measures()}"
         )
     lifted = None if spec is None else ch.lift(spec.make(), spec.qubit, 3 if m.gate else 2)
+    block = BLOCK_POINTS if m.gate else 4 * BLOCK_POINTS
 
     def numeric(a: np.ndarray, t: np.ndarray) -> np.ndarray:
         return m.numeric(a, t, lifted, base)
 
-    if not config.compare:
-        return numeric, None
-    if spec is None:
-        if m.closed is None:
-            return numeric, None
-        return numeric, lambda al, be, t: m.closed(al, be, t, base)
-    if spec.qubit != 0 or m.noisy_closed is None:
-        return numeric, None
-    return numeric, lambda al, be, t: m.noisy_closed(spec.kind, spec.p, t, al, be)
+    closed = None
+    if config.compare and spec is None and m.closed is not None:
+        closed = lambda al, be, t: m.closed(al, be, t, base)
+    elif config.compare and spec is not None and spec.qubit == 0 and m.noisy_closed is not None:
+        closed = lambda al, be, t: m.noisy_closed(spec.kind, spec.p, t, al, be)
+    return numeric, closed, block
 
 
-def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The numeric route over the grid points (a, t), BLOCK_POINTS at a time."""
+def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray, block: int) -> np.ndarray:
+    """The numeric route over the grid points (a, t), ``block`` at a time."""
     return np.concatenate([
-        numeric(a[i:i + BLOCK_POINTS], t[i:i + BLOCK_POINTS])
-        for i in range(0, len(a), BLOCK_POINTS)
+        numeric(a[i:i + block], t[i:i + block]) for i in range(0, len(a), block)
     ])
 
 
@@ -292,8 +301,8 @@ def _rows(config: SweepConfig, values: np.ndarray, closed: Optional[Closed]) -> 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """One row per grid point, a outer, t fastest."""
-    numeric, closed = _routes(config)
-    return _rows(config, _evaluate(numeric, *config.grid()), closed)
+    numeric, closed, block = _routes(config)
+    return _rows(config, _evaluate(numeric, *config.grid(), block), closed)
 
 
 def diff_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -302,10 +311,10 @@ def diff_sweep(config: SweepConfig) -> list[SweepRow]:
         raise ValueError("diff needs a channel (--channel/--p)")
     if not MEASURES[config.measure].mixed:
         raise ValueError(f"diff is defined for {mixed_measures()}, got {config.measure!r}")
-    noisy, noisy_closed = _routes(config)
-    clean, clean_closed = _routes(replace(config, channel=None))
+    noisy, noisy_closed, block = _routes(config)
+    clean, clean_closed, _ = _routes(replace(config, channel=None))
     a, t = config.grid()
-    values = np.abs(_evaluate(noisy, a, t) - _evaluate(clean, a, t))
+    values = np.abs(_evaluate(noisy, a, t, block) - _evaluate(clean, a, t, block))
     closed = None
     if noisy_closed is not None and clean_closed is not None:
         closed = lambda al, be, t: abs(noisy_closed(al, be, t) - clean_closed(al, be, t))
@@ -380,8 +389,8 @@ def verify(
                                            avg_grid, log_base):
         errors, numeric = [], []
         for config in configs:
-            route, closed = _routes(config)
-            values = _evaluate(route, *config.grid())
+            route, closed, block = _routes(config)
+            values = _evaluate(route, *config.grid(), block)
             expected = np.array(_closed_column(config, closed)) + inject_error
             errors.append(np.abs(values - expected))
             numeric.append(values)

@@ -69,6 +69,41 @@ def test_lift_of_identity_channel_is_identity():
     assert np.allclose(out.matrix, rho.matrix, atol=1e-14)
 
 
+def _lift_by_kron_loop(channel, qubit, n_qubits):
+    """The reference lift: one np.kron per qubit of the register."""
+    lifted = []
+    for e in channel.operators:
+        op = np.eye(1, dtype=complex)
+        for q in range(n_qubits):
+            op = np.kron(op, e if q == qubit else np.eye(2, dtype=complex))
+        lifted.append(op)
+    return lifted
+
+
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_lift_is_the_kron_loop_bit_for_bit(kind):
+    # tobytes tells -0.0 from 0.0, which the signs of the products could flip
+    for p in (0.0, 0.3, 1.0):
+        channel = ch.make_channel(kind, p)
+        for n in (1, 2, 3):
+            for qubit in range(n):
+                lifted = ch.lift(channel, qubit, n)
+                assert (lifted.kind, lifted.p, lifted.dim) == (kind, p, 2**n)
+                reference = _lift_by_kron_loop(channel, qubit, n)
+                assert len(lifted.operators) == len(reference)
+                for e, r in zip(lifted.operators, reference):
+                    assert e.shape == r.shape and e.tobytes() == r.tobytes()
+                    assert not e.flags.writeable
+
+
+def test_lifted_channel_is_frozen():
+    lifted = ch.lift(ch.make_channel("AD", 0.3), 1, 2)
+    with pytest.raises(AttributeError):
+        lifted.p = 0.5
+    with pytest.raises(ValueError):
+        lifted.operators[0][0, 0] = 2.0
+
+
 def test_lift_rejects_bad_indices():
     channel = ch.make_channel("PF", 0.5)
     with pytest.raises(ValueError):

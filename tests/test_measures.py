@@ -1,15 +1,17 @@
 """The measure table: every closed form against its numeric route over the
-whole (a, t, p) domain the command line accepts, and the separation of the
-two routes."""
+whole (a, t, p) domain the command line accepts, the separation of the
+two routes, and where the numeric routes check their input."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim import channels as ch
 from switchsim import entanglement as ent
+from switchsim import linalg, states, sweep, switch
 from switchsim.sweep import MEASURES, ChannelSpec, SweepConfig, diff_sweep, run_sweep
 
 #: (measure, channel kind or None): every closed form the table holds,
@@ -85,3 +87,104 @@ def test_closed_form_matches_the_numeric_route_near_separable_points(name):
     config = SweepConfig(name, a=1.5698, t_min=0.01, t_max=0.01, t_steps=2, compare=True)
     row = run_sweep(config)[0]
     assert row.abs_err <= MEASURES[name].tolerance, (row.value_numeric, row.value_closed)
+
+
+# ------------------------------------------- checks at the (a, t) boundary
+
+#: (measure, channel lifted onto the register or None): every route clean
+#: where it accepts a clean run, and under a channel where it accepts one
+ROUTES = [
+    (name, None) for name, m in MEASURES.items() if not m.gate
+] + [
+    (name, ch.lift(ch.make_channel("AD", 0.3), 1, 3 if m.gate else 2))
+    for name, m in MEASURES.items() if m.mixed or m.gate
+]
+ROUTE_IDS = [n if lifted is None else f"{n}[AD]" for n, lifted in ROUTES]
+
+
+@pytest.mark.parametrize("name, lifted", ROUTES, ids=ROUTE_IDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_route_rejects_a_non_finite_point(name, lifted, bad):
+    m = MEASURES[name]
+    # a gate route reads only t: its value is a property of the switch
+    for corrupted in ("t",) if m.gate else ("a", "t"):
+        grid = {"a": np.linspace(0.1, 1.4, 7), "t": np.linspace(0.2, 1.3, 7)}
+        grid[corrupted][3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            m.numeric(grid["a"], grid["t"], lifted, "e")
+
+
+#: a valid 2-qubit density matrix
+_RHO = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+#: (entry, value) pairs that corrupt _RHO, by the message of the check
+#: they must fail
+CORRUPTIONS = {
+    "NaN": [((1, 1), math.nan)],
+    "not Hermitian": [((0, 1), 1e-6)],
+    "trace": [((0, 0), 0.5)],
+    "not PSD": [((0, 0), 0.5 + 1e-6), ((3, 3), -1e-6)],
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@pytest.mark.parametrize(
+    "measure", [ent.concurrence, ent.iconcurrence, ent.von_neumann_entropy],
+    ids=["concurrence", "iconcurrence", "von_neumann_entropy"],
+)
+def test_measures_of_a_corrupted_matrix_fail_at_the_state_constructor(measure, corruption):
+    # the measures take a DensityMatrix, whose constructor is the check the
+    # stacked stages after it no longer repeat
+    m = _RHO.copy()
+    for entry, value in CORRUPTIONS[corruption]:
+        m[entry] = value
+    with pytest.raises(ValueError, match=corruption):
+        measure(states.DensityMatrix(2, m))
+    assert measure(states.DensityMatrix(2, _RHO)) >= 0.0
+
+
+@pytest.mark.parametrize("off, fails", [(2.0, True), (0.5, False)])
+def test_entropies_check_positivity_as_a_density_matrix_does(off, fails):
+    # the positivity check of the stages before a measure comes from the
+    # measure's own eigensolve; it must still see every matrix of a stack
+    rho = np.stack([_RHO] * 7)
+    low = off * linalg.PSD_EIGENVALUE_FLOOR
+    rho[3] = np.diag([0.4 - low, 0.3, 0.3, low])
+    if fails:
+        with pytest.raises(ValueError) as stacked:
+            ent.entropies(rho)
+        with pytest.raises(ValueError) as single:
+            states.DensityMatrix(2, rho[3])
+        assert str(stacked.value) == str(single.value)
+    else:
+        assert np.all(ent.entropies(rho) > 0.0)
+
+
+# ------------------------------------ checks that hold by construction
+
+def _counting(monkeypatch, module, attr, calls):
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+
+
+def test_sweeps_make_no_density_check_and_no_eigvalsh(monkeypatch):
+    calls = []
+    for module in (states, ch, ent, switch, sweep):
+        if hasattr(module, "checked_density"):
+            _counting(monkeypatch, module, "checked_density", calls)
+    _counting(monkeypatch, np.linalg, "eigvalsh", calls)
+    noise = ChannelSpec("PF", 0.3)
+    for name, m in MEASURES.items():
+        if not m.gate:
+            run_sweep(SweepConfig(name, a_steps=3, t_steps=5, compare=True))
+        if m.mixed or m.gate:
+            run_sweep(SweepConfig(name, a_steps=3, t_steps=5, channel=noise, compare=True))
+        if m.mixed:
+            diff_sweep(SweepConfig(name, a_steps=3, t_steps=5, channel=noise))
+    assert calls == []
+    states.DensityMatrix(2, _RHO)
+    assert calls == ["checked_density", "eigvalsh"]

@@ -327,3 +327,37 @@ def test_verify_fails_when_a_route_returns_nan(monkeypatch):
 def test_verify_rejects_a_non_finite_injected_error(bad):
     with pytest.raises(ValueError, match="finite"):
         verify(measures=["concurrence"], a_steps=3, t_steps=3, inject_error=bad)
+
+
+#: every route, clean where it accepts a clean run and under each channel
+#: on noise qubits 0 and 1 where it accepts one
+ROUTES = [
+    (name, spec)
+    for name, m in MEASURES.items()
+    for spec in ([] if m.gate else [None]) + (
+        [ChannelSpec(kind, 0.3, qubit) for kind in ch.CHANNEL_KINDS for qubit in (0, 1)]
+        if m.mixed or m.gate else []
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "name, spec", ROUTES,
+    ids=[n if s is None else f"{n}[{s.kind}_q{s.qubit}]" for n, s in ROUTES],
+)
+def test_values_do_not_depend_on_the_block_size(name, spec):
+    # the same bits whatever the block, so block sizes never move an output
+    # byte; tobytes also tells -0.0 from 0.0, which print differently
+    config = SweepConfig(name, a_steps=3, t_steps=17, t_min=-3.0, t_max=6.0, channel=spec)
+    numeric, _, block = sweep._routes(config)
+    a, t = config.grid()
+    blocked = sweep._evaluate(numeric, a, t, block)
+    assert blocked.shape == (51,)
+    assert sweep._evaluate(numeric, a, t, 1).tobytes() == blocked.tobytes()
+
+
+def test_pair_routes_take_four_times_the_points_of_a_gate_route():
+    noise = ChannelSpec("PF", 0.3)
+    for name, m in MEASURES.items():
+        *_, block = sweep._routes(SweepConfig(name, channel=noise if m.gate else None))
+        assert block == (sweep.BLOCK_POINTS if m.gate else 4 * sweep.BLOCK_POINTS)
