@@ -19,9 +19,8 @@ CONFIG = sweep.SweepConfig("concurrence", a_steps=50, t_steps=101, compare=True)
 
 @pytest.fixture(scope="module")
 def surface():
-    """(numeric values, closed form, rows) of CONFIG."""
-    numeric, closed, block = sweep._routes(CONFIG)
-    values = sweep._evaluate(numeric, *CONFIG.grid(), block)
+    """(numeric values, closed column, rows) of CONFIG."""
+    values, closed = sweep._columns(CONFIG)
     return values, closed, sweep._rows(CONFIG, values, closed)
 
 

@@ -1,7 +1,9 @@
 """Numeric routes of a sweep: each measure's stacked route through
 `sweep._evaluate` on a 50 x 101 grid, clean, and under amplitude damping
 where the route accepts a channel, in the blocks `sweep._routes` sizes;
-and the two state checks, `states.checked_density` and
+each closed form of the table through `sweep._closed_column` on the same
+grid, clean, and under amplitude damping on qubit 0 where it has a noisy
+form; and the two state checks, `states.checked_density` and
 `states.normalized`, on a 256-point stack, the size of a pair route's
 block.
 
@@ -34,6 +36,21 @@ def test_route(benchmark, name, spec):
     a, t = config.grid()
     values = benchmark(sweep._evaluate, numeric, a, t, block)
     assert values.shape == (5050,)
+
+
+CLOSED = [(name, None) for name, m in sweep.MEASURES.items() if m.closed is not None]
+CLOSED += [(name, NOISE) for name, m in sweep.MEASURES.items() if m.noisy_closed is not None]
+
+
+@pytest.mark.parametrize(
+    "name, spec", CLOSED, ids=[n if s is None else f"{n}[{s.kind}]" for n, s in CLOSED]
+)
+def test_closed_column(benchmark, name, spec):
+    benchmark.group = "sweep.closed"
+    config = sweep.SweepConfig(name, a_steps=50, t_steps=101, channel=spec, compare=True)
+    _, closed, _ = sweep._routes(config)
+    column = benchmark(sweep._closed_column, config, closed)
+    assert column.shape == (5050,)
 
 
 @pytest.fixture(scope="module")

@@ -35,7 +35,7 @@ from .entanglement import (
     schmidt_coefficients,
     von_neumann_entropy,
 )
-from .linalg import EigenSystem, hermitian_eigensystem, is_hermitian, is_unitary, kron, psd_sqrt
+from .linalg import is_hermitian, is_unitary, kron, psd_sqrt
 from .states import (
     DensityMatrix,
     PureState,
@@ -64,13 +64,12 @@ from .switch import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    SwitchOperator,
     circuit_unitary,
     evolve,
     fidelity,
     switch_fidelity,
     switch_hamiltonian,
-    switch_unitary,
+    switch_unitaries,
     switch_unitary_oracle,
     switched_pair,
 )

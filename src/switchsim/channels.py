@@ -37,9 +37,12 @@ CHANNEL_KINDS = ("PF", "BF", "AD", "PD")
 COMPLETENESS_ATOL = 1e-12
 
 
-def check_kind(kind: str) -> None:
+def check_channel(kind: str, p: float) -> None:
+    """Reject an unknown channel kind, then a probability outside [0, 1]."""
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
+    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,7 @@ class KrausChannel:
 
 def make_channel(kind: str, p: float) -> KrausChannel:
     """Build one of the four single-qubit channels at probability ``p``."""
-    check_kind(kind)
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+    check_channel(kind, p)
     sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
     if kind == "PF":
         ops = (sp * IDENTITY_2, sq * PAULI_Z)
@@ -179,9 +180,7 @@ def average_fidelity_closed(kind: str, p: float, t: float) -> float:
     PF and BF give (p (cos t + 3)^2 + 2) / 18; AD and PD carry the
     sqrt(1-p) factors of their damping operators.
     """
-    check_kind(kind)
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+    check_channel(kind, p)
     c3 = math.cos(t) + 3.0
     if kind in ("PF", "BF"):
         return (p * c3**2 + 2.0) / 18.0
@@ -208,10 +207,7 @@ def average_fidelity_monte_carlo(
     """
     u = linalg.as_matrix(u_target)
     n = u.shape[0]
-    if n != channel.dim:
-        raise ValueError(
-            f"dimension mismatch: target is {u.shape}, channel dim is {channel.dim}"
-        )
+    _require_dim(n, channel, "target")
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     psi = g / np.linalg.norm(g, axis=1, keepdims=True)

@@ -52,13 +52,17 @@ def _add_channel_flags(parser: argparse.ArgumentParser, required: bool = False) 
     )
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+def _add_log_base_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--log-base", choices=("e", "2"), default="e",
         help="entropy unit: natural log (nats) or log2 (bits)",
     )
+
+
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_log_base_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,10 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--a-steps", type=int, default=50)
     p_verify.add_argument("--t-steps", type=int, default=50)
-    p_verify.add_argument(
-        "--log-base", choices=("e", "2"), default="e",
-        help="entropy unit: natural log (nats) or log2 (bits)",
-    )
+    _add_log_base_flag(p_verify)
     p_verify.add_argument(
         "--inject-error", type=float, default=0.0,
         help="offset added to every closed form; a harness self-test, nonzero must fail",
@@ -166,10 +167,7 @@ def main(argv=None) -> int:
             print(f"verify: {'FAIL' if failed else 'PASS'} "
                   f"({len(checks) - len(failed)}/{len(checks)} checks)")
             return 1 if failed else 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(args.command)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, apply_kraus, check_kind, lift
+from .channels import KrausChannel, apply_kraus, check_channel, lift
 from .states import (
     DensityMatrix,
     PureState,
@@ -242,9 +242,7 @@ def iconcurrence_noisy_closed(
 ) -> float:
     """Closed-form I-concurrence of the switched pair with noise of strength
     ``p`` on the first qubit, one expression per channel kind."""
-    check_kind(kind)
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+    check_channel(kind, p)
     a, b = complex(alpha0), complex(beta0)
     x = abs(a) ** 2
     sb = abs(math.sin(t) * b) ** 2
@@ -299,9 +297,9 @@ def von_neumann_entropy(rho: DensityMatrix, log_base: str = "e") -> float:
 
 
 def _log_scale(log_base: str) -> float:
-    if log_base in ("e", "nat"):
+    if log_base == "e":
         return 1.0
-    if log_base in ("2", 2):
+    if log_base == "2":
         return 1.0 / math.log(2.0)
     raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
 

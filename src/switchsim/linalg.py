@@ -9,12 +9,11 @@ call, and their checks test every matrix of the stack and raise on the
 first that fails, with the message a single matrix would get; a single
 matrix is the stack with no leading axes. Products go through `matmul`
 rather than `einsum`, so a stacked result carries the same bits as the
-same product taken one matrix at a time.
+same product taken one matrix at a time. `eigh` gives an eigensystem as
+two arrays: ascending eigenvalues and eigenvector columns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +83,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Real spectrum (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of every matrix of a
     stack of finite Hermitian matrices; rejects the stack if any matrix is
@@ -103,17 +94,6 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     require(deviation <= HERMITIAN_ATOL, deviation,
             "matrix is not Hermitian: max |M - M^dagger| entry is {value:.3e}")
     return np.linalg.eigh(hermitize(m))
-
-
-def hermitian_eigensystem(m: np.ndarray) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues come back ascending with orthonormal eigenvector columns;
-    the reconstruction V diag(w) V^dagger matches the input to relative
-    Frobenius error well below 1e-10.
-    """
-    w, v = eigh(as_matrix(m))
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

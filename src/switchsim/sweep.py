@@ -19,9 +19,12 @@ the amplitude vectors at every stage, and the density matrices once, by
 the eigensolve of the measure where it has one (see ``states``). The
 block size does not change a bit of the values. Closed forms are scalar
 code, called per point into one closed column per grid, with sin a and
-cos a computed once per a value; ``verify`` compares that column with the
-numeric array directly and builds no rows. A grid may hold at most
-MAX_GRID_POINTS points.
+cos a computed once per a value. A grid may hold at most MAX_GRID_POINTS
+points.
+
+Sweeps, diffs and ``verify`` share one path, ``_columns``: a configuration's
+numeric array and closed column, compared as |numeric - closed|. A diff
+first subtracts the clean run's columns; ``verify`` builds no rows.
 
 Emission writes the text itself: each CSV or JSON row is one ``%`` template
 over the row's fields. A JSON value is its 12-digit ``%.12g`` text wherever
@@ -33,7 +36,6 @@ and non-finite values; those few take the encoder's text.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -162,9 +164,7 @@ class ChannelSpec:
     qubit: int = 0
 
     def __post_init__(self):
-        ch.check_kind(self.kind)
-        if not (math.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"probability must lie in [0, 1], got {self.p!r}")
+        ch.check_channel(self.kind, self.p)
         if self.qubit not in (0, 1):
             raise ValueError(f"noise qubit must be 0 or 1, got {self.qubit}")
 
@@ -271,7 +271,7 @@ def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray, block: int) -> np.
     ])
 
 
-def _closed_column(config: SweepConfig, closed: Closed) -> list[float]:
+def _closed_column(config: SweepConfig, closed: Closed) -> np.ndarray:
     """``closed`` at every grid point, a outer, t fastest; sin a and cos a
     are computed once per a value."""
     ts = config.t_values().tolist()
@@ -279,46 +279,52 @@ def _closed_column(config: SweepConfig, closed: Closed) -> list[float]:
     for a in config.a_values().tolist():
         alpha0, beta0 = math.sin(a), math.cos(a)
         column += [closed(alpha0, beta0, t) for t in ts]
-    return column
+    return np.array(column, dtype=float)
 
 
-def _rows(config: SweepConfig, values: np.ndarray, closed: Optional[Closed]) -> list[SweepRow]:
-    """One row per grid point, a outer, t fastest; ``closed`` fills the
-    closed column and abs_err, or None leaves them empty. Rows share the
-    float objects of their a and t values."""
+def _columns(config: SweepConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The numeric values of ``config`` over its grid, and its closed
+    column, or None where ``_routes`` gives no closed form."""
+    numeric, closed, block = _routes(config)
+    values = _evaluate(numeric, *config.grid(), block)
+    return values, None if closed is None else _closed_column(config, closed)
+
+
+def _rows(config: SweepConfig, values: np.ndarray, closed: Optional[np.ndarray]) -> list[SweepRow]:
+    """One row per grid point, a outer, t fastest; the closed column
+    ``closed`` fills value_closed and abs_err, or None leaves them empty.
+    Rows share the float objects of their a and t values."""
     ts = config.t_values().tolist()
     t_column = ts * config.a_steps
     a_column = [a for a in config.a_values().tolist() for _ in ts]
-    values = values.tolist()
     if closed is None:
-        fields = zip(t_column, a_column, values, repeat(None), repeat(None))
+        fields = zip(t_column, a_column, values.tolist(), repeat(None), repeat(None))
     else:
-        column = _closed_column(config, closed)
-        errors = map(abs, map(operator.sub, values, column))
-        fields = zip(t_column, a_column, values, column, errors)
+        errors = np.abs(values - closed)
+        fields = zip(t_column, a_column, values.tolist(), closed.tolist(), errors.tolist())
     return list(map(SweepRow._make, fields))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """One row per grid point, a outer, t fastest."""
-    numeric, closed, block = _routes(config)
-    return _rows(config, _evaluate(numeric, *config.grid(), block), closed)
+    return _rows(config, *_columns(config))
 
 
 def diff_sweep(config: SweepConfig) -> list[SweepRow]:
-    """|noisy - clean| of a measure per grid point; needs a channel."""
+    """|noisy - clean| of a measure per grid point; needs a channel.
+
+    The entropy and the I-concurrence read the first qubit's reduced state,
+    which noise on qubit 1 leaves unchanged: they cannot detect that noise,
+    and diff to rounding error. The concurrence can."""
     if config.channel is None:
         raise ValueError("diff needs a channel (--channel/--p)")
     if not MEASURES[config.measure].mixed:
         raise ValueError(f"diff is defined for {mixed_measures()}, got {config.measure!r}")
-    noisy, noisy_closed, block = _routes(config)
-    clean, clean_closed, _ = _routes(replace(config, channel=None))
-    a, t = config.grid()
-    values = np.abs(_evaluate(noisy, a, t, block) - _evaluate(clean, a, t, block))
-    closed = None
-    if noisy_closed is not None and clean_closed is not None:
-        closed = lambda al, be, t: abs(noisy_closed(al, be, t) - clean_closed(al, be, t))
-    return _rows(config, values, closed)
+    noisy, noisy_closed = _columns(config)
+    # every mixed measure has a clean closed form; needed only with a noisy one
+    clean, clean_closed = _columns(replace(config, channel=None, compare=noisy_closed is not None))
+    closed = None if noisy_closed is None else np.abs(noisy_closed - clean_closed)
+    return _rows(config, np.abs(noisy - clean), closed)
 
 
 @dataclass(frozen=True)
@@ -332,26 +338,30 @@ class VerifyCheck:
         return self.max_abs_err <= self.tolerance
 
 
+#: ``verify``'s noisy grids: these p over NOISY_A_STEPS values of a, and
+#: for a gate measure AVG_GRID values of p and of t
 NOISY_P_VALUES = (0.0, 0.25, 0.5, 0.74, 1.0)
+NOISY_A_STEPS = 9
+AVG_GRID = 20
 
 
-def _battery(wanted, a_steps, t_steps, noisy_a_steps, avg_grid, log_base) -> list:
+def _battery(wanted, a_steps, t_steps, log_base) -> list:
     """(check name, measure, channel kind or None, configurations) of each
     closed-form check of ``verify``, in order; see there."""
     table = [m for m in MEASURES.values() if m.name in wanted]
     plan = [(m, None) for m in table if m.closed is not None]
     plan += [(m, kind) for m in table if m.noisy_closed is not None for kind in ch.CHANNEL_KINDS]
-    avg_p = [float(p) for p in np.linspace(0.0, 1.0, avg_grid)]
+    avg_p = [float(p) for p in np.linspace(0.0, 1.0, AVG_GRID)]
     battery = []
     for m, kind in plan:
         if kind is None:
             configs = [SweepConfig(m.name, a_steps=a_steps, t_steps=t_steps,
                                    log_base=log_base, compare=True)]
         elif m.gate:
-            configs = [SweepConfig(m.name, t_steps=avg_grid, channel=ChannelSpec(kind, p),
+            configs = [SweepConfig(m.name, t_steps=AVG_GRID, channel=ChannelSpec(kind, p),
                                    compare=True) for p in avg_p]
         else:
-            configs = [SweepConfig(m.name, a_steps=noisy_a_steps, t_steps=t_steps,
+            configs = [SweepConfig(m.name, a_steps=NOISY_A_STEPS, t_steps=t_steps,
                                    channel=ChannelSpec(kind, p), compare=True)
                        for p in NOISY_P_VALUES]
         battery.append((m.name if kind is None else f"{m.name}[{kind}]", m, kind, configs))
@@ -362,8 +372,6 @@ def verify(
     measures: Optional[Sequence[str]] = None,
     a_steps: int = 50,
     t_steps: int = 50,
-    noisy_a_steps: int = 9,
-    avg_grid: int = 20,
     log_base: str = "e",
     inject_error: float = 0.0,
 ) -> list[VerifyCheck]:
@@ -371,12 +379,12 @@ def verify(
 
     One check per measure with a clean closed form, then one per measure
     with a noisy closed form and channel kind (noise on qubit 0 at each of
-    NOISY_P_VALUES, or at ``avg_grid`` values of p for a gate measure), then
+    NOISY_P_VALUES, or at AVG_GRID values of p for a gate measure), then
     the PF=BF agreement of the average fidelity. ``inject_error`` is added
     to every closed-form value; it exists so the harness can prove it fails
     when the two routes disagree. A NaN from either route fails its check.
-    The numeric values are compared with the closed column directly, with
-    no rows built, by the same float operations a row's abs_err takes.
+    The columns are those of a sweep, compared directly with no rows built,
+    by the expression a row's abs_err takes.
     """
     wanted = MEASURES if measures is None else measures
     unknown = set(wanted) - set(MEASURES)
@@ -385,14 +393,11 @@ def verify(
     if not math.isfinite(inject_error):
         raise ValueError(f"inject_error must be finite, got {inject_error!r}")
     checks, flips = [], {}
-    for name, m, kind, configs in _battery(wanted, a_steps, t_steps, noisy_a_steps,
-                                           avg_grid, log_base):
+    for name, m, kind, configs in _battery(wanted, a_steps, t_steps, log_base):
         errors, numeric = [], []
         for config in configs:
-            route, closed, block = _routes(config)
-            values = _evaluate(route, *config.grid(), block)
-            expected = np.array(_closed_column(config, closed)) + inject_error
-            errors.append(np.abs(values - expected))
+            values, closed = _columns(config)
+            errors.append(np.abs(values - (closed + inject_error)))
             numeric.append(values)
         # np.max, unlike max(), lets a NaN through, and a NaN fails the check
         checks.append(VerifyCheck(name, float(np.max(np.concatenate(errors))), m.tolerance))

@@ -4,13 +4,13 @@ The register is |A>|B>|C> with the control C last (qubit index 2). With
 C = |1> the switch exchanges A and B; with C = |0> it does nothing. The
 generator couples exactly the two basis states |011> and |101>, which gives
 a closed-form time evolution with a cos/sin block on indices {3, 5}. Time
-runs over <0, pi/2>; at t = pi/2 the swap is complete.
+runs over <0, pi/2>; at t = pi/2 the swap is complete. The evolution is
+``switch_unitaries(t)``: one plain 8 x 8 array per time of ``t``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +30,6 @@ PAULI_Z = _const([[1, 0], [0, -1]])
 IDENTITY_2 = _const([[1, 0], [0, 1]])
 KET_0 = _const([1, 0])
 KET_1 = _const([0, 1])
-
-
-@dataclass(frozen=True)
-class SwitchOperator:
-    """Unitary of the switch at time ``t``; differs from identity only on
-    rows/columns 3 and 5."""
-
-    t: float
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
 
 
 def switch_hamiltonian() -> np.ndarray:
@@ -76,11 +64,6 @@ def switch_unitaries(t) -> np.ndarray:
     return u
 
 
-def switch_unitary(t: float) -> SwitchOperator:
-    """The switch unitary at one time ``t`` (see switch_unitaries)."""
-    return SwitchOperator(t=t, matrix=switch_unitaries(t))
-
-
 def switch_unitary_oracle(t: float) -> np.ndarray:
     """exp(-i t H) built independently from the eigensystem of the generator.
 
@@ -88,9 +71,8 @@ def switch_unitary_oracle(t: float) -> np.ndarray:
     """
     if not math.isfinite(t):
         raise ValueError("time must be finite")
-    sys = linalg.hermitian_eigensystem(switch_hamiltonian())
-    phases = np.exp(-1j * sys.eigenvalues * t)
-    return (sys.eigenvectors * phases) @ linalg.dagger(sys.eigenvectors)
+    w, v = linalg.eigh(switch_hamiltonian())
+    return (v * np.exp(-1j * w * t)) @ linalg.dagger(v)
 
 
 def _permutation_gate(n_qubits: int, image) -> np.ndarray:

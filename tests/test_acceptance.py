@@ -31,7 +31,7 @@ def _a01(a: float):
 
 
 def test_criterion_1_generator_spectrum():
-    w = linalg.hermitian_eigensystem(switch.switch_hamiltonian()).eigenvalues
+    w = linalg.eigh(switch.switch_hamiltonian())[0]
     assert np.max(np.abs(w - np.array([-1, 0, 0, 0, 0, 0, 0, 1]))) <= 1e-12
     _ok(1, "generator spectrum is [-1, 0, 0, 0, 0, 0, 0, 1] within 1e-12")
 
@@ -40,7 +40,7 @@ def test_criterion_2_evolution_oracle_and_circuit():
     worst = 0.0
     for t in np.linspace(0.0, math.pi / 2, 100):
         delta = np.max(
-            np.abs(switch.switch_unitary(float(t)).matrix - switch.switch_unitary_oracle(float(t)))
+            np.abs(switch.switch_unitaries(float(t)) - switch.switch_unitary_oracle(float(t)))
         )
         worst = max(worst, float(delta))
     assert worst <= 1e-12
@@ -123,7 +123,7 @@ def test_criterion_7_entropy_closed_form():
         for t in T_GRID:
             rho = to_density(switched_pair(qubit_from_angle(float(a)), float(t)))
             reduced = partial_trace(rho, {1})
-            num = linalg.hermitian_eigensystem(reduced.matrix).eigenvalues
+            num = linalg.eigh(reduced.matrix)[0]
             clo = ent.reduced_eigenvalues_closed(al, be, float(t))
             worst = max(worst, abs(num[0] - clo[0]), abs(num[1] - clo[1]))
             s_a, s_b = ent.entropy_symmetry_check(rho)
@@ -163,14 +163,14 @@ def test_criterion_9_average_fidelity():
         for p in np.linspace(0.0, 1.0, 20):
             lifted = ch.lift(ch.make_channel(kind, float(p)), 0, 3)
             for t in np.linspace(0.0, math.pi / 2, 20):
-                u = switch.switch_unitary(float(t)).matrix
+                u = switch.switch_unitaries(float(t))
                 num = ch.average_fidelity_numeric(u, lifted)
                 worst = max(worst, abs(num - ch.average_fidelity_closed(kind, float(p), float(t))))
                 if kind == "PF":
                     bf = ch.lift(ch.make_channel("BF", float(p)), 0, 3)
                     flip = max(flip, abs(num - ch.average_fidelity_numeric(u, bf)))
     assert worst <= 1e-10 and flip <= 1e-12
-    u = switch.switch_unitary(0.9).matrix
+    u = switch.switch_unitaries(0.9)
     for kind in ch.CHANNEL_KINDS:
         lifted = ch.lift(ch.make_channel(kind, 0.74), 0, 3)
         mean, stderr = ch.average_fidelity_monte_carlo(u, lifted, samples=100_000, rng=2024)

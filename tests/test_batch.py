@@ -135,7 +135,7 @@ def _scalar_numeric(name, a, t, spec):
     """One point through the single-state API."""
     if name == "avg_fidelity":
         lifted = ch.lift(spec.make(), spec.qubit, 3)
-        return ch.average_fidelity_numeric(switch.switch_unitary(t).matrix, lifted)
+        return ch.average_fidelity_numeric(switch.switch_unitaries(t), lifted)
     if name == "fidelity":
         reg = tensor([qubit_from_angle(a), make_qubit(1, 0), make_qubit(0, 1)])
         return switch.switch_fidelity(reg, t)

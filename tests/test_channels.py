@@ -5,7 +5,9 @@ import pytest
 from randstates import random_density
 
 from switchsim import channels as ch
+from switchsim import entanglement as ent
 from switchsim import switch
+from switchsim.sweep import ChannelSpec
 from switchsim.states import make_qubit, to_density
 from switchsim.switch import PAULI_X, PAULI_Z
 
@@ -25,6 +27,33 @@ def test_table_of_kraus_operators():
     pd = ch.make_channel("PD", p)
     assert np.allclose(pd.operators[0], np.diag([1, math.sqrt(1 - p)]))
     assert np.allclose(pd.operators[1], np.diag([0, math.sqrt(p)]))
+
+
+#: every entry point that takes a channel kind and a probability
+CHANNEL_ENTRY_POINTS = {
+    "ChannelSpec": ChannelSpec,
+    "make_channel": ch.make_channel,
+    "iconcurrence_noisy_closed": lambda kind, p: ent.iconcurrence_noisy_closed(
+        kind, p, 0.3, 0.6, 0.8
+    ),
+    "average_fidelity_closed": lambda kind, p: ch.average_fidelity_closed(kind, p, 0.3),
+}
+BAD_KIND = "unknown channel kind 'XX'; expected one of ('PF', 'BF', 'AD', 'PD')"
+
+
+@pytest.mark.parametrize("entry", CHANNEL_ENTRY_POINTS)
+@pytest.mark.parametrize("kind, p, message", [
+    ("XX", 0.5, BAD_KIND),
+    ("XX", 1.5, BAD_KIND),  # the kind is checked before p
+    ("PF", -0.1, "probability must lie in [0, 1], got -0.1"),
+    ("BF", 1.5, "probability must lie in [0, 1], got 1.5"),
+    ("AD", math.nan, "probability must lie in [0, 1], got nan"),
+    ("PD", math.inf, "probability must lie in [0, 1], got inf"),
+])
+def test_every_channel_entry_point_rejects_a_bad_kind_or_p_alike(entry, kind, p, message):
+    with pytest.raises(ValueError) as err:
+        CHANNEL_ENTRY_POINTS[entry](kind, p)
+    assert str(err.value) == message
 
 
 def test_noiseless_endpoints():
@@ -153,7 +182,7 @@ def test_average_fidelity_of_identity_is_one():
 def test_trace_preserving_channels_contribute_the_dimension():
     # the sum over M_k^dag M_k of a trace-preserving channel has trace n
     lifted = ch.lift(ch.make_channel("AD", 0.6), 0, 3)
-    u = switch.switch_unitary(0.4).matrix
+    u = switch.switch_unitaries(0.4)
     total = sum((u.conj().T @ e).conj().T @ (u.conj().T @ e) for e in lifted.operators)
     assert np.trace(total).real == pytest.approx(8.0, abs=1e-12)
 
@@ -162,7 +191,7 @@ def test_average_fidelity_numeric_matches_flip_formula():
     for p in np.linspace(0, 1, 8):
         lifted = ch.lift(ch.make_channel("PF", float(p)), 0, 3)
         for t in np.linspace(0, math.pi / 2, 8):
-            numeric = ch.average_fidelity_numeric(switch.switch_unitary(float(t)).matrix, lifted)
+            numeric = ch.average_fidelity_numeric(switch.switch_unitaries(float(t)), lifted)
             closed = (p * (math.cos(t) + 3) ** 2 + 2) / 18
             assert numeric == pytest.approx(closed, abs=1e-12)
 
@@ -197,7 +226,7 @@ def test_average_fidelity_decreases_with_noise_strength():
         ):
             values = [
                 ch.average_fidelity_numeric(
-                    switch.switch_unitary(float(t)).matrix,
+                    switch.switch_unitaries(float(t)),
                     ch.lift(ch.make_channel(kind, float(p)), 0, 3),
                 )
                 for p in grid
@@ -206,7 +235,7 @@ def test_average_fidelity_decreases_with_noise_strength():
 
 
 def test_monte_carlo_estimate_is_deterministic_and_consistent():
-    u = switch.switch_unitary(0.7).matrix
+    u = switch.switch_unitaries(0.7)
     lifted = ch.lift(ch.make_channel("PD", 0.5), 0, 3)
     first = ch.average_fidelity_monte_carlo(u, lifted, samples=20_000, rng=99)
     second = ch.average_fidelity_monte_carlo(u, lifted, samples=20_000, rng=99)

@@ -242,7 +242,7 @@ def test_emit_is_deterministic(tmp_path):
 
 
 def test_verify_passes_on_small_grids():
-    checks = verify(a_steps=7, t_steps=9, noisy_a_steps=3, avg_grid=5)
+    checks = verify(a_steps=7, t_steps=9)
     assert checks and all(c.passed for c in checks)
     names = {c.name for c in checks}
     assert {"fidelity", "schmidt", "ppt", "concurrence", "iconcurrence", "entropy"} <= names
@@ -255,16 +255,14 @@ def test_verify_fails_under_injected_error():
         measures=["concurrence"], a_steps=5, t_steps=5, inject_error=1e-6
     )
     assert any(not c.passed for c in checks)
-    checks = verify(
-        measures=["avg_fidelity"], avg_grid=5, inject_error=1e-6
-    )
+    checks = verify(measures=["avg_fidelity"], inject_error=1e-6)
     assert any(not c.passed for c in checks)
 
 
 @pytest.mark.parametrize("inject_error", [0.0, 1e-6])
 def test_verify_errors_equal_those_of_the_sweep_rows(inject_error):
     # verify builds no rows; its maxima must be those the rows give, bit for bit
-    grid = dict(a_steps=4, t_steps=5, noisy_a_steps=2, avg_grid=3, log_base="e")
+    grid = dict(a_steps=4, t_steps=5, log_base="e")
     checks = {c.name: c.max_abs_err for c in verify(**grid, inject_error=inject_error)}
     flips = {}
     battery = sweep._battery(MEASURES, **grid)

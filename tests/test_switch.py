@@ -12,7 +12,7 @@ from switchsim.switch import (
     fidelity,
     switch_fidelity,
     switch_hamiltonian,
-    switch_unitary,
+    switch_unitaries,
     switch_unitary_oracle,
     switched_pair,
 )
@@ -35,7 +35,7 @@ def test_hamiltonian_entries_and_trace():
 
 
 def test_hamiltonian_spectrum():
-    w = linalg.hermitian_eigensystem(switch_hamiltonian()).eigenvalues
+    w = linalg.eigh(switch_hamiltonian())[0]
     assert np.allclose(w, [-1, 0, 0, 0, 0, 0, 0, 1], atol=1e-12)
 
 
@@ -47,11 +47,11 @@ def test_hamiltonian_squared_is_the_coupled_projector():
 
 
 def test_switch_unitary_at_reference_times():
-    assert np.array_equal(switch_unitary(0.0).matrix, np.eye(8))
-    u = switch_unitary(math.pi / 2).matrix
+    assert np.array_equal(switch_unitaries(0.0), np.eye(8))
+    u = switch_unitaries(math.pi / 2)
     assert abs(u[3, 3]) < 1e-15 and abs(u[5, 5]) < 1e-15
     assert u[3, 5] == pytest.approx(-1j) and u[5, 3] == pytest.approx(-1j)
-    u = switch_unitary(math.pi / 4).matrix
+    u = switch_unitaries(math.pi / 4)
     assert u[3, 3] == pytest.approx(math.sqrt(2) / 2)
     assert u[3, 5] == pytest.approx(-1j * math.sqrt(2) / 2)
 
@@ -62,7 +62,7 @@ def test_switch_unitary_is_unitary_and_identity_off_block():
     block = np.zeros((8, 8), dtype=bool)
     block[np.ix_([3, 5], [3, 5])] = True
     for t in rng.uniform(-10, 10, 100):
-        u = switch_unitary(float(t)).matrix
+        u = switch_unitaries(float(t))
         assert linalg.is_unitary(u, 1e-12)
         outside = ~block
         assert np.array_equal(u[outside], np.eye(8, dtype=complex)[outside])
@@ -70,7 +70,7 @@ def test_switch_unitary_is_unitary_and_identity_off_block():
 
 
 def test_full_swap_applied_twice_gives_a_minus_sign_on_the_pair():
-    u = switch_unitary(math.pi / 2).matrix
+    u = switch_unitaries(math.pi / 2)
     uu = u @ u
     for idx in range(8):
         e = np.zeros(8)
@@ -84,24 +84,24 @@ def test_full_swap_applied_twice_gives_a_minus_sign_on_the_pair():
 def test_closed_form_matches_eigendecomposition_exponential():
     worst = 0.0
     for t in np.linspace(0, math.pi / 2, 100):
-        delta = np.max(np.abs(switch_unitary(float(t)).matrix - switch_unitary_oracle(float(t))))
+        delta = np.max(np.abs(switch_unitaries(float(t)) - switch_unitary_oracle(float(t))))
         worst = max(worst, float(delta))
     assert worst <= 1e-12
 
 
 def test_spectral_projector_reconstruction():
     # sum over eigenprojectors of the generator with phases exp(-i w t)
-    sys = linalg.hermitian_eigensystem(switch_hamiltonian())
+    w, vectors = linalg.eigh(switch_hamiltonian())
     t = 0.83
     u = np.zeros((8, 8), dtype=complex)
     for k in range(8):
-        v = sys.eigenvectors[:, k : k + 1]
-        u = u + np.exp(-1j * sys.eigenvalues[k] * t) * (v @ v.conj().T)
-    assert np.max(np.abs(u - switch_unitary(t).matrix)) <= 1e-12
+        v = vectors[:, k : k + 1]
+        u = u + np.exp(-1j * w[k] * t) * (v @ v.conj().T)
+    assert np.max(np.abs(u - switch_unitaries(t))) <= 1e-12
 
 
 def test_full_swap_matches_the_permutation_up_to_phase():
-    u = switch_unitary(math.pi / 2).matrix
+    u = switch_unitaries(math.pi / 2)
     assert np.allclose(np.abs(u), SWAP_PERMUTATION, atol=1e-15)
 
 
