@@ -1,9 +1,12 @@
 """Numeric routes of a sweep: each measure's stacked route through
 `sweep._evaluate` on a 50 x 101 grid, clean, and under amplitude damping
-where the route accepts a channel, in the blocks `sweep._routes` sizes;
-each closed form of the table through `sweep._closed_column` on the same
-grid, clean, and under amplitude damping on qubit 0 where it has a noisy
-form; and the two state checks, `states.checked_density` and
+where the route accepts a channel, in the blocks `sweep._routes` sizes,
+plus the concurrence under a bit flip on noise qubit 1 (the configuration
+of the benchmark's `diff` commands); each closed form of the table through
+`sweep._closed_column` on the same grid, clean, and under amplitude
+damping on qubit 0 where it has a noisy form; the concurrence of a
+density matrix, `entanglement.concurrences`, on a 256-matrix noisy stack;
+and the two state checks, `states.checked_density` and
 `states.normalized`, on a 256-point stack, the size of a pair route's
 block.
 
@@ -16,14 +19,15 @@ The file name keeps it out of the test suite's collection.
 import numpy as np
 import pytest
 
-from switchsim import states, switch, sweep
+from switchsim import channels, entanglement, states, switch, sweep
 
 NOISE = sweep.ChannelSpec("AD", 0.3)
+DIFF_NOISE = sweep.ChannelSpec("BF", 0.3, qubit=1)
 ROUTES = [
     (name, spec)
     for name, m in sweep.MEASURES.items()
     for spec in ([] if m.gate else [None]) + ([NOISE] if m.mixed or m.gate else [])
-]
+] + [("concurrence", DIFF_NOISE)]
 
 
 @pytest.mark.parametrize(
@@ -58,6 +62,13 @@ def pairs():
     """256 switched pairs, shape (256, 4)."""
     a = np.linspace(0.0, np.pi / 2, 256)
     return switch.switched_pairs(states.angle_qubits(a), np.linspace(0.0, np.pi / 2, 256))
+
+
+def test_density_concurrences(benchmark, pairs):
+    benchmark.group = "entanglement.concurrences"
+    lifted = channels.lift(DIFF_NOISE.make(), DIFF_NOISE.qubit, 2)
+    rho = channels.apply_kraus(states.densities(pairs), lifted)
+    assert benchmark(entanglement.concurrences, rho).shape == (256,)
 
 
 def test_checked_density(benchmark, pairs):

@@ -13,10 +13,17 @@ Each numeric measure is one stacked kernel with a plural name
 (``schmidt_spectra``, ``ppt_spectra``, ``concurrences``, ``iconcurrences``,
 ``entropies``) over arrays with one state per point along the leading axes;
 the single-state functions call it on one state. The kernels that
-eigensolve a density matrix (``schmidt_spectra`` and ``entropies``, and
-``concurrences`` through ``linalg.psd_sqrt``) read its positivity from
-that eigensolve: the stages that build the matrices do not check it (see
-``states``). The closed forms are scalar ``math`` code, evaluated one
+eigensolve a density matrix (``schmidt_spectra``, ``entropies`` and
+``concurrences``) read its positivity from that one ``linalg.eigh``: the
+stages that build the matrices do not check it (see ``states``).
+
+The concurrence has one kernel, ``ensemble_concurrences``: Uhlmann's form
+of Wootters' formula over the columns xi of any decomposition
+rho = xi xi^dagger, read from singular values, with no eigensolve and no
+square root of a spectrum. A sweep hands it the Kraus branches E_k psi of
+the evolved pair, which decompose the noisy pair's density matrix without
+forming it; ``concurrences`` hands it V sqrt(w) from the eigensolve of a
+density matrix. The closed forms are scalar ``math`` code, evaluated one
 point at a time.
 """
 
@@ -46,6 +53,11 @@ from .switch import PAULI_Y, switched_pairs
 #: inflating them to ~sqrt(machine eps)
 SPECTRAL_NOISE_FLOOR = 1e-13
 
+#: eigenvalues of a density matrix below this are eigensolver noise; the
+#: concurrence drops them from the ensemble V sqrt(w), where their
+#: eigenvectors would otherwise enter at about sqrt(1e-16) = 1e-8
+ENSEMBLE_WEIGHT_FLOOR = 1e-15
+
 #: the two-qubit spin flip Y x Y of the concurrence
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -68,8 +80,8 @@ def _positive(values: np.ndarray) -> np.ndarray:
 
 
 def _zero_below_floor(root: float) -> float:
-    # the numeric routes floor the spectrum, whose entries are squares of
-    # these closed forms; a closed form must read 0 wherever they do
+    # the Schmidt route floors the reduced spectrum, whose entries are the
+    # squares of the coefficients; the closed form must read 0 where it does
     return 0.0 if root * root < SPECTRAL_NOISE_FLOOR else root
 
 
@@ -79,20 +91,20 @@ def _sqrt_floored(value: float) -> float:
     return 0.0 if value < SPECTRAL_NOISE_FLOOR else math.sqrt(value)
 
 
-def _psd_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of each density matrix of a stack, rejected as
-    DensityMatrix rejects it if any eigenvalue is below the PSD floor: the
-    positivity check of the stages that built the matrices, read from the
-    eigensolve the measure needs anyway."""
-    w, _ = linalg.eigh(rho)
+def _psd_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectrum and eigenvector columns of each density matrix of
+    a stack, rejected as DensityMatrix rejects it if any eigenvalue is below
+    the PSD floor: the positivity check of the stages that built the
+    matrices, read from the eigensolve the measure needs anyway."""
+    w, v = linalg.eigh(rho)
     require_psd(w[..., 0])
-    return w
+    return w, v
 
 
 def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
     """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of a
     stack, as square roots of the reduced-state spectrum; shape (..., 2)."""
-    return np.sqrt(_floored(_psd_spectrum(partial_traces(densities(psi), 2, {1}))))
+    return np.sqrt(_floored(_psd_eigh(partial_traces(densities(psi), 2, {1}))[0]))
 
 
 def schmidt_coefficients(psi: PureState) -> SchmidtPair:
@@ -170,20 +182,35 @@ def fidelity_closed(alpha0: complex, beta0: complex, t: float) -> float:
     return abs(abs(alpha0) ** 2 + math.sin(t) * abs(beta0) ** 2)
 
 
-def concurrences(rho: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence max(0, l1 - l2 - l3 - l4) of each density
-    matrix of a stack.
+def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence of each ensemble of a stack, shape (..., 4, K):
+    the K columns xi decompose the state as rho = xi xi^dagger.
 
-    The l_i are the descending eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho))
-    with the spin-flipped state rho~ = (Y x Y) conj(rho) (Y x Y), obtained
-    here as square roots of the sandwiched product's spectrum (floored at
-    the noise level, see SPECTRAL_NOISE_FLOOR).
+    Uhlmann's form of Wootters' concurrence: max(0, l1 - l2 - ... - lK)
+    over the descending singular values l_i of tau = xi^T (Y x Y) xi,
+    whatever the decomposition (Wootters, PRL 80, 2245 (1998); Uhlmann,
+    PRA 62, 032307 (2000)). With K = 1 this is |psi^T (Y x Y) psi|. No
+    eigensolve and no square root of a spectrum, so a small concurrence
+    is read as exactly as a large one.
     """
-    rho_tilde = _YY @ np.conj(rho) @ _YY
-    root = linalg.psd_sqrt(rho)
-    w, _ = linalg.eigh(root @ rho_tilde @ root)
-    lam = np.sqrt(_floored(w))[..., ::-1]
-    return _positive(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    tau = np.swapaxes(xi, -1, -2) @ _YY @ xi
+    if tau.shape[-1] == 1:
+        return np.abs(tau[..., 0, 0])
+    lam = np.linalg.svd(tau, compute_uv=False)
+    return _positive(lam[..., 0] - np.sum(lam[..., 1:], axis=-1))
+
+
+def concurrences(rho: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence of each density matrix of a stack.
+
+    One ``linalg.eigh`` gives rho = V diag(w) V^dagger and, from its least
+    eigenvalue, the positivity check of DensityMatrix. Eigenvalues below
+    ENSEMBLE_WEIGHT_FLOOR are dropped, and V sqrt(w) goes to the Uhlmann
+    kernel ``ensemble_concurrences``.
+    """
+    w, v = _psd_eigh(rho)
+    w = np.where(w < ENSEMBLE_WEIGHT_FLOOR, 0.0, w)
+    return ensemble_concurrences(v * np.sqrt(w)[..., None, :])
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -194,11 +221,10 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def concurrence_closed(beta0: complex, t: float) -> float:
-    """|beta^2 sin(2t)| for the switched pair; 0 where its square is below
-    SPECTRAL_NOISE_FLOOR, as the numeric route reads it."""
+    """|beta^2 sin(2t)| for the switched pair."""
     if abs(beta0) > 1 + 1e-12:
         raise ValueError(f"|beta0| must be <= 1, got {abs(beta0)!r}")
-    return _zero_below_floor(abs(beta0**2 * math.sin(2 * t)))
+    return abs(beta0**2 * math.sin(2 * t))
 
 
 def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:
@@ -256,8 +282,8 @@ def iconcurrence_noisy_closed(
         )
     elif kind == "BF":
         c = math.cos(t)
-        f1 = a * p * np.conj(c * b) - b * (p - 1.0) * np.conj(a) * c
-        f2 = b * p * np.conj(a) * c - a * (p - 1.0) * np.conj(c * b)
+        f1 = a * p * (c * b).conjugate() - b * (p - 1.0) * a.conjugate() * c
+        f2 = b * p * a.conjugate() * c - a * (p - 1.0) * (c * b).conjugate()
         cross = f1 * f2
         inner = (
             2.0
@@ -284,7 +310,7 @@ def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
     ``log_base`` selects nats ("e", the default) or bits ("2").
     """
     scale = _log_scale(log_base)
-    w = np.clip(_psd_spectrum(rho), 0.0, None)
+    w = np.clip(_psd_eigh(rho)[0], 0.0, None)
     positive = w > 0
     terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
     # an eigenvalue rounding to 1+eps would otherwise leave -eps behind

@@ -17,10 +17,11 @@ times that for a pair route), so that the memory it holds does not grow
 with the grid. The (a, t) values of a block are checked at its boundary,
 the amplitude vectors at every stage, and the density matrices once, by
 the eigensolve of the measure where it has one (see ``states``). The
-block size does not change a bit of the values. Closed forms are scalar
-code, called per point into one closed column per grid, with sin a and
-cos a computed once per a value. A grid may hold at most MAX_GRID_POINTS
-points.
+concurrence forms no density matrix and makes no eigensolve: it reads the
+pair's Kraus branches E_k psi (see ``entanglement``). The block size does
+not change a bit of the values. Closed forms are scalar code, called per
+point into one closed column per grid, with sin a and cos a computed once
+per a value. A grid may hold at most MAX_GRID_POINTS points.
 
 Sweeps, diffs and ``verify`` share one path, ``_columns``: a configuration's
 numeric array and closed column, compared as |numeric - closed|. A diff
@@ -94,6 +95,17 @@ def _pair_densities(a: np.ndarray, t: np.ndarray, lifted) -> np.ndarray:
     return ent.pair_densities(states.angle_qubits(a), t, lifted)
 
 
+def _pair_ensembles(a: np.ndarray, t: np.ndarray, lifted) -> np.ndarray:
+    """The switched pair psi of each point as a one-column ensemble, or its
+    Kraus branches E_k psi under ``lifted``; shape (N, 4, K). The columns
+    decompose the pair's density matrix sum_k (E_k psi)(E_k psi)^dagger,
+    which is not formed."""
+    psi = switch.switched_pairs(states.angle_qubits(a), t)[..., None]
+    if lifted is None:
+        return psi
+    return np.concatenate([e @ psi for e in lifted.operators], axis=-1)
+
+
 # The routes call through module attributes instead of holding function
 # objects, so that a rebound package function is called here as well.
 MEASURES = {m.name: m for m in (
@@ -113,7 +125,9 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "concurrence",
-        numeric=lambda a, t, lifted, base: ent.concurrences(_pair_densities(a, t, lifted)),
+        numeric=lambda a, t, lifted, base: ent.ensemble_concurrences(
+            _pair_ensembles(a, t, lifted)
+        ),
         closed=lambda al, be, t, base: ent.concurrence_closed(be, t),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),

@@ -1,6 +1,7 @@
 """The measure table: every closed form against its numeric route over the
-whole (a, t, p) domain the command line accepts, the separation of the
-two routes, and where the numeric routes check their input."""
+whole (a, t, p) domain the command line accepts, the concurrence against
+its factorization law under noise, the separation of the two routes, and
+where the numeric routes check their input and eigensolve."""
 
 import math
 
@@ -87,6 +88,57 @@ def test_closed_form_matches_the_numeric_route_near_separable_points(name):
     config = SweepConfig(name, a=1.5698, t_min=0.01, t_max=0.01, t_steps=2, compare=True)
     row = run_sweep(config)[0]
     assert row.abs_err <= MEASURES[name].tolerance, (row.value_numeric, row.value_closed)
+
+
+def _choi_concurrence(kind: str, p: float) -> float:
+    """The concurrence of the channel's Choi state: the factor by which the
+    channel, acting on one qubit, scales the concurrence of every pure
+    two-qubit state (Konrad et al., Nat. Phys. 4, 99 (2008))."""
+    return abs(2.0 * p - 1.0) if kind in ("PF", "BF") else math.sqrt(1.0 - p)
+
+
+#: the probe's first points: its near-separable points, then the first
+#: 2,500 random ones; the density-matrix route, which runs an eigensolve
+#: per point, is held to the law on these
+DENSITY_PROBE = 4_000
+
+
+@pytest.fixture(scope="module")
+def probe():
+    """(a, t, clean closed-form concurrence) at 1,500 seeded points near
+    separable states (a near pi/2, so beta near 0; t near 0; both), then at
+    20,000 seeded random points of the domain the command line accepts."""
+    rng = np.random.default_rng(2008)
+    n, m = 20_000, 500
+    a_near = math.pi / 2 + rng.normal(0.0, 1e-4, m)
+    t_near = rng.normal(0.0, 1e-7, m)
+    a = np.concatenate([a_near, rng.uniform(-math.pi, math.pi, m), a_near,
+                        rng.uniform(-math.pi, math.pi, n)])
+    t = np.concatenate([rng.uniform(-math.pi, 2 * math.pi, m), t_near, t_near,
+                        rng.uniform(-math.pi, 2 * math.pi, n)])
+    clean = [ent.concurrence_closed(math.cos(x), y) for x, y in zip(a.tolist(), t.tolist())]
+    return a, t, np.array(clean)
+
+
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_concurrence_follows_the_factorization_law(probe, kind, qubit):
+    # neither route uses the law; where C is small, a square root of
+    # eigensolver noise would miss it by far more than 1e-12
+    a, t, clean = probe
+    rho = states.densities(switch.switched_pairs(states.angle_qubits(a[:DENSITY_PROBE]),
+                                                 t[:DENSITY_PROBE]))
+    for p in (0.0, 0.13, 0.5, 0.74, 1.0):
+        lifted = ch.lift(ch.make_channel(kind, p), qubit, 2)
+        want = clean * _choi_concurrence(kind, p)
+        route = MEASURES["concurrence"].numeric(a, t, lifted, "e")
+        assert np.max(np.abs(route - want)) <= 1e-12, p
+        noisy = ch.apply_kraus(rho, lifted)
+        density = ent.concurrences(noisy)
+        assert np.max(np.abs(density - want[:DENSITY_PROBE])) <= 1e-12, p
+        for i in range(0, DENSITY_PROBE, 100):
+            single = ent.concurrence(states.DensityMatrix(2, noisy[i]))
+            assert abs(single - want[i]) <= 1e-12, (p, a[i], t[i])
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -215,3 +267,23 @@ def test_sweeps_make_no_density_check_and_no_eigvalsh(monkeypatch):
     assert calls == []
     states.DensityMatrix(2, _RHO)
     assert calls == ["checked_density", "eigvalsh"]
+
+
+def test_concurrence_makes_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(monkeypatch):
+    # a sweep reads the pair's Kraus branches, so neither a density matrix
+    # nor its spectrum is formed; a density matrix is eigensolved once
+    calls = []
+    for attr in ("eigh", "eigvalsh"):
+        _counting(monkeypatch, np.linalg, attr, calls)
+    _counting(monkeypatch, linalg, "psd_sqrt", calls)
+    noisy = [ChannelSpec(kind, 0.3, qubit) for kind in ch.CHANNEL_KINDS for qubit in (0, 1)]
+    run_sweep(SweepConfig("concurrence", a_steps=3, t_steps=5, compare=True))
+    for spec in noisy:
+        config = SweepConfig("concurrence", a_steps=3, t_steps=5, channel=spec, compare=True)
+        run_sweep(config)
+        diff_sweep(config)
+    assert calls == []
+    rho = states.DensityMatrix(2, _RHO)
+    calls.clear()
+    ent.concurrence(rho)
+    assert calls == ["eigh"]

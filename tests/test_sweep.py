@@ -308,14 +308,14 @@ def test_fidelity_closed_form_holds_where_sin_t_is_negative():
 
 
 def test_verify_fails_when_a_route_returns_nan(monkeypatch):
-    concurrences = ent.concurrences
+    ensemble_concurrences = ent.ensemble_concurrences
 
-    def nan_at_an_interior_point(rho):
-        values = concurrences(rho)
+    def nan_at_an_interior_point(xi):
+        values = ensemble_concurrences(xi)
         values[4] = math.nan
         return values
 
-    monkeypatch.setattr(ent, "concurrences", nan_at_an_interior_point)
+    monkeypatch.setattr(ent, "ensemble_concurrences", nan_at_an_interior_point)
     [check] = verify(measures=["concurrence"], a_steps=3, t_steps=3)
     assert math.isnan(check.max_abs_err)
     assert not check.passed
