@@ -4,7 +4,9 @@ where the route accepts a channel, in the blocks `sweep._routes` sizes,
 plus the concurrence under a bit flip on noise qubit 1 (the configuration
 of the benchmark's `diff` commands); each closed form of the table through
 `sweep._closed_column` on the same grid, clean, and under amplitude
-damping on qubit 0 where it has a noisy form; the concurrence of a
+damping on qubit 0 where it has a noisy form, one call per grid; one call
+of each scalar closed-form entry point at one point, the cost a caller
+that evaluates point by point pays; the concurrence of a
 density matrix, `entanglement.concurrences`, on a 256-matrix noisy stack;
 and the two state checks, `states.checked_density` and
 `states.normalized`, on a 256-point stack, the size of a pair route's
@@ -15,6 +17,8 @@ block.
 
 The file name keeps it out of the test suite's collection.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +59,31 @@ def test_closed_column(benchmark, name, spec):
     _, closed, _ = sweep._routes(config)
     column = benchmark(sweep._closed_column, config, closed)
     assert column.shape == (5050,)
+
+
+AL, BE, T = math.sin(0.7), math.cos(0.7), 0.41
+POINT = {
+    "schmidt_closed": lambda: entanglement.schmidt_closed(BE, T),
+    "ppt_eigenvalues_closed": lambda: entanglement.ppt_eigenvalues_closed(AL, BE, T),
+    "concurrence_closed": lambda: entanglement.concurrence_closed(BE, T),
+    "iconcurrence_closed": lambda: entanglement.iconcurrence_closed(AL, BE, T),
+    "iconcurrence_noisy_closed[AD]": lambda: entanglement.iconcurrence_noisy_closed(
+        "AD", 0.3, T, AL, BE
+    ),
+    "iconcurrence_noisy_closed[BF]": lambda: entanglement.iconcurrence_noisy_closed(
+        "BF", 0.3, T, AL, BE
+    ),
+    "reduced_entropy_closed": lambda: entanglement.reduced_entropy_closed(AL, BE, T),
+    "fidelity_closed": lambda: entanglement.fidelity_closed(AL, BE, T),
+    "average_fidelity_closed[PD]": lambda: channels.average_fidelity_closed("PD", 0.3, T),
+}
+
+
+@pytest.mark.parametrize("name", POINT)
+def test_closed_point(benchmark, name):
+    benchmark.group = "closed.point"
+    value = benchmark(POINT[name])
+    assert all(type(v) is float for v in (value if isinstance(value, tuple) else (value,)))
 
 
 @pytest.fixture(scope="module")

@@ -23,8 +23,13 @@ rho = xi xi^dagger, read from singular values, with no eigensolve and no
 square root of a spectrum. A sweep hands it the Kraus branches E_k psi of
 the evolved pair, which decompose the noisy pair's density matrix without
 forming it; ``concurrences`` hands it V sqrt(w) from the eigensolve of a
-density matrix. The closed forms are scalar ``math`` code, evaluated one
-point at a time.
+density matrix.
+
+Each closed form is one definition over the functions of
+``pointwise.ops``: called on Python scalars it is plain ``math`` code and
+returns Python floats, and called on a column of amplitudes, shape (A, 1),
+and a row of times, shape (T,), it returns the (A, T) grid of values in
+one call, with the same bits at every entry.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import linalg
+from . import pointwise as pw
 from .channels import KrausChannel, apply_kraus, check_channel, lift
 from .states import (
     DensityMatrix,
@@ -70,25 +76,20 @@ class SchmidtPair(NamedTuple):
     lambda1: float
 
 
-def _floored(values: np.ndarray) -> np.ndarray:
-    return np.where(values < SPECTRAL_NOISE_FLOOR, 0.0, values)
-
-
-def _positive(values: np.ndarray) -> np.ndarray:
-    """max(0, v) per entry, with Python's max semantics: -0.0 and NaN read 0."""
-    return np.where(values > 0.0, values, 0.0)
-
-
-def _zero_below_floor(root: float) -> float:
-    # the Schmidt route floors the reduced spectrum, whose entries are the
-    # squares of the coefficients; the closed form must read 0 where it does
-    return 0.0 if root * root < SPECTRAL_NOISE_FLOOR else root
-
-
-def _sqrt_floored(value: float) -> float:
+def _floored(values, f=pw.ARRAY):
     # square roots amplify rounding residue near zero to ~1e-8; both the
     # numeric and closed routes must zero it for their comparison to hold
-    return 0.0 if value < SPECTRAL_NOISE_FLOOR else math.sqrt(value)
+    return f.where(values < SPECTRAL_NOISE_FLOOR, 0.0, values)
+
+
+def _checked_beta(f, beta0):
+    """|beta0|, rejected where it exceeds 1; the message names the first
+    such value."""
+    size = abs(beta0)
+    bad = size > 1 + 1e-12
+    if f.any(bad):
+        raise ValueError(f"|beta0| must be <= 1, got {pw.first(bad, size)!r}")
+    return size
 
 
 def _psd_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,14 +122,14 @@ def schmidt_closed(beta0: complex, t: float) -> SchmidtPair:
         lambda_{0,1} = sqrt(1 -+ sqrt(1 - |beta|^4 sin^2(2t))) / sqrt(2)
 
     lambda0 reads 0 where lambda0^2 is below SPECTRAL_NOISE_FLOOR, as the
-    numeric route reads it.
+    numeric route, which floors the reduced spectrum, reads it.
     """
-    if abs(beta0) > 1 + 1e-12:
-        raise ValueError(f"|beta0| must be <= 1, got {abs(beta0)!r}")
-    inner = math.sqrt(max(0.0, 1.0 - abs(beta0) ** 4 * math.sin(2 * t) ** 2))
-    lam0 = math.sqrt(max(0.0, 1.0 - inner)) / math.sqrt(2.0)
-    lam1 = math.sqrt(1.0 + inner) / math.sqrt(2.0)
-    return SchmidtPair(_zero_below_floor(lam0), lam1)
+    f = pw.ops(beta0, t)
+    size = _checked_beta(f, beta0)
+    inner = f.sqrt(f.max0(1.0 - f.pow(size, 4) * f.pow(f.sin(2 * t), 2)))
+    lam0 = f.sqrt(f.max0(1.0 - inner)) / f.sqrt(2.0)
+    lam1 = f.sqrt(1.0 + inner) / f.sqrt(2.0)
+    return SchmidtPair(f.where(lam0 * lam0 < SPECTRAL_NOISE_FLOOR, 0.0, lam0), lam1)
 
 
 def ppt_spectra(rho: np.ndarray) -> np.ndarray:
@@ -157,12 +158,16 @@ def ppt_eigenvalues_closed(
     For real amplitudes they are +-|beta|^2 sin(t) cos(t) and
     (1 -+ sqrt(|alpha|^4 + 2|alpha beta|^2 + |beta|^4 cos^2(2t))) / 2.
     """
-    norm_sq = abs(alpha0) ** 2 + abs(beta0) ** 2
-    if abs(norm_sq - 1.0) > 1e-10:
-        raise ValueError(f"amplitudes are not normalized: |a|^2+|b|^2 = {norm_sq!r}")
-    x, y = abs(alpha0) ** 2, abs(beta0) ** 2
-    swap = y * math.sin(t) * math.cos(t)
-    root = math.sqrt(x**2 + 2 * x * y + y**2 * math.cos(2 * t) ** 2)
+    f = pw.ops(alpha0, beta0, t)
+    x, y = f.pow(abs(alpha0), 2), f.pow(abs(beta0), 2)
+    norm_sq = x + y
+    bad = abs(norm_sq - 1.0) > 1e-10
+    if f.any(bad):
+        raise ValueError(
+            f"amplitudes are not normalized: |a|^2+|b|^2 = {pw.first(bad, norm_sq)!r}"
+        )
+    swap = y * f.sin(t) * f.cos(t)
+    root = f.sqrt(f.pow(x, 2) + 2 * x * y + f.pow(y, 2) * f.pow(f.cos(2 * t), 2))
     return -swap, swap, (1 - root) / 2, (1 + root) / 2
 
 
@@ -179,7 +184,8 @@ def fidelity_closed(alpha0: complex, beta0: complex, t: float) -> float:
 
     The bracket turns negative where sin(t) < 0; the overlap is its modulus.
     """
-    return abs(abs(alpha0) ** 2 + math.sin(t) * abs(beta0) ** 2)
+    f = pw.ops(alpha0, beta0, t)
+    return abs(f.pow(abs(alpha0), 2) + f.sin(t) * f.pow(abs(beta0), 2))
 
 
 def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
@@ -197,7 +203,7 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
     if tau.shape[-1] == 1:
         return np.abs(tau[..., 0, 0])
     lam = np.linalg.svd(tau, compute_uv=False)
-    return _positive(lam[..., 0] - np.sum(lam[..., 1:], axis=-1))
+    return pw.positive(lam[..., 0] - np.sum(lam[..., 1:], axis=-1))
 
 
 def concurrences(rho: np.ndarray) -> np.ndarray:
@@ -222,9 +228,9 @@ def concurrence(rho: DensityMatrix) -> float:
 
 def concurrence_closed(beta0: complex, t: float) -> float:
     """|beta^2 sin(2t)| for the switched pair."""
-    if abs(beta0) > 1 + 1e-12:
-        raise ValueError(f"|beta0| must be <= 1, got {abs(beta0)!r}")
-    return abs(beta0**2 * math.sin(2 * t))
+    f = pw.ops(beta0, t)
+    _checked_beta(f, beta0)
+    return abs(f.pow(beta0, 2) * f.sin(2 * t))
 
 
 def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:
@@ -255,12 +261,13 @@ def iconcurrence_closed(alpha0: complex, beta0: complex, t: float) -> float:
         sqrt(2) sqrt(1 - (|a|^2 + |sin(t) b|^2)^2
                        - 2 |cos(t) a b|^2 - |cos(t) b|^4)
     """
-    x = abs(alpha0) ** 2
-    sb = abs(math.sin(t) * beta0) ** 2
-    cab = abs(math.cos(t) * alpha0 * beta0) ** 2
-    cb = abs(math.cos(t) * beta0) ** 2
-    inner = -((x + sb) ** 2) - 2 * cab - cb**2 + 1.0
-    return _sqrt_floored(2.0 * inner)
+    f = pw.ops(alpha0, beta0, t)
+    x = f.pow(abs(alpha0), 2)
+    sb = f.pow(abs(f.sin(t) * beta0), 2)
+    cab = f.pow(abs(f.cos(t) * alpha0 * beta0), 2)
+    cb = f.pow(abs(f.cos(t) * beta0), 2)
+    inner = -f.pow(x + sb, 2) - 2 * cab - f.pow(cb, 2) + 1.0
+    return f.sqrt(_floored(2.0 * inner, f))
 
 
 def iconcurrence_noisy_closed(
@@ -269,38 +276,39 @@ def iconcurrence_noisy_closed(
     """Closed-form I-concurrence of the switched pair with noise of strength
     ``p`` on the first qubit, one expression per channel kind."""
     check_channel(kind, p)
-    a, b = complex(alpha0), complex(beta0)
-    x = abs(a) ** 2
-    sb = abs(math.sin(t) * b) ** 2
-    cb = abs(math.cos(t) * b) ** 2
+    f = pw.ops(t, alpha0, beta0)
+    a, b = f.complex(alpha0), f.complex(beta0)
+    x = f.pow(abs(a), 2)
+    sb = f.pow(abs(f.sin(t) * b), 2)
+    cb = f.pow(abs(f.cos(t) * b), 2)
     if kind == "PF":
         inner = (
             2.0
-            - 4.0 * (1.0 - 2.0 * p) ** 2 * x * cb
-            - 2.0 * (x + sb) ** 2
-            - 2.0 * cb**2
+            - 4.0 * f.pow(1.0 - 2.0 * p, 2) * x * cb
+            - 2.0 * f.pow(x + sb, 2)
+            - 2.0 * f.pow(cb, 2)
         )
     elif kind == "BF":
-        c = math.cos(t)
+        c = f.cos(t)
         f1 = a * p * (c * b).conjugate() - b * (p - 1.0) * a.conjugate() * c
         f2 = b * p * a.conjugate() * c - a * (p - 1.0) * (c * b).conjugate()
         cross = f1 * f2
         inner = (
             2.0
-            - 2.0 * (p * cb - (p - 1.0) * (x + sb)) ** 2
-            - 2.0 * ((p - 1.0) * cb - p * (x + sb)) ** 2
+            - 2.0 * f.pow(p * cb - (p - 1.0) * (x + sb), 2)
+            - 2.0 * f.pow((p - 1.0) * cb - p * (x + sb), 2)
             - 4.0 * cross.real
         )
     elif kind == "AD":
         inner = (
             2.0
             + 4.0 * (p - 1.0) * x * cb
-            - 2.0 * (x + p * cb + sb) ** 2
-            - 2.0 * (p - 1.0) ** 2 * cb**2
+            - 2.0 * f.pow(x + p * cb + sb, 2)
+            - 2.0 * f.pow(p - 1.0, 2) * f.pow(cb, 2)
         )
     else:  # PD
-        inner = 2.0 + 4.0 * (p - 1.0) * x * cb - 2.0 * (x + sb) ** 2 - 2.0 * cb**2
-    return _sqrt_floored(inner)
+        inner = 2.0 + 4.0 * (p - 1.0) * x * cb - 2.0 * f.pow(x + sb, 2) - 2.0 * f.pow(cb, 2)
+    return f.sqrt(_floored(inner, f))
 
 
 def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
@@ -314,7 +322,7 @@ def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
     positive = w > 0
     terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
     # an eigenvalue rounding to 1+eps would otherwise leave -eps behind
-    return _positive(-np.sum(terms, axis=-1) * scale)
+    return pw.positive(-np.sum(terms, axis=-1) * scale)
 
 
 def von_neumann_entropy(rho: DensityMatrix, log_base: str = "e") -> float:
@@ -339,17 +347,20 @@ def reduced_entropy_closed(
         (1 -+ sqrt(2|a b|^2 + |a|^4 + |b|^4 cos^2(2t))) / 2.
     """
     scale = _log_scale(log_base)
+    f = pw.ops(alpha0, beta0, t)
     total = 0.0
     for lam in reduced_eigenvalues_closed(alpha0, beta0, t):
-        if lam > 0.0:
-            total -= lam * math.log(lam)
+        # both eigenvalues lie in [0, 1]; 0 log 0 = 0 reads 0 log 1, and
+        # total - 0.0 is total
+        total = total - lam * f.log(f.where(lam > 0.0, lam, 1.0))
     return total * scale
 
 
 def reduced_eigenvalues_closed(alpha0: complex, beta0: complex, t: float):
     """The closed-form eigenvalue pair behind reduced_entropy_closed, ascending."""
-    x, y = abs(alpha0) ** 2, abs(beta0) ** 2
-    root = math.sqrt(min(1.0, 2 * x * y + x**2 + y**2 * math.cos(2 * t) ** 2))
+    f = pw.ops(alpha0, beta0, t)
+    x, y = f.pow(abs(alpha0), 2), f.pow(abs(beta0), 2)
+    root = f.sqrt(f.min(1.0, 2 * x * y + f.pow(x, 2) + f.pow(y, 2) * f.pow(f.cos(2 * t), 2)))
     return (1.0 - root) / 2.0, (1.0 + root) / 2.0
 
 

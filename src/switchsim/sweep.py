@@ -19,9 +19,11 @@ the amplitude vectors at every stage, and the density matrices once, by
 the eigensolve of the measure where it has one (see ``states``). The
 concurrence forms no density matrix and makes no eigensolve: it reads the
 pair's Kraus branches E_k psi (see ``entanglement``). The block size does
-not change a bit of the values. Closed forms are scalar code, called per
-point into one closed column per grid, with sin a and cos a computed once
-per a value. A grid may hold at most MAX_GRID_POINTS points.
+not change a bit of the values. A closed form is called once per grid, on
+sin a and cos a as (A, 1) columns, one entry per a value, and the times as
+a (T,) row; the (A, T) values it returns, a outer and t fastest, are the
+closed column, with the bits of the closed form at each single point (see
+``pointwise``). A grid may hold at most MAX_GRID_POINTS points.
 
 Sweeps, diffs and ``verify`` share one path, ``_columns``: a configuration's
 numeric array and closed column, compared as |numeric - closed|. A diff
@@ -46,6 +48,7 @@ import numpy as np
 
 from . import channels as ch
 from . import entanglement as ent
+from . import pointwise as pw
 from . import states, switch
 
 #: verification gate per measure
@@ -75,8 +78,10 @@ class Measure:
     (a[i], t[i]) of two equal-length arrays from the evolved states, as one
     stack; ``lifted`` is the channel already lifted onto the register, or
     None for a clean run. ``closed(alpha0, beta0, t, log_base)`` is the
-    clean closed form at one point and ``noisy_closed(kind, p, t, alpha0,
-    beta0)`` the closed form under noise on qubit 0; either may be None.
+    clean closed form and ``noisy_closed(kind, p, t, alpha0, beta0)`` the
+    closed form under noise on qubit 0, either None or called once per
+    grid: ``alpha0`` and ``beta0`` are sin a and cos a as (A, 1) columns,
+    ``t`` is a (T,) row, and the values broadcast to (A, T).
     ``mixed`` says whether the numeric route accepts a noisy (mixed) pair;
     ``gate`` marks a property of the noisy switch itself, which needs a
     channel and lifts it onto all three qubits.
@@ -84,8 +89,8 @@ class Measure:
 
     name: str
     numeric: Callable[[np.ndarray, np.ndarray, Optional[ch.KrausChannel], str], np.ndarray]
-    closed: Optional[Callable[[complex, complex, float, str], float]]
-    noisy_closed: Optional[Callable[[str, float, float, complex, complex], float]]
+    closed: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, str], np.ndarray]]
+    noisy_closed: Optional[Callable[[str, float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
     tolerance: float
     mixed: bool
     gate: bool = False
@@ -120,7 +125,7 @@ MEASURES = {m.name: m for m in (
     Measure(
         "ppt",
         numeric=lambda a, t, lifted, base: ent.ppt_spectra(_pair_densities(a, t, lifted))[:, 0],
-        closed=lambda al, be, t, base: min(ent.ppt_eigenvalues_closed(al, be, t)),
+        closed=lambda al, be, t, base: pw.least(*ent.ppt_eigenvalues_closed(al, be, t)),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
@@ -217,6 +222,10 @@ class SweepConfig:
                 raise ValueError(f"{name} must be finite")
         if self.t_max < self.t_min:
             raise ValueError("t_max must be >= t_min")
+        if not math.isfinite(self.t_max - self.t_min):
+            raise ValueError(
+                f"the time span t_max - t_min overflows: {self.t_min!r} to {self.t_max!r}"
+            )
         ent._log_scale(self.log_base)  # validates
 
     def a_values(self) -> np.ndarray:
@@ -245,16 +254,16 @@ class SweepRow(NamedTuple):
 
 
 Numeric = Callable[[np.ndarray, np.ndarray], np.ndarray]
-Closed = Callable[[float, float, float], float]
+Closed = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed], int]:
     """The numeric route of ``config`` as a function of stacked (a, t), its
-    closed form as a function of one (sin a, cos a, t), and the number of
-    points the numeric route takes per block (see BLOCK_POINTS). The closed
-    form is None without ``compare`` or where the table has none (noise on
-    qubit 1 included). The channel is built and lifted here, once per
-    configuration."""
+    closed form as a function of (sin a, cos a, t) over the grid (see
+    Measure), and the number of points the numeric route takes per block
+    (see BLOCK_POINTS). The closed form is None without ``compare`` or
+    where the table has none (noise on qubit 1 included). The channel is
+    built and lifted here, once per configuration."""
     m = MEASURES[config.measure]
     spec, base = config.channel, config.log_base
     if m.gate and spec is None:
@@ -286,14 +295,11 @@ def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray, block: int) -> np.
 
 
 def _closed_column(config: SweepConfig, closed: Closed) -> np.ndarray:
-    """``closed`` at every grid point, a outer, t fastest; sin a and cos a
-    are computed once per a value."""
-    ts = config.t_values().tolist()
-    column = []
-    for a in config.a_values().tolist():
-        alpha0, beta0 = math.sin(a), math.cos(a)
-        column += [closed(alpha0, beta0, t) for t in ts]
-    return np.array(column, dtype=float)
+    """``closed`` at every grid point, a outer, t fastest, from one call;
+    sin a and cos a are computed once per a value."""
+    a = config.a_values()[:, None]
+    values = closed(np.sin(a), np.cos(a), config.t_values())
+    return np.broadcast_to(values, (config.a_steps, config.t_steps)).ravel()
 
 
 def _columns(config: SweepConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:

@@ -125,3 +125,14 @@ def test_grid_cap_exits_2_before_building_the_grid(monkeypatch, capsys):
                  ["verify", *huge]):
         assert cli.main(argv) == 2
         assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_a_time_span_that_overflows_exits_2_without_a_warning(capsys, recwarn):
+    # both endpoints are finite, but t_max - t_min is not, so the grid
+    # would hold NaN; the span is rejected before any grid is built
+    for command in (["sweep", "--measure", "entropy"],
+                    ["diff", "--measure", "entropy", "--channel", "AD"]):
+        assert cli.main([*command, "--t-min=-1e308", "--t-max=1e308"]) == 2
+        err = capsys.readouterr().err
+        assert "t_max - t_min overflows" in err and "must be finite" not in err
+    assert not recwarn.list

@@ -1,9 +1,13 @@
 """The measure table: every closed form against its numeric route over the
 whole (a, t, p) domain the command line accepts, the concurrence against
-its factorization law under noise, the separation of the two routes, and
-where the numeric routes check their input and eigensolve."""
+its factorization law under noise, the separation of the two routes, the
+closed columns and scalar closed forms against the point-by-point code
+they replaced, and where the numeric routes check their input and
+eigensolve."""
 
+import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim import channels as ch
+from switchsim import cli
 from switchsim import entanglement as ent
 from switchsim import linalg, states, sweep, switch
 from switchsim.sweep import MEASURES, ChannelSpec, SweepConfig, diff_sweep, run_sweep
@@ -70,6 +75,40 @@ def test_numeric_route_never_calls_a_closed_form(monkeypatch):
             run_sweep(SweepConfig(name, a_steps=2, t_steps=3, channel=noise))
         if m.mixed:
             diff_sweep(SweepConfig(name, a_steps=2, t_steps=3, channel=noise))
+
+
+#: every --compare run that fills a closed column: each measure clean, each
+#: noisy form under each channel on qubit 0, and the diff of each measure
+#: that has a noisy form
+COMPARE_RUNS = [
+    ("sweep", "--measure", name) for name, m in MEASURES.items() if m.closed is not None
+] + [
+    ("avg-fidelity" if m.gate else "sweep", *(() if m.gate else ("--measure", name)),
+     "--channel", kind)
+    for name, m in MEASURES.items() if m.noisy_closed is not None
+    for kind in ch.CHANNEL_KINDS
+] + [
+    ("diff", "--measure", name, "--channel", kind)
+    for name, m in MEASURES.items() if m.mixed and m.noisy_closed is not None
+    for kind in ch.CHANNEL_KINDS
+]
+
+
+@pytest.mark.parametrize("run", COMPARE_RUNS, ids=" ".join)
+def test_a_compare_run_calls_each_closed_form_once_per_configuration(monkeypatch, capsys, run):
+    # a closed column is one call over the whole grid, not one per point;
+    # a diff evaluates two configurations, the noisy one and the clean one
+    calls = []
+    for module in (ent, ch):
+        for attr in dir(module):
+            if attr.endswith("_closed"):
+                _counting(monkeypatch, module, attr, calls)
+    assert cli.main([*run, "--compare", "--a-steps", "3", "--t-steps", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 16
+    counts = Counter(calls)
+    assert counts and set(counts.values()) == {1}, counts
+    if run[0] == "diff":
+        assert {"iconcurrence_closed", "iconcurrence_noisy_closed"} <= set(counts)
 
 
 @pytest.mark.parametrize("name", ["iconcurrence", "avg_fidelity"])
@@ -166,6 +205,209 @@ def test_noise_on_the_second_qubit_is_invisible_to_entropy_and_iconcurrence(name
                                           channel=ChannelSpec(kind, p, qubit=1)))
     )
     assert worst <= sweep.DEFAULT_TOLERANCE
+
+
+# ------------------------- closed forms against their point-by-point code
+# The reference below is the scalar ``math`` code the closed forms were
+# before they took whole grids, and the loop that called it once per grid
+# point. Every closed column, and every scalar call, must keep its bits.
+
+def _ref_schmidt(beta0, t):
+    inner = math.sqrt(max(0.0, 1.0 - abs(beta0) ** 4 * math.sin(2 * t) ** 2))
+    lam0 = math.sqrt(max(0.0, 1.0 - inner)) / math.sqrt(2.0)
+    lam1 = math.sqrt(1.0 + inner) / math.sqrt(2.0)
+    return ent.SchmidtPair(0.0 if lam0 * lam0 < ent.SPECTRAL_NOISE_FLOOR else lam0, lam1)
+
+
+def _ref_ppt_eigenvalues(alpha0, beta0, t):
+    x, y = abs(alpha0) ** 2, abs(beta0) ** 2
+    swap = y * math.sin(t) * math.cos(t)
+    root = math.sqrt(x**2 + 2 * x * y + y**2 * math.cos(2 * t) ** 2)
+    return -swap, swap, (1 - root) / 2, (1 + root) / 2
+
+
+def _ref_fidelity(alpha0, beta0, t):
+    return abs(abs(alpha0) ** 2 + math.sin(t) * abs(beta0) ** 2)
+
+
+def _ref_concurrence(beta0, t):
+    return abs(beta0**2 * math.sin(2 * t))
+
+
+def _ref_sqrt_floored(value):
+    return 0.0 if value < ent.SPECTRAL_NOISE_FLOOR else math.sqrt(value)
+
+
+def _ref_iconcurrence(alpha0, beta0, t):
+    x = abs(alpha0) ** 2
+    sb = abs(math.sin(t) * beta0) ** 2
+    cab = abs(math.cos(t) * alpha0 * beta0) ** 2
+    cb = abs(math.cos(t) * beta0) ** 2
+    inner = -((x + sb) ** 2) - 2 * cab - cb**2 + 1.0
+    return _ref_sqrt_floored(2.0 * inner)
+
+
+def _ref_iconcurrence_noisy(kind, p, t, alpha0, beta0):
+    a, b = complex(alpha0), complex(beta0)
+    x = abs(a) ** 2
+    sb = abs(math.sin(t) * b) ** 2
+    cb = abs(math.cos(t) * b) ** 2
+    if kind == "PF":
+        inner = 2.0 - 4.0 * (1.0 - 2.0 * p) ** 2 * x * cb - 2.0 * (x + sb) ** 2 - 2.0 * cb**2
+    elif kind == "BF":
+        c = math.cos(t)
+        f1 = a * p * (c * b).conjugate() - b * (p - 1.0) * a.conjugate() * c
+        f2 = b * p * a.conjugate() * c - a * (p - 1.0) * (c * b).conjugate()
+        cross = f1 * f2
+        inner = (
+            2.0
+            - 2.0 * (p * cb - (p - 1.0) * (x + sb)) ** 2
+            - 2.0 * ((p - 1.0) * cb - p * (x + sb)) ** 2
+            - 4.0 * cross.real
+        )
+    elif kind == "AD":
+        inner = (
+            2.0 + 4.0 * (p - 1.0) * x * cb - 2.0 * (x + p * cb + sb) ** 2
+            - 2.0 * (p - 1.0) ** 2 * cb**2
+        )
+    else:
+        inner = 2.0 + 4.0 * (p - 1.0) * x * cb - 2.0 * (x + sb) ** 2 - 2.0 * cb**2
+    return _ref_sqrt_floored(inner)
+
+
+def _ref_reduced_eigenvalues(alpha0, beta0, t):
+    x, y = abs(alpha0) ** 2, abs(beta0) ** 2
+    root = math.sqrt(min(1.0, 2 * x * y + x**2 + y**2 * math.cos(2 * t) ** 2))
+    return (1.0 - root) / 2.0, (1.0 + root) / 2.0
+
+
+def _ref_entropy(alpha0, beta0, t, log_base):
+    total = 0.0
+    for lam in _ref_reduced_eigenvalues(alpha0, beta0, t):
+        if lam > 0.0:
+            total -= lam * math.log(lam)
+    return total * (1.0 if log_base == "e" else 1.0 / math.log(2.0))
+
+
+def _ref_average_fidelity(kind, p, t):
+    c3 = math.cos(t) + 3.0
+    if kind in ("PF", "BF"):
+        return (p * c3**2 + 2.0) / 18.0
+    if kind == "AD":
+        return (abs((math.sqrt(1.0 - p) + 1.0) * c3) ** 2 + 8.0) / 72.0
+    return (abs((math.sqrt(1.0 - p) + 1.0) * c3) ** 2 + abs(p * c3**2) + 8.0) / 72.0
+
+
+#: measure -> the reference value at one point (sin a, cos a, t, config)
+REFERENCE_POINT = {
+    "schmidt": lambda al, be, t, c: _ref_schmidt(be, t).lambda0,
+    "ppt": lambda al, be, t, c: min(_ref_ppt_eigenvalues(al, be, t)),
+    "concurrence": lambda al, be, t, c: _ref_concurrence(be, t),
+    "iconcurrence": lambda al, be, t, c: (
+        _ref_iconcurrence(al, be, t) if c.channel is None
+        else _ref_iconcurrence_noisy(c.channel.kind, c.channel.p, t, al, be)
+    ),
+    "entropy": lambda al, be, t, c: _ref_entropy(al, be, t, c.log_base),
+    "fidelity": lambda al, be, t, c: _ref_fidelity(al, be, t),
+    "avg_fidelity": lambda al, be, t, c: _ref_average_fidelity(c.channel.kind, c.channel.p, t),
+}
+
+
+def _reference_column(config):
+    """The closed column point by point, a outer, t fastest."""
+    point = REFERENCE_POINT[config.measure]
+    ts = config.t_values().tolist()
+    column = []
+    for a in config.a_values().tolist():
+        alpha0, beta0 = math.sin(a), math.cos(a)
+        column += [point(alpha0, beta0, t, config) for t in ts]
+    return np.array(column, dtype=float)
+
+
+#: the default 50 x 101 surface, then single values of a across [-pi, pi],
+#: beside pi/2 (beta0 near 0) and at -1e-320 (sin a a signed subnormal),
+#: each over t in [-3, 6]
+GRIDS = [dict(a_steps=50, t_steps=101)] + [
+    dict(a=a, t_min=-3.0, t_max=6.0, t_steps=101)
+    for a in [*np.linspace(-math.pi, math.pi, 9).tolist(),
+              math.pi / 2 - 1e-4, math.pi / 2 + 1e-4, -1e-320]
+]
+CLOSED_RUNS = [
+    (name, None, base) for name, m in MEASURES.items() if m.closed is not None
+    for base in ("e", "2")
+] + [
+    (name, (kind, p), "e") for name, m in MEASURES.items() if m.noisy_closed is not None
+    for kind in ch.CHANNEL_KINDS for p in (0.0, 0.13, 0.25, 0.5, 0.74, 1.0)
+]
+
+
+@pytest.mark.parametrize(
+    "name, noise, base", CLOSED_RUNS,
+    ids=[f"{n}-{b}" if c is None else f"{n}[{c[0]}, {c[1]}]" for n, c, b in CLOSED_RUNS],
+)
+def test_closed_column_is_the_point_by_point_loop_bit_for_bit(name, noise, base):
+    # tobytes tells -0.0 from 0.0 (ppt prints -0 at t = 0) and sees a last
+    # bit that numpy's power or log would change
+    channel = None if noise is None else ChannelSpec(*noise)
+    for grid in GRIDS:
+        config = SweepConfig(name, channel=channel, log_base=base, compare=True, **grid)
+        _, closed, _ = sweep._routes(config)
+        column = sweep._closed_column(config, closed)
+        reference = _reference_column(config)
+        assert column.dtype == reference.dtype and column.shape == reference.shape
+        assert column.tobytes() == reference.tobytes(), grid
+
+
+def _scalar_calls(al, be, t, kind, p):
+    """(label, the package's value, the reference value) of every scalar
+    closed-form entry point at one point."""
+    yield "schmidt", ent.schmidt_closed(be, t), _ref_schmidt(be, t)
+    yield "ppt", ent.ppt_eigenvalues_closed(al, be, t), _ref_ppt_eigenvalues(al, be, t)
+    yield "fidelity", ent.fidelity_closed(al, be, t), _ref_fidelity(al, be, t)
+    yield "concurrence", ent.concurrence_closed(be, t), _ref_concurrence(be, t)
+    yield "iconcurrence", ent.iconcurrence_closed(al, be, t), _ref_iconcurrence(al, be, t)
+    yield ("iconcurrence_noisy", ent.iconcurrence_noisy_closed(kind, p, t, al, be),
+           _ref_iconcurrence_noisy(kind, p, t, al, be))
+    yield ("eigenvalues", ent.reduced_eigenvalues_closed(al, be, t),
+           _ref_reduced_eigenvalues(al, be, t))
+    for base in ("e", "2"):
+        yield ("entropy", ent.reduced_entropy_closed(al, be, t, base),
+               _ref_entropy(al, be, t, base))
+    yield ("average_fidelity", ch.average_fidelity_closed(kind, p, t),
+           _ref_average_fidelity(kind, p, t))
+
+
+def test_scalar_closed_forms_return_the_point_by_point_floats():
+    # Python floats (or a SchmidtPair or tuple of them), repr-identical to
+    # the reference, for real amplitudes and for sin a, e^{i phi} cos a
+    rng = np.random.default_rng(2017)
+    n = 2_000
+    a = rng.uniform(-math.pi, math.pi, n).tolist()
+    t = rng.uniform(-3.0, 6.0, n).tolist()
+    phi = rng.uniform(-math.pi, math.pi, n).tolist()
+    p = rng.choice([0.0, 0.13, 0.5, 1.0, *rng.uniform(0.0, 1.0, 4)], n).tolist()
+    kinds = rng.choice(ch.CHANNEL_KINDS, n).tolist()
+    for i in range(n):
+        for beta0 in (math.cos(a[i]), cmath.rect(math.cos(a[i]), phi[i])):
+            for label, got, want in _scalar_calls(math.sin(a[i]), beta0, t[i], kinds[i], p[i]):
+                assert type(got) is type(want), label
+                values = got if isinstance(got, tuple) else (got,)
+                assert all(type(v) is float for v in values), (label, got)
+                assert repr(got) == repr(want), (label, a[i], t[i], phi[i])
+
+
+@pytest.mark.parametrize("closed, args, bad", [
+    (ent.schmidt_closed, ([[0.5], [1.5], [2.0]], [0.1, 0.2]), (1.5, 0.1)),
+    (ent.concurrence_closed, ([[0.5], [1.5], [2.0]], [0.1, 0.2]), (1.5, 0.1)),
+    (ent.ppt_eigenvalues_closed, ([[0.6], [0.6]], [[0.8], [0.9]], [0.1, 0.2]), (0.6, 0.9, 0.1)),
+], ids=["schmidt", "concurrence", "ppt"])
+def test_a_grid_fails_its_check_as_its_first_bad_point_does(closed, args, bad):
+    # every a value is checked, and the message names the first bad one
+    with pytest.raises(ValueError) as grid:
+        closed(*map(np.array, args))
+    with pytest.raises(ValueError) as point:
+        closed(*bad)
+    assert str(grid.value) == str(point.value)
 
 
 # ------------------------------------------- checks at the (a, t) boundary
