@@ -2,8 +2,14 @@
 `sweep._evaluate` on a 50 x 101 grid, clean, and under amplitude damping
 where the route accepts a channel, in the blocks `sweep._routes` sizes,
 plus the concurrence under a bit flip on noise qubit 1 (the configuration
-of the benchmark's `diff` commands); each closed form of the table through
-`sweep._closed_column` on the same grid, clean, and under amplitude
+of the benchmark's `diff` commands) and the I-concurrence under amplitude
+damping on qubit 0 on a 9 x 50 grid (the shape of a noisy configuration
+of `verify`); the first qubit's reduced states of 256 switched pairs under
+amplitude damping on qubit 0, read from the Kraus branches
+(`entanglement.pair_ensembles` and `reduced_states`, the sweeps' route)
+against the density matrices `channels.apply_kraus` forms and
+`states.partial_traces`; each closed form of the table through
+`sweep._closed_column` on the 50 x 101 grid, clean, and under amplitude
 damping on qubit 0 where it has a noisy form, one call per grid; one call
 of each scalar closed-form entry point at one point, the cost a caller
 that evaluates point by point pays; the concurrence of a
@@ -27,23 +33,27 @@ from switchsim import channels, entanglement, states, switch, sweep
 
 NOISE = sweep.ChannelSpec("AD", 0.3)
 DIFF_NOISE = sweep.ChannelSpec("BF", 0.3, qubit=1)
+SURFACE = (50, 101)
 ROUTES = [
-    (name, spec)
+    (name, spec, SURFACE)
     for name, m in sweep.MEASURES.items()
     for spec in ([] if m.gate else [None]) + ([NOISE] if m.mixed or m.gate else [])
-] + [("concurrence", DIFF_NOISE)]
+] + [("concurrence", DIFF_NOISE, SURFACE), ("iconcurrence", NOISE, (9, 50))]
 
 
-@pytest.mark.parametrize(
-    "name, spec", ROUTES, ids=[n if s is None else f"{n}[{s.kind}]" for n, s in ROUTES]
-)
-def test_route(benchmark, name, spec):
+def _route_id(name, spec, grid):
+    label = name if spec is None else f"{name}[{spec.kind}]"
+    return label if grid == SURFACE else f"{label}-{grid[0]}x{grid[1]}"
+
+
+@pytest.mark.parametrize("name, spec, grid", ROUTES, ids=[_route_id(*r) for r in ROUTES])
+def test_route(benchmark, name, spec, grid):
     benchmark.group = "sweep.routes"
-    config = sweep.SweepConfig(name, a_steps=50, t_steps=101, channel=spec)
+    config = sweep.SweepConfig(name, a_steps=grid[0], t_steps=grid[1], channel=spec)
     numeric, _, block = sweep._routes(config)
     a, t = config.grid()
     values = benchmark(sweep._evaluate, numeric, a, t, block)
-    assert values.shape == (5050,)
+    assert values.shape == (grid[0] * grid[1],)
 
 
 CLOSED = [(name, None) for name, m in sweep.MEASURES.items() if m.closed is not None]
@@ -87,10 +97,35 @@ def test_closed_point(benchmark, name):
 
 
 @pytest.fixture(scope="module")
-def pairs():
+def pair_inputs():
+    """The amplitude pairs |A>, shape (256, 2), and the times of 256 points."""
+    x = np.linspace(0.0, np.pi / 2, 256)
+    return states.angle_qubits(x), x
+
+
+@pytest.fixture(scope="module")
+def pairs(pair_inputs):
     """256 switched pairs, shape (256, 4)."""
-    a = np.linspace(0.0, np.pi / 2, 256)
-    return switch.switched_pairs(states.angle_qubits(a), np.linspace(0.0, np.pi / 2, 256))
+    return switch.switched_pairs(*pair_inputs)
+
+
+PAIR_LIFTED = channels.lift(NOISE.make(), NOISE.qubit, 2)
+#: the first qubit's reduced states of noisy switched pairs, two ways
+REDUCED = {
+    "kraus_branches": lambda amps, t: entanglement.reduced_states(
+        entanglement.pair_ensembles(amps, t, PAIR_LIFTED)
+    ),
+    "apply_kraus": lambda amps, t: states.partial_traces(
+        channels.apply_kraus(states.densities(switch.switched_pairs(amps, t)), PAIR_LIFTED),
+        2, {1},
+    ),
+}
+
+
+@pytest.mark.parametrize("route", REDUCED)
+def test_reduced_states(benchmark, pair_inputs, route):
+    benchmark.group = "sweep.pairs"
+    assert benchmark(REDUCED[route], *pair_inputs).shape == (256, 2, 2)
 
 
 def test_density_concurrences(benchmark, pairs):

@@ -14,7 +14,10 @@ closed-form comparisons stay literal.
 
 ``apply_kraus`` and ``average_fidelities`` work on stacks of density
 matrices and of target unitaries; ``apply_channel`` and
-``average_fidelity_numeric`` are their single-matrix case. A
+``average_fidelity_numeric`` are their single-matrix case. A sweep
+applies no channel to a density matrix: it reads the Kraus branches
+E_k psi of the evolved pair (``entanglement.pair_ensembles``), and the
+tests hold its routes against ``apply_kraus``. A
 ``KrausChannel`` checks its completeness when it is built; ``lift`` embeds
 a channel into a register without checking it again, since the lifted
 operators are complete whenever the channel's are.

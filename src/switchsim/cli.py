@@ -119,6 +119,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: options that take a float; argparse reads a value such as -1e-5 or -inf,
+#: which is not a plain negative decimal, as an option of its own
+_FLOAT_OPTIONS = ("--a", "--t-min", "--t-max", "--p", "--inject-error")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined_negative_floats(argv) -> list:
+    """``argv`` with each float option and a following negative number
+    written as one argument, ``--a=-1e-5``, the form argparse reads as
+    the option's value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and arg.startswith("-") and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _config_from(args, measure: Optional[str] = None) -> sw.SweepConfig:
     channel = None
     if getattr(args, "channel", None) is not None:
@@ -137,7 +163,9 @@ def _config_from(args, measure: Optional[str] = None) -> sw.SweepConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_joined_negative_floats(argv))
     try:
         if args.command == "sweep":
             sw.emit(sw.run_sweep(_config_from(args)), args.format, args.out)

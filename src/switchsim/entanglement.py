@@ -25,6 +25,16 @@ the evolved pair, which decompose the noisy pair's density matrix without
 forming it; ``concurrences`` hands it V sqrt(w) from the eigensolve of a
 density matrix.
 
+The other measures of a noisy pair read the same ensemble,
+``pair_ensembles``, through Gram products: ``ensemble_densities`` gives
+the pair's density matrix xi xi^dagger for the PPT spectrum, and
+``reduced_states`` the first qubit's reduced state X X^dagger, with X the
+ensemble reshaped to (..., 2, 2K), for the Schmidt coefficients, the
+I-concurrence (``reduced_iconcurrences``) and the entropy: the partial
+trace over the second qubit, without a 4 x 4 matrix. For a clean pair,
+K = 1, both have the bits of ``states.densities`` and
+``states.partial_traces``.
+
 Each closed form is one definition over the functions of
 ``pointwise.ops``: called on Python scalars it is plain ``math`` code and
 returns Python floats, and called on a column of amplitudes, shape (A, 1),
@@ -41,12 +51,11 @@ import numpy as np
 
 from . import linalg
 from . import pointwise as pw
-from .channels import KrausChannel, apply_kraus, check_channel, lift
+from .channels import KrausChannel, check_channel, lift
 from .states import (
     DensityMatrix,
     PureState,
     _adopt,
-    densities,
     partial_trace,
     partial_traces,
     partial_transposes,
@@ -105,7 +114,7 @@ def _psd_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
     """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of a
     stack, as square roots of the reduced-state spectrum; shape (..., 2)."""
-    return np.sqrt(_floored(_psd_eigh(partial_traces(densities(psi), 2, {1}))[0]))
+    return np.sqrt(_floored(_psd_eigh(reduced_states(psi[..., None]))[0]))
 
 
 def schmidt_coefficients(psi: PureState) -> SchmidtPair:
@@ -235,7 +244,8 @@ def concurrence_closed(beta0: complex, t: float) -> float:
 
 def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:
     """sqrt(2 (1 - purity)) of the state left after tracing out one side, for
-    each 2-qubit density matrix of a stack.
+    each 2-qubit density matrix of a stack: ``reduced_iconcurrences`` of
+    its partial trace.
 
     Equals the concurrence on pure 2-qubit states. On mixed states it is
     applied exactly as defined (purity of the reduced state), which is what
@@ -243,7 +253,11 @@ def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:
     """
     if traced_side not in ("A", "B"):
         raise ValueError(f"traced_side must be 'A' or 'B', got {traced_side!r}")
-    reduced = partial_traces(rho, 2, {0} if traced_side == "A" else {1})
+    return reduced_iconcurrences(partial_traces(rho, 2, {0} if traced_side == "A" else {1}))
+
+
+def reduced_iconcurrences(reduced: np.ndarray) -> np.ndarray:
+    """sqrt(2 (1 - purity)) of each single-qubit reduced state of a stack."""
     purity = np.trace(reduced @ reduced, axis1=-2, axis2=-1).real
     return np.sqrt(_floored(2.0 * (1.0 - purity)))
 
@@ -379,14 +393,39 @@ def entropy_symmetry_check(rho_ab: DensityMatrix, log_base: str = "e"):
     return s_a, s_b
 
 
-def pair_densities(
+def pair_ensembles(
     a_amps: np.ndarray, t, lifted: Optional[KrausChannel] = None
 ) -> np.ndarray:
     """Run the switch on |A>|0>|1> to time ``t`` for each |A> of a stack of
-    amplitude pairs, drop the control, and apply ``lifted``, a channel
-    already lifted onto the pair, when one is given; shape (..., 4, 4)."""
-    rho = densities(switched_pairs(a_amps, t))
-    return rho if lifted is None else apply_kraus(rho, lifted)
+    amplitude pairs and drop the control: the switched pair psi as a
+    one-column ensemble, or its Kraus branches E_k psi under ``lifted``, a
+    channel already lifted onto the pair; shape (..., 4, K). The columns
+    decompose the pair's density matrix, sum_k (E_k psi)(E_k psi)^dagger,
+    which is not formed."""
+    psi = switched_pairs(a_amps, t)[..., None]
+    if lifted is None:
+        return psi
+    return np.concatenate([e @ psi for e in lifted.operators], axis=-1)
+
+
+def ensemble_densities(xi: np.ndarray) -> np.ndarray:
+    """xi xi^dagger for each ensemble of a stack, shape (..., d, K): the
+    density matrix its columns decompose, shape (..., d, d).
+
+    A sum of elementwise products over the columns, in column order: with
+    one column it has the bits of ``states.densities``, and it is a density
+    matrix by construction, so it is not checked again.
+    """
+    return np.sum(xi[..., :, None, :] * np.conj(xi)[..., None, :, :], axis=-1)
+
+
+def reduced_states(xi: np.ndarray) -> np.ndarray:
+    """The first qubit's reduced state of each 2-qubit ensemble of a stack,
+    shape (..., 2, 2): X X^dagger with X = xi reshaped to (..., 2, 2K),
+    whose columns <j|_1 E_k psi decompose Tr_1(xi xi^dagger), the partial
+    trace over qubit 1, without forming the 4 x 4 matrix. With one column
+    it has the bits of ``states.partial_traces`` of ``states.densities``."""
+    return ensemble_densities(xi.reshape(xi.shape[:-2] + (2, -1)))
 
 
 def noisy_pair_density(
@@ -394,5 +433,5 @@ def noisy_pair_density(
 ) -> DensityMatrix:
     """Run the switch on |A>|0>|1> to time ``t``, drop the control, then
     apply a single-qubit channel to one of the data qubits."""
-    return _adopt(DensityMatrix, 2, pair_densities(a_state.amplitudes, t, lift(channel, qubit, 2)))
-
+    xi = pair_ensembles(a_state.amplitudes, t, lift(channel, qubit, 2))
+    return _adopt(DensityMatrix, 2, ensemble_densities(xi))

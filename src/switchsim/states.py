@@ -18,10 +18,14 @@ stack of amplitude vectors, since it also rescales them, and
 ``checked_density`` only in the ``DensityMatrix`` constructor. The stages
 that build density matrices from input already checked (``densities``
 from normalized vectors, ``partial_traces`` from density matrices,
-``channels.apply_kraus`` from density matrices and a channel whose
-completeness was checked) do not check their result: Hermiticity, unit
-trace and positivity hold there by construction, up to rounding far below
-DENSITY_ATOL and linalg.PSD_EIGENVALUE_FLOOR. The measures that
+``entanglement.ensemble_densities`` and ``entanglement.reduced_states``
+from the Kraus branches of a normalized vector under a channel whose
+completeness was checked, and ``channels.apply_kraus``, behind
+``channels.apply_channel``, from density matrices and such a channel) do
+not check their result: Hermiticity, unit trace and positivity hold there
+by construction, up to rounding far below DENSITY_ATOL and
+linalg.PSD_EIGENVALUE_FLOOR. A sweep applies no channel to a density
+matrix; it reads the Kraus branches (see ``entanglement``). The measures that
 eigensolve a density matrix read its positivity from that eigensolve.
 The state types and the single-state functions are the stack with no
 leading axes: the constructors call the checks on one vector or matrix,

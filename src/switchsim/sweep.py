@@ -16,14 +16,19 @@ the bytes of the route's matrices (BLOCK_POINTS points for a gate route, 4
 times that for a pair route), so that the memory it holds does not grow
 with the grid. The (a, t) values of a block are checked at its boundary,
 the amplitude vectors at every stage, and the density matrices once, by
-the eigensolve of the measure where it has one (see ``states``). The
-concurrence forms no density matrix and makes no eigensolve: it reads the
-pair's Kraus branches E_k psi (see ``entanglement``). The block size does
-not change a bit of the values. A closed form is called once per grid, on
-sin a and cos a as (A, 1) columns, one entry per a value, and the times as
-a (T,) row; the (A, T) values it returns, a outer and t fastest, are the
-closed column, with the bits of the closed form at each single point (see
-``pointwise``). A grid may hold at most MAX_GRID_POINTS points.
+the eigensolve of the measure where it has one (see ``states``). Every
+pair route reads the evolved pair as its Kraus branches E_k psi (psi
+itself for a clean run), and no mixed measure forms the noisy pair by a
+channel product E_k rho E_k^dagger: the ppt reads the pair's density
+matrix as the Gram product of the branches, the I-concurrence and the
+entropy the first qubit's reduced state, and the concurrence forms no
+density matrix and makes no eigensolve (see ``entanglement``). The block
+size does not change a bit of the values. A closed form is called once
+per grid, on sin a and cos a as (A, 1) columns, one entry per a value, and
+the times as a (T,) row; the (A, T) values it returns, a outer and t
+fastest, are the closed column, with the bits of the closed form at each
+single point (see ``pointwise``). A grid may hold at most MAX_GRID_POINTS
+points.
 
 Sweeps, diffs and ``verify`` share one path, ``_columns``: a configuration's
 numeric array and closed column, compared as |numeric - closed|. A diff
@@ -96,19 +101,8 @@ class Measure:
     gate: bool = False
 
 
-def _pair_densities(a: np.ndarray, t: np.ndarray, lifted) -> np.ndarray:
-    return ent.pair_densities(states.angle_qubits(a), t, lifted)
-
-
 def _pair_ensembles(a: np.ndarray, t: np.ndarray, lifted) -> np.ndarray:
-    """The switched pair psi of each point as a one-column ensemble, or its
-    Kraus branches E_k psi under ``lifted``; shape (N, 4, K). The columns
-    decompose the pair's density matrix sum_k (E_k psi)(E_k psi)^dagger,
-    which is not formed."""
-    psi = switch.switched_pairs(states.angle_qubits(a), t)[..., None]
-    if lifted is None:
-        return psi
-    return np.concatenate([e @ psi for e in lifted.operators], axis=-1)
+    return ent.pair_ensembles(states.angle_qubits(a), t, lifted)
 
 
 # The routes call through module attributes instead of holding function
@@ -124,7 +118,9 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "ppt",
-        numeric=lambda a, t, lifted, base: ent.ppt_spectra(_pair_densities(a, t, lifted))[:, 0],
+        numeric=lambda a, t, lifted, base: ent.ppt_spectra(
+            ent.ensemble_densities(_pair_ensembles(a, t, lifted))
+        )[:, 0],
         closed=lambda al, be, t, base: pw.least(*ent.ppt_eigenvalues_closed(al, be, t)),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
@@ -138,7 +134,9 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "iconcurrence",
-        numeric=lambda a, t, lifted, base: ent.iconcurrences(_pair_densities(a, t, lifted), "B"),
+        numeric=lambda a, t, lifted, base: ent.reduced_iconcurrences(
+            ent.reduced_states(_pair_ensembles(a, t, lifted))
+        ),
         closed=lambda al, be, t, base: ent.iconcurrence_closed(al, be, t),
         noisy_closed=lambda kind, p, t, al, be: ent.iconcurrence_noisy_closed(kind, p, t, al, be),
         tolerance=DEFAULT_TOLERANCE, mixed=True,
@@ -146,7 +144,7 @@ MEASURES = {m.name: m for m in (
     Measure(
         "entropy",
         numeric=lambda a, t, lifted, base: ent.entropies(
-            states.partial_traces(_pair_densities(a, t, lifted), 2, {1}), base
+            ent.reduced_states(_pair_ensembles(a, t, lifted)), base
         ),
         closed=lambda al, be, t, base: ent.reduced_entropy_closed(al, be, t, base),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,

@@ -136,3 +136,16 @@ def test_a_time_span_that_overflows_exits_2_without_a_warning(capsys, recwarn):
         err = capsys.readouterr().err
         assert "t_max - t_min overflows" in err and "must be finite" not in err
     assert not recwarn.list
+
+
+def test_a_negative_float_in_exponent_notation_is_an_option_value(capsys):
+    # argparse reads -1e-5 as an option unless it is joined to its flag
+    grid = ["--t-min", "-1e-3", "--t-steps", "3", "--compare"]
+    assert cli.main(["sweep", "--measure", "schmidt", "--a", "-1e-5", *grid]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(["sweep", "--measure", "schmidt", "--a=-1e-5", *grid]) == 0
+    assert spaced == capsys.readouterr().out
+    assert "-1e-05" in spaced
+    result = run_cli("sweep", "--measure", "schmidt", "--t-min", "-inf")
+    assert result.returncode == 2
+    assert "error:" in result.stderr and "Traceback" not in result.stderr

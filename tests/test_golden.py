@@ -8,10 +8,15 @@ package, so that a refactor of the package cannot change what is checked.
 To re-record after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The recorder prints, for each file whose content it changes, the number of
+rows that changed and the largest |new - old| of each numeric column.
 """
 
 import contextlib
 import io
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -77,8 +82,50 @@ def test_output_matches_golden(name):
     assert run(CASES[name]) == expected
 
 
+def _rows(name: str, text: str) -> list:
+    """The rows of a golden file as {column: value} dicts: a CSV row by its
+    header, a JSON object by its keys, and a line of text as the line
+    itself and its `key=value` fields."""
+    if name.endswith(".csv"):
+        header, *lines = text.splitlines()
+        return [dict(zip(header.split(","), line.split(","))) for line in lines]
+    if name.endswith(".json"):
+        return json.loads(text)
+    return [{"line": line, **dict(re.findall(r"(\w+)=(\S+)", line))}
+            for line in text.splitlines()]
+
+
+def _number(value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _change_report(name: str, old: str, new: str) -> str:
+    """How many rows of a golden file changed, and the largest |new - old|
+    of each column that holds numbers in both versions of a row."""
+    before, after = _rows(name, old), _rows(name, new)
+    changed = sum(b != a for b, a in zip(before, after)) + abs(len(before) - len(after))
+    deltas = {}
+    for b, a in zip(before, after):
+        for column, value in a.items():
+            x, y = _number(b.get(column)), _number(value)
+            if x is not None and y is not None:
+                deltas[column] = max(deltas.get(column, 0.0), abs(y - x))
+    widest = ", ".join(f"{column} {delta:.3g}" for column, delta in deltas.items())
+    return f"{name}: {changed} of {len(after)} rows changed; max |delta|: {widest}"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        (GOLDEN / name).write_text(run(argv), encoding="utf-8", newline="")
+        path = GOLDEN / name
+        old = path.read_text(encoding="utf-8") if path.exists() else None
+        new = run(argv)
+        if old is None:
+            print(f"{name}: new file")
+        elif new != old:
+            print(_change_report(name, old, new))
+        path.write_text(new, encoding="utf-8", newline="")
     print(f"recorded {len(CASES)} golden files in {GOLDEN}")

@@ -180,6 +180,43 @@ def test_concurrence_follows_the_factorization_law(probe, kind, qubit):
             assert abs(single - want[i]) <= 1e-12, (p, a[i], t[i])
 
 
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, kind, qubit):
+    # the routes read their matrices from the Kraus branches E_k psi; the
+    # reference forms sum_k E_k rho E_k^dagger and runs the same kernel.
+    # The I-concurrence is held by the reduced state it reads: its
+    # sqrt(2 (1 - purity)) turns a last-bit difference of the purity into
+    # up to 1.3e-9 where the value is about 3e-7, and into 3.2e-7 where one
+    # route's 2 (1 - purity) falls under SPECTRAL_NOISE_FLOOR and the
+    # other's does not (ROADMAP item 1). The reference runs on the
+    # DENSITY_PROBE points, for time, as in the test above
+    a, t = probe[0][:DENSITY_PROBE], probe[1][:DENSITY_PROBE]
+    rho = states.densities(switch.switched_pairs(states.angle_qubits(a), t))
+    kernels = {
+        "ppt": lambda m: ent.ppt_spectra(m)[:, 0],
+        "entropy": lambda m: ent.entropies(states.partial_traces(m, 2, {1})),
+    }
+    for name, kernel in kernels.items():
+        # one branch: the density matrix and the reduced state keep their bits
+        assert np.array_equal(MEASURES[name].numeric(a, t, None, "e"), kernel(rho)), name
+    for p in (0.0, 0.13, 0.5, 0.74, 1.0):
+        channel = ch.make_channel(kind, p)
+        lifted = ch.lift(channel, qubit, 2)
+        noisy = ch.apply_kraus(rho, lifted)
+        for name, kernel in kernels.items():
+            route = MEASURES[name].numeric(a, t, lifted, "e")
+            assert np.max(np.abs(route - kernel(noisy))) <= 1e-13, (name, p)
+        reduced = ent.reduced_states(ent.pair_ensembles(states.angle_qubits(a), t, lifted))
+        assert np.max(np.abs(reduced - states.partial_traces(noisy, 2, {1}))) <= 1e-13, p
+        for i in range(0, len(a), 500):
+            a_state = states.qubit_from_angle(a[i])
+            single = ent.noisy_pair_density(a_state, t[i], channel, qubit).matrix
+            want = ch.apply_channel(states.to_density(switch.switched_pair(a_state, t[i])),
+                                    lifted).matrix
+            assert np.max(np.abs(single - want)) <= 1e-15, (p, a[i], t[i])
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "iconcurrences takes sqrt(2 (1 - purity)), which turns rounding in the "
     "purity into an error of about 3e-9 where the measure is about 3e-7"
@@ -509,6 +546,26 @@ def test_sweeps_make_no_density_check_and_no_eigvalsh(monkeypatch):
     assert calls == []
     states.DensityMatrix(2, _RHO)
     assert calls == ["checked_density", "eigvalsh"]
+
+
+def test_sweeps_diffs_and_verify_apply_no_channel_to_a_density_matrix(monkeypatch):
+    # the pair routes read the Kraus branches E_k psi; the single-state
+    # apply_channel is still apply_kraus on one matrix
+    calls = []
+    for module in (ch, ent, sweep):
+        if hasattr(module, "apply_kraus"):
+            _counting(monkeypatch, module, "apply_kraus", calls)
+    noisy = [ChannelSpec(kind, 0.3, qubit) for kind in ch.CHANNEL_KINDS for qubit in (0, 1)]
+    for name, m in MEASURES.items():
+        for spec in noisy if m.mixed or m.gate else ():
+            config = SweepConfig(name, a_steps=3, t_steps=5, channel=spec, compare=True)
+            run_sweep(config)
+            if m.mixed:
+                diff_sweep(config)
+    assert all(check.passed for check in sweep.verify(a_steps=3, t_steps=3))
+    assert calls == []
+    ch.apply_channel(states.DensityMatrix(2, _RHO), ch.lift(ch.make_channel("AD", 0.3), 0, 2))
+    assert calls == ["apply_kraus"]
 
 
 def test_concurrence_makes_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(monkeypatch):
