@@ -1,14 +1,17 @@
-"""Emission layer of a sweep: rendering CSV and JSON, and building the rows
-they render, on one 50 x 101 clean concurrence surface with its closed
-column (5,050 rows), as the `sweep --compare --a-steps 50 --t-steps 101`
-command line makes it. Each benchmark is grouped under the layer name the
-benchmark harness in perfbench/ reports.
+"""Emission layer of a sweep: ``emit`` of one 50 x 101 clean concurrence
+surface with its closed column (5,050 rows), as the
+`sweep --compare --a-steps 50 --t-steps 101` command line makes it, to an
+in-memory stream, as CSV and as JSON, with the closed column and without.
+Each benchmark is grouped under the layer name the benchmark harness in
+perfbench/ reports.
 
     pytest benchmarks/bench_emit.py
     pytest benchmarks/bench_emit.py --benchmark-json BENCH_emit.json
 
 The file name keeps it out of the test suite's collection.
 """
+
+import io
 
 import pytest
 
@@ -19,22 +22,20 @@ CONFIG = sweep.SweepConfig("concurrence", a_steps=50, t_steps=101, compare=True)
 
 @pytest.fixture(scope="module")
 def surface():
-    """(numeric values, closed column, rows) of CONFIG."""
-    values, closed = sweep._columns(CONFIG)
-    return values, closed, sweep._rows(CONFIG, values, closed)
+    """The sweep record of CONFIG."""
+    return sweep.run_sweep(CONFIG)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_render(benchmark, surface, fmt):
-    benchmark.group = "sweep.emit"
-    render = sweep._render_csv if fmt == "csv" else sweep._render_json
-    text = benchmark(render, surface[2])
-    assert text.count("\n") == (5051 if fmt == "csv" else 7 * 5050 + 2)
+def _emit(record, fmt):
+    buf = io.StringIO()
+    sweep.emit(record, fmt, buf)
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("compare", [True, False], ids=["closed", "numeric-only"])
-def test_rows(benchmark, surface, compare):
-    benchmark.group = "sweep.rows"
-    values, closed, _ = surface
-    rows = benchmark(sweep._rows, CONFIG, values, closed if compare else None)
-    assert len(rows) == 5050 and (rows[-1].abs_err is not None) == compare
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit(benchmark, surface, fmt, compare):
+    benchmark.group = "sweep.emit"
+    record = surface if compare else sweep.Sweep(surface.t, surface.a, surface.value)
+    text = benchmark(_emit, record, fmt)
+    assert text.count("\n") == (5051 if fmt == "csv" else 7 * 5050 + 2)

@@ -51,6 +51,7 @@ from .sweep import (
     MEASURES,
     ChannelSpec,
     Measure,
+    Sweep,
     SweepConfig,
     SweepRow,
     VerifyCheck,

@@ -32,13 +32,19 @@ points.
 
 Sweeps, diffs and ``verify`` share one path, ``_columns``: a configuration's
 numeric array and closed column, compared as |numeric - closed|. A diff
-first subtracts the clean run's columns; ``verify`` builds no rows.
+first subtracts the clean run's columns. A sweep or diff returns them as
+one columnar record, ``Sweep``, with the t and a of each point; ``verify``
+builds none. A ``SweepRow`` is the view of one point that indexing a
+``Sweep`` builds on demand; emission never builds one.
 
-Emission writes the text itself: each CSV or JSON row is one ``%`` template
-over the row's fields. A JSON value is its 12-digit ``%.12g`` text wherever
-that already is the text ``json.dumps`` gives the rounded float, which is
-everywhere except integral values, ``e+`` exponents, ``e-3xx`` exponents
-and non-finite values; those few take the encoder's text.
+Emission writes the text itself, from the columns: all rows of a CSV file
+are one ``%`` template over the flattened ``.tolist()`` values. A JSON
+value is its 12-digit ``%.12g`` text wherever that already is the text
+``json.dumps`` gives the rounded float, which is everywhere except
+integral values, ``e+`` exponents, ``e-3xx`` exponents and non-finite
+values. A numpy mask over the columns finds the cells where it may not
+be; only those take the encoder's text, through a row template with
+``%s`` in their place.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -241,14 +246,48 @@ class SweepConfig:
 
 
 class SweepRow(NamedTuple):
-    """One grid point of a sweep; the closed column and abs_err are None
-    where no closed form applies."""
+    """One grid point of a sweep, as ``Sweep[i]`` reads it; the closed
+    column and abs_err are None where no closed form applies."""
 
     t: float
     a: float
     value_numeric: float
     value_closed: Optional[float] = None
     abs_err: Optional[float] = None
+
+
+class Sweep:
+    """The columns of a sweep, one entry per grid point, a outer, t fastest.
+
+    ``value_closed`` and ``abs_err`` are both None where no closed form
+    applies. Emission reads the columns; ``len``, indexing and iteration
+    give the points one by one as ``SweepRow`` views, built on demand.
+    A plain class, not a dataclass: every CLI run imports this module, and
+    generating a dataclass's methods takes about 0.3 ms.
+    """
+
+    __slots__ = ("t", "a", "value", "value_closed", "abs_err")
+
+    def __init__(self, t: np.ndarray, a: np.ndarray, value: np.ndarray,
+                 value_closed: Optional[np.ndarray] = None,
+                 abs_err: Optional[np.ndarray] = None):
+        self.t, self.a, self.value = t, a, value
+        self.value_closed, self.abs_err = value_closed, abs_err
+
+    def columns(self) -> tuple:
+        """The columns that hold values, in output order."""
+        if self.value_closed is None:
+            return self.t, self.a, self.value
+        return self.t, self.a, self.value, self.value_closed, self.abs_err
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i) -> SweepRow:
+        return SweepRow(*(float(column[i]) for column in self.columns()))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 Numeric = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -308,27 +347,21 @@ def _columns(config: SweepConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:
     return values, None if closed is None else _closed_column(config, closed)
 
 
-def _rows(config: SweepConfig, values: np.ndarray, closed: Optional[np.ndarray]) -> list[SweepRow]:
-    """One row per grid point, a outer, t fastest; the closed column
-    ``closed`` fills value_closed and abs_err, or None leaves them empty.
-    Rows share the float objects of their a and t values."""
-    ts = config.t_values().tolist()
-    t_column = ts * config.a_steps
-    a_column = [a for a in config.a_values().tolist() for _ in ts]
-    if closed is None:
-        fields = zip(t_column, a_column, values.tolist(), repeat(None), repeat(None))
-    else:
-        errors = np.abs(values - closed)
-        fields = zip(t_column, a_column, values.tolist(), closed.tolist(), errors.tolist())
-    return list(map(SweepRow._make, fields))
+def _sweep(config: SweepConfig, values: np.ndarray, closed: Optional[np.ndarray]) -> Sweep:
+    """The record of ``values`` over the grid of ``config``; the closed
+    column ``closed`` fills value_closed and abs_err, or None leaves them
+    empty."""
+    a, t = config.grid()
+    errors = None if closed is None else np.abs(values - closed)
+    return Sweep(t, a, values, closed, errors)
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """One row per grid point, a outer, t fastest."""
-    return _rows(config, *_columns(config))
+def run_sweep(config: SweepConfig) -> Sweep:
+    """The values of ``config`` at every grid point, a outer, t fastest."""
+    return _sweep(config, *_columns(config))
 
 
-def diff_sweep(config: SweepConfig) -> list[SweepRow]:
+def diff_sweep(config: SweepConfig) -> Sweep:
     """|noisy - clean| of a measure per grid point; needs a channel.
 
     The entropy and the I-concurrence read the first qubit's reduced state,
@@ -342,7 +375,7 @@ def diff_sweep(config: SweepConfig) -> list[SweepRow]:
     # every mixed measure has a clean closed form; needed only with a noisy one
     clean, clean_closed = _columns(replace(config, channel=None, compare=noisy_closed is not None))
     closed = None if noisy_closed is None else np.abs(noisy_closed - clean_closed)
-    return _rows(config, np.abs(noisy - clean), closed)
+    return _sweep(config, np.abs(noisy - clean), closed)
 
 
 @dataclass(frozen=True)
@@ -431,16 +464,18 @@ def verify(
     return checks
 
 
-def emit(rows: Sequence[SweepRow], fmt: str = "csv", destination=None) -> None:
-    """Write rows as CSV or JSON to a path or a text stream (default stdout).
+def emit(sweep: Sweep, fmt: str = "csv", destination=None) -> None:
+    """Write a sweep as CSV or JSON to a path or a text stream (default
+    stdout), rendered from its columns, with no object built per row.
 
-    Columns/keys are t, a, value, value_closed, abs_err; optional fields
-    are empty (CSV) or null (JSON). Values carry 12 significant digits and
-    a locale-independent decimal point.
+    Columns/keys are t, a, value, value_closed, abs_err, one row per grid
+    point; an empty closed column leaves its fields empty (CSV) or null
+    (JSON). Values carry 12 significant digits and a locale-independent
+    decimal point.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    text = _render_csv(rows) if fmt == "csv" else _render_json(rows)
+    text = _render_csv(sweep) if fmt == "csv" else _render_json(sweep)
     if destination is None:
         sys.stdout.write(text)
     elif hasattr(destination, "write"):
@@ -453,45 +488,67 @@ def emit(rows: Sequence[SweepRow], fmt: str = "csv", destination=None) -> None:
             raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
 
 
-#: the CSV line of a row, keyed by (value_closed is None, abs_err is None);
-#: "%.0s" prints a None as nothing, so every template takes the whole row
-_CSV_LINES = {
-    (closed, err): "%.12g,%.12g,%.12g," + ("%.0s" if closed else "%.12g")
-                   + "," + ("%.0s" if err else "%.12g")
-    for closed in (False, True) for err in (False, True)
-}
+#: the CSV line of a row, keyed by its number of columns; the empty closed
+#: fields are part of the template
+_CSV_LINES = {5: "%.12g,%.12g,%.12g,%.12g,%.12g\n", 3: "%.12g,%.12g,%.12g,,\n"}
 
-_JSON_ROW = (
-    '  {\n    "t": %s,\n    "a": %s,\n    "value": %s,\n'
-    '    "value_closed": %s,\n    "abs_err": %s\n  }'
-)
+
+def _render_csv(sweep: Sweep) -> str:
+    cells = np.column_stack(sweep.columns())
+    lines = _CSV_LINES[cells.shape[1]] * len(cells)
+    return "t,a,value,value_closed,abs_err\n" + lines % tuple(cells.ravel().tolist())
+
+
+def _json_row(formats: Sequence[str]) -> str:
+    keys = ("t", "a", "value", "value_closed", "abs_err")
+    fields = ",\n".join(f'    "{key}": {form}' for key, form in zip(keys, formats))
+    return "  {\n" + fields + "\n  }"
+
+
+#: the JSON object of a row, keyed by its number of columns and indexed by
+#: a bit per column, set where the cell takes the encoder's text (``%s``)
+#: instead of its ``%.12g`` text; an empty closed column reads null
+_JSON_ROWS = {
+    n: [_json_row([("%s" if code >> j & 1 else "%.12g") for j in range(n)]
+                  + ["null"] * (5 - n)) for code in range(2**n)]
+    for n in (5, 3)
+}
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _render_csv(rows: Sequence[SweepRow]) -> str:
-    lines = ["t,a,value,value_closed,abs_err"]
-    lines += [_CSV_LINES[r[3] is None, r[4] is None] % r for r in rows]
-    return "\n".join(lines) + "\n"
+def _needs_encoder(cells: np.ndarray) -> np.ndarray:
+    """True at every cell whose ``%.12g`` text may differ from the text
+    json.dumps writes for the float it reads as: non-finite values;
+    |v| < 1e-29 (zero, -0.0 and the e-3x and e-3xx exponents, subnormals
+    among them); and |v| >= 0.5 within 1e-11 |v| of an integer, which is
+    wider than the half unit in the 12th digit that rounding to an
+    integral text needs, and holds for every |v| >= 5e10, so it covers
+    the e+ exponents and the 12-digit integers too. Elsewhere the text has
+    a fraction or an exponent from e-05 to e-29, and json.dumps writes the
+    same text."""
+    size = np.abs(cells)
+    with np.errstate(invalid="ignore"):
+        integral = (size >= 0.5) & (np.abs(cells - np.round(cells)) <= 1e-11 * size)
+    return ~np.isfinite(cells) | (size < 1e-29) | integral
 
 
-def _json_number(value: Optional[float]) -> str:
-    """The JSON text of float(f"{value:.12g}") as json.dumps writes it;
-    null for None."""
-    if value is None:
-        return "null"
+def _json_number(value: float) -> str:
+    """The JSON text of float(f"{value:.12g}") as json.dumps writes it."""
     text = "%.12g" % value
-    # positional with a fraction, or an exponent in e-01 .. e-29 and
-    # e-40 .. e-299: already the shortest text of the float it reads as
-    if ("." in text or "e-" in text) and "e+" not in text and "e-3" not in text:
-        return text
-    # integral, e+ and e-3x/e-3xx (subnormals included), or not finite
     return _NON_FINITE.get(text) or repr(float(text))
 
 
-def _render_json(rows: Sequence[SweepRow]) -> str:
+def _render_json(sweep: Sweep) -> str:
     """The text json.dumps(rows as objects, indent=2) gives, and a final
-    newline, written directly; keys t, a, value, value_closed, abs_err."""
-    if not rows:
+    newline, written directly; keys t, a, value, value_closed, abs_err.
+    Only the cells ``_needs_encoder`` flags take the encoder's text."""
+    if not len(sweep):
         return "[]\n"
-    body = ",\n".join([_JSON_ROW % tuple(map(_json_number, r)) for r in rows])
-    return "[\n" + body + "\n]\n"
+    cells = np.column_stack(sweep.columns())
+    flagged = _needs_encoder(cells)
+    codes = flagged @ (1 << np.arange(cells.shape[1]))
+    template = ",\n".join(map(_JSON_ROWS[cells.shape[1]].__getitem__, codes.tolist()))
+    values = cells.ravel().tolist()
+    for i in np.flatnonzero(flagged).tolist():
+        values[i] = _json_number(values[i])
+    return "[\n" + template % tuple(values) + "\n]\n"

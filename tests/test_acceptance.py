@@ -14,7 +14,9 @@ from randstates import random_density
 from switchsim import channels as ch
 from switchsim import entanglement as ent
 from switchsim import linalg, switch
-from switchsim.states import make_qubit, partial_trace, qubit_from_angle, tensor, to_density
+from switchsim.states import (
+    angle_qubits, make_qubit, partial_trace, qubit_from_angle, tensor, to_density,
+)
 from switchsim.switch import switched_pair
 
 A_GRID = np.linspace(0.0, math.pi / 2, 50)
@@ -140,19 +142,21 @@ def test_criterion_7_entropy_closed_form():
 
 
 def test_criterion_8_noisy_iconcurrence():
+    # 5 x 101 points (a outer, t fastest) as one stack per channel, lifted
+    # once, through the kernels behind noisy_pair_density and iconcurrence
     worst = 0.0
+    a_points = np.linspace(0.0, math.pi / 2, 5)
     t_points = np.linspace(0.0, math.pi / 2, 101)
+    amps = angle_qubits(np.repeat(a_points, len(t_points)))
+    t = np.tile(t_points, len(a_points))
+    al, be = np.sin(a_points)[:, None], np.cos(a_points)[:, None]
     for kind in ch.CHANNEL_KINDS:
         for p in P_SET:
-            channel = ch.make_channel(kind, p)
-            for a in np.linspace(0.0, math.pi / 2, 5):
-                al, be = math.sin(a), math.cos(a)
-                a_state = qubit_from_angle(float(a))
-                for t in t_points:
-                    rho = ent.noisy_pair_density(a_state, float(t), channel, qubit=0)
-                    num = ent.iconcurrence(rho, "B")
-                    clo = ent.iconcurrence_noisy_closed(kind, p, float(t), al, be)
-                    worst = max(worst, abs(num - clo))
+            lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
+            rho = ent.ensemble_densities(ent.pair_ensembles(amps, t, lifted))
+            num = ent.iconcurrences(rho, "B")
+            clo = ent.iconcurrence_noisy_closed(kind, p, t_points, al, be).ravel()
+            worst = max(worst, float(np.max(np.abs(num - clo))))
     assert worst <= 1e-9
     _ok(8, f"noisy I-concurrence vs closed forms, all channels, max err {worst:.2e}")
 

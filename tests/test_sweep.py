@@ -4,6 +4,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from switchsim import entanglement as ent
@@ -13,6 +14,7 @@ from switchsim.sweep import (
     MAX_GRID_POINTS,
     MEASURES,
     ChannelSpec,
+    Sweep,
     SweepConfig,
     SweepRow,
     diff_sweep,
@@ -125,25 +127,46 @@ def test_diff_detects_amplitude_damping():
     assert all(r.abs_err <= 1e-9 for r in rows if r.abs_err is not None)
 
 
-def test_emit_csv_header_only_for_empty_sweeps():
+def _record(*columns):
+    """A Sweep over the given columns: t, a and value, and optionally
+    value_closed and abs_err."""
+    return Sweep(*(np.array(c, dtype=float) for c in columns))
+
+
+#: an empty sweep of each column shape: closed columns absent and present
+EMPTY = [_record([], [], []), _record([], [], [], [], [])]
+
+
+@pytest.mark.parametrize("empty", EMPTY, ids=["numeric-only", "closed"])
+def test_emit_csv_header_only_for_empty_sweeps(empty):
     buf = io.StringIO()
-    emit([], "csv", buf)
+    emit(empty, "csv", buf)
     assert buf.getvalue() == "t,a,value,value_closed,abs_err\n"
+    buf = io.StringIO()
+    emit(empty, "json", buf)
+    assert buf.getvalue() == "[]\n"
 
 
 def test_emit_csv_single_row():
     buf = io.StringIO()
-    emit([SweepRow(t=0.5, a=0.25, value_numeric=1.0 / 3.0)], "csv", buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[1] == "0.5,0.25,0.333333333333,,"
+    emit(_record([0.5], [0.25], [1.0 / 3.0]), "csv", buf)
+    assert buf.getvalue().splitlines()[1:] == ["0.5,0.25,0.333333333333,,"]
+    buf = io.StringIO()
+    emit(_record([0.5], [0.25], [1.0 / 3.0], [0.25], [1.0 / 12.0]), "csv", buf)
+    assert buf.getvalue().splitlines()[1:] == ["0.5,0.25,0.333333333333,0.25,0.0833333333333"]
 
 
 def test_emit_json_keys_and_nulls():
     buf = io.StringIO()
-    emit([SweepRow(t=0.5, a=0.25, value_numeric=0.1)], "json", buf)
-    payload = json.loads(buf.getvalue())
-    assert payload == [
-        {"t": 0.5, "a": 0.25, "value": 0.1, "value_closed": None, "abs_err": None}
+    emit(_record([0.5, 1.0], [0.25, 0.0], [0.1, 2.0]), "json", buf)
+    assert json.loads(buf.getvalue()) == [
+        {"t": 0.5, "a": 0.25, "value": 0.1, "value_closed": None, "abs_err": None},
+        {"t": 1.0, "a": 0.0, "value": 2.0, "value_closed": None, "abs_err": None},
+    ]
+    buf = io.StringIO()
+    emit(_record([0.5], [0.25], [0.1], [0.3], [0.2]), "json", buf)
+    assert json.loads(buf.getvalue()) == [
+        {"t": 0.5, "a": 0.25, "value": 0.1, "value_closed": 0.3, "abs_err": 0.2}
     ]
 
 
@@ -155,6 +178,42 @@ def test_sweep_row_takes_keywords_with_defaults_and_is_immutable():
         row.value_numeric = 0.2
     with pytest.raises(AttributeError):
         row.abs_err = 0.0
+
+
+#: (sweep or diff, configuration, has a closed column)
+VIEWED = [
+    (run_sweep, SweepConfig("entropy", a_steps=3, t_steps=7, compare=True), True),
+    (run_sweep, SweepConfig("entropy", a_steps=3, t_steps=7), False),
+    (diff_sweep, SweepConfig("iconcurrence", a_steps=3, t_steps=7,
+                             channel=ChannelSpec("AD", 0.3), compare=True), True),
+    # no noisy closed form on qubit 1, so no closed column despite compare
+    (diff_sweep, SweepConfig("iconcurrence", a_steps=3, t_steps=7,
+                             channel=ChannelSpec("AD", 0.3, qubit=1), compare=True), False),
+]
+
+
+@pytest.mark.parametrize("run, config, closed", VIEWED,
+                         ids=["sweep-closed", "sweep", "diff-closed", "diff"])
+def test_points_are_sweep_row_views_of_the_columns(run, config, closed):
+    record = run(config)
+    assert (record.value_closed is not None) == closed == (record.abs_err is not None)
+    assert record.t.tolist() == config.t_values().tolist() * 3
+    assert record.a.tolist() == [a for a in config.a_values().tolist() for _ in range(7)]
+    assert len(record) == 21
+    rows = list(record)
+    assert rows == [record[i] for i in range(21)] and record[-1] == rows[-1]
+    assert all(type(r) is SweepRow for r in rows)
+    with pytest.raises(IndexError):
+        record[21]
+    columns = [record.t, record.a, record.value, record.value_closed, record.abs_err]
+    for field, column in zip(SweepRow._fields, columns):
+        cells = [getattr(r, field) for r in rows]
+        if column is None:
+            assert cells == [None] * 21, field
+        else:
+            assert cells == column.tolist() and all(type(c) is float for c in cells), field
+    if closed:
+        assert record.abs_err.tolist() == abs(record.value - record.value_closed).tolist()
 
 
 def _reference_csv(rows):
@@ -198,6 +257,23 @@ EDGE_VALUES = [
 ]
 
 
+#: values on either side of each bound of the renderer's mask of cells that
+#: take the encoder's text (``sweep._needs_encoder``): 0.5, integral 12-digit
+#: text, 1e11 and 1e-29, a subnormal, and near-integers on each side of the half unit in
+#: the 12th digit, of either sign
+MASK_BOUNDARY = [
+    sign * v
+    for sign in (1.0, -1.0)
+    for v in [
+        0.49999999999999994, 0.5, 0.9999999999996, 2.9999999999995, 99999999999.95,
+        math.nextafter(1e11, 0.0), 1e11, math.nextafter(1e11, math.inf),
+        math.nextafter(1e-29, 0.0), 1e-29, math.nextafter(1e-29, math.inf),
+        1.2345678901234e-316,  # a subnormal with about 8 digits of precision
+        *(k * (1.0 + j * 1e-12) for k in (1.0, 3.0, 7.0, 1e5, 5e10) for j in range(-12, 13)),
+    ]
+]
+
+
 def _random_doubles(n, seed=20240611):
     """Doubles from uniformly drawn bit patterns: every exponent, and NaN
     payloads, subnormals and infinities among them."""
@@ -205,32 +281,57 @@ def _random_doubles(n, seed=20240611):
     return [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(n)]
 
 
-def _rows_over(values):
-    """Rows that put every value in every field, with the optional fields
-    also empty in each combination."""
+def _sweeps_over(values):
+    """A sweep of each column shape, numeric-only and with closed columns,
+    that puts every value in every column."""
     n = len(values)
-    rows = [SweepRow(*(values[(i + k) % n] for k in range(5))) for i in range(n)]
-    for i, v in enumerate(values):
-        w = values[(i + 1) % n]
-        rows += [SweepRow(v, w, v), SweepRow(w, v, v, None, w), SweepRow(v, v, w, v, None)]
-    return rows
+    return [_record(*([values[(i + k) % n] for i in range(n)] for k in range(width)))
+            for width in (3, 5)]
 
 
-@pytest.mark.parametrize("values", [[], EDGE_VALUES, _random_doubles(2000)],
+@pytest.mark.parametrize("values", [[], EDGE_VALUES + MASK_BOUNDARY, _random_doubles(2000)],
                          ids=["empty", "edges", "random-bits"])
 def test_renderers_match_the_reference_renderers(values):
-    rows = _rows_over(values)
+    for record in _sweeps_over(values):
+        for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
+            buf = io.StringIO()
+            emit(record, fmt, buf)
+            assert buf.getvalue() == reference(record), fmt
+
+
+def test_the_encoder_mask_misses_no_cell_whose_text_differs():
+    values = EDGE_VALUES + MASK_BOUNDARY + _random_doubles(2000)
+    flagged = sweep._needs_encoder(np.array(values)).tolist()
+    for value, flag in zip(values, flagged):
+        text = f"{value:.12g}"
+        assert flag or text == json.dumps(float(text)), value
+
+
+#: the benchmark's clean surfaces, 50 x 101 with closed columns, and a noisy
+#: diff with none
+SURFACES = [
+    (run_sweep, SweepConfig(m, a_steps=50, t_steps=101, compare=True))
+    for m in ("schmidt", "ppt", "concurrence", "iconcurrence", "entropy", "fidelity")
+] + [(diff_sweep, SweepConfig("concurrence", a_steps=50, t_steps=101,
+                              channel=ChannelSpec("BF", 0.3, qubit=1), compare=True))]
+
+
+@pytest.mark.parametrize("run, config", SURFACES,
+                         ids=[c.measure if r is run_sweep else "diff" for r, c in SURFACES])
+def test_whole_surfaces_render_as_the_reference_renderers(run, config):
+    record = run(config)
+    assert len(record) == 5050
     for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
         buf = io.StringIO()
-        emit(rows, fmt, buf)
-        assert buf.getvalue() == reference(rows), fmt
+        emit(record, fmt, buf)
+        assert buf.getvalue() == reference(record), fmt
 
 
 def test_emit_rejects_unknown_format_and_bad_paths(tmp_path):
     with pytest.raises(ValueError):
-        emit([], "yaml")
+        emit(EMPTY[0], "yaml")
     with pytest.raises(OSError, match="no/such"):
-        emit([], "csv", str(tmp_path / "no" / "such" / "dir.csv"))
+        emit(EMPTY[0], "csv", str(tmp_path / "no" / "such" / "dir.csv"))
 
 
 def test_emit_is_deterministic(tmp_path):
