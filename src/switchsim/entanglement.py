@@ -3,43 +3,43 @@
 Every measure comes in two flavours: a numeric pipeline working on the
 state itself, and a closed-form expression in the amplitudes (alpha, beta)
 of the first data qubit and the switch time t. The two are cross-checked
-against each other throughout the test suite; the closed forms are written
-out verbatim rather than simplified so the comparison stays literal.
-
-Closed forms involving nested square roots are validated on real
-amplitudes only; complex inputs should use the numeric routes.
+against each other throughout the test suite.
 
 Each numeric measure is one stacked kernel with a plural name
 (``schmidt_spectra``, ``ppt_spectra``, ``concurrences``, ``iconcurrences``,
 ``entropies``) over arrays with one state per point along the leading axes;
 the single-state functions call it on one state. The kernels that
-eigensolve a density matrix (``schmidt_spectra``, ``entropies`` and
-``concurrences``) read its positivity from that one ``linalg.eigh``: the
+eigensolve a density matrix (``entropies``, ``concurrences`` and
+``iconcurrences``) read its positivity from that one ``linalg.eigh``: the
 stages that build the matrices do not check it (see ``states``).
 
-The concurrence has one kernel, ``ensemble_concurrences``: Uhlmann's form
-of Wootters' formula over the columns xi of any decomposition
-rho = xi xi^dagger, read from singular values, with no eigensolve and no
-square root of a spectrum. A sweep hands it the Kraus branches E_k psi of
-the evolved pair, which decompose the noisy pair's density matrix without
-forming it; ``concurrences`` hands it V sqrt(w) from the eigensolve of a
-density matrix.
+The concurrence, the Schmidt coefficients and the I-concurrence read an
+ensemble xi, the columns of a decomposition rho = xi xi^dagger, and take
+no square root of a spectrum. A sweep hands them the Kraus branches
+E_k psi of the evolved pair, which decompose the noisy pair's density
+matrix without forming it; ``_ensemble`` factors a density matrix as
+V sqrt(w) from one eigensolve. The concurrence's kernel,
+``ensemble_concurrences``, is Uhlmann's form of Wootters' formula, read
+from singular values. ``reduced_determinants`` is the determinant of the
+first qubit's reduced state X X^dagger, with X = xi reshaped to
+(..., 2, 2K): by Cauchy-Binet a sum of squared 2 x 2 minors of X, so
+nothing cancels. The I-concurrence is 2 sqrt(det), and the Schmidt
+coefficients of a pure pair are the roots of l^2 - l + det.
 
 The other measures of a noisy pair read the same ensemble,
 ``pair_ensembles``, through Gram products: ``ensemble_densities`` gives
 the pair's density matrix xi xi^dagger for the PPT spectrum, and
-``reduced_states`` the first qubit's reduced state X X^dagger, with X the
-ensemble reshaped to (..., 2, 2K), for the Schmidt coefficients, the
-I-concurrence (``reduced_iconcurrences``) and the entropy: the partial
-trace over the second qubit, without a 4 x 4 matrix. For a clean pair,
-K = 1, both have the bits of ``states.densities`` and
+``reduced_states`` the first qubit's reduced state X X^dagger for the
+entropy: the partial trace over the second qubit, without a 4 x 4 matrix.
+For a clean pair, K = 1, both have the bits of ``states.densities`` and
 ``states.partial_traces``.
 
 Each closed form is one definition over the functions of
 ``pointwise.ops``: called on Python scalars it is plain ``math`` code and
 returns Python floats, and called on a column of amplitudes, shape (A, 1),
 and a row of times, shape (T,), it returns the (A, T) grid of values in
-one call, with the same bits at every entry.
+one call, with the same bits at every entry. The Schmidt and I-concurrence
+forms factor the same determinant into nonnegative products.
 """
 
 from __future__ import annotations
@@ -57,19 +57,13 @@ from .states import (
     PureState,
     _adopt,
     partial_trace,
-    partial_traces,
     partial_transposes,
     require_psd,
 )
 from .switch import PAULI_Y, switched_pairs
 
-#: spectral weight below this is eigensolver noise; treating it as exactly
-#: zero keeps sqrt-based measures exact at separable points instead of
-#: inflating them to ~sqrt(machine eps)
-SPECTRAL_NOISE_FLOOR = 1e-13
-
-#: eigenvalues of a density matrix below this are eigensolver noise; the
-#: concurrence drops them from the ensemble V sqrt(w), where their
+#: eigenvalues of a density matrix below this are eigensolver noise;
+#: ``_ensemble`` drops them from V sqrt(w), where their
 #: eigenvectors would otherwise enter at about sqrt(1e-16) = 1e-8
 ENSEMBLE_WEIGHT_FLOOR = 1e-15
 
@@ -85,20 +79,12 @@ class SchmidtPair(NamedTuple):
     lambda1: float
 
 
-def _floored(values, f=pw.ARRAY):
-    # square roots amplify rounding residue near zero to ~1e-8; both the
-    # numeric and closed routes must zero it for their comparison to hold
-    return f.where(values < SPECTRAL_NOISE_FLOOR, 0.0, values)
-
-
 def _checked_beta(f, beta0):
-    """|beta0|, rejected where it exceeds 1; the message names the first
-    such value."""
+    """Reject |beta0| > 1; the message names the first such value."""
     size = abs(beta0)
     bad = size > 1 + 1e-12
     if f.any(bad):
         raise ValueError(f"|beta0| must be <= 1, got {pw.first(bad, size)!r}")
-    return size
 
 
 def _psd_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,14 +97,40 @@ def _psd_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def reduced_determinants(xi: np.ndarray) -> np.ndarray:
+    """det of the first qubit's reduced state X X^dagger for each 2-qubit
+    ensemble of a stack, shape (..., 4, K), with X = xi reshaped to
+    (..., 2, 2K) as ``reduced_states`` reshapes it.
+
+    By Cauchy-Binet the determinant is the sum over column pairs i < j of
+    |X_0i X_1j - X_0j X_1i|^2. Every term is nonnegative, so nothing
+    cancels: 1 - purity = 2 det of the formed matrix would lose a small
+    determinant to rounding near 1.
+    """
+    x = xi.reshape(xi.shape[:-2] + (2, -1))
+    i, j = np.triu_indices(x.shape[-1], 1)
+    m = x[..., 0, i] * x[..., 1, j] - x[..., 0, j] * x[..., 1, i]
+    return np.sum(m.real * m.real + m.imag * m.imag, axis=-1)
+
+
+def _schmidt_pair(d, f=pw.ARRAY):
+    """(lambda0, lambda1) of a pure pair whose reduced state has determinant
+    d: the roots of l^2 - l + d, the small one written as
+    2d / (1 + sqrt(1 - 4d)) so that it cancels nothing. d is at most 1/4;
+    rounding above it would put lambda0 above lambda1."""
+    d = f.min(d, 0.25)
+    root = f.sqrt(1.0 - 4.0 * d)
+    return f.sqrt(2.0 * d / (1.0 + root)), f.sqrt((1.0 + root) / 2.0)
+
+
 def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
     """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of a
-    stack, as square roots of the reduced-state spectrum; shape (..., 2)."""
-    return np.sqrt(_floored(_psd_eigh(reduced_states(psi[..., None]))[0]))
+    stack, from the determinant of its reduced state; shape (..., 2)."""
+    return np.stack(_schmidt_pair(reduced_determinants(psi[..., None])), axis=-1)
 
 
 def schmidt_coefficients(psi: PureState) -> SchmidtPair:
-    """Schmidt coefficients as square roots of the reduced-state spectrum."""
+    """Schmidt coefficients from the determinant of the reduced state."""
     if psi.n_qubits != 2:
         raise ValueError(f"Schmidt coefficients need a 2-qubit state, got {psi.n_qubits}")
     lam = schmidt_spectra(psi.amplitudes)
@@ -127,18 +139,12 @@ def schmidt_coefficients(psi: PureState) -> SchmidtPair:
 
 def schmidt_closed(beta0: complex, t: float) -> SchmidtPair:
     """Closed-form Schmidt pair of the switched |A>|0> pair at time ``t``:
-
-        lambda_{0,1} = sqrt(1 -+ sqrt(1 - |beta|^4 sin^2(2t))) / sqrt(2)
-
-    lambda0 reads 0 where lambda0^2 is below SPECTRAL_NOISE_FLOOR, as the
-    numeric route, which floors the reduced spectrum, reads it.
-    """
+    sqrt(1 -+ sqrt(1 - 4d)) / sqrt(2) with d = |sin(t) beta|^2 |cos(t) beta|^2,
+    through ``_schmidt_pair``, so that lambda0 cancels nothing."""
     f = pw.ops(beta0, t)
-    size = _checked_beta(f, beta0)
-    inner = f.sqrt(f.max0(1.0 - f.pow(size, 4) * f.pow(f.sin(2 * t), 2)))
-    lam0 = f.sqrt(f.max0(1.0 - inner)) / f.sqrt(2.0)
-    lam1 = f.sqrt(1.0 + inner) / f.sqrt(2.0)
-    return SchmidtPair(f.where(lam0 * lam0 < SPECTRAL_NOISE_FLOOR, 0.0, lam0), lam1)
+    _checked_beta(f, beta0)
+    s, c = abs(f.sin(t) * beta0), abs(f.cos(t) * beta0)
+    return SchmidtPair(*_schmidt_pair(s * s * (c * c), f))
 
 
 def ppt_spectra(rho: np.ndarray) -> np.ndarray:
@@ -215,17 +221,20 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
     return pw.positive(lam[..., 0] - np.sum(lam[..., 1:], axis=-1))
 
 
-def concurrences(rho: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence of each density matrix of a stack.
-
-    One ``linalg.eigh`` gives rho = V diag(w) V^dagger and, from its least
-    eigenvalue, the positivity check of DensityMatrix. Eigenvalues below
-    ENSEMBLE_WEIGHT_FLOOR are dropped, and V sqrt(w) goes to the Uhlmann
-    kernel ``ensemble_concurrences``.
-    """
+def _ensemble(rho: np.ndarray) -> np.ndarray:
+    """V sqrt(w) for each density matrix of a stack: one ``linalg.eigh``
+    gives rho = V diag(w) V^dagger and, from its least eigenvalue, the
+    positivity check of DensityMatrix. Eigenvalues below
+    ENSEMBLE_WEIGHT_FLOOR are dropped."""
     w, v = _psd_eigh(rho)
     w = np.where(w < ENSEMBLE_WEIGHT_FLOOR, 0.0, w)
-    return ensemble_concurrences(v * np.sqrt(w)[..., None, :])
+    return v * np.sqrt(w)[..., None, :]
+
+
+def concurrences(rho: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence of each density matrix of a stack: the Uhlmann
+    kernel ``ensemble_concurrences`` over ``_ensemble(rho)``."""
+    return ensemble_concurrences(_ensemble(rho))
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -243,9 +252,9 @@ def concurrence_closed(beta0: complex, t: float) -> float:
 
 
 def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:
-    """sqrt(2 (1 - purity)) of the state left after tracing out one side, for
-    each 2-qubit density matrix of a stack: ``reduced_iconcurrences`` of
-    its partial trace.
+    """sqrt(2 (1 - purity)) = 2 sqrt(det) of the state left after tracing
+    out one side, for each 2-qubit density matrix of a stack, with det
+    read from ``_ensemble(rho)`` (qubit axes swapped for side "A").
 
     Equals the concurrence on pure 2-qubit states. On mixed states it is
     applied exactly as defined (purity of the reduced state), which is what
@@ -253,13 +262,10 @@ def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:
     """
     if traced_side not in ("A", "B"):
         raise ValueError(f"traced_side must be 'A' or 'B', got {traced_side!r}")
-    return reduced_iconcurrences(partial_traces(rho, 2, {0} if traced_side == "A" else {1}))
-
-
-def reduced_iconcurrences(reduced: np.ndarray) -> np.ndarray:
-    """sqrt(2 (1 - purity)) of each single-qubit reduced state of a stack."""
-    purity = np.trace(reduced @ reduced, axis1=-2, axis2=-1).real
-    return np.sqrt(_floored(2.0 * (1.0 - purity)))
+    xi = _ensemble(rho)
+    if traced_side == "A":
+        xi = np.swapaxes(xi.reshape(xi.shape[:-2] + (2, 2, -1)), -3, -2).reshape(xi.shape)
+    return 2.0 * np.sqrt(reduced_determinants(xi))
 
 
 def iconcurrence(rho: DensityMatrix, traced_side: str = "B") -> float:
@@ -270,59 +276,43 @@ def iconcurrence(rho: DensityMatrix, traced_side: str = "B") -> float:
 
 
 def iconcurrence_closed(alpha0: complex, beta0: complex, t: float) -> float:
-    """Noiseless closed form for the switched pair:
-
-        sqrt(2) sqrt(1 - (|a|^2 + |sin(t) b|^2)^2
-                       - 2 |cos(t) a b|^2 - |cos(t) b|^4)
-    """
+    """Noiseless closed form for the switched pair, 2 sqrt(det) of the
+    reduced state: 2 |sin(t) beta| |cos(t) beta| = |beta^2 sin(2t)|."""
     f = pw.ops(alpha0, beta0, t)
-    x = f.pow(abs(alpha0), 2)
-    sb = f.pow(abs(f.sin(t) * beta0), 2)
-    cab = f.pow(abs(f.cos(t) * alpha0 * beta0), 2)
-    cb = f.pow(abs(f.cos(t) * beta0), 2)
-    inner = -f.pow(x + sb, 2) - 2 * cab - f.pow(cb, 2) + 1.0
-    return f.sqrt(_floored(2.0 * inner, f))
+    return 2.0 * abs(f.sin(t) * beta0) * abs(f.cos(t) * beta0)
 
 
 def iconcurrence_noisy_closed(
     kind: str, p: float, t: float, alpha0: complex, beta0: complex
 ) -> float:
     """Closed-form I-concurrence of the switched pair with noise of strength
-    ``p`` on the first qubit, one expression per channel kind."""
+    ``p`` on the first qubit: sqrt(1 - |r'|^2), with r' the channel's
+    contraction of the first qubit's Bloch vector r (Nielsen and Chuang,
+    section 8.3). With x = |alpha|^2, s = |sin(t) beta|^2 and
+    u = |cos(t) beta|^2, 1 - |r|^2 = 4 s u, and
+
+        PF: 2 sqrt(u (s + 4p(1-p) x))
+        BF: sqrt(4 s u + 4p(1-p) (r_y^2 + r_z^2)),
+            r_z = x + s - u, r_y = 2 Im(alpha cos(t) conj(beta))
+        AD: 2 sqrt((1-p) u (s + p u))
+        PD: 2 sqrt(u (s + p x))
+
+    each a sum of nonnegative products, so nothing cancels.
+    """
     check_channel(kind, p)
     f = pw.ops(t, alpha0, beta0)
-    a, b = f.complex(alpha0), f.complex(beta0)
-    x = f.pow(abs(a), 2)
-    sb = f.pow(abs(f.sin(t) * b), 2)
-    cb = f.pow(abs(f.cos(t) * b), 2)
+    c = f.cos(t)
+    a, sb, cb = abs(alpha0), abs(f.sin(t) * beta0), abs(c * beta0)
+    x, s, u = a * a, sb * sb, cb * cb
     if kind == "PF":
-        inner = (
-            2.0
-            - 4.0 * f.pow(1.0 - 2.0 * p, 2) * x * cb
-            - 2.0 * f.pow(x + sb, 2)
-            - 2.0 * f.pow(cb, 2)
-        )
-    elif kind == "BF":
-        c = f.cos(t)
-        f1 = a * p * (c * b).conjugate() - b * (p - 1.0) * a.conjugate() * c
-        f2 = b * p * a.conjugate() * c - a * (p - 1.0) * (c * b).conjugate()
-        cross = f1 * f2
-        inner = (
-            2.0
-            - 2.0 * f.pow(p * cb - (p - 1.0) * (x + sb), 2)
-            - 2.0 * f.pow((p - 1.0) * cb - p * (x + sb), 2)
-            - 4.0 * cross.real
-        )
-    elif kind == "AD":
-        inner = (
-            2.0
-            + 4.0 * (p - 1.0) * x * cb
-            - 2.0 * f.pow(x + p * cb + sb, 2)
-            - 2.0 * f.pow(p - 1.0, 2) * f.pow(cb, 2)
-        )
-    else:  # PD
-        inner = 2.0 + 4.0 * (p - 1.0) * x * cb - 2.0 * f.pow(x + sb, 2) - 2.0 * f.pow(cb, 2)
-    return f.sqrt(_floored(inner, f))
+        return 2.0 * f.sqrt(u * (s + 4.0 * p * (1.0 - p) * x))
+    if kind == "BF":
+        r_y = 2.0 * (alpha0 * c * f.complex(beta0).conjugate()).imag
+        r_z = x + s - u
+        return f.sqrt(4.0 * s * u + 4.0 * p * (1.0 - p) * (r_y * r_y + r_z * r_z))
+    if kind == "AD":
+        return 2.0 * f.sqrt((1.0 - p) * u * (s + p * u))
+    return 2.0 * f.sqrt(u * (s + p * x))  # PD
 
 
 def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:

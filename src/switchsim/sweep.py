@@ -139,8 +139,8 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "iconcurrence",
-        numeric=lambda a, t, lifted, base: ent.reduced_iconcurrences(
-            ent.reduced_states(_pair_ensembles(a, t, lifted))
+        numeric=lambda a, t, lifted, base: 2.0 * np.sqrt(
+            ent.reduced_determinants(_pair_ensembles(a, t, lifted))
         ),
         closed=lambda al, be, t, base: ent.iconcurrence_closed(al, be, t),
         noisy_closed=lambda kind, p, t, al, be: ent.iconcurrence_noisy_closed(kind, p, t, al, be),

@@ -1,6 +1,9 @@
 import json
+import math
 import subprocess
 import sys
+
+import pytest
 
 from switchsim import cli
 from switchsim import sweep as sw
@@ -47,6 +50,23 @@ def test_sweep_writes_files_byte_identically(tmp_path):
     assert run_cli(*args, "--out", str(out1)).returncode == 0
     assert run_cli(*args, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("measure", ["iconcurrence", "schmidt"])
+def test_a_measure_near_a_separable_point_is_read_exactly(capsys, measure):
+    # C = |beta^2 sin 2t| is about 3.2e-7 here; the I-concurrence is C and
+    # the smaller Schmidt coefficient C / sqrt(2 (1 + sqrt(1 - C^2)))
+    a, t = 1.5733447365331983, 4.688054686384465
+    c = abs(math.cos(a) ** 2 * math.sin(2 * t))
+    want = c if measure == "iconcurrence" else c / math.sqrt(2 * (1 + math.sqrt(1 - c * c)))
+    argv = ["sweep", "--measure", measure, "--compare", "--a", repr(a),
+            "--t-min", repr(t), "--t-max", repr(t), "--t-steps", "2"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        _, _, value, _, abs_err = map(float, row.split(","))
+        assert abs_err <= 1e-9 and abs(value - want) <= 1e-15, row
 
 
 def test_diff_subcommand():

@@ -9,13 +9,14 @@ from switchsim import entanglement as ent
 from switchsim.states import (
     DensityMatrix,
     PureState,
+    angle_qubits,
     make_qubit,
     partial_trace,
     qubit_from_angle,
     tensor,
     to_density,
 )
-from switchsim.switch import switched_pair
+from switchsim.switch import switched_pair, switched_pairs
 
 SQ2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
@@ -40,6 +41,12 @@ def test_schmidt_of_maximally_swapped_pair():
     got = ent.schmidt_coefficients(pair(0.0, math.pi / 4))  # beta = 1
     assert got.lambda0 == pytest.approx(1 / SQ2, abs=1e-12)
     assert got.lambda1 == pytest.approx(1 / SQ2, abs=1e-12)
+    # beside the half swap the determinant can round above 1/4, where
+    # lambda0 would pass lambda1
+    t = np.linspace(math.pi / 4 - 1e-6, math.pi / 4 + 1e-6, 2001)
+    lam = ent.schmidt_spectra(switched_pairs(angle_qubits(np.zeros_like(t)), t))
+    closed = ent.schmidt_closed(np.ones((1, 1)), t)
+    assert np.all(lam[:, 0] <= lam[:, 1]) and np.all(closed.lambda0 <= closed.lambda1)
 
 
 def test_schmidt_of_product_states():
@@ -151,7 +158,8 @@ def test_concurrence_is_invariant_under_local_unitaries():
 def test_iconcurrence_reference_values():
     rng = np.random.default_rng(13)
     product = to_density(tensor([random_pure(rng, 1), random_pure(rng, 1)]))
-    assert ent.iconcurrence(product) == 0.0
+    # the rounding of the eigenvectors leaves about 7e-16 at a product state
+    assert ent.iconcurrence(product) <= 1e-15
     assert ent.iconcurrence(bell_density()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -184,16 +192,20 @@ def test_noisy_closed_form_flip_endpoints_recover_the_clean_value():
 
 
 def test_noisy_closed_forms_match_the_numeric_pipeline():
+    # 7 x 21 points (a outer, t fastest) as one stack per (kind, p), through
+    # the kernels behind noisy_pair_density and iconcurrence
+    a_points = np.linspace(0, math.pi / 2, 7)
+    t_points = np.linspace(0, math.pi / 2, 21)
+    amps = angle_qubits(np.repeat(a_points, len(t_points)))
+    t = np.tile(t_points, len(a_points))
+    al, be = np.sin(a_points)[:, None], np.cos(a_points)[:, None]
     for kind in ch.CHANNEL_KINDS:
         for p in (0.0, 0.25, 0.5, 0.74, 1.0):
-            channel = ch.make_channel(kind, p)
-            for a in np.linspace(0, math.pi / 2, 7):
-                al, be = amplitudes(float(a))
-                for t in np.linspace(0, math.pi / 2, 21):
-                    rho = ent.noisy_pair_density(qubit_from_angle(float(a)), float(t), channel)
-                    num = ent.iconcurrence(rho, "B")
-                    clo = ent.iconcurrence_noisy_closed(kind, p, float(t), al, be)
-                    assert abs(num - clo) <= 1e-9
+            lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
+            rho = ent.ensemble_densities(ent.pair_ensembles(amps, t, lifted))
+            num = ent.iconcurrences(rho, "B")
+            clo = ent.iconcurrence_noisy_closed(kind, p, t_points, al, be).ravel()
+            assert np.max(np.abs(num - clo)) <= 1e-9, (kind, p)
 
 
 def test_noisy_closed_form_rejects_unknown_kind():

@@ -49,6 +49,24 @@ def test_closed_form_matches_the_numeric_route(name, kind, a, t, p):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=angles, t=times, phi=st.floats(-math.pi, math.pi),
+       kind=st.sampled_from(ch.CHANNEL_KINDS), p=probabilities)
+def test_determinant_forms_hold_for_complex_phases(a, t, phi, kind, p):
+    # |A> = sin a|0> + e^{i phi} cos a|1>, which the command line cannot
+    # reach; BF's r_y term is 0 on every real input, so only this test
+    # exercises it
+    al, be = math.sin(a), cmath.rect(math.cos(a), phi)
+    amps = np.array([[al, be]])
+    psi = switch.switched_pairs(amps, t)
+    clean = 2.0 * math.sqrt(ent.reduced_determinants(psi[..., None])[0])
+    assert abs(ent.schmidt_spectra(psi)[0, 0] - ent.schmidt_closed(be, t).lambda0) <= 1e-12
+    assert abs(clean - ent.iconcurrence_closed(al, be, t)) <= 1e-12
+    lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
+    noisy = 2.0 * math.sqrt(ent.reduced_determinants(ent.pair_ensembles(amps, t, lifted))[0])
+    assert abs(noisy - ent.iconcurrence_noisy_closed(kind, p, t, al, be)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=angles, t=st.one_of(st.sampled_from([0.0, math.pi / 2]), times))
 def test_ppt_closed_column_is_the_least_eigenvalue_bit_for_bit(a, t):
     # the sweep's ppt closed column takes min() of the unsorted eigenvalues;
@@ -180,17 +198,36 @@ def test_concurrence_follows_the_factorization_law(probe, kind, qubit):
             assert abs(single - want[i]) <= 1e-12, (p, a[i], t[i])
 
 
+@pytest.mark.parametrize("name, kind", [("schmidt", None), ("iconcurrence", None)] + [
+    ("iconcurrence", kind) for kind in ch.CHANNEL_KINDS
+])
+def test_determinant_routes_meet_their_closed_forms_on_the_probe(probe, name, kind):
+    # both routes read the reduced state's determinant as a sum of
+    # nonnegative terms; a route through the purity, or a floor, missed
+    # these points by up to 3.2e-7
+    a, t, _ = probe
+    m = MEASURES[name]
+    al, be = np.sin(a), np.cos(a)
+    if kind is None:
+        route, closed = m.numeric(a, t, None, "e"), m.closed(al, be, t, "e")
+        assert np.max(np.abs(route - closed)) <= sweep.DEFAULT_TOLERANCE
+        return
+    for p in (0.0, 0.13, 0.5, 0.74, 1.0):
+        route = m.numeric(a, t, ch.lift(ch.make_channel(kind, p), 0, 2), "e")
+        closed = m.noisy_closed(kind, p, t, al, be)
+        assert np.max(np.abs(route - closed)) <= sweep.DEFAULT_TOLERANCE, p
+
+
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
 def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, kind, qubit):
     # the routes read their matrices from the Kraus branches E_k psi; the
     # reference forms sum_k E_k rho E_k^dagger and runs the same kernel.
-    # The I-concurrence is held by the reduced state it reads: its
-    # sqrt(2 (1 - purity)) turns a last-bit difference of the purity into
-    # up to 1.3e-9 where the value is about 3e-7, and into 3.2e-7 where one
-    # route's 2 (1 - purity) falls under SPECTRAL_NOISE_FLOOR and the
-    # other's does not (ROADMAP item 1). The reference runs on the
-    # DENSITY_PROBE points, for time, as in the test above
+    # The I-concurrence is held by the reduced state it reads: from a
+    # density matrix alone, a value near 0 is known only to about
+    # sqrt(machine eps), so its values cannot be held at 1e-13. The
+    # reference runs on the DENSITY_PROBE points, for time, as in the test
+    # above
     a, t = probe[0][:DENSITY_PROBE], probe[1][:DENSITY_PROBE]
     rho = states.densities(switch.switched_pairs(states.angle_qubits(a), t))
     kernels = {
@@ -217,10 +254,6 @@ def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, 
             assert np.max(np.abs(single - want)) <= 1e-15, (p, a[i], t[i])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "iconcurrences takes sqrt(2 (1 - purity)), which turns rounding in the "
-    "purity into an error of about 3e-9 where the measure is about 3e-7"
-))
 def test_clean_iconcurrence_holds_its_tolerance_where_it_is_small():
     # numeric 3.2579e-07 against closed 3.2850e-07: abs_err 2.71e-09
     t = 6.035607994453679
@@ -245,15 +278,16 @@ def test_noise_on_the_second_qubit_is_invisible_to_entropy_and_iconcurrence(name
 
 
 # ------------------------- closed forms against their point-by-point code
-# The reference below is the scalar ``math`` code the closed forms were
-# before they took whole grids, and the loop that called it once per grid
-# point. Every closed column, and every scalar call, must keep its bits.
+# The reference below is the scalar ``math`` code of each closed form (for
+# the Schmidt coefficient and the I-concurrence, of the factored forms),
+# and the loop that called it once per grid point. Every closed column, and
+# every scalar call, must keep its bits.
 
 def _ref_schmidt(beta0, t):
-    inner = math.sqrt(max(0.0, 1.0 - abs(beta0) ** 4 * math.sin(2 * t) ** 2))
-    lam0 = math.sqrt(max(0.0, 1.0 - inner)) / math.sqrt(2.0)
-    lam1 = math.sqrt(1.0 + inner) / math.sqrt(2.0)
-    return ent.SchmidtPair(0.0 if lam0 * lam0 < ent.SPECTRAL_NOISE_FLOOR else lam0, lam1)
+    s, c = abs(math.sin(t) * beta0), abs(math.cos(t) * beta0)
+    d = min(s * s * (c * c), 0.25)
+    root = math.sqrt(1.0 - 4.0 * d)
+    return ent.SchmidtPair(math.sqrt(2.0 * d / (1.0 + root)), math.sqrt((1.0 + root) / 2.0))
 
 
 def _ref_ppt_eigenvalues(alpha0, beta0, t):
@@ -271,45 +305,23 @@ def _ref_concurrence(beta0, t):
     return abs(beta0**2 * math.sin(2 * t))
 
 
-def _ref_sqrt_floored(value):
-    return 0.0 if value < ent.SPECTRAL_NOISE_FLOOR else math.sqrt(value)
-
-
 def _ref_iconcurrence(alpha0, beta0, t):
-    x = abs(alpha0) ** 2
-    sb = abs(math.sin(t) * beta0) ** 2
-    cab = abs(math.cos(t) * alpha0 * beta0) ** 2
-    cb = abs(math.cos(t) * beta0) ** 2
-    inner = -((x + sb) ** 2) - 2 * cab - cb**2 + 1.0
-    return _ref_sqrt_floored(2.0 * inner)
+    return 2.0 * abs(math.sin(t) * beta0) * abs(math.cos(t) * beta0)
 
 
 def _ref_iconcurrence_noisy(kind, p, t, alpha0, beta0):
-    a, b = complex(alpha0), complex(beta0)
-    x = abs(a) ** 2
-    sb = abs(math.sin(t) * b) ** 2
-    cb = abs(math.cos(t) * b) ** 2
+    c = math.cos(t)
+    a, sb, cb = abs(alpha0), abs(math.sin(t) * beta0), abs(c * beta0)
+    x, s, u = a * a, sb * sb, cb * cb
     if kind == "PF":
-        inner = 2.0 - 4.0 * (1.0 - 2.0 * p) ** 2 * x * cb - 2.0 * (x + sb) ** 2 - 2.0 * cb**2
-    elif kind == "BF":
-        c = math.cos(t)
-        f1 = a * p * (c * b).conjugate() - b * (p - 1.0) * a.conjugate() * c
-        f2 = b * p * a.conjugate() * c - a * (p - 1.0) * (c * b).conjugate()
-        cross = f1 * f2
-        inner = (
-            2.0
-            - 2.0 * (p * cb - (p - 1.0) * (x + sb)) ** 2
-            - 2.0 * ((p - 1.0) * cb - p * (x + sb)) ** 2
-            - 4.0 * cross.real
-        )
-    elif kind == "AD":
-        inner = (
-            2.0 + 4.0 * (p - 1.0) * x * cb - 2.0 * (x + p * cb + sb) ** 2
-            - 2.0 * (p - 1.0) ** 2 * cb**2
-        )
-    else:
-        inner = 2.0 + 4.0 * (p - 1.0) * x * cb - 2.0 * (x + sb) ** 2 - 2.0 * cb**2
-    return _ref_sqrt_floored(inner)
+        return 2.0 * math.sqrt(u * (s + 4.0 * p * (1.0 - p) * x))
+    if kind == "BF":
+        r_y = 2.0 * (alpha0 * c * complex(beta0).conjugate()).imag
+        r_z = x + s - u
+        return math.sqrt(4.0 * s * u + 4.0 * p * (1.0 - p) * (r_y * r_y + r_z * r_z))
+    if kind == "AD":
+        return 2.0 * math.sqrt((1.0 - p) * u * (s + p * u))
+    return 2.0 * math.sqrt(u * (s + p * x))
 
 
 def _ref_reduced_eigenvalues(alpha0, beta0, t):
@@ -333,6 +345,76 @@ def _ref_average_fidelity(kind, p, t):
     if kind == "AD":
         return (abs((math.sqrt(1.0 - p) + 1.0) * c3) ** 2 + 8.0) / 72.0
     return (abs((math.sqrt(1.0 - p) + 1.0) * c3) ** 2 + abs(p * c3**2) + 8.0) / 72.0
+
+
+# The paper's literal forms of the Schmidt coefficient and the
+# I-concurrence, each returning (value, radicand). Their rounded squares
+# cancel where the radicand is small, so they are held against the
+# factored forms only where it is not.
+
+def _literal_schmidt(beta0, t):
+    inner = math.sqrt(max(0.0, 1.0 - abs(beta0) ** 4 * math.sin(2 * t) ** 2))
+    return math.sqrt(max(0.0, 1.0 - inner)) / math.sqrt(2.0), 1.0 - inner
+
+
+def _literal_iconcurrence(alpha0, beta0, t):
+    x = abs(alpha0) ** 2
+    sb = abs(math.sin(t) * beta0) ** 2
+    cab = abs(math.cos(t) * alpha0 * beta0) ** 2
+    cb = abs(math.cos(t) * beta0) ** 2
+    radicand = 2.0 * (-((x + sb) ** 2) - 2 * cab - cb**2 + 1.0)
+    return math.sqrt(max(0.0, radicand)), radicand
+
+
+def _literal_iconcurrence_noisy(kind, p, t, alpha0, beta0):
+    a, b = complex(alpha0), complex(beta0)
+    x = abs(a) ** 2
+    sb = abs(math.sin(t) * b) ** 2
+    cb = abs(math.cos(t) * b) ** 2
+    if kind == "PF":
+        radicand = 2.0 - 4.0 * (1.0 - 2.0 * p) ** 2 * x * cb - 2.0 * (x + sb) ** 2 - 2.0 * cb**2
+    elif kind == "BF":
+        c = math.cos(t)
+        f1 = a * p * (c * b).conjugate() - b * (p - 1.0) * a.conjugate() * c
+        f2 = b * p * a.conjugate() * c - a * (p - 1.0) * (c * b).conjugate()
+        radicand = (
+            2.0
+            - 2.0 * (p * cb - (p - 1.0) * (x + sb)) ** 2
+            - 2.0 * ((p - 1.0) * cb - p * (x + sb)) ** 2
+            - 4.0 * (f1 * f2).real
+        )
+    elif kind == "AD":
+        radicand = (
+            2.0 + 4.0 * (p - 1.0) * x * cb - 2.0 * (x + p * cb + sb) ** 2
+            - 2.0 * (p - 1.0) ** 2 * cb**2
+        )
+    else:
+        radicand = 2.0 + 4.0 * (p - 1.0) * x * cb - 2.0 * (x + sb) ** 2 - 2.0 * cb**2
+    return math.sqrt(max(0.0, radicand)), radicand
+
+
+def test_factored_forms_are_the_literal_forms_where_these_do_not_cancel():
+    # real amplitudes and sin a, e^{i phi} cos a, every channel at each point
+    rng = np.random.default_rng(1935)
+    n = 1_000
+    a = rng.uniform(-math.pi, math.pi, n).tolist()
+    t = rng.uniform(-math.pi, 2 * math.pi, n).tolist()
+    phi = rng.uniform(-math.pi, math.pi, n).tolist()
+    p = rng.choice([0.0, 0.13, 0.5, 1.0, *rng.uniform(0.0, 1.0, 4)], n).tolist()
+    held = 0
+    for i in range(n):
+        al = math.sin(a[i])
+        for be in (math.cos(a[i]), cmath.rect(math.cos(a[i]), phi[i])):
+            pairs = [(ent.schmidt_closed(be, t[i]).lambda0, _literal_schmidt(be, t[i])),
+                     (ent.iconcurrence_closed(al, be, t[i]), _literal_iconcurrence(al, be, t[i]))]
+            pairs += [(ent.iconcurrence_noisy_closed(kind, p[i], t[i], al, be),
+                       _literal_iconcurrence_noisy(kind, p[i], t[i], al, be))
+                      for kind in ch.CHANNEL_KINDS]
+            for got, (want, radicand) in pairs:
+                if radicand > 1e-6:
+                    assert abs(got - want) <= 1e-12, (a[i], t[i], phi[i], p[i])
+                    held += 1
+    assert held >= 0.9 * 12 * n
 
 
 #: measure -> the reference value at one point (sin a, cos a, t, config)
@@ -585,4 +667,28 @@ def test_concurrence_makes_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(
     rho = states.DensityMatrix(2, _RHO)
     calls.clear()
     ent.concurrence(rho)
+    assert calls == ["eigh"]
+
+
+def test_determinant_routes_make_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(
+    monkeypatch,
+):
+    # the Schmidt and I-concurrence routes read the reduced state's
+    # determinant from its minors; a density matrix is eigensolved once
+    calls = []
+    for attr in ("eigh", "eigvalsh", "svd"):
+        _counting(monkeypatch, np.linalg, attr, calls)
+    run_sweep(SweepConfig("schmidt", a_steps=3, t_steps=5, compare=True))
+    run_sweep(SweepConfig("iconcurrence", a_steps=3, t_steps=5, compare=True))
+    for kind in ch.CHANNEL_KINDS:
+        for qubit in (0, 1):
+            config = SweepConfig("iconcurrence", a_steps=3, t_steps=5,
+                                 channel=ChannelSpec(kind, 0.3, qubit), compare=True)
+            run_sweep(config)
+            diff_sweep(config)
+    ent.schmidt_coefficients(switch.switched_pair(states.qubit_from_angle(0.4), 0.3))
+    assert calls == []
+    rho = states.DensityMatrix(2, _RHO)
+    calls.clear()
+    ent.iconcurrence(rho)
     assert calls == ["eigh"]
