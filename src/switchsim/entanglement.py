@@ -51,15 +51,8 @@ import numpy as np
 
 from . import linalg
 from . import pointwise as pw
-from .channels import KrausChannel, check_channel, lift
-from .states import (
-    DensityMatrix,
-    PureState,
-    _adopt,
-    partial_trace,
-    partial_transposes,
-    require_psd,
-)
+from .channels import KrausChannel, check_channel
+from .states import DensityMatrix, PureState, partial_transposes, require_psd
 from .switch import PAULI_Y, switched_pairs
 
 #: eigenvalues of a density matrix below this are eigensolver noise;
@@ -184,12 +177,6 @@ def ppt_eigenvalues_closed(
     swap = y * f.sin(t) * f.cos(t)
     root = f.sqrt(f.pow(x, 2) + 2 * x * y + f.pow(y, 2) * f.pow(f.cos(2 * t), 2))
     return -swap, swap, (1 - root) / 2, (1 + root) / 2
-
-
-def ppt_closed(alpha0: complex, beta0: complex, t: float) -> np.ndarray:
-    """Closed-form partial-transpose spectrum of the switched pair, ascending:
-    ppt_eigenvalues_closed sorted."""
-    return np.sort(np.array(ppt_eigenvalues_closed(alpha0, beta0, t)))
 
 
 def fidelity_closed(alpha0: complex, beta0: complex, t: float) -> float:
@@ -368,21 +355,6 @@ def reduced_eigenvalues_closed(alpha0: complex, beta0: complex, t: float):
     return (1.0 - root) / 2.0, (1.0 + root) / 2.0
 
 
-def entropy_symmetry_check(rho_ab: DensityMatrix, log_base: str = "e"):
-    """(S(rho_A), S(rho_B)) for a pure joint state; the pair is equal.
-
-    Mixed input is rejected: the identity only holds for pure joint states.
-    """
-    if rho_ab.n_qubits != 2:
-        raise ValueError(f"needs a 2-qubit state, got {rho_ab.n_qubits}")
-    purity = float(np.trace(rho_ab.matrix @ rho_ab.matrix).real)
-    if abs(purity - 1.0) > 1e-10:
-        raise ValueError(f"joint state is not pure: purity = {purity!r}")
-    s_a = von_neumann_entropy(partial_trace(rho_ab, {1}), log_base)
-    s_b = von_neumann_entropy(partial_trace(rho_ab, {0}), log_base)
-    return s_a, s_b
-
-
 def pair_ensembles(
     a_amps: np.ndarray, t, lifted: Optional[KrausChannel] = None
 ) -> np.ndarray:
@@ -417,11 +389,3 @@ def reduced_states(xi: np.ndarray) -> np.ndarray:
     it has the bits of ``states.partial_traces`` of ``states.densities``."""
     return ensemble_densities(xi.reshape(xi.shape[:-2] + (2, -1)))
 
-
-def noisy_pair_density(
-    a_state: PureState, t: float, channel: KrausChannel, qubit: int = 0
-) -> DensityMatrix:
-    """Run the switch on |A>|0>|1> to time ``t``, drop the control, then
-    apply a single-qubit channel to one of the data qubits."""
-    xi = pair_ensembles(a_state.amplitudes, t, lift(channel, qubit, 2))
-    return _adopt(DensityMatrix, 2, ensemble_densities(xi))

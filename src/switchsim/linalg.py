@@ -54,29 +54,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (associative, bilinear)."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def hermitian_deviation(m: np.ndarray) -> np.ndarray:
     """max |M - M^dagger| entry of each matrix of a stack."""
     return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_ATOL) -> bool:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return float(hermitian_deviation(a)) <= tol
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    eye = np.eye(a.shape[0])
-    return float(np.max(np.abs(dagger(a) @ a - eye))) <= tol
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -56,7 +56,6 @@ class SCALAR:
 
     sin, cos, sqrt, log = math.sin, math.cos, math.sqrt, math.log
     pow, min, any, complex = pow, min, bool, complex
-    max0 = partial(max, 0.0)
     where = _pick
 
 
@@ -67,7 +66,7 @@ class ARRAY:
     # numpy's power and log differ from Python's in the last bit on about
     # 0.1% of entries, so these two call Python's own at every entry
     pow, log = partial(_per_entry, pow), partial(_per_entry, math.log)
-    max0, min, where, any = positive, least, np.where, np.any
+    min, where, any = least, np.where, np.any
     complex = partial(np.asarray, dtype=complex)
 
 
@@ -77,8 +76,8 @@ _NDARRAY = np.ndarray
 
 def ops(x, y=None, z=None) -> type:
     """ARRAY if any of the values is a numpy array, else SCALAR. Each
-    namespace has sin, cos, sqrt, pow, log, max0 (max(0.0, x)), min,
-    where(cond, x, y), any and complex; both branches of ``where`` are
+    namespace has sin, cos, sqrt, pow, log, min, where(cond, x, y), any
+    and complex; both branches of ``where`` are
     evaluated, so each must be defined everywhere."""
     if isinstance(x, _NDARRAY) or isinstance(y, _NDARRAY) or isinstance(z, _NDARRAY):
         return ARRAY

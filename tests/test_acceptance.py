@@ -14,22 +14,25 @@ from randstates import random_density
 from switchsim import channels as ch
 from switchsim import entanglement as ent
 from switchsim import linalg, switch
-from switchsim.states import (
-    angle_qubits, make_qubit, partial_trace, qubit_from_angle, tensor, to_density,
-)
-from switchsim.switch import switched_pair
+from switchsim.states import angle_qubits, densities, partial_traces
 
 A_GRID = np.linspace(0.0, math.pi / 2, 50)
 T_GRID = np.linspace(0.0, math.pi / 2, 50)
 P_SET = (0.0, 0.25, 0.5, 0.74, 1.0)
+#: the A_GRID x T_GRID points (a outer, t fastest) as two flat arrays, the
+#: closed forms' (A, 1) amplitude columns, and the endpoints t = 0, pi/2
+GRID = (np.repeat(A_GRID, len(T_GRID)), np.tile(T_GRID, len(A_GRID)))
+AL, BE = np.sin(A_GRID)[:, None], np.cos(A_GRID)[:, None]
+ENDS = (np.repeat(A_GRID, 2), np.tile([0.0, math.pi / 2], len(A_GRID)))
 
 
 def _ok(num: int, label: str) -> None:
     print(f"[PASS] criterion {num}: {label}")
 
 
-def _a01(a: float):
-    return tensor([qubit_from_angle(a), make_qubit(1, 0), make_qubit(0, 1)])
+def _pairs(a, t):
+    """The switched pair at each point (a, t), as one stack."""
+    return switch.switched_pairs(angle_qubits(a), t)
 
 
 def test_criterion_1_generator_spectrum():
@@ -53,97 +56,75 @@ def test_criterion_2_evolution_oracle_and_circuit():
 
 
 def test_criterion_3_fidelity_closed_form():
-    worst = 0.0
-    for a in A_GRID:
-        psi0 = _a01(float(a))
-        al, be = math.sin(a), math.cos(a)
-        for t in T_GRID:
-            err = abs(switch.switch_fidelity(psi0, float(t)) - (al**2 + math.sin(t) * be**2))
-            worst = max(worst, err)
-        assert abs(switch.switch_fidelity(psi0, math.pi / 2) - 1.0) <= 1e-12
+    a, t = GRID
+    num = switch.switch_fidelities(switch.registers(angle_qubits(a)), t)
+    worst = float(np.max(np.abs(num - (AL**2 + np.sin(T_GRID) * BE**2).ravel())))
+    done = switch.switch_fidelities(switch.registers(angle_qubits(A_GRID)), math.pi / 2)
+    assert np.max(np.abs(done - 1.0)) <= 1e-12
     assert worst <= 1e-12
     _ok(3, f"fidelity matches alpha^2 + sin(t) beta^2, max err {worst:.2e}; 1 at t=pi/2")
 
 
 def test_criterion_4_schmidt_closed_form():
-    worst = sum_worst = 0.0
-    for a in A_GRID:
-        be = math.cos(a)
-        for t in T_GRID:
-            num = ent.schmidt_coefficients(switched_pair(qubit_from_angle(float(a)), float(t)))
-            clo = ent.schmidt_closed(be, float(t))
-            worst = max(worst, abs(num.lambda0 - clo.lambda0), abs(num.lambda1 - clo.lambda1))
-            sum_worst = max(sum_worst, abs(num.lambda0**2 + num.lambda1**2 - 1.0))
-        for t in (0.0, math.pi / 2):
-            lam0 = ent.schmidt_coefficients(
-                switched_pair(qubit_from_angle(float(a)), t)
-            ).lambda0
-            assert lam0 <= 1e-10
+    num = ent.schmidt_spectra(_pairs(*GRID))
+    clo = ent.schmidt_closed(BE, T_GRID)
+    worst = max(
+        float(np.max(np.abs(num[:, 0] - clo.lambda0.ravel()))),
+        float(np.max(np.abs(num[:, 1] - clo.lambda1.ravel()))),
+    )
+    sum_worst = float(np.max(np.abs(num[:, 0] ** 2 + num[:, 1] ** 2 - 1.0)))
+    assert np.max(ent.schmidt_spectra(_pairs(*ENDS))[:, 0]) <= 1e-10
     assert worst <= 1e-10 and sum_worst <= 1e-10
     _ok(4, f"Schmidt coefficients, max err {worst:.2e}, normalization err {sum_worst:.2e}")
 
 
 def test_criterion_5_ppt_closed_form():
-    worst = 0.0
-    for a in A_GRID:
-        al, be = math.sin(a), math.cos(a)
-        for t in T_GRID:
-            rho = to_density(switched_pair(qubit_from_angle(float(a)), float(t)))
-            num = float(ent.ppt_spectrum(rho)[0])
-            clo = float(ent.ppt_closed(al, be, float(t))[0])
-            worst = max(worst, abs(num - clo))
-        for t in (0.0, math.pi / 2):
-            rho = to_density(switched_pair(qubit_from_angle(float(a)), t))
-            assert float(ent.ppt_spectrum(rho)[0]) >= -1e-10
+    num = ent.ppt_spectra(densities(_pairs(*GRID)))[:, 0]
+    clo = np.min(ent.ppt_eigenvalues_closed(AL, BE, T_GRID), axis=0).ravel()
+    worst = float(np.max(np.abs(num - clo)))
+    assert np.min(ent.ppt_spectra(densities(_pairs(*ENDS)))[:, 0]) >= -1e-10
     assert worst <= 1e-10
-    half = to_density(switched_pair(qubit_from_angle(0.0), math.pi / 4))
-    assert abs(float(ent.ppt_spectrum(half)[0]) + 0.5) <= 1e-10
+    half = ent.ppt_spectra(densities(_pairs(0.0, math.pi / 4)))[0]
+    assert abs(half + 0.5) <= 1e-10
     _ok(5, f"partial-transpose minimum eigenvalue, max err {worst:.2e}; -1/2 at (0, pi/4)")
 
 
 def test_criterion_6_concurrence_closed_form():
-    worst = cross = 0.0
-    for a in A_GRID:
-        al, be = math.sin(a), math.cos(a)
-        for t in T_GRID:
-            rho = to_density(switched_pair(qubit_from_angle(float(a)), float(t)))
-            c = ent.concurrence(rho)
-            worst = max(worst, abs(c - ent.concurrence_closed(be, float(t))))
-            cross = max(
-                cross,
-                abs(c - ent.iconcurrence(rho)),
-                abs(c - ent.iconcurrence_closed(al, be, float(t))),
-            )
+    psi = _pairs(*GRID)
+    c = ent.ensemble_concurrences(psi[..., None])
+    worst = float(np.max(np.abs(c - ent.concurrence_closed(BE, T_GRID).ravel())))
+    cross = max(
+        float(np.max(np.abs(c - ent.iconcurrences(densities(psi))))),
+        float(np.max(np.abs(c - ent.iconcurrence_closed(AL, BE, T_GRID).ravel()))),
+    )
     assert worst <= 1e-9 and cross <= 1e-9
     _ok(6, f"concurrence, max err {worst:.2e}; matches I-concurrence within {cross:.2e}")
 
 
+def _reduced(a, t, keep: int):
+    """The reduced state of qubit ``keep`` of the switched pair at each point."""
+    return partial_traces(densities(_pairs(a, t)), 2, {1 - keep})
+
+
 def test_criterion_7_entropy_closed_form():
-    worst = sym = 0.0
-    for a in A_GRID:
-        al, be = math.sin(a), math.cos(a)
-        for t in T_GRID:
-            rho = to_density(switched_pair(qubit_from_angle(float(a)), float(t)))
-            reduced = partial_trace(rho, {1})
-            num = linalg.eigh(reduced.matrix)[0]
-            clo = ent.reduced_eigenvalues_closed(al, be, float(t))
-            worst = max(worst, abs(num[0] - clo[0]), abs(num[1] - clo[1]))
-            s_a, s_b = ent.entropy_symmetry_check(rho)
-            sym = max(sym, abs(s_a - s_b))
-        for t in (0.0, math.pi / 2):
-            rho = to_density(switched_pair(qubit_from_angle(float(a)), t))
-            assert ent.von_neumann_entropy(partial_trace(rho, {1})) <= 1e-10
-    assert worst <= 1e-10 and sym <= 1e-10
-    peak = ent.von_neumann_entropy(
-        partial_trace(to_density(switched_pair(qubit_from_angle(0.0), math.pi / 4)), {1})
+    reduced = _reduced(*GRID, keep=0)
+    num = linalg.eigh(reduced)[0]
+    clo = ent.reduced_eigenvalues_closed(AL, BE, T_GRID)
+    worst = max(
+        float(np.max(np.abs(num[:, 0] - clo[0].ravel()))),
+        float(np.max(np.abs(num[:, 1] - clo[1].ravel()))),
     )
+    sym = float(np.max(np.abs(ent.entropies(reduced) - ent.entropies(_reduced(*GRID, keep=1)))))
+    assert np.max(ent.entropies(_reduced(*ENDS, keep=0))) <= 1e-10
+    assert worst <= 1e-10 and sym <= 1e-10
+    peak = ent.entropies(_reduced(0.0, math.pi / 4, keep=0))
     assert abs(peak - math.log(2.0)) <= 1e-10
     _ok(7, f"reduced-state spectrum, max err {worst:.2e}; S_A=S_B within {sym:.2e}; ln2 peak")
 
 
 def test_criterion_8_noisy_iconcurrence():
     # 5 x 101 points (a outer, t fastest) as one stack per channel, lifted
-    # once, through the kernels behind noisy_pair_density and iconcurrence
+    # once, through pair_ensembles, ensemble_densities and iconcurrences
     worst = 0.0
     a_points = np.linspace(0.0, math.pi / 2, 5)
     t_points = np.linspace(0.0, math.pi / 2, 101)

@@ -100,12 +100,14 @@ def test_ppt_of_product_and_initial_states_is_nonnegative():
 
 def test_ppt_closed_reference_points():
     al, be = amplitudes(math.pi / 4)
-    got = ent.ppt_closed(al, be, math.pi / 8)
+    got = np.sort(np.array(ent.ppt_eigenvalues_closed(al, be, math.pi / 8)))
     assert got[0] == pytest.approx(-0.5 * math.sin(math.pi / 8) * math.cos(math.pi / 8), abs=1e-15)
     # the swap pair cancels, so the two trace-carrying eigenvalues add to one
     assert got[0] + got[2] == pytest.approx(0.0, abs=1e-15)
     assert got[1] + got[3] == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(sorted(ent.ppt_closed(1.0, 0.0, 0.9)), [0, 0, 0, 1], atol=1e-15)
+    assert np.allclose(
+        sorted(ent.ppt_eigenvalues_closed(1.0, 0.0, 0.9)), [0, 0, 0, 1], atol=1e-15
+    )
 
 
 def test_ppt_numeric_matches_closed_form_on_grid():
@@ -113,7 +115,7 @@ def test_ppt_numeric_matches_closed_form_on_grid():
         al, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 30):
             num = ent.ppt_spectrum(to_density(pair(float(a), float(t))))
-            clo = ent.ppt_closed(al, be, float(t))
+            clo = np.sort(np.array(ent.ppt_eigenvalues_closed(al, be, float(t))))
             assert np.max(np.abs(num - clo)) <= 1e-10
 
 
@@ -193,7 +195,7 @@ def test_noisy_closed_form_flip_endpoints_recover_the_clean_value():
 
 def test_noisy_closed_forms_match_the_numeric_pipeline():
     # 7 x 21 points (a outer, t fastest) as one stack per (kind, p), through
-    # the kernels behind noisy_pair_density and iconcurrence
+    # pair_ensembles, ensemble_densities and iconcurrences
     a_points = np.linspace(0, math.pi / 2, 7)
     t_points = np.linspace(0, math.pi / 2, 21)
     amps = angle_qubits(np.repeat(a_points, len(t_points)))
@@ -263,23 +265,23 @@ def test_reduced_entropy_matches_numeric_on_grid():
             assert abs(num2 - ent.reduced_entropy_closed(al, be, float(t), "2")) <= 1e-10
 
 
+def _side_entropies(rho):
+    """(S(rho_A), S(rho_B)) of a 2-qubit density matrix."""
+    return tuple(ent.von_neumann_entropy(partial_trace(rho, {q})) for q in (1, 0))
+
+
 def test_entropy_symmetry_for_pure_joint_states():
-    s_a, s_b = ent.entropy_symmetry_check(bell_density())
+    s_a, s_b = _side_entropies(bell_density())
     assert s_a == pytest.approx(LN2, abs=1e-12)
     assert s_b == pytest.approx(LN2, abs=1e-12)
     rng = np.random.default_rng(29)
     product = to_density(tensor([random_pure(rng, 1), random_pure(rng, 1)]))
-    assert ent.entropy_symmetry_check(product) == pytest.approx((0.0, 0.0), abs=1e-10)
+    assert _side_entropies(product) == pytest.approx((0.0, 0.0), abs=1e-10)
     for _ in range(10):
         a = float(rng.uniform(0, math.pi / 2))
         t = float(rng.uniform(0, math.pi / 2))
-        s_a, s_b = ent.entropy_symmetry_check(to_density(pair(a, t)))
+        s_a, s_b = _side_entropies(to_density(pair(a, t)))
         assert abs(s_a - s_b) <= 1e-10
-
-
-def test_entropy_symmetry_rejects_mixed_states():
-    with pytest.raises(ValueError, match="pure"):
-        ent.entropy_symmetry_check(DensityMatrix(2, np.eye(4) / 4))
 
 
 # ------------------------------------------------- Cross-measure checks
