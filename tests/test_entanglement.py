@@ -284,6 +284,22 @@ def test_entropy_symmetry_for_pure_joint_states():
         assert abs(s_a - s_b) <= 1e-10
 
 
+def test_entropy_symmetry_fails_for_mixed_joint_states():
+    # S(rho_A) = S(rho_B) needs a pure joint state: |0><0| x I/2 has a pure
+    # side and a maximally mixed one
+    s_a, s_b = _side_entropies(DensityMatrix(2, np.diag([0.5, 0.5, 0.0, 0.0])))
+    assert s_a == pytest.approx(0.0, abs=1e-12)
+    assert s_b == pytest.approx(LN2, abs=1e-12)
+    # amplitude damping on qubit A of the half-swapped pair mixes it, and the
+    # sides part; the clean pair's sides agree to rounding
+    rho = to_density(pair(math.pi / 4, math.pi / 4))
+    s_a, s_b = _side_entropies(rho)
+    assert abs(s_a - s_b) <= 1e-10
+    noisy = ch.apply_channel(rho, ch.lift(ch.make_channel("AD", 0.5), 0, 2))
+    s_a, s_b = _side_entropies(noisy)
+    assert abs(s_a - s_b) > 1e-2
+
+
 # ------------------------------------------------- Cross-measure checks
 
 

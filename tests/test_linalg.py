@@ -32,6 +32,33 @@ def test_predicates():
     assert linalg.hermitian_deviation(np.array([[0, 1], [0, 0]])) > linalg.HERMITIAN_ATOL
 
 
+def test_hermitian_deviation_and_hermitize_over_a_stack():
+    rng = np.random.default_rng(17)
+    m = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    deviation = linalg.hermitian_deviation(m)
+    assert deviation.shape == (3,)
+    for i in range(3):
+        assert deviation[i] == linalg.hermitian_deviation(m[i])
+        assert deviation[i] > linalg.HERMITIAN_ATOL
+    h = linalg.hermitize(m)
+    # h_ij and conj(h_ji) are the same two terms added, so the bits agree
+    assert np.all(linalg.hermitian_deviation(h) == 0.0)
+    assert np.array_equal(linalg.hermitize(h), h)
+    assert np.array_equal(h - linalg.dagger(h), np.zeros_like(h))
+
+
+def test_require_reports_the_first_failing_entry():
+    values = np.array([[0.5, 2.0], [3.0, 0.25]])
+    linalg.require(values < 5.0, values, "too big: {value}")
+    with pytest.raises(ValueError, match=r"^too big: 2\.0$"):
+        linalg.require(values < 1.0, values, "too big: {value}")
+    # a scalar value broadcasts against the whole stack of checks
+    with pytest.raises(ValueError, match=r"^bad: 7\.0$"):
+        linalg.require(np.array([True, False]), 7.0, "bad: {value}")
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        linalg.require_finite(np.array([1.0, np.inf]), "entries")
+
+
 def test_eigensystem_of_pauli_z():
     w, _ = linalg.eigh(PAULI_Z)
     assert np.allclose(w, [-1, 1], atol=1e-14)
