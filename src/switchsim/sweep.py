@@ -27,8 +27,8 @@ size does not change a bit of the values. A closed form is called once
 per grid, on sin a and cos a as (A, 1) columns, one entry per a value, and
 the times as a (T,) row; the (A, T) values it returns, a outer and t
 fastest, are the closed column, with the bits of the closed form at each
-single point (see ``pointwise``). A grid may hold at most MAX_GRID_POINTS
-points.
+single point, since both are the same numpy code (see ``entanglement``).
+A grid may hold at most MAX_GRID_POINTS points.
 
 Sweeps, diffs and ``verify`` share one path, ``_columns``: a configuration's
 numeric array and closed column, compared as |numeric - closed|. A diff
@@ -194,6 +194,20 @@ class ChannelSpec:
         return ch.make_channel(self.kind, self.p)
 
 
+def _check_grid(a_steps: int, t_steps: int) -> None:
+    """Reject a grid of ``a_steps`` x ``t_steps`` points that is too small
+    or larger than MAX_GRID_POINTS."""
+    if t_steps < 2:
+        raise ValueError(f"t_steps must be >= 2, got {t_steps}")
+    if a_steps < 1:
+        raise ValueError(f"a_steps must be >= 1, got {a_steps}")
+    if a_steps * t_steps > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a grid of {a_steps} x {t_steps} points exceeds the "
+            f"limit of {MAX_GRID_POINTS:,} points"
+        )
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     measure: str
@@ -211,15 +225,7 @@ class SweepConfig:
             raise ValueError(
                 f"unknown measure {self.measure!r}; expected one of {tuple(MEASURES)}"
             )
-        if self.t_steps < 2:
-            raise ValueError(f"t_steps must be >= 2, got {self.t_steps}")
-        if self.a_steps < 1:
-            raise ValueError(f"a_steps must be >= 1, got {self.a_steps}")
-        if self.a_steps * self.t_steps > MAX_GRID_POINTS:
-            raise ValueError(
-                f"a grid of {self.a_steps} x {self.t_steps} points exceeds the "
-                f"limit of {MAX_GRID_POINTS:,} points"
-            )
+        _check_grid(self.a_steps, self.t_steps)
         for name in ("a", "t_min", "t_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -443,6 +449,9 @@ def verify(
         raise ValueError(f"unknown measures: {sorted(unknown)}")
     if not math.isfinite(inject_error):
         raise ValueError(f"inject_error must be finite, got {inject_error!r}")
+    # checked here as well: the gate measure's battery reads none of them
+    _check_grid(a_steps, t_steps)
+    ent._log_scale(log_base)  # validates
     checks, flips = [], {}
     for name, m, kind, configs in _battery(wanted, a_steps, t_steps, log_base):
         errors, numeric = [], []

@@ -143,17 +143,19 @@ def test_criterion_8_noisy_iconcurrence():
 
 
 def test_criterion_9_average_fidelity():
+    # the 20 times as one stack of unitaries per (kind, p), against one
+    # closed-form call on the same row
     worst = flip = 0.0
+    ts = np.linspace(0.0, math.pi / 2, 20)
+    us = switch.switch_unitaries(ts)
     for kind in ch.CHANNEL_KINDS:
-        for p in np.linspace(0.0, 1.0, 20):
-            lifted = ch.lift(ch.make_channel(kind, float(p)), 0, 3)
-            for t in np.linspace(0.0, math.pi / 2, 20):
-                u = switch.switch_unitaries(float(t))
-                num = ch.average_fidelity_numeric(u, lifted)
-                worst = max(worst, abs(num - ch.average_fidelity_closed(kind, float(p), float(t))))
-                if kind == "PF":
-                    bf = ch.lift(ch.make_channel("BF", float(p)), 0, 3)
-                    flip = max(flip, abs(num - ch.average_fidelity_numeric(u, bf)))
+        for p in np.linspace(0.0, 1.0, 20).tolist():
+            num = ch.average_fidelities(us, ch.lift(ch.make_channel(kind, p), 0, 3))
+            closed = ch.average_fidelity_closed(kind, p, ts)
+            worst = max(worst, float(np.max(np.abs(num - closed))))
+            if kind == "PF":
+                bf = ch.average_fidelities(us, ch.lift(ch.make_channel("BF", p), 0, 3))
+                flip = max(flip, float(np.max(np.abs(num - bf))))
     assert worst <= 1e-10 and flip <= 1e-12
     u = switch.switch_unitaries(0.9)
     for kind in ch.CHANNEL_KINDS:

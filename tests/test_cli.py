@@ -101,19 +101,32 @@ def test_verify_fails_with_injected_error():
     assert "FAIL" in result.stdout
 
 
-def test_verify_output_is_reproducible():
-    first = run_cli(*VERIFY_FAST)
-    second = run_cli(*VERIFY_FAST)
-    assert first.stdout == second.stdout
+def test_verify_output_is_reproducible(capsys):
+    # in process; test_criterion_11_tooling compares two processes
+    outputs = []
+    for _ in range(2):
+        assert cli.main(VERIFY_FAST) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
-def test_usage_errors_exit_2():
-    assert run_cli("sweep", "--measure", "negativity").returncode == 2
-    assert run_cli("sweep").returncode == 2
-    assert run_cli("diff", "--measure", "iconcurrence").returncode == 2
-    result = run_cli("sweep", "--measure", "schmidt", "--channel", "PF", "--p", "0.3")
-    assert result.returncode == 2
-    assert "noiseless" in result.stderr
+def test_usage_errors_exit_2(capsys):
+    # in process: argparse exits 2 itself; the process's exit code is held
+    # by the other tests that run the command
+    for argv in (["sweep", "--measure", "negativity"], ["sweep"],
+                 ["diff", "--measure", "iconcurrence"]):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["sweep", "--measure", "schmidt", "--channel", "PF", "--p", "0.3"]) == 2
+    assert "noiseless" in capsys.readouterr().err
+    # the gate measure's battery reads neither grid size, but verify checks both
+    for grid, message in ((("--a-steps", "-3"), "a_steps must be >= 1, got -3"),
+                          (("--t-steps", "1"), "t_steps must be >= 2, got 1")):
+        assert cli.main(["verify", "--measure", "avg_fidelity", *grid]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 def test_out_path_failure_exits_2(tmp_path):

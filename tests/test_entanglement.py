@@ -10,6 +10,7 @@ from switchsim.states import (
     DensityMatrix,
     PureState,
     angle_qubits,
+    densities,
     make_qubit,
     partial_trace,
     qubit_from_angle,
@@ -316,14 +317,16 @@ def test_pure_state_measures_agree():
 
 
 def test_detection_agreement_across_the_grid():
-    for a in np.linspace(0, math.pi / 2, 50):
-        for t in np.linspace(0, math.pi / 2, 50):
-            psi = pair(float(a), float(t))
-            rho = to_density(psi)
-            ppt_says = ent.ppt_spectrum(rho)[0] < -1e-9
-            schmidt_says = ent.schmidt_coefficients(psi).lambda0 > 1e-9
-            concurrence_says = ent.concurrence(rho) > 1e-9
-            assert ppt_says == schmidt_says == concurrence_says
+    # the 50 x 50 grid as one stack, a outer, t fastest
+    grid = np.linspace(0, math.pi / 2, 50)
+    psi = switched_pairs(angle_qubits(np.repeat(grid, 50)), np.tile(grid, 50))
+    rho = densities(psi)
+    ppt_says = ent.ppt_spectra(rho)[:, 0] < -1e-9
+    schmidt_says = ent.schmidt_spectra(psi)[:, 0] > 1e-9
+    concurrence_says = ent.concurrences(rho) > 1e-9
+    assert np.array_equal(ppt_says, schmidt_says)
+    assert np.array_equal(schmidt_says, concurrence_says)
+    assert ppt_says.any() and not ppt_says.all()
 
 
 def test_every_measure_vanishes_at_the_endpoints():

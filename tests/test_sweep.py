@@ -394,6 +394,13 @@ def test_verify_rejects_unknown_measures():
         verify(measures=["negativity"])
 
 
+def test_verify_rejects_a_bad_log_base_for_every_measure():
+    # the gate measure's battery reads no log base; the command line
+    # offers only the valid ones
+    with pytest.raises(ValueError, match="log_base must be 'e' or '2'"):
+        verify(measures=["avg_fidelity"], log_base="10")
+
+
 def test_verify_respects_log_base():
     checks = verify(measures=["entropy"], a_steps=5, t_steps=5, log_base="2")
     assert all(c.passed for c in checks)
