@@ -93,7 +93,9 @@ POINT = {
 def test_closed_point(benchmark, name):
     benchmark.group = "closed.point"
     value = benchmark(POINT[name])
-    assert all(type(v) is float for v in (value if isinstance(value, tuple) else (value,)))
+    # np.float64 values, which are floats; a 0-d array is not
+    values = value if isinstance(value, tuple) else (value,)
+    assert all(isinstance(v, float) and not isinstance(v, np.ndarray) for v in values)
 
 
 @pytest.fixture(scope="module")

@@ -49,6 +49,7 @@ be; only those take the encoder's text, through a row template with
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -402,26 +403,37 @@ NOISY_A_STEPS = 9
 AVG_GRID = 20
 
 
-def _battery(wanted, a_steps, t_steps, log_base) -> list:
-    """(check name, measure, channel kind or None, configurations) of each
-    closed-form check of ``verify``, in order; see there."""
+@dataclass(frozen=True)
+class CheckRecord:
+    """One check of ``verify``: the numeric values of ``configs`` within
+    ``tolerance`` of a reference, their own closed column or, with
+    ``against``, the numeric values of those configurations, one each."""
+
+    name: str
+    configs: tuple
+    tolerance: float
+    against: Optional[tuple] = None
+
+
+def _battery(wanted, a_steps, t_steps, log_base) -> list[CheckRecord]:
+    """The records of ``verify``'s checks of the measures ``wanted``, in
+    order, all built before any is evaluated: each clean closed form; each
+    noisy closed form under each channel kind on qubit 0 (see AVG_GRID);
+    then a gate measure's [PF] values held to its [BF] values."""
     table = [m for m in MEASURES.values() if m.name in wanted]
-    plan = [(m, None) for m in table if m.closed is not None]
-    plan += [(m, kind) for m in table if m.noisy_closed is not None for kind in ch.CHANNEL_KINDS]
-    avg_p = [float(p) for p in np.linspace(0.0, 1.0, AVG_GRID)]
-    battery = []
-    for m, kind in plan:
-        if kind is None:
-            configs = [SweepConfig(m.name, a_steps=a_steps, t_steps=t_steps,
-                                   log_base=log_base, compare=True)]
-        elif m.gate:
-            configs = [SweepConfig(m.name, t_steps=AVG_GRID, channel=ChannelSpec(kind, p),
-                                   compare=True) for p in avg_p]
-        else:
-            configs = [SweepConfig(m.name, a_steps=NOISY_A_STEPS, t_steps=t_steps,
-                                   channel=ChannelSpec(kind, p), compare=True)
-                       for p in NOISY_P_VALUES]
-        battery.append((m.name if kind is None else f"{m.name}[{kind}]", m, kind, configs))
+    battery = [CheckRecord(m.name, (SweepConfig(m.name, a_steps=a_steps, t_steps=t_steps,
+                                                log_base=log_base, compare=True),), m.tolerance)
+               for m in table if m.closed is not None]
+    noisy = {}
+    for m in (m for m in table if m.noisy_closed is not None):
+        grid = dict(t_steps=AVG_GRID) if m.gate else dict(a_steps=NOISY_A_STEPS, t_steps=t_steps)
+        p_values = np.linspace(0.0, 1.0, AVG_GRID).tolist() if m.gate else NOISY_P_VALUES
+        for kind in ch.CHANNEL_KINDS:
+            noisy[kind] = tuple(SweepConfig(m.name, **grid, channel=ChannelSpec(kind, p),
+                                            compare=True) for p in p_values)
+            battery.append(CheckRecord(f"{m.name}[{kind}]", noisy[kind], m.tolerance))
+        if m.gate:  # the two flip channels give the switch one average fidelity
+            battery.append(CheckRecord(f"{m.name}[PF=BF]", noisy["PF"], 1e-12, noisy["BF"]))
     return battery
 
 
@@ -432,16 +444,13 @@ def verify(
     log_base: str = "e",
     inject_error: float = 0.0,
 ) -> list[VerifyCheck]:
-    """Closed-form-vs-numeric comparison battery.
+    """Closed-form-vs-numeric comparison battery: the largest
+    |numeric - reference| of each record of ``_battery``, in its order.
 
-    One check per measure with a clean closed form, then one per measure
-    with a noisy closed form and channel kind (noise on qubit 0 at each of
-    NOISY_P_VALUES, or at AVG_GRID values of p for a gate measure), then
-    the PF=BF agreement of the average fidelity. ``inject_error`` is added
-    to every closed-form value; it exists so the harness can prove it fails
-    when the two routes disagree. A NaN from either route fails its check.
-    The columns are those of a sweep, compared directly with no rows built,
-    by the expression a row's abs_err takes.
+    ``inject_error`` is added to every closed-form value, so the harness
+    can prove it fails when the two routes disagree. A NaN from either
+    route fails its check. The columns are a sweep's, compared with no
+    rows built, as a row's abs_err; each configuration is evaluated once.
     """
     wanted = MEASURES if measures is None else measures
     unknown = set(wanted) - set(MEASURES)
@@ -449,27 +458,17 @@ def verify(
         raise ValueError(f"unknown measures: {sorted(unknown)}")
     if not math.isfinite(inject_error):
         raise ValueError(f"inject_error must be finite, got {inject_error!r}")
-    # checked here as well: the gate measure's battery reads none of them
-    _check_grid(a_steps, t_steps)
+    _check_grid(a_steps, t_steps)  # here as well: the gate measure's records read neither
     ent._log_scale(log_base)  # validates
-    checks, flips = [], {}
-    for name, m, kind, configs in _battery(wanted, a_steps, t_steps, log_base):
-        errors, numeric = [], []
-        for config in configs:
-            values, closed = _columns(config)
-            errors.append(np.abs(values - (closed + inject_error)))
-            numeric.append(values)
-        # np.max, unlike max(), lets a NaN through, and a NaN fails the check
-        checks.append(VerifyCheck(name, float(np.max(np.concatenate(errors))), m.tolerance))
-        if m.name == "avg_fidelity" and kind in ("PF", "BF"):
-            flips[kind] = np.concatenate(numeric)
-
-    if "avg_fidelity" in wanted:
-        # the two flip channels must agree with each other exactly; the
-        # [PF] and [BF] checks have computed both on the same grid
-        errors = np.abs(flips["PF"] - flips["BF"])
-        checks.append(VerifyCheck("avg_fidelity[PF=BF]", float(np.max(errors)), 1e-12))
-
+    columns, checks = functools.cache(_columns), []
+    for record in _battery(wanted, a_steps, t_steps, log_base):
+        errors = []
+        for config, other in zip(record.configs, record.against or record.configs):
+            values, closed = columns(config)
+            reference = closed + inject_error if record.against is None else columns(other)[0]
+            errors.append(np.abs(values - reference))
+        error = np.max(np.concatenate(errors))  # unlike max(), lets a NaN through to fail
+        checks.append(VerifyCheck(record.name, float(error), record.tolerance))
     return checks
 
 

@@ -155,7 +155,10 @@ def test_grid_cap_exits_2_before_building_the_grid(monkeypatch, capsys):
     for argv in (["sweep", "--measure", "concurrence", *huge],
                  ["diff", "--measure", "concurrence", "--channel", "AD", *huge],
                  ["avg-fidelity", "--channel", "AD", *huge],
-                 ["verify", *huge]):
+                 ["verify", *huge],
+                 # every record is built before any is evaluated: the noisy
+                 # 9 x 200,000 grid is refused before a clean check runs
+                 ["verify", "--a-steps", "1", "--t-steps", "200000"]):
         assert cli.main(argv) == 2
         assert "exceeds the limit" in capsys.readouterr().err
 

@@ -365,17 +365,38 @@ def test_verify_errors_equal_those_of_the_sweep_rows(inject_error):
     # verify builds no rows; its maxima must be those the rows give, bit for bit
     grid = dict(a_steps=4, t_steps=5, log_base="e")
     checks = {c.name: c.max_abs_err for c in verify(**grid, inject_error=inject_error)}
-    flips = {}
+    rows = {}
     battery = sweep._battery(MEASURES, **grid)
-    for name, m, kind, configs in battery:
-        rows = [r for config in configs for r in run_sweep(config)]
-        expected = max(abs(r.value_numeric - (r.value_closed + inject_error)) for r in rows)
-        assert checks.pop(name) == expected, name
-        if m.name == "avg_fidelity" and kind in ("PF", "BF"):
-            flips[kind] = [r.value_numeric for r in rows]
-    expected = max(abs(pf - bf) for pf, bf in zip(flips["PF"], flips["BF"]))
+    for record in battery:
+        if record.against is None:
+            rows[record.name] = [r for config in record.configs for r in run_sweep(config)]
+            expected = max(abs(r.value_numeric - (r.value_closed + inject_error))
+                           for r in rows[record.name])
+            assert checks.pop(record.name) == expected, record.name
+    # the flip agreement, from the [PF] and [BF] rows
+    flips = zip(rows["avg_fidelity[PF]"], rows["avg_fidelity[BF]"])
+    expected = max(abs(pf.value_numeric - bf.value_numeric) for pf, bf in flips)
     assert checks.pop("avg_fidelity[PF=BF]") == expected
-    assert not checks and len(battery) == 14
+    assert not checks and len(battery) == 15
+
+
+#: the checks of each measure's battery, in order
+BATTERIES = {
+    "schmidt": ["schmidt"],
+    "ppt": ["ppt"],
+    "concurrence": ["concurrence"],
+    "iconcurrence": ["iconcurrence", "iconcurrence[PF]", "iconcurrence[BF]",
+                     "iconcurrence[AD]", "iconcurrence[PD]"],
+    "entropy": ["entropy"],
+    "fidelity": ["fidelity"],
+    "avg_fidelity": ["avg_fidelity[PF]", "avg_fidelity[BF]", "avg_fidelity[AD]",
+                     "avg_fidelity[PD]", "avg_fidelity[PF=BF]"],
+}
+
+
+@pytest.mark.parametrize("measure, names", BATTERIES.items())
+def test_the_battery_of_each_measure(measure, names):
+    assert [c.name for c in verify(measures=[measure], a_steps=2, t_steps=2)] == names
 
 
 def test_verify_lifts_each_average_fidelity_channel_once(monkeypatch):
