@@ -4,13 +4,15 @@ where the route accepts a channel, in the blocks `sweep._routes` sizes,
 plus the concurrence under a bit flip on noise qubit 1 (the configuration
 of the benchmark's `diff` commands) and the I-concurrence under amplitude
 damping on qubit 0 on a 9 x 50 grid (the shape of a noisy configuration
-of `verify`); the first qubit's reduced states of 256 switched pairs under
-amplitude damping on qubit 0, read from the Kraus branches
-(`entanglement.pair_ensembles` and `reduced_states`, the sweeps' route)
-against the density matrices `channels.apply_kraus` forms and
-`states.partial_traces`; each closed form of the table through
-`sweep._closed_column` on the 50 x 101 grid, clean, and under amplitude
-damping on qubit 0 where it has a noisy form, one call per grid; one call
+of `verify`); the first qubit's entropy of 256 switched pairs under
+amplitude damping on qubit 0, read from the determinant of the Kraus
+branches (`entanglement.pair_ensembles`, `reduced_determinants` and
+`determinant_entropies`, the sweeps' route, with no eigensolve) against
+the eigensolve `entanglement.entropies` of the reduced states that
+`channels.apply_kraus` and `states.partial_traces` form; each closed form
+of the table through `sweep._closed_column` on the 50 x 101 grid, clean,
+and under amplitude damping on qubit 0 where it has a noisy form, one
+call per grid; one call
 of each scalar closed-form entry point at one point, the cost a caller
 that evaluates point by point pays; the concurrence of a
 density matrix, `entanglement.concurrences`, on a 256-matrix noisy stack;
@@ -112,22 +114,22 @@ def pairs(pair_inputs):
 
 
 PAIR_LIFTED = channels.lift(NOISE.make(), NOISE.qubit, 2)
-#: the first qubit's reduced states of noisy switched pairs, two ways
-REDUCED = {
-    "kraus_branches": lambda amps, t: entanglement.reduced_states(
-        entanglement.pair_ensembles(amps, t, PAIR_LIFTED)
+#: the first qubit's entropy of noisy switched pairs, two ways
+ENTROPY = {
+    "determinant": lambda amps, t: entanglement.determinant_entropies(
+        entanglement.reduced_determinants(entanglement.pair_ensembles(amps, t, PAIR_LIFTED))
     ),
-    "apply_kraus": lambda amps, t: states.partial_traces(
+    "eigensolve": lambda amps, t: entanglement.entropies(states.partial_traces(
         channels.apply_kraus(states.densities(switch.switched_pairs(amps, t)), PAIR_LIFTED),
         2, {1},
-    ),
+    )),
 }
 
 
-@pytest.mark.parametrize("route", REDUCED)
-def test_reduced_states(benchmark, pair_inputs, route):
+@pytest.mark.parametrize("route", ENTROPY)
+def test_pair_entropies(benchmark, pair_inputs, route):
     benchmark.group = "sweep.pairs"
-    assert benchmark(REDUCED[route], *pair_inputs).shape == (256, 2, 2)
+    assert benchmark(ENTROPY[route], *pair_inputs).shape == (256,)
 
 
 def test_density_concurrences(benchmark, pairs):

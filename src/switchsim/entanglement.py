@@ -7,32 +7,33 @@ against each other throughout the test suite.
 
 Each numeric measure is one stacked kernel with a plural name
 (``schmidt_spectra``, ``ppt_spectra``, ``concurrences``, ``iconcurrences``,
-``entropies``) over arrays with one state per point along the leading axes;
-the single-state functions call it on one state. The kernels that
-eigensolve a density matrix (``entropies``, ``concurrences`` and
-``iconcurrences``) read its positivity from that one ``linalg.eigh``: the
-stages that build the matrices do not check it (see ``states``).
+``entropies``, ``determinant_entropies``) over arrays with one state per
+point along the leading axes; the single-state functions call it on one
+state. The kernels that eigensolve a density matrix (``entropies``,
+``concurrences`` and ``iconcurrences``) read its positivity from that one
+``linalg.eigh``: the stages that build the matrices do not check it (see
+``states``). No sweep calls them.
 
-The concurrence, the Schmidt coefficients and the I-concurrence read an
-ensemble xi, the columns of a decomposition rho = xi xi^dagger, and take
-no square root of a spectrum. A sweep hands them the Kraus branches
-E_k psi of the evolved pair, which decompose the noisy pair's density
-matrix without forming it; ``_ensemble`` factors a density matrix as
-V sqrt(w) from one eigensolve. The concurrence's kernel,
-``ensemble_concurrences``, is Uhlmann's form of Wootters' formula, read
-from singular values. ``reduced_determinants`` is the determinant of the
-first qubit's reduced state X X^dagger, with X = xi reshaped to
-(..., 2, 2K): by Cauchy-Binet a sum of squared 2 x 2 minors of X, so
-nothing cancels. The I-concurrence is 2 sqrt(det), and the Schmidt
-coefficients of a pure pair are the roots of l^2 - l + det.
+The concurrence, the Schmidt coefficients, the I-concurrence and the
+entropy read an ensemble xi, the columns of a decomposition
+rho = xi xi^dagger, and take no square root of a spectrum. A sweep hands
+them the Kraus branches E_k psi of the evolved pair, which decompose the
+noisy pair's density matrix without forming it; ``_ensemble`` factors a
+density matrix as V sqrt(w) from one eigensolve. The concurrence's
+kernel, ``ensemble_concurrences``, is Uhlmann's form of Wootters'
+formula, read from singular values. ``reduced_determinants`` is the
+determinant of the first qubit's reduced state X X^dagger, with X = xi
+reshaped to (..., 2, 2K): by Cauchy-Binet a sum of squared 2 x 2 minors
+of X, so nothing cancels. The spectrum of a unit-trace 2 x 2 state is the
+roots of l^2 - l + det (``_reduced_spectrum``), read with no eigensolve:
+the I-concurrence is 2 sqrt(det), the Schmidt coefficients of a pure pair
+are the square roots of the roots, and the entropy,
+``determinant_entropies``, is -sum l log(l) over them.
 
-The other measures of a noisy pair read the same ensemble,
-``pair_ensembles``, through Gram products: ``ensemble_densities`` gives
-the pair's density matrix xi xi^dagger for the PPT spectrum, and
-``reduced_states`` the first qubit's reduced state X X^dagger for the
-entropy: the partial trace over the second qubit, without a 4 x 4 matrix.
-For a clean pair, K = 1, both have the bits of ``states.densities`` and
-``states.partial_traces``.
+The PPT spectrum reads the same ensemble, ``pair_ensembles``, through a
+Gram product: ``ensemble_densities`` gives the pair's density matrix
+xi xi^dagger, for a clean pair (K = 1) with the bits of
+``states.densities``.
 
 Each closed form is one definition in plain numpy: called on Python
 scalars it returns numpy floats (``np.float64``, a subclass of float), and
@@ -40,10 +41,10 @@ called on a column of amplitudes, shape (A, 1), and a row of times, shape
 (T,), it returns the (A, T) grid of values in one call, each entry with
 the bits of the single-point call. Squares are ``np.float_power(x, 2)``,
 the C library's pow, as Python's ``x ** 2``: ``np.power`` multiplies,
-which rounds differently on about 0.08% of doubles, and in the entropy's
-form, whose (1 - root) / 2 cancels, that last bit moves the value by up
-to 4.7e-16. The Schmidt and I-concurrence forms factor the same
-determinant into nonnegative products.
+which rounds differently on about 0.08% of doubles. The Schmidt,
+I-concurrence and entropy forms factor the same determinant into
+nonnegative products; the Schmidt and entropy forms read its spectrum
+through ``_reduced_spectrum``, as the numeric routes do.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def _psd_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def reduced_determinants(xi: np.ndarray) -> np.ndarray:
     """det of the first qubit's reduced state X X^dagger for each 2-qubit
     ensemble of a stack, shape (..., 4, K), with X = xi reshaped to
-    (..., 2, 2K) as ``reduced_states`` reshapes it.
+    (..., 2, 2K): its columns <j|_1 E_k psi decompose the partial trace
+    over the second qubit.
 
     By Cauchy-Binet the determinant is the sum over column pairs i < j of
     |X_0i X_1j - X_0j X_1i|^2. Every term is nonnegative, so nothing
@@ -110,14 +112,29 @@ def reduced_determinants(xi: np.ndarray) -> np.ndarray:
     return np.sum(m.real * m.real + m.imag * m.imag, axis=-1)
 
 
-def _schmidt_pair(d):
-    """(lambda0, lambda1) of a pure pair whose reduced state has determinant
-    d: the roots of l^2 - l + d, the small one written as
+def _reduced_spectrum(d):
+    """Ascending spectrum of each unit-trace 2 x 2 state whose determinant
+    is d: the roots of l^2 - l + d, the small one written as
     2d / (1 + sqrt(1 - 4d)) so that it cancels nothing. d is at most 1/4;
-    rounding above it would put lambda0 above lambda1."""
+    rounding above it would put the small root above the large one. A NaN
+    d gives NaN roots."""
     d = pw.least(d, 0.25)
     root = np.sqrt(1.0 - 4.0 * d)
-    return np.sqrt(2.0 * d / (1.0 + root)), np.sqrt((1.0 + root) / 2.0)
+    return 2.0 * d / (1.0 + root), (1.0 + root) / 2.0
+
+
+def _schmidt_pair(d):
+    """(lambda0, lambda1) of a pure pair whose reduced state has determinant
+    d: the square roots of that state's spectrum."""
+    return tuple(np.sqrt(lam) for lam in _reduced_spectrum(d))
+
+
+def _switched_determinant(beta0, t):
+    """d = |sin(t) beta|^2 |cos(t) beta|^2, the determinant of the first
+    qubit's reduced state of the switched pair, a product of nonnegative
+    factors."""
+    s, c = abs(np.sin(t) * beta0), abs(np.cos(t) * beta0)
+    return s * s * (c * c)
 
 
 def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
@@ -139,8 +156,7 @@ def schmidt_closed(beta0: complex, t: float) -> SchmidtPair:
     sqrt(1 -+ sqrt(1 - 4d)) / sqrt(2) with d = |sin(t) beta|^2 |cos(t) beta|^2,
     through ``_schmidt_pair``, so that lambda0 cancels nothing."""
     _checked_beta(beta0)
-    s, c = abs(np.sin(t) * beta0), abs(np.cos(t) * beta0)
-    return SchmidtPair(*_schmidt_pair(s * s * (c * c)))
+    return SchmidtPair(*_schmidt_pair(_switched_determinant(beta0, t)))
 
 
 def ppt_spectra(rho: np.ndarray) -> np.ndarray:
@@ -326,30 +342,36 @@ def _log_scale(log_base: str) -> float:
     raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
 
 
-def reduced_entropy_closed(
-    alpha0: complex, beta0: complex, t: float, log_base: str = "e"
-) -> float:
-    """Entropy of the first data qubit of the switched pair via the
-    closed-form eigenvalue pair
+def determinant_entropies(d, log_base: str = "e"):
+    """-sum l log(l) over the spectrum ``_reduced_spectrum(d)`` of each
+    unit-trace 2 x 2 state whose determinant is d, with 0 log 0 = 0; no
+    eigensolve. Both roots lie in [0, 1], so no term is positive, and a NaN
+    d gives a NaN entropy.
 
-        (1 -+ sqrt(2|a b|^2 + |a|^4 + |b|^4 cos^2(2t))) / 2.
+    ``log_base`` selects nats ("e", the default) or bits ("2").
     """
     scale = _log_scale(log_base)
     total = 0.0
-    for lam in reduced_eigenvalues_closed(alpha0, beta0, t):
-        # both eigenvalues lie in [0, 1]; 0 log 0 = 0 reads 0 log 1, and
-        # total - 0.0 is total
+    for lam in _reduced_spectrum(d):
+        # 0 log 0 = 0 reads 0 log 1, and total - 0.0 is total
         total = total - lam * np.log(np.where(lam > 0.0, lam, 1.0))
     return total * scale
 
 
+def reduced_entropy_closed(
+    alpha0: complex, beta0: complex, t: float, log_base: str = "e"
+) -> float:
+    """Entropy of the first data qubit of the switched pair:
+    ``determinant_entropies`` of d = |sin(t) beta|^2 |cos(t) beta|^2."""
+    return determinant_entropies(_switched_determinant(beta0, t), log_base)
+
+
 def reduced_eigenvalues_closed(alpha0: complex, beta0: complex, t: float):
-    """The closed-form eigenvalue pair behind reduced_entropy_closed, ascending."""
-    x, y = np.float_power(abs(alpha0), 2), np.float_power(abs(beta0), 2)
-    cos_sq = np.float_power(np.cos(2 * t), 2)
-    radicand = 2 * x * y + np.float_power(x, 2) + np.float_power(y, 2) * cos_sq
-    root = np.sqrt(pw.least(1.0, radicand))
-    return (1.0 - root) / 2.0, (1.0 + root) / 2.0
+    """The closed-form eigenvalue pair behind reduced_entropy_closed,
+    ascending: the roots of l^2 - l + d, d = |sin(t) beta|^2 |cos(t) beta|^2,
+    equal to (1 -+ sqrt(2|a b|^2 + |a|^4 + |b|^4 cos^2(2t))) / 2 for
+    normalized amplitudes."""
+    return _reduced_spectrum(_switched_determinant(beta0, t))
 
 
 def pair_ensembles(
@@ -376,13 +398,3 @@ def ensemble_densities(xi: np.ndarray) -> np.ndarray:
     matrix by construction, so it is not checked again.
     """
     return np.sum(xi[..., :, None, :] * np.conj(xi)[..., None, :, :], axis=-1)
-
-
-def reduced_states(xi: np.ndarray) -> np.ndarray:
-    """The first qubit's reduced state of each 2-qubit ensemble of a stack,
-    shape (..., 2, 2): X X^dagger with X = xi reshaped to (..., 2, 2K),
-    whose columns <j|_1 E_k psi decompose Tr_1(xi xi^dagger), the partial
-    trace over qubit 1, without forming the 4 x 4 matrix. With one column
-    it has the bits of ``states.partial_traces`` of ``states.densities``."""
-    return ensemble_densities(xi.reshape(xi.shape[:-2] + (2, -1)))
-

@@ -74,18 +74,3 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     require(deviation <= HERMITIAN_ATOL, deviation,
             "matrix is not Hermitian: max |M - M^dagger| entry is {value:.3e}")
     return np.linalg.eigh(hermitize(m))
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix, or of each
-    matrix of a stack.
-
-    Eigenvalues in (PSD_EIGENVALUE_FLOOR, 0) are numerical noise from
-    operator products and are clamped to zero; anything lower is rejected.
-    """
-    w, v = eigh(np.asarray(m, dtype=complex))
-    require(w[..., 0] >= PSD_EIGENVALUE_FLOOR, w[..., 0],
-            "matrix is not positive semidefinite: min eigenvalue {value:.3e}")
-    w = np.where(w < 0, 0.0, w)
-    s = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
-    return hermitize(s)

@@ -18,10 +18,10 @@ stack of amplitude vectors, since it also rescales them, and
 ``checked_density`` only in the ``DensityMatrix`` constructor. The stages
 that build density matrices from input already checked (``densities``
 from normalized vectors, ``partial_traces`` from density matrices,
-``entanglement.ensemble_densities`` and ``entanglement.reduced_states``
-from the Kraus branches of a normalized vector under a channel whose
-completeness was checked, and ``channels.apply_kraus``, behind
-``channels.apply_channel``, from density matrices and such a channel) do
+``entanglement.ensemble_densities`` from the Kraus branches of a
+normalized vector under a channel whose completeness was checked, and
+``channels.apply_kraus``, behind ``channels.apply_channel``, from density
+matrices and such a channel) do
 not check their result: Hermiticity, unit trace and positivity hold there
 by construction, up to rounding far below DENSITY_ATOL and
 linalg.PSD_EIGENVALUE_FLOOR. A sweep applies no channel to a density

@@ -14,21 +14,22 @@ produce byte-identical files.
 The numeric route evaluates the grid as stacked arrays, in blocks sized by
 the bytes of the route's matrices (BLOCK_POINTS points for a gate route, 4
 times that for a pair route), so that the memory it holds does not grow
-with the grid. The (a, t) values of a block are checked at its boundary,
-the amplitude vectors at every stage, and the density matrices once, by
-the eigensolve of the measure where it has one (see ``states``). Every
-pair route reads the evolved pair as its Kraus branches E_k psi (psi
-itself for a clean run), and no mixed measure forms the noisy pair by a
-channel product E_k rho E_k^dagger: the ppt reads the pair's density
-matrix as the Gram product of the branches, the I-concurrence and the
-entropy the first qubit's reduced state, and the concurrence forms no
-density matrix and makes no eigensolve (see ``entanglement``). The block
-size does not change a bit of the values. A closed form is called once
-per grid, on sin a and cos a as (A, 1) columns, one entry per a value, and
-the times as a (T,) row; the (A, T) values it returns, a outer and t
-fastest, are the closed column, with the bits of the closed form at each
-single point, since both are the same numpy code (see ``entanglement``).
-A grid may hold at most MAX_GRID_POINTS points.
+with the grid. The (a, t) values of a block are checked at its boundary
+and the amplitude vectors at every stage; what is built from them holds
+by construction and is not checked again (see ``states``). Every pair
+route reads the evolved pair as its Kraus branches E_k psi (psi itself
+for a clean run), and no mixed measure forms the noisy pair by a channel
+product E_k rho E_k^dagger: the ppt reads the pair's density matrix as
+the Gram product of the branches and makes the only eigensolve of a pair
+route, on its partial transpose; the I-concurrence and the entropy read
+the determinant of the first qubit's reduced state from the branches,
+and the concurrence forms no density matrix (see ``entanglement``). The
+block size does not change a bit of the values. A closed form is called
+once per grid, on sin a and cos a as (A, 1) columns, one entry per a
+value, and the times as a (T,) row; the (A, T) values it returns, a
+outer and t fastest, are the closed column, with the bits of the closed
+form at each single point, since both are the same numpy code (see
+``entanglement``). A grid may hold at most MAX_GRID_POINTS points.
 
 Sweeps, diffs and ``verify`` share one path, ``_columns``: a configuration's
 numeric array and closed column, compared as |numeric - closed|. A diff
@@ -149,8 +150,8 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "entropy",
-        numeric=lambda a, t, lifted, base: ent.entropies(
-            ent.reduced_states(_pair_ensembles(a, t, lifted)), base
+        numeric=lambda a, t, lifted, base: ent.determinant_entropies(
+            ent.reduced_determinants(_pair_ensembles(a, t, lifted)), base
         ),
         closed=lambda al, be, t, base: ent.reduced_entropy_closed(al, be, t, base),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,

@@ -88,30 +88,3 @@ def test_eigensystem_reconstructs_random_hermitian():
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         linalg.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_psd_sqrt_identity_and_diagonal():
-    assert np.allclose(linalg.psd_sqrt(np.eye(4)), np.eye(4), atol=1e-14)
-    assert np.allclose(linalg.psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-
-def test_psd_sqrt_fixes_pure_projectors():
-    v = np.array([0.6, 0.8j])
-    rho = np.outer(v, v.conj())
-    assert np.allclose(linalg.psd_sqrt(rho), rho, atol=1e-12)
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(13)
-    for dim in (2, 4, 8):
-        for _ in range(10):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            m = g.conj().T @ g
-            s = linalg.psd_sqrt(m)
-            assert np.linalg.norm(s @ s - m) <= 1e-9
-            assert linalg.hermitian_deviation(s) <= linalg.HERMITIAN_ATOL
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        linalg.psd_sqrt(np.diag([1.0, -1e-6]))

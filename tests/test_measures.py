@@ -66,7 +66,7 @@ def test_determinant_forms_hold_for_complex_phases(a, t, phi, kind, p):
     assert abs(concurrence - ent.concurrence_closed(be, t)) <= 1e-12
     ppt = ent.ppt_spectra(states.densities(psi))[0]
     assert np.max(np.abs(ppt - np.sort(np.array(ent.ppt_eigenvalues_closed(al, be, t))))) <= 1e-12
-    entropy = ent.entropies(ent.reduced_states(psi[..., None]))[0]
+    entropy = ent.entropies(states.partial_traces(states.densities(psi), 2, {1}))[0]
     assert abs(entropy - ent.reduced_entropy_closed(al, be, t)) <= 1e-12
     fidelity = switch.switch_fidelities(switch.registers(amps), t)[0]
     assert abs(fidelity - ent.fidelity_closed(al, be, t)) <= 1e-12
@@ -168,6 +168,8 @@ def _choi_concurrence(kind: str, p: float) -> float:
 #: 2,500 random ones; the density-matrix route, which runs an eigensolve
 #: per point, is held to the law on these
 DENSITY_PROBE = 4_000
+#: the probe's near-separable points, its first
+NEAR_SEPARABLE = 1_500
 
 
 @pytest.fixture(scope="module")
@@ -230,30 +232,40 @@ def test_determinant_routes_meet_their_closed_forms_on_the_probe(probe, name, ki
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
 def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, kind, qubit):
-    # the routes read their matrices from the Kraus branches E_k psi; the
-    # reference forms sum_k E_k rho E_k^dagger and runs the same kernel.
-    # The I-concurrence is held by the reduced state it reads: from a
-    # density matrix alone, a value near 0 is known only to about
-    # sqrt(machine eps), so its values cannot be held at 1e-13. The
-    # reference runs on the DENSITY_PROBE points, for time, as in the test
-    # above
+    # the routes read the Kraus branches E_k psi; the reference forms
+    # sum_k E_k rho E_k^dagger and eigensolves it, or for the entropy its
+    # partial trace. The I-concurrence is held by the entropy, which reads
+    # the same determinant: from a density matrix alone, a value near 0 is
+    # known only to about sqrt(machine eps), so its values cannot be held
+    # at 1e-13. The reference runs on the DENSITY_PROBE points, for time,
+    # as in the test above
     a, t = probe[0][:DENSITY_PROBE], probe[1][:DENSITY_PROBE]
     rho = states.densities(switch.switched_pairs(states.angle_qubits(a), t))
     kernels = {
         "ppt": lambda m: ent.ppt_spectra(m)[:, 0],
         "entropy": lambda m: ent.entropies(states.partial_traces(m, 2, {1})),
     }
-    for name, kernel in kernels.items():
-        # one branch: the density matrix and the reduced state keep their bits
-        assert np.array_equal(MEASURES[name].numeric(a, t, None, "e"), kernel(rho)), name
-    for p in (0.0, 0.13, 0.5, 0.74, 1.0):
-        lifted = ch.lift(ch.make_channel(kind, p), qubit, 2)
-        noisy = ch.apply_kraus(rho, lifted)
+    # one branch: the ppt's density matrix keeps its bits; the entropy
+    # reads no eigensolve, so it is held at 1e-13 below
+    assert np.array_equal(MEASURES["ppt"].numeric(a, t, None, "e"), kernels["ppt"](rho))
+    for p in (None, 0.0, 0.13, 0.5, 0.74, 1.0):
+        lifted = None if p is None else ch.lift(ch.make_channel(kind, p), qubit, 2)
+        noisy = rho if p is None else ch.apply_kraus(rho, lifted)
         for name, kernel in kernels.items():
             route = MEASURES[name].numeric(a, t, lifted, "e")
             assert np.max(np.abs(route - kernel(noisy))) <= 1e-13, (name, p)
-        reduced = ent.reduced_states(ent.pair_ensembles(states.angle_qubits(a), t, lifted))
-        assert np.max(np.abs(reduced - states.partial_traces(noisy, 2, {1}))) <= 1e-13, p
+
+
+@pytest.mark.parametrize("base", ["e", "2"])
+def test_entropy_routes_agree_near_separable_points(probe, base):
+    # the small eigenvalue is as low as 7e-43 here: a form that cancels,
+    # such as (1 - root) / 2, or an eigensolve reads it, and the entropy,
+    # as 0
+    a, t = probe[0][:NEAR_SEPARABLE], probe[1][:NEAR_SEPARABLE]
+    route = MEASURES["entropy"].numeric(a, t, None, base)
+    closed = ent.reduced_entropy_closed(np.sin(a), np.cos(a), t, base)
+    assert np.all(route > 0.0) and np.all(closed > 0.0)
+    assert np.max(np.abs(route - closed) / closed) <= 1e-12
 
 
 def test_clean_iconcurrence_holds_its_tolerance_where_it_is_small():
@@ -287,11 +299,15 @@ def test_noise_on_the_second_qubit_is_invisible_to_entropy_and_iconcurrence(name
 # closed column, and every scalar call, is held within 1e-15 of it; a
 # closed column keeps the bits of the package's own scalar calls.
 
-def _ref_schmidt(beta0, t):
+def _ref_reduced_eigenvalues(alpha0, beta0, t):
     s, c = abs(math.sin(t) * beta0), abs(math.cos(t) * beta0)
     d = min(s * s * (c * c), 0.25)
     root = math.sqrt(1.0 - 4.0 * d)
-    return ent.SchmidtPair(math.sqrt(2.0 * d / (1.0 + root)), math.sqrt((1.0 + root) / 2.0))
+    return 2.0 * d / (1.0 + root), (1.0 + root) / 2.0
+
+
+def _ref_schmidt(beta0, t):
+    return ent.SchmidtPair(*map(math.sqrt, _ref_reduced_eigenvalues(0.0, beta0, t)))
 
 
 def _ref_ppt_eigenvalues(alpha0, beta0, t):
@@ -326,12 +342,6 @@ def _ref_iconcurrence_noisy(kind, p, t, alpha0, beta0):
     if kind == "AD":
         return 2.0 * math.sqrt((1.0 - p) * u * (s + p * u))
     return 2.0 * math.sqrt(u * (s + p * x))
-
-
-def _ref_reduced_eigenvalues(alpha0, beta0, t):
-    x, y = abs(alpha0) ** 2, abs(beta0) ** 2
-    root = math.sqrt(min(1.0, 2 * x * y + x**2 + y**2 * math.cos(2 * t) ** 2))
-    return (1.0 - root) / 2.0, (1.0 + root) / 2.0
 
 
 def _ref_entropy(alpha0, beta0, t, log_base):
@@ -667,7 +677,6 @@ def test_concurrence_makes_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(
     calls = []
     for attr in ("eigh", "eigvalsh"):
         _counting(monkeypatch, np.linalg, attr, calls)
-    _counting(monkeypatch, linalg, "psd_sqrt", calls)
     noisy = [ChannelSpec(kind, 0.3, qubit) for kind in ch.CHANNEL_KINDS for qubit in (0, 1)]
     run_sweep(SweepConfig("concurrence", a_steps=3, t_steps=5, compare=True))
     for spec in noisy:
@@ -684,22 +693,25 @@ def test_concurrence_makes_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(
 def test_determinant_routes_make_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(
     monkeypatch,
 ):
-    # the Schmidt and I-concurrence routes read the reduced state's
-    # determinant from its minors; a density matrix is eigensolved once
+    # the Schmidt, I-concurrence and entropy routes read the reduced
+    # state's determinant from its minors; a density matrix is eigensolved
+    # once
     calls = []
     for attr in ("eigh", "eigvalsh", "svd"):
         _counting(monkeypatch, np.linalg, attr, calls)
-    run_sweep(SweepConfig("schmidt", a_steps=3, t_steps=5, compare=True))
-    run_sweep(SweepConfig("iconcurrence", a_steps=3, t_steps=5, compare=True))
-    for kind in ch.CHANNEL_KINDS:
-        for qubit in (0, 1):
-            config = SweepConfig("iconcurrence", a_steps=3, t_steps=5,
-                                 channel=ChannelSpec(kind, 0.3, qubit), compare=True)
-            run_sweep(config)
-            diff_sweep(config)
+    for name in ("schmidt", "iconcurrence", "entropy"):
+        run_sweep(SweepConfig(name, a_steps=3, t_steps=5, compare=True))
+    for name in ("iconcurrence", "entropy"):
+        for kind in ch.CHANNEL_KINDS:
+            for qubit in (0, 1):
+                config = SweepConfig(name, a_steps=3, t_steps=5,
+                                     channel=ChannelSpec(kind, 0.3, qubit), compare=True)
+                run_sweep(config)
+                diff_sweep(config)
     ent.schmidt_coefficients(switch.switched_pair(states.qubit_from_angle(0.4), 0.3))
     assert calls == []
     rho = states.DensityMatrix(2, _RHO)
-    calls.clear()
-    ent.iconcurrence(rho)
-    assert calls == ["eigh"]
+    for measure in (ent.iconcurrence, ent.von_neumann_entropy):
+        calls.clear()
+        measure(rho)
+        assert calls == ["eigh"], measure

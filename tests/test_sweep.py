@@ -436,16 +436,31 @@ def test_fidelity_closed_form_holds_where_sin_t_is_negative():
     assert all(r.abs_err <= 1e-12 for r in rows)
 
 
-def test_verify_fails_when_a_route_returns_nan(monkeypatch):
-    ensemble_concurrences = ent.ensemble_concurrences
+def _nan_at_an_interior_point(monkeypatch, kernel):
+    """Rebind the package kernel ``ent.<kernel>`` to one that returns NaN at
+    the fifth point of each call."""
+    original = getattr(ent, kernel)
 
-    def nan_at_an_interior_point(xi):
-        values = ensemble_concurrences(xi)
+    def patched(xi):
+        values = original(xi)
         values[4] = math.nan
         return values
 
-    monkeypatch.setattr(ent, "ensemble_concurrences", nan_at_an_interior_point)
+    monkeypatch.setattr(ent, kernel, patched)
+
+
+def test_verify_fails_when_a_route_returns_nan(monkeypatch):
+    _nan_at_an_interior_point(monkeypatch, "ensemble_concurrences")
     [check] = verify(measures=["concurrence"], a_steps=3, t_steps=3)
+    assert math.isnan(check.max_abs_err)
+    assert not check.passed
+
+
+def test_verify_fails_when_the_reduced_determinant_is_nan(monkeypatch):
+    # the entropy reads its spectrum from the determinant, with no
+    # eigensolve that would reject a NaN; the NaN must reach the check
+    _nan_at_an_interior_point(monkeypatch, "reduced_determinants")
+    [check] = verify(measures=["entropy"], a_steps=3, t_steps=3)
     assert math.isnan(check.max_abs_err)
     assert not check.passed
 
