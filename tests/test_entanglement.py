@@ -255,6 +255,28 @@ def test_reduced_entropy_closed_reference_points():
     assert lam0 + lam1 == pytest.approx(1.0, abs=1e-15)
 
 
+def test_determinant_entropies_match_the_eigensolve_over_the_range():
+    # diag(p, 1 - p) has determinant p (1 - p); the ends are the pure state
+    # (exactly 0) and the maximally mixed one, and a determinant rounded
+    # above 1/4 reads as 1/4
+    p = np.concatenate([[0.0, 1e-300, 1e-17, 0.5], np.linspace(0.0, 0.5, 41)])
+    rho = np.zeros(p.shape + (2, 2))
+    rho[:, 0, 0], rho[:, 1, 1] = p, 1.0 - p
+    for base, full in (("e", LN2), ("2", 1.0)):
+        kernel = ent.determinant_entropies(p * (1.0 - p), base)
+        assert np.max(np.abs(kernel - ent.entropies(rho, base))) <= 1e-14, base
+        assert kernel[0] == 0.0 and kernel[1] > 0.0 and kernel[2] > 0.0, base
+        assert ent.determinant_entropies(0.25 + 1e-16, base) == full, base
+
+
+def test_determinant_entropies_read_a_nan_determinant_as_nan():
+    d = np.array([0.1, math.nan, 0.0, 0.25])
+    for base in ("e", "2"):
+        s = ent.determinant_entropies(d, base)
+        assert math.isnan(s[1]), base
+        assert np.all(np.isfinite(s[[0, 2, 3]])), base
+
+
 def test_reduced_entropy_matches_numeric_on_grid():
     for a in np.linspace(0, math.pi / 2, 20):
         al, be = amplitudes(float(a))
