@@ -12,13 +12,14 @@ the eigensolve `entanglement.entropies` of the reduced states that
 `channels.apply_kraus` and `states.partial_traces` form; each closed form
 of the table through `sweep._closed_column` on the 50 x 101 grid, clean,
 and under amplitude damping on qubit 0 where it has a noisy form, one
-call per grid; one call
-of each scalar closed-form entry point at one point, the cost a caller
-that evaluates point by point pays; the concurrence of a
-density matrix, `entanglement.concurrences`, on a 256-matrix noisy stack;
-and the two state checks, `states.checked_density` and
-`states.normalized`, on a 256-point stack, the size of a pair route's
-block.
+call per grid; one call of each scalar closed-form entry point at one
+point, the cost a caller that evaluates point by point pays; the switch's
+evolution, `switch.switched_pairs` on a 256-point stack (a pair route's
+block) and `switch.switch_fidelities` on 64 registers (a gate route's
+block; it evolves each register twice); the concurrence of a density
+matrix, `entanglement.concurrences`, on a 256-matrix noisy stack; and the
+two state checks, `states.checked_density` and `states.normalized`, on a
+256-point stack, the size of a pair route's block.
 
     pytest benchmarks/bench_routes.py
     pytest benchmarks/bench_routes.py --benchmark-json BENCH_routes.json
@@ -111,6 +112,18 @@ def pair_inputs():
 def pairs(pair_inputs):
     """256 switched pairs, shape (256, 4)."""
     return switch.switched_pairs(*pair_inputs)
+
+
+def test_switched_pairs(benchmark, pair_inputs):
+    benchmark.group = "switch"
+    assert benchmark(switch.switched_pairs, *pair_inputs).shape == (256, 4)
+
+
+def test_switch_fidelities(benchmark):
+    benchmark.group = "switch"
+    x = np.linspace(0.0, np.pi / 2, sweep.BLOCK_POINTS)
+    regs = switch.registers(states.angle_qubits(x))
+    assert benchmark(switch.switch_fidelities, regs, x).shape == (sweep.BLOCK_POINTS,)
 
 
 PAIR_LIFTED = channels.lift(NOISE.make(), NOISE.qubit, 2)

@@ -13,9 +13,13 @@ The functions with plural names work on stacks: amplitude vectors of shape
 (..., 2**n) and matrices of shape (..., 2**n, 2**n), one per grid point
 along the leading axes. ``normalized`` and ``checked_density`` are the
 checks the two state types make, run once over a whole stack. A stage
-runs a check where its result could fail it: ``normalized`` on every
-stack of amplitude vectors, since it also rescales them, and
-``checked_density`` only in the ``DensityMatrix`` constructor. The stages
+runs a check where its result could fail it: ``normalized`` where
+amplitude vectors enter (the ``PureState`` constructor and
+``angle_qubits``) and where a projection rescales them (``branches``),
+and ``checked_density`` only in the ``DensityMatrix`` constructor. The
+switch's ``registers`` and ``evolved`` (see ``switch``) build amplitude
+vectors from normalized ones, as a product of qubits and a unitary image,
+and do not check them again. The stages
 that build density matrices from input already checked (``densities``
 from normalized vectors, ``partial_traces`` from density matrices,
 ``entanglement.ensemble_densities`` from the Kraus branches of a

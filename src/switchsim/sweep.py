@@ -14,22 +14,24 @@ produce byte-identical files.
 The numeric route evaluates the grid as stacked arrays, in blocks sized by
 the bytes of the route's matrices (BLOCK_POINTS points for a gate route, 4
 times that for a pair route), so that the memory it holds does not grow
-with the grid. The (a, t) values of a block are checked at its boundary
-and the amplitude vectors at every stage; what is built from them holds
-by construction and is not checked again (see ``states``). Every pair
-route reads the evolved pair as its Kraus branches E_k psi (psi itself
-for a clean run), and no mixed measure forms the noisy pair by a channel
-product E_k rho E_k^dagger: the ppt reads the pair's density matrix as
-the Gram product of the branches and makes the only eigensolve of a pair
-route, on its partial transpose; the I-concurrence and the entropy read
-the determinant of the first qubit's reduced state from the branches,
-and the concurrence forms no density matrix (see ``entanglement``). The
-block size does not change a bit of the values. A closed form is called
-once per grid, on sin a and cos a as (A, 1) columns, one entry per a
-value, and the times as a (T,) row; the (A, T) values it returns, a
-outer and t fastest, are the closed column, with the bits of the closed
-form at each single point, since both are the same numpy code (see
-``entanglement``). A grid may hold at most MAX_GRID_POINTS points.
+with the grid. The (a, t) values of a block are checked at its boundary,
+where ``states.angle_qubits`` also checks the qubits |A> as a PureState
+is; the registers, their evolution and what is built from them hold by
+construction and are not checked again (see ``states`` and ``switch``).
+Every pair route reads the evolved pair as its Kraus branches E_k psi
+(psi itself for a clean run), and no mixed measure forms the noisy pair
+by a channel product E_k rho E_k^dagger: the ppt reads the pair's density
+matrix as the Gram product of the branches and makes the only eigensolve
+of a pair route, on its partial transpose; the I-concurrence and the
+entropy read the determinant of the first qubit's reduced state from the
+branches, and the concurrence forms no density matrix (see
+``entanglement``). The block size does not change a bit of the values.
+A closed form is called once per grid, on sin a and cos a as (A, 1)
+columns, one entry per a value, and the times as a (T,) row; the (A, T)
+values it returns, a outer and t fastest, are the closed column, with
+the bits of the closed form at each single point, since both are the
+same numpy code (see ``entanglement``). A grid may hold at most
+MAX_GRID_POINTS points.
 
 Sweeps, diffs and ``verify`` share one path, ``_columns``: a configuration's
 numeric array and closed column, compared as |numeric - closed|. A diff
@@ -69,8 +71,8 @@ AVG_FIDELITY_TOLERANCE = 1e-10
 #: grid points a gate route evaluates together as one stack. A gate route
 #: works on 8 x 8 matrices; every other route measures 4 x 4 pair matrices,
 #: a quarter of the bytes, and takes 4 * BLOCK_POINTS points, so that the
-#: matrix stacks a measure works on stay at 64 KiB per block (the 8 x 8
-#: unitaries that evolve a block's registers are transient). Blocks bound
+#: matrix stacks a measure works on stay at 64 KiB per block (the 8-amplitude
+#: registers a block evolves are transient). Blocks bound
 #: the memory a sweep holds in arrays, whatever the size of its grid: the
 #: average-fidelity route holds about 6 KB per point at its peak, and 64
 #: points keep a sweep's peak memory at that of evaluating one point at a

@@ -4,8 +4,10 @@ The register is |A>|B>|C> with the control C last (qubit index 2). With
 C = |1> the switch exchanges A and B; with C = |0> it does nothing. The
 generator couples exactly the two basis states |011> and |101>, which gives
 a closed-form time evolution with a cos/sin block on indices {3, 5}. Time
-runs over <0, pi/2>; at t = pi/2 the swap is complete. The evolution is
-``switch_unitaries(t)``: one plain 8 x 8 array per time of ``t``.
+runs over <0, pi/2>; at t = pi/2 the swap is complete. ``evolved`` applies
+that 2 x 2 block to amplitudes 3 and 5 of each register and copies the other
+six; ``switch_unitaries(t)``, one plain 8 x 8 array per time of ``t``, is
+the full unitary, which the gate route needs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .states import PureState, _adopt, _frozen, branches, kron_vectors, normalized
+from .states import PureState, _adopt, _frozen, kron_vectors
 
 
 def _const(rows) -> np.ndarray:
@@ -106,9 +108,21 @@ def circuit_unitary() -> np.ndarray:
 
 
 def evolved(amps: np.ndarray, t) -> np.ndarray:
-    """U(t) applied to each 3-qubit amplitude vector of a stack, checked as a
-    PureState is; ``t`` is one time or one per vector."""
-    return normalized((switch_unitaries(t) @ amps[..., None])[..., 0])
+    """U(t) applied to each normalized 3-qubit amplitude vector of a stack,
+    as from a PureState or ``registers``; ``t`` is one time or one per
+    vector. Only amplitudes 3 and 5 move, by the 2 x 2 block of
+    ``switch_unitaries``; a unitary image of a normalized vector is
+    normalized, so the result is not checked again."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("time must be finite")
+    c, s = np.cos(t), np.sin(t)
+    a3, a5 = amps[..., 3], amps[..., 5]
+    shape = np.broadcast_shapes(a3.shape, t.shape) + (8,)
+    out = np.array(np.broadcast_to(amps, shape), dtype=complex)
+    out[..., 3] = c * a3 - 1j * s * a5
+    out[..., 5] = -1j * s * a3 + c * a5
+    return out
 
 
 def evolve(psi: PureState, t: float) -> PureState:
@@ -151,20 +165,23 @@ def switch_fidelity(psi0: PureState, t: float) -> float:
 
 
 def registers(a_amps: np.ndarray) -> np.ndarray:
-    """The switch input |A>|0>|1> for each normalized |A> of a stack of
-    amplitude pairs, checked as a PureState is."""
-    return normalized(kron_vectors(a_amps, KET_0, KET_1))
+    """The switch input |A>|0>|1> for each |A> of a stack of normalized
+    amplitude pairs, as from ``states.angle_qubits`` or a PureState; the
+    product of normalized qubits is normalized, so it is not checked again."""
+    return kron_vectors(a_amps, KET_0, KET_1)
 
 
 def switched_pairs(a_amps: np.ndarray, t) -> np.ndarray:
-    """Data-qubit pairs after running the switch on |A>|0>|1> to time ``t``.
+    """Data-qubit pairs after running the switch on |A>|0>|1> to time ``t``,
+    for a stack of normalized amplitude pairs as ``registers`` takes them.
 
-    Evolves each register of the stack and drops the control qubit (which
-    stays |1> exactly); each result is the 2-qubit vector
-    (alpha, -i sin(t) beta, cos(t) beta, 0). Every stage is checked as the
-    PureState it stands for.
+    Each is the control-|1> half, the odd amplitudes, of the evolved
+    register: the 2-qubit vector (alpha, -i sin(t) beta, cos(t) beta, 0).
+    The control stays |1> exactly, since the even amplitudes are exact zeros
+    that the evolution does not touch, so that half carries all of the mass
+    and needs no rescaling.
     """
-    return branches(evolved(registers(a_amps), t), 3, qubit=2, bit=1)
+    return evolved(registers(a_amps), t)[..., 1::2]
 
 
 def switched_pair(a_state: PureState, t: float) -> PureState:

@@ -651,6 +651,36 @@ def test_sweeps_make_no_density_check_and_no_eigvalsh(monkeypatch):
     assert calls == ["checked_density", "eigvalsh"]
 
 
+def test_only_the_gate_route_builds_the_switch_unitary(monkeypatch):
+    # the pair and fidelity routes rotate the two amplitudes the switch
+    # moves; only the average fidelity needs the full U(t)
+    calls = []
+    _counting(monkeypatch, switch, "switch_unitaries", calls)
+    for name, m in MEASURES.items():
+        if not m.gate:
+            run_sweep(SweepConfig(name, a_steps=3, t_steps=5, compare=True))
+        for spec in [ChannelSpec(kind, 0.3) for kind in ch.CHANNEL_KINDS] if m.mixed else ():
+            config = SweepConfig(name, a_steps=3, t_steps=5, channel=spec, compare=True)
+            run_sweep(config)
+            diff_sweep(config)
+    assert calls == []
+    run_sweep(SweepConfig("avg_fidelity", a_steps=3, t_steps=5, channel=ChannelSpec("PD", 0.3)))
+    assert calls
+
+
+def test_the_switched_pair_is_the_control_one_half_of_the_evolved_register(probe):
+    # the control stays |1> exactly, so the pair carries all of the mass
+    # and is the projected, rescaled branch of the full evolution
+    a, t, _ = probe
+    regs = switch.registers(states.angle_qubits(a))
+    assert np.all(switch.evolved(regs, t)[..., 0::2] == 0)
+    pairs = switch.switched_pairs(states.angle_qubits(a), t)
+    old = states.branches((switch.switch_unitaries(t) @ regs[..., None])[..., 0], 3, qubit=2, bit=1)
+    assert np.max(np.abs(pairs - old)) <= 1e-15
+    norm_sq = np.sum(np.abs(pairs) ** 2, axis=-1)
+    assert np.max(np.abs(norm_sq - 1.0)) <= 4 * np.finfo(float).eps
+
+
 def test_sweeps_diffs_and_verify_apply_no_channel_to_a_density_matrix(monkeypatch):
     # the pair routes read the Kraus branches E_k psi; the single-state
     # apply_channel is still apply_kraus on one matrix

@@ -9,6 +9,7 @@ from switchsim.states import PureState, make_qubit, qubit_from_angle, tensor
 from switchsim.switch import (
     circuit_unitary,
     evolve,
+    evolved,
     fidelity,
     switch_fidelity,
     switch_hamiltonian,
@@ -159,6 +160,43 @@ def test_evolve_preserves_norm_and_checks_arity():
         assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1) < 1e-12
     with pytest.raises(ValueError):
         evolve(random_pure(rng, 2), 0.3)
+
+
+def _registers(rng, n):
+    """n seeded random complex 3-qubit registers, shape (n, 8), with no
+    zero amplitude, so that every entry of U(t) is exercised."""
+    v = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+    assert np.all(np.abs(v) > 0.0)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def test_evolved_is_the_full_unitary_applied():
+    rng = np.random.default_rng(53)
+    amps = _registers(rng, 200)
+    for t in rng.uniform(-3, 7, 20):
+        full = (switch_unitaries(t) @ amps[..., None])[..., 0]
+        assert np.max(np.abs(evolved(amps, t) - full)) <= 1e-15
+    ts = rng.uniform(-3, 7, 200)
+    full = (switch_unitaries(ts) @ amps[..., None])[..., 0]
+    assert np.max(np.abs(evolved(amps, ts) - full)) <= 1e-15
+
+
+def test_evolved_full_swap_is_the_circuit_up_to_phase():
+    amps = _registers(np.random.default_rng(59), 200)
+    out = evolved(amps, math.pi / 2)
+    assert np.allclose(np.abs(out), np.abs(amps @ circuit_unitary().T), rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(out - amps @ switch_unitary_oracle(math.pi / 2).T)) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolution_rejects_a_non_finite_time(bad):
+    amps = _registers(np.random.default_rng(61), 3)
+    with pytest.raises(ValueError, match="time must be finite"):
+        evolved(amps, bad)
+    with pytest.raises(ValueError, match="time must be finite"):
+        evolved(amps, np.array([0.3, bad, 0.5]))
+    with pytest.raises(ValueError, match="time must be finite"):
+        evolve(PureState(3, amps[0]), bad)
 
 
 def test_fidelity_basics():
