@@ -1,7 +1,16 @@
 """Benchmarks import switchsim from this checkout's src/, whatever else is
-installed, so that they time the code beside them."""
+installed, so that they time the code beside them.
+
+A ``--benchmark-json`` file keeps each benchmark's summary statistics but
+not ``stats.data``, the raw time of every round, which pytest-benchmark
+writes there whatever its options (17.5 MB for ``bench_routes.py``)."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    for bench in output_json["benchmarks"]:
+        bench["stats"].pop("data", None)

@@ -33,7 +33,10 @@ are the square roots of the roots, and the entropy,
 The PPT spectrum reads the same ensemble, ``pair_ensembles``, through a
 Gram product: ``ensemble_densities`` gives the pair's density matrix
 xi xi^dagger, for a clean pair (K = 1) with the bits of
-``states.densities``.
+``states.densities``. That product is Hermitian bit for bit, and so is
+its partial transpose, an index swap; ``ppt_spectra`` takes its
+eigenvalues alone with ``np.linalg.eigvalsh``, checked only for NaN and
+Inf, and neither re-checks nor symmetrises the matrix.
 
 Each closed form is one definition in plain numpy: called on Python
 scalars it returns numpy floats (``np.float64``, a subclass of float), and
@@ -164,9 +167,14 @@ def ppt_spectra(rho: np.ndarray) -> np.ndarray:
     each 2-qubit density matrix of a stack; shape (..., 4).
 
     A negative eigenvalue witnesses entanglement; the spectrum is the same
-    whichever qubit is transposed.
+    whichever qubit is transposed. The partial transpose of a Hermitian
+    matrix is Hermitian, so it is not checked or symmetrised again: one
+    ``eigvalsh``, with no eigenvectors. A NaN or Inf entry raises
+    ValueError, not LAPACK's convergence error.
     """
-    return linalg.eigh(partial_transposes(rho, 1))[0]
+    pt = partial_transposes(rho, 1)
+    linalg.require_finite(pt, "matrix entries")
+    return np.linalg.eigvalsh(pt)
 
 
 def ppt_spectrum(rho: DensityMatrix) -> np.ndarray:
@@ -395,6 +403,8 @@ def ensemble_densities(xi: np.ndarray) -> np.ndarray:
 
     A sum of elementwise products over the columns, in column order: with
     one column it has the bits of ``states.densities``, and it is a density
-    matrix by construction, so it is not checked again.
+    matrix by construction, so it is not checked again. Entries (i, j) and
+    (j, i) sum the products x conj(y) and y conj(x), which are exact
+    conjugates, so the result is Hermitian bit for bit.
     """
     return np.sum(xi[..., :, None, :] * np.conj(xi)[..., None, :, :], axis=-1)

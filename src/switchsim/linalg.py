@@ -4,13 +4,17 @@ of them.
 Everything in this package carries states and operators as plain numpy
 arrays of dtype complex128. A *stack* is an array of shape (..., d, d):
 one matrix per grid point along the leading axes. The stacked helpers run
-numpy's gufuncs (`matmul`, `eigh`, `eigvalsh`) over the whole stack in one
-call, and their checks test every matrix of the stack and raise on the
-first that fails, with the message a single matrix would get; a single
-matrix is the stack with no leading axes. Products go through `matmul`
-rather than `einsum`, so a stacked result carries the same bits as the
-same product taken one matrix at a time. `eigh` gives an eigensystem as
-two arrays: ascending eigenvalues and eigenvector columns.
+numpy's gufuncs (`matmul`, `eigh`) over the whole stack in one call, and
+their checks test every matrix of the stack and raise on the first that
+fails, with the message a single matrix would get; a single matrix is the
+stack with no leading axes. Products go through `matmul` rather than
+`einsum`, so a stacked result carries the same bits as the same product
+taken one matrix at a time. `eigh` gives an eigensystem as two arrays:
+ascending eigenvalues and eigenvector columns, of matrices it checks to
+be finite and Hermitian and symmetrises. A caller whose matrices are
+Hermitian by construction and that needs only eigenvalues, such as the
+ppt's `entanglement.ppt_spectra`, calls `np.linalg.eigvalsh` after
+`require_finite` instead.
 """
 
 from __future__ import annotations

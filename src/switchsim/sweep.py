@@ -21,8 +21,9 @@ construction and are not checked again (see ``states`` and ``switch``).
 Every pair route reads the evolved pair as its Kraus branches E_k psi
 (psi itself for a clean run), and no mixed measure forms the noisy pair
 by a channel product E_k rho E_k^dagger: the ppt reads the pair's density
-matrix as the Gram product of the branches and makes the only eigensolve
-of a pair route, on its partial transpose; the I-concurrence and the
+matrix as the Gram product of the branches and takes the eigenvalues of
+its partial transpose, with no eigenvectors (``np.linalg.eigvalsh``), the
+only eigensolve of a pair route; the I-concurrence and the
 entropy read the determinant of the first qubit's reduced state from the
 branches, and the concurrence forms no density matrix (see
 ``entanglement``). The block size does not change a bit of the values.
@@ -47,7 +48,8 @@ value is its 12-digit ``%.12g`` text wherever that already is the text
 integral values, ``e+`` exponents, ``e-3xx`` exponents and non-finite
 values. A numpy mask over the columns finds the cells where it may not
 be; only those take the encoder's text, through a row template with
-``%s`` in their place.
+``%s`` in their place. An exact zero among them stays a float, whose
+``%s`` text, ``0.0`` or ``-0.0``, is the encoder's.
 """
 
 from __future__ import annotations
@@ -560,6 +562,7 @@ def _render_json(sweep: Sweep) -> str:
     codes = flagged @ (1 << np.arange(cells.shape[1]))
     template = ",\n".join(map(_JSON_ROWS[cells.shape[1]].__getitem__, codes.tolist()))
     values = cells.ravel().tolist()
-    for i in np.flatnonzero(flagged).tolist():
+    # an exact zero stays a float: its %s text, 0.0 or -0.0, is the encoder's
+    for i in np.flatnonzero(flagged & (cells != 0.0)).tolist():
         values[i] = _json_number(values[i])
     return "[\n" + template % tuple(values) + "\n]\n"

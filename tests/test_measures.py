@@ -256,6 +256,58 @@ def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, 
             assert np.max(np.abs(route - kernel(noisy))) <= 1e-13, (name, p)
 
 
+#: (channel kind, noise qubit): a clean run, then every kind on each qubit
+NOISE_CASES = [(None, None)] + [(kind, qubit) for kind in ch.CHANNEL_KINDS for qubit in (0, 1)]
+#: largest |ppt_spectra - linalg.eigh(...)[0]| allowed on the probe; the
+#: largest seen there is 1.0e-15 (numpy 2.4.6), clean and under every kind
+#: on either qubit at p in {0, 0.13, 0.37, 0.5, 0.74, 1}
+PPT_EIGH_BOUND = 4e-15
+
+
+@pytest.mark.parametrize("kind, qubit", NOISE_CASES)
+def test_the_ppt_route_eigensolves_exactly_hermitian_partial_transposes(probe, kind, qubit):
+    # the route neither checks nor symmetrises its partial transposes, of
+    # the density matrices built here as it builds them: the Gram product
+    # is Hermitian bit for bit, and an index swap keeps it so
+    a, t, _ = probe
+    lifted = None if kind is None else ch.lift(ch.make_channel(kind, 0.37), qubit, 2)
+    rho = ent.ensemble_densities(sweep._pair_ensembles(a, t, lifted))
+    pt = states.partial_transposes(rho, 1)
+    assert np.all(linalg.hermitian_deviation(pt) == 0.0)
+    assert np.max(np.abs(ent.ppt_spectra(rho) - linalg.eigh(pt)[0])) <= PPT_EIGH_BOUND
+
+
+@pytest.mark.parametrize("bad, entry", [(math.nan, (1, 1)), (math.inf, (2, 1)), (math.nan, (1, 2))],
+                         ids=["nan-diagonal", "inf-lower", "nan-upper"])
+@pytest.mark.parametrize("kind, qubit", NOISE_CASES)
+def test_a_non_finite_density_fails_the_ppt_route_with_a_value_error(
+    probe, monkeypatch, capsys, kind, qubit, bad, entry
+):
+    # on a NaN diagonal LAPACK raises LinAlgError, and eigvalsh reads the
+    # lower triangle only, so the entry at (1, 2) of the density matrix,
+    # (0, 3) of its partial transpose, would go unseen; the route's
+    # finiteness check sees every entry
+    original = ent.ensemble_densities
+
+    def corrupted(xi):
+        rho = original(xi)
+        rho[(len(rho) // 2,) + entry] = bad
+        return rho
+
+    monkeypatch.setattr(ent, "ensemble_densities", corrupted)
+    a, t, _ = probe
+    spec = None if kind is None else ChannelSpec(kind, 0.37, qubit)
+    lifted = None if spec is None else ch.lift(spec.make(), qubit, 2)
+    with pytest.raises(ValueError, match="NaN or Inf") as raised:
+        MEASURES["ppt"].numeric(a, t, lifted, "e")
+    assert not isinstance(raised.value, np.linalg.LinAlgError)
+    noise = [] if spec is None else ["--channel", kind, "--p", "0.37", "--noise-qubit", str(qubit)]
+    args = ["--measure", "ppt", "--a-steps", "3", "--t-steps", "5", *noise]
+    for command in ("sweep",) if spec is None else ("sweep", "diff"):
+        assert cli.main([command, *args]) == 2, command
+        assert "NaN or Inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("base", ["e", "2"])
 def test_entropy_routes_agree_near_separable_points(probe, base):
     # the small eigenvalue is as low as 7e-43 here: a form that cancels,
@@ -632,21 +684,36 @@ def _counting(monkeypatch, module, attr, calls):
     monkeypatch.setattr(module, attr, counted)
 
 
-def test_sweeps_make_no_density_check_and_no_eigvalsh(monkeypatch):
+def test_sweeps_make_no_density_check_and_no_eigh_and_eigvalsh_only_for_the_ppt(monkeypatch):
+    # the matrices a sweep builds are density matrices by construction, and
+    # the one eigensolve of a sweep is the ppt's, for eigenvalues alone:
+    # one np.linalg.eigvalsh per block of the ppt route, and none elsewhere
     calls = []
     for module in (states, ch, ent, switch, sweep):
         if hasattr(module, "checked_density"):
             _counting(monkeypatch, module, "checked_density", calls)
+    _counting(monkeypatch, linalg, "eigh", calls)
+    _counting(monkeypatch, np.linalg, "eigh", calls)
     _counting(monkeypatch, np.linalg, "eigvalsh", calls)
     noise = ChannelSpec("PF", 0.3)
-    for name, m in MEASURES.items():
-        if not m.gate:
-            run_sweep(SweepConfig(name, a_steps=3, t_steps=5, compare=True))
-        if m.mixed or m.gate:
-            run_sweep(SweepConfig(name, a_steps=3, t_steps=5, channel=noise, compare=True))
-        if m.mixed:
-            diff_sweep(SweepConfig(name, a_steps=3, t_steps=5, channel=noise))
-    assert calls == []
+    grid = dict(a_steps=3, t_steps=5)
+    blocks = 4  # 15 points, 4 to a pair block below
+    with monkeypatch.context() as small:
+        small.setattr(sweep, "BLOCK_POINTS", 1)
+        for name, m in MEASURES.items():
+            runs = [] if m.gate else [(run_sweep, SweepConfig(name, **grid, compare=True), 1)]
+            noisy = SweepConfig(name, **grid, channel=noise, compare=True)
+            runs += [(run_sweep, noisy, 1)] if m.mixed or m.gate else []
+            runs += [(diff_sweep, noisy, 2)] if m.mixed else []  # noisy and clean
+            for run, config, passes in runs:
+                calls.clear()
+                run(config)
+                want = passes * blocks if name == "ppt" else 0
+                assert calls == ["eigvalsh"] * want, (run.__name__, name, config.channel)
+    calls.clear()
+    assert all(check.passed for check in sweep.verify(**grid))
+    assert calls == ["eigvalsh"]  # the clean ppt record, one block
+    calls.clear()
     states.DensityMatrix(2, _RHO)
     assert calls == ["checked_density", "eigvalsh"]
 

@@ -299,6 +299,19 @@ def test_renderers_match_the_reference_renderers(values):
             assert buf.getvalue() == reference(record), fmt
 
 
+@pytest.mark.parametrize("width", [3, 5])
+def test_json_writes_a_column_of_signed_zeros_as_json_dumps_does(width):
+    # exact zeros skip the encoder: their %s text is json.dumps' 0.0 or -0.0
+    values = EDGE_VALUES + MASK_BOUNDARY
+    zeros = [-0.0 if i % 3 else 0.0 for i in range(len(values))]
+    for k in range(width):
+        columns = [zeros if j == k else values[j:] + values[:j] for j in range(width)]
+        record = _record(*columns)
+        buf = io.StringIO()
+        emit(record, "json", buf)
+        assert buf.getvalue() == _reference_json(record), k
+
+
 def test_the_encoder_mask_misses_no_cell_whose_text_differs():
     values = EDGE_VALUES + MASK_BOUNDARY + _random_doubles(2000)
     flagged = sweep._needs_encoder(np.array(values)).tolist()
