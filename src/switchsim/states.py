@@ -5,32 +5,29 @@ an n-qubit register is indexed |0...0> .. |1...1> with qubit q contributing
 bit (n-1-q) of the basis index. Every module in the package shares this
 ordering.
 
-States are immutable; the stored arrays are read-only copies. They are
-renormalized only at explicit construction/projection points, never inside
-arithmetic, so norm-breaking bugs stay visible to the tests.
+States are immutable; the stored arrays are read-only copies. Amplitudes
+are renormalized only where they enter, never inside arithmetic, so
+norm-breaking bugs stay visible to the tests.
 
 The functions with plural names work on stacks: amplitude vectors of shape
 (..., 2**n) and matrices of shape (..., 2**n, 2**n), one per grid point
 along the leading axes. ``normalized`` and ``checked_density`` are the
-checks the two state types make, run once over a whole stack. A stage
-runs a check where its result could fail it: ``normalized`` where
-amplitude vectors enter (the ``PureState`` constructor and
-``angle_qubits``) and where a projection rescales them (``branches``),
-and ``checked_density`` only in the ``DensityMatrix`` constructor. The
-switch's ``registers`` and ``evolved`` (see ``switch``) build amplitude
-vectors from normalized ones, as a product of qubits and a unitary image,
-and do not check them again. The stages
-that build density matrices from input already checked (``densities``
-from normalized vectors, ``partial_traces`` from density matrices,
+checks the two state types make, run once over a whole stack, and only
+where input enters: ``normalized`` in the ``PureState`` constructor and
+``angle_qubits``, and ``checked_density`` in the ``DensityMatrix``
+constructor. Every other stage builds its result from input already
+checked, so Hermiticity, unit trace, positivity and the norm hold there by
+construction, up to rounding far below NORM_ATOL, DENSITY_ATOL and
+linalg.PSD_EIGENVALUE_FLOOR, and the result is not checked again: the
+switch's ``registers`` and ``evolved`` (see ``switch``), a product of
+normalized qubits and its unitary image; ``densities`` from normalized
+vectors; ``partial_traces`` from density matrices;
 ``entanglement.ensemble_densities`` from the Kraus branches of a
-normalized vector under a channel whose completeness was checked, and
+normalized vector under a channel whose completeness was checked; and
 ``channels.apply_kraus``, behind ``channels.apply_channel``, from density
-matrices and such a channel) do
-not check their result: Hermiticity, unit trace and positivity hold there
-by construction, up to rounding far below DENSITY_ATOL and
-linalg.PSD_EIGENVALUE_FLOOR. A sweep applies no channel to a density
-matrix; it reads the Kraus branches (see ``entanglement``). The measures that
-eigensolve a density matrix read its positivity from that eigensolve.
+matrices and such a channel. A sweep applies no channel to a density
+matrix; it reads the Kraus branches (see ``entanglement``). The measures
+that eigensolve a density matrix read its positivity from that eigensolve.
 The state types and the single-state functions are the stack with no
 leading axes: the constructors call the checks on one vector or matrix,
 and a function such as ``partial_trace`` wraps the result of its stacked
@@ -50,8 +47,6 @@ from . import linalg
 NORM_ATOL = 1e-10
 #: tolerance on |trace - 1| and Hermiticity for density matrices
 DENSITY_ATOL = 1e-10
-#: a projected branch must carry more probability than this
-PROJECTION_MASS_FLOOR = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -256,35 +251,3 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> np.ndarray:
         raise ValueError(f"partial transpose is defined here for 2 qubits, got {rho.n_qubits}")
     return partial_transposes(rho.matrix, qubit)
 
-
-def branches(amps: np.ndarray, n_qubits: int, qubit: int, bit: int) -> np.ndarray:
-    """Project one qubit of each n-qubit vector of a stack onto |bit> and
-    drop it, rescaling each branch by its probability; the branches are then
-    checked as a PureState is.
-
-    Rejects the stack if any branch carries no amplitude mass (probability
-    <= PROJECTION_MASS_FLOOR).
-    """
-    n = n_qubits
-    if n < 2:
-        raise ValueError("projection needs at least two qubits")
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    lead = amps.shape[:-1]
-    branch = amps.reshape(lead + (2,) * n).take(bit, axis=len(lead) + qubit)
-    branch = branch.reshape(lead + (-1,))
-    mass = np.sum(np.abs(branch) ** 2, axis=-1)
-    linalg.require(mass > PROJECTION_MASS_FLOOR, mass,
-                   f"qubit {qubit} has no amplitude on |{bit}> (probability {{value:.3e}})")
-    return normalized(branch / np.sqrt(mass)[..., None])
-
-
-def project_control(psi: PureState, qubit: int, bit: int) -> PureState:
-    """Project one qubit onto |bit> and drop it, renormalizing the rest.
-
-    Rejects branches carrying no amplitude mass (probability <= 1e-12).
-    """
-    branch = branches(psi.amplitudes, psi.n_qubits, qubit, bit)
-    return _adopt(PureState, psi.n_qubits - 1, branch)

@@ -59,16 +59,6 @@ def test_finiteness_check_covers_every_vector():
     _raises_like(lambda: states.normalized(amps), lambda: PureState(2, amps[BAD]))
 
 
-def test_projection_mass_check_covers_every_vector():
-    regs = switch.registers(states.angle_qubits(np.linspace(0.1, 1.4, 7)))
-    regs[BAD] = tensor([make_qubit(0.6, 0.8), make_qubit(1, 0), make_qubit(1, 0)]).amplitudes
-    bad = PureState(3, regs[BAD])
-    _raises_like(
-        lambda: states.branches(regs, 3, qubit=2, bit=1),
-        lambda: states.project_control(bad, qubit=2, bit=1),
-    )
-
-
 def _densities():
     return states.densities(_pairs())
 

@@ -737,13 +737,14 @@ def test_only_the_gate_route_builds_the_switch_unitary(monkeypatch):
 
 def test_the_switched_pair_is_the_control_one_half_of_the_evolved_register(probe):
     # the control stays |1> exactly, so the pair carries all of the mass
-    # and is the projected, rescaled branch of the full evolution
+    # and is the odd half of the full evolution by the 8 x 8 unitary
     a, t, _ = probe
     regs = switch.registers(states.angle_qubits(a))
     assert np.all(switch.evolved(regs, t)[..., 0::2] == 0)
     pairs = switch.switched_pairs(states.angle_qubits(a), t)
-    old = states.branches((switch.switch_unitaries(t) @ regs[..., None])[..., 0], 3, qubit=2, bit=1)
-    assert np.max(np.abs(pairs - old)) <= 1e-15
+    full = (switch.switch_unitaries(t) @ regs[..., None])[..., 0]
+    assert np.all(full[..., 0::2] == 0)
+    assert np.max(np.abs(pairs - full[..., 1::2])) <= 1e-15
     norm_sq = np.sum(np.abs(pairs) ** 2, axis=-1)
     assert np.max(np.abs(norm_sq - 1.0)) <= 4 * np.finfo(float).eps
 

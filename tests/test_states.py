@@ -8,14 +8,18 @@ from randstates import random_density, random_pure
 from switchsim.states import (
     DensityMatrix,
     PureState,
+    angle_qubits,
+    densities,
+    kron_vectors,
     make_qubit,
     partial_trace,
+    partial_traces,
     partial_transpose,
-    project_control,
     qubit_from_angle,
     tensor,
     to_density,
 )
+from switchsim.switch import KET_0, KET_1, evolved, registers, switch_unitaries
 
 SQ2 = math.sqrt(2.0)
 
@@ -229,39 +233,49 @@ def test_partial_transpose_rejects_wrong_arity():
         partial_transpose(rho, 0)
 
 
-def test_project_control_on_switched_register():
-    from switchsim.switch import evolve
-
-    a, t = 0.6, 0.8
-    al, be = math.sin(a), math.cos(a)
-    reg = evolve(tensor([qubit_from_angle(a), make_qubit(1, 0), make_qubit(0, 1)]), t)
-    pair = project_control(reg, qubit=2, bit=1)
-    expected = np.array([al, -1j * math.sin(t) * be, math.cos(t) * be, 0.0])
-    assert np.allclose(pair.amplitudes, expected, atol=1e-14)
-    # the control never leaves |1>, so the |0> branch is empty
-    with pytest.raises(ValueError, match="no amplitude"):
-        project_control(reg, qubit=2, bit=0)
+def _data_qubits(rng, n):
+    """n random pairs of data qubits |a>, |b> as two (n, 2) stacks."""
+    a = np.stack([random_pure(rng, 1).amplitudes for _ in range(2 * n)])
+    return a[:n], a[n:]
 
 
-def test_project_control_of_product_state():
+def test_the_switch_keeps_its_control_exactly_in_one():
     rng = np.random.default_rng(9)
-    a, b = random_pure(rng, 1), random_pure(rng, 1)
-    reg = tensor([a, b, make_qubit(1, 0)])
-    got = project_control(reg, qubit=2, bit=0)
-    assert np.allclose(got.amplitudes, tensor([a, b]).amplitudes, atol=1e-14)
+    a, b = _data_qubits(rng, 50)
+    t = rng.uniform(-3 * math.pi, 3 * math.pi, 50)
+    out = evolved(kron_vectors(a, b, KET_1), t)
+    # the even amplitudes, where the control is |0>, are exact zeros
+    assert np.all(out[:, 0::2] == 0)
+    # for the paper's input |A>|0>|1> the odd half is the switched pair
+    al, be = math.sin(0.6), math.cos(0.6)
+    pair = evolved(registers(angle_qubits(0.6)), 0.8)[1::2]
+    expected = np.array([al, -1j * math.sin(0.8) * be, math.cos(0.8) * be, 0.0])
+    assert np.allclose(pair, expected, atol=1e-14)
 
 
-def test_projection_agrees_with_partial_trace_for_basis_control():
+def test_a_control_in_zero_leaves_the_register_unchanged():
     rng = np.random.default_rng(17)
-    from switchsim.switch import evolve
+    a, b = _data_qubits(rng, 50)
+    regs = kron_vectors(a, b, KET_0)
+    out = evolved(regs, rng.uniform(-3 * math.pi, 3 * math.pi, 50))
+    # the six amplitudes the switch does not move keep their bits; the two
+    # it rotates, |011> and |101>, are zeros before and after (a rotated
+    # zero may come out as -0.0)
+    kept = [0, 1, 2, 4, 6, 7]
+    assert out[:, kept].tobytes() == regs[:, kept].tobytes()
+    assert np.all(out[:, [3, 5]] == 0) and np.all(regs[:, [3, 5]] == 0)
 
-    for _ in range(10):
-        a = random_pure(rng, 1)
-        b = random_pure(rng, 1)
-        reg = evolve(tensor([a, b, make_qubit(0, 1)]), float(rng.uniform(0, math.pi / 2)))
-        via_projection = to_density(project_control(reg, qubit=2, bit=1))
-        via_trace = partial_trace(to_density(reg), {2})
-        assert np.max(np.abs(via_projection.matrix - via_trace.matrix)) < 1e-12
+
+def test_the_odd_half_is_the_partial_trace_over_the_control():
+    # the full 8 x 8 unitary is the independent route to the register
+    rng = np.random.default_rng(23)
+    a, b = _data_qubits(rng, 50)
+    regs = kron_vectors(a, b, KET_1)
+    t = rng.uniform(-3 * math.pi, 3 * math.pi, 50)
+    full = (switch_unitaries(t) @ regs[..., None])[..., 0]
+    traced = partial_traces(densities(full), 3, {2})
+    odd = densities(evolved(regs, t)[..., 1::2])
+    assert np.max(np.abs(odd - traced)) <= 1e-15
 
 
 def test_pure_state_validation():
