@@ -351,19 +351,19 @@ def _log_scale(log_base: str) -> float:
 
 
 def determinant_entropies(d, log_base: str = "e"):
-    """-sum l log(l) over the spectrum ``_reduced_spectrum(d)`` of each
-    unit-trace 2 x 2 state whose determinant is d, with 0 log 0 = 0; no
-    eigensolve. Both roots lie in [0, 1], so no term is positive, and a NaN
-    d gives a NaN entropy.
+    """-l0 log(l0) - l1 log(l1) over the spectrum l0 <= l1 =
+    ``_reduced_spectrum(d)`` of each unit-trace 2 x 2 state whose
+    determinant is d, with 0 log 0 = 0; no eigensolve. The large root's
+    log is log1p(-l0), which keeps its term, about d, where d is below eps
+    and l1 rounds to 1. Both roots lie in [0, 1], so no term is positive,
+    and a NaN d gives a NaN entropy.
 
     ``log_base`` selects nats ("e", the default) or bits ("2").
     """
-    scale = _log_scale(log_base)
-    total = 0.0
-    for lam in _reduced_spectrum(d):
-        # 0 log 0 = 0 reads 0 log 1, and total - 0.0 is total
-        total = total - lam * np.log(np.where(lam > 0.0, lam, 1.0))
-    return total * scale
+    l0, l1 = _reduced_spectrum(d)
+    # 0 log 0 = 0 reads 0 log 1; a zero entropy comes out as 0.0, not -0.0
+    entropy = -l1 * np.log1p(-l0) - l0 * np.log(np.where(l0 > 0.0, l0, 1.0))
+    return entropy * _log_scale(log_base)
 
 
 def reduced_entropy_closed(
