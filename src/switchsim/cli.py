@@ -62,7 +62,6 @@ def _add_log_base_flag(parser: argparse.ArgumentParser) -> None:
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    _add_log_base_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p_sweep)
     _add_channel_flags(p_sweep)
     _add_output_flags(p_sweep)
+    _add_log_base_flag(p_sweep)
     p_sweep.add_argument(
         "--compare", action="store_true",
         help="also evaluate the closed form and the absolute error per row",
@@ -92,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p_diff)
     _add_channel_flags(p_diff, required=True)
     _add_output_flags(p_diff)
+    _add_log_base_flag(p_diff)
     p_diff.add_argument("--compare", action="store_true")
 
     p_avg = sub.add_parser(
@@ -157,7 +158,8 @@ def _config_from(args, measure: Optional[str] = None) -> sw.SweepConfig:
         t_max=args.t_max,
         t_steps=args.t_steps,
         channel=channel,
-        log_base=args.log_base,
+        # the average fidelity has no logarithm, so avg-fidelity takes no --log-base
+        log_base=getattr(args, "log_base", "e"),
         compare=getattr(args, "compare", False),
     )
 

@@ -129,6 +129,14 @@ def test_usage_errors_exit_2(capsys):
         assert message in captured.err and captured.out == ""
 
 
+def test_avg_fidelity_takes_no_log_base(capsys):
+    # the average fidelity has no logarithm, so a unit for one is refused
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["avg-fidelity", "--channel", "PF", "--log-base", "2"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --log-base 2" in capsys.readouterr().err
+
+
 def test_out_path_failure_exits_2(tmp_path):
     result = run_cli(
         "sweep", "--measure", "concurrence", "--t-steps", "3",

@@ -83,11 +83,39 @@ def test_full_swap_applied_twice_gives_a_minus_sign_on_the_pair():
 
 
 def test_closed_form_matches_eigendecomposition_exponential():
-    worst = 0.0
-    for t in np.linspace(0, math.pi / 2, 100):
-        delta = np.max(np.abs(switch_unitaries(float(t)) - switch_unitary_oracle(float(t))))
-        worst = max(worst, float(delta))
-    assert worst <= 1e-12
+    # every finite t is accepted by the command line; +-1e3 are far outside
+    # the paper's <0, pi/2>
+    times = np.concatenate([np.linspace(0, math.pi / 2, 100),
+                            np.linspace(-3 * math.pi, 3 * math.pi, 601), [-1e3, 1e3]])
+    stacked = switch_unitaries(times)
+    for t, u in zip(times.tolist(), stacked):
+        assert np.max(np.abs(u - switch_unitary_oracle(t))) <= 1e-12, t
+        assert np.array_equal(switch_unitaries(t), u), t
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_switch_unitaries_of_a_stack_of_times(shape):
+    rng = np.random.default_rng(29)
+    t = rng.uniform(-3 * math.pi, 3 * math.pi, shape)
+    u = switch_unitaries(t)
+    assert u.shape == t.shape + (8, 8)
+    # outside the 2 x 2 block on {3, 5} every entry is the identity's, exactly
+    block = np.zeros((8, 8), dtype=bool)
+    block[np.ix_([3, 5], [3, 5])] = True
+    assert np.array_equal(u[..., ~block], np.broadcast_to(np.eye(8)[~block], shape + (60,)))
+    for idx in np.ndindex(shape):
+        assert np.max(np.abs(u[idx] - switch_unitary_oracle(float(t[idx])))) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_switch_unitaries_reject_a_non_finite_time_anywhere(bad):
+    with pytest.raises(ValueError, match="finite"):
+        switch_unitaries(bad)
+    for idx in np.ndindex(2, 3):
+        t = np.full((2, 3), 0.4)
+        t[idx] = bad
+        with pytest.raises(ValueError, match="finite"):
+            switch_unitaries(t)
 
 
 def test_spectral_projector_reconstruction():
