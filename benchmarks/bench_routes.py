@@ -4,7 +4,9 @@ where the route accepts a channel, in the blocks `sweep._routes` sizes,
 plus the concurrence under a bit flip on noise qubit 1 (the configuration
 of the benchmark's `diff` commands) and the I-concurrence under amplitude
 damping on qubit 0 on a 9 x 50 grid (the shape of a noisy configuration
-of `verify`); the first qubit's entropy of 256 switched pairs under
+of `verify`); `verify` of the average fidelity and of the I-concurrence
+alone, whose noisy records each evaluate a stack of p values at once; the
+first qubit's entropy of 256 switched pairs under
 amplitude damping on qubit 0, read from the determinant of the Kraus
 branches (`entanglement.pair_ensembles`, `reduced_determinants` and
 `determinant_entropies`, the sweeps' route, with no eigensolve) against
@@ -53,9 +55,9 @@ def _route_id(name, spec, grid):
 def test_route(benchmark, name, spec, grid):
     benchmark.group = "sweep.routes"
     config = sweep.SweepConfig(name, a_steps=grid[0], t_steps=grid[1], channel=spec)
-    numeric, _, block = sweep._routes(config)
+    numeric, _, block = sweep._routes((config,))
     a, t = config.grid()
-    values = benchmark(sweep._evaluate, numeric, a, t, block)
+    values = benchmark(sweep._evaluate, numeric, a, t, 1, block)
     assert values.shape == (grid[0] * grid[1],)
 
 
@@ -69,9 +71,16 @@ CLOSED += [(name, NOISE) for name, m in sweep.MEASURES.items() if m.noisy_closed
 def test_closed_column(benchmark, name, spec):
     benchmark.group = "sweep.closed"
     config = sweep.SweepConfig(name, a_steps=50, t_steps=101, channel=spec, compare=True)
-    _, closed, _ = sweep._routes(config)
-    column = benchmark(sweep._closed_column, config, closed)
+    _, closed, _ = sweep._routes((config,))
+    column = benchmark(sweep._closed_column, (config,), closed)
     assert column.shape == (5050,)
+
+
+@pytest.mark.parametrize("measure", ["avg_fidelity", "iconcurrence"])
+def test_verify(benchmark, measure):
+    benchmark.group = "sweep.verify"
+    checks = benchmark(sweep.verify, measures=[measure])
+    assert checks and all(c.passed for c in checks)
 
 
 AL, BE, T = math.sin(0.7), math.cos(0.7), 0.41

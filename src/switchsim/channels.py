@@ -21,6 +21,14 @@ tests hold its routes against ``apply_kraus``. A
 ``KrausChannel`` checks its completeness when it is built; ``lift`` embeds
 a channel into a register without checking it again, since the lifted
 operators are complete whenever the channel's are.
+
+p stacks: ``make_channel`` given a tuple of P values builds the P channels
+of one kind as a single ``KrausChannel`` whose operators are (P, 2, 2)
+stacks, checked once over the whole stack, each matrix with the bits of
+the channel at that p alone. ``lift`` lifts the stack in one go, and
+``over_points`` gives a run of the stack's channels as operators that
+broadcast against a stack of points, so that a sweep's routes evaluate
+(p, point) blocks with each point's state built once (see ``sweep``).
 """
 
 from __future__ import annotations
@@ -40,17 +48,27 @@ CHANNEL_KINDS = ("PF", "BF", "AD", "PD")
 COMPLETENESS_ATOL = 1e-12
 
 
-def check_channel(kind: str, p: float) -> None:
-    """Reject an unknown channel kind, then a probability outside [0, 1]."""
+def check_channel(kind: str, p) -> None:
+    """Reject an unknown channel kind, then a probability outside [0, 1]:
+    ``p`` is one value or a stack of them, read in one pass, and the
+    message names the first that is NaN, infinite or outside [0, 1]. A
+    loop over the values as Python floats, not an array check: the closed
+    forms check p on every single-point call, and the loop costs such a
+    call about a quarter of what numpy's per-call overhead does."""
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+    for value in np.ravel(p).tolist():
+        if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"probability must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A trace-preserving map rho -> sum_k E_k rho E_k^dagger."""
+    """A trace-preserving map rho -> sum_k E_k rho E_k^dagger, or a stack
+    of them: with ``p`` a tuple of P values, each operator is a (P, dim,
+    dim) stack, one matrix per value of p, and completeness is checked over
+    the whole stack at once. A sequence p is stored as a tuple of floats,
+    so that p stays hashable, as one float is."""
 
     kind: str
     p: float
@@ -58,14 +76,21 @@ class KrausChannel:
     dim: int
 
     def __post_init__(self):
-        ops = tuple(_frozen(linalg.as_matrix(e)) for e in self.operators)
+        lead = np.shape(self.p)
+        if len(lead) > 1 or lead == (0,):
+            raise ValueError(f"p must be one value or a stack of at least one, got shape {lead}")
+        if lead:
+            object.__setattr__(self, "p", tuple(np.asarray(self.p, dtype=float).tolist()))
+        ops = tuple(_frozen(e) for e in self.operators)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         for e in ops:
-            if e.shape != (self.dim, self.dim):
+            if e.shape != lead + (self.dim, self.dim):
                 raise ValueError(
                     f"Kraus operator shape {e.shape} does not match dim {self.dim}"
+                    + (f" and {lead[0]} values of p" if lead else "")
                 )
+            linalg.require_finite(e, "matrix entries")
         total = sum(linalg.dagger(e) @ e for e in ops)
         deviation = float(np.max(np.abs(total - np.eye(self.dim))))
         if deviation > COMPLETENESS_ATOL:
@@ -76,29 +101,45 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
 
 
-def make_channel(kind: str, p: float) -> KrausChannel:
-    """Build one of the four single-qubit channels at probability ``p``."""
+def _matrices(lead: tuple, *entries) -> np.ndarray:
+    """A (*lead, 2, 2) stack, zero but at the (row, column, value) entries."""
+    e = np.zeros(lead + (2, 2), dtype=complex)
+    for row, column, value in entries:
+        e[..., row, column] = value
+    return e
+
+
+def make_channel(kind: str, p) -> KrausChannel:
+    """Build one of the four single-qubit channels at probability ``p``, one
+    value or a stack of them (see KrausChannel)."""
     check_channel(kind, p)
-    sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
-    if kind == "PF":
-        ops = (sp * IDENTITY_2, sq * PAULI_Z)
-    elif kind == "BF":
-        ops = (sp * IDENTITY_2, sq * PAULI_X)
+    lead = np.shape(p)
+    sp, sq = np.sqrt(p), np.sqrt(np.subtract(1.0, p))
+    if kind in ("PF", "BF"):
+        flip = PAULI_Z if kind == "PF" else PAULI_X
+        ops = (sp[..., None, None] * IDENTITY_2, sq[..., None, None] * flip)
     elif kind == "AD":
-        ops = (
-            np.array([[1, 0], [0, sq]], dtype=complex),
-            np.array([[0, sp], [0, 0]], dtype=complex),
-        )
+        ops = (_matrices(lead, (0, 0, 1.0), (1, 1, sq)), _matrices(lead, (0, 1, sp)))
     else:  # PD
-        ops = (
-            np.array([[1, 0], [0, sq]], dtype=complex),
-            np.array([[0, 0], [0, sp]], dtype=complex),
-        )
+        ops = (_matrices(lead, (0, 0, 1.0), (1, 1, sq)), _matrices(lead, (1, 1, sp)))
     return KrausChannel(kind=kind, p=p, operators=ops, dim=2)
 
 
+def _unchecked(kind: str, p, operators: tuple, dim: int) -> KrausChannel:
+    """A KrausChannel of operators complete by construction, not checked
+    again; the operators, fresh arrays or views, are made read-only in
+    place."""
+    for e in operators:
+        e.setflags(write=False)
+    out = object.__new__(KrausChannel)
+    for name, value in (("kind", kind), ("p", p), ("operators", operators), ("dim", dim)):
+        object.__setattr__(out, name, value)
+    return out
+
+
 def lift(channel: KrausChannel, qubit: int, n_qubits: int) -> KrausChannel:
-    """Embed a single-qubit channel at position ``qubit`` of an n-qubit register."""
+    """Embed a single-qubit channel, or each channel of a stack, at position
+    ``qubit`` of an n-qubit register."""
     if channel.dim != 2:
         raise ValueError(f"only single-qubit channels can be lifted, got dim {channel.dim}")
     if not 0 <= qubit < n_qubits:
@@ -106,17 +147,24 @@ def lift(channel: KrausChannel, qubit: int, n_qubits: int) -> KrausChannel:
     left, right = 2**qubit, 2 ** (n_qubits - 1 - qubit)
     lifted = []
     for e in channel.operators:
+        # np.kron prepends unit axes to the identity: each matrix of a stack
+        # is lifted as it would be alone
         if right > 1:
             e = np.kron(e, np.eye(right, dtype=complex))
         if left > 1:
             e = np.kron(np.eye(left, dtype=complex), e)
-        lifted.append(_frozen(e))
+        lifted.append(e)
     # (sum E^dag E) x I = I: complete by construction, so not checked again
-    out = object.__new__(KrausChannel)
-    for name, value in (("kind", channel.kind), ("p", channel.p),
-                        ("operators", tuple(lifted)), ("dim", 2**n_qubits)):
-        object.__setattr__(out, name, value)
-    return out
+    return _unchecked(channel.kind, channel.p, tuple(lifted), 2**n_qubits)
+
+
+def over_points(channel: KrausChannel, start: int, stop: int) -> KrausChannel:
+    """The channels ``start:stop`` of the stack ``channel``, with a unit
+    axis after the stack's, so that their operators, shape (P, 1, dim,
+    dim), broadcast against a stack of points to (P, N) values, p outer.
+    Views of complete operators, so not checked again."""
+    ops = tuple(e[start:stop, None] for e in channel.operators)
+    return _unchecked(channel.kind, channel.p[start:stop], ops, channel.dim)
 
 
 def _require_dim(dim: int, channel: KrausChannel, what: str) -> None:
@@ -129,11 +177,12 @@ def _require_dim(dim: int, channel: KrausChannel, what: str) -> None:
 
 def apply_kraus(m: np.ndarray, channel: KrausChannel) -> np.ndarray:
     """sum_k E_k rho E_k^dagger for each density matrix rho of a stack, as
-    one broadcast product over (point, operator) summed over the operators.
+    one broadcast product over (point, operator) summed over the operators;
+    the leading axes of a channel stack broadcast against the stack's.
     A complete channel maps density matrices to density matrices, so the
     results are not checked again."""
     _require_dim(m.shape[-1], channel, "state")
-    ops = np.stack(channel.operators)
+    ops = np.stack(channel.operators, axis=-3)
     terms = ops @ m[..., None, :, :] @ linalg.dagger(ops)
     return np.sum(terms, axis=-3, initial=0.0)
 
@@ -145,7 +194,8 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
 
 def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
     """Average gate fidelity of a noisy implementation against each target
-    unitary of a stack.
+    unitary of a stack; the leading axes of a channel stack broadcast
+    against the targets'.
 
     With M_k = U^dagger E_k and n the dimension,
 
@@ -159,7 +209,8 @@ def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
     _require_dim(n, channel, "target")
     linalg.require_finite(u, "matrix entries")
     ud = linalg.dagger(u)
-    gram = np.zeros(u.shape, dtype=complex)
+    gram = np.zeros(np.broadcast_shapes(u.shape, *(e.shape for e in channel.operators)),
+                    dtype=complex)
     overlap = 0.0
     # one operator at a time, accumulating in place: the stacks held stay
     # a few, whatever the number of operators
@@ -176,14 +227,15 @@ def average_fidelity_numeric(u_target: np.ndarray, channel: KrausChannel) -> flo
     return float(average_fidelities(linalg.as_matrix(u_target), channel))
 
 
-def average_fidelity_closed(kind: str, p: float, t: float) -> float:
+def average_fidelity_closed(kind: str, p, t: float) -> float:
     """Closed-form average fidelity for the switch at time ``t`` with noise of
     strength ``p`` on the first qubit.
 
     PF and BF give (p (cos t + 3)^2 + 2) / 18; AD and PD carry the
-    sqrt(1-p) factors of their damping operators. ``t`` may be an array,
-    and each entry has the bits of the single-point call; squares are
-    taken as in ``entanglement``.
+    sqrt(1-p) factors of their damping operators. ``t`` may be an array
+    and ``p`` a (P, 1, 1) column of a stack's values, which broadcast;
+    each entry has the bits of the single-point call; squares are taken as
+    in ``entanglement``.
     """
     check_channel(kind, p)
     c3 = np.cos(t) + 3.0

@@ -292,10 +292,11 @@ def iconcurrence_closed(alpha0: complex, beta0: complex, t: float) -> float:
 
 
 def iconcurrence_noisy_closed(
-    kind: str, p: float, t: float, alpha0: complex, beta0: complex
+    kind: str, p, t: float, alpha0: complex, beta0: complex
 ) -> float:
     """Closed-form I-concurrence of the switched pair with noise of strength
-    ``p`` on the first qubit: sqrt(1 - |r'|^2), with r' the channel's
+    ``p``, one value or a (P, 1, 1) column of a stack's values, on the
+    first qubit: sqrt(1 - |r'|^2), with r' the channel's
     contraction of the first qubit's Bloch vector r (Nielsen and Chuang,
     section 8.3). With x = |alpha|^2, s = |sin(t) beta|^2 and
     u = |cos(t) beta|^2, 1 - |r|^2 = 4 s u, and
@@ -388,7 +389,9 @@ def pair_ensembles(
     """Run the switch on |A>|0>|1> to time ``t`` for each |A> of a stack of
     amplitude pairs and drop the control: the switched pair psi as a
     one-column ensemble, or its Kraus branches E_k psi under ``lifted``, a
-    channel already lifted onto the pair; shape (..., 4, K). The columns
+    channel already lifted onto the pair, or a stack of them whose leading
+    axes broadcast against the pairs' (``channels.over_points``); shape
+    (..., 4, K). The columns
     decompose the pair's density matrix, sum_k (E_k psi)(E_k psi)^dagger,
     which is not formed."""
     psi = switched_pairs(a_amps, t)[..., None]

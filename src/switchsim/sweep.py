@@ -12,11 +12,12 @@ with noise on qubit 0). Output is deterministic: identical configurations
 produce byte-identical files.
 
 The numeric route evaluates the grid as stacked arrays, in blocks sized by
-the bytes of the route's matrices (BLOCK_POINTS points for a gate route, 4
-times that for a pair route), so that the memory it holds does not grow
-with the grid. The (a, t) values of a block are checked at its boundary,
-where ``states.angle_qubits`` also checks the qubits |A> as a PureState
-is; the registers, their evolution and what is built from them hold by
+the bytes of the route's matrices (BLOCK_POINTS (p, point) entries for a
+gate route, 4 times that for a pair route), so that the memory it holds
+does not grow with the grid or with the number of values of p. The (a, t)
+values of a block are checked at its boundary, where
+``states.angle_qubits`` also checks the qubits |A> as a PureState is;
+the registers, their evolution and what is built from them hold by
 construction and are not checked again (see ``states`` and ``switch``).
 Every pair route reads the evolved pair as its Kraus branches E_k psi
 (psi itself for a clean run), and no mixed measure forms the noisy pair
@@ -34,8 +35,20 @@ the bits of the closed form at each single point, since both are the
 same numpy code (see ``entanglement``). A grid may hold at most
 MAX_GRID_POINTS points.
 
-Sweeps, diffs and ``verify`` share one path, ``_columns``: a configuration's
-numeric array and closed column, compared as |numeric - closed|. A diff
+p stacks. Sweeps, diffs and ``verify`` share one path, ``_columns``: the
+numeric values and closed column of a run of configurations that differ
+only in the channel strength p, compared as |numeric - closed|. The run
+builds, checks and lifts its channel once, as a stack of its P values of
+p (see ``channels``). The numeric route runs over the flattened
+(p, point) axis, p outer, in blocks of whole rows of p, or of pieces of
+one row where a row does not fit, so that a block holds no more entries,
+and no more bytes, whatever P is. A block builds each point's state once
+and applies its rows of the channel stack by broadcasting
+(``channels.over_points``). A noisy closed form takes p as a (P, 1, 1)
+column and gives the (P, A, T) closed column in one call. Every value
+has the bits of its configuration evaluated alone. A sweep or diff is a
+run of one configuration; ``verify`` hands each noisy record's
+configurations to ``_columns`` as one run. A diff
 first subtracts the clean run's columns. A sweep or diff returns them as
 one columnar record, ``Sweep``, with the t and a of each point; ``verify``
 builds none. A ``SweepRow`` is the view of one point that indexing a
@@ -70,12 +83,13 @@ from . import states, switch
 #: verification gate per measure
 DEFAULT_TOLERANCE = 1e-9
 AVG_FIDELITY_TOLERANCE = 1e-10
-#: grid points a gate route evaluates together as one stack. A gate route
-#: works on 8 x 8 matrices; every other route measures 4 x 4 pair matrices,
-#: a quarter of the bytes, and takes 4 * BLOCK_POINTS points, so that the
-#: matrix stacks a measure works on stay at 64 KiB per block (the 8-amplitude
-#: registers a block evolves are transient). Blocks bound
-#: the memory a sweep holds in arrays, whatever the size of its grid: the
+#: (p, point) entries a gate route evaluates together as one stack, at
+#: most. A gate route works on 8 x 8 matrices; every other route measures
+#: 4 x 4 pair matrices, a quarter of the bytes, and takes 4 * BLOCK_POINTS
+#: entries, so that the matrix stacks a measure works on stay at 64 KiB per
+#: block (the 8-amplitude registers a block evolves are transient). Blocks
+#: bound the memory a sweep holds in arrays, whatever the size of its grid
+#: or the number of its values of p: the
 #: average-fidelity route holds about 6 KB per point at its peak, and 64
 #: points keep a sweep's peak memory at that of evaluating one point at a
 #: time (512 raised it by about 4 MB). Larger blocks pay numpy's per-call
@@ -93,11 +107,15 @@ class Measure:
     ``numeric(a, t, lifted, log_base)`` computes the values at the points
     (a[i], t[i]) of two equal-length arrays from the evolved states, as one
     stack; ``lifted`` is the channel already lifted onto the register, or
-    None for a clean run. ``closed(alpha0, beta0, t, log_base)`` is the
-    clean closed form and ``noisy_closed(kind, p, t, alpha0, beta0)`` the
-    closed form under noise on qubit 0, either None or called once per
-    grid: ``alpha0`` and ``beta0`` are sin a and cos a as (A, 1) columns,
-    ``t`` is a (T,) row, and the values broadcast to (A, T).
+    None for a clean run: one channel, or a stack of P channels shaped to
+    broadcast against the points (``channels.over_points``), which gives
+    (P, N) values.
+    ``closed(alpha0, beta0, t, log_base)`` is the clean closed form and
+    ``noisy_closed(kind, p, t, alpha0, beta0)`` the closed form under
+    noise on qubit 0, either None or called once per grid: ``alpha0`` and
+    ``beta0`` are sin a and cos a as (A, 1) columns, ``t`` is a (T,) row,
+    ``p`` a (P, 1, 1) column of a run's values, and the values broadcast
+    to (A, T), or (P, A, T) under noise.
     ``mixed`` says whether the numeric route accepts a noisy (mixed) pair;
     ``gate`` marks a property of the noisy switch itself, which needs a
     channel and lifts it onto all three qubits.
@@ -106,7 +124,9 @@ class Measure:
     name: str
     numeric: Callable[[np.ndarray, np.ndarray, Optional[ch.KrausChannel], str], np.ndarray]
     closed: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, str], np.ndarray]]
-    noisy_closed: Optional[Callable[[str, float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
+    noisy_closed: Optional[
+        Callable[[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    ]
     tolerance: float
     mixed: bool
     gate: bool = False
@@ -123,7 +143,7 @@ MEASURES = {m.name: m for m in (
         "schmidt",
         numeric=lambda a, t, lifted, base: ent.schmidt_spectra(
             switch.switched_pairs(states.angle_qubits(a), t)
-        )[:, 0],
+        )[..., 0],
         closed=lambda al, be, t, base: ent.schmidt_closed(be, t).lambda0,
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=False,
     ),
@@ -131,7 +151,7 @@ MEASURES = {m.name: m for m in (
         "ppt",
         numeric=lambda a, t, lifted, base: ent.ppt_spectra(
             ent.ensemble_densities(_pair_ensembles(a, t, lifted))
-        )[:, 0],
+        )[..., 0],
         closed=lambda al, be, t, base: pw.least(*ent.ppt_eigenvalues_closed(al, be, t)),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
@@ -302,19 +322,22 @@ class Sweep:
         return map(self.__getitem__, range(len(self)))
 
 
-Numeric = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Numeric = Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
 Closed = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed], int]:
-    """The numeric route of ``config`` as a function of stacked (a, t), its
-    closed form as a function of (sin a, cos a, t) over the grid (see
-    Measure), and the number of points the numeric route takes per block
+def _routes(configs: Sequence[SweepConfig]) -> tuple[Numeric, Optional[Closed], int]:
+    """The numeric route of a run of configurations that differ only in p,
+    as a function of stacked (a, t) and of a range start:stop of the run's
+    values of p; their closed form as a function of (sin a, cos a, t) over
+    the grid, (P, A, T) values for the P configurations (see Measure); and
+    the number of (p, point) entries the numeric route takes per block
     (see BLOCK_POINTS). The closed form is None without ``compare`` or
     where the table has none (noise on qubit 1 included). The channel is
-    built and lifted here, once per configuration."""
-    m = MEASURES[config.measure]
-    spec, base = config.channel, config.log_base
+    built and lifted here, once for the whole run, as a stack of its p;
+    everything else is read from the first configuration."""
+    head = configs[0]
+    m, spec, base = MEASURES[head.measure], head.channel, head.log_base
     if m.gate and spec is None:
         raise ValueError(f"{m.name} needs a channel (--channel/--p)")
     if spec is not None and not (m.mixed or m.gate):
@@ -322,41 +345,58 @@ def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed], int]:
             f"measure {m.name!r} is defined for noiseless (pure) states "
             f"only; drop the channel or pick one of {mixed_measures()}"
         )
-    lifted = None if spec is None else ch.lift(spec.make(), spec.qubit, 3 if m.gate else 2)
+    lifted, closed = None, None
+    if spec is not None:
+        p = tuple(config.channel.p for config in configs)
+        lifted = ch.lift(ch.make_channel(spec.kind, p), spec.qubit, 3 if m.gate else 2)
     block = BLOCK_POINTS if m.gate else 4 * BLOCK_POINTS
 
-    def numeric(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return m.numeric(a, t, lifted, base)
+    def numeric(a: np.ndarray, t: np.ndarray, start: int, stop: int) -> np.ndarray:
+        return m.numeric(a, t, None if lifted is None else ch.over_points(lifted, start, stop),
+                         base)
 
-    closed = None
-    if config.compare and spec is None and m.closed is not None:
+    if head.compare and spec is None and m.closed is not None:
         closed = lambda al, be, t: m.closed(al, be, t, base)
-    elif config.compare and spec is not None and spec.qubit == 0 and m.noisy_closed is not None:
-        closed = lambda al, be, t: m.noisy_closed(spec.kind, spec.p, t, al, be)
+    elif head.compare and spec is not None and spec.qubit == 0 and m.noisy_closed is not None:
+        column = np.array(p)[:, None, None]
+        closed = lambda al, be, t: m.noisy_closed(spec.kind, column, t, al, be)
     return numeric, closed, block
 
 
-def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray, block: int) -> np.ndarray:
-    """The numeric route over the grid points (a, t), ``block`` at a time."""
-    return np.concatenate([
-        numeric(a[i:i + block], t[i:i + block]) for i in range(0, len(a), block)
-    ])
+def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray, p_count: int,
+              block: int) -> np.ndarray:
+    """The numeric route at the grid points (a, t) under each of ``p_count``
+    values of p, over the flattened (p, point) axis, p outer, in blocks of
+    at most ``block`` entries: as many whole rows of p as fit in a block,
+    or pieces of one row where a row does not fit. A block builds the
+    state of each of its points once, for all of its values of p."""
+    n = len(a)
+    rows, step = max(1, block // n), min(block, n)
+    values = []
+    for p0 in range(0, p_count, rows):
+        p1 = min(p0 + rows, p_count)
+        for i in range(0, n, step):
+            values.append(numeric(a[i:i + step], t[i:i + step], p0, p1).ravel())
+    return np.concatenate(values)
 
 
-def _closed_column(config: SweepConfig, closed: Closed) -> np.ndarray:
-    """``closed`` at every grid point, a outer, t fastest, from one call;
-    sin a and cos a are computed once per a value."""
-    a = config.a_values()[:, None]
-    values = closed(np.sin(a), np.cos(a), config.t_values())
-    return np.broadcast_to(values, (config.a_steps, config.t_steps)).ravel()
+def _closed_column(configs: Sequence[SweepConfig], closed: Closed) -> np.ndarray:
+    """``closed`` at every grid point of each configuration of a run, p
+    outer, then a, t fastest, from one call; sin a and cos a are computed
+    once per a value."""
+    head = configs[0]
+    a = head.a_values()[:, None]
+    values = closed(np.sin(a), np.cos(a), head.t_values())
+    return np.broadcast_to(values, (len(configs), head.a_steps, head.t_steps)).ravel()
 
 
-def _columns(config: SweepConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The numeric values of ``config`` over its grid, and its closed
-    column, or None where ``_routes`` gives no closed form."""
-    numeric, closed, block = _routes(config)
-    values = _evaluate(numeric, *config.grid(), block)
-    return values, None if closed is None else _closed_column(config, closed)
+def _columns(configs: Sequence[SweepConfig]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The numeric values of a run of configurations that differ only in
+    p, each over its grid, p outer, and their closed column, or None where
+    ``_routes`` gives no closed form."""
+    numeric, closed, block = _routes(configs)
+    values = _evaluate(numeric, *configs[0].grid(), len(configs), block)
+    return values, None if closed is None else _closed_column(configs, closed)
 
 
 def _sweep(config: SweepConfig, values: np.ndarray, closed: Optional[np.ndarray]) -> Sweep:
@@ -370,7 +410,7 @@ def _sweep(config: SweepConfig, values: np.ndarray, closed: Optional[np.ndarray]
 
 def run_sweep(config: SweepConfig) -> Sweep:
     """The values of ``config`` at every grid point, a outer, t fastest."""
-    return _sweep(config, *_columns(config))
+    return _sweep(config, *_columns((config,)))
 
 
 def diff_sweep(config: SweepConfig) -> Sweep:
@@ -383,9 +423,10 @@ def diff_sweep(config: SweepConfig) -> Sweep:
         raise ValueError("diff needs a channel (--channel/--p)")
     if not MEASURES[config.measure].mixed:
         raise ValueError(f"diff is defined for {mixed_measures()}, got {config.measure!r}")
-    noisy, noisy_closed = _columns(config)
+    noisy, noisy_closed = _columns((config,))
     # every mixed measure has a clean closed form; needed only with a noisy one
-    clean, clean_closed = _columns(replace(config, channel=None, compare=noisy_closed is not None))
+    clean_config = replace(config, channel=None, compare=noisy_closed is not None)
+    clean, clean_closed = _columns((clean_config,))
     closed = None if noisy_closed is None else np.abs(noisy_closed - clean_closed)
     return _sweep(config, np.abs(noisy - clean), closed)
 
@@ -467,12 +508,9 @@ def verify(
     ent._log_scale(log_base)  # validates
     columns, checks = functools.cache(_columns), []
     for record in _battery(wanted, a_steps, t_steps, log_base):
-        errors = []
-        for config, other in zip(record.configs, record.against or record.configs):
-            values, closed = columns(config)
-            reference = closed + inject_error if record.against is None else columns(other)[0]
-            errors.append(np.abs(values - reference))
-        error = np.max(np.concatenate(errors))  # unlike max(), lets a NaN through to fail
+        values, closed = columns(record.configs)
+        reference = closed + inject_error if record.against is None else columns(record.against)[0]
+        error = np.max(np.abs(values - reference))  # unlike max(), lets a NaN through to fail
         checks.append(VerifyCheck(record.name, float(error), record.tolerance))
     return checks
 

@@ -56,6 +56,71 @@ def test_every_channel_entry_point_rejects_a_bad_kind_or_p_alike(entry, kind, p,
     assert str(err.value) == message
 
 
+#: every entry point that takes a stack of p, as a tuple or a (P, 1, 1) column
+STACK_ENTRY_POINTS = {
+    "check_channel": ch.check_channel,
+    "make_channel": ch.make_channel,
+    "iconcurrence_noisy_closed": lambda kind, p: ent.iconcurrence_noisy_closed(
+        kind, np.array(p)[:, None, None], np.array([0.3, 0.9]), 0.6, 0.8
+    ),
+    "average_fidelity_closed": lambda kind, p: ch.average_fidelity_closed(
+        kind, np.array(p)[:, None, None], np.array([0.3, 0.9])
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", STACK_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+@pytest.mark.parametrize("position", range(len(P_GRID)))
+def test_a_stack_of_p_names_its_first_bad_value(entry, bad, position):
+    stack = list(P_GRID)
+    stack[position] = bad
+    if position < len(P_GRID) - 1:
+        stack[-1] = 2.0  # a later bad value is not the one named
+    with pytest.raises(ValueError) as err:
+        STACK_ENTRY_POINTS[entry]("PF", tuple(stack))
+    assert str(err.value) == f"probability must lie in [0, 1], got {bad!r}"
+    with pytest.raises(ValueError) as err:  # the kind is checked before p
+        STACK_ENTRY_POINTS[entry]("XX", tuple(stack))
+    assert str(err.value) == BAD_KIND
+
+
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_a_channel_stack_is_its_channels_bit_for_bit(kind):
+    stack = ch.make_channel(kind, list(P_GRID))
+    assert stack.p == P_GRID and isinstance(stack.p, tuple)  # hashable, as a scalar p is
+    alone = [ch.make_channel(kind, p) for p in P_GRID]
+    for n in (1, 2, 3):
+        for qubit in range(n):
+            lifted = ch.lift(stack, qubit, n)
+            assert (lifted.kind, lifted.p, lifted.dim) == (kind, P_GRID, 2**n)
+            reference = [ch.lift(channel, qubit, n).operators for channel in alone]
+            for k, e in enumerate(lifted.operators):
+                assert e.shape == (len(P_GRID), 2**n, 2**n) and not e.flags.writeable
+                assert e.tobytes() == np.stack([ops[k] for ops in reference]).tobytes()
+            rows = ch.over_points(lifted, 1, 4)
+            assert rows.p == P_GRID[1:4]
+            for e, r in zip(lifted.operators, rows.operators):
+                assert r.shape == (3, 1, 2**n, 2**n) and not r.flags.writeable
+                assert r.tobytes() == e[1:4].tobytes()
+    rho = np.stack([random_density(np.random.default_rng(i), 1).matrix for i in range(len(P_GRID))])
+    out = ch.apply_kraus(rho, stack)
+    for i, channel in enumerate(alone):
+        assert out[i].tobytes() == ch.apply_kraus(rho[i], channel).tobytes()
+
+
+def test_a_channel_stack_is_checked_as_a_whole():
+    ops = ch.make_channel("AD", P_GRID).operators
+    broken = (ops[0], ops[1] * np.array([1.0, 1.0, 1.1, 1.0, 1.0])[:, None, None])
+    with pytest.raises(ValueError, match="trace preserving"):
+        ch.KrausChannel("AD", P_GRID, broken, 2)
+    with pytest.raises(ValueError, match="does not match dim 2 and 5 values of p"):
+        ch.KrausChannel("AD", P_GRID, (ops[0][:4], ops[1][:4]), 2)
+    for p in ((), ((0.1, 0.2),)):
+        with pytest.raises(ValueError, match="p must be one value or a stack of at least one"):
+            ch.make_channel("AD", p)
+
+
 def test_noiseless_endpoints():
     pf = ch.make_channel("PF", 1.0)
     assert np.array_equal(pf.operators[0], np.eye(2, dtype=complex))

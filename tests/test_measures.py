@@ -535,8 +535,12 @@ def test_closed_column_is_the_point_by_point_loop_bit_for_bit(name, noise, base)
     channel = None if noise is None else ChannelSpec(*noise)
     for grid in GRIDS:
         config = SweepConfig(name, channel=channel, log_base=base, compare=True, **grid)
-        _, closed, _ = sweep._routes(config)
-        column = sweep._closed_column(config, closed)
+        _, closed, _ = sweep._routes((config,))
+        column = sweep._closed_column((config,), closed)
+        # the route's noisy closed form reads p as a (1, 1, 1) column; the
+        # single-point call takes it as a float
+        if noise is not None:
+            closed = lambda al, be, t: MEASURES[name].noisy_closed(*noise, t, al, be)
         points = _reference_column(config, closed)
         assert column.dtype == points.dtype and column.shape == points.shape
         assert column.tobytes() == points.tobytes(), grid

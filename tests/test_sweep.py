@@ -412,15 +412,62 @@ def test_the_battery_of_each_measure(measure, names):
     assert [c.name for c in verify(measures=[measure], a_steps=2, t_steps=2)] == names
 
 
+def _count_channel_builds(monkeypatch):
+    """Record the arguments of every make_channel and lift call."""
+    calls = {"make_channel": [], "lift": []}
+    for name, made in calls.items():
+        original = getattr(ch, name)
+        monkeypatch.setattr(ch, name, lambda *args, made=made, original=original:
+                            made.append(args) or original(*args))
+    return calls
+
+
 def test_verify_lifts_each_average_fidelity_channel_once(monkeypatch):
-    # 4 kinds x 20 values of p; the PF=BF check reuses the [PF] and [BF] values
-    calls = []
-    lift = ch.lift
-    monkeypatch.setattr(ch, "lift", lambda *args: calls.append(args) or lift(*args))
+    # one stack of 20 values of p per kind; the PF=BF check reuses the
+    # [PF] and [BF] values
+    calls = _count_channel_builds(monkeypatch)
     checks = verify(measures=["avg_fidelity"])
-    assert len(calls) == 80
+    assert len(calls["lift"]) == len(calls["make_channel"]) == 4
+    assert [len(c.p) for c, *_ in calls["lift"]] == [sweep.AVG_GRID] * 4
     assert [c.name for c in checks][-1] == "avg_fidelity[PF=BF]"
     assert all(c.passed for c in checks)
+
+
+def test_verify_builds_each_iconcurrence_channel_stack_once(monkeypatch):
+    # one stack of the 5 NOISY_P_VALUES per kind
+    calls = _count_channel_builds(monkeypatch)
+    checks = verify(measures=["iconcurrence"])
+    assert calls["make_channel"] == [
+        (kind, sweep.NOISY_P_VALUES) for kind in ch.CHANNEL_KINDS
+    ]
+    assert [(c.p, qubit, n) for c, qubit, n in calls["lift"]] == [(sweep.NOISY_P_VALUES, 0, 2)] * 4
+    assert all(c.passed for c in checks)
+
+
+def test_a_stacked_verify_holds_no_larger_blocks(monkeypatch):
+    # a block of a run spans rows of p: its stacks hold no more matrices
+    # than a single configuration's, whatever the number of p
+    sizes = {"average_fidelities": [], "reduced_determinants": []}
+
+    def record(module, name, shape):
+        original = getattr(module, name)
+
+        def recorded(*args):
+            sizes[name].append(shape(*args)[:-2])
+            return original(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(ch, "average_fidelities", lambda u, lifted: np.broadcast_shapes(
+        u.shape, *(e.shape for e in lifted.operators)))
+    record(ent, "reduced_determinants", lambda xi: xi.shape)
+    assert all(c.passed for c in verify(measures=["avg_fidelity", "iconcurrence"]))
+    gate, pair = sizes["average_fidelities"], sizes["reduced_determinants"]
+    assert max(math.prod(s) for s in gate) <= sweep.BLOCK_POINTS
+    assert max(math.prod(s) for s in pair) <= 4 * sweep.BLOCK_POINTS
+    # 20 times per p: three rows of p per block of the gate route; 450
+    # points per p: pieces of one row for a pair route
+    assert (3, 20) in gate and (1, 256) in pair
 
 
 def test_verify_rejects_unknown_measures():
@@ -504,15 +551,50 @@ def test_values_do_not_depend_on_the_block_size(name, spec):
     # the same bits whatever the block, so block sizes never move an output
     # byte; tobytes also tells -0.0 from 0.0, which print differently
     config = SweepConfig(name, a_steps=3, t_steps=17, t_min=-3.0, t_max=6.0, channel=spec)
-    numeric, _, block = sweep._routes(config)
+    numeric, _, block = sweep._routes((config,))
     a, t = config.grid()
-    blocked = sweep._evaluate(numeric, a, t, block)
+    blocked = sweep._evaluate(numeric, a, t, 1, block)
     assert blocked.shape == (51,)
-    assert sweep._evaluate(numeric, a, t, 1).tobytes() == blocked.tobytes()
+    assert sweep._evaluate(numeric, a, t, 1, 1).tobytes() == blocked.tobytes()
 
 
 def test_pair_routes_take_four_times_the_points_of_a_gate_route():
     noise = ChannelSpec("PF", 0.3)
     for name, m in MEASURES.items():
-        *_, block = sweep._routes(SweepConfig(name, channel=noise if m.gate else None))
+        *_, block = sweep._routes((SweepConfig(name, channel=noise if m.gate else None),))
         assert block == (sweep.BLOCK_POINTS if m.gate else 4 * sweep.BLOCK_POINTS)
+
+
+STACKED = [name for name, m in MEASURES.items() if m.mixed or m.gate]
+P_VALUES = sweep.NOISY_P_VALUES
+
+
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_a_p_stack_is_its_configurations_bit_for_bit(kind, qubit):
+    # every stacked route and closed column against the route under each
+    # channel alone, and against each configuration as a run of one
+    for name in STACKED:
+        m = MEASURES[name]
+        configs = tuple(SweepConfig(name, a_steps=3, t_steps=5, t_min=-1.0, t_max=2.0,
+                                    channel=ChannelSpec(kind, p, qubit), compare=True)
+                        for p in P_VALUES)
+        values, closed = sweep._columns(configs)
+        a, t = configs[0].grid()
+        alone = [m.numeric(a, t, ch.lift(ch.make_channel(kind, p), qubit, 3 if m.gate else 2), "e")
+                 for p in P_VALUES]
+        runs = [sweep._columns((config,)) for config in configs]
+        assert np.array_equal(values, np.concatenate(alone)), name
+        assert values.tobytes() == np.concatenate([v for v, _ in runs]).tobytes(), name
+        numeric, _, block = sweep._routes(configs)
+        assert sweep._evaluate(numeric, a, t, len(P_VALUES), 7).tobytes() == values.tobytes()
+        if qubit == 1 or m.noisy_closed is None:
+            assert closed is None and all(c is None for _, c in runs), name
+            continue
+        al, be = np.sin(configs[0].a_values())[:, None], np.cos(configs[0].a_values())[:, None]
+        t_row = configs[0].t_values()
+        points = [np.broadcast_to(m.noisy_closed(kind, p, t_row, al, be), (3, 5)).ravel()
+                  for p in P_VALUES]
+        assert np.array_equal(closed, np.concatenate(points)), name
+        assert closed.tobytes() == np.concatenate([c for _, c in runs]).tobytes(), name
+
