@@ -10,8 +10,9 @@ first qubit's entropy of 256 switched pairs under
 amplitude damping on qubit 0, read from the determinant of the Kraus
 branches (`entanglement.pair_ensembles`, `reduced_determinants` and
 `determinant_entropies`, the sweeps' route, with no eigensolve) against
-the eigensolve `entanglement.entropies` of the reduced states that
-`channels.apply_kraus` and `states.partial_traces` form; each closed form
+the eigensolve `reference.entropies` of the reduced states that
+`reference.apply_kraus` and `reference.partial_traces` form (the tests'
+density-matrix references, `tests/reference.py`); each closed form
 of the table through `sweep._closed_column` on the 50 x 101 grid, clean,
 and under amplitude damping on qubit 0 where it has a noisy form, one
 call per grid; one call of each scalar closed-form entry point at one
@@ -19,9 +20,9 @@ point, the cost a caller that evaluates point by point pays; the switch's
 evolution, `switch.switched_pairs` on a 256-point stack (a pair route's
 block) and `switch.switch_fidelities` on 64 registers (a gate route's
 block; it evolves each register twice); the concurrence of a density
-matrix, `entanglement.concurrences`, on a 256-matrix noisy stack; and the
-two state checks, `states.checked_density` and `states.normalized`, on a
-256-point stack, the size of a pair route's block.
+matrix, `reference.concurrences`, on a 256-matrix noisy stack; and the
+two state checks, `reference.checked_density` and `states.normalized`, on
+a 256-point stack, the size of a pair route's block.
 
     pytest benchmarks/bench_routes.py
     pytest benchmarks/bench_routes.py --benchmark-json BENCH_routes.json
@@ -33,6 +34,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
 from switchsim import channels, entanglement, states, switch, sweep
 
@@ -135,14 +137,14 @@ def test_switch_fidelities(benchmark):
     assert benchmark(switch.switch_fidelities, regs, x).shape == (sweep.BLOCK_POINTS,)
 
 
-PAIR_LIFTED = channels.lift(NOISE.make(), NOISE.qubit, 2)
+PAIR_LIFTED = channels.lift(channels.make_channel(NOISE.kind, NOISE.p), NOISE.qubit, 2)
 #: the first qubit's entropy of noisy switched pairs, two ways
 ENTROPY = {
     "determinant": lambda amps, t: entanglement.determinant_entropies(
         entanglement.reduced_determinants(entanglement.pair_ensembles(amps, t, PAIR_LIFTED))
     ),
-    "eigensolve": lambda amps, t: entanglement.entropies(states.partial_traces(
-        channels.apply_kraus(states.densities(switch.switched_pairs(amps, t)), PAIR_LIFTED),
+    "eigensolve": lambda amps, t: reference.entropies(reference.partial_traces(
+        reference.apply_kraus(reference.densities(switch.switched_pairs(amps, t)), PAIR_LIFTED),
         2, {1},
     )),
 }
@@ -156,15 +158,16 @@ def test_pair_entropies(benchmark, pair_inputs, route):
 
 def test_density_concurrences(benchmark, pairs):
     benchmark.group = "entanglement.concurrences"
-    lifted = channels.lift(DIFF_NOISE.make(), DIFF_NOISE.qubit, 2)
-    rho = channels.apply_kraus(states.densities(pairs), lifted)
-    assert benchmark(entanglement.concurrences, rho).shape == (256,)
+    lifted = channels.lift(channels.make_channel(DIFF_NOISE.kind, DIFF_NOISE.p),
+                           DIFF_NOISE.qubit, 2)
+    rho = reference.apply_kraus(reference.densities(pairs), lifted)
+    assert benchmark(reference.concurrences, rho).shape == (256,)
 
 
 def test_checked_density(benchmark, pairs):
     benchmark.group = "states.checks"
-    rho = states.densities(pairs)
-    assert benchmark(states.checked_density, rho) is rho
+    rho = reference.densities(pairs)
+    assert benchmark(reference.checked_density, rho) is rho
 
 
 def test_normalized(benchmark, pairs):

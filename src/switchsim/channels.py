@@ -12,15 +12,13 @@ Note the convention split: PF/BF are noiseless at p = 1, while AD/PD are
 noiseless at p = 0. The conventions are kept exactly as stated so the
 closed-form comparisons stay literal.
 
-``apply_kraus`` and ``average_fidelities`` work on stacks of density
-matrices and of target unitaries; ``apply_channel`` and
-``average_fidelity_numeric`` are their single-matrix case. A sweep
-applies no channel to a density matrix: it reads the Kraus branches
-E_k psi of the evolved pair (``entanglement.pair_ensembles``), and the
-tests hold its routes against ``apply_kraus``. A
-``KrausChannel`` checks its completeness when it is built; ``lift`` embeds
-a channel into a register without checking it again, since the lifted
-operators are complete whenever the channel's are.
+``average_fidelities`` works on a stack of target unitaries; one unitary
+is the stack with no leading axes. A sweep applies no channel to a
+density matrix: it reads the Kraus branches E_k psi of the evolved pair
+(``entanglement.pair_ensembles``). A ``KrausChannel`` checks its
+completeness when it is built; ``lift`` embeds a channel into a register
+without checking it again, since the lifted operators are complete
+whenever the channel's are.
 
 p stacks: ``make_channel`` given a tuple of P values builds the P channels
 of one kind as a single ``KrausChannel`` whose operators are (P, 2, 2)
@@ -33,13 +31,12 @@ broadcast against a stack of points, so that a sweep's routes evaluate
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, _adopt, _frozen
+from .states import _frozen
 from .switch import IDENTITY_2, PAULI_X, PAULI_Z
 
 CHANNEL_KINDS = ("PF", "BF", "AD", "PD")
@@ -175,23 +172,6 @@ def _require_dim(dim: int, channel: KrausChannel, what: str) -> None:
         )
 
 
-def apply_kraus(m: np.ndarray, channel: KrausChannel) -> np.ndarray:
-    """sum_k E_k rho E_k^dagger for each density matrix rho of a stack, as
-    one broadcast product over (point, operator) summed over the operators;
-    the leading axes of a channel stack broadcast against the stack's.
-    A complete channel maps density matrices to density matrices, so the
-    results are not checked again."""
-    _require_dim(m.shape[-1], channel, "state")
-    ops = np.stack(channel.operators, axis=-3)
-    terms = ops @ m[..., None, :, :] @ linalg.dagger(ops)
-    return np.sum(terms, axis=-3, initial=0.0)
-
-
-def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """sum_k E_k rho E_k^dagger; preserves trace, Hermiticity and positivity."""
-    return _adopt(DensityMatrix, rho.n_qubits, apply_kraus(rho.matrix, channel))
-
-
 def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
     """Average gate fidelity of a noisy implementation against each target
     unitary of a stack; the leading axes of a channel stack broadcast
@@ -222,11 +202,6 @@ def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
     return (np.trace(gram, axis1=-2, axis2=-1).real + overlap) / (n * (n + 1))
 
 
-def average_fidelity_numeric(u_target: np.ndarray, channel: KrausChannel) -> float:
-    """average_fidelities of one target unitary."""
-    return float(average_fidelities(linalg.as_matrix(u_target), channel))
-
-
 def average_fidelity_closed(kind: str, p, t: float) -> float:
     """Closed-form average fidelity for the switch at time ``t`` with noise of
     strength ``p`` on the first qubit.
@@ -246,32 +221,3 @@ def average_fidelity_closed(kind: str, p, t: float) -> float:
     # PD
     damped = np.float_power(abs((np.sqrt(1.0 - p) + 1.0) * c3), 2)
     return (damped + abs(p * np.float_power(c3, 2)) + 8.0) / 72.0
-
-
-def average_fidelity_monte_carlo(
-    u_target: np.ndarray,
-    channel: KrausChannel,
-    samples: int = 100_000,
-    rng=0,
-):
-    """Estimate the average fidelity by sampling Haar-random pure inputs.
-
-    Independent of the trace formula: draws |psi> uniformly, pushes it
-    through the channel and measures <psi| U^dag K(|psi><psi|) U |psi>.
-    ``rng`` is a numpy Generator or anything ``np.random.default_rng``
-    accepts. Returns (mean, standard_error).
-    """
-    u = linalg.as_matrix(u_target)
-    n = u.shape[0]
-    _require_dim(n, channel, "target")
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    psi = g / np.linalg.norm(g, axis=1, keepdims=True)
-    phi = psi @ u.T  # rows are U|psi>
-    f = np.zeros(samples)
-    for e in channel.operators:
-        amp = np.einsum("si,si->s", np.conj(phi), psi @ e.T)
-        f += np.abs(amp) ** 2
-    mean = float(np.mean(f))
-    stderr = float(np.std(f, ddof=1) / math.sqrt(samples))
-    return mean, stderr

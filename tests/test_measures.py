@@ -11,13 +11,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsim import channels as ch
 from switchsim import cli
 from switchsim import entanglement as ent
-from switchsim import linalg, states, sweep, switch
+from switchsim import states, sweep, switch
 from switchsim.sweep import MEASURES, ChannelSpec, SweepConfig, diff_sweep, run_sweep
 
 #: (measure, channel kind or None): every closed form the table holds,
@@ -64,9 +65,9 @@ def test_determinant_forms_hold_for_complex_phases(a, t, phi, kind, p):
     # the other closed forms, which read only |alpha| and |beta|
     concurrence = ent.ensemble_concurrences(psi[..., None])[0]
     assert abs(concurrence - ent.concurrence_closed(be, t)) <= 1e-12
-    ppt = ent.ppt_spectra(states.densities(psi))[0]
+    ppt = ent.ppt_spectra(reference.densities(psi))[0]
     assert np.max(np.abs(ppt - np.sort(np.array(ent.ppt_eigenvalues_closed(al, be, t))))) <= 1e-12
-    entropy = ent.entropies(states.partial_traces(states.densities(psi), 2, {1}))[0]
+    entropy = reference.entropies(reference.partial_traces(reference.densities(psi), 2, {1}))[0]
     assert abs(entropy - ent.reduced_entropy_closed(al, be, t)) <= 1e-12
     fidelity = switch.switch_fidelities(switch.registers(amps), t)[0]
     assert abs(fidelity - ent.fidelity_closed(al, be, t)) <= 1e-12
@@ -194,18 +195,18 @@ def test_concurrence_follows_the_factorization_law(probe, kind, qubit):
     # neither route uses the law; where C is small, a square root of
     # eigensolver noise would miss it by far more than 1e-12
     a, t, clean = probe
-    rho = states.densities(switch.switched_pairs(states.angle_qubits(a[:DENSITY_PROBE]),
-                                                 t[:DENSITY_PROBE]))
+    rho = reference.densities(switch.switched_pairs(states.angle_qubits(a[:DENSITY_PROBE]),
+                                                    t[:DENSITY_PROBE]))
     for p in (0.0, 0.13, 0.5, 0.74, 1.0):
         lifted = ch.lift(ch.make_channel(kind, p), qubit, 2)
         want = clean * _choi_concurrence(kind, p)
         route = MEASURES["concurrence"].numeric(a, t, lifted, "e")
         assert np.max(np.abs(route - want)) <= 1e-12, p
-        noisy = ch.apply_kraus(rho, lifted)
-        density = ent.concurrences(noisy)
+        noisy = reference.apply_kraus(rho, lifted)
+        density = reference.concurrences(noisy)
         assert np.max(np.abs(density - want[:DENSITY_PROBE])) <= 1e-12, p
         for i in range(0, DENSITY_PROBE, 100):
-            single = ent.concurrence(states.DensityMatrix(2, noisy[i]))
+            single = float(reference.concurrences(reference.checked_density(noisy[i])))
             assert abs(single - want[i]) <= 1e-12, (p, a[i], t[i])
 
 
@@ -240,17 +241,17 @@ def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, 
     # at 1e-13. The reference runs on the DENSITY_PROBE points, for time,
     # as in the test above
     a, t = probe[0][:DENSITY_PROBE], probe[1][:DENSITY_PROBE]
-    rho = states.densities(switch.switched_pairs(states.angle_qubits(a), t))
+    rho = reference.densities(switch.switched_pairs(states.angle_qubits(a), t))
     kernels = {
         "ppt": lambda m: ent.ppt_spectra(m)[:, 0],
-        "entropy": lambda m: ent.entropies(states.partial_traces(m, 2, {1})),
+        "entropy": lambda m: reference.entropies(reference.partial_traces(m, 2, {1})),
     }
     # one branch: the ppt's density matrix keeps its bits; the entropy
     # reads no eigensolve, so it is held at 1e-13 below
     assert np.array_equal(MEASURES["ppt"].numeric(a, t, None, "e"), kernels["ppt"](rho))
     for p in (None, 0.0, 0.13, 0.5, 0.74, 1.0):
         lifted = None if p is None else ch.lift(ch.make_channel(kind, p), qubit, 2)
-        noisy = rho if p is None else ch.apply_kraus(rho, lifted)
+        noisy = rho if p is None else reference.apply_kraus(rho, lifted)
         for name, kernel in kernels.items():
             route = MEASURES[name].numeric(a, t, lifted, "e")
             assert np.max(np.abs(route - kernel(noisy))) <= 1e-13, (name, p)
@@ -258,7 +259,7 @@ def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, 
 
 #: (channel kind, noise qubit): a clean run, then every kind on each qubit
 NOISE_CASES = [(None, None)] + [(kind, qubit) for kind in ch.CHANNEL_KINDS for qubit in (0, 1)]
-#: largest |ppt_spectra - linalg.eigh(...)[0]| allowed on the probe; the
+#: largest |ppt_spectra - reference.eigh(...)[0]| allowed on the probe; the
 #: largest seen there is 1.0e-15 (numpy 2.4.6), clean and under every kind
 #: on either qubit at p in {0, 0.13, 0.37, 0.5, 0.74, 1}
 PPT_EIGH_BOUND = 4e-15
@@ -273,8 +274,8 @@ def test_the_ppt_route_eigensolves_exactly_hermitian_partial_transposes(probe, k
     lifted = None if kind is None else ch.lift(ch.make_channel(kind, 0.37), qubit, 2)
     rho = ent.ensemble_densities(sweep._pair_ensembles(a, t, lifted))
     pt = states.partial_transposes(rho, 1)
-    assert np.all(linalg.hermitian_deviation(pt) == 0.0)
-    assert np.max(np.abs(ent.ppt_spectra(rho) - linalg.eigh(pt)[0])) <= PPT_EIGH_BOUND
+    assert np.all(reference.hermitian_deviation(pt) == 0.0)
+    assert np.max(np.abs(ent.ppt_spectra(rho) - reference.eigh(pt)[0])) <= PPT_EIGH_BOUND
 
 
 @pytest.mark.parametrize("bad, entry", [(math.nan, (1, 1)), (math.inf, (2, 1)), (math.nan, (1, 2))],
@@ -297,7 +298,7 @@ def test_a_non_finite_density_fails_the_ppt_route_with_a_value_error(
     monkeypatch.setattr(ent, "ensemble_densities", corrupted)
     a, t, _ = probe
     spec = None if kind is None else ChannelSpec(kind, 0.37, qubit)
-    lifted = None if spec is None else ch.lift(spec.make(), qubit, 2)
+    lifted = None if spec is None else ch.lift(ch.make_channel(kind, 0.37), qubit, 2)
     with pytest.raises(ValueError, match="NaN or Inf") as raised:
         MEASURES["ppt"].numeric(a, t, lifted, "e")
     assert not isinstance(raised.value, np.linalg.LinAlgError)
@@ -559,7 +560,7 @@ def _scalar_calls(al, be, t, kind, p):
     yield "iconcurrence", ent.iconcurrence_closed(al, be, t), _ref_iconcurrence(al, be, t)
     yield ("iconcurrence_noisy", ent.iconcurrence_noisy_closed(kind, p, t, al, be),
            _ref_iconcurrence_noisy(kind, p, t, al, be))
-    yield ("eigenvalues", ent.reduced_eigenvalues_closed(al, be, t),
+    yield ("eigenvalues", ent._reduced_spectrum(ent._switched_determinant(be, t)),
            _ref_reduced_eigenvalues(al, be, t))
     for base in ("e", "2"):
         yield ("entropy", ent.reduced_entropy_closed(al, be, t, base),
@@ -645,18 +646,18 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
 @pytest.mark.parametrize(
-    "measure", [ent.concurrence, ent.iconcurrence, ent.von_neumann_entropy],
-    ids=["concurrence", "iconcurrence", "von_neumann_entropy"],
+    "measure", [reference.concurrences, reference.iconcurrences, reference.entropies],
+    ids=["concurrence", "iconcurrence", "entropy"],
 )
-def test_measures_of_a_corrupted_matrix_fail_at_the_state_constructor(measure, corruption):
-    # the measures take a DensityMatrix, whose constructor is the check the
-    # stacked stages after it no longer repeat
+def test_measures_of_a_corrupted_matrix_fail_the_density_check(measure, corruption):
+    # the reference measures take a matrix that checked_density passed,
+    # the check the stacked stages after it do not repeat
     m = _RHO.copy()
     for entry, value in CORRUPTIONS[corruption]:
         m[entry] = value
     with pytest.raises(ValueError, match=corruption):
-        measure(states.DensityMatrix(2, m))
-    assert measure(states.DensityMatrix(2, _RHO)) >= 0.0
+        measure(reference.checked_density(m))
+    assert measure(reference.checked_density(_RHO)) >= 0.0
 
 
 @pytest.mark.parametrize("off, fails", [(2.0, True), (0.5, False)])
@@ -664,16 +665,16 @@ def test_entropies_check_positivity_as_a_density_matrix_does(off, fails):
     # the positivity check of the stages before a measure comes from the
     # measure's own eigensolve; it must still see every matrix of a stack
     rho = np.stack([_RHO] * 7)
-    low = off * linalg.PSD_EIGENVALUE_FLOOR
+    low = off * reference.PSD_EIGENVALUE_FLOOR
     rho[3] = np.diag([0.4 - low, 0.3, 0.3, low])
     if fails:
         with pytest.raises(ValueError) as stacked:
-            ent.entropies(rho)
+            reference.entropies(rho)
         with pytest.raises(ValueError) as single:
-            states.DensityMatrix(2, rho[3])
+            reference.checked_density(rho[3])
         assert str(stacked.value) == str(single.value)
     else:
-        assert np.all(ent.entropies(rho) > 0.0)
+        assert np.all(reference.entropies(rho) > 0.0)
 
 
 # ------------------------------------ checks that hold by construction
@@ -691,12 +692,11 @@ def _counting(monkeypatch, module, attr, calls):
 def test_sweeps_make_no_density_check_and_no_eigh_and_eigvalsh_only_for_the_ppt(monkeypatch):
     # the matrices a sweep builds are density matrices by construction, and
     # the one eigensolve of a sweep is the ppt's, for eigenvalues alone:
-    # one np.linalg.eigvalsh per block of the ppt route, and none elsewhere
+    # one np.linalg.eigvalsh per block of the ppt route, and none elsewhere;
+    # the package holds no density-matrix check, only the tests' reference
     calls = []
-    for module in (states, ch, ent, switch, sweep):
-        if hasattr(module, "checked_density"):
-            _counting(monkeypatch, module, "checked_density", calls)
-    _counting(monkeypatch, linalg, "eigh", calls)
+    _counting(monkeypatch, reference, "checked_density", calls)
+    _counting(monkeypatch, reference, "eigh", calls)
     _counting(monkeypatch, np.linalg, "eigh", calls)
     _counting(monkeypatch, np.linalg, "eigvalsh", calls)
     noise = ChannelSpec("PF", 0.3)
@@ -718,7 +718,7 @@ def test_sweeps_make_no_density_check_and_no_eigh_and_eigvalsh_only_for_the_ppt(
     assert all(check.passed for check in sweep.verify(**grid))
     assert calls == ["eigvalsh"]  # the clean ppt record, one block
     calls.clear()
-    states.DensityMatrix(2, _RHO)
+    reference.checked_density(_RHO)
     assert calls == ["checked_density", "eigvalsh"]
 
 
@@ -754,12 +754,10 @@ def test_the_switched_pair_is_the_control_one_half_of_the_evolved_register(probe
 
 
 def test_sweeps_diffs_and_verify_apply_no_channel_to_a_density_matrix(monkeypatch):
-    # the pair routes read the Kraus branches E_k psi; the single-state
-    # apply_channel is still apply_kraus on one matrix
+    # the pair routes read the Kraus branches E_k psi; sum_k E_k rho E_k^dagger
+    # is formed by the tests' reference alone
     calls = []
-    for module in (ch, ent, sweep):
-        if hasattr(module, "apply_kraus"):
-            _counting(monkeypatch, module, "apply_kraus", calls)
+    _counting(monkeypatch, reference, "apply_kraus", calls)
     noisy = [ChannelSpec(kind, 0.3, qubit) for kind in ch.CHANNEL_KINDS for qubit in (0, 1)]
     for name, m in MEASURES.items():
         for spec in noisy if m.mixed or m.gate else ():
@@ -769,7 +767,8 @@ def test_sweeps_diffs_and_verify_apply_no_channel_to_a_density_matrix(monkeypatc
                 diff_sweep(config)
     assert all(check.passed for check in sweep.verify(a_steps=3, t_steps=3))
     assert calls == []
-    ch.apply_channel(states.DensityMatrix(2, _RHO), ch.lift(ch.make_channel("AD", 0.3), 0, 2))
+    reference.apply_kraus(reference.checked_density(_RHO),
+                          ch.lift(ch.make_channel("AD", 0.3), 0, 2))
     assert calls == ["apply_kraus"]
 
 
@@ -786,9 +785,9 @@ def test_concurrence_makes_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(
         run_sweep(config)
         diff_sweep(config)
     assert calls == []
-    rho = states.DensityMatrix(2, _RHO)
+    rho = reference.checked_density(_RHO)
     calls.clear()
-    ent.concurrence(rho)
+    reference.concurrences(rho)
     assert calls == ["eigh"]
 
 
@@ -810,10 +809,10 @@ def test_determinant_routes_make_no_eigensolve_in_a_sweep_and_one_on_a_density_m
                                      channel=ChannelSpec(kind, 0.3, qubit), compare=True)
                 run_sweep(config)
                 diff_sweep(config)
-    ent.schmidt_coefficients(switch.switched_pair(states.qubit_from_angle(0.4), 0.3))
+    ent.schmidt_spectra(switch.switched_pairs(states.angle_qubits(0.4), 0.3))
     assert calls == []
-    rho = states.DensityMatrix(2, _RHO)
-    for measure in (ent.iconcurrence, ent.von_neumann_entropy):
+    rho = reference.checked_density(_RHO)
+    for measure in (reference.iconcurrences, reference.entropies):
         calls.clear()
         measure(rho)
         assert calls == ["eigh"], measure

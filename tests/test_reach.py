@@ -1,0 +1,97 @@
+"""The commands reach every function of the package.
+
+A table of small command lines runs in process under ``sys.setprofile``
+and must enter each module-level function of ``src/switchsim/``. The
+package holds what the commands run; a function that no command enters is
+plumbing that nothing reads, and belongs with the tests' references
+(``reference.py``) or nowhere.
+"""
+
+import ast
+import contextlib
+import importlib
+import io
+import sys
+from pathlib import Path
+
+import switchsim
+from switchsim import cli
+
+PACKAGE = Path(switchsim.__file__).parent
+
+#: functions that run only while their module is imported, before any
+#: command: ``switch._const`` builds the gate constants and
+#: ``sweep._json_row`` the JSON row templates
+IMPORT_TIME = {"switch._const", "sweep._json_row"}
+
+#: (argv, exit code): every command, measure, channel kind, noise qubit and
+#: format, with and without --compare; a negative float option, which
+#: argparse reads only once it is joined to its option; an integral value
+#: in JSON, which takes the encoder's text; and an error path
+RUNS = [
+    (["sweep", "--measure", "schmidt", "--compare", "--a-steps", "2", "--t-steps", "3"], 0),
+    (["sweep", "--measure", "ppt", "--compare", "--format", "json", "--t-max", "1",
+      "--t-steps", "2"], 0),
+    (["sweep", "--measure", "concurrence", "--compare", "--a", "-0.5", "--t-steps", "3"], 0),
+    (["sweep", "--measure", "iconcurrence", "--compare", "--t-min", "-1e-5", "--t-steps", "3"], 0),
+    (["sweep", "--measure", "entropy", "--compare", "--log-base", "2", "--t-steps", "3"], 0),
+    (["sweep", "--measure", "fidelity", "--compare", "--format", "json", "--t-steps", "3"], 0),
+    (["sweep", "--measure", "concurrence", "--channel", "PF", "--p", "0.3", "--noise-qubit", "1",
+      "--t-steps", "3"], 0),
+    (["sweep", "--measure", "iconcurrence", "--channel", "BF", "--compare", "--t-steps", "3"], 0),
+    (["sweep", "--measure", "ppt", "--channel", "AD", "--format", "json", "--t-steps", "3"], 0),
+    (["sweep", "--measure", "entropy", "--channel", "PD", "--noise-qubit", "1",
+      "--t-steps", "3"], 0),
+    (["diff", "--measure", "concurrence", "--channel", "AD", "--noise-qubit", "1",
+      "--t-steps", "3"], 0),
+    (["diff", "--measure", "iconcurrence", "--channel", "PF", "--compare", "--t-steps", "3"], 0),
+    (["diff", "--measure", "entropy", "--channel", "BF", "--format", "json", "--t-steps", "3"], 0),
+    (["diff", "--measure", "ppt", "--channel", "PD", "--noise-qubit", "1", "--t-steps", "3"], 0),
+    (["avg-fidelity", "--channel", "PF", "--compare", "--t-steps", "3"], 0),
+    (["avg-fidelity", "--channel", "BF", "--noise-qubit", "1", "--t-steps", "3"], 0),
+    (["avg-fidelity", "--channel", "AD", "--compare", "--format", "json", "--t-steps", "3"], 0),
+    (["avg-fidelity", "--channel", "PD", "--p", "0.5", "--compare", "--t-steps", "3"], 0),
+    (["verify", "--a-steps", "3", "--t-steps", "3"], 0),
+    (["verify", "--measure", "entropy", "--log-base", "2", "--a-steps", "2", "--t-steps", "2"], 0),
+    (["verify", "--measure", "ppt", "--a-steps", "2", "--t-steps", "2",
+      "--inject-error", "1e-6"], 1),
+    (["sweep", "--measure", "schmidt", "--channel", "AD", "--t-steps", "3"], 2),
+]
+
+
+def _package_functions() -> dict:
+    """``module.name`` -> code object of each module-level def of the
+    package's source files."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)]
+        # __main__.py, which runs the command when imported, defines none
+        if names:
+            module = importlib.import_module(f"switchsim.{path.stem}")
+            found.update((f"{path.stem}.{name}", getattr(module, name).__code__)
+                         for name in names)
+    return found
+
+
+def test_the_commands_enter_every_package_function():
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    exits = []
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv, _ in RUNS:
+                exits.append(cli.main(argv))
+    finally:
+        sys.setprofile(None)
+    assert exits == [code for _, code in RUNS]
+    functions = _package_functions()
+    assert IMPORT_TIME <= set(functions)
+    missed = sorted(name for name, code in functions.items()
+                    if code not in entered and name not in IMPORT_TIME)
+    assert not missed, f"no command enters {missed}"

@@ -4,130 +4,111 @@ import math
 import numpy as np
 import pytest
 from randstates import random_density, random_pure
+from reference import checked_density, densities, partial_traces
 
-from switchsim.states import (
-    DensityMatrix,
-    PureState,
-    angle_qubits,
-    densities,
-    kron_vectors,
-    make_qubit,
-    partial_trace,
-    partial_traces,
-    partial_transpose,
-    qubit_from_angle,
-    tensor,
-    to_density,
-)
+from switchsim.states import angle_qubits, kron_vectors, normalized, partial_transposes
 from switchsim.switch import KET_0, KET_1, evolved, registers, switch_unitaries
 
 SQ2 = math.sqrt(2.0)
 
 
-def bell_state() -> PureState:
-    return PureState(2, np.array([1, 0, 0, 1]) / SQ2)
+def bell_state() -> np.ndarray:
+    return normalized(np.array([1, 0, 0, 1], dtype=complex) / SQ2)
 
 
-def test_make_qubit_basis_states():
-    assert np.array_equal(make_qubit(1, 0).amplitudes, [1, 0])
-    assert np.array_equal(make_qubit(0, 1).amplitudes, [0, 1])
-    plus = make_qubit(1 / SQ2, 1 / SQ2)
-    assert abs(np.sum(np.abs(plus.amplitudes) ** 2) - 1) < 1e-15
+def _qubit(alpha, beta) -> np.ndarray:
+    return normalized(np.array([alpha, beta], dtype=complex))
 
 
-def test_make_qubit_rejects_unnormalized():
-    with pytest.raises(ValueError, match="0.5"):
-        make_qubit(0.5, 0.5)
+def test_angle_qubits():
+    assert np.allclose(angle_qubits(0.0), [0, 1], atol=1e-15)
+    assert np.allclose(angle_qubits(math.pi / 2), [1, 0], atol=1e-15)
+    assert np.allclose(angle_qubits(math.pi / 4), [SQ2 / 2, SQ2 / 2], atol=1e-15)
 
 
-def test_qubit_from_angle():
-    assert np.allclose(qubit_from_angle(0.0).amplitudes, [0, 1], atol=1e-15)
-    assert np.allclose(qubit_from_angle(math.pi / 2).amplitudes, [1, 0], atol=1e-15)
-    assert np.allclose(qubit_from_angle(math.pi / 4).amplitudes, [SQ2 / 2, SQ2 / 2], atol=1e-15)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_angle_qubits_reject_a_non_finite_angle_anywhere(bad):
+    with pytest.raises(ValueError, match="^angle must be finite$"):
+        angle_qubits(bad)
+    with pytest.raises(ValueError, match="^angle must be finite$"):
+        angle_qubits(np.array([0.3, bad, 0.5]))
 
 
-def test_tensor_places_first_qubit_most_significant():
-    a = make_qubit(0.6, 0.8)
-    reg = tensor([a, make_qubit(1, 0), make_qubit(0, 1)])
-    assert reg.n_qubits == 3
+def test_kron_vectors_places_first_qubit_most_significant():
+    reg = kron_vectors(_qubit(0.6, 0.8), KET_0, KET_1)
+    assert reg.shape == (8,)
     # |A>|0>|1>: the |001> slot carries A's |0> amplitude
-    assert reg.amplitudes[0b001] == pytest.approx(0.6)
-    assert reg.amplitudes[0b101] == pytest.approx(0.8)
+    assert reg[0b001] == pytest.approx(0.6)
+    assert reg[0b101] == pytest.approx(0.8)
 
 
-def test_tensor_products():
-    zz = tensor([make_qubit(1, 0), make_qubit(1, 0)])
-    assert np.array_equal(zz.amplitudes, [1, 0, 0, 0])
-    plus = make_qubit(1 / SQ2, 1 / SQ2)
-    assert np.allclose(tensor([plus, plus]).amplitudes, [0.5] * 4, atol=1e-15)
-    with pytest.raises(ValueError):
-        tensor([])
+def test_kron_vectors_products():
+    assert np.array_equal(kron_vectors(KET_0, KET_0), [1, 0, 0, 0])
+    plus = _qubit(1 / SQ2, 1 / SQ2)
+    assert np.allclose(kron_vectors(plus, plus), [0.5] * 4, atol=1e-15)
 
 
-def test_to_density():
-    assert np.array_equal(to_density(make_qubit(1, 0)).matrix, np.diag([1.0, 0.0]))
-    plus = make_qubit(1 / SQ2, 1 / SQ2)
-    assert np.allclose(to_density(plus).matrix, np.full((2, 2), 0.5), atol=1e-15)
-    epr = to_density(bell_state()).matrix
+def test_densities():
+    assert np.array_equal(densities(KET_0), np.diag([1.0, 0.0]))
+    plus = _qubit(1 / SQ2, 1 / SQ2)
+    assert np.allclose(densities(plus), np.full((2, 2), 0.5), atol=1e-15)
+    epr = densities(bell_state())
     assert epr[0, 0] == epr[0, 3] == epr[3, 0] == epr[3, 3] == pytest.approx(0.5)
     # projector: rho^2 = rho
     assert np.max(np.abs(epr @ epr - epr)) < 1e-12
 
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(1, np.diag([1.0, 1.0]))
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(1, np.array([[0.5, 0.5], [0.0, 0.5]]))
-    with pytest.raises(ValueError, match="PSD"):
-        DensityMatrix(1, np.diag([1.5, -0.5]))
+def test_checked_density_validation():
+    with pytest.raises(ValueError, match=r"^density matrix trace is 2\.0, expected 1$"):
+        checked_density(np.diag([1.0, 1.0]))
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian: max "
+                                         r"\|M - M\^dagger\| entry is 5\.000e-01$"):
+        checked_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="^density matrix is not PSD: min eigenvalue -5.000e-01$"):
+        checked_density(np.diag([1.5, -0.5]))
 
 
 def test_partial_trace_of_bell_state_is_maximally_mixed():
-    rho = to_density(bell_state())
+    rho = densities(bell_state())
     for q in (0, 1):
-        assert np.allclose(partial_trace(rho, {q}).matrix, np.eye(2) / 2, atol=1e-15)
+        assert np.allclose(partial_traces(rho, 2, {q}), np.eye(2) / 2, atol=1e-15)
 
 
 def test_partial_trace_of_switched_register():
     # the switch run on |A>|0>|1> leaves the pair (a, -i sin t b, cos t b, 0)
-    from switchsim.switch import evolve
-
     a, t = 0.6, 0.8
     al, be = math.sin(a), math.cos(a)
-    reg = evolve(tensor([qubit_from_angle(a), make_qubit(1, 0), make_qubit(0, 1)]), t)
+    reg = evolved(registers(angle_qubits(a)), t)
     v = np.array([al, -1j * math.sin(t) * be, math.cos(t) * be, 0.0])
-    rho = partial_trace(to_density(reg), {2})
-    assert np.allclose(rho.matrix, np.outer(v, v.conj()), atol=1e-14)
+    rho = partial_traces(densities(reg), 3, {2})
+    assert np.allclose(rho, np.outer(v, v.conj()), atol=1e-14)
 
-    reduced = partial_trace(rho, {1})
+    reduced = partial_traces(rho, 2, {1})
     expected = np.array(
         [
             [al**2 + (math.sin(t) * be) ** 2, math.cos(t) * be * al],
             [al * math.cos(t) * be, (math.cos(t) * be) ** 2],
         ]
     )
-    assert np.allclose(reduced.matrix, expected, atol=1e-14)
+    assert np.allclose(reduced, expected, atol=1e-14)
 
 
 def test_partial_trace_rejects_bad_discard_sets():
-    rho = to_density(bell_state())
+    rho = densities(bell_state())
     with pytest.raises(ValueError):
-        partial_trace(rho, set())
+        partial_traces(rho, 2, set())
     with pytest.raises(ValueError):
-        partial_trace(rho, {0, 1})
+        partial_traces(rho, 2, {0, 1})
     with pytest.raises(ValueError):
-        partial_trace(rho, {5})
+        partial_traces(rho, 2, {5})
 
 
 def test_partial_trace_of_product_recovers_factor():
     rng = np.random.default_rng(3)
     for _ in range(10):
         psi1, psi2 = random_pure(rng, 1), random_pure(rng, 1)
-        rho = to_density(tensor([psi1, psi2]))
-        assert np.allclose(
-            partial_trace(rho, {1}).matrix, to_density(psi1).matrix, atol=1e-12
-        )
+        rho = densities(normalized(kron_vectors(psi1, psi2)))
+        assert np.allclose(partial_traces(rho, 2, {1}), densities(psi1), atol=1e-12)
 
 
 def _partial_trace_loop(m, n, discard):
@@ -159,14 +140,14 @@ def test_partial_trace_matches_index_loop_reference():
         rho = random_density(rng, n)
         for size in range(1, n):
             for discard in itertools.combinations(range(n), size):
-                got = partial_trace(rho, set(discard)).matrix
-                assert np.array_equal(got, _partial_trace_loop(rho.matrix, n, set(discard)))
+                got = partial_traces(rho, n, set(discard))
+                assert np.array_equal(got, _partial_trace_loop(rho, n, set(discard)))
 
 
 def test_partial_transpose_leaves_diagonal_states_alone():
-    rho = DensityMatrix(2, np.diag([0.4, 0.3, 0.2, 0.1]))
+    rho = checked_density(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     for q in (0, 1):
-        assert np.array_equal(partial_transpose(rho, q), rho.matrix)
+        assert np.array_equal(partial_transposes(rho, q), rho)
 
 
 def test_partial_transpose_matches_reference_on_switched_pair():
@@ -174,7 +155,7 @@ def test_partial_transpose_matches_reference_on_switched_pair():
     al, be = math.sin(a), math.cos(a)
     s, c = math.sin(t), math.cos(t)
     v = np.array([al, -1j * s * be, c * be, 0.0])
-    rho = DensityMatrix(2, np.outer(v, v.conj()))
+    rho = checked_density(np.outer(v, v.conj()))
     expected = np.array(
         [
             [al**2, 1j * s * be * al, al * c * be, 1j * s * be * c * be],
@@ -185,8 +166,8 @@ def test_partial_transpose_matches_reference_on_switched_pair():
     )
     # transposing the first qubit produces the reference matrix; transposing
     # the second gives its transpose, so the two share one spectrum
-    pt0 = partial_transpose(rho, 0)
-    pt1 = partial_transpose(rho, 1)
+    pt0 = partial_transposes(rho, 0)
+    pt1 = partial_transposes(rho, 1)
     assert np.allclose(pt0, expected, atol=1e-14)
     assert np.allclose(pt1, expected.T, atol=1e-14)
     assert np.allclose(np.linalg.eigvalsh(pt0), np.linalg.eigvalsh(pt1), atol=1e-14)
@@ -202,40 +183,41 @@ def _pt_oracle(m, qubit):
 def test_partial_transpose_matches_reshape_oracle():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        rho = to_density(random_pure(rng, 2))
+        rho = densities(random_pure(rng, 2))
         for q in (0, 1):
-            assert np.array_equal(partial_transpose(rho, q), _pt_oracle(rho.matrix, q))
+            assert np.array_equal(partial_transposes(rho, q), _pt_oracle(rho, q))
 
 
 def test_partial_transpose_is_an_involution():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        rho = to_density(random_pure(rng, 2))
+        rho = densities(random_pure(rng, 2))
         for q in (0, 1):
-            once = partial_transpose(rho, q)
-            assert np.array_equal(_pt_oracle(once, q), rho.matrix)
-    # through the public type when the intermediate stays a valid state
-    rho = to_density(tensor([make_qubit(0.6, 0.8), make_qubit(1 / SQ2, 1j / SQ2)]))
+            once = partial_transposes(rho, q)
+            assert np.array_equal(_pt_oracle(once, q), rho)
+    # through the density-matrix check when the intermediate stays a valid state
+    rho = densities(normalized(kron_vectors(_qubit(0.6, 0.8), _qubit(1 / SQ2, 1j / SQ2))))
     for q in (0, 1):
-        once = partial_transpose(rho, q)
-        assert np.array_equal(partial_transpose(DensityMatrix(2, once), q), rho.matrix)
+        once = partial_transposes(rho, q)
+        assert np.array_equal(partial_transposes(checked_density(once), q), rho)
 
 
 def test_partial_transpose_of_bell_state_has_negative_eigenvalue():
-    rho = to_density(bell_state())
-    w = np.linalg.eigvalsh(partial_transpose(rho, 1))
+    rho = densities(bell_state())
+    w = np.linalg.eigvalsh(partial_transposes(rho, 1))
     assert w[0] == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_partial_transpose_rejects_wrong_arity():
-    rho = to_density(make_qubit(1, 0))
-    with pytest.raises(ValueError):
-        partial_transpose(rho, 0)
+def test_partial_transpose_rejects_a_qubit_outside_the_pair():
+    rho = densities(bell_state())
+    for q in (-1, 2):
+        with pytest.raises(ValueError, match=f"^qubit index must be 0 or 1, got {q}$"):
+            partial_transposes(rho, q)
 
 
 def _data_qubits(rng, n):
     """n random pairs of data qubits |a>, |b> as two (n, 2) stacks."""
-    a = np.stack([random_pure(rng, 1).amplitudes for _ in range(2 * n)])
+    a = np.stack([random_pure(rng, 1) for _ in range(2 * n)])
     return a[:n], a[n:]
 
 
@@ -278,19 +260,8 @@ def test_the_odd_half_is_the_partial_trace_over_the_control():
     assert np.max(np.abs(odd - traced)) <= 1e-15
 
 
-def test_pure_state_validation():
-    with pytest.raises(ValueError, match="normalized"):
-        PureState(1, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="amplitudes"):
-        PureState(2, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="NaN"):
-        PureState(1, np.array([np.nan, 0.0]))
-
-
-def test_states_are_immutable():
-    psi = make_qubit(1, 0)
-    with pytest.raises(ValueError):
-        psi.amplitudes[0] = 0.0
-    rho = to_density(psi)
-    with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 0.0
+def test_normalized_validation():
+    with pytest.raises(ValueError, match=r"^state is not normalized: sum \|amp\|\^2 = 2\.0$"):
+        normalized(np.array([1.0, 1.0], dtype=complex))
+    with pytest.raises(ValueError, match="^amplitudes contain NaN or Inf$"):
+        normalized(np.array([np.nan, 0.0], dtype=complex))
