@@ -62,6 +62,7 @@ def _cases() -> dict:
                 "--channel", kind, "--p", P, "--noise-qubit", qubit,
             )
     cases["verify.txt"] = ("verify", "--a-steps", "5", "--t-steps", "7")
+    cases["verify_default.txt"] = ("verify",)
     return cases
 
 
