@@ -57,7 +57,7 @@ def _route_id(name, spec, grid):
 def test_route(benchmark, name, spec, grid):
     benchmark.group = "sweep.routes"
     config = sweep.SweepConfig(name, a_steps=grid[0], t_steps=grid[1], channel=spec)
-    numeric, _, block = sweep._routes((config,))
+    numeric, _, block = sweep._routes(config)
     a, t = config.grid()
     values = benchmark(sweep._evaluate, numeric, a, t, 1, block)
     assert values.shape == (grid[0] * grid[1],)
@@ -73,8 +73,8 @@ CLOSED += [(name, NOISE) for name, m in sweep.MEASURES.items() if m.noisy_closed
 def test_closed_column(benchmark, name, spec):
     benchmark.group = "sweep.closed"
     config = sweep.SweepConfig(name, a_steps=50, t_steps=101, channel=spec, compare=True)
-    _, closed, _ = sweep._routes((config,))
-    column = benchmark(sweep._closed_column, (config,), closed)
+    _, closed, _ = sweep._routes(config)
+    column = benchmark(sweep._closed_column, config, closed)
     assert column.shape == (5050,)
 
 

@@ -75,10 +75,8 @@ class SchmidtPair(NamedTuple):
 
 def _checked_beta(beta0):
     """Reject |beta0| > 1; the message names the first such value."""
-    size = abs(beta0)
-    bad = pw.first(size > 1 + 1e-12, size)
-    if bad is not None:
-        raise ValueError(f"|beta0| must be <= 1, got {bad!r}")
+    size = np.abs(beta0)
+    linalg.require(~(size > 1 + 1e-12), size, "|beta0| must be <= 1, got {value!r}")
 
 
 def reduced_determinants(xi: np.ndarray) -> np.ndarray:
@@ -168,9 +166,8 @@ def ppt_eigenvalues_closed(
     """
     x, y = np.float_power(abs(alpha0), 2), np.float_power(abs(beta0), 2)
     norm_sq = x + y
-    bad = pw.first(abs(norm_sq - 1.0) > 1e-10, norm_sq)
-    if bad is not None:
-        raise ValueError(f"amplitudes are not normalized: |a|^2+|b|^2 = {bad!r}")
+    linalg.require(~(abs(norm_sq - 1.0) > 1e-10), norm_sq,
+                   "amplitudes are not normalized: |a|^2+|b|^2 = {value!r}")
     swap = y * np.sin(t) * np.cos(t)
     cos_sq = np.float_power(np.cos(2 * t), 2)
     root = np.sqrt(np.float_power(x, 2) + 2 * x * y + np.float_power(y, 2) * cos_sq)

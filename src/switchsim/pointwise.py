@@ -1,5 +1,4 @@
-"""The builtins ``max`` and ``min`` per entry, and the first failing value
-of a check, over a point or a grid.
+"""The builtins ``max`` and ``min`` per entry, over a point or a grid.
 
 The closed forms, which are plain numpy code, and the kernels use them: on
 Python scalars (0-d input) and on arrays, which broadcast, they run the
@@ -23,11 +22,3 @@ def least(first, *rest):
     for value in rest:
         first = np.where(value < first, value, first)
     return first
-
-
-def first(cond, values):
-    """The entry of ``values`` at the first place where ``cond``, of the
-    same shape, holds, as a Python scalar, or None where it holds nowhere;
-    a scalar is read as a grid of one point."""
-    hits = np.asarray(values)[np.asarray(cond)]
-    return hits[0].item() if hits.size else None

@@ -35,24 +35,25 @@ the bits of the closed form at each single point, since both are the
 same numpy code (see ``entanglement``). A grid may hold at most
 MAX_GRID_POINTS points.
 
-p stacks. Sweeps, diffs and ``verify`` share one path, ``_columns``: the
-numeric values and closed column of a run of configurations that differ
-only in the channel strength p, compared as |numeric - closed|. The run
-builds, checks and lifts its channel once, as a stack of its P values of
-p (see ``channels``). The numeric route runs over the flattened
-(p, point) axis, p outer, in blocks of whole rows of p, or of pieces of
-one row where a row does not fit, so that a block holds no more entries,
-and no more bytes, whatever P is. A block builds each point's state once
-and applies its rows of the channel stack by broadcasting
-(``channels.over_points``). A noisy closed form takes p as a (P, 1, 1)
-column and gives the (P, A, T) closed column in one call. Every value
-has the bits of its configuration evaluated alone. A sweep or diff is a
-run of one configuration; ``verify`` hands each noisy record's
-configurations to ``_columns`` as one run. A diff
-first subtracts the clean run's columns. A sweep or diff returns them as
-one columnar record, ``Sweep``, with the t and a of each point; ``verify``
-builds none. A ``SweepRow`` is the view of one point that indexing a
-``Sweep`` builds on demand; emission never builds one.
+p stacks. A ``SweepConfig`` is a whole run: its ``ChannelSpec`` holds
+one value of the channel strength p or a tuple of P values, a p stack,
+and the config is checked once, when it is built. Sweeps, diffs and
+``verify`` share one path, ``_columns``: the numeric values and closed
+column of one config, compared as |numeric - closed|. It builds and
+lifts the channel once, as a stack of its P values of p (see
+``channels``). The numeric route runs over the flattened (p, point) axis,
+p outer, in blocks of whole rows of p, or of pieces of one row where a
+row does not fit, so that a block holds no more entries, and no more
+bytes, whatever P is. A block builds each point's state once and applies
+its rows of the channel stack by broadcasting (``channels.over_points``).
+A noisy closed form takes p as a (P, 1, 1) column and gives the
+(P, A, T) closed column in one call. Every value has the bits of the
+config with that one value of p. A sweep or diff takes one value of p;
+``verify`` gives each noisy record one config with a p stack. A diff
+first subtracts the clean config's columns. A sweep or diff returns them
+as one columnar record, ``Sweep``, with the t and a of each point;
+``verify`` builds none. A ``SweepRow`` is the view of one point that
+indexing a ``Sweep`` builds on demand; emission never builds one.
 
 Emission writes the text itself, from the columns: all rows of a CSV file
 are one ``%`` template over the flattened ``.tolist()`` values. A JSON
@@ -114,8 +115,8 @@ class Measure:
     ``noisy_closed(kind, p, t, alpha0, beta0)`` the closed form under
     noise on qubit 0, either None or called once per grid: ``alpha0`` and
     ``beta0`` are sin a and cos a as (A, 1) columns, ``t`` is a (T,) row,
-    ``p`` a (P, 1, 1) column of a run's values, and the values broadcast
-    to (A, T), or (P, A, T) under noise.
+    ``p`` a (P, 1, 1) column of a config's p stack, and the values
+    broadcast to (A, T), or (P, A, T) under noise.
     ``mixed`` says whether the numeric route accepts a noisy (mixed) pair;
     ``gate`` marks a property of the noisy switch itself, which needs a
     channel and lifts it onto all three qubits.
@@ -208,7 +209,7 @@ def mixed_measures() -> tuple:
 @dataclass(frozen=True)
 class ChannelSpec:
     kind: str
-    p: float
+    p: float | tuple
     qubit: int = 0
 
     def __post_init__(self):
@@ -259,6 +260,14 @@ class SweepConfig:
                 f"the time span t_max - t_min overflows: {self.t_min!r} to {self.t_max!r}"
             )
         ent._log_scale(self.log_base)  # validates
+        m = MEASURES[self.measure]
+        if m.gate and self.channel is None:
+            raise ValueError(f"{m.name} needs a channel (--channel/--p)")
+        if self.channel is not None and not (m.mixed or m.gate):
+            raise ValueError(
+                f"measure {m.name!r} is defined for noiseless (pure) states "
+                f"only; drop the channel or pick one of {mixed_measures()}"
+            )
 
     def a_values(self) -> np.ndarray:
         if self.a_steps == 1:
@@ -323,28 +332,24 @@ Numeric = Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
 Closed = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def _routes(configs: Sequence[SweepConfig]) -> tuple[Numeric, Optional[Closed], int]:
-    """The numeric route of a run of configurations that differ only in p,
-    as a function of stacked (a, t) and of a range start:stop of the run's
-    values of p; their closed form as a function of (sin a, cos a, t) over
-    the grid, (P, A, T) values for the P configurations (see Measure); and
-    the number of (p, point) entries the numeric route takes per block
-    (see BLOCK_POINTS). The closed form is None without ``compare`` or
-    where the table has none (noise on qubit 1 included). The channel is
-    built and lifted here, once for the whole run, as a stack of its p;
-    everything else is read from the first configuration."""
-    head = configs[0]
-    m, spec, base = MEASURES[head.measure], head.channel, head.log_base
-    if m.gate and spec is None:
-        raise ValueError(f"{m.name} needs a channel (--channel/--p)")
-    if spec is not None and not (m.mixed or m.gate):
-        raise ValueError(
-            f"measure {m.name!r} is defined for noiseless (pure) states "
-            f"only; drop the channel or pick one of {mixed_measures()}"
-        )
+def _p_count(config: SweepConfig) -> int:
+    """The number of values of p ``config`` runs over: 1 for a clean run."""
+    return 1 if config.channel is None else np.size(config.channel.p)
+
+
+def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed], int]:
+    """The numeric route of ``config`` as a function of stacked (a, t) and
+    of a range start:stop of its values of p; its closed form as a function
+    of (sin a, cos a, t) over the grid, (P, A, T) values for a p stack of P
+    values (see Measure); and the number of (p, point) entries the numeric
+    route takes per block (see BLOCK_POINTS). The closed form is None
+    without ``compare`` or where the table has none (noise on qubit 1
+    included). The channel is built and lifted here, once for the whole
+    p stack; the config was checked when it was built."""
+    m, spec, base = MEASURES[config.measure], config.channel, config.log_base
     lifted, closed = None, None
     if spec is not None:
-        p = tuple(config.channel.p for config in configs)
+        p = tuple(np.ravel(spec.p).tolist())
         lifted = ch.lift(ch.make_channel(spec.kind, p), spec.qubit, 3 if m.gate else 2)
     block = BLOCK_POINTS if m.gate else 4 * BLOCK_POINTS
 
@@ -352,9 +357,9 @@ def _routes(configs: Sequence[SweepConfig]) -> tuple[Numeric, Optional[Closed], 
         return m.numeric(a, t, None if lifted is None else ch.over_points(lifted, start, stop),
                          base)
 
-    if head.compare and spec is None and m.closed is not None:
+    if config.compare and spec is None and m.closed is not None:
         closed = lambda al, be, t: m.closed(al, be, t, base)
-    elif head.compare and spec is not None and spec.qubit == 0 and m.noisy_closed is not None:
+    elif config.compare and spec is not None and spec.qubit == 0 and m.noisy_closed is not None:
         column = np.array(p)[:, None, None]
         closed = lambda al, be, t: m.noisy_closed(spec.kind, column, t, al, be)
     return numeric, closed, block
@@ -377,23 +382,22 @@ def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray, p_count: int,
     return np.concatenate(values)
 
 
-def _closed_column(configs: Sequence[SweepConfig], closed: Closed) -> np.ndarray:
-    """``closed`` at every grid point of each configuration of a run, p
-    outer, then a, t fastest, from one call; sin a and cos a are computed
-    once per a value."""
-    head = configs[0]
-    a = head.a_values()[:, None]
-    values = closed(np.sin(a), np.cos(a), head.t_values())
-    return np.broadcast_to(values, (len(configs), head.a_steps, head.t_steps)).ravel()
+def _closed_column(config: SweepConfig, closed: Closed) -> np.ndarray:
+    """``closed`` at every grid point of ``config`` under each of its
+    values of p, p outer, then a, t fastest, from one call; sin a and cos a
+    are computed once per a value."""
+    a = config.a_values()[:, None]
+    values = closed(np.sin(a), np.cos(a), config.t_values())
+    return np.broadcast_to(values, (_p_count(config), config.a_steps, config.t_steps)).ravel()
 
 
-def _columns(configs: Sequence[SweepConfig]) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The numeric values of a run of configurations that differ only in
-    p, each over its grid, p outer, and their closed column, or None where
+def _columns(config: SweepConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The numeric values of ``config`` over its grid under each of its
+    values of p, p outer, and their closed column, or None where
     ``_routes`` gives no closed form."""
-    numeric, closed, block = _routes(configs)
-    values = _evaluate(numeric, *configs[0].grid(), len(configs), block)
-    return values, None if closed is None else _closed_column(configs, closed)
+    numeric, closed, block = _routes(config)
+    values = _evaluate(numeric, *config.grid(), _p_count(config), block)
+    return values, None if closed is None else _closed_column(config, closed)
 
 
 def _sweep(config: SweepConfig, values: np.ndarray, closed: Optional[np.ndarray]) -> Sweep:
@@ -406,8 +410,11 @@ def _sweep(config: SweepConfig, values: np.ndarray, closed: Optional[np.ndarray]
 
 
 def run_sweep(config: SweepConfig) -> Sweep:
-    """The values of ``config`` at every grid point, a outer, t fastest."""
-    return _sweep(config, *_columns((config,)))
+    """The values of ``config`` at every grid point, a outer, t fastest;
+    a sweep's rows have no p column, so it takes one value of p."""
+    if _p_count(config) > 1:
+        raise ValueError(f"a sweep takes one value of p, got {config.channel.p!r}")
+    return _sweep(config, *_columns(config))
 
 
 def diff_sweep(config: SweepConfig) -> Sweep:
@@ -420,10 +427,12 @@ def diff_sweep(config: SweepConfig) -> Sweep:
         raise ValueError("diff needs a channel (--channel/--p)")
     if not MEASURES[config.measure].mixed:
         raise ValueError(f"diff is defined for {mixed_measures()}, got {config.measure!r}")
-    noisy, noisy_closed = _columns((config,))
+    if _p_count(config) > 1:
+        raise ValueError(f"diff takes one value of p, got {config.channel.p!r}")
+    noisy, noisy_closed = _columns(config)
     # every mixed measure has a clean closed form; needed only with a noisy one
     clean_config = replace(config, channel=None, compare=noisy_closed is not None)
-    clean, clean_closed = _columns((clean_config,))
+    clean, clean_closed = _columns(clean_config)
     closed = None if noisy_closed is None else np.abs(noisy_closed - clean_closed)
     return _sweep(config, np.abs(noisy - clean), closed)
 
@@ -448,32 +457,34 @@ AVG_GRID = 20
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One check of ``verify``: the numeric values of ``configs`` within
-    ``tolerance`` of a reference, their own closed column or, with
-    ``against``, the numeric values of those configurations, one each."""
+    """One check of ``verify``: the numeric values of ``config`` within
+    ``tolerance`` of a reference, its own closed column or, with
+    ``against``, the numeric values of that config, whose grid and p
+    stack have as many entries."""
 
     name: str
-    configs: tuple
+    config: SweepConfig
     tolerance: float
-    against: Optional[tuple] = None
+    against: Optional[SweepConfig] = None
 
 
 def _battery(wanted, a_steps, t_steps, log_base) -> list[CheckRecord]:
     """The records of ``verify``'s checks of the measures ``wanted``, in
     order, all built before any is evaluated: each clean closed form; each
-    noisy closed form under each channel kind on qubit 0 (see AVG_GRID);
-    then a gate measure's [PF] values held to its [BF] values."""
+    noisy closed form under each channel kind on qubit 0, one config with
+    a p stack per kind (see AVG_GRID); then a gate measure's [PF] values
+    held to its [BF] values."""
     table = [m for m in MEASURES.values() if m.name in wanted]
-    battery = [CheckRecord(m.name, (SweepConfig(m.name, a_steps=a_steps, t_steps=t_steps,
-                                                log_base=log_base, compare=True),), m.tolerance)
+    battery = [CheckRecord(m.name, SweepConfig(m.name, a_steps=a_steps, t_steps=t_steps,
+                                               log_base=log_base, compare=True), m.tolerance)
                for m in table if m.closed is not None]
     noisy = {}
     for m in (m for m in table if m.noisy_closed is not None):
         grid = dict(t_steps=AVG_GRID) if m.gate else dict(a_steps=NOISY_A_STEPS, t_steps=t_steps)
-        p_values = np.linspace(0.0, 1.0, AVG_GRID).tolist() if m.gate else NOISY_P_VALUES
+        p_values = tuple(np.linspace(0.0, 1.0, AVG_GRID).tolist()) if m.gate else NOISY_P_VALUES
         for kind in ch.CHANNEL_KINDS:
-            noisy[kind] = tuple(SweepConfig(m.name, **grid, channel=ChannelSpec(kind, p),
-                                            compare=True) for p in p_values)
+            noisy[kind] = SweepConfig(m.name, **grid, channel=ChannelSpec(kind, p_values),
+                                      compare=True)
             battery.append(CheckRecord(f"{m.name}[{kind}]", noisy[kind], m.tolerance))
         if m.gate:  # the two flip channels give the switch one average fidelity
             battery.append(CheckRecord(f"{m.name}[PF=BF]", noisy["PF"], 1e-12, noisy["BF"]))
@@ -493,7 +504,7 @@ def verify(
     ``inject_error`` is added to every closed-form value, so the harness
     can prove it fails when the two routes disagree. A NaN from either
     route fails its check. The columns are a sweep's, compared with no
-    rows built, as a row's abs_err; each configuration is evaluated once.
+    rows built, as a row's abs_err; each config is evaluated once.
     """
     wanted = MEASURES if measures is None else measures
     unknown = set(wanted) - set(MEASURES)
@@ -505,7 +516,7 @@ def verify(
     ent._log_scale(log_base)  # validates
     columns, checks = functools.cache(_columns), []
     for record in _battery(wanted, a_steps, t_steps, log_base):
-        values, closed = columns(record.configs)
+        values, closed = columns(record.config)
         reference = closed + inject_error if record.against is None else columns(record.against)[0]
         error = np.max(np.abs(values - reference))  # unlike max(), lets a NaN through to fail
         checks.append(VerifyCheck(record.name, float(error), record.tolerance))

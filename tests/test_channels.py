@@ -58,6 +58,7 @@ def test_every_channel_entry_point_rejects_a_bad_kind_or_p_alike(entry, kind, p,
 
 #: every entry point that takes a stack of p, as a tuple or a (P, 1, 1) column
 STACK_ENTRY_POINTS = {
+    "ChannelSpec": ChannelSpec,
     "check_channel": ch.check_channel,
     "make_channel": ch.make_channel,
     "iconcurrence_noisy_closed": lambda kind, p: ent.iconcurrence_noisy_closed(

@@ -536,8 +536,8 @@ def test_closed_column_is_the_point_by_point_loop_bit_for_bit(name, noise, base)
     channel = None if noise is None else ChannelSpec(*noise)
     for grid in GRIDS:
         config = SweepConfig(name, channel=channel, log_base=base, compare=True, **grid)
-        _, closed, _ = sweep._routes((config,))
-        column = sweep._closed_column((config,), closed)
+        _, closed, _ = sweep._routes(config)
+        column = sweep._closed_column(config, closed)
         # the route's noisy closed form reads p as a (1, 1, 1) column; the
         # single-point call takes it as a float
         if noise is not None:
@@ -593,18 +593,29 @@ def test_scalar_closed_forms_return_the_point_by_point_floats():
                 assert err <= 1e-15, (label, a[i], t[i], phi[i], err)
 
 
-@pytest.mark.parametrize("closed, args, bad", [
-    (ent.schmidt_closed, ([[0.5], [1.5], [2.0]], [0.1, 0.2]), (1.5, 0.1)),
-    (ent.concurrence_closed, ([[0.5], [1.5], [2.0]], [0.1, 0.2]), (1.5, 0.1)),
-    (ent.ppt_eigenvalues_closed, ([[0.6], [0.6]], [[0.8], [0.9]], [0.1, 0.2]), (0.6, 0.9, 0.1)),
-], ids=["schmidt", "concurrence", "ppt"])
-def test_a_grid_fails_its_check_as_its_first_bad_point_does(closed, args, bad):
+BETA_TOO_LARGE = "|beta0| must be <= 1, got {}"
+
+
+@pytest.mark.parametrize("closed, args, bad, message", [
+    (ent.schmidt_closed, ([[0.5], [1.5], [2.0]], [0.1, 0.2]), (1.5, 0.1),
+     BETA_TOO_LARGE.format(1.5)),
+    (ent.schmidt_closed, ([[0.5], [2.0], [1.5]], [0.1, 0.2]), (2.0, 0.1),
+     BETA_TOO_LARGE.format(2.0)),
+    (ent.concurrence_closed, ([[0.5], [1.5], [2.0]], [0.1, 0.2]), (1.5, 0.1),
+     BETA_TOO_LARGE.format(1.5)),
+    # a NaN passes the check, as with the single-point comparison
+    (ent.concurrence_closed, ([[math.nan], [1.2]], [0.1, 0.2]), (1.2, 0.1),
+     BETA_TOO_LARGE.format(1.2)),
+    (ent.ppt_eigenvalues_closed, ([[0.6], [0.6]], [[0.8], [0.9]], [0.1, 0.2]), (0.6, 0.9, 0.1),
+     "amplitudes are not normalized: |a|^2+|b|^2 = 1.17"),
+], ids=["schmidt", "schmidt-2.0", "concurrence", "concurrence-after-nan", "ppt"])
+def test_a_grid_fails_its_check_as_its_first_bad_point_does(closed, args, bad, message):
     # every a value is checked, and the message names the first bad one
     with pytest.raises(ValueError) as grid:
         closed(*map(np.array, args))
     with pytest.raises(ValueError) as point:
         closed(*bad)
-    assert str(grid.value) == str(point.value)
+    assert str(grid.value) == str(point.value) == message
 
 
 # ------------------------------------------- checks at the (a, t) boundary
@@ -706,9 +717,10 @@ def test_sweeps_make_no_density_check_and_no_eigh_and_eigvalsh_only_for_the_ppt(
         small.setattr(sweep, "BLOCK_POINTS", 1)
         for name, m in MEASURES.items():
             runs = [] if m.gate else [(run_sweep, SweepConfig(name, **grid, compare=True), 1)]
-            noisy = SweepConfig(name, **grid, channel=noise, compare=True)
-            runs += [(run_sweep, noisy, 1)] if m.mixed or m.gate else []
-            runs += [(diff_sweep, noisy, 2)] if m.mixed else []  # noisy and clean
+            if m.mixed or m.gate:
+                noisy = SweepConfig(name, **grid, channel=noise, compare=True)
+                runs += [(run_sweep, noisy, 1)]
+                runs += [(diff_sweep, noisy, 2)] if m.mixed else []  # noisy and clean
             for run, config, passes in runs:
                 calls.clear()
                 run(config)

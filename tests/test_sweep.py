@@ -3,6 +3,7 @@ import json
 import math
 import random
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,12 +81,25 @@ def test_noisy_sweep_fills_closed_column_only_on_first_qubit():
 
 
 def test_rejected_pipelines():
+    # a config is checked when it is built, not when it runs
     with pytest.raises(ValueError, match="avg_fidelity needs a channel"):
-        run_sweep(SweepConfig(measure="avg_fidelity"))
+        SweepConfig(measure="avg_fidelity")
     with pytest.raises(ValueError, match="noiseless"):
-        run_sweep(SweepConfig(measure="schmidt", channel=ChannelSpec("PF", 0.5)))
+        SweepConfig(measure="schmidt", channel=ChannelSpec("PF", 0.5))
     with pytest.raises(ValueError, match="noiseless"):
-        run_sweep(SweepConfig(measure="fidelity", channel=ChannelSpec("PF", 0.5)))
+        SweepConfig(measure="fidelity", channel=ChannelSpec("PF", 0.5))
+
+
+def test_a_sweep_or_diff_rejects_a_p_stack():
+    # a sweep's rows have no p column; a stack of one value is one value
+    config = SweepConfig("iconcurrence", t_steps=5, channel=ChannelSpec("AD", (0.25, 0.5)))
+    for run, what in ((run_sweep, "a sweep"), (diff_sweep, "diff")):
+        with pytest.raises(ValueError) as err:
+            run(config)
+        assert str(err.value) == f"{what} takes one value of p, got (0.25, 0.5)"
+    single = SweepConfig("iconcurrence", t_steps=5, channel=ChannelSpec("AD", 0.25))
+    stacked = SweepConfig("iconcurrence", t_steps=5, channel=ChannelSpec("AD", (0.25,)))
+    assert list(run_sweep(stacked)) == list(run_sweep(single))
 
 
 def test_avg_fidelity_sweep():
@@ -382,7 +396,11 @@ def test_verify_errors_equal_those_of_the_sweep_rows(inject_error):
     battery = sweep._battery(MEASURES, **grid)
     for record in battery:
         if record.against is None:
-            rows[record.name] = [r for config in record.configs for r in run_sweep(config)]
+            spec = record.config.channel
+            configs = [record.config] if spec is None else [
+                replace(record.config, channel=replace(spec, p=p)) for p in spec.p
+            ]
+            rows[record.name] = [r for config in configs for r in run_sweep(config)]
             expected = max(abs(r.value_numeric - (r.value_closed + inject_error))
                            for r in rows[record.name])
             assert checks.pop(record.name) == expected, record.name
@@ -391,6 +409,16 @@ def test_verify_errors_equal_those_of_the_sweep_rows(inject_error):
     expected = max(abs(pf.value_numeric - bf.value_numeric) for pf, bf in flips)
     assert checks.pop("avg_fidelity[PF=BF]") == expected
     assert not checks and len(battery) == 15
+
+
+def test_the_default_battery_builds_one_config_per_measure_and_kind():
+    # 6 clean records, 4 noisy ones each for the I-concurrence and the
+    # average fidelity, and [PF=BF], which reuses the [PF] and [BF] configs
+    battery = sweep._battery(MEASURES, 50, 50, "e")
+    configs = [c for r in battery for c in (r.config, r.against) if c is not None]
+    assert len(battery) == 15 and len(configs) == 16
+    assert len({id(c) for c in configs}) == len(set(configs)) == 14
+    assert len({id(c.channel) for c in configs if c.channel is not None}) == 8
 
 
 #: the checks of each measure's battery, in order
@@ -551,7 +579,7 @@ def test_values_do_not_depend_on_the_block_size(name, spec):
     # the same bits whatever the block, so block sizes never move an output
     # byte; tobytes also tells -0.0 from 0.0, which print differently
     config = SweepConfig(name, a_steps=3, t_steps=17, t_min=-3.0, t_max=6.0, channel=spec)
-    numeric, _, block = sweep._routes((config,))
+    numeric, _, block = sweep._routes(config)
     a, t = config.grid()
     blocked = sweep._evaluate(numeric, a, t, 1, block)
     assert blocked.shape == (51,)
@@ -561,7 +589,7 @@ def test_values_do_not_depend_on_the_block_size(name, spec):
 def test_pair_routes_take_four_times_the_points_of_a_gate_route():
     noise = ChannelSpec("PF", 0.3)
     for name, m in MEASURES.items():
-        *_, block = sweep._routes((SweepConfig(name, channel=noise if m.gate else None),))
+        *_, block = sweep._routes(SweepConfig(name, channel=noise if m.gate else None))
         assert block == (sweep.BLOCK_POINTS if m.gate else 4 * sweep.BLOCK_POINTS)
 
 
@@ -573,26 +601,26 @@ P_VALUES = sweep.NOISY_P_VALUES
 @pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
 def test_a_p_stack_is_its_configurations_bit_for_bit(kind, qubit):
     # every stacked route and closed column against the route under each
-    # channel alone, and against each configuration as a run of one
+    # channel alone, and against the config at each single p
     for name in STACKED:
         m = MEASURES[name]
-        configs = tuple(SweepConfig(name, a_steps=3, t_steps=5, t_min=-1.0, t_max=2.0,
-                                    channel=ChannelSpec(kind, p, qubit), compare=True)
-                        for p in P_VALUES)
-        values, closed = sweep._columns(configs)
-        a, t = configs[0].grid()
+        config = SweepConfig(name, a_steps=3, t_steps=5, t_min=-1.0, t_max=2.0,
+                             channel=ChannelSpec(kind, P_VALUES, qubit), compare=True)
+        values, closed = sweep._columns(config)
+        a, t = config.grid()
         alone = [m.numeric(a, t, ch.lift(ch.make_channel(kind, p), qubit, 3 if m.gate else 2), "e")
                  for p in P_VALUES]
-        runs = [sweep._columns((config,)) for config in configs]
+        runs = [sweep._columns(replace(config, channel=ChannelSpec(kind, p, qubit)))
+                for p in P_VALUES]
         assert np.array_equal(values, np.concatenate(alone)), name
         assert values.tobytes() == np.concatenate([v for v, _ in runs]).tobytes(), name
-        numeric, _, block = sweep._routes(configs)
+        numeric, _, block = sweep._routes(config)
         assert sweep._evaluate(numeric, a, t, len(P_VALUES), 7).tobytes() == values.tobytes()
         if qubit == 1 or m.noisy_closed is None:
             assert closed is None and all(c is None for _, c in runs), name
             continue
-        al, be = np.sin(configs[0].a_values())[:, None], np.cos(configs[0].a_values())[:, None]
-        t_row = configs[0].t_values()
+        al, be = np.sin(config.a_values())[:, None], np.cos(config.a_values())[:, None]
+        t_row = config.t_values()
         points = [np.broadcast_to(m.noisy_closed(kind, p, t_row, al, be), (3, 5)).ravel()
                   for p in P_VALUES]
         assert np.array_equal(closed, np.concatenate(points)), name
