@@ -137,6 +137,8 @@ def test_switch_fidelities(benchmark):
     assert benchmark(switch.switch_fidelities, regs, x).shape == (sweep.BLOCK_POINTS,)
 
 
+#: the Kraus operators of NOISE lifted onto the pair, a tuple of 4 x 4
+#: arrays, which the route and the reference take alike
 PAIR_LIFTED = channels.lift(channels.make_channel(NOISE.kind, NOISE.p), NOISE.qubit, 2)
 #: the first qubit's entropy of noisy switched pairs, two ways
 ENTROPY = {

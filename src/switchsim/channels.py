@@ -16,17 +16,19 @@ closed-form comparisons stay literal.
 is the stack with no leading axes. A sweep applies no channel to a
 density matrix: it reads the Kraus branches E_k psi of the evolved pair
 (``entanglement.pair_ensembles``). A ``KrausChannel`` checks its
-completeness when it is built; ``lift`` embeds a channel into a register
-without checking it again, since the lifted operators are complete
-whenever the channel's are.
+completeness when it is built, and ``make_channel`` is the package's one
+way to build one. ``lift`` embeds a channel into a register and returns
+the lifted operators alone, a tuple of read-only arrays, not checked
+again, since they are complete whenever the channel's are; the kernels
+and ``average_fidelities`` take that tuple.
 
 p stacks: ``make_channel`` given a tuple of P values builds the P channels
 of one kind as a single ``KrausChannel`` whose operators are (P, 2, 2)
 stacks, checked once over the whole stack, each matrix with the bits of
-the channel at that p alone. ``lift`` lifts the stack in one go, and
-``over_points`` gives a run of the stack's channels as operators that
-broadcast against a stack of points, so that a sweep's routes evaluate
-(p, point) blocks with each point's state built once (see ``sweep``).
+the channel at that p alone. ``lift`` lifts the stack in one go; a
+sweep's routes slice rows of p from the lifted stacks to broadcast
+against a stack of points, so that they evaluate (p, point) blocks with
+each point's state built once (see ``sweep``).
 """
 
 from __future__ import annotations
@@ -47,16 +49,23 @@ COMPLETENESS_ATOL = 1e-12
 
 def check_channel(kind: str, p) -> None:
     """Reject an unknown channel kind, then a probability outside [0, 1]:
-    ``p`` is one value or a stack of them, read in one pass, and the
-    message names the first that is NaN, infinite or outside [0, 1]. A
-    loop over the values as Python floats, not an array check: the closed
-    forms check p on every single-point call, and the loop costs such a
-    call about a quarter of what numpy's per-call overhead does."""
+    ``p`` is one value or an array of them, of any shape, read in one
+    pass, and the message names the first that is NaN, infinite or
+    outside [0, 1]."""
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
     for value in np.ravel(p).tolist():
         if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
             raise ValueError(f"probability must lie in [0, 1], got {value!r}")
+
+
+def p_shape(p) -> tuple:
+    """The shape of ``p``, one value or a stack of at least one: () or
+    (P,); any other shape is rejected."""
+    lead = np.shape(p)
+    if len(lead) > 1 or lead == (0,):
+        raise ValueError(f"p must be one value or a stack of at least one, got shape {lead}")
+    return lead
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,8 @@ class KrausChannel:
     of them: with ``p`` a tuple of P values, each operator is a (P, dim,
     dim) stack, one matrix per value of p, and completeness is checked over
     the whole stack at once. A sequence p is stored as a tuple of floats,
-    so that p stays hashable, as one float is."""
+    immutable once checked and hashable, as one float is; the channel
+    itself is not hashable, since its operators are arrays."""
 
     kind: str
     p: float
@@ -73,9 +83,7 @@ class KrausChannel:
     dim: int
 
     def __post_init__(self):
-        lead = np.shape(self.p)
-        if len(lead) > 1 or lead == (0,):
-            raise ValueError(f"p must be one value or a stack of at least one, got shape {lead}")
+        lead = p_shape(self.p)
         if lead:
             object.__setattr__(self, "p", tuple(np.asarray(self.p, dtype=float).tolist()))
         ops = tuple(_frozen(e) for e in self.operators)
@@ -122,21 +130,10 @@ def make_channel(kind: str, p) -> KrausChannel:
     return KrausChannel(kind=kind, p=p, operators=ops, dim=2)
 
 
-def _unchecked(kind: str, p, operators: tuple, dim: int) -> KrausChannel:
-    """A KrausChannel of operators complete by construction, not checked
-    again; the operators, fresh arrays or views, are made read-only in
-    place."""
-    for e in operators:
-        e.setflags(write=False)
-    out = object.__new__(KrausChannel)
-    for name, value in (("kind", kind), ("p", p), ("operators", operators), ("dim", dim)):
-        object.__setattr__(out, name, value)
-    return out
-
-
-def lift(channel: KrausChannel, qubit: int, n_qubits: int) -> KrausChannel:
-    """Embed a single-qubit channel, or each channel of a stack, at position
-    ``qubit`` of an n-qubit register."""
+def lift(channel: KrausChannel, qubit: int, n_qubits: int) -> tuple:
+    """The operators of a single-qubit channel, or of each channel of a
+    stack, embedded at position ``qubit`` of an n-qubit register: a tuple
+    of read-only (..., 2^n, 2^n) arrays, with the channel's leading axes."""
     if channel.dim != 2:
         raise ValueError(f"only single-qubit channels can be lifted, got dim {channel.dim}")
     if not 0 <= qubit < n_qubits:
@@ -150,32 +147,27 @@ def lift(channel: KrausChannel, qubit: int, n_qubits: int) -> KrausChannel:
             e = np.kron(e, np.eye(right, dtype=complex))
         if left > 1:
             e = np.kron(np.eye(left, dtype=complex), e)
+        # (sum E^dag E) x I = I: complete by construction, so not checked again
+        e.setflags(write=False)
         lifted.append(e)
-    # (sum E^dag E) x I = I: complete by construction, so not checked again
-    return _unchecked(channel.kind, channel.p, tuple(lifted), 2**n_qubits)
+    return tuple(lifted)
 
 
-def over_points(channel: KrausChannel, start: int, stop: int) -> KrausChannel:
-    """The channels ``start:stop`` of the stack ``channel``, with a unit
-    axis after the stack's, so that their operators, shape (P, 1, dim,
-    dim), broadcast against a stack of points to (P, N) values, p outer.
-    Views of complete operators, so not checked again."""
-    ops = tuple(e[start:stop, None] for e in channel.operators)
-    return _unchecked(channel.kind, channel.p[start:stop], ops, channel.dim)
-
-
-def _require_dim(dim: int, channel: KrausChannel, what: str) -> None:
-    if dim != channel.dim:
+def _require_dim(dim: int, operators: tuple, what: str) -> None:
+    """Reject a ``dim``-dimensional ``what`` for the Kraus ``operators``."""
+    channel_dim = operators[0].shape[-1]
+    if dim != channel_dim:
         raise ValueError(
             f"dimension mismatch: {what} is {dim}-dimensional, "
-            f"channel is {channel.dim}-dimensional"
+            f"channel is {channel_dim}-dimensional"
         )
 
 
-def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
-    """Average gate fidelity of a noisy implementation against each target
-    unitary of a stack; the leading axes of a channel stack broadcast
-    against the targets'.
+def average_fidelities(u: np.ndarray, operators: tuple) -> np.ndarray:
+    """Average gate fidelity of a noisy implementation, the Kraus
+    ``operators`` of a channel (``lift``), against each target unitary of
+    a stack; the leading axes of a channel stack broadcast against the
+    targets'.
 
     With M_k = U^dagger E_k and n the dimension,
 
@@ -186,15 +178,14 @@ def average_fidelities(u: np.ndarray, channel: KrausChannel) -> np.ndarray:
     if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError(f"targets must be square matrices, got shape {u.shape}")
     n = u.shape[-1]
-    _require_dim(n, channel, "target")
+    _require_dim(n, operators, "target")
     linalg.require_finite(u, "matrix entries")
     ud = linalg.dagger(u)
-    gram = np.zeros(np.broadcast_shapes(u.shape, *(e.shape for e in channel.operators)),
-                    dtype=complex)
+    gram = np.zeros(np.broadcast_shapes(u.shape, *(e.shape for e in operators)), dtype=complex)
     overlap = 0.0
     # one operator at a time, accumulating in place: the stacks held stay
     # a few, whatever the number of operators
-    for e in channel.operators:
+    for e in operators:
         m = ud @ e
         gram += linalg.dagger(m) @ m
         overlap = overlap + np.abs(np.trace(m, axis1=-2, axis2=-1)) ** 2

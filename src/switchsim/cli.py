@@ -148,7 +148,7 @@ def _joined_negative_floats(argv) -> list:
 
 def _config_from(args, measure: Optional[str] = None) -> sw.SweepConfig:
     channel = None
-    if getattr(args, "channel", None) is not None:
+    if args.channel is not None:
         channel = sw.ChannelSpec(kind=args.channel, p=args.p, qubit=args.noise_qubit)
     return sw.SweepConfig(
         measure=measure or args.measure,
@@ -160,7 +160,7 @@ def _config_from(args, measure: Optional[str] = None) -> sw.SweepConfig:
         channel=channel,
         # the average fidelity has no logarithm, so avg-fidelity takes no --log-base
         log_base=getattr(args, "log_base", "e"),
-        compare=getattr(args, "compare", False),
+        compare=args.compare,
     )
 
 

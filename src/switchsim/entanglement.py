@@ -54,7 +54,7 @@ import numpy as np
 
 from . import linalg
 from . import pointwise as pw
-from .channels import KrausChannel, check_channel
+from .channels import check_channel
 from .states import partial_transposes
 from .switch import PAULI_Y, switched_pairs
 
@@ -280,20 +280,20 @@ def reduced_entropy_closed(
 
 
 def pair_ensembles(
-    a_amps: np.ndarray, t, lifted: Optional[KrausChannel] = None
+    a_amps: np.ndarray, t, operators: Optional[tuple] = None
 ) -> np.ndarray:
     """Run the switch on |A>|0>|1> to time ``t`` for each |A> of a stack of
     amplitude pairs and drop the control: the switched pair psi as a
-    one-column ensemble, or its Kraus branches E_k psi under ``lifted``, a
-    channel already lifted onto the pair, or a stack of them whose leading
-    axes broadcast against the pairs' (``channels.over_points``); shape
-    (..., 4, K). The columns
+    one-column ensemble, or its Kraus branches E_k psi under ``operators``,
+    a channel's operators already lifted onto the pair (``channels.lift``),
+    or stacks of them whose leading axes broadcast against the pairs';
+    shape (..., 4, K). The columns
     decompose the pair's density matrix, sum_k (E_k psi)(E_k psi)^dagger,
     which is not formed."""
     psi = switched_pairs(a_amps, t)[..., None]
-    if lifted is None:
+    if operators is None:
         return psi
-    return np.concatenate([e @ psi for e in lifted.operators], axis=-1)
+    return np.concatenate([e @ psi for e in operators], axis=-1)
 
 
 def ensemble_densities(xi: np.ndarray) -> np.ndarray:

@@ -45,15 +45,15 @@ lifts the channel once, as a stack of its P values of p (see
 p outer, in blocks of whole rows of p, or of pieces of one row where a
 row does not fit, so that a block holds no more entries, and no more
 bytes, whatever P is. A block builds each point's state once and applies
-its rows of the channel stack by broadcasting (``channels.over_points``).
-A noisy closed form takes p as a (P, 1, 1) column and gives the
-(P, A, T) closed column in one call. Every value has the bits of the
-config with that one value of p. A sweep or diff takes one value of p;
-``verify`` gives each noisy record one config with a p stack. A diff
-first subtracts the clean config's columns. A sweep or diff returns them
-as one columnar record, ``Sweep``, with the t and a of each point;
-``verify`` builds none. A ``SweepRow`` is the view of one point that
-indexing a ``Sweep`` builds on demand; emission never builds one.
+its rows of the lifted operator stacks by broadcasting: the rows
+start:stop of each stack, with a unit axis after them, shape
+(P, 1, d, d), against the block's points. A noisy closed form takes p as
+a (P, 1, 1) column and gives the (P, A, T) closed column in one call.
+Every value has the bits of the config with that one value of p. A
+sweep or diff takes one value of p; ``verify`` gives each noisy record
+one config with a p stack. A diff first subtracts the clean config's
+columns. A sweep or diff returns them as one columnar record, ``Sweep``,
+with the t and a of each point; ``verify`` builds none.
 
 Emission writes the text itself, from the columns: all rows of a CSV file
 are one ``%`` template over the flattened ``.tolist()`` values. A JSON
@@ -72,7 +72,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -107,10 +107,10 @@ class Measure:
 
     ``numeric(a, t, lifted, log_base)`` computes the values at the points
     (a[i], t[i]) of two equal-length arrays from the evolved states, as one
-    stack; ``lifted`` is the channel already lifted onto the register, or
-    None for a clean run: one channel, or a stack of P channels shaped to
-    broadcast against the points (``channels.over_points``), which gives
-    (P, N) values.
+    stack; ``lifted`` is the tuple of a channel's operators already lifted
+    onto the register (``channels.lift``), or None for a clean run: one
+    matrix each, or stacks of P matrices shaped (P, 1, d, d) to broadcast
+    against the points, which give (P, N) values.
     ``closed(alpha0, beta0, t, log_base)`` is the clean closed form and
     ``noisy_closed(kind, p, t, alpha0, beta0)`` the closed form under
     noise on qubit 0, either None or called once per grid: ``alpha0`` and
@@ -123,7 +123,7 @@ class Measure:
     """
 
     name: str
-    numeric: Callable[[np.ndarray, np.ndarray, Optional[ch.KrausChannel], str], np.ndarray]
+    numeric: Callable[[np.ndarray, np.ndarray, Optional[tuple], str], np.ndarray]
     closed: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, str], np.ndarray]]
     noisy_closed: Optional[
         Callable[[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -133,7 +133,7 @@ class Measure:
     gate: bool = False
 
 
-def _pair_ensembles(a: np.ndarray, t: np.ndarray, lifted) -> np.ndarray:
+def _pair_ensembles(a: np.ndarray, t: np.ndarray, lifted: Optional[tuple]) -> np.ndarray:
     return ent.pair_ensembles(states.angle_qubits(a), t, lifted)
 
 
@@ -214,6 +214,7 @@ class ChannelSpec:
 
     def __post_init__(self):
         ch.check_channel(self.kind, self.p)
+        ch.p_shape(self.p)
         if self.qubit not in (0, 1):
             raise ValueError(f"noise qubit must be 0 or 1, got {self.qubit}")
 
@@ -283,25 +284,13 @@ class SweepConfig:
         return np.repeat(a, len(t)), np.tile(t, len(a))
 
 
-class SweepRow(NamedTuple):
-    """One grid point of a sweep, as ``Sweep[i]`` reads it; the closed
-    column and abs_err are None where no closed form applies."""
-
-    t: float
-    a: float
-    value_numeric: float
-    value_closed: Optional[float] = None
-    abs_err: Optional[float] = None
-
-
 class Sweep:
     """The columns of a sweep, one entry per grid point, a outer, t fastest.
 
     ``value_closed`` and ``abs_err`` are both None where no closed form
-    applies. Emission reads the columns; ``len``, indexing and iteration
-    give the points one by one as ``SweepRow`` views, built on demand.
-    A plain class, not a dataclass: every CLI run imports this module, and
-    generating a dataclass's methods takes about 0.3 ms.
+    applies. Emission reads the columns. A plain class, not a dataclass:
+    every CLI run imports this module, and generating a dataclass's
+    methods takes about 0.3 ms.
     """
 
     __slots__ = ("t", "a", "value", "value_closed", "abs_err")
@@ -320,12 +309,6 @@ class Sweep:
 
     def __len__(self) -> int:
         return len(self.value)
-
-    def __getitem__(self, i) -> SweepRow:
-        return SweepRow(*(float(column[i]) for column in self.columns()))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
 
 Numeric = Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
@@ -354,8 +337,8 @@ def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed], int]:
     block = BLOCK_POINTS if m.gate else 4 * BLOCK_POINTS
 
     def numeric(a: np.ndarray, t: np.ndarray, start: int, stop: int) -> np.ndarray:
-        return m.numeric(a, t, None if lifted is None else ch.over_points(lifted, start, stop),
-                         base)
+        rows = None if lifted is None else tuple(e[start:stop, None] for e in lifted)
+        return m.numeric(a, t, rows, base)
 
     if config.compare and spec is None and m.closed is not None:
         closed = lambda al, be, t: m.closed(al, be, t, base)

@@ -15,7 +15,8 @@ along the leading axes; one matrix is the stack with no leading axes.
   (``_psd_eigh``) and read its positivity there.
 - ``apply_kraus`` forms sum_k E_k rho E_k^dagger, and
   ``average_fidelity_monte_carlo`` estimates the average fidelity from
-  Haar-random inputs.
+  Haar-random inputs; both take a channel's Kraus operators, a tuple of
+  arrays (a ``KrausChannel``'s ``.operators``, or ``channels.lift``).
 - ``switch_hamiltonian`` is the switch's generator,
   ``switch_unitary_oracle`` its exponential from an eigensolve, and
   ``circuit_unitary`` the switch as a three-gate circuit.
@@ -29,7 +30,7 @@ import numpy as np
 
 from switchsim import linalg
 from switchsim import pointwise as pw
-from switchsim.channels import KrausChannel, _require_dim
+from switchsim.channels import _require_dim
 from switchsim.entanglement import _log_scale, ensemble_concurrences, reduced_determinants
 
 #: tolerance on |trace - 1| and Hermiticity for density matrices
@@ -190,40 +191,40 @@ def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
 # --------------------------------------------------------------- channels
 
 
-def apply_kraus(m: np.ndarray, channel: KrausChannel) -> np.ndarray:
+def apply_kraus(m: np.ndarray, operators: tuple) -> np.ndarray:
     """sum_k E_k rho E_k^dagger for each density matrix rho of a stack, as
-    one broadcast product over (point, operator) summed over the operators;
-    the leading axes of a channel stack broadcast against the stack's.
-    A complete channel maps density matrices to density matrices, so the
-    results are not checked again."""
-    _require_dim(m.shape[-1], channel, "state")
-    ops = np.stack(channel.operators, axis=-3)
+    one broadcast product over (point, operator) summed over the Kraus
+    ``operators``; the leading axes of operator stacks broadcast against
+    the stack's. A complete channel maps density matrices to density
+    matrices, so the results are not checked again."""
+    _require_dim(m.shape[-1], operators, "state")
+    ops = np.stack(operators, axis=-3)
     terms = ops @ m[..., None, :, :] @ linalg.dagger(ops)
     return np.sum(terms, axis=-3, initial=0.0)
 
 
 def average_fidelity_monte_carlo(
     u_target: np.ndarray,
-    channel: KrausChannel,
+    operators: tuple,
     samples: int = 100_000,
     rng=0,
 ):
     """Estimate the average fidelity by sampling Haar-random pure inputs.
 
     Independent of the trace formula: draws |psi> uniformly, pushes it
-    through the channel and measures <psi| U^dag K(|psi><psi|) U |psi>.
+    through the channel of Kraus ``operators`` and measures <psi| U^dag K(|psi><psi|) U |psi>.
     ``rng`` is a numpy Generator or anything ``np.random.default_rng``
     accepts. Returns (mean, standard_error).
     """
     u = np.asarray(u_target, dtype=complex)
     n = u.shape[0]
-    _require_dim(n, channel, "target")
+    _require_dim(n, operators, "target")
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     psi = g / np.linalg.norm(g, axis=1, keepdims=True)
     phi = psi @ u.T  # rows are U|psi>
     f = np.zeros(samples)
-    for e in channel.operators:
+    for e in operators:
         amp = np.einsum("si,si->s", np.conj(phi), psi @ e.T)
         f += np.abs(amp) ** 2
     mean = float(np.mean(f))

@@ -180,7 +180,7 @@ def test_criterion_10_channel_properties():
         channel = ch.make_channel(kind, 0.37)
         for _ in range(100):
             rho = random_density(rng, 1, rank=int(rng.integers(1, 3)))
-            out = reference.apply_kraus(rho, channel)
+            out = reference.apply_kraus(rho, channel.operators)
             assert abs(np.trace(out).real - 1.0) <= 1e-12
             assert np.max(np.abs(out - out.conj().T)) <= 1e-10
             assert np.min(np.linalg.eigvalsh(out)) >= -1e-10

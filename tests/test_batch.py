@@ -164,18 +164,17 @@ def _label(spec):
 )
 def test_blocked_sweep_matches_the_single_state_api(name, spec):
     config = SweepConfig(name, a_steps=A_STEPS, t_steps=T_STEPS, channel=spec)
-    rows = run_sweep(config)
-    assert len(rows) == N_POINTS
+    record = run_sweep(config)
+    assert len(record) == N_POINTS
+    a, t, value = (c.tolist() for c in (record.a, record.t, record.value))
     for i in SAMPLE:
-        r = rows[i]
-        assert r.value_numeric == pytest.approx(
-            _scalar_numeric(name, r.a, r.t, spec), abs=1e-12
-        ), (i, r.a, r.t)
+        assert value[i] == pytest.approx(
+            _scalar_numeric(name, a[i], t[i], spec), abs=1e-12
+        ), (i, a[i], t[i])
     if spec is not None and MEASURES[name].mixed:
-        diffs = diff_sweep(config)
+        diffs = diff_sweep(config).value.tolist()
         for i in SAMPLE:
-            r = diffs[i]
             expected = abs(
-                _scalar_numeric(name, r.a, r.t, spec) - _scalar_numeric(name, r.a, r.t, None)
+                _scalar_numeric(name, a[i], t[i], spec) - _scalar_numeric(name, a[i], t[i], None)
             )
-            assert r.value_numeric == pytest.approx(expected, abs=1e-12), (i, r.a, r.t)
+            assert diffs[i] == pytest.approx(expected, abs=1e-12), (i, a[i], t[i])

@@ -86,28 +86,38 @@ def test_a_stack_of_p_names_its_first_bad_value(entry, bad, position):
     assert str(err.value) == BAD_KIND
 
 
+@pytest.mark.parametrize("entry", ["ChannelSpec", "make_channel"])
+@pytest.mark.parametrize("p, shape", [
+    ((), (0,)), (((0.1, 0.2),), (1, 2)), (((0.1, 0.2), (0.3, 0.4)), (2, 2)),
+], ids=["empty", "one-row", "two-rows"])
+def test_a_p_of_no_values_or_of_two_axes_is_rejected(entry, p, shape):
+    with pytest.raises(ValueError) as err:
+        CHANNEL_ENTRY_POINTS[entry]("PF", p)
+    assert str(err.value) == f"p must be one value or a stack of at least one, got shape {shape}"
+    with pytest.raises(ValueError) as err:  # the kind is checked before p
+        CHANNEL_ENTRY_POINTS[entry]("XX", p)
+    assert str(err.value) == BAD_KIND
+
+
 @pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
 def test_a_channel_stack_is_its_channels_bit_for_bit(kind):
     stack = ch.make_channel(kind, list(P_GRID))
-    assert stack.p == P_GRID and isinstance(stack.p, tuple)  # hashable, as a scalar p is
+    assert stack.p == P_GRID and isinstance(stack.p, tuple)  # immutable once checked
+    with pytest.raises(TypeError):  # its operators are arrays
+        hash(stack)
     alone = [ch.make_channel(kind, p) for p in P_GRID]
     for n in (1, 2, 3):
         for qubit in range(n):
             lifted = ch.lift(stack, qubit, n)
-            assert (lifted.kind, lifted.p, lifted.dim) == (kind, P_GRID, 2**n)
-            reference = [ch.lift(channel, qubit, n).operators for channel in alone]
-            for k, e in enumerate(lifted.operators):
+            assert type(lifted) is tuple
+            reference = [ch.lift(channel, qubit, n) for channel in alone]
+            for k, e in enumerate(lifted):
                 assert e.shape == (len(P_GRID), 2**n, 2**n) and not e.flags.writeable
                 assert e.tobytes() == np.stack([ops[k] for ops in reference]).tobytes()
-            rows = ch.over_points(lifted, 1, 4)
-            assert rows.p == P_GRID[1:4]
-            for e, r in zip(lifted.operators, rows.operators):
-                assert r.shape == (3, 1, 2**n, 2**n) and not r.flags.writeable
-                assert r.tobytes() == e[1:4].tobytes()
     rho = np.stack([random_density(np.random.default_rng(i), 1) for i in range(len(P_GRID))])
-    out = apply_kraus(rho, stack)
+    out = apply_kraus(rho, stack.operators)
     for i, channel in enumerate(alone):
-        assert out[i].tobytes() == apply_kraus(rho[i], channel).tobytes()
+        assert out[i].tobytes() == apply_kraus(rho[i], channel.operators).tobytes()
 
 
 def test_a_channel_stack_is_checked_as_a_whole():
@@ -117,9 +127,6 @@ def test_a_channel_stack_is_checked_as_a_whole():
         ch.KrausChannel("AD", P_GRID, broken, 2)
     with pytest.raises(ValueError, match="does not match dim 2 and 5 values of p"):
         ch.KrausChannel("AD", P_GRID, (ops[0][:4], ops[1][:4]), 2)
-    for p in ((), ((0.1, 0.2),)):
-        with pytest.raises(ValueError, match="p must be one value or a stack of at least one"):
-            ch.make_channel("AD", p)
 
 
 def test_noiseless_endpoints():
@@ -152,8 +159,8 @@ def test_lift_places_operator_on_the_requested_qubit():
     p = 0.4
     lifted = ch.lift(ch.make_channel("PF", p), 0, 3)
     expected = math.sqrt(1 - p) * np.kron(PAULI_Z, np.eye(4))
-    assert np.allclose(lifted.operators[1], expected, atol=1e-15)
-    total = sum(e.conj().T @ e for e in lifted.operators)
+    assert np.allclose(lifted[1], expected, atol=1e-15)
+    total = sum(e.conj().T @ e for e in lifted)
     assert np.max(np.abs(total - np.eye(8))) <= 1e-12
 
 
@@ -183,49 +190,50 @@ def test_lift_is_the_kron_loop_bit_for_bit(kind):
         for n in (1, 2, 3):
             for qubit in range(n):
                 lifted = ch.lift(channel, qubit, n)
-                assert (lifted.kind, lifted.p, lifted.dim) == (kind, p, 2**n)
                 reference = _lift_by_kron_loop(channel, qubit, n)
-                assert len(lifted.operators) == len(reference)
-                for e, r in zip(lifted.operators, reference):
+                assert type(lifted) is tuple and len(lifted) == len(reference)
+                for e, r in zip(lifted, reference):
                     assert e.shape == r.shape and e.tobytes() == r.tobytes()
                     assert not e.flags.writeable
 
 
 def test_lifted_channel_is_frozen():
     lifted = ch.lift(ch.make_channel("AD", 0.3), 1, 2)
-    with pytest.raises(AttributeError):
-        lifted.p = 0.5
+    with pytest.raises(TypeError):
+        lifted[0] = lifted[1]
     with pytest.raises(ValueError):
-        lifted.operators[0][0, 0] = 2.0
+        lifted[0][0, 0] = 2.0
 
 
 def test_lift_rejects_bad_indices():
     channel = ch.make_channel("PF", 0.5)
     with pytest.raises(ValueError):
         ch.lift(channel, 3, 3)
-    with pytest.raises(ValueError):
-        ch.lift(ch.lift(channel, 0, 2), 0, 3)
+    two_qubits = ch.KrausChannel("PF", 0.5, ch.lift(channel, 0, 2), 4)
+    with pytest.raises(ValueError, match="only single-qubit channels can be lifted, got dim 4"):
+        ch.lift(two_qubits, 0, 3)
 
 
 def test_apply_identity_and_pure_flip():
     rng = np.random.default_rng(5)
     rho = random_density(rng, 1)
-    unchanged = apply_kraus(rho, ch.make_channel("PF", 1.0))
+    unchanged = apply_kraus(rho, ch.make_channel("PF", 1.0).operators)
     assert np.allclose(unchanged, rho, atol=1e-15)
-    flipped = apply_kraus(rho, ch.make_channel("PF", 0.0))
+    flipped = apply_kraus(rho, ch.make_channel("PF", 0.0).operators)
     assert np.allclose(flipped, PAULI_Z @ rho @ PAULI_Z, atol=1e-15)
 
 
 def test_full_damping_sends_excited_to_ground():
     rho = densities(KET_1)
-    out = apply_kraus(rho, ch.make_channel("AD", 1.0))
+    out = apply_kraus(rho, ch.make_channel("AD", 1.0).operators)
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_apply_rejects_dimension_mismatch():
     rho = random_density(np.random.default_rng(7), 2)
-    with pytest.raises(ValueError):
-        apply_kraus(rho, ch.make_channel("PF", 0.5))
+    with pytest.raises(ValueError) as err:
+        apply_kraus(rho, ch.make_channel("PF", 0.5).operators)
+    assert str(err.value) == "dimension mismatch: state is 4-dimensional, channel is 2-dimensional"
 
 
 def test_apply_preserves_state_invariants():
@@ -234,7 +242,7 @@ def test_apply_preserves_state_invariants():
         channel = ch.make_channel(kind, 0.37)
         for _ in range(100):
             rho = random_density(rng, 1, rank=rng.integers(1, 3))
-            out = apply_kraus(rho, channel)
+            out = apply_kraus(rho, channel.operators)
             assert abs(np.trace(out).real - 1.0) <= 1e-12
             assert np.max(np.abs(out - out.conj().T)) <= 1e-12
             assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
@@ -242,16 +250,22 @@ def test_apply_preserves_state_invariants():
 
 def test_average_fidelity_of_identity_is_one():
     identity = ch.KrausChannel("PF", 1.0, (np.eye(8, dtype=complex),), 8)
-    assert float(ch.average_fidelities(np.eye(8, dtype=complex), identity)) == pytest.approx(
-        1.0, abs=1e-14
-    )
+    fidelity = float(ch.average_fidelities(np.eye(8, dtype=complex), identity.operators))
+    assert fidelity == pytest.approx(1.0, abs=1e-14)
+
+
+def test_average_fidelities_rejects_dimension_mismatch():
+    lifted = ch.lift(ch.make_channel("PF", 0.5), 0, 2)
+    with pytest.raises(ValueError) as err:
+        ch.average_fidelities(switch.switch_unitaries(0.3), lifted)
+    assert str(err.value) == "dimension mismatch: target is 8-dimensional, channel is 4-dimensional"
 
 
 def test_trace_preserving_channels_contribute_the_dimension():
     # the sum over M_k^dag M_k of a trace-preserving channel has trace n
     lifted = ch.lift(ch.make_channel("AD", 0.6), 0, 3)
     u = switch.switch_unitaries(0.4)
-    total = sum((u.conj().T @ e).conj().T @ (u.conj().T @ e) for e in lifted.operators)
+    total = sum((u.conj().T @ e).conj().T @ (u.conj().T @ e) for e in lifted)
     assert np.trace(total).real == pytest.approx(8.0, abs=1e-12)
 
 

@@ -45,8 +45,8 @@ probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 def test_closed_form_matches_the_numeric_route(name, kind, a, t, p):
     channel = None if kind is None else ChannelSpec(kind, p, qubit=0)
     config = SweepConfig(name, a=a, t_min=t, t_max=t, t_steps=2, channel=channel, compare=True)
-    row = run_sweep(config)[0]
-    assert row.abs_err <= MEASURES[name].tolerance, (row.value_numeric, row.value_closed)
+    record = run_sweep(config)
+    assert record.abs_err[0] <= MEASURES[name].tolerance, (record.value[0], record.value_closed[0])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -154,8 +154,8 @@ def test_a_sweep_lifts_its_channel_once(monkeypatch, name):
 def test_closed_form_matches_the_numeric_route_near_separable_points(name):
     # beta = cos(a) is about 1e-3, so the measure is about 1e-8 at t = 0.01
     config = SweepConfig(name, a=1.5698, t_min=0.01, t_max=0.01, t_steps=2, compare=True)
-    row = run_sweep(config)[0]
-    assert row.abs_err <= MEASURES[name].tolerance, (row.value_numeric, row.value_closed)
+    record = run_sweep(config)
+    assert record.abs_err[0] <= MEASURES[name].tolerance, (record.value[0], record.value_closed[0])
 
 
 def _choi_concurrence(kind: str, p: float) -> float:
@@ -326,8 +326,8 @@ def test_clean_iconcurrence_holds_its_tolerance_where_it_is_small():
     t = 6.035607994453679
     config = SweepConfig("iconcurrence", a=1.5699664036480403, t_min=t, t_max=t,
                          t_steps=2, compare=True)
-    row = run_sweep(config)[0]
-    assert row.abs_err <= sweep.DEFAULT_TOLERANCE, (row.value_numeric, row.value_closed)
+    record = run_sweep(config)
+    assert record.abs_err[0] <= sweep.DEFAULT_TOLERANCE, (record.value[0], record.value_closed[0])
 
 
 @pytest.mark.parametrize("name", ["entropy", "iconcurrence"])
@@ -335,11 +335,10 @@ def test_noise_on_the_second_qubit_is_invisible_to_entropy_and_iconcurrence(name
     # both read the first qubit's reduced state, which a channel on the
     # second leaves unchanged; the concurrence does see that noise
     worst = max(
-        row.value_numeric
+        np.max(diff_sweep(SweepConfig(name, a_steps=9, t_min=-3.0, t_max=6.0, t_steps=51,
+                                      channel=ChannelSpec(kind, p, qubit=1))).value)
         for kind in ch.CHANNEL_KINDS
         for p in (0.0, 0.3, 0.74, 1.0)
-        for row in diff_sweep(SweepConfig(name, a_steps=9, t_min=-3.0, t_max=6.0, t_steps=51,
-                                          channel=ChannelSpec(kind, p, qubit=1)))
     )
     assert worst <= sweep.DEFAULT_TOLERANCE
 

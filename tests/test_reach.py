@@ -1,7 +1,9 @@
 """The commands reach every function of the package.
 
 A table of small command lines runs in process under ``sys.setprofile``
-and must enter each module-level function of ``src/switchsim/``. The
+and must enter each module-level function of ``src/switchsim/`` and each
+method that the source of a module-level class defines: its
+``__post_init__``, its properties, its dunders and its other methods. The
 package holds what the commands run; a function that no command enters is
 plumbing that nothing reads, and belongs with the tests' references
 (``reference.py``) or nowhere.
@@ -59,18 +61,32 @@ RUNS = [
 ]
 
 
+def _code(member):
+    """The code object of a function, or of a property's getter."""
+    return (member.fget if isinstance(member, property) else member).__code__
+
+
 def _package_functions() -> dict:
     """``module.name`` -> code object of each module-level def of the
-    package's source files."""
+    package's source files, and ``module.Class.name`` -> that of each def
+    in the body of a module-level class."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        names = [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
-                 if isinstance(node, ast.FunctionDef)]
+        defs = []
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name,))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(node.name, item.name) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
         # __main__.py, which runs the command when imported, defines none
-        if names:
+        if defs:
             module = importlib.import_module(f"switchsim.{path.stem}")
-            found.update((f"{path.stem}.{name}", getattr(module, name).__code__)
-                         for name in names)
+            for names in defs:
+                member = getattr(module, names[0])
+                if len(names) == 2:
+                    member = vars(member)[names[1]]
+                found[".".join((path.stem, *names))] = _code(member)
     return found
 
 

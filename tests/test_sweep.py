@@ -17,7 +17,6 @@ from switchsim.sweep import (
     ChannelSpec,
     Sweep,
     SweepConfig,
-    SweepRow,
     diff_sweep,
     emit,
     run_sweep,
@@ -45,39 +44,39 @@ def test_config_validation():
 
 def test_concurrence_sweep_peaks_at_the_half_swap():
     config = SweepConfig(measure="concurrence", a=math.pi / 4, t_steps=101, compare=True)
-    rows = run_sweep(config)
-    assert len(rows) == 101
-    values = [r.value_numeric for r in rows]
+    record = run_sweep(config)
+    assert len(record) == 101
+    values = record.value.tolist()
     peak = max(values)
     assert peak == pytest.approx(0.5, abs=1e-9)
     assert values.index(peak) == 50  # t = pi/4
-    assert all(r.abs_err <= 1e-9 for r in rows)
+    assert np.all(record.abs_err <= 1e-9)
 
 
 def test_fidelity_sweep_reaches_one_at_the_end():
     config = SweepConfig(measure="fidelity", a_steps=11, t_steps=11, compare=True)
-    rows = run_sweep(config)
-    assert len(rows) == 121
+    record = run_sweep(config)
+    assert len(record) == 121
     # grid order: a outer, t fastest
-    assert rows[0].a == rows[10].a and rows[0].t < rows[10].t
-    for row in rows:
-        if row.t == pytest.approx(math.pi / 2):
-            assert row.value_numeric == pytest.approx(1.0, abs=1e-12)
+    assert record.a[0] == record.a[10] and record.t[0] < record.t[10]
+    for t, value in zip(record.t.tolist(), record.value.tolist()):
+        if t == pytest.approx(math.pi / 2):
+            assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noisy_sweep_fills_closed_column_only_on_first_qubit():
     spec = ChannelSpec("AD", 0.74, qubit=0)
-    rows = run_sweep(
+    record = run_sweep(
         SweepConfig(measure="iconcurrence", channel=spec, t_steps=5, compare=True)
     )
-    assert all(r.value_closed is not None and r.abs_err <= 1e-9 for r in rows)
-    rows = run_sweep(
+    assert record.value_closed is not None and np.all(record.abs_err <= 1e-9)
+    record = run_sweep(
         SweepConfig(
             measure="iconcurrence", channel=ChannelSpec("AD", 0.74, qubit=1),
             t_steps=5, compare=True,
         )
     )
-    assert all(r.value_closed is None for r in rows)
+    assert record.value_closed is None and record.abs_err is None
 
 
 def test_rejected_pipelines():
@@ -99,17 +98,18 @@ def test_a_sweep_or_diff_rejects_a_p_stack():
         assert str(err.value) == f"{what} takes one value of p, got (0.25, 0.5)"
     single = SweepConfig("iconcurrence", t_steps=5, channel=ChannelSpec("AD", 0.25))
     stacked = SweepConfig("iconcurrence", t_steps=5, channel=ChannelSpec("AD", (0.25,)))
-    assert list(run_sweep(stacked)) == list(run_sweep(single))
+    assert ([c.tobytes() for c in run_sweep(stacked).columns()]
+            == [c.tobytes() for c in run_sweep(single).columns()])
 
 
 def test_avg_fidelity_sweep():
-    rows = run_sweep(
+    record = run_sweep(
         SweepConfig(
             measure="avg_fidelity", channel=ChannelSpec("PF", 0.74), t_steps=21, compare=True
         )
     )
-    assert all(r.abs_err <= 1e-10 for r in rows)
-    assert all(0.0 <= r.value_numeric <= 1.0 for r in rows)
+    assert np.all(record.abs_err <= 1e-10)
+    assert np.all((0.0 <= record.value) & (record.value <= 1.0))
 
 
 def test_diff_needs_a_channel_and_a_noisy_measure():
@@ -121,24 +121,24 @@ def test_diff_needs_a_channel_and_a_noisy_measure():
 
 def test_diff_vanishes_for_identity_and_local_unitary_noise():
     for p in (1.0, 0.0):  # p=1 is the identity, p=0 a local phase flip
-        rows = diff_sweep(
+        record = diff_sweep(
             SweepConfig(
                 measure="iconcurrence", channel=ChannelSpec("PF", p), a=0.9, t_steps=21
             )
         )
-        assert max(r.value_numeric for r in rows) <= 1e-12
+        assert np.max(record.value) <= 1e-12
 
 
 def test_diff_detects_amplitude_damping():
-    rows = diff_sweep(
+    record = diff_sweep(
         SweepConfig(
             measure="iconcurrence", channel=ChannelSpec("AD", 0.74), a=0.9,
             t_steps=51, compare=True,
         )
     )
-    interior = [r for r in rows if 0.0 < r.t < math.pi / 2]
-    assert max(r.value_numeric for r in interior) > 0.01
-    assert all(r.abs_err <= 1e-9 for r in rows if r.abs_err is not None)
+    interior = (0.0 < record.t) & (record.t < math.pi / 2)
+    assert np.max(record.value[interior]) > 0.01
+    assert np.all(record.abs_err <= 1e-9)
 
 
 def _record(*columns):
@@ -184,16 +184,6 @@ def test_emit_json_keys_and_nulls():
     ]
 
 
-def test_sweep_row_takes_keywords_with_defaults_and_is_immutable():
-    row = SweepRow(t=0.5, a=0.25, value_numeric=0.1)
-    assert (row.value_closed, row.abs_err) == (None, None)
-    assert SweepRow(0.5, 0.25, 0.1, abs_err=2.0).abs_err == 2.0
-    with pytest.raises(AttributeError):
-        row.value_numeric = 0.2
-    with pytest.raises(AttributeError):
-        row.abs_err = 0.0
-
-
 #: (sweep or diff, configuration, has a closed column)
 VIEWED = [
     (run_sweep, SweepConfig("entropy", a_steps=3, t_steps=7, compare=True), True),
@@ -214,50 +204,40 @@ def test_points_are_sweep_row_views_of_the_columns(run, config, closed):
     assert record.t.tolist() == config.t_values().tolist() * 3
     assert record.a.tolist() == [a for a in config.a_values().tolist() for _ in range(7)]
     assert len(record) == 21
-    rows = list(record)
-    assert rows == [record[i] for i in range(21)] and record[-1] == rows[-1]
-    assert all(type(r) is SweepRow for r in rows)
-    with pytest.raises(IndexError):
-        record[21]
     columns = [record.t, record.a, record.value, record.value_closed, record.abs_err]
-    for field, column in zip(SweepRow._fields, columns):
-        cells = [getattr(r, field) for r in rows]
-        if column is None:
-            assert cells == [None] * 21, field
-        else:
-            assert cells == column.tolist() and all(type(c) is float for c in cells), field
+    assert list(map(id, record.columns())) == [id(c) for c in columns if c is not None]
+    for column in record.columns():
+        assert column.shape == (21,) and column.dtype == float
     if closed:
         assert record.abs_err.tolist() == abs(record.value - record.value_closed).tolist()
 
 
-def _reference_csv(rows):
+#: the keys of a row, in output order
+KEYS = ("t", "a", "value", "value_closed", "abs_err")
+
+
+def _rows(record):
+    """The rows of a record as tuples of Python floats in the order of
+    KEYS, None where no closed form applies."""
+    cells = [c.tolist() for c in record.columns()]
+    return [row + (None,) * (len(KEYS) - len(row)) for row in zip(*cells)]
+
+
+def _reference_csv(record):
     """The renderer as it was written before it formatted whole rows."""
     def fmt(value):
         return "" if value is None else f"{value:.12g}"
 
-    lines = ["t,a,value,value_closed,abs_err"]
-    for r in rows:
-        lines.append(",".join(
-            (fmt(r.t), fmt(r.a), fmt(r.value_numeric), fmt(r.value_closed), fmt(r.abs_err))
-        ))
+    lines = [",".join(KEYS)] + [",".join(map(fmt, row)) for row in _rows(record)]
     return "\n".join(lines) + "\n"
 
 
-def _reference_json(rows):
+def _reference_json(record):
     """The renderer as it was written before it wrote the JSON text itself."""
     def number(value):
         return None if value is None else float(f"{value:.12g}")
 
-    payload = [
-        {
-            "t": number(r.t),
-            "a": number(r.a),
-            "value": number(r.value_numeric),
-            "value_closed": number(r.value_closed),
-            "abs_err": number(r.abs_err),
-        }
-        for r in rows
-    ]
+    payload = [dict(zip(KEYS, map(number, row))) for row in _rows(record)]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -389,10 +369,11 @@ def test_verify_fails_under_injected_error():
 
 @pytest.mark.parametrize("inject_error", [0.0, 1e-6])
 def test_verify_errors_equal_those_of_the_sweep_rows(inject_error):
-    # verify builds no rows; its maxima must be those the rows give, bit for bit
+    # verify runs no sweep; its maxima must be those the sweeps give, bit
+    # for bit, as the largest of their rows' errors
     grid = dict(a_steps=4, t_steps=5, log_base="e")
     checks = {c.name: c.max_abs_err for c in verify(**grid, inject_error=inject_error)}
-    rows = {}
+    values = {}
     battery = sweep._battery(MEASURES, **grid)
     for record in battery:
         if record.against is None:
@@ -400,14 +381,14 @@ def test_verify_errors_equal_those_of_the_sweep_rows(inject_error):
             configs = [record.config] if spec is None else [
                 replace(record.config, channel=replace(spec, p=p)) for p in spec.p
             ]
-            rows[record.name] = [r for config in configs for r in run_sweep(config)]
-            expected = max(abs(r.value_numeric - (r.value_closed + inject_error))
-                           for r in rows[record.name])
+            sweeps = [run_sweep(config) for config in configs]
+            values[record.name] = np.concatenate([s.value for s in sweeps])
+            closed = np.concatenate([s.value_closed for s in sweeps])
+            expected = max(np.abs(values[record.name] - (closed + inject_error)).tolist())
             assert checks.pop(record.name) == expected, record.name
-    # the flip agreement, from the [PF] and [BF] rows
-    flips = zip(rows["avg_fidelity[PF]"], rows["avg_fidelity[BF]"])
-    expected = max(abs(pf.value_numeric - bf.value_numeric) for pf, bf in flips)
-    assert checks.pop("avg_fidelity[PF=BF]") == expected
+    # the flip agreement, from the [PF] and [BF] values
+    flips = np.abs(values["avg_fidelity[PF]"] - values["avg_fidelity[BF]"])
+    assert checks.pop("avg_fidelity[PF=BF]") == max(flips.tolist())
     assert not checks and len(battery) == 15
 
 
@@ -487,7 +468,7 @@ def test_a_stacked_verify_holds_no_larger_blocks(monkeypatch):
         monkeypatch.setattr(module, name, recorded)
 
     record(ch, "average_fidelities", lambda u, lifted: np.broadcast_shapes(
-        u.shape, *(e.shape for e in lifted.operators)))
+        u.shape, *(e.shape for e in lifted)))
     record(ent, "reduced_determinants", lambda xi: xi.shape)
     assert all(c.passed for c in verify(measures=["avg_fidelity", "iconcurrence"]))
     gate, pair = sizes["average_fidelities"], sizes["reduced_determinants"]
@@ -517,11 +498,11 @@ def test_verify_respects_log_base():
 
 def test_fidelity_closed_form_holds_where_sin_t_is_negative():
     # numeric |<psi(pi/2)|psi(t)>| is 1 at t = -pi/2; alpha^2 + sin(t) beta^2 is -1
-    rows = run_sweep(
+    record = run_sweep(
         SweepConfig(measure="fidelity", a=0.0, t_min=-1.5708, t_max=0.0, t_steps=3, compare=True)
     )
-    assert rows[0].value_numeric == pytest.approx(1.0, abs=1e-8)
-    assert all(r.abs_err <= 1e-12 for r in rows)
+    assert record.value[0] == pytest.approx(1.0, abs=1e-8)
+    assert np.all(record.abs_err <= 1e-12)
 
 
 def _nan_at_an_interior_point(monkeypatch, kernel):
@@ -595,6 +576,24 @@ def test_pair_routes_take_four_times_the_points_of_a_gate_route():
 
 STACKED = [name for name, m in MEASURES.items() if m.mixed or m.gate]
 P_VALUES = sweep.NOISY_P_VALUES
+
+
+def test_a_block_reads_its_rows_of_the_lifted_stacks_as_views(monkeypatch):
+    # the numeric route hands a measure the rows start:stop of each lifted
+    # operator stack, with a unit axis after them that broadcasts against
+    # the block's points
+    seen = []
+    lift, m = ch.lift, MEASURES["iconcurrence"]
+    monkeypatch.setattr(ch, "lift", lambda *args: seen.append(lift(*args)) or seen[-1])
+    monkeypatch.setitem(MEASURES, m.name, replace(
+        m, numeric=lambda a, t, rows, base: seen.append(rows) or m.numeric(a, t, rows, base)))
+    numeric, _, _ = sweep._routes(SweepConfig(m.name, channel=ChannelSpec("AD", P_VALUES)))
+    assert numeric(np.array([0.3, 0.4]), np.array([0.1, 0.2]), 1, 4).shape == (3, 2)
+    lifted, rows = seen
+    assert type(rows) is tuple and len(rows) == len(lifted) == 2
+    for e, r in zip(lifted, rows):
+        assert r.shape == (3, 1, 4, 4) and not r.flags.writeable
+        assert r.base is not None and r.tobytes() == e[1:4].tobytes()
 
 
 @pytest.mark.parametrize("qubit", [0, 1])
