@@ -1,7 +1,10 @@
-"""Emission layer of a sweep: ``emit`` of one 50 x 101 clean concurrence
-surface with its closed column (5,050 rows), as the
+"""Emission layer of a sweep: ``emit`` of one 50 x 101 clean surface with
+its closed column (5,050 rows), as the
 `sweep --compare --a-steps 50 --t-steps 101` command line makes it, to an
 in-memory stream, as CSV and as JSON, with the closed column and without.
+The surfaces are the concurrence and the ppt: emission formats each
+distinct bit pattern of a surface once, and the ppt has the most of them
+(8,649 of 25,250 cells), so it is the case that dedupe helps least.
 Each benchmark is grouped under the layer name the benchmark harness in
 perfbench/ reports.
 
@@ -17,13 +20,15 @@ import pytest
 
 from switchsim import sweep
 
-CONFIG = sweep.SweepConfig("concurrence", a_steps=50, t_steps=101, compare=True)
+MEASURES = ("concurrence", "ppt")
 
 
-@pytest.fixture(scope="module")
-def surface():
-    """The sweep record of CONFIG."""
-    return sweep.run_sweep(CONFIG)
+@pytest.fixture(scope="module", params=MEASURES)
+def surface(request):
+    """The sweep record of a 50 x 101 clean surface of the measure."""
+    return sweep.run_sweep(
+        sweep.SweepConfig(request.param, a_steps=50, t_steps=101, compare=True)
+    )
 
 
 def _emit(record, fmt):

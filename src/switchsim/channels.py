@@ -83,6 +83,7 @@ class KrausChannel:
     dim: int
 
     def __post_init__(self):
+        check_channel(self.kind, self.p)
         lead = p_shape(self.p)
         if lead:
             object.__setattr__(self, "p", tuple(np.asarray(self.p, dtype=float).tolist()))

@@ -29,9 +29,17 @@ def test_table_of_kraus_operators():
     assert np.allclose(pd.operators[1], np.diag([0, math.sqrt(p)]))
 
 
+def _identity_channel(kind, p):
+    """A channel built directly, not by make_channel: the identity map
+    under ``kind`` and ``p``, one matrix per value of p."""
+    identity = np.broadcast_to(np.eye(2, dtype=complex), np.shape(p) + (2, 2))
+    return ch.KrausChannel(kind, p, (identity,), 2)
+
+
 #: every entry point that takes a channel kind and a probability
 CHANNEL_ENTRY_POINTS = {
     "ChannelSpec": ChannelSpec,
+    "KrausChannel": _identity_channel,
     "make_channel": ch.make_channel,
     "iconcurrence_noisy_closed": lambda kind, p: ent.iconcurrence_noisy_closed(
         kind, p, 0.3, 0.6, 0.8
@@ -59,6 +67,7 @@ def test_every_channel_entry_point_rejects_a_bad_kind_or_p_alike(entry, kind, p,
 #: every entry point that takes a stack of p, as a tuple or a (P, 1, 1) column
 STACK_ENTRY_POINTS = {
     "ChannelSpec": ChannelSpec,
+    "KrausChannel": _identity_channel,
     "check_channel": ch.check_channel,
     "make_channel": ch.make_channel,
     "iconcurrence_noisy_closed": lambda kind, p: ent.iconcurrence_noisy_closed(

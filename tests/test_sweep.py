@@ -275,6 +275,17 @@ def _random_doubles(n, seed=20240611):
     return [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(n)]
 
 
+def _repeats(n=600):
+    """A few values repeated many times, interleaved with 0.0 and -0.0 and
+    with NaNs of different payloads and signs: distinct bit patterns whose
+    texts are equal, and equal values whose texts differ."""
+    nans = [struct.unpack("<d", bits.to_bytes(8, "little"))[0] for bits in (
+        0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+        0x7FFFFFFFFFFFFFFF)]
+    few = [0.1, 1.0, -1.0, 1e11, 1e-300, math.inf]
+    return [v for i in range(n) for v in (few[i % 6], -0.0 if i % 2 else 0.0, nans[i % 5])]
+
+
 def _sweeps_over(values):
     """A sweep of each column shape, numeric-only and with closed columns,
     that puts every value in every column."""
@@ -283,8 +294,9 @@ def _sweeps_over(values):
             for width in (3, 5)]
 
 
-@pytest.mark.parametrize("values", [[], EDGE_VALUES + MASK_BOUNDARY, _random_doubles(2000)],
-                         ids=["empty", "edges", "random-bits"])
+@pytest.mark.parametrize("values", [[], EDGE_VALUES + MASK_BOUNDARY, _random_doubles(2000),
+                                    _repeats()],
+                         ids=["empty", "edges", "random-bits", "repeats"])
 def test_renderers_match_the_reference_renderers(values):
     for record in _sweeps_over(values):
         for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
@@ -295,7 +307,8 @@ def test_renderers_match_the_reference_renderers(values):
 
 @pytest.mark.parametrize("width", [3, 5])
 def test_json_writes_a_column_of_signed_zeros_as_json_dumps_does(width):
-    # exact zeros skip the encoder: their %s text is json.dumps' 0.0 or -0.0
+    # 0.0 and -0.0 are one value but two bit patterns, each formatted once
+    # with the encoder's text, json.dumps' 0.0 or -0.0
     values = EDGE_VALUES + MASK_BOUNDARY
     zeros = [-0.0 if i % 3 else 0.0 for i in range(len(values))]
     for k in range(width):
