@@ -7,16 +7,17 @@ damping on qubit 0 on a 9 x 50 grid (the shape of a noisy configuration
 of `verify`); `verify` of the average fidelity and of the I-concurrence
 alone, whose noisy records each evaluate a stack of p values at once; the
 first qubit's entropy of 256 switched pairs under
-amplitude damping on qubit 0, read from the determinant of the Kraus
-branches (`entanglement.pair_ensembles`, `reduced_determinants` and
+amplitude damping on qubit 0, read from the pair (d, |r|) of the Kraus
+branches (`entanglement.pair_ensembles`, `reduced_qubits` and
 `determinant_entropies`, the sweeps' route, with no eigensolve) against
 the eigensolve `reference.entropies` of the reduced states that
 `reference.apply_kraus` and `reference.partial_traces` form (the tests'
 density-matrix references, `tests/reference.py`); each closed form
 of the table through `sweep._closed_column` on the 50 x 101 grid, clean,
 and under amplitude damping on qubit 0 where it has a noisy form, one
-call per grid; one call of each scalar closed-form entry point at one
-point, the cost a caller that evaluates point by point pays; the switch's
+call per grid; one call of each scalar closed-form entry point, and of
+each closed form of the table, at one point, the cost a caller that
+evaluates point by point pays; the switch's
 evolution, `switch.switched_pairs` on a 256-point stack (a pair route's
 block) and `switch.switch_fidelities` on 64 registers (a gate route's
 block; it evolves each register twice); the concurrence of a density
@@ -87,19 +88,19 @@ def test_verify(benchmark, measure):
 
 AL, BE, T = math.sin(0.7), math.cos(0.7), 0.41
 POINT = {
-    "schmidt_closed": lambda: entanglement.schmidt_closed(BE, T),
-    "ppt_eigenvalues_closed": lambda: entanglement.ppt_eigenvalues_closed(AL, BE, T),
-    "concurrence_closed": lambda: entanglement.concurrence_closed(BE, T),
-    "iconcurrence_closed": lambda: entanglement.iconcurrence_closed(AL, BE, T),
-    "iconcurrence_noisy_closed[AD]": lambda: entanglement.iconcurrence_noisy_closed(
-        "AD", 0.3, T, AL, BE
-    ),
-    "iconcurrence_noisy_closed[BF]": lambda: entanglement.iconcurrence_noisy_closed(
+    "reduced_qubit_closed": lambda: entanglement.reduced_qubit_closed(AL, BE, T),
+    "noisy_determinant_closed[BF]": lambda: entanglement.noisy_determinant_closed(
         "BF", 0.3, T, AL, BE
     ),
-    "reduced_entropy_closed": lambda: entanglement.reduced_entropy_closed(AL, BE, T),
+    "ppt_eigenvalues_closed": lambda: entanglement.ppt_eigenvalues_closed(AL, BE, T),
+    "concurrence_closed": lambda: entanglement.concurrence_closed(BE, T),
     "fidelity_closed": lambda: entanglement.fidelity_closed(AL, BE, T),
     "average_fidelity_closed[PD]": lambda: channels.average_fidelity_closed("PD", 0.3, T),
+    "schmidt": lambda: sweep.MEASURES["schmidt"].closed(AL, BE, T, "e"),
+    "iconcurrence": lambda: sweep.MEASURES["iconcurrence"].closed(AL, BE, T, "e"),
+    "iconcurrence[AD]": lambda: sweep.MEASURES["iconcurrence"].noisy_closed("AD", 0.3, T, AL, BE),
+    "iconcurrence[BF]": lambda: sweep.MEASURES["iconcurrence"].noisy_closed("BF", 0.3, T, AL, BE),
+    "entropy": lambda: sweep.MEASURES["entropy"].closed(AL, BE, T, "e"),
 }
 
 
@@ -143,7 +144,7 @@ PAIR_LIFTED = channels.lift(channels.make_channel(NOISE.kind, NOISE.p), NOISE.qu
 #: the first qubit's entropy of noisy switched pairs, two ways
 ENTROPY = {
     "determinant": lambda amps, t: entanglement.determinant_entropies(
-        entanglement.reduced_determinants(entanglement.pair_ensembles(amps, t, PAIR_LIFTED))
+        *entanglement.reduced_qubits(entanglement.pair_ensembles(amps, t, PAIR_LIFTED))
     ),
     "eigensolve": lambda amps, t: reference.entropies(reference.partial_traces(
         reference.apply_kraus(reference.densities(switch.switched_pairs(amps, t)), PAIR_LIFTED),

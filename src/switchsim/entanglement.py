@@ -20,11 +20,14 @@ kernel, ``ensemble_concurrences``, is Uhlmann's form of Wootters'
 formula, read from singular values. ``reduced_determinants`` is the
 determinant of the first qubit's reduced state X X^dagger, with X = xi
 reshaped to (..., 2, 2K): by Cauchy-Binet a sum of squared 2 x 2 minors
-of X, so nothing cancels. The spectrum of a unit-trace 2 x 2 state is the
-roots of l^2 - l + det (``_reduced_spectrum``), read with no eigensolve:
-the I-concurrence is 2 sqrt(det), the Schmidt coefficients of a pure pair
-are the square roots of the roots, and the entropy,
-``determinant_entropies``, is -sum l log(l) over them.
+of X, so nothing cancels. ``reduced_qubits`` adds the length |r| of its
+Bloch vector, the root of a sum of squares over the rows of X. The Schmidt
+coefficient, the I-concurrence and the entropy read only that state's pair
+(d, |r|), and its spectrum by one rule,
+``_reduced_spectrum``: (2d / (1 + |r|), (1 + |r|) / 2), with no eigensolve
+and no sqrt(1 - 4d), which cancels near d = 1/4. The I-concurrence is
+2 sqrt(d), the Schmidt coefficients of a pure pair are the square roots of
+the spectrum, and the entropy, ``determinant_entropies``, is -sum l log(l).
 
 The PPT spectrum reads the same ensemble, ``pair_ensembles``, through a
 Gram product: ``ensemble_densities`` gives the pair's density matrix
@@ -39,16 +42,18 @@ called on a column of amplitudes, shape (A, 1), and a row of times, shape
 (T,), it returns the (A, T) grid of values in one call, each entry with
 the bits of the single-point call. Squares are ``np.float_power(x, 2)``,
 the C library's pow, as Python's ``x ** 2``: ``np.power`` multiplies,
-which rounds differently on about 0.08% of doubles. The Schmidt,
-I-concurrence and entropy forms factor the same determinant into
-nonnegative products; the Schmidt and entropy forms read its spectrum
-through ``_reduced_spectrum``, as the numeric routes do.
+which rounds differently on about 0.08% of doubles. The closed pair
+(d, |r|) is one function per noise configuration, a contraction of the
+Bloch vector (Nielsen and Chuang, section 8.3): ``reduced_qubit_closed``
+clean or under noise on qubit 1, and ``noisy_determinant_closed``, its d
+half under each channel on qubit 0. The measure table applies each
+measure's map of (d, |r|) to the numeric and to the closed pair alike.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,20 +68,6 @@ _YY = np.kron(PAULI_Y, PAULI_Y)
 #: the column pairs i < j that ``reduced_determinants`` reads, by column
 #: count: read-only index arrays, built once per count
 _COLUMN_PAIRS = {}
-
-
-class SchmidtPair(NamedTuple):
-    """The two Schmidt coefficients of a 2-qubit pure state, ascending;
-    lambda0^2 + lambda1^2 = 1 and lambda0 > 0 signals entanglement."""
-
-    lambda0: float
-    lambda1: float
-
-
-def _checked_beta(beta0):
-    """Reject |beta0| > 1; the message names the first such value."""
-    size = np.abs(beta0)
-    linalg.require(~(size > 1 + 1e-12), size, "|beta0| must be <= 1, got {value!r}")
 
 
 def reduced_determinants(xi: np.ndarray) -> np.ndarray:
@@ -101,43 +92,32 @@ def reduced_determinants(xi: np.ndarray) -> np.ndarray:
     return np.sum(m.real * m.real + m.imag * m.imag, axis=-1)
 
 
-def _reduced_spectrum(d):
-    """Ascending spectrum of each unit-trace 2 x 2 state whose determinant
-    is d: the roots of l^2 - l + d, the small one written as
-    2d / (1 + sqrt(1 - 4d)) so that it cancels nothing. d is at most 1/4;
-    rounding above it would put the small root above the large one. A NaN
-    d gives NaN roots."""
-    d = pw.least(d, 0.25)
-    root = np.sqrt(1.0 - 4.0 * d)
-    return 2.0 * d / (1.0 + root), (1.0 + root) / 2.0
+def reduced_qubits(xi: np.ndarray):
+    """(d, |r|) of the first qubit's reduced state for each 2-qubit
+    ensemble of a stack: d is ``reduced_determinants``, and the Bloch
+    length |r| = sqrt((|X_0|^2 - |X_1|^2)^2 + 4 |<X_1, X_0>|^2) is read from
+    the rows X_0, X_1 of the same X, which, unlike sqrt(1 - 4d), keeps the
+    digits of a small |r|."""
+    x = xi.reshape(xi.shape[:-2] + (2, -1))
+    rows = np.sum(x.real * x.real + x.imag * x.imag, axis=-1)
+    z = rows[..., 0] - rows[..., 1]
+    c = np.sum(x[..., 1, :] * np.conj(x[..., 0, :]), axis=-1)
+    return reduced_determinants(xi), np.sqrt(z * z + 4.0 * (c.real * c.real + c.imag * c.imag))
 
 
-def _schmidt_pair(d):
-    """(lambda0, lambda1) of a pure pair whose reduced state has determinant
-    d: the square roots of that state's spectrum."""
-    return tuple(np.sqrt(lam) for lam in _reduced_spectrum(d))
-
-
-def _switched_determinant(beta0, t):
-    """d = |sin(t) beta|^2 |cos(t) beta|^2, the determinant of the first
-    qubit's reduced state of the switched pair, a product of nonnegative
-    factors."""
-    s, c = abs(np.sin(t) * beta0), abs(np.cos(t) * beta0)
-    return s * s * (c * c)
+def _reduced_spectrum(d, r):
+    """The spectrum (1 -+ r) / 2 of each unit-trace 2 x 2 state with
+    determinant d and Bloch length r, the small root written as
+    2d / (1 + r) so that it cancels nothing; a NaN gives NaN roots."""
+    return 2.0 * d / (1.0 + r), (1.0 + r) / 2.0
 
 
 def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
     """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of a
-    stack, from the determinant of its reduced state; shape (..., 2)."""
-    return np.stack(_schmidt_pair(reduced_determinants(psi[..., None])), axis=-1)
-
-
-def schmidt_closed(beta0: complex, t: float) -> SchmidtPair:
-    """Closed-form Schmidt pair of the switched |A>|0> pair at time ``t``:
-    sqrt(1 -+ sqrt(1 - 4d)) / sqrt(2) with d = |sin(t) beta|^2 |cos(t) beta|^2,
-    through ``_schmidt_pair``, so that lambda0 cancels nothing."""
-    _checked_beta(beta0)
-    return SchmidtPair(*_schmidt_pair(_switched_determinant(beta0, t)))
+    stack, the square roots of the spectrum of its reduced state, read
+    from that state's (d, |r|); shape (..., 2)."""
+    spectrum = _reduced_spectrum(*reduced_qubits(psi[..., None]))
+    return np.sqrt(np.stack(spectrum, axis=-1))
 
 
 def ppt_spectra(rho: np.ndarray) -> np.ndarray:
@@ -162,15 +142,10 @@ def ppt_eigenvalues_closed(
     pair, unsorted.
 
     For real amplitudes they are +-|beta|^2 sin(t) cos(t) and
-    (1 -+ sqrt(|alpha|^4 + 2|alpha beta|^2 + |beta|^4 cos^2(2t))) / 2.
+    (1 -+ |r|) / 2, with |r| the Bloch length of ``reduced_qubit_closed``.
     """
-    x, y = np.float_power(abs(alpha0), 2), np.float_power(abs(beta0), 2)
-    norm_sq = x + y
-    linalg.require(~(abs(norm_sq - 1.0) > 1e-10), norm_sq,
-                   "amplitudes are not normalized: |a|^2+|b|^2 = {value!r}")
-    swap = y * np.sin(t) * np.cos(t)
-    cos_sq = np.float_power(np.cos(2 * t), 2)
-    root = np.sqrt(np.float_power(x, 2) + 2 * x * y + np.float_power(y, 2) * cos_sq)
+    _, root = reduced_qubit_closed(alpha0, beta0, t)
+    swap = np.float_power(abs(beta0), 2) * np.sin(t) * np.cos(t)
     return -swap, swap, (1 - root) / 2, (1 + root) / 2
 
 
@@ -203,32 +178,44 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
 
 
 def concurrence_closed(beta0: complex, t: float) -> float:
-    """|beta^2 sin(2t)| for the switched pair."""
-    _checked_beta(beta0)
+    """|beta^2 sin(2t)| for the switched pair; |beta0| > 1 is rejected,
+    and the message names the first such value."""
+    size = np.abs(beta0)
+    linalg.require(~(size > 1 + 1e-12), size, "|beta0| must be <= 1, got {value!r}")
     return abs(np.float_power(beta0, 2) * np.sin(2 * t))
 
 
-def iconcurrence_closed(alpha0: complex, beta0: complex, t: float) -> float:
-    """Noiseless closed form for the switched pair, 2 sqrt(det) of the
-    reduced state: 2 |sin(t) beta| |cos(t) beta| = |beta^2 sin(2t)|."""
-    return 2.0 * abs(np.sin(t) * beta0) * abs(np.cos(t) * beta0)
+def reduced_qubit_closed(alpha0: complex, beta0: complex, t: float):
+    """Closed-form (d, |r|) of the first data qubit's reduced state of the
+    switched pair, clean or under noise on qubit 1, which leaves it as it
+    is: d = q q with q = |sin(t) beta| |cos(t) beta|, so that 2 sqrt(d) is
+    2q bit for bit where q q does not underflow, and, with x = |alpha|^2
+    and y = |beta|^2, |r| = sqrt(x^2 + 2 x y + y^2 cos^2(2t)); nothing
+    cancels."""
+    x, y = np.float_power(abs(alpha0), 2), np.float_power(abs(beta0), 2)
+    norm_sq = x + y
+    linalg.require(~(abs(norm_sq - 1.0) > 1e-10), norm_sq,
+                   "amplitudes are not normalized: |a|^2+|b|^2 = {value!r}")
+    q = abs(np.sin(t) * beta0) * abs(np.cos(t) * beta0)
+    cos_sq = np.float_power(np.cos(2 * t), 2)
+    return q * q, np.sqrt(np.float_power(x, 2) + 2 * x * y + np.float_power(y, 2) * cos_sq)
 
 
-def iconcurrence_noisy_closed(
+def noisy_determinant_closed(
     kind: str, p, t: float, alpha0: complex, beta0: complex
 ) -> float:
-    """Closed-form I-concurrence of the switched pair with noise of strength
-    ``p``, one value or a (P, 1, 1) column of a stack's values, on the
-    first qubit: sqrt(1 - |r'|^2), with r' the channel's
-    contraction of the first qubit's Bloch vector r (Nielsen and Chuang,
-    section 8.3). With x = |alpha|^2, s = |sin(t) beta|^2 and
+    """Closed-form d of the first qubit's reduced state of the switched
+    pair with noise of strength ``p``, one value or a (P, 1, 1) column of
+    a stack's values, on that qubit: (1 - |r'|^2) / 4, with r' the
+    channel's contraction of the qubit's Bloch vector r (Nielsen and
+    Chuang, section 8.3). With x = |alpha|^2, s = |sin(t) beta|^2 and
     u = |cos(t) beta|^2, 1 - |r|^2 = 4 s u, and
 
-        PF: 2 sqrt(u (s + 4p(1-p) x))
-        BF: sqrt(4 s u + 4p(1-p) (r_y^2 + r_z^2)),
+        PF: u (s + 4p(1-p) x)
+        BF: s u + p(1-p) (r_y^2 + r_z^2),
             r_z = x + s - u, r_y = 2 Im(alpha cos(t) conj(beta))
-        AD: 2 sqrt((1-p) u (s + p u))
-        PD: 2 sqrt(u (s + p x))
+        AD: (1-p) u (s + p u)
+        PD: u (s + p x)
 
     each a sum of nonnegative products, so nothing cancels.
     """
@@ -237,14 +224,14 @@ def iconcurrence_noisy_closed(
     a, sb, cb = abs(alpha0), abs(np.sin(t) * beta0), abs(c * beta0)
     x, s, u = a * a, sb * sb, cb * cb
     if kind == "PF":
-        return 2.0 * np.sqrt(u * (s + 4.0 * p * (1.0 - p) * x))
+        return u * (s + 4.0 * p * (1.0 - p) * x)
     if kind == "BF":
         r_y = 2.0 * np.imag(alpha0 * c * np.conj(beta0))
         r_z = x + s - u
-        return np.sqrt(4.0 * s * u + 4.0 * p * (1.0 - p) * (r_y * r_y + r_z * r_z))
+        return s * u + p * (1.0 - p) * (r_y * r_y + r_z * r_z)
     if kind == "AD":
-        return 2.0 * np.sqrt((1.0 - p) * u * (s + p * u))
-    return 2.0 * np.sqrt(u * (s + p * x))  # PD
+        return (1.0 - p) * u * (s + p * u)
+    return u * (s + p * x)  # PD
 
 
 def _log_scale(log_base: str) -> float:
@@ -255,28 +242,20 @@ def _log_scale(log_base: str) -> float:
     raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
 
 
-def determinant_entropies(d, log_base: str = "e"):
-    """-l0 log(l0) - l1 log(l1) over the spectrum l0 <= l1 =
-    ``_reduced_spectrum(d)`` of each unit-trace 2 x 2 state whose
-    determinant is d, with 0 log 0 = 0; no eigensolve. The large root's
-    log is log1p(-l0), which keeps its term, about d, where d is below eps
-    and l1 rounds to 1. Both roots lie in [0, 1], so no term is positive,
-    and a NaN d gives a NaN entropy.
+def determinant_entropies(d, r, log_base: str = "e"):
+    """-l0 log(l0) - l1 log(l1) over the spectrum (l0, l1) =
+    ``_reduced_spectrum(d, r)`` of each unit-trace 2 x 2 state with
+    determinant d and Bloch length |r| = r, with 0 log 0 = 0; no
+    eigensolve. The large root's log is log1p(-l0), which keeps its term,
+    about d, where d is below eps and l1 rounds to 1. Neither term is
+    negative, and a NaN d or r gives a NaN entropy.
 
     ``log_base`` selects nats ("e", the default) or bits ("2").
     """
-    l0, l1 = _reduced_spectrum(d)
+    l0, l1 = _reduced_spectrum(d, r)
     # 0 log 0 = 0 reads 0 log 1; a zero entropy comes out as 0.0, not -0.0
     entropy = -l1 * np.log1p(-l0) - l0 * np.log(np.where(l0 > 0.0, l0, 1.0))
     return entropy * _log_scale(log_base)
-
-
-def reduced_entropy_closed(
-    alpha0: complex, beta0: complex, t: float, log_base: str = "e"
-) -> float:
-    """Entropy of the first data qubit of the switched pair:
-    ``determinant_entropies`` of d = |sin(t) beta|^2 |cos(t) beta|^2."""
-    return determinant_entropies(_switched_determinant(beta0, t), log_base)
 
 
 def pair_ensembles(

@@ -5,11 +5,14 @@ Every sweep runs over the state |A>|0>|1> with |A> = sin(a)|0> + cos(a)|1>.
 Each diagnostic is one entry of the measure table ``MEASURES``: its numeric
 route, its clean and noisy closed forms, its verification tolerance and the
 states it accepts. Sweeps, diffs, ``verify`` and the command line all read
-that table. The numeric route always runs; the closed-form column is filled
-whenever the entry has a closed form for the configuration (clean runs for
-every measure, noisy runs for the I-concurrence and the average fidelity
-with noise on qubit 0). Output is deterministic: identical configurations
-produce byte-identical files.
+that table. The Schmidt coefficient, the I-concurrence and the entropy are
+each one map of the first data qubit's reduced state, its determinant d and
+Bloch length |r|, applied to the numeric and to the closed (d, |r|) alike
+(see ``entanglement``). The numeric route always runs; the closed-form
+column is filled whenever the entry has a closed form for the configuration
+(clean runs for every measure, noisy runs for the I-concurrence and the
+average fidelity with noise on qubit 0). Output is deterministic: identical
+configurations produce byte-identical files.
 
 The numeric route evaluates the grid as stacked arrays, in blocks sized by
 the bytes of the route's matrices (BLOCK_POINTS (p, point) entries for a
@@ -24,10 +27,10 @@ Every pair route reads the evolved pair as its Kraus branches E_k psi
 by a channel product E_k rho E_k^dagger: the ppt reads the pair's density
 matrix as the Gram product of the branches and takes the eigenvalues of
 its partial transpose, with no eigenvectors (``np.linalg.eigvalsh``), the
-only eigensolve of a pair route; the I-concurrence and the
-entropy read the determinant of the first qubit's reduced state from the
-branches, and the concurrence forms no density matrix (see
-``entanglement``). The block size does not change a bit of the values.
+only eigensolve of a pair route; the Schmidt coefficient, the
+I-concurrence and the entropy read the first qubit's (d, |r|) from the
+branches, and the concurrence forms no density matrix. The block size
+does not change a bit of the values.
 A closed form is called once per grid, on sin a and cos a as (A, 1)
 columns, one entry per a value, and the times as a (T,) row; the (A, T)
 values it returns, a outer and t fastest, are the closed column, with
@@ -145,7 +148,9 @@ MEASURES = {m.name: m for m in (
         numeric=lambda a, t, lifted, base: ent.schmidt_spectra(
             switch.switched_pairs(states.angle_qubits(a), t)
         )[..., 0],
-        closed=lambda al, be, t, base: ent.schmidt_closed(be, t).lambda0,
+        closed=lambda al, be, t, base: np.sqrt(
+            ent._reduced_spectrum(*ent.reduced_qubit_closed(al, be, t))[0]
+        ),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=False,
     ),
     Measure(
@@ -169,16 +174,20 @@ MEASURES = {m.name: m for m in (
         numeric=lambda a, t, lifted, base: 2.0 * np.sqrt(
             ent.reduced_determinants(_pair_ensembles(a, t, lifted))
         ),
-        closed=lambda al, be, t, base: ent.iconcurrence_closed(al, be, t),
-        noisy_closed=lambda kind, p, t, al, be: ent.iconcurrence_noisy_closed(kind, p, t, al, be),
+        closed=lambda al, be, t, base: 2.0 * np.sqrt(ent.reduced_qubit_closed(al, be, t)[0]),
+        noisy_closed=lambda kind, p, t, al, be: 2.0 * np.sqrt(
+            ent.noisy_determinant_closed(kind, p, t, al, be)
+        ),
         tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
         "entropy",
         numeric=lambda a, t, lifted, base: ent.determinant_entropies(
-            ent.reduced_determinants(_pair_ensembles(a, t, lifted)), base
+            *ent.reduced_qubits(_pair_ensembles(a, t, lifted)), base
         ),
-        closed=lambda al, be, t, base: ent.reduced_entropy_closed(al, be, t, base),
+        closed=lambda al, be, t, base: ent.determinant_entropies(
+            *ent.reduced_qubit_closed(al, be, t), base
+        ),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(

@@ -69,10 +69,10 @@ def test_criterion_3_fidelity_closed_form():
 
 def test_criterion_4_schmidt_closed_form():
     num = ent.schmidt_spectra(_pairs(*GRID))
-    clo = ent.schmidt_closed(BE, T_GRID)
+    clo = np.sqrt(ent._reduced_spectrum(*ent.reduced_qubit_closed(AL, BE, T_GRID)))
     worst = max(
-        float(np.max(np.abs(num[:, 0] - clo.lambda0.ravel()))),
-        float(np.max(np.abs(num[:, 1] - clo.lambda1.ravel()))),
+        float(np.max(np.abs(num[:, 0] - clo[0].ravel()))),
+        float(np.max(np.abs(num[:, 1] - clo[1].ravel()))),
     )
     sum_worst = float(np.max(np.abs(num[:, 0] ** 2 + num[:, 1] ** 2 - 1.0)))
     assert np.max(ent.schmidt_spectra(_pairs(*ENDS))[:, 0]) <= 1e-10
@@ -95,9 +95,10 @@ def test_criterion_6_concurrence_closed_form():
     psi = _pairs(*GRID)
     c = ent.ensemble_concurrences(psi[..., None])
     worst = float(np.max(np.abs(c - ent.concurrence_closed(BE, T_GRID).ravel())))
+    iconcurrence = 2.0 * np.sqrt(ent.reduced_qubit_closed(AL, BE, T_GRID)[0]).ravel()
     cross = max(
         float(np.max(np.abs(c - reference.iconcurrences(densities(psi))))),
-        float(np.max(np.abs(c - ent.iconcurrence_closed(AL, BE, T_GRID).ravel()))),
+        float(np.max(np.abs(c - iconcurrence))),
     )
     assert worst <= 1e-9 and cross <= 1e-9
     _ok(6, f"concurrence, max err {worst:.2e}; matches I-concurrence within {cross:.2e}")
@@ -111,7 +112,7 @@ def _reduced(a, t, keep: int):
 def test_criterion_7_entropy_closed_form():
     reduced = _reduced(*GRID, keep=0)
     num = reference.eigh(reduced)[0]
-    clo = ent._reduced_spectrum(ent._switched_determinant(BE, T_GRID))
+    clo = ent._reduced_spectrum(*ent.reduced_qubit_closed(AL, BE, T_GRID))
     worst = max(
         float(np.max(np.abs(num[:, 0] - clo[0].ravel()))),
         float(np.max(np.abs(num[:, 1] - clo[1].ravel()))),
@@ -139,7 +140,7 @@ def test_criterion_8_noisy_iconcurrence():
             lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
             rho = ent.ensemble_densities(ent.pair_ensembles(amps, t, lifted))
             num = reference.iconcurrences(rho, "B")
-            clo = ent.iconcurrence_noisy_closed(kind, p, t_points, al, be).ravel()
+            clo = 2.0 * np.sqrt(ent.noisy_determinant_closed(kind, p, t_points, al, be)).ravel()
             worst = max(worst, float(np.max(np.abs(num - clo))))
     assert worst <= 1e-9
     _ok(8, f"noisy I-concurrence vs closed forms, all channels, max err {worst:.2e}")

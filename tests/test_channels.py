@@ -41,7 +41,7 @@ CHANNEL_ENTRY_POINTS = {
     "ChannelSpec": ChannelSpec,
     "KrausChannel": _identity_channel,
     "make_channel": ch.make_channel,
-    "iconcurrence_noisy_closed": lambda kind, p: ent.iconcurrence_noisy_closed(
+    "noisy_determinant_closed": lambda kind, p: ent.noisy_determinant_closed(
         kind, p, 0.3, 0.6, 0.8
     ),
     "average_fidelity_closed": lambda kind, p: ch.average_fidelity_closed(kind, p, 0.3),
@@ -70,7 +70,7 @@ STACK_ENTRY_POINTS = {
     "KrausChannel": _identity_channel,
     "check_channel": ch.check_channel,
     "make_channel": ch.make_channel,
-    "iconcurrence_noisy_closed": lambda kind, p: ent.iconcurrence_noisy_closed(
+    "noisy_determinant_closed": lambda kind, p: ent.noisy_determinant_closed(
         kind, np.array(p)[:, None, None], np.array([0.3, 0.9]), 0.6, 0.8
     ),
     "average_fidelity_closed": lambda kind, p: ch.average_fidelity_closed(

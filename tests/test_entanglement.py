@@ -15,8 +15,10 @@ from reference import (
 )
 
 from switchsim import channels as ch
+from switchsim import cli
 from switchsim import entanglement as ent
 from switchsim.states import angle_qubits, kron_vectors, normalized
+from switchsim.sweep import MEASURES
 from switchsim.switch import switched_pairs
 
 SQ2 = math.sqrt(2.0)
@@ -40,6 +42,16 @@ def amplitudes(a: float):
     return math.sin(a), math.cos(a)
 
 
+def closed_schmidt(alpha0, beta0, t):
+    """The Schmidt pair (lambda0, lambda1) of the closed (d, |r|), shape
+    (2, ...)."""
+    return np.sqrt(ent._reduced_spectrum(*ent.reduced_qubit_closed(alpha0, beta0, t)))
+
+
+def closed_entropy(alpha0, beta0, t, base="e"):
+    return ent.determinant_entropies(*ent.reduced_qubit_closed(alpha0, beta0, t), base)
+
+
 # ---------------------------------------------------------------- Schmidt
 
 
@@ -47,12 +59,12 @@ def test_schmidt_of_maximally_swapped_pair():
     got = ent.schmidt_spectra(pair(0.0, math.pi / 4))  # beta = 1
     assert got[0] == pytest.approx(1 / SQ2, abs=1e-12)
     assert got[1] == pytest.approx(1 / SQ2, abs=1e-12)
-    # beside the half swap the determinant can round above 1/4, where
-    # lambda0 would pass lambda1
+    # beside the half swap, where the determinant is about 1/4 and |r|
+    # about 0, lambda0 does not pass lambda1
     t = np.linspace(math.pi / 4 - 1e-6, math.pi / 4 + 1e-6, 2001)
     lam = ent.schmidt_spectra(switched_pairs(angle_qubits(np.zeros_like(t)), t))
-    closed = ent.schmidt_closed(np.ones((1, 1)), t)
-    assert np.all(lam[:, 0] <= lam[:, 1]) and np.all(closed.lambda0 <= closed.lambda1)
+    closed = closed_schmidt(np.zeros((1, 1)), np.ones((1, 1)), t)
+    assert np.all(lam[:, 0] <= lam[:, 1]) and np.all(closed[0] <= closed[1])
 
 
 def test_schmidt_of_product_states():
@@ -66,20 +78,51 @@ def test_schmidt_of_product_states():
 
 
 def test_schmidt_closed_reference_points():
-    assert ent.schmidt_closed(0.0, 0.77) == (0.0, 1.0)
-    got = ent.schmidt_closed(1.0, math.pi / 4)
-    assert got.lambda0 == pytest.approx(1 / SQ2, abs=1e-15)
-    assert got.lambda1 == pytest.approx(1 / SQ2, abs=1e-15)
+    assert closed_schmidt(1.0, 0.0, 0.77).tolist() == [0.0, 1.0]
+    got = closed_schmidt(0.0, 1.0, math.pi / 4)
+    assert got[0] == pytest.approx(1 / SQ2, abs=1e-15)
+    assert got[1] == pytest.approx(1 / SQ2, abs=1e-15)
+
+
+def test_closed_pair_reference_points():
+    # the pure product state, the half swap and a point between
+    assert ent.reduced_qubit_closed(0.6, 0.8, 0.0) == (0.0, 1.0)
+    d, r = ent.reduced_qubit_closed(0.0, 1.0, math.pi / 4)
+    assert d == pytest.approx(0.25, abs=1e-16) and r == pytest.approx(0.0, abs=1e-16)
+    al, be = amplitudes(0.9)
+    d, r = ent.reduced_qubit_closed(al, be, 0.4)
+    assert r * r + 4.0 * d == pytest.approx(1.0, abs=1e-15)
+
+
+def test_reduced_qubits_are_those_of_the_formed_reduced_states():
+    # pure pairs and Kraus ensembles of every channel on either qubit,
+    # against the Bloch vector (tr rho X, tr rho Y, tr rho Z) of the formed
+    # reduced state
+    rng = np.random.default_rng(37)
+    psi = np.stack([random_pure(rng, 2) for _ in range(40)])
+    amps = angle_qubits(rng.uniform(-math.pi, math.pi, 40))
+    t = rng.uniform(-3.0, 6.0, 40)
+    ensembles = [psi[..., None]] + [
+        ent.pair_ensembles(amps, t, ch.lift(ch.make_channel(kind, 0.3), qubit, 2))
+        for kind in ch.CHANNEL_KINDS for qubit in (0, 1)
+    ]
+    for xi in ensembles:
+        rho = partial_traces(ent.ensemble_densities(xi), 2, {1})
+        r = np.stack([2.0 * rho[..., 0, 1].real, -2.0 * rho[..., 0, 1].imag,
+                      (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
+        d, length = ent.reduced_qubits(xi)
+        assert np.array_equal(d, ent.reduced_determinants(xi))
+        assert np.max(np.abs(length - np.linalg.norm(r, axis=-1))) <= 1e-14
 
 
 def test_schmidt_numeric_matches_closed_form_on_grid():
     for a in np.linspace(0, math.pi / 2, 30):
-        _, be = amplitudes(float(a))
+        al, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 30):
             num = ent.schmidt_spectra(pair(float(a), float(t)))
-            clo = ent.schmidt_closed(be, float(t))
-            assert abs(num[0] - clo.lambda0) <= 1e-10
-            assert abs(num[1] - clo.lambda1) <= 1e-10
+            clo = closed_schmidt(al, be, float(t))
+            assert abs(num[0] - clo[0]) <= 1e-10
+            assert abs(num[1] - clo[1]) <= 1e-10
             assert abs(num[0]**2 + num[1]**2 - 1.0) <= 1e-10
 
 
@@ -167,7 +210,8 @@ def test_iconcurrence_matches_its_closed_form_on_grid():
         al, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 30):
             num = float(iconcurrences(densities(pair(float(a), float(t)))))
-            assert abs(num - ent.iconcurrence_closed(al, be, float(t))) <= 1e-10
+            clo = 2.0 * math.sqrt(ent.reduced_qubit_closed(al, be, float(t))[0])
+            assert abs(num - clo) <= 1e-10
 
 
 def test_iconcurrence_traced_side_matters_only_for_mixed_states():
@@ -184,9 +228,9 @@ def test_noisy_closed_form_flip_endpoints_recover_the_clean_value():
     for a in np.linspace(0, math.pi / 2, 9):
         al, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 9):
-            clean = ent.iconcurrence_closed(al, be, float(t))
+            clean = 2.0 * math.sqrt(ent.reduced_qubit_closed(al, be, float(t))[0])
             for p in (0.0, 1.0):
-                noisy = ent.iconcurrence_noisy_closed("PF", p, float(t), al, be)
+                noisy = 2.0 * math.sqrt(ent.noisy_determinant_closed("PF", p, float(t), al, be))
                 assert abs(noisy - clean) <= 1e-12
 
 
@@ -203,13 +247,13 @@ def test_noisy_closed_forms_match_the_numeric_pipeline():
             lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
             rho = ent.ensemble_densities(ent.pair_ensembles(amps, t, lifted))
             num = iconcurrences(rho, "B")
-            clo = ent.iconcurrence_noisy_closed(kind, p, t_points, al, be).ravel()
+            clo = 2.0 * np.sqrt(ent.noisy_determinant_closed(kind, p, t_points, al, be)).ravel()
             assert np.max(np.abs(num - clo)) <= 1e-9, (kind, p)
 
 
 def test_noisy_closed_form_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        ent.iconcurrence_noisy_closed("XX", 0.5, 0.3, 1.0, 0.0)
+        ent.noisy_determinant_closed("XX", 0.5, 0.3, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- Entropy
@@ -241,24 +285,26 @@ def test_entropy_is_unitarily_invariant():
 
 def test_reduced_entropy_closed_reference_points():
     al, be = amplitudes(0.9)
-    assert ent.reduced_entropy_closed(al, be, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert ent.reduced_entropy_closed(0.0, 1.0, math.pi / 4) == pytest.approx(LN2, abs=1e-12)
-    lam0, lam1 = ent._reduced_spectrum(ent._switched_determinant(be, 0.62))
+    assert closed_entropy(al, be, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert closed_entropy(0.0, 1.0, math.pi / 4) == pytest.approx(LN2, abs=1e-12)
+    lam0, lam1 = ent._reduced_spectrum(*ent.reduced_qubit_closed(al, be, 0.62))
     assert lam0 + lam1 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_determinant_entropies_match_the_eigensolve_over_the_range():
-    # diag(p, 1 - p) has determinant p (1 - p); the ends are the pure state
-    # (exactly 0) and the maximally mixed one, and a determinant rounded
-    # above 1/4 reads as 1/4
+    # diag(p, 1 - p) has determinant p (1 - p) and Bloch length 1 - 2p; the
+    # ends are the pure state (exactly 0) and the maximally mixed one, and a
+    # determinant rounded above 1/4 stays within rounding of the maximum
     p = np.concatenate([[0.0, 1e-300, 1e-17, 0.5], np.linspace(0.0, 0.5, 41)])
     rho = np.zeros(p.shape + (2, 2))
     rho[:, 0, 0], rho[:, 1, 1] = p, 1.0 - p
     for base, full in (("e", LN2), ("2", 1.0)):
-        kernel = ent.determinant_entropies(p * (1.0 - p), base)
+        kernel = ent.determinant_entropies(p * (1.0 - p), 1.0 - 2.0 * p, base)
         assert np.max(np.abs(kernel - entropies(rho, base))) <= 1e-14, base
         assert kernel[0] == 0.0 and kernel[1] > 0.0 and kernel[2] > 0.0, base
-        assert ent.determinant_entropies(0.25 + 1e-16, base) == full, base
+        assert ent.determinant_entropies(0.25, 0.0, base) == full, base
+        above = ent.determinant_entropies(0.25 + 1e-16, 0.0, base)
+        assert abs(above - full) <= 2.0 * np.spacing(full), base
 
 
 #: the kernel's largest relative error against a 60-digit reference; about
@@ -270,12 +316,17 @@ ENTROPY_REL_BOUND = 2e-15
 _CTX = decimal.Context(prec=60)
 
 
+def _decimal_bloch_length(d: float) -> decimal.Decimal:
+    """|r| = sqrt(1 - 4d) of the unit-trace state with determinant d, from
+    the exact binary value of d."""
+    return _CTX.sqrt(1 - 4 * decimal.Decimal(d))
+
+
 def _decimal_entropy(d: float) -> decimal.Decimal:
     """The entropy in nats of the spectrum of l^2 - l + d, in 60-digit
     decimal arithmetic from the exact binary value of d."""
-    d = decimal.Decimal(d)
     # the small root without cancellation: (1 - r)/2 loses it below 1e-60
-    l0 = _CTX.divide(2 * d, 1 + _CTX.sqrt(1 - 4 * d))
+    l0 = _CTX.divide(2 * decimal.Decimal(d), 1 + _decimal_bloch_length(d))
     l1 = _CTX.subtract(1, l0)
     small = -l0 * _CTX.ln(l0) if l0 > 0 else decimal.Decimal(0)
     if l0 < decimal.Decimal("1e-10"):
@@ -288,26 +339,91 @@ def _decimal_entropy(d: float) -> decimal.Decimal:
 
 def test_determinant_entropies_meet_a_decimal_reference():
     # a log grid down to 1e-300, where l1 rounds to 1, a linear one up to
-    # the maximally mixed 1/4, and d whose entropy is 0 or subnormal
+    # the maximally mixed 1/4, and d whose entropy is 0 or subnormal; each
+    # with its Bloch length rounded from the reference's
     d = np.concatenate([[0.0, 5e-324, 1e-310], np.geomspace(1e-300, 0.25, 3000),
                         np.linspace(0.0, 0.25, 501)[1:]])
+    r = np.array([float(_decimal_bloch_length(x)) for x in d.tolist()])
     nats = [_decimal_entropy(x) for x in d.tolist()]
     ln2 = _CTX.ln(2)
     tiny = np.finfo(float).tiny
     for base, ref in (("e", nats), ("2", [_CTX.divide(s, ln2) for s in nats])):
         want = np.array([float(s) for s in ref])
-        err = np.abs(ent.determinant_entropies(d, base) - want)
+        err = np.abs(ent.determinant_entropies(d, r, base) - want)
         # a subnormal value has fewer digits, so it is held in absolute terms
         normal = want >= tiny
         assert np.max(err[normal] / want[normal]) <= ENTROPY_REL_BOUND, base
         assert np.max(err[~normal]) <= ENTROPY_REL_BOUND * tiny, base
 
 
-def test_determinant_entropies_read_a_nan_determinant_as_nan():
-    d = np.array([0.1, math.nan, 0.0, 0.25])
+#: the largest absolute error of the Schmidt coefficient and the entropy,
+#: on either route, against a 60-digit reference near maximal
+#: entanglement; about 4.4e-16 is seen, and 5e-9 was seen when the
+#: spectrum took sqrt(1 - 4d)
+NEAR_MAXIMAL_BOUND = 1e-15
+
+
+def _decimal_sin_cos(x: float):
+    """(sin x, cos x) of the exact binary value of x, |x| <= 1, by their
+    series in 60-digit decimal arithmetic."""
+    with decimal.localcontext(_CTX):
+        x = decimal.Decimal(x)
+        terms, term = [], decimal.Decimal(1)
+        for k in range(60):  # x^k / k!
+            terms.append(term)
+            term = term * x / (k + 1)
+        sin = sum(terms[1::4]) - sum(terms[3::4])
+        cos = sum(terms[0::4]) - sum(terms[2::4])
+    return sin, cos
+
+
+def _decimal_schmidt_entropy(alpha0: float, beta0: float, t: float):
+    """(lambda0, entropy in nats) of the switched pair (alpha0,
+    -i sin(t) beta0, cos(t) beta0, 0), in 60-digit decimal arithmetic from
+    the exact binary values of its inputs: the spectrum of the first
+    qubit's reduced state, the roots of l^2 - tr l + d."""
+    with decimal.localcontext(_CTX):
+        s, c = _decimal_sin_cos(t)
+        x, y = decimal.Decimal(alpha0) ** 2, decimal.Decimal(beta0) ** 2
+        d = (s * c * y) ** 2
+        trace = x + y
+        l0 = 2 * d / (trace + (trace * trace - 4 * d).sqrt())
+        l1 = trace - l0
+        return l0.sqrt(), -l0 * l0.ln() - l1 * l1.ln()
+
+
+def test_schmidt_and_entropy_routes_meet_a_decimal_reference_near_maximal_entanglement():
+    # |a| < 1e-6 and |t - pi/4| < 1e-7, where d is about 1/4 and |r| about
+    # 0, with the exact half swap and the grid of a = 1e-8 below
+    rng = np.random.default_rng(18)
+    a = np.concatenate([[0.0, 1e-8, -1e-8], rng.uniform(-1e-6, 1e-6, 300)])
+    t = np.concatenate([[math.pi / 4] * 3, math.pi / 4 + rng.uniform(-1e-7, 1e-7, 300)])
+    alpha0, beta0 = np.sin(a), np.cos(a)
+    want = np.array([_decimal_schmidt_entropy(*point) for point in
+                     zip(alpha0.tolist(), beta0.tolist(), t.tolist())], dtype=float)
+    for column, name in enumerate(("schmidt", "entropy")):
+        m = MEASURES[name]
+        for route in (m.numeric(a, t, None, "e"), m.closed(alpha0, beta0, t, "e")):
+            assert np.max(np.abs(route - want[:, column])) <= NEAR_MAXIMAL_BOUND, name
+
+
+def test_the_schmidt_sweep_near_maximal_entanglement_prints_no_error(capsys):
+    argv = ["sweep", "--measure", "schmidt", "--a", "1e-08", "--t-min", "0.7853981633974483",
+            "--t-max", "0.7853981633984483", "--t-steps", "5", "--compare"]
+    assert cli.main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 5
+    for _, _, value, closed, abs_err in rows:
+        assert value == closed == "0.707106776187"
+        assert float(abs_err) <= NEAR_MAXIMAL_BOUND
+
+
+def test_determinant_entropies_read_a_nan_determinant_or_length_as_nan():
+    d = np.array([0.1, math.nan, 0.0, 0.25, 0.1])
+    r = np.array([math.sqrt(0.6), 0.5, 1.0, 0.0, math.nan])
     for base in ("e", "2"):
-        s = ent.determinant_entropies(d, base)
-        assert math.isnan(s[1]), base
+        s = ent.determinant_entropies(d, r, base)
+        assert math.isnan(s[1]) and math.isnan(s[4]), base
         assert np.all(np.isfinite(s[[0, 2, 3]])), base
 
 
@@ -317,9 +433,9 @@ def test_reduced_entropy_matches_numeric_on_grid():
         for t in np.linspace(0, math.pi / 2, 20):
             reduced = partial_traces(densities(pair(float(a), float(t))), 2, {1})
             num = float(entropies(reduced))
-            assert abs(num - ent.reduced_entropy_closed(al, be, float(t))) <= 1e-10
+            assert abs(num - closed_entropy(al, be, float(t))) <= 1e-10
             num2 = float(entropies(reduced, log_base="2"))
-            assert abs(num2 - ent.reduced_entropy_closed(al, be, float(t), "2")) <= 1e-10
+            assert abs(num2 - closed_entropy(al, be, float(t), "2")) <= 1e-10
 
 
 def _side_entropies(rho):

@@ -59,21 +59,24 @@ def test_determinant_forms_hold_for_complex_phases(a, t, phi, kind, p):
     al, be = math.sin(a), cmath.rect(math.cos(a), phi)
     amps = np.array([[al, be]])
     psi = switch.switched_pairs(amps, t)
+    closed = {name: m.closed(al, be, t, "e") for name, m in MEASURES.items() if m.closed}
     clean = 2.0 * math.sqrt(ent.reduced_determinants(psi[..., None])[0])
-    assert abs(ent.schmidt_spectra(psi)[0, 0] - ent.schmidt_closed(be, t).lambda0) <= 1e-12
-    assert abs(clean - ent.iconcurrence_closed(al, be, t)) <= 1e-12
+    assert abs(ent.schmidt_spectra(psi)[0, 0] - closed["schmidt"]) <= 1e-12
+    assert abs(clean - closed["iconcurrence"]) <= 1e-12
+    length = ent.reduced_qubits(psi[..., None])[1][0]
+    assert abs(length - ent.reduced_qubit_closed(al, be, t)[1]) <= 1e-12
     # the other closed forms, which read only |alpha| and |beta|
     concurrence = ent.ensemble_concurrences(psi[..., None])[0]
     assert abs(concurrence - ent.concurrence_closed(be, t)) <= 1e-12
     ppt = ent.ppt_spectra(reference.densities(psi))[0]
     assert np.max(np.abs(ppt - np.sort(np.array(ent.ppt_eigenvalues_closed(al, be, t))))) <= 1e-12
     entropy = reference.entropies(reference.partial_traces(reference.densities(psi), 2, {1}))[0]
-    assert abs(entropy - ent.reduced_entropy_closed(al, be, t)) <= 1e-12
+    assert abs(entropy - closed["entropy"]) <= 1e-12
     fidelity = switch.switch_fidelities(switch.registers(amps), t)[0]
     assert abs(fidelity - ent.fidelity_closed(al, be, t)) <= 1e-12
     lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
     noisy = 2.0 * math.sqrt(ent.reduced_determinants(ent.pair_ensembles(amps, t, lifted))[0])
-    assert abs(noisy - ent.iconcurrence_noisy_closed(kind, p, t, al, be)) <= 1e-12
+    assert abs(noisy - MEASURES["iconcurrence"].noisy_closed(kind, p, t, al, be)) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -91,16 +94,27 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a closed form ran on the numeric route")
 
 
+#: every closed form of the package, the closed pairs (d, |r|) among them
+CLOSED_FORMS = [(module, attr) for module in (ent, ch) for attr in dir(module)
+                if attr.endswith("_closed")]
+
+
 def test_numeric_route_never_calls_a_closed_form(monkeypatch):
-    for module in (ent, ch):
-        for attr in dir(module):
-            if attr.endswith("_closed"):
-                monkeypatch.setattr(module, attr, _forbidden)
+    names = {attr for _, attr in CLOSED_FORMS}
+    assert {"reduced_qubit_closed", "noisy_determinant_closed"} <= names
+    for module, attr in CLOSED_FORMS:
+        monkeypatch.setattr(module, attr, _forbidden)
+    a, t = np.linspace(0.1, 1.4, 5), np.linspace(-1.0, 2.0, 5)
     noise = ChannelSpec("AD", 0.3)
     for name, m in MEASURES.items():
         if not m.gate:
+            m.numeric(a, t, None, "e")
             run_sweep(SweepConfig(name, a_steps=2, t_steps=3))
         if m.mixed or m.gate:
+            for kind in ch.CHANNEL_KINDS:
+                for qubit in (0, 1):
+                    lifted = ch.lift(ch.make_channel(kind, 0.3), qubit, 3 if m.gate else 2)
+                    m.numeric(a, t, lifted, "e")
             run_sweep(SweepConfig(name, a_steps=2, t_steps=3, channel=noise))
         if m.mixed:
             diff_sweep(SweepConfig(name, a_steps=2, t_steps=3, channel=noise))
@@ -128,16 +142,14 @@ def test_a_compare_run_calls_each_closed_form_once_per_configuration(monkeypatch
     # a closed column is one call over the whole grid, not one per point;
     # a diff evaluates two configurations, the noisy one and the clean one
     calls = []
-    for module in (ent, ch):
-        for attr in dir(module):
-            if attr.endswith("_closed"):
-                _counting(monkeypatch, module, attr, calls)
+    for module, attr in CLOSED_FORMS:
+        _counting(monkeypatch, module, attr, calls)
     assert cli.main([*run, "--compare", "--a-steps", "3", "--t-steps", "5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 16
     counts = Counter(calls)
     assert counts and set(counts.values()) == {1}, counts
     if run[0] == "diff":
-        assert {"iconcurrence_closed", "iconcurrence_noisy_closed"} <= set(counts)
+        assert {"reduced_qubit_closed", "noisy_determinant_closed"} <= set(counts)
 
 
 @pytest.mark.parametrize("name", ["iconcurrence", "avg_fidelity"])
@@ -316,7 +328,7 @@ def test_entropy_routes_agree_near_separable_points(probe, base):
     # as 0
     a, t = probe[0][:NEAR_SEPARABLE], probe[1][:NEAR_SEPARABLE]
     route = MEASURES["entropy"].numeric(a, t, None, base)
-    closed = ent.reduced_entropy_closed(np.sin(a), np.cos(a), t, base)
+    closed = MEASURES["entropy"].closed(np.sin(a), np.cos(a), t, base)
     assert np.all(route > 0.0) and np.all(closed > 0.0)
     assert np.max(np.abs(route - closed) / closed) <= 1e-12
 
@@ -351,15 +363,19 @@ def test_noise_on_the_second_qubit_is_invisible_to_entropy_and_iconcurrence(name
 # closed column, and every scalar call, is held within 1e-15 of it; a
 # closed column keeps the bits of the package's own scalar calls.
 
+def _ref_reduced_qubit(alpha0, beta0, t):
+    x, y = abs(alpha0) ** 2, abs(beta0) ** 2
+    q = abs(math.sin(t) * beta0) * abs(math.cos(t) * beta0)
+    return q * q, math.sqrt(x**2 + 2 * x * y + y**2 * math.cos(2 * t) ** 2)
+
+
 def _ref_reduced_eigenvalues(alpha0, beta0, t):
-    s, c = abs(math.sin(t) * beta0), abs(math.cos(t) * beta0)
-    d = min(s * s * (c * c), 0.25)
-    root = math.sqrt(1.0 - 4.0 * d)
-    return 2.0 * d / (1.0 + root), (1.0 + root) / 2.0
+    d, r = _ref_reduced_qubit(alpha0, beta0, t)
+    return 2.0 * d / (1.0 + r), (1.0 + r) / 2.0
 
 
-def _ref_schmidt(beta0, t):
-    return ent.SchmidtPair(*map(math.sqrt, _ref_reduced_eigenvalues(0.0, beta0, t)))
+def _ref_schmidt(alpha0, beta0, t):
+    return tuple(map(math.sqrt, _ref_reduced_eigenvalues(alpha0, beta0, t)))
 
 
 def _ref_ppt_eigenvalues(alpha0, beta0, t):
@@ -381,19 +397,23 @@ def _ref_iconcurrence(alpha0, beta0, t):
     return 2.0 * abs(math.sin(t) * beta0) * abs(math.cos(t) * beta0)
 
 
-def _ref_iconcurrence_noisy(kind, p, t, alpha0, beta0):
+def _ref_noisy_determinant(kind, p, t, alpha0, beta0):
     c = math.cos(t)
     a, sb, cb = abs(alpha0), abs(math.sin(t) * beta0), abs(c * beta0)
     x, s, u = a * a, sb * sb, cb * cb
     if kind == "PF":
-        return 2.0 * math.sqrt(u * (s + 4.0 * p * (1.0 - p) * x))
+        return u * (s + 4.0 * p * (1.0 - p) * x)
     if kind == "BF":
         r_y = 2.0 * (alpha0 * c * complex(beta0).conjugate()).imag
         r_z = x + s - u
-        return math.sqrt(4.0 * s * u + 4.0 * p * (1.0 - p) * (r_y * r_y + r_z * r_z))
+        return s * u + p * (1.0 - p) * (r_y * r_y + r_z * r_z)
     if kind == "AD":
-        return 2.0 * math.sqrt((1.0 - p) * u * (s + p * u))
-    return 2.0 * math.sqrt(u * (s + p * x))
+        return (1.0 - p) * u * (s + p * u)
+    return u * (s + p * x)
+
+
+def _ref_iconcurrence_noisy(kind, p, t, alpha0, beta0):
+    return 2.0 * math.sqrt(_ref_noisy_determinant(kind, p, t, alpha0, beta0))
 
 
 def _ref_entropy(alpha0, beta0, t, log_base):
@@ -471,9 +491,10 @@ def test_factored_forms_are_the_literal_forms_where_these_do_not_cancel():
     for i in range(n):
         al = math.sin(a[i])
         for be in (math.cos(a[i]), cmath.rect(math.cos(a[i]), phi[i])):
-            pairs = [(ent.schmidt_closed(be, t[i]).lambda0, _literal_schmidt(be, t[i])),
-                     (ent.iconcurrence_closed(al, be, t[i]), _literal_iconcurrence(al, be, t[i]))]
-            pairs += [(ent.iconcurrence_noisy_closed(kind, p[i], t[i], al, be),
+            pairs = [(MEASURES["schmidt"].closed(al, be, t[i], "e"), _literal_schmidt(be, t[i])),
+                     (MEASURES["iconcurrence"].closed(al, be, t[i], "e"),
+                      _literal_iconcurrence(al, be, t[i]))]
+            pairs += [(MEASURES["iconcurrence"].noisy_closed(kind, p[i], t[i], al, be),
                        _literal_iconcurrence_noisy(kind, p[i], t[i], al, be))
                       for kind in ch.CHANNEL_KINDS]
             for got, (want, radicand) in pairs:
@@ -485,7 +506,7 @@ def test_factored_forms_are_the_literal_forms_where_these_do_not_cancel():
 
 #: measure -> the reference value at one point (sin a, cos a, t, config)
 REFERENCE_POINT = {
-    "schmidt": lambda al, be, t, c: _ref_schmidt(be, t).lambda0,
+    "schmidt": lambda al, be, t, c: _ref_schmidt(al, be, t)[0],
     "ppt": lambda al, be, t, c: min(_ref_ppt_eigenvalues(al, be, t)),
     "concurrence": lambda al, be, t, c: _ref_concurrence(be, t),
     "iconcurrence": lambda al, be, t, c: (
@@ -552,24 +573,28 @@ def test_closed_column_is_the_point_by_point_loop_bit_for_bit(name, noise, base)
 def _scalar_calls(al, be, t, kind, p):
     """(label, the package's value, the reference value) of every scalar
     closed-form entry point at one point."""
-    yield "schmidt", ent.schmidt_closed(be, t), _ref_schmidt(be, t)
+    yield "reduced_qubit", ent.reduced_qubit_closed(al, be, t), _ref_reduced_qubit(al, be, t)
+    yield ("noisy_determinant", ent.noisy_determinant_closed(kind, p, t, al, be),
+           _ref_noisy_determinant(kind, p, t, al, be))
+    yield "schmidt", MEASURES["schmidt"].closed(al, be, t, "e"), _ref_schmidt(al, be, t)[0]
     yield "ppt", ent.ppt_eigenvalues_closed(al, be, t), _ref_ppt_eigenvalues(al, be, t)
     yield "fidelity", ent.fidelity_closed(al, be, t), _ref_fidelity(al, be, t)
     yield "concurrence", ent.concurrence_closed(be, t), _ref_concurrence(be, t)
-    yield "iconcurrence", ent.iconcurrence_closed(al, be, t), _ref_iconcurrence(al, be, t)
-    yield ("iconcurrence_noisy", ent.iconcurrence_noisy_closed(kind, p, t, al, be),
+    yield ("iconcurrence", MEASURES["iconcurrence"].closed(al, be, t, "e"),
+           _ref_iconcurrence(al, be, t))
+    yield ("iconcurrence_noisy", MEASURES["iconcurrence"].noisy_closed(kind, p, t, al, be),
            _ref_iconcurrence_noisy(kind, p, t, al, be))
-    yield ("eigenvalues", ent._reduced_spectrum(ent._switched_determinant(be, t)),
+    yield ("eigenvalues", ent._reduced_spectrum(*ent.reduced_qubit_closed(al, be, t)),
            _ref_reduced_eigenvalues(al, be, t))
     for base in ("e", "2"):
-        yield ("entropy", ent.reduced_entropy_closed(al, be, t, base),
+        yield ("entropy", MEASURES["entropy"].closed(al, be, t, base),
                _ref_entropy(al, be, t, base))
     yield ("average_fidelity", ch.average_fidelity_closed(kind, p, t),
            _ref_average_fidelity(kind, p, t))
 
 
 def test_scalar_closed_forms_return_the_point_by_point_floats():
-    # floats (np.float64, or a SchmidtPair or tuple of them), never a 0-d
+    # floats (np.float64, or a tuple of them), never a 0-d
     # array, within 1e-15 of the reference, for real amplitudes and for
     # sin a, e^{i phi} cos a
     rng = np.random.default_rng(2017)
@@ -593,21 +618,22 @@ def test_scalar_closed_forms_return_the_point_by_point_floats():
 
 
 BETA_TOO_LARGE = "|beta0| must be <= 1, got {}"
+NOT_NORMALIZED = "amplitudes are not normalized: |a|^2+|b|^2 = {}"
 
 
 @pytest.mark.parametrize("closed, args, bad, message", [
-    (ent.schmidt_closed, ([[0.5], [1.5], [2.0]], [0.1, 0.2]), (1.5, 0.1),
-     BETA_TOO_LARGE.format(1.5)),
-    (ent.schmidt_closed, ([[0.5], [2.0], [1.5]], [0.1, 0.2]), (2.0, 0.1),
-     BETA_TOO_LARGE.format(2.0)),
+    (ent.reduced_qubit_closed, ([[0.6], [0.6], [0.6]], [[0.8], [0.9], [0.95]], [0.1, 0.2]),
+     (0.6, 0.9, 0.1), NOT_NORMALIZED.format(1.17)),
+    (ent.reduced_qubit_closed, ([[0.6], [0.6], [0.6]], [[0.8], [0.95], [0.9]], [0.1, 0.2]),
+     (0.6, 0.95, 0.1), NOT_NORMALIZED.format(1.2625)),
     (ent.concurrence_closed, ([[0.5], [1.5], [2.0]], [0.1, 0.2]), (1.5, 0.1),
      BETA_TOO_LARGE.format(1.5)),
     # a NaN passes the check, as with the single-point comparison
     (ent.concurrence_closed, ([[math.nan], [1.2]], [0.1, 0.2]), (1.2, 0.1),
      BETA_TOO_LARGE.format(1.2)),
     (ent.ppt_eigenvalues_closed, ([[0.6], [0.6]], [[0.8], [0.9]], [0.1, 0.2]), (0.6, 0.9, 0.1),
-     "amplitudes are not normalized: |a|^2+|b|^2 = 1.17"),
-], ids=["schmidt", "schmidt-2.0", "concurrence", "concurrence-after-nan", "ppt"])
+     NOT_NORMALIZED.format(1.17)),
+], ids=["reduced_qubit", "reduced_qubit-1.2625", "concurrence", "concurrence-after-nan", "ppt"])
 def test_a_grid_fails_its_check_as_its_first_bad_point_does(closed, args, bad, message):
     # every a value is checked, and the message names the first bad one
     with pytest.raises(ValueError) as grid:

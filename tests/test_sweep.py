@@ -241,6 +241,20 @@ def _reference_json(record):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _assert_same_text(got: str, want: str, label) -> None:
+    """got == want. A failure names the first line that differs: pytest's
+    report of two unequal texts of hundreds of KB is a diff that takes
+    minutes to build."""
+    if got != want:
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        pairs = zip(got_lines, want_lines)
+        first = next((i for i, (g, w) in enumerate(pairs) if g != w),
+                     min(len(got_lines), len(want_lines)))
+        pytest.fail(f"{label}: line {first} differs: {got_lines[first:first + 1]} != "
+                    f"{want_lines[first:first + 1]} ({len(got_lines)} and {len(want_lines)} "
+                    "lines)")
+
+
 #: values whose 12-digit text json.dumps writes differently: integral (some
 #: only after rounding), e+ exponents, e-3xx exponents and subnormals, and
 #: the non-finite values, beside ordinary ones
@@ -302,7 +316,7 @@ def test_renderers_match_the_reference_renderers(values):
         for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
             buf = io.StringIO()
             emit(record, fmt, buf)
-            assert buf.getvalue() == reference(record), fmt
+            _assert_same_text(buf.getvalue(), reference(record), fmt)
 
 
 @pytest.mark.parametrize("width", [3, 5])
@@ -316,7 +330,7 @@ def test_json_writes_a_column_of_signed_zeros_as_json_dumps_does(width):
         record = _record(*columns)
         buf = io.StringIO()
         emit(record, "json", buf)
-        assert buf.getvalue() == _reference_json(record), k
+        _assert_same_text(buf.getvalue(), _reference_json(record), k)
 
 
 def test_the_encoder_mask_misses_no_cell_whose_text_differs():
@@ -344,7 +358,7 @@ def test_whole_surfaces_render_as_the_reference_renderers(run, config):
     for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
         buf = io.StringIO()
         emit(record, fmt, buf)
-        assert buf.getvalue() == reference(record), fmt
+        _assert_same_text(buf.getvalue(), reference(record), fmt)
 
 
 def test_emit_rejects_unknown_format_and_bad_paths(tmp_path):
