@@ -8,15 +8,23 @@ Subcommands:
     verify        closed-form-vs-numeric battery; exit 1 on any failure
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+The parser is built once per process, on the first call of ``main``, and
+reused by every later call: ``parse_args`` fills a new namespace each time
+and leaves the parser as it was, so ``main`` may be called repeatedly in
+one process, as the tests and the benchmarks do. ``build_parser`` returns
+a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
 
+from . import entanglement as ent
 from . import sweep as sw
 from .channels import CHANNEL_KINDS
 
@@ -47,20 +55,20 @@ def _add_channel_flags(parser: argparse.ArgumentParser, required: bool = False) 
         help="decoherence probability in [0, 1] (default 0.74)",
     )
     parser.add_argument(
-        "--noise-qubit", type=int, default=0, choices=(0, 1),
+        "--noise-qubit", type=int, default=0, choices=sw.NOISE_QUBITS,
         help="data qubit the noise acts on (default 0, the first)",
     )
 
 
 def _add_log_base_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--log-base", choices=("e", "2"), default="e",
+        "--log-base", choices=ent.LOG_SCALES, default="e",
         help="entropy unit: natural log (nats) or log2 (bits)",
     )
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--format", choices=sw.FORMATS, default="csv")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -120,6 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser ``main`` reads, built by its first call
+_parser = functools.cache(build_parser)
+
+
 #: options that take a float; argparse reads a value such as -1e-5 or -inf,
 #: which is not a plain negative decimal, as an option of its own
 _FLOAT_OPTIONS = ("--a", "--t-min", "--t-max", "--p", "--inject-error")
@@ -167,7 +179,7 @@ def _config_from(args, measure: Optional[str] = None) -> sw.SweepConfig:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_joined_negative_floats(argv))
+    args = _parser().parse_args(_joined_negative_floats(argv))
     try:
         if args.command == "sweep":
             sw.emit(sw.run_sweep(_config_from(args)), args.format, args.out)

@@ -234,12 +234,14 @@ def noisy_determinant_closed(
     return u * (s + p * x)  # PD
 
 
+#: entropy unit -> factor from nats: natural log ("e") or log2 ("2")
+LOG_SCALES = {"e": 1.0, "2": 1.0 / math.log(2.0)}
+
+
 def _log_scale(log_base: str) -> float:
-    if log_base == "e":
-        return 1.0
-    if log_base == "2":
-        return 1.0 / math.log(2.0)
-    raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
+    if log_base not in LOG_SCALES:
+        raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
+    return LOG_SCALES[log_base]
 
 
 def determinant_entropies(d, r, log_base: str = "e"):

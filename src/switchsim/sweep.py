@@ -102,6 +102,8 @@ AVG_FIDELITY_TOLERANCE = 1e-10
 BLOCK_POINTS = 64
 #: largest grid (a_steps * t_steps) a sweep accepts
 MAX_GRID_POINTS = 1_000_000
+#: output formats of ``emit``
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,10 @@ def mixed_measures() -> tuple:
     return tuple(name for name, m in MEASURES.items() if m.mixed)
 
 
+#: the data qubits a channel may act on
+NOISE_QUBITS = (0, 1)
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     kind: str
@@ -224,7 +230,7 @@ class ChannelSpec:
     def __post_init__(self):
         ch.check_channel(self.kind, self.p)
         ch.p_shape(self.p)
-        if self.qubit not in (0, 1):
+        if self.qubit not in NOISE_QUBITS:
             raise ValueError(f"noise qubit must be 0 or 1, got {self.qubit}")
 
 
@@ -524,7 +530,7 @@ def emit(sweep: Sweep, fmt: str = "csv", destination=None) -> None:
     (JSON). Values carry 12 significant digits and a locale-independent
     decimal point.
     """
-    if fmt not in ("csv", "json"):
+    if fmt not in FORMATS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     text = _render_csv(sweep) if fmt == "csv" else _render_json(sweep)
     if destination is None:

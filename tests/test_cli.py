@@ -20,23 +20,23 @@ def run_cli(*args):
     )
 
 
-def test_sweep_to_stdout():
-    result = run_cli(
-        "sweep", "--measure", "concurrence", "--a", "0.7854", "--t-steps", "5", "--compare"
+def test_sweep_to_stdout(capsys):
+    code = cli.main(
+        ["sweep", "--measure", "concurrence", "--a", "0.7854", "--t-steps", "5", "--compare"]
     )
-    assert result.returncode == 0
-    lines = result.stdout.splitlines()
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "t,a,value,value_closed,abs_err"
     assert len(lines) == 6
 
 
-def test_sweep_json_round_trips():
-    result = run_cli(
+def test_sweep_json_round_trips(capsys):
+    code = cli.main([
         "sweep", "--measure", "entropy", "--t-steps", "4", "--format", "json",
         "--log-base", "2", "--compare",
-    )
-    assert result.returncode == 0
-    payload = json.loads(result.stdout)
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 4
     assert set(payload[0]) == {"t", "a", "value", "value_closed", "abs_err"}
 
@@ -69,36 +69,37 @@ def test_a_measure_near_a_separable_point_is_read_exactly(capsys, measure):
         assert abs_err <= 1e-9 and abs(value - want) <= 1e-15, row
 
 
-def test_diff_subcommand():
-    result = run_cli(
+def test_diff_subcommand(capsys):
+    code = cli.main([
         "diff", "--measure", "iconcurrence", "--channel", "PF", "--p", "1",
         "--t-steps", "5",
-    )
-    assert result.returncode == 0
-    data_lines = result.stdout.splitlines()[1:]
+    ])
+    assert code == 0
+    data_lines = capsys.readouterr().out.splitlines()[1:]
     assert all(float(line.split(",")[2]) <= 1e-12 for line in data_lines)
 
 
-def test_avg_fidelity_subcommand():
-    result = run_cli(
-        "avg-fidelity", "--channel", "PD", "--p", "0.74", "--t-steps", "5", "--compare"
+def test_avg_fidelity_subcommand(capsys):
+    code = cli.main(
+        ["avg-fidelity", "--channel", "PD", "--p", "0.74", "--t-steps", "5", "--compare"]
     )
-    assert result.returncode == 0
-    for line in result.stdout.splitlines()[1:]:
+    assert code == 0
+    for line in capsys.readouterr().out.splitlines()[1:]:
         assert float(line.split(",")[4]) <= 1e-10
 
 
-def test_verify_passes_and_reports():
-    result = run_cli(*VERIFY_FAST)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "verify: PASS" in result.stdout
-    assert result.stdout.count("PASS") >= 15
+def test_verify_passes_and_reports(capsys):
+    code = cli.main(VERIFY_FAST)
+    captured = capsys.readouterr()
+    assert code == 0, captured.out + captured.err
+    assert "verify: PASS" in captured.out
+    assert captured.out.count("PASS") >= 15
 
 
-def test_verify_fails_with_injected_error():
-    result = run_cli(*VERIFY_FAST, "--inject-error", "1e-6")
-    assert result.returncode == 1
-    assert "FAIL" in result.stdout
+def test_verify_fails_with_injected_error(capsys):
+    code = cli.main([*VERIFY_FAST, "--inject-error", "1e-6"])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_output_is_reproducible(capsys):
@@ -137,13 +138,13 @@ def test_avg_fidelity_takes_no_log_base(capsys):
     assert "unrecognized arguments: --log-base 2" in capsys.readouterr().err
 
 
-def test_out_path_failure_exits_2(tmp_path):
-    result = run_cli(
+def test_out_path_failure_exits_2(tmp_path, capsys):
+    code = cli.main([
         "sweep", "--measure", "concurrence", "--t-steps", "3",
         "--out", str(tmp_path / "missing" / "dir.csv"),
-    )
-    assert result.returncode == 2
-    assert "error:" in result.stderr
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_non_finite_injected_error(capsys):
@@ -193,3 +194,54 @@ def test_a_negative_float_in_exponent_notation_is_an_option_value(capsys):
     result = run_cli("sweep", "--measure", "schmidt", "--t-min", "-inf")
     assert result.returncode == 2
     assert "error:" in result.stderr and "Traceback" not in result.stderr
+
+
+#: (COLUMNS, argv): a success of each command; argparse's usage errors (an
+#: unknown --measure, a missing one, avg-fidelity's refused --log-base); a
+#: library ValueError, which exits 2; verify's failure, which exits 1; a
+#: negative float that must be joined to its option; and the help of a
+#: command at two terminal widths
+REUSED = [
+    ("80", ["sweep", "--measure", "concurrence", "--t-steps", "3", "--compare"]),
+    ("80", ["diff", "--measure", "entropy", "--channel", "AD", "--t-steps", "3",
+            "--format", "json"]),
+    ("80", ["avg-fidelity", "--channel", "PF", "--t-steps", "3", "--compare"]),
+    ("80", ["verify", "--measure", "ppt", "--a-steps", "2", "--t-steps", "2"]),
+    ("80", ["sweep", "--measure", "negativity"]),
+    ("80", ["sweep"]),
+    ("80", ["avg-fidelity", "--channel", "PF", "--log-base", "2"]),
+    ("80", ["sweep", "--measure", "schmidt", "--channel", "PF", "--p", "0.3"]),
+    ("80", ["verify", "--measure", "ppt", "--a-steps", "2", "--t-steps", "2",
+            "--inject-error", "1e-6"]),
+    ("80", ["sweep", "--measure", "schmidt", "--a", "-1e-5", "--t-steps", "3"]),
+    ("60", ["sweep", "--help"]),
+    ("120", ["sweep", "--help"]),
+]
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process command."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exited:
+        code = exited.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reusing_the_parser_changes_nothing(monkeypatch, capsys):
+    fresh = []
+    for columns, argv in REUSED:
+        monkeypatch.setenv("COLUMNS", columns)
+        cli._parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 2, 2, 1, 0, 0, 0]
+    # the help is wrapped to the width COLUMNS gives when it is printed
+    assert fresh[-2][1] != fresh[-1][1]
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    for _ in range(2):
+        for (columns, argv), want in zip(REUSED, fresh):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert _outcome(argv, capsys) == want, argv
+    assert cli._parser() is parser

@@ -98,6 +98,9 @@ def test_the_commands_enter_every_package_function():
             entered.add(frame.f_code)
 
     exits = []
+    # earlier tests of this process have built the parser that main reuses;
+    # dropping it makes the first command enter build_parser again
+    cli._parser.cache_clear()
     sys.setprofile(profile)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
