@@ -21,9 +21,11 @@ evaluates point by point pays; the switch's
 evolution, `switch.switched_pairs` on a 256-point stack (a pair route's
 block) and `switch.switch_fidelities` on 64 registers (a gate route's
 block; it evolves each register twice); the concurrence of a density
-matrix, `reference.concurrences`, on a 256-matrix noisy stack; and the
-two state checks, `reference.checked_density` and `states.normalized`, on
-a 256-point stack, the size of a pair route's block.
+matrix, `reference.concurrences`, on a 256-matrix noisy stack; the
+density-matrix check `reference.checked_density` on a 256-point stack,
+the size of a pair route's block; and the input qubits
+`states.angle_qubits` of 256 angles, the one place a sweep rescales
+amplitudes to unit norm.
 
     pytest benchmarks/bench_routes.py
     pytest benchmarks/bench_routes.py --benchmark-json BENCH_routes.json
@@ -173,6 +175,6 @@ def test_checked_density(benchmark, pairs):
     assert benchmark(reference.checked_density, rho) is rho
 
 
-def test_normalized(benchmark, pairs):
-    benchmark.group = "states.checks"
-    assert benchmark(states.normalized, pairs).shape == (256, 4)
+def test_angle_qubits(benchmark, pair_inputs):
+    benchmark.group = "states"
+    assert benchmark(states.angle_qubits, pair_inputs[1]).shape == (256, 2)

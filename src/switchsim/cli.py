@@ -190,29 +190,28 @@ def main(argv=None) -> int:
         if args.command == "avg-fidelity":
             sw.emit(sw.run_sweep(_config_from(args, measure="avg_fidelity")), args.format, args.out)
             return 0
-        if args.command == "verify":
-            checks = sw.verify(
-                measures=None if args.measure is None else [args.measure],
-                a_steps=args.a_steps,
-                t_steps=args.t_steps,
-                log_base=args.log_base,
-                inject_error=args.inject_error,
+        # verify
+        checks = sw.verify(
+            measures=None if args.measure is None else [args.measure],
+            a_steps=args.a_steps,
+            t_steps=args.t_steps,
+            log_base=args.log_base,
+            inject_error=args.inject_error,
+        )
+        width = max(len(c.name) for c in checks)
+        for c in checks:
+            status = "PASS" if c.passed else "FAIL"
+            print(
+                f"{c.name:<{width}}  max_abs_err={c.max_abs_err:.3e}  "
+                f"tol={c.tolerance:.1e}  {status}"
             )
-            width = max(len(c.name) for c in checks)
-            for c in checks:
-                status = "PASS" if c.passed else "FAIL"
-                print(
-                    f"{c.name:<{width}}  max_abs_err={c.max_abs_err:.3e}  "
-                    f"tol={c.tolerance:.1e}  {status}"
-                )
-            failed = [c for c in checks if not c.passed]
-            print(f"verify: {'FAIL' if failed else 'PASS'} "
-                  f"({len(checks) - len(failed)}/{len(checks)} checks)")
-            return 1 if failed else 0
+        failed = [c for c in checks if not c.passed]
+        print(f"verify: {'FAIL' if failed else 'PASS'} "
+              f"({len(checks) - len(failed)}/{len(checks)} checks)")
+        return 1 if failed else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

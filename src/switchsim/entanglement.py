@@ -33,8 +33,10 @@ The PPT spectrum reads the same ensemble, ``pair_ensembles``, through a
 Gram product: ``ensemble_densities`` gives the pair's density matrix
 xi xi^dagger. That product is Hermitian bit for bit, and so is its
 partial transpose, an index swap; ``ppt_spectra`` takes its eigenvalues
-alone with ``np.linalg.eigvalsh``, checked only for NaN and Inf, and
-neither re-checks nor symmetrises the matrix.
+alone with ``np.linalg.eigvalsh``, and neither re-checks nor symmetrises
+the matrix. Its entries are finite because the angles and times are:
+a ``SweepConfig`` checks them where they enter (see ``sweep``), and no
+kernel or closed form here checks its input again.
 
 Each closed form is one definition in plain numpy: called on Python
 scalars it returns numpy floats (``np.float64``, a subclass of float), and
@@ -57,7 +59,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from . import pointwise as pw
 from .channels import check_channel
 from .states import partial_transposes
@@ -127,12 +128,10 @@ def ppt_spectra(rho: np.ndarray) -> np.ndarray:
     A negative eigenvalue witnesses entanglement; the spectrum is the same
     whichever qubit is transposed. The partial transpose of a Hermitian
     matrix is Hermitian, so it is not checked or symmetrised again: one
-    ``eigvalsh``, with no eigenvectors. A NaN or Inf entry raises
-    ValueError, not LAPACK's convergence error.
+    ``eigvalsh``, with no eigenvectors, of finite matrices built from
+    checked angles and times.
     """
-    pt = partial_transposes(rho, 1)
-    linalg.require_finite(pt, "matrix entries")
-    return np.linalg.eigvalsh(pt)
+    return np.linalg.eigvalsh(partial_transposes(rho, 1))
 
 
 def ppt_eigenvalues_closed(
@@ -178,10 +177,7 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
 
 
 def concurrence_closed(beta0: complex, t: float) -> float:
-    """|beta^2 sin(2t)| for the switched pair; |beta0| > 1 is rejected,
-    and the message names the first such value."""
-    size = np.abs(beta0)
-    linalg.require(~(size > 1 + 1e-12), size, "|beta0| must be <= 1, got {value!r}")
+    """|beta^2 sin(2t)| for the switched pair."""
     return abs(np.float_power(beta0, 2) * np.sin(2 * t))
 
 
@@ -193,9 +189,6 @@ def reduced_qubit_closed(alpha0: complex, beta0: complex, t: float):
     and y = |beta|^2, |r| = sqrt(x^2 + 2 x y + y^2 cos^2(2t)); nothing
     cancels."""
     x, y = np.float_power(abs(alpha0), 2), np.float_power(abs(beta0), 2)
-    norm_sq = x + y
-    linalg.require(~(abs(norm_sq - 1.0) > 1e-10), norm_sq,
-                   "amplitudes are not normalized: |a|^2+|b|^2 = {value!r}")
     q = abs(np.sin(t) * beta0) * abs(np.cos(t) * beta0)
     cos_sq = np.float_power(np.cos(2 * t), 2)
     return q * q, np.sqrt(np.float_power(x, 2) + 2 * x * y + np.float_power(y, 2) * cos_sq)

@@ -17,11 +17,14 @@ configurations produce byte-identical files.
 The numeric route evaluates the grid as stacked arrays, in blocks sized by
 the bytes of the route's matrices (BLOCK_POINTS (p, point) entries for a
 gate route, 4 times that for a pair route), so that the memory it holds
-does not grow with the grid or with the number of values of p. The (a, t)
-values of a block are checked at its boundary, where
-``states.angle_qubits`` also checks the finiteness and norm of the qubits
-|A>; the registers, their evolution and what is built from them hold by
-construction and are not checked again (see ``states`` and ``switch``).
+does not grow with the grid or with the number of values of p. Input is
+checked once, where it enters: a ``SweepConfig`` rejects a non-finite a,
+t_min or t_max, a reversed or overflowing time span and a grid too small
+or too large, its ``ChannelSpec`` a p outside [0, 1], and ``verify`` and
+``emit`` their own arguments. Nothing past them checks it again:
+``states.angle_qubits`` builds the qubits |A> from finite angles, each
+rescaled to unit norm, and the registers, their evolution and what is
+built from them hold by construction (see ``states`` and ``switch``).
 Every pair route reads the evolved pair as its Kraus branches E_k psi
 (psi itself for a clean run), and no mixed measure forms the noisy pair
 by a channel product E_k rho E_k^dagger: the ppt reads the pair's density
@@ -322,9 +325,6 @@ class Sweep:
             return self.t, self.a, self.value
         return self.t, self.a, self.value, self.value_closed, self.abs_err
 
-    def __len__(self) -> int:
-        return len(self.value)
-
 
 Numeric = Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
 Closed = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -604,8 +604,6 @@ def _json_number(text: str) -> str:
 def _render_json(sweep: Sweep) -> str:
     """The text json.dumps(rows as objects, indent=2) gives, and a final
     newline, written directly; keys t, a, value, value_closed, abs_err."""
-    if not len(sweep):
-        return "[]\n"
     cells = np.column_stack(sweep.columns())
     template = ",\n".join([_JSON_ROWS[cells.shape[1]]] * len(cells))
     return "[\n" + template % _cell_texts(cells, json_texts=True) + "\n]\n"

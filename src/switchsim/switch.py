@@ -9,7 +9,9 @@ which gives a closed-form time evolution with a cos/sin block on indices
 and copies the other six; ``switch_unitaries(t)``, one plain 8 x 8 array
 per time of ``t``, is the full unitary, which the gate route needs. Every
 function takes stacks, one register or time per point along the leading
-axes; one register is the stack with no leading axes.
+axes; one register is the stack with no leading axes. The times are
+finite: a ``SweepConfig`` checks them, and their span, where they enter
+(see ``sweep``), so no function here checks them again.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ def switch_unitaries(t) -> np.ndarray:
     [[cos t, -i sin t], [-i sin t, cos t]].
     """
     t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("time must be finite")
     u = np.zeros(t.shape + (8, 8), dtype=complex)
     u[..., range(8), range(8)] = 1.0
     c, s = np.cos(t), np.sin(t)
@@ -62,8 +62,6 @@ def evolved(amps: np.ndarray, t) -> np.ndarray:
     unitary image of a normalized vector is normalized, so the result is
     not checked again."""
     t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("time must be finite")
     c, s = np.cos(t), np.sin(t)
     a3, a5 = amps[..., 3], amps[..., 5]
     shape = np.broadcast_shapes(a3.shape, t.shape) + (8,)

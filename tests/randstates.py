@@ -2,9 +2,7 @@
 vectors and density matrices as plain arrays, checked as they are built."""
 
 import numpy as np
-from reference import checked_density
-
-from switchsim.states import normalized
+from reference import checked_density, normalized
 
 
 def random_pure(rng, n_qubits: int) -> np.ndarray:

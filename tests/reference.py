@@ -7,6 +7,8 @@ take the other road, through the matrices, so that a test can hold the two
 against each other. Each works on a stack, one matrix or vector per point
 along the leading axes; one matrix is the stack with no leading axes.
 
+- ``require`` raises on the first failing entry of a stack of checks;
+  ``normalized`` checks a stack of amplitude vectors and rescales them.
 - ``checked_density`` checks a stack as density matrices, and
   ``require_psd`` its least eigenvalues; ``densities`` forms |psi><psi|,
   and ``partial_traces`` traces qubits out.
@@ -30,9 +32,10 @@ import numpy as np
 
 from switchsim import linalg
 from switchsim import pointwise as pw
-from switchsim.channels import _require_dim
 from switchsim.entanglement import _log_scale, ensemble_concurrences, reduced_determinants
 
+#: tolerance on |norm^2 - 1| of an amplitude vector
+NORM_ATOL = 1e-10
 #: tolerance on |trace - 1| and Hermiticity for density matrices
 DENSITY_ATOL = 1e-10
 #: max |M - M^dagger| entry accepted as Hermitian
@@ -46,6 +49,18 @@ ENSEMBLE_WEIGHT_FLOOR = 1e-15
 
 
 # ----------------------------------------------------------------- linalg
+
+
+def require(ok, values, message: str) -> None:
+    """Raise ValueError unless every entry of the boolean stack ``ok`` holds.
+
+    ``message`` is formatted with ``value``, the entry of ``values`` at the
+    first failing position, as a Python float.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        value = float(np.broadcast_to(values, ok.shape)[~ok][0])
+        raise ValueError(message.format(value=value))
 
 
 def hermitian_deviation(m: np.ndarray) -> np.ndarray:
@@ -65,12 +80,25 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"eigensystem needs square matrices, got shape {m.shape}")
     linalg.require_finite(m, "matrix entries")
     deviation = hermitian_deviation(m)
-    linalg.require(deviation <= HERMITIAN_ATOL, deviation,
-                   "matrix is not Hermitian: max |M - M^dagger| entry is {value:.3e}")
+    require(deviation <= HERMITIAN_ATOL, deviation,
+            "matrix is not Hermitian: max |M - M^dagger| entry is {value:.3e}")
     return np.linalg.eigh(hermitize(m))
 
 
 # ----------------------------------------------------------------- states
+
+
+def normalized(amps: np.ndarray) -> np.ndarray:
+    """Check a stack of amplitude vectors and rescale each to unit norm.
+
+    Rejects NaN/Inf and any vector whose squared norm is off 1 by more than
+    NORM_ATOL, with the message of the first failing vector.
+    """
+    linalg.require_finite(amps, "amplitudes")
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
+    require(np.abs(norm_sq - 1.0) <= NORM_ATOL, norm_sq,
+            "state is not normalized: sum |amp|^2 = {value!r}")
+    return amps / np.sqrt(norm_sq)[..., None]
 
 
 def checked_density(m: np.ndarray) -> np.ndarray:
@@ -82,11 +110,11 @@ def checked_density(m: np.ndarray) -> np.ndarray:
     """
     linalg.require_finite(m, "matrix entries")
     deviation = hermitian_deviation(m)
-    linalg.require(deviation <= DENSITY_ATOL, deviation,
-                   "density matrix is not Hermitian: max |M - M^dagger| entry is {value:.3e}")
+    require(deviation <= DENSITY_ATOL, deviation,
+            "density matrix is not Hermitian: max |M - M^dagger| entry is {value:.3e}")
     tr = np.trace(m, axis1=-2, axis2=-1).real
-    linalg.require(np.abs(tr - 1.0) <= DENSITY_ATOL, tr,
-                   "density matrix trace is {value!r}, expected 1")
+    require(np.abs(tr - 1.0) <= DENSITY_ATOL, tr,
+            "density matrix trace is {value!r}, expected 1")
     require_psd(np.linalg.eigvalsh(hermitize(m))[..., 0])
     return m
 
@@ -95,8 +123,8 @@ def require_psd(low: np.ndarray) -> None:
     """Reject a stack of density matrices whose least eigenvalues ``low``
     include one below PSD_EIGENVALUE_FLOOR, with the message of
     ``checked_density``."""
-    linalg.require(low >= PSD_EIGENVALUE_FLOOR, low,
-                   "density matrix is not PSD: min eigenvalue {value:.3e}")
+    require(low >= PSD_EIGENVALUE_FLOOR, low,
+            "density matrix is not PSD: min eigenvalue {value:.3e}")
 
 
 def densities(amps: np.ndarray) -> np.ndarray:
@@ -189,6 +217,16 @@ def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
 
 
 # --------------------------------------------------------------- channels
+
+
+def _require_dim(dim: int, operators: tuple, what: str) -> None:
+    """Reject a ``dim``-dimensional ``what`` for the Kraus ``operators``."""
+    channel_dim = operators[0].shape[-1]
+    if dim != channel_dim:
+        raise ValueError(
+            f"dimension mismatch: {what} is {dim}-dimensional, "
+            f"channel is {channel_dim}-dimensional"
+        )
 
 
 def apply_kraus(m: np.ndarray, operators: tuple) -> np.ndarray:

@@ -214,15 +214,6 @@ def test_lifted_channel_is_frozen():
         lifted[0][0, 0] = 2.0
 
 
-def test_lift_rejects_bad_indices():
-    channel = ch.make_channel("PF", 0.5)
-    with pytest.raises(ValueError):
-        ch.lift(channel, 3, 3)
-    two_qubits = ch.KrausChannel("PF", 0.5, ch.lift(channel, 0, 2), 4)
-    with pytest.raises(ValueError, match="only single-qubit channels can be lifted, got dim 4"):
-        ch.lift(two_qubits, 0, 3)
-
-
 def test_apply_identity_and_pure_flip():
     rng = np.random.default_rng(5)
     rho = random_density(rng, 1)
@@ -261,13 +252,6 @@ def test_average_fidelity_of_identity_is_one():
     identity = ch.KrausChannel("PF", 1.0, (np.eye(8, dtype=complex),), 8)
     fidelity = float(ch.average_fidelities(np.eye(8, dtype=complex), identity.operators))
     assert fidelity == pytest.approx(1.0, abs=1e-14)
-
-
-def test_average_fidelities_rejects_dimension_mismatch():
-    lifted = ch.lift(ch.make_channel("PF", 0.5), 0, 2)
-    with pytest.raises(ValueError) as err:
-        ch.average_fidelities(switch.switch_unitaries(0.3), lifted)
-    assert str(err.value) == "dimension mismatch: target is 8-dimensional, channel is 4-dimensional"
 
 
 def test_trace_preserving_channels_contribute_the_dimension():

@@ -11,13 +11,14 @@ from reference import (
     densities,
     entropies,
     iconcurrences,
+    normalized,
     partial_traces,
 )
 
 from switchsim import channels as ch
 from switchsim import cli
 from switchsim import entanglement as ent
-from switchsim.states import angle_qubits, kron_vectors, normalized
+from switchsim.states import angle_qubits, kron_vectors
 from switchsim.sweep import MEASURES
 from switchsim.switch import switched_pairs
 

