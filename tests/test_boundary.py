@@ -7,10 +7,13 @@ over every command, measure, channel kind and noise qubit, and runs
 ``cli.main`` in process: each exits 0 or 2, with no traceback, every
 closed column it prints lies within its measure's tolerance of the
 numeric one, and a second run prints the same bytes. The boundary's
-messages are pinned exactly, since every later stage relies on them.
+messages are pinned exactly, since every later stage relies on them, and
+a non-finite a or t is shown to stop there before each route the command
+line reaches, since no route checks its points again.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from switchsim import cli
 from switchsim import channels as ch
+from switchsim import sweep as sw
 from switchsim.sweep import MEASURES, SweepConfig, mixed_measures, verify
 
 #: a, t_min and the span t_max - t_min: zeros of both signs, the least
@@ -90,6 +94,40 @@ def test_every_command_line_exits_cleanly_and_its_routes_agree(argv):
 
 
 # ---------------------------------------------------- the boundary's messages
+
+#: every route the command line reaches: sweep of each measure that takes
+#: a clean run, sweep and diff of each mixed measure under a channel, and
+#: avg-fidelity's gate route
+ROUTES = (
+    [["sweep", "--measure", name] for name, m in MEASURES.items() if not m.gate]
+    + [[command, "--measure", name, "--channel", "AD"]
+       for command in ("sweep", "diff") for name in mixed_measures()]
+    + [["avg-fidelity", "--channel", "AD"]]
+)
+ROUTE_IDS = ["-".join(route[::2]) for route in ROUTES]
+
+
+class _RouteReached(Exception):
+    """Raised by a route's numeric half in place of its values."""
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_a_non_finite_angle_or_time_stops_before_every_route(monkeypatch, route, bad):
+    # the routes no longer check their points, so a non-finite a or t must
+    # never reach one: the same command with finite values does reach it
+    measure = "avg_fidelity" if route[0] == "avg-fidelity" else route[2]
+
+    def reached(*args):
+        raise _RouteReached(measure)
+
+    monkeypatch.setitem(sw.MEASURES, measure,
+                        dataclasses.replace(MEASURES[measure], numeric=reached))
+    argv = route + ["--a-steps", "2", "--t-steps", "3"]
+    with pytest.raises(_RouteReached):
+        _run(argv)
+    for option, name in (("--a", "a"), ("--t-min", "t_min"), ("--t-max", "t_max")):
+        assert _run(argv + [option, bad]) == (2, "", f"error: {name} must be finite\n"), option
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

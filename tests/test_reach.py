@@ -16,6 +16,8 @@ belongs with the tests' references (``reference.py``) or nowhere. An
 entry is keyed by its module and the text of its statement (of its
 header, for a compound statement), with whitespace collapsed, not by line
 number, and an entry that a command does run fails the guard as well.
+Each command line of the table also runs on its own, so that a wrong exit
+code, a traceback or a rejection without its message names its command.
 """
 
 import ast
@@ -23,6 +25,8 @@ import contextlib
 import io
 import sys
 from pathlib import Path
+
+import pytest
 
 import switchsim
 from switchsim import cli
@@ -179,6 +183,23 @@ def _run_as_main(path: Path, source: str) -> None:
         exec(compile(source, str(path), "exec"), namespace)
     except SystemExit as exited:
         assert exited.code == 0, path
+
+
+@pytest.mark.parametrize("argv, code", RUNS, ids=[" ".join(argv) for argv, _ in RUNS])
+def test_each_command_line_exits_with_its_code_and_no_traceback(tmp_path, capsys, argv, code):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert _run(argv) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if "--out" in argv and code == 0:
+        assert out == ""
+        out = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+    # a rejected line says why on stderr and writes nothing else; a failed
+    # verification is a report, on stdout
+    assert (err != "") == (code == 2)
+    assert (out != "") == (code != 2)
+    if code == 2:
+        assert "error: " in err
 
 
 def test_the_commands_run_every_package_line(tmp_path, monkeypatch):
