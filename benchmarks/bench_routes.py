@@ -20,7 +20,11 @@ each closed form of the table, at one point, the cost a caller that
 evaluates point by point pays; the switch's
 evolution, `switch.switched_pairs` on a 256-point stack (a pair route's
 block) and `switch.switch_fidelities` on 64 registers (a gate route's
-block; it evolves each register twice); the concurrence of a density
+block; it evolves each register twice); the average gate fidelity
+`channels.average_fidelities` on a 64-point gate block under one value
+of p and on a block of `verify`'s p stack, 3 values of p against 20
+times, beside the Gram-matrix reference
+`reference.average_fidelities_gram`; the concurrence of a density
 matrix, `reference.concurrences`, on a 256-matrix noisy stack; the
 density-matrix check `reference.checked_density` on a 256-point stack,
 the size of a pair route's block; and the input qubits
@@ -138,6 +142,31 @@ def test_switch_fidelities(benchmark):
     x = np.linspace(0.0, np.pi / 2, sweep.BLOCK_POINTS)
     regs = switch.registers(states.angle_qubits(x))
     assert benchmark(switch.switch_fidelities, regs, x).shape == (sweep.BLOCK_POINTS,)
+
+
+#: the gate route's blocks, (values of p, times): 64 times under one p
+#: row, a sweep's block, and 3 rows of `verify`'s stack of AVG_GRID values
+#: of p against its AVG_GRID times
+GATE_BLOCKS = {
+    "sweep": ((NOISE.p,), np.linspace(0.0, np.pi / 2, sweep.BLOCK_POINTS)),
+    "verify": (tuple(np.linspace(0.0, 1.0, sweep.AVG_GRID)[:3].tolist()),
+               np.linspace(0.0, np.pi / 2, sweep.AVG_GRID)),
+}
+#: the average fidelity of a block, read entrywise (the route) and through
+#: the Gram matrices of U^dagger E_k (the tests' reference)
+FIDELITY = {"entrywise": channels.average_fidelities,
+            "gram": reference.average_fidelities_gram}
+
+
+@pytest.mark.parametrize("route", FIDELITY)
+@pytest.mark.parametrize("block", GATE_BLOCKS)
+def test_average_fidelities(benchmark, block, route):
+    benchmark.group = "channels"
+    p, t = GATE_BLOCKS[block]
+    lifted = channels.lift(channels.make_channel(NOISE.kind, p), NOISE.qubit, 3)
+    rows = tuple(e[:, None] for e in lifted)
+    values = benchmark(FIDELITY[route], switch.switch_unitaries(t), rows)
+    assert values.shape == (len(p), len(t))
 
 
 #: the Kraus operators of NOISE lifted onto the pair, a tuple of 4 x 4

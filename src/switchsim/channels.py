@@ -13,8 +13,12 @@ noiseless at p = 0. The conventions are kept exactly as stated so the
 closed-form comparisons stay literal.
 
 ``average_fidelities`` works on a stack of target unitaries; one unitary
-is the stack with no leading axes. A sweep applies no channel to a
-density matrix: it reads the Kraus branches E_k psi of the evolved pair
+is the stack with no leading axes. It makes no matrix product: the
+overlap tr(U^dagger E_k) is an elementwise product summed over each
+point's own entries, and the norm term is read from the operators alone,
+so each point costs a few elementwise passes rather than one BLAS call
+per matrix. A sweep applies no channel to a density matrix: it reads the
+Kraus branches E_k psi of the evolved pair
 (``entanglement.pair_ensembles``). A ``KrausChannel`` checks its
 completeness when it is built, and ``make_channel`` is the package's one
 way to build one. ``lift`` embeds a channel into a register and returns
@@ -158,26 +162,30 @@ def average_fidelities(u: np.ndarray, operators: tuple) -> np.ndarray:
     a stack; the leading axes of a channel stack broadcast against the
     targets'.
 
-    With M_k = U^dagger E_k and n the dimension,
+    With M_k = U^dagger E_k and n the dimension (Nielsen, Phys. Lett. A
+    303, 249 (2002)),
 
-        F_avg = (tr sum_k M_k^dagger M_k + sum_k |tr M_k|^2) / (n (n + 1)).
+        F_avg = (sum_k tr M_k^dagger M_k + sum_k |tr M_k|^2) / (n (n + 1)).
 
-    For a trace-preserving channel the first term equals n. The gate
-    route passes unitaries of checked times and a channel lifted onto
-    their three qubits, so neither is checked here.
+    Both terms are read entrywise, with no matrix product: the overlap
+    tr M_k = sum_ij conj(U_ij) (E_k)_ij, and the norm tr M_k^dagger M_k =
+    ||U^dagger E_k||_F^2 = ||E_k||_F^2, since a unitary U keeps the
+    Frobenius norm; so the norm term is read from the operators alone and
+    does not depend on U. It equals n only for a trace-preserving channel,
+    which is not assumed. Each sum reads one matrix's own entries, and
+    |tr M_k| is squared by ``np.square`` (a numpy float's ``** 2`` can
+    round apart from an array's), so a stacked call gives each entry the
+    bits of the single-point call. The gate route passes unitaries of
+    checked times and a channel lifted onto their three qubits, so neither
+    is checked here.
     """
     n = u.shape[-1]
-    ud = linalg.dagger(u)
-    gram = np.zeros(np.broadcast_shapes(u.shape, *(e.shape for e in operators)), dtype=complex)
-    overlap = 0.0
-    # one operator at a time, accumulating in place: the stacks held stay
-    # a few, whatever the number of operators
+    uc = np.conj(u)
+    norm = overlap = 0.0
     for e in operators:
-        m = ud @ e
-        gram += linalg.dagger(m) @ m
-        overlap = overlap + np.abs(np.trace(m, axis1=-2, axis2=-1)) ** 2
-        del m
-    return (np.trace(gram, axis1=-2, axis2=-1).real + overlap) / (n * (n + 1))
+        norm = norm + np.sum(np.square(np.abs(e)), axis=(-2, -1))
+        overlap = overlap + np.square(np.abs(np.sum(uc * e, axis=(-2, -1))))
+    return (norm + overlap) / (n * (n + 1))
 
 
 def average_fidelity_closed(kind: str, p, t: float) -> float:

@@ -6,10 +6,13 @@ arrays of dtype complex128. A *stack* is an array of shape (..., d, d):
 one matrix per grid point along the leading axes; a single matrix is the
 stack with no leading axes. ``require_finite`` tests every entry of a
 stack; a ``KrausChannel`` checks its operators with it, and input is
-checked nowhere else past the boundary (see ``sweep``). Products go
-through `matmul` rather than `einsum`, so a stacked result carries the
-same bits as the same product taken one matrix at a time. The one
-eigensolve a command makes, the ppt's `entanglement.ppt_spectra`, calls
+checked nowhere else past the boundary (see ``sweep``). Products on the
+pair routes go through `matmul` rather than `einsum`, so a stacked result
+carries the same bits as the same product taken one matrix at a time.
+The gate route, ``channels.average_fidelities``, takes no product: it
+reduces each point's own entries, so a stacked call has the bits of the
+single-point call, which ``tests/test_batch.py``'s gate-block test
+holds. The one eigensolve a command makes, the ppt's `entanglement.ppt_spectra`, calls
 `np.linalg.eigvalsh` on matrices Hermitian and finite by construction.
 """
 

@@ -96,12 +96,12 @@ AVG_FIDELITY_TOLERANCE = 1e-10
 #: entries, so that the matrix stacks a measure works on stay at 64 KiB per
 #: block (the 8-amplitude registers a block evolves are transient). Blocks
 #: bound the memory a sweep holds in arrays, whatever the size of its grid
-#: or the number of its values of p: the
-#: average-fidelity route holds about 6 KB per point at its peak, and 64
-#: points keep a sweep's peak memory at that of evaluating one point at a
-#: time (512 raised it by about 4 MB). Larger blocks pay numpy's per-call
-#: cost fewer times per grid: 1,024-point pair blocks took about 10% less
-#: time than 256 but raised peak memory by 4 to 7%
+#: or the number of its values of p: the average-fidelity route holds
+#: about 4 KB per point at its peak (tracemalloc), and 64 points keep a
+#: sweep's peak memory at that of evaluating one point at a time (512
+#: raised the peak RSS of four 1,001-point runs by 1.5 MB). Larger blocks
+#: pay numpy's per-call cost fewer times per grid: 1,024-point pair blocks
+#: took about 10% less time than 256 but raised peak memory by 4 to 7%
 BLOCK_POINTS = 64
 #: largest grid (a_steps * t_steps) a sweep accepts
 MAX_GRID_POINTS = 1_000_000

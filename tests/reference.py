@@ -15,10 +15,12 @@ along the leading axes; one matrix is the stack with no leading axes.
 - ``eigh`` is the checked Hermitian eigensystem; ``concurrences``,
   ``iconcurrences`` and ``entropies`` eigensolve a density matrix once
   (``_psd_eigh``) and read its positivity there.
-- ``apply_kraus`` forms sum_k E_k rho E_k^dagger, and
-  ``average_fidelity_monte_carlo`` estimates the average fidelity from
-  Haar-random inputs; both take a channel's Kraus operators, a tuple of
-  arrays (a ``KrausChannel``'s ``.operators``, or ``channels.lift``).
+- ``apply_kraus`` forms sum_k E_k rho E_k^dagger;
+  ``average_fidelities_gram`` is the average fidelity through the
+  products U^dagger E_k and their Gram matrices, and
+  ``average_fidelity_monte_carlo`` estimates it from Haar-random inputs;
+  each takes a channel's Kraus operators, a tuple of arrays (a
+  ``KrausChannel``'s ``.operators``, or ``channels.lift``).
 - ``switch_hamiltonian`` is the switch's generator,
   ``switch_unitary_oracle`` its exponential from an eigensolve, and
   ``circuit_unitary`` the switch as a three-gate circuit.
@@ -239,6 +241,26 @@ def apply_kraus(m: np.ndarray, operators: tuple) -> np.ndarray:
     ops = np.stack(operators, axis=-3)
     terms = ops @ m[..., None, :, :] @ linalg.dagger(ops)
     return np.sum(terms, axis=-3, initial=0.0)
+
+
+def average_fidelities_gram(u: np.ndarray, operators: tuple) -> np.ndarray:
+    """The average fidelity of ``channels.average_fidelities`` through
+    matrix products: M_k = U^dagger E_k and its Gram matrix M_k^dagger M_k,
+    one ``matmul`` each per matrix, then
+
+        F_avg = (tr sum_k M_k^dagger M_k + sum_k |tr M_k|^2) / (n (n + 1)).
+
+    The norm term is the trace of the Gram sum, with no use of the
+    unitarity of U or of the completeness of the operators."""
+    n = u.shape[-1]
+    ud = linalg.dagger(u)
+    gram = np.zeros(np.broadcast_shapes(u.shape, *(e.shape for e in operators)), dtype=complex)
+    overlap = 0.0
+    for e in operators:
+        m = ud @ e
+        gram += linalg.dagger(m) @ m
+        overlap = overlap + np.abs(np.trace(m, axis1=-2, axis2=-1)) ** 2
+    return (np.trace(gram, axis1=-2, axis2=-1).real + overlap) / (n * (n + 1))
 
 
 def average_fidelity_monte_carlo(

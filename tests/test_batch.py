@@ -92,6 +92,31 @@ def test_min_eigenvalue_check_covers_every_matrix(off, fails):
         reference.checked_density(rho)
 
 
+# ------------------------------------------------------------ gate blocks
+
+#: each end of [0, 1], the least subnormal, a tiny normal, the middle and
+#: the last double below 1
+EDGE_P = (0.0, 5e-324, 1e-300, 0.5, 1 - 1e-16, 1.0)
+GATE_TIMES = np.linspace(-10.0, 10.0, 41)
+
+
+@pytest.mark.parametrize("qubit", (0, 1))
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_a_gate_block_has_the_bits_of_its_single_points(kind, qubit):
+    """(P, 1, 8, 8) rows of a lifted p stack against (N, 8, 8) unitaries, as
+    the gate route evaluates a block, give at every (p, t) the bits of the
+    call on that one channel and that one unitary."""
+    lifted = ch.lift(ch.make_channel(kind, EDGE_P), qubit, 3)
+    block = ch.average_fidelities(switch.switch_unitaries(GATE_TIMES),
+                                  tuple(e[:, None] for e in lifted))
+    assert block.shape == (len(EDGE_P), len(GATE_TIMES))
+    for i, p in enumerate(EDGE_P):
+        single = ch.lift(ch.make_channel(kind, p), qubit, 3)
+        for j, t in enumerate(GATE_TIMES.tolist()):
+            value = ch.average_fidelities(switch.switch_unitaries(t), single)
+            assert np.float64(value).tobytes() == block[i, j].tobytes(), (p, t)
+
+
 # ------------------------------------------------------- block boundaries
 
 #: 707 points: more than one block, and the last block is not full

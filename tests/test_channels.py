@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from randstates import random_density
-from reference import apply_kraus, average_fidelity_monte_carlo, densities
+from randstates import random_density, random_unitary
+from reference import (
+    apply_kraus,
+    average_fidelities_gram,
+    average_fidelity_monte_carlo,
+    densities,
+)
 
 from switchsim import channels as ch
 from switchsim import entanglement as ent
@@ -12,6 +17,14 @@ from switchsim.sweep import ChannelSpec
 from switchsim.switch import KET_1, PAULI_X, PAULI_Z
 
 P_GRID = (0.0, 0.25, 0.5, 0.74, 1.0)
+#: each end of [0, 1], the least subnormal, a tiny normal, the middle and
+#: the last double below 1
+EDGE_P = (0.0, 5e-324, 1e-300, 0.5, 1 - 1e-16, 1.0)
+#: largest |average_fidelities - average_fidelities_gram| accepted; over 20
+#: seeds of 200 Haar unitaries under every kind at EDGE_P and the
+#: incomplete sets below, and the switch at 2,001 times in [-10, 10], the
+#: largest seen was one eps
+GRAM_ATOL = 4 * np.finfo(float).eps
 
 
 def test_table_of_kraus_operators():
@@ -255,11 +268,65 @@ def test_average_fidelity_of_identity_is_one():
 
 
 def test_trace_preserving_channels_contribute_the_dimension():
-    # the sum over M_k^dag M_k of a trace-preserving channel has trace n
-    lifted = ch.lift(ch.make_channel("AD", 0.6), 0, 3)
-    u = switch.switch_unitaries(0.4)
-    total = sum((u.conj().T @ e).conj().T @ (u.conj().T @ e) for e in lifted)
-    assert np.trace(total).real == pytest.approx(8.0, abs=1e-12)
+    # the norm term that average_fidelities reads, sum_k ||E_k||_F^2, is n
+    # for a complete channel, one value of p at a time and as a stack
+    def norm_term(operators):
+        return sum(np.linalg.norm(e, axis=(-2, -1)) ** 2 for e in operators)
+
+    for kind in ch.CHANNEL_KINDS:
+        for qubit in range(3):
+            stack = norm_term(ch.lift(ch.make_channel(kind, EDGE_P), qubit, 3))
+            assert stack.shape == (len(EDGE_P),)
+            assert np.max(np.abs(stack - 8.0)) <= 1e-12, (kind, qubit)
+            for p in EDGE_P:
+                single = norm_term(ch.lift(ch.make_channel(kind, p), qubit, 3))
+                assert abs(single - 8.0) <= 1e-12, (kind, qubit, p)
+
+
+def _lifted_rows(kind, qubit):
+    """Each kind's operators at EDGE_P lifted onto qubit ``qubit`` of three,
+    as (P, 1, 8, 8) rows that broadcast against a stack of unitaries."""
+    return tuple(e[:, None] for e in ch.lift(ch.make_channel(kind, EDGE_P), qubit, 3))
+
+
+def _incomplete_sets(rng):
+    """Kraus operator sets that are not trace preserving: half the
+    identity, half a Haar unitary and three Gaussian matrices."""
+    gauss = (rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))) / 8
+    return [(0.5 * np.eye(8, dtype=complex),), (random_unitary(rng, 8) / 2,), tuple(gauss)]
+
+
+def _meets_gram(u, operators):
+    numeric = ch.average_fidelities(u, operators)
+    assert np.max(np.abs(numeric - average_fidelities_gram(u, operators))) <= GRAM_ATOL
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_average_fidelities_meet_the_gram_reference_on_haar_unitaries(seed):
+    rng = np.random.default_rng(seed)
+    u = np.stack([random_unitary(rng, 8) for _ in range(64)])
+    for kind in ch.CHANNEL_KINDS:
+        for qubit in (0, 1):
+            _meets_gram(u, _lifted_rows(kind, qubit))
+    for operators in _incomplete_sets(rng):
+        _meets_gram(u, operators)
+
+
+def test_average_fidelities_read_no_completeness():
+    # F of half the identity is (2 + |tr U|^2 / 4) / 72: the norm term is 2, not 8
+    u = switch.switch_unitaries(np.linspace(-10.0, 10.0, 401))
+    half = (0.5 * np.eye(8, dtype=complex),)
+    expected = (2.0 + np.abs(np.trace(u, axis1=-2, axis2=-1)) ** 2 / 4) / 72
+    assert np.max(np.abs(ch.average_fidelities(u, half) - expected)) <= GRAM_ATOL
+    for operators in _incomplete_sets(np.random.default_rng(5)):
+        _meets_gram(u, operators)
+
+
+def test_average_fidelities_meet_the_gram_reference_on_the_switch():
+    u = switch.switch_unitaries(np.linspace(-10.0, 10.0, 401))
+    for kind in ch.CHANNEL_KINDS:
+        for qubit in (0, 1):
+            _meets_gram(u, _lifted_rows(kind, qubit))
 
 
 def test_average_fidelity_numeric_matches_flip_formula():
