@@ -24,8 +24,12 @@ block; it evolves each register twice); the average gate fidelity
 `channels.average_fidelities` on a 64-point gate block under one value
 of p and on a block of `verify`'s p stack, 3 values of p against 20
 times, beside the Gram-matrix reference
-`reference.average_fidelities_gram`; the concurrence of a density
-matrix, `reference.concurrences`, on a 256-matrix noisy stack; the
+`reference.average_fidelities_gram`; the concurrence of 256 two-branch
+ensembles of switched pairs under a bit flip on noise qubit 1, read from
+the gap of each 2 x 2 tau (`entanglement.ensemble_concurrences`, the
+route) beside the SVD of the tests' `reference.uhlmann_concurrences`;
+the concurrence of a density matrix, `reference.concurrences`, on a
+256-matrix noisy stack; the
 density-matrix check `reference.checked_density` on a 256-point stack,
 the size of a pair route's block; and the input qubits
 `states.angle_qubits` of 256 angles, the one place a sweep rescales
@@ -188,6 +192,21 @@ ENTROPY = {
 def test_pair_entropies(benchmark, pair_inputs, route):
     benchmark.group = "sweep.pairs"
     assert benchmark(ENTROPY[route], *pair_inputs).shape == (256,)
+
+
+#: the concurrence of a block of two-branch ensembles, read from the gap of
+#: each 2 x 2 tau (the route) and from its SVD (the tests' reference)
+PAIR_CONCURRENCE = {"gap": entanglement.ensemble_concurrences,
+                    "svd": reference.uhlmann_concurrences}
+
+
+@pytest.mark.parametrize("route", PAIR_CONCURRENCE)
+def test_pair_concurrences(benchmark, pair_inputs, route):
+    benchmark.group = "entanglement.concurrences"
+    lifted = channels.lift(channels.make_channel(DIFF_NOISE.kind, DIFF_NOISE.p),
+                           DIFF_NOISE.qubit, 2)
+    xi = entanglement.pair_ensembles(*pair_inputs, lifted)
+    assert benchmark(PAIR_CONCURRENCE[route], xi).shape == (256,)
 
 
 def test_density_concurrences(benchmark, pairs):

@@ -17,7 +17,11 @@ rho = xi xi^dagger, and take no square root of a spectrum. A sweep hands
 them the Kraus branches E_k psi of the evolved pair, which decompose the
 noisy pair's density matrix without forming it. The concurrence's
 kernel, ``ensemble_concurrences``, is Uhlmann's form of Wootters'
-formula, read from singular values. ``reduced_determinants`` is the
+formula, sigma_1 - sigma_2 over the singular values of the K x K matrix
+tau = xi^T (Y x Y) xi, which it builds entrywise (Y x Y is
+antidiagonal) and, for the two branches of every channel, reads with no
+SVD as the gap sigma_1^2 - sigma_2^2 over sigma_1 + sigma_2, each a root
+of a sum of nonnegative terms. ``reduced_determinants`` is the
 determinant of the first qubit's reduced state X X^dagger, with X = xi
 reshaped to (..., 2, 2K): by Cauchy-Binet a sum of squared 2 x 2 minors
 of X, so nothing cancels. ``reduced_qubits`` adds the length |r| of its
@@ -59,13 +63,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import pointwise as pw
 from .channels import check_channel
 from .states import partial_transposes
-from .switch import PAULI_Y, switched_pairs
+from .switch import switched_pairs
 
-#: the two-qubit spin flip Y x Y of the concurrence
-_YY = np.kron(PAULI_Y, PAULI_Y)
 #: the column pairs i < j that ``reduced_determinants`` reads, by column
 #: count: read-only index arrays, built once per count
 _COLUMN_PAIRS = {}
@@ -159,21 +160,45 @@ def fidelity_closed(alpha0: complex, beta0: complex, t: float) -> float:
 
 
 def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence of each ensemble of a stack, shape (..., 4, K):
-    the K columns xi decompose the state as rho = xi xi^dagger.
+    """Two-qubit concurrence of each ensemble of a stack, shape (..., 4, K),
+    K = 1 or 2: the K columns xi decompose the state as rho = xi xi^dagger.
 
-    Uhlmann's form of Wootters' concurrence: max(0, l1 - l2 - ... - lK)
-    over the descending singular values l_i of tau = xi^T (Y x Y) xi,
-    whatever the decomposition (Wootters, PRL 80, 2245 (1998); Uhlmann,
-    PRA 62, 032307 (2000)). With K = 1 this is |psi^T (Y x Y) psi|. No
-    eigensolve and no square root of a spectrum, so a small concurrence
-    is read as exactly as a large one.
+    Uhlmann's form of Wootters' concurrence, sigma_1 - sigma_2 over the
+    descending singular values of tau = xi^T (Y x Y) xi, whatever the
+    decomposition (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307
+    (2000)). Y x Y is antidiagonal (-1, 1, 1, -1), so tau = S + S^T with
+    S_jk = x1_j x2_k - x0_j x3_k over the rows x_m of xi: no matrix
+    product. With K = 1 the concurrence is |tau|. With K = 2, tau =
+    [[a, b], [c, d]], r0 = |a|^2 + |b|^2, r1 = |c|^2 + |d|^2 and
+    g = a conj(c) + b conj(d),
+
+        sigma_1 - sigma_2 = sqrt((r0 - r1)^2 + 4 |g|^2) / sqrt(r0 + r1 + 2 |ad - bc|),
+
+    the gap sigma_1^2 - sigma_2^2 of tau tau^dagger over sigma_1 + sigma_2:
+    two roots of sums of nonnegative terms, so a small concurrence is read
+    as exactly as a large one, with no SVD and no sqrt(r0 + r1 - 2 |ad - bc|),
+    which cancels. tau = 0 (a product pair, t = 0) reads 0 and a NaN reads
+    NaN. Any other K raises ValueError.
     """
-    tau = np.swapaxes(xi, -1, -2) @ _YY @ xi
-    if tau.shape[-1] == 1:
-        return np.abs(tau[..., 0, 0])
-    lam = np.linalg.svd(tau, compute_uv=False)
-    return pw.positive(lam[..., 0] - np.sum(lam[..., 1:], axis=-1))
+    # xi's rows, then tau's rows and entries, are unpacked from axes moved
+    # ahead of the stack's, so that a shape other than (..., 4, 1) or
+    # (..., 4, 2) raises instead of being read in part
+    x0, x1, x2, x3 = xi.transpose(-2, *range(xi.ndim - 2), -1)
+    s = x1[..., :, None] * x2[..., None, :] - x0[..., :, None] * x3[..., None, :]
+    tau = s + np.swapaxes(s, -1, -2)
+    tau = tau.transpose(-2, -1, *range(tau.ndim - 2))
+    if len(tau) == 1:
+        ((a,),) = tau
+        return np.abs(a)
+    (a, b), (c, d) = tau
+    r0 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+    r1 = c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag
+    g = a * np.conj(c) + b * np.conj(d)
+    z = r0 - r1
+    gap = np.sqrt(z * z + 4.0 * (g.real * g.real + g.imag * g.imag))
+    total = np.sqrt(r0 + r1 + 2.0 * np.abs(a * d - b * c))
+    # total is 0 only where tau, and so the gap, is: 0 / 1 reads 0
+    return gap / np.where(total > 0.0, total, 1.0)
 
 
 def concurrence_closed(beta0: complex, t: float) -> float:

@@ -1,18 +1,15 @@
-"""The builtins ``max`` and ``min`` per entry, over a point or a grid.
+"""The builtin ``min`` per entry, over a point or a grid.
 
-The closed forms, which are plain numpy code, and the kernels use them: on
-Python scalars (0-d input) and on arrays, which broadcast, they run the
-same expressions, so a grid entry has the bits of the single-point call.
+The closed forms, which are plain numpy code, use it: on Python scalars
+(0-d input) and on arrays, which broadcast, it runs the same expressions,
+so a grid entry has the bits of the single-point call. No kernel clamps
+at 0: the concurrence's K = 2 gap (``entanglement.ensemble_concurrences``)
+is a quotient of two roots of nonnegative sums, never negative.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def positive(x):
-    """max(0.0, x) per entry: -0.0 and NaN read 0.0, as with max."""
-    return np.where(x > 0.0, x, 0.0)
 
 
 def least(first, *rest):

@@ -15,6 +15,11 @@ along the leading axes; one matrix is the stack with no leading axes.
 - ``eigh`` is the checked Hermitian eigensystem; ``concurrences``,
   ``iconcurrences`` and ``entropies`` eigensolve a density matrix once
   (``_psd_eigh``) and read its positivity there.
+- ``uhlmann_concurrences`` is Uhlmann's concurrence of an ensemble of
+  any number K of columns, from the SVD of xi^T (Y x Y) xi: the general
+  route that the package's kernel ``ensemble_concurrences`` reads for
+  K = 1 and 2 without an SVD, and that ``concurrences`` takes for the
+  K = 4 columns of an eigensolve.
 - ``apply_kraus`` forms sum_k E_k rho E_k^dagger;
   ``average_fidelities_gram`` is the average fidelity through the
   products U^dagger E_k and their Gram matrices, and
@@ -33,8 +38,8 @@ import math
 import numpy as np
 
 from switchsim import linalg
-from switchsim import pointwise as pw
-from switchsim.entanglement import _log_scale, ensemble_concurrences, reduced_determinants
+from switchsim.entanglement import _log_scale, reduced_determinants
+from switchsim.switch import PAULI_Y
 
 #: tolerance on |norm^2 - 1| of an amplitude vector
 NORM_ATOL = 1e-10
@@ -48,6 +53,8 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 #: ``_ensemble`` drops them from V sqrt(w), where their
 #: eigenvectors would otherwise enter at about sqrt(1e-16) = 1e-8
 ENSEMBLE_WEIGHT_FLOOR = 1e-15
+#: the two-qubit spin flip Y x Y of the concurrence
+SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
 
 
 # ----------------------------------------------------------------- linalg
@@ -63,6 +70,11 @@ def require(ok, values, message: str) -> None:
     if not ok.all():
         value = float(np.broadcast_to(values, ok.shape)[~ok][0])
         raise ValueError(message.format(value=value))
+
+
+def positive(x):
+    """max(0.0, x) per entry: -0.0 and NaN read 0.0, as with max."""
+    return np.where(x > 0.0, x, 0.0)
 
 
 def hermitian_deviation(m: np.ndarray) -> np.ndarray:
@@ -181,10 +193,21 @@ def _ensemble(rho: np.ndarray) -> np.ndarray:
     return v * np.sqrt(w)[..., None, :]
 
 
+def uhlmann_concurrences(xi: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence of each ensemble of a stack, shape (..., 4, K),
+    any K: max(0, l1 - l2 - ... - lK) over the descending singular values
+    l_i of tau = xi^T (Y x Y) xi, formed by two ``matmul``s and read by one
+    ``np.linalg.svd`` (Uhlmann, PRA 62, 032307 (2000))."""
+    tau = np.swapaxes(xi, -1, -2) @ SPIN_FLIP @ xi
+    lam = np.linalg.svd(tau, compute_uv=False)
+    return positive(lam[..., 0] - np.sum(lam[..., 1:], axis=-1))
+
+
 def concurrences(rho: np.ndarray) -> np.ndarray:
     """Two-qubit concurrence of each density matrix of a stack: the Uhlmann
-    kernel ``ensemble_concurrences`` over ``_ensemble(rho)``."""
-    return ensemble_concurrences(_ensemble(rho))
+    reference ``uhlmann_concurrences`` over the K = 4 columns of
+    ``_ensemble(rho)``."""
+    return uhlmann_concurrences(_ensemble(rho))
 
 
 def iconcurrences(rho: np.ndarray, traced_side: str = "B") -> np.ndarray:
@@ -212,10 +235,10 @@ def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
     """
     scale = _log_scale(log_base)
     w = np.clip(_psd_eigh(rho)[0], 0.0, None)
-    positive = w > 0
-    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
+    nonzero = w > 0
+    terms = np.where(nonzero, w * np.log(np.where(nonzero, w, 1.0)), 0.0)
     # an eigenvalue rounding to 1+eps would otherwise leave -eps behind
-    return pw.positive(-np.sum(terms, axis=-1) * scale)
+    return positive(-np.sum(terms, axis=-1) * scale)
 
 
 # --------------------------------------------------------------- channels

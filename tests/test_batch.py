@@ -117,6 +117,28 @@ def test_a_gate_block_has_the_bits_of_its_single_points(kind, qubit):
             assert np.float64(value).tobytes() == block[i, j].tobytes(), (p, t)
 
 
+# ------------------------------------------------------ pair blocks
+
+PAIR_ANGLES = np.linspace(-math.pi, math.pi, 41)
+PAIR_TIMES = np.linspace(-math.pi, 2 * math.pi, 41)
+
+
+@pytest.mark.parametrize("qubit", (0, 1))
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_a_concurrence_block_has_the_bits_of_its_single_points(kind, qubit):
+    """The two-branch ensembles of a lifted p stack against 41 pairs, a
+    (P, N, 4, 2) block, give at every (p, point) the bits of the
+    concurrence of that one ensemble."""
+    lifted = ch.lift(ch.make_channel(kind, EDGE_P), qubit, 2)
+    xi = ent.pair_ensembles(states.angle_qubits(PAIR_ANGLES), PAIR_TIMES,
+                            tuple(e[:, None] for e in lifted))
+    assert xi.shape == (len(EDGE_P), len(PAIR_TIMES), 4, 2)
+    block = ent.ensemble_concurrences(xi)
+    for i, j in np.ndindex(block.shape):
+        value = ent.ensemble_concurrences(xi[i, j])
+        assert np.float64(value).tobytes() == block[i, j].tobytes(), (EDGE_P[i], j)
+
+
 # ------------------------------------------------------- block boundaries
 
 #: 707 points: more than one block, and the last block is not full

@@ -1,10 +1,12 @@
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
 from randstates import random_density, random_pure, random_unitary
 from reference import (
+    SPIN_FLIP,
     apply_kraus,
     checked_density,
     concurrences,
@@ -13,6 +15,7 @@ from reference import (
     iconcurrences,
     normalized,
     partial_traces,
+    uhlmann_concurrences,
 )
 
 from switchsim import channels as ch
@@ -194,6 +197,103 @@ def test_concurrence_is_invariant_under_local_unitaries():
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = checked_density(u @ rho @ u.conj().T)
         assert abs(float(concurrences(rho)) - float(concurrences(rotated))) <= 1e-10
+
+
+#: p at each end of [0, 1], the least subnormal, two interior values, the
+#: middle and the last double below 1
+CONCURRENCE_P = (0.0, 5e-324, 0.13, 0.5, 0.74, 1 - 1e-16, 1.0)
+#: largest |ensemble_concurrences - uhlmann_concurrences| allowed; the
+#: largest seen is 1.5 eps on the points below, under every kind on either
+#: qubit at every p of CONCURRENCE_P, and 2.5 eps on 20,000 Gaussian
+#: ensembles (numpy 2.4.6)
+UHLMANN_BOUND = 4 * np.finfo(float).eps
+#: rows of each block of _concurrence_points() where the concurrence is 0:
+#: t = 0, where every branch is a product vector and tau is 0, and then
+#: a = pi/2, where beta rounds to 6e-17
+ZERO_ROWS = 50
+
+
+def _concurrence_points():
+    """(a, t): 2,000 seeded points of the domain the command line accepts,
+    200 near-separable points each with a near pi/2 and with t near 0,
+    200 near-maximal points (a near 0, t near pi/4), then ZERO_ROWS rows
+    at t = 0 and ZERO_ROWS at a = pi/2."""
+    rng = np.random.default_rng(2245)
+    n, m, z = 2_000, 200, ZERO_ROWS
+    half = math.pi / 2
+    a = np.concatenate([rng.uniform(-math.pi, math.pi, n), half + rng.normal(0.0, 1e-6, m),
+                        rng.uniform(-math.pi, math.pi, m), rng.normal(0.0, 1e-6, m),
+                        rng.uniform(-math.pi, math.pi, z), np.full(z, half)])
+    t = np.concatenate([rng.uniform(-math.pi, 2 * math.pi, n),
+                        rng.uniform(-math.pi, 2 * math.pi, m), rng.normal(0.0, 1e-8, m),
+                        math.pi / 4 + rng.normal(0.0, 1e-6, m), np.zeros(z),
+                        rng.uniform(-math.pi, 2 * math.pi, z)])
+    return a, t
+
+
+def _law_zero(kind, p):
+    """The channel's Choi concurrence is 0: it leaves no pair entangled."""
+    return p == (0.5 if kind in ("PF", "BF") else 1.0)
+
+
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_the_two_branch_gap_meets_the_svd_reference(kind, qubit):
+    # the kernel reads sigma_1 - sigma_2 of the 2 x 2 tau from its gap;
+    # the reference takes the SVD of the matrix product. A 0 / 0 where tau
+    # is 0 would warn, which fails the test
+    a, t = _concurrence_points()
+    qubits = angle_qubits(a)
+    for p in CONCURRENCE_P:
+        xi = ent.pair_ensembles(qubits, t, ch.lift(ch.make_channel(kind, p), qubit, 2))
+        assert xi.shape == (len(a), 4, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = ent.ensemble_concurrences(xi)
+        assert np.max(np.abs(kernel - uhlmann_concurrences(xi))) <= UHLMANN_BOUND, p
+        assert np.all(kernel[-2 * ZERO_ROWS:-ZERO_ROWS] == 0.0), p
+        if _law_zero(kind, p):
+            assert np.all(kernel == 0.0), p
+
+
+def test_the_two_branch_gap_meets_the_svd_reference_on_gaussian_ensembles():
+    rng = np.random.default_rng(2000)
+    xi = rng.standard_normal((20_000, 4, 2)) + 1j * rng.standard_normal((20_000, 4, 2))
+    xi /= np.sqrt(np.sum(np.abs(xi) ** 2, axis=(-2, -1)))[:, None, None]
+    kernel = ent.ensemble_concurrences(xi)
+    assert np.max(np.abs(kernel - uhlmann_concurrences(xi))) <= UHLMANN_BOUND
+
+
+def test_one_branch_concurrence_has_the_bits_of_the_matrix_product():
+    # tau = S + S^T is 2S, and the pair's last amplitude is 0, so the
+    # product's four terms add to the same bits
+    a, t = _concurrence_points()
+    xi = ent.pair_ensembles(angle_qubits(a), t)
+    product = np.abs((np.swapaxes(xi, -1, -2) @ SPIN_FLIP @ xi)[..., 0, 0])
+    assert ent.ensemble_concurrences(xi).tobytes() == product.tobytes()
+
+
+@pytest.mark.parametrize("branches", [1, 2])
+def test_concurrence_reads_a_nan_as_nan(branches):
+    rng = np.random.default_rng(3)
+    xi = rng.standard_normal((5, 4, branches)) + 1j * rng.standard_normal((5, 4, branches))
+    clean = ent.ensemble_concurrences(xi)
+    xi[2, 1, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ent.ensemble_concurrences(xi)
+    assert np.isnan(got[2])
+    assert np.array_equal(np.delete(got, 2), np.delete(clean, 2))
+
+
+@pytest.mark.parametrize("branches", [3, 4])
+def test_concurrence_rejects_more_than_two_branches(branches):
+    # the kernel reads only K = 1 and K = 2; a wider tau must not be read
+    # from its corner
+    xi = np.ones((3, 4, branches), dtype=complex)
+    with pytest.raises(ValueError):
+        ent.ensemble_concurrences(xi)
+    assert uhlmann_concurrences(xi).shape == (3,)
 
 
 # --------------------------------------------------------- I-concurrence

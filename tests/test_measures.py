@@ -728,9 +728,10 @@ def test_sweeps_diffs_and_verify_apply_no_channel_to_a_density_matrix(monkeypatc
 
 def test_concurrence_makes_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(monkeypatch):
     # a sweep reads the pair's Kraus branches, so neither a density matrix
-    # nor its spectrum is formed; a density matrix is eigensolved once
+    # nor its spectrum is formed, and the two branches' gap takes no SVD; a
+    # density matrix is eigensolved once, and the SVD of its K = 4 tau read
     calls = []
-    for attr in ("eigh", "eigvalsh"):
+    for attr in ("eigh", "eigvalsh", "svd"):
         _counting(monkeypatch, np.linalg, attr, calls)
     noisy = [ChannelSpec(kind, 0.3, qubit) for kind in ch.CHANNEL_KINDS for qubit in (0, 1)]
     run_sweep(SweepConfig("concurrence", a_steps=3, t_steps=5, compare=True))
@@ -742,7 +743,7 @@ def test_concurrence_makes_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(
     rho = reference.checked_density(_RHO)
     calls.clear()
     reference.concurrences(rho)
-    assert calls == ["eigh"]
+    assert calls == ["eigh", "svd"]
 
 
 def test_determinant_routes_make_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(
