@@ -23,8 +23,13 @@ block) and `switch.switch_fidelities` on 64 registers (a gate route's
 block; it evolves each register twice); the average gate fidelity
 `channels.average_fidelities` on a 64-point gate block under one value
 of p and on a block of `verify`'s p stack, 3 values of p against 20
-times, beside the Gram-matrix reference
-`reference.average_fidelities_gram`; the concurrence of 256 two-branch
+times, with the channel's (P, 1, 2, 2) operator rows and its qubit,
+beside the Gram-matrix reference `reference.average_fidelities_gram` on
+the same rows lifted onto the register; the Kraus branches of 256
+switched pairs under a bit flip on noise qubit 1, each 2 x 2 operator
+applied on the qubit's axis (`entanglement.pair_ensembles`, the route)
+beside the matmul of the operators lifted by `np.kron`
+(`reference.lifted_operators`); the concurrence of 256 two-branch
 ensembles of switched pairs under a bit flip on noise qubit 1, read from
 the gap of each 2 x 2 tau (`entanglement.ensemble_concurrences`, the
 route) beside the SVD of the tests' `reference.uhlmann_concurrences`;
@@ -156,10 +161,15 @@ GATE_BLOCKS = {
     "verify": (tuple(np.linspace(0.0, 1.0, sweep.AVG_GRID)[:3].tolist()),
                np.linspace(0.0, np.pi / 2, sweep.AVG_GRID)),
 }
-#: the average fidelity of a block, read entrywise (the route) and through
-#: the Gram matrices of U^dagger E_k (the tests' reference)
-FIDELITY = {"entrywise": channels.average_fidelities,
-            "gram": reference.average_fidelities_gram}
+#: the average fidelity of a block, read entrywise from the 2 x 2 operator
+#: rows on the noise qubit (the route) and through the Gram matrices of
+#: U^dagger E_k with the rows lifted onto the register (the tests'
+#: reference); each takes (unitaries, rows)
+FIDELITY = {
+    "entrywise": lambda u, rows: channels.average_fidelities(u, rows, NOISE.qubit),
+    "gram": lambda u, rows: reference.average_fidelities_gram(
+        u, reference.lifted_operators(rows, NOISE.qubit, 3)),
+}
 
 
 @pytest.mark.parametrize("route", FIDELITY)
@@ -167,19 +177,21 @@ FIDELITY = {"entrywise": channels.average_fidelities,
 def test_average_fidelities(benchmark, block, route):
     benchmark.group = "channels"
     p, t = GATE_BLOCKS[block]
-    lifted = channels.lift(channels.make_channel(NOISE.kind, p), NOISE.qubit, 3)
-    rows = tuple(e[:, None] for e in lifted)
+    rows = tuple(e[:, None] for e in channels.make_channel(NOISE.kind, p))
     values = benchmark(FIDELITY[route], switch.switch_unitaries(t), rows)
     assert values.shape == (len(p), len(t))
 
 
-#: the Kraus operators of NOISE lifted onto the pair, a tuple of 4 x 4
-#: arrays, which the route and the reference take alike
-PAIR_LIFTED = channels.lift(channels.make_channel(NOISE.kind, NOISE.p), NOISE.qubit, 2)
+#: the 2 x 2 Kraus operators of NOISE, which the route takes with its
+#: qubit, and the same operators lifted onto the pair for the reference
+PAIR_OPERATORS = channels.make_channel(NOISE.kind, NOISE.p)
+PAIR_LIFTED = reference.lifted_operators(PAIR_OPERATORS, NOISE.qubit, 2)
 #: the first qubit's entropy of noisy switched pairs, two ways
 ENTROPY = {
     "determinant": lambda amps, t: entanglement.determinant_entropies(
-        *entanglement.reduced_qubits(entanglement.pair_ensembles(amps, t, PAIR_LIFTED))
+        *entanglement.reduced_qubits(
+            entanglement.pair_ensembles(amps, t, PAIR_OPERATORS, NOISE.qubit)
+        )
     ),
     "eigensolve": lambda amps, t: reference.entropies(reference.partial_traces(
         reference.apply_kraus(reference.densities(switch.switched_pairs(amps, t)), PAIR_LIFTED),
@@ -194,6 +206,33 @@ def test_pair_entropies(benchmark, pair_inputs, route):
     assert benchmark(ENTROPY[route], *pair_inputs).shape == (256,)
 
 
+#: the 2 x 2 Kraus operators of DIFF_NOISE, and the same operators lifted
+#: onto the pair
+DIFF_OPERATORS = channels.make_channel(DIFF_NOISE.kind, DIFF_NOISE.p)
+DIFF_LIFTED = reference.lifted_operators(DIFF_OPERATORS, DIFF_NOISE.qubit, 2)
+
+
+def _lifted_branches(amps, t):
+    psi = switch.switched_pairs(amps, t)[..., None]
+    return np.concatenate([e @ psi for e in DIFF_LIFTED], axis=-1)
+
+
+#: the Kraus branches E_k psi of a block of switched pairs: each 2 x 2
+#: operator on the noise qubit's axis (the route), and the 4 x 4 lifted
+#: operators' matmul (the reference); both evolve the pairs as well
+BRANCHES = {
+    "axis": lambda amps, t: entanglement.pair_ensembles(
+        amps, t, DIFF_OPERATORS, DIFF_NOISE.qubit),
+    "lifted": _lifted_branches,
+}
+
+
+@pytest.mark.parametrize("route", BRANCHES)
+def test_pair_branches(benchmark, pair_inputs, route):
+    benchmark.group = "entanglement.branches"
+    assert benchmark(BRANCHES[route], *pair_inputs).shape == (256, 4, 2)
+
+
 #: the concurrence of a block of two-branch ensembles, read from the gap of
 #: each 2 x 2 tau (the route) and from its SVD (the tests' reference)
 PAIR_CONCURRENCE = {"gap": entanglement.ensemble_concurrences,
@@ -203,17 +242,13 @@ PAIR_CONCURRENCE = {"gap": entanglement.ensemble_concurrences,
 @pytest.mark.parametrize("route", PAIR_CONCURRENCE)
 def test_pair_concurrences(benchmark, pair_inputs, route):
     benchmark.group = "entanglement.concurrences"
-    lifted = channels.lift(channels.make_channel(DIFF_NOISE.kind, DIFF_NOISE.p),
-                           DIFF_NOISE.qubit, 2)
-    xi = entanglement.pair_ensembles(*pair_inputs, lifted)
+    xi = entanglement.pair_ensembles(*pair_inputs, DIFF_OPERATORS, DIFF_NOISE.qubit)
     assert benchmark(PAIR_CONCURRENCE[route], xi).shape == (256,)
 
 
 def test_density_concurrences(benchmark, pairs):
     benchmark.group = "entanglement.concurrences"
-    lifted = channels.lift(channels.make_channel(DIFF_NOISE.kind, DIFF_NOISE.p),
-                           DIFF_NOISE.qubit, 2)
-    rho = reference.apply_kraus(reference.densities(pairs), lifted)
+    rho = reference.apply_kraus(reference.densities(pairs), DIFF_LIFTED)
     assert benchmark(reference.concurrences, rho).shape == (256,)
 
 

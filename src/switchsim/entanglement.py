@@ -40,7 +40,11 @@ partial transpose, an index swap; ``ppt_spectra`` takes its eigenvalues
 alone with ``np.linalg.eigvalsh``, and neither re-checks nor symmetrises
 the matrix. Its entries are finite because the angles and times are:
 a ``SweepConfig`` checks them where they enter (see ``sweep``), and no
-kernel or closed form here checks its input again.
+kernel or closed form here checks its input again. That is the one
+eigensolve a command makes. No kernel takes an ``einsum``, and no pair
+route a ``matmul``, so a stacked result has the bits of the same call on
+one point at a time; ``pair_ensembles`` applies each 2 x 2 Kraus
+operator along the noise qubit's axis of the pair.
 
 Each closed form is one definition in plain numpy: called on Python
 scalars it returns numpy floats (``np.float64``, a subclass of float), and
@@ -63,7 +67,6 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import check_channel
 from .states import partial_transposes
 from .switch import switched_pairs
 
@@ -236,8 +239,8 @@ def noisy_determinant_closed(
         PD: u (s + p x)
 
     each a sum of nonnegative products, so nothing cancels.
+    ``ChannelSpec`` checked the kind and p.
     """
-    check_channel(kind, p)
     c = np.cos(t)
     a, sb, cb = abs(alpha0), abs(np.sin(t) * beta0), abs(c * beta0)
     x, s, u = a * a, sb * sb, cb * cb
@@ -270,29 +273,42 @@ def determinant_entropies(d, r, log_base: str = "e"):
     about d, where d is below eps and l1 rounds to 1. Neither term is
     negative, and a NaN d or r gives a NaN entropy.
 
-    ``log_base`` selects nats ("e", the default) or bits ("2").
+    ``log_base`` selects nats ("e", the default) or bits ("2"), a key of
+    LOG_SCALES, which ``SweepConfig`` and ``verify`` check.
     """
     l0, l1 = _reduced_spectrum(d, r)
     # 0 log 0 = 0 reads 0 log 1; a zero entropy comes out as 0.0, not -0.0
     entropy = -l1 * np.log1p(-l0) - l0 * np.log(np.where(l0 > 0.0, l0, 1.0))
-    return entropy * _log_scale(log_base)
+    return entropy * LOG_SCALES[log_base]
 
 
 def pair_ensembles(
-    a_amps: np.ndarray, t, operators: Optional[tuple] = None
+    a_amps: np.ndarray, t, operators: Optional[tuple] = None, qubit: Optional[int] = None
 ) -> np.ndarray:
     """Run the switch on |A>|0>|1> to time ``t`` for each |A> of a stack of
     amplitude pairs and drop the control: the switched pair psi as a
     one-column ensemble, or its Kraus branches E_k psi under ``operators``,
-    a channel's operators already lifted onto the pair (``channels.lift``),
-    or stacks of them whose leading axes broadcast against the pairs';
-    shape (..., 4, K). The columns
-    decompose the pair's density matrix, sum_k (E_k psi)(E_k psi)^dagger,
-    which is not formed."""
-    psi = switched_pairs(a_amps, t)[..., None]
+    a channel's 2 x 2 operators (``channels.make_channel``) or stacks of
+    them whose leading axes broadcast against the pairs', acting on data
+    qubit ``qubit``, 0 or 1, which is read only with operators; shape
+    (..., 4, K). The columns decompose the pair's density matrix,
+    sum_k (E_k psi)(E_k psi)^dagger, which is not formed. E_k acts along
+    that qubit's axis of psi reshaped to (..., 2, 2): an entry of E_k psi
+    is E_a0 psi_0j + E_a1 psi_1j on qubit 0, two products, with no
+    ``matmul``.
+    """
+    psi = switched_pairs(a_amps, t)
     if operators is None:
-        return psi
-    return np.concatenate([e @ psi for e in operators], axis=-1)
+        return psi[..., None]
+    # the pair as (..., noise qubit, other qubit), and each branch back
+    x = psi.reshape(psi.shape[:-1] + (2, 2))
+    if qubit == 1:
+        x = x.swapaxes(-1, -2)
+    x0, x1 = x[..., None, 0, :], x[..., None, 1, :]
+    branches = [e[..., :, :1] * x0 + e[..., :, 1:] * x1 for e in operators]
+    if qubit == 1:
+        branches = [y.swapaxes(-1, -2) for y in branches]
+    return np.stack([y.reshape(y.shape[:-2] + (4,)) for y in branches], axis=-1)
 
 
 def ensemble_densities(xi: np.ndarray) -> np.ndarray:

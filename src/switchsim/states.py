@@ -17,8 +17,8 @@ stage builds its result from those qubits, so the norm holds there by
 construction, up to rounding: the switch's ``registers`` and ``evolved``
 (see ``switch``), a product of normalized qubits and its unitary image,
 and ``entanglement``'s Kraus branches of a normalized vector under a
-channel whose completeness was checked. A sweep forms no density matrix
-but the ppt's Gram product (see ``entanglement``), and
+channel that ``channels.make_channel`` builds complete. A sweep forms no
+density matrix but the ppt's Gram product (see ``entanglement``), and
 ``partial_transposes`` swaps its indices, qubit 0 or 1.
 """
 

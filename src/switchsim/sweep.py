@@ -45,21 +45,21 @@ p stacks. A ``SweepConfig`` is a whole run: its ``ChannelSpec`` holds
 one value of the channel strength p or a tuple of P values, a p stack,
 and the config is checked once, when it is built. Sweeps, diffs and
 ``verify`` share one path, ``_columns``: the numeric values and closed
-column of one config, compared as |numeric - closed|. It builds and
-lifts the channel once, as a stack of its P values of p (see
-``channels``). The numeric route runs over the flattened (p, point) axis,
-p outer, in blocks of whole rows of p, or of pieces of one row where a
-row does not fit, so that a block holds no more entries, and no more
-bytes, whatever P is. A block builds each point's state once and applies
-its rows of the lifted operator stacks by broadcasting: the rows
-start:stop of each stack, with a unit axis after them, shape
-(P, 1, d, d), against the block's points. A noisy closed form takes p as
-a (P, 1, 1) column and gives the (P, A, T) closed column in one call.
-Every value has the bits of the config with that one value of p. A
-sweep or diff takes one value of p; ``verify`` gives each noisy record
-one config with a p stack. A diff first subtracts the clean config's
-columns. A sweep or diff returns them as one columnar record, ``Sweep``,
-with the t and a of each point; ``verify`` builds none.
+column of one config, compared as |numeric - closed|. It builds the
+channel once, as (P, 2, 2) stacks of the Kraus operators at its P values
+of p (see ``channels``). The numeric route runs over the flattened
+(p, point) axis, p outer, in blocks of whole rows of p, or of pieces of
+one row where a row does not fit, so that a block holds no more entries,
+and no more bytes, whatever P is. A block builds each point's state once
+and applies its rows of the operator stacks by broadcasting, on the
+noise qubit's axis: the rows start:stop of each stack, with a unit axis
+after them, shape (P, 1, 2, 2), against the block's points. A noisy
+closed form takes p as a (P, 1, 1) column and gives the (P, A, T) closed
+column in one call. Every value has the bits of the config with that one
+value of p. A sweep or diff takes one value of p; ``verify`` gives each
+noisy record one config with a p stack. A diff first subtracts the clean
+config's columns. A sweep or diff returns them as one columnar record,
+``Sweep``, with the t and a of each point; ``verify`` builds none.
 
 Emission writes the text itself, from the columns, and formats each
 distinct bit pattern once (by bits, not by value: 0.0 and -0.0 have
@@ -91,15 +91,17 @@ from . import states, switch
 DEFAULT_TOLERANCE = 1e-9
 AVG_FIDELITY_TOLERANCE = 1e-10
 #: (p, point) entries a gate route evaluates together as one stack, at
-#: most. A gate route works on 8 x 8 matrices; every other route measures
-#: 4 x 4 pair matrices, a quarter of the bytes, and takes 4 * BLOCK_POINTS
-#: entries, so that the matrix stacks a measure works on stay at 64 KiB per
-#: block (the 8-amplitude registers a block evolves are transient). Blocks
-#: bound the memory a sweep holds in arrays, whatever the size of its grid
-#: or the number of its values of p: the average-fidelity route holds
-#: about 4 KB per point at its peak (tracemalloc), and 64 points keep a
-#: sweep's peak memory at that of evaluating one point at a time (512
-#: raised the peak RSS of four 1,001-point runs by 1.5 MB). Larger blocks
+#: most. The 8 x 8 matrices of a gate block are its points' unitaries
+#: alone, since a channel's 2 x 2 operators are not embedded into the
+#: register; every other route measures 4 x 4 pair matrices, a quarter of
+#: the bytes, and takes 4 * BLOCK_POINTS entries, so that the matrix stacks
+#: a measure works on stay at 64 KiB per block (the 8-amplitude registers
+#: a block evolves are transient). Blocks bound the memory a sweep holds
+#: in arrays, whatever the size of its grid or the number of its values of
+#: p: the average-fidelity route holds about 1.5 KB per point at its peak
+#: (tracemalloc), and 64 points keep a sweep's peak memory at that of
+#: evaluating one point at a time (512 raised the peak RSS of four
+#: 1,001-point runs by 1.5 MB). Larger blocks
 #: pay numpy's per-call cost fewer times per grid: 1,024-point pair blocks
 #: took about 10% less time than 256 but raised peak memory by 4 to 7%
 BLOCK_POINTS = 64
@@ -113,12 +115,14 @@ FORMATS = ("csv", "json")
 class Measure:
     """One diagnostic: how to compute it twice, and how close the two must be.
 
-    ``numeric(a, t, lifted, log_base)`` computes the values at the points
-    (a[i], t[i]) of two equal-length arrays from the evolved states, as one
-    stack; ``lifted`` is the tuple of a channel's operators already lifted
-    onto the register (``channels.lift``), or None for a clean run: one
-    matrix each, or stacks of P matrices shaped (P, 1, d, d) to broadcast
-    against the points, which give (P, N) values.
+    ``numeric(a, t, operators, qubit, log_base)`` computes the values at
+    the points (a[i], t[i]) of two equal-length arrays from the evolved
+    states, as one stack; ``operators`` is the tuple of a channel's 2 x 2
+    Kraus operators (``channels.make_channel``) acting on data qubit
+    ``qubit``, or None, with ``qubit`` None, for a clean run: one matrix
+    each, or rows of P matrices shaped (P, 1, 2, 2) to broadcast against
+    the points, which give (P, N) values. The gate route and the pair
+    routes take the same operators.
     ``closed(alpha0, beta0, t, log_base)`` is the clean closed form and
     ``noisy_closed(kind, p, t, alpha0, beta0)`` the closed form under
     noise on qubit 0, either None or called once per grid: ``alpha0`` and
@@ -127,11 +131,12 @@ class Measure:
     broadcast to (A, T), or (P, A, T) under noise.
     ``mixed`` says whether the numeric route accepts a noisy (mixed) pair;
     ``gate`` marks a property of the noisy switch itself, which needs a
-    channel and lifts it onto all three qubits.
+    channel.
     """
 
     name: str
-    numeric: Callable[[np.ndarray, np.ndarray, Optional[tuple], str], np.ndarray]
+    numeric: Callable[[np.ndarray, np.ndarray, Optional[tuple], Optional[int], str],
+                      np.ndarray]
     closed: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, str], np.ndarray]]
     noisy_closed: Optional[
         Callable[[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -141,8 +146,9 @@ class Measure:
     gate: bool = False
 
 
-def _pair_ensembles(a: np.ndarray, t: np.ndarray, lifted: Optional[tuple]) -> np.ndarray:
-    return ent.pair_ensembles(states.angle_qubits(a), t, lifted)
+def _pair_ensembles(a: np.ndarray, t: np.ndarray, operators: Optional[tuple],
+                    qubit: Optional[int]) -> np.ndarray:
+    return ent.pair_ensembles(states.angle_qubits(a), t, operators, qubit)
 
 
 # The routes call through module attributes instead of holding function
@@ -150,7 +156,7 @@ def _pair_ensembles(a: np.ndarray, t: np.ndarray, lifted: Optional[tuple]) -> np
 MEASURES = {m.name: m for m in (
     Measure(
         "schmidt",
-        numeric=lambda a, t, lifted, base: ent.schmidt_spectra(
+        numeric=lambda a, t, ops, qubit, base: ent.schmidt_spectra(
             switch.switched_pairs(states.angle_qubits(a), t)
         )[..., 0],
         closed=lambda al, be, t, base: np.sqrt(
@@ -160,24 +166,24 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "ppt",
-        numeric=lambda a, t, lifted, base: ent.ppt_spectra(
-            ent.ensemble_densities(_pair_ensembles(a, t, lifted))
+        numeric=lambda a, t, ops, qubit, base: ent.ppt_spectra(
+            ent.ensemble_densities(_pair_ensembles(a, t, ops, qubit))
         )[..., 0],
         closed=lambda al, be, t, base: pw.least(*ent.ppt_eigenvalues_closed(al, be, t)),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
         "concurrence",
-        numeric=lambda a, t, lifted, base: ent.ensemble_concurrences(
-            _pair_ensembles(a, t, lifted)
+        numeric=lambda a, t, ops, qubit, base: ent.ensemble_concurrences(
+            _pair_ensembles(a, t, ops, qubit)
         ),
         closed=lambda al, be, t, base: ent.concurrence_closed(be, t),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
         "iconcurrence",
-        numeric=lambda a, t, lifted, base: 2.0 * np.sqrt(
-            ent.reduced_determinants(_pair_ensembles(a, t, lifted))
+        numeric=lambda a, t, ops, qubit, base: 2.0 * np.sqrt(
+            ent.reduced_determinants(_pair_ensembles(a, t, ops, qubit))
         ),
         closed=lambda al, be, t, base: 2.0 * np.sqrt(ent.reduced_qubit_closed(al, be, t)[0]),
         noisy_closed=lambda kind, p, t, al, be: 2.0 * np.sqrt(
@@ -187,8 +193,8 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "entropy",
-        numeric=lambda a, t, lifted, base: ent.determinant_entropies(
-            *ent.reduced_qubits(_pair_ensembles(a, t, lifted)), base
+        numeric=lambda a, t, ops, qubit, base: ent.determinant_entropies(
+            *ent.reduced_qubits(_pair_ensembles(a, t, ops, qubit)), base
         ),
         closed=lambda al, be, t, base: ent.determinant_entropies(
             *ent.reduced_qubit_closed(al, be, t), base
@@ -197,7 +203,7 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "fidelity",
-        numeric=lambda a, t, lifted, base: switch.switch_fidelities(
+        numeric=lambda a, t, ops, qubit, base: switch.switch_fidelities(
             switch.registers(states.angle_qubits(a)), t
         ),
         closed=lambda al, be, t, base: ent.fidelity_closed(al, be, t),
@@ -205,8 +211,8 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "avg_fidelity",
-        numeric=lambda a, t, lifted, base: ch.average_fidelities(
-            switch.switch_unitaries(t), lifted
+        numeric=lambda a, t, ops, qubit, base: ch.average_fidelities(
+            switch.switch_unitaries(t), ops, qubit
         ),
         closed=None,
         noisy_closed=lambda kind, p, t, al, be: ch.average_fidelity_closed(kind, p, t),
@@ -342,18 +348,19 @@ def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed], int]:
     values (see Measure); and the number of (p, point) entries the numeric
     route takes per block (see BLOCK_POINTS). The closed form is None
     without ``compare`` or where the table has none (noise on qubit 1
-    included). The channel is built and lifted here, once for the whole
-    p stack; the config was checked when it was built."""
+    included). The channel is built here, once for the whole p stack, and
+    each block takes its (P, 1, 2, 2) rows of it with the noise qubit; the
+    config was checked when it was built."""
     m, spec, base = MEASURES[config.measure], config.channel, config.log_base
-    lifted, closed = None, None
+    operators, qubit, closed = None, None, None
     if spec is not None:
         p = tuple(np.ravel(spec.p).tolist())
-        lifted = ch.lift(ch.make_channel(spec.kind, p), spec.qubit, 3 if m.gate else 2)
+        operators, qubit = ch.make_channel(spec.kind, p), spec.qubit
     block = BLOCK_POINTS if m.gate else 4 * BLOCK_POINTS
 
     def numeric(a: np.ndarray, t: np.ndarray, start: int, stop: int) -> np.ndarray:
-        rows = None if lifted is None else tuple(e[start:stop, None] for e in lifted)
-        return m.numeric(a, t, rows, base)
+        rows = None if operators is None else tuple(e[start:stop, None] for e in operators)
+        return m.numeric(a, t, rows, qubit, base)
 
     if config.compare and spec is None and m.closed is not None:
         closed = lambda al, be, t: m.closed(al, be, t, base)

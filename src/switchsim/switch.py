@@ -1,10 +1,13 @@
-"""The three-qubit switch: a controlled swap of two data qubits.
+"""The three-qubit switch: a controlled exchange of two data qubits.
 
 The register is |A>|B>|C> with the control C last (qubit index 2). With
-C = |1> the switch exchanges A and B; with C = |0> it does nothing. The
-generator |011><101| + |101><011| couples exactly those two basis states,
-which gives a closed-form time evolution with a cos/sin block on indices
-{3, 5}. Time runs over <0, pi/2>; at t = pi/2 the swap is complete.
+C = |0> the switch does nothing. The generator |011><101| + |101><011|
+couples exactly those two basis states, which gives a closed-form time
+evolution with a cos/sin block on indices {3, 5}. Time runs over
+<0, pi/2>; at t = pi/2, with C = |1>, the exchange is complete and of
+iSWAP type, not a plain swap: |01> and |10> of the data qubits trade
+places with a phase -i, and |00> and |11> stay. On the input |A>|0>|1>,
+the moved qubit arrives as diag(1, -i) |A>.
 ``evolved`` applies that 2 x 2 block to amplitudes 3 and 5 of each register
 and copies the other six; ``switch_unitaries(t)``, one plain 8 x 8 array
 per time of ``t``, is the full unitary, which the gate route needs. Every

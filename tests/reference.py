@@ -7,8 +7,10 @@ take the other road, through the matrices, so that a test can hold the two
 against each other. Each works on a stack, one matrix or vector per point
 along the leading axes; one matrix is the stack with no leading axes.
 
-- ``require`` raises on the first failing entry of a stack of checks;
-  ``normalized`` checks a stack of amplitude vectors and rescales them.
+- ``require`` raises on the first failing entry of a stack of checks,
+  ``require_finite`` on a stack with a NaN or Inf entry, and ``dagger``
+  is the adjoint of each matrix of a stack; ``normalized`` checks a
+  stack of amplitude vectors and rescales them.
 - ``checked_density`` checks a stack as density matrices, and
   ``require_psd`` its least eigenvalues; ``densities`` forms |psi><psi|,
   and ``partial_traces`` traces qubits out.
@@ -20,12 +22,19 @@ along the leading axes; one matrix is the stack with no leading axes.
   route that the package's kernel ``ensemble_concurrences`` reads for
   K = 1 and 2 without an SVD, and that ``concurrences`` takes for the
   K = 4 columns of an eigensolve.
+- ``checked_channel`` holds a tuple of Kraus operators to what
+  ``channels.make_channel`` guarantees of its own: a tuple of read-only,
+  finite 2 x 2 matrices, or stacks of them, that are complete.
+  ``lifted_operators`` embeds a channel's 2 x 2 operators into a
+  register, one ``np.kron`` per qubit, which the package's kernels never
+  do: they apply each operator along its qubit's axis.
 - ``apply_kraus`` forms sum_k E_k rho E_k^dagger;
   ``average_fidelities_gram`` is the average fidelity through the
   products U^dagger E_k and their Gram matrices, and
   ``average_fidelity_monte_carlo`` estimates it from Haar-random inputs;
-  each takes a channel's Kraus operators, a tuple of arrays (a
-  ``KrausChannel``'s ``.operators``, or ``channels.lift``).
+  each takes a channel's Kraus operators as a tuple of arrays of the
+  state's or the target's dimension: a channel's 2 x 2 operators on one
+  qubit, or ``lifted_operators`` on a register.
 - ``switch_hamiltonian`` is the switch's generator,
   ``switch_unitary_oracle`` its exponential from an eigensolve, and
   ``circuit_unitary`` the switch as a three-gate circuit.
@@ -37,7 +46,6 @@ import math
 
 import numpy as np
 
-from switchsim import linalg
 from switchsim.entanglement import _log_scale, reduced_determinants
 from switchsim.switch import PAULI_Y
 
@@ -47,6 +55,8 @@ NORM_ATOL = 1e-10
 DENSITY_ATOL = 1e-10
 #: max |M - M^dagger| entry accepted as Hermitian
 HERMITIAN_ATOL = 1e-10
+#: max deviation of sum E_k^dagger E_k from identity accepted as complete
+COMPLETENESS_ATOL = 1e-12
 #: eigenvalues no lower than this are accepted as "nonnegative" and clamped to 0
 PSD_EIGENVALUE_FLOOR = -1e-10
 #: eigenvalues of a density matrix below this are eigensolver noise;
@@ -57,7 +67,7 @@ ENSEMBLE_WEIGHT_FLOOR = 1e-15
 SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
 
 
-# ----------------------------------------------------------------- linalg
+# --------------------------------------------------------------- matrices
 
 
 def require(ok, values, message: str) -> None:
@@ -72,6 +82,16 @@ def require(ok, values, message: str) -> None:
         raise ValueError(message.format(value=value))
 
 
+def require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} contain NaN or Inf")
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
+
+
 def positive(x):
     """max(0.0, x) per entry: -0.0 and NaN read 0.0, as with max."""
     return np.where(x > 0.0, x, 0.0)
@@ -79,11 +99,11 @@ def positive(x):
 
 def hermitian_deviation(m: np.ndarray) -> np.ndarray:
     """max |M - M^dagger| entry of each matrix of a stack."""
-    return np.max(np.abs(m - linalg.dagger(m)), axis=(-2, -1))
+    return np.max(np.abs(m - dagger(m)), axis=(-2, -1))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + linalg.dagger(m)) / 2
+    return (m + dagger(m)) / 2
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +112,7 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     not Hermitian within HERMITIAN_ATOL."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"eigensystem needs square matrices, got shape {m.shape}")
-    linalg.require_finite(m, "matrix entries")
+    require_finite(m, "matrix entries")
     deviation = hermitian_deviation(m)
     require(deviation <= HERMITIAN_ATOL, deviation,
             "matrix is not Hermitian: max |M - M^dagger| entry is {value:.3e}")
@@ -108,7 +128,7 @@ def normalized(amps: np.ndarray) -> np.ndarray:
     Rejects NaN/Inf and any vector whose squared norm is off 1 by more than
     NORM_ATOL, with the message of the first failing vector.
     """
-    linalg.require_finite(amps, "amplitudes")
+    require_finite(amps, "amplitudes")
     norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
     require(np.abs(norm_sq - 1.0) <= NORM_ATOL, norm_sq,
             "state is not normalized: sum |amp|^2 = {value!r}")
@@ -122,7 +142,7 @@ def checked_density(m: np.ndarray) -> np.ndarray:
     DENSITY_ATOL, with no eigenvalue below PSD_EIGENVALUE_FLOOR; the message
     names the first matrix that fails.
     """
-    linalg.require_finite(m, "matrix entries")
+    require_finite(m, "matrix entries")
     deviation = hermitian_deviation(m)
     require(deviation <= DENSITY_ATOL, deviation,
             "density matrix is not Hermitian: max |M - M^dagger| entry is {value:.3e}")
@@ -244,6 +264,45 @@ def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
 # --------------------------------------------------------------- channels
 
 
+def checked_channel(operators: tuple, p_count: int | None = None) -> tuple:
+    """Check the Kraus operators of a single-qubit channel as
+    ``channels.make_channel`` builds them, and return them: a non-empty
+    tuple of read-only, finite 2 x 2 complex arrays, or of (P, 2, 2)
+    stacks for ``p_count`` P, whose sum E_k^dagger E_k is the identity
+    within COMPLETENESS_ATOL for every matrix of the stack."""
+    lead = () if p_count is None else (p_count,)
+    if type(operators) is not tuple or not operators:
+        raise ValueError("a channel is a non-empty tuple of Kraus operators")
+    for e in operators:
+        if e.shape != lead + (2, 2) or e.dtype != complex:
+            raise ValueError(f"Kraus operator of shape {e.shape} and dtype {e.dtype}, "
+                             f"expected {lead + (2, 2)} complex")
+        if e.flags.writeable:
+            raise ValueError("Kraus operators must be read-only")
+        require_finite(e, "Kraus operators")
+    total = sum(dagger(e) @ e for e in operators)
+    deviation = np.max(np.abs(total - np.eye(2)), axis=(-2, -1))
+    require(deviation <= COMPLETENESS_ATOL, deviation,
+            "Kraus operators are not trace preserving: |sum E^dag E - I| reaches {value:.3e}")
+    return operators
+
+
+def lifted_operators(operators: tuple, qubit: int, n_qubits: int) -> tuple:
+    """Each 2 x 2 Kraus operator, or each matrix of a stack, embedded at
+    position ``qubit`` of an n-qubit register by one ``np.kron`` per qubit
+    (qubit 0 leftmost): a tuple of (..., 2^n, 2^n) arrays, with the
+    operators' leading axes."""
+    lifted = []
+    for e in operators:
+        op = np.eye(1, dtype=complex)
+        for q in range(n_qubits):
+            # np.kron prepends unit axes to the lower-dimensional factor:
+            # each matrix of a stack is lifted as it would be alone
+            op = np.kron(op, e if q == qubit else np.eye(2, dtype=complex))
+        lifted.append(op)
+    return tuple(lifted)
+
+
 def _require_dim(dim: int, operators: tuple, what: str) -> None:
     """Reject a ``dim``-dimensional ``what`` for the Kraus ``operators``."""
     channel_dim = operators[0].shape[-1]
@@ -262,7 +321,7 @@ def apply_kraus(m: np.ndarray, operators: tuple) -> np.ndarray:
     matrices, so the results are not checked again."""
     _require_dim(m.shape[-1], operators, "state")
     ops = np.stack(operators, axis=-3)
-    terms = ops @ m[..., None, :, :] @ linalg.dagger(ops)
+    terms = ops @ m[..., None, :, :] @ dagger(ops)
     return np.sum(terms, axis=-3, initial=0.0)
 
 
@@ -276,12 +335,12 @@ def average_fidelities_gram(u: np.ndarray, operators: tuple) -> np.ndarray:
     The norm term is the trace of the Gram sum, with no use of the
     unitarity of U or of the completeness of the operators."""
     n = u.shape[-1]
-    ud = linalg.dagger(u)
+    ud = dagger(u)
     gram = np.zeros(np.broadcast_shapes(u.shape, *(e.shape for e in operators)), dtype=complex)
     overlap = 0.0
     for e in operators:
         m = ud @ e
-        gram += linalg.dagger(m) @ m
+        gram += dagger(m) @ m
         overlap = overlap + np.abs(np.trace(m, axis1=-2, axis2=-1)) ** 2
     return (np.trace(gram, axis1=-2, axis2=-1).real + overlap) / (n * (n + 1))
 
@@ -338,7 +397,7 @@ def switch_unitary_oracle(t: float) -> np.ndarray:
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     w, v = eigh(switch_hamiltonian())
-    return (v * np.exp(-1j * w * t)) @ linalg.dagger(v)
+    return (v * np.exp(-1j * w * t)) @ dagger(v)
 
 
 def _permutation_gate(n_qubits: int, image) -> np.ndarray:

@@ -127,8 +127,8 @@ def test_criterion_7_entropy_closed_form():
 
 
 def test_criterion_8_noisy_iconcurrence():
-    # 5 x 101 points (a outer, t fastest) as one stack per channel, lifted
-    # once, through pair_ensembles, ensemble_densities and iconcurrences
+    # 5 x 101 points (a outer, t fastest) as one stack per channel, through
+    # pair_ensembles, ensemble_densities and iconcurrences
     worst = 0.0
     a_points = np.linspace(0.0, math.pi / 2, 5)
     t_points = np.linspace(0.0, math.pi / 2, 101)
@@ -137,8 +137,8 @@ def test_criterion_8_noisy_iconcurrence():
     al, be = np.sin(a_points)[:, None], np.cos(a_points)[:, None]
     for kind in ch.CHANNEL_KINDS:
         for p in P_SET:
-            lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
-            rho = ent.ensemble_densities(ent.pair_ensembles(amps, t, lifted))
+            operators = ch.make_channel(kind, p)
+            rho = ent.ensemble_densities(ent.pair_ensembles(amps, t, operators, 0))
             num = reference.iconcurrences(rho, "B")
             clo = 2.0 * np.sqrt(ent.noisy_determinant_closed(kind, p, t_points, al, be)).ravel()
             worst = max(worst, float(np.max(np.abs(num - clo))))
@@ -154,19 +154,19 @@ def test_criterion_9_average_fidelity():
     us = switch.switch_unitaries(ts)
     for kind in ch.CHANNEL_KINDS:
         for p in np.linspace(0.0, 1.0, 20).tolist():
-            num = ch.average_fidelities(us, ch.lift(ch.make_channel(kind, p), 0, 3))
+            num = ch.average_fidelities(us, ch.make_channel(kind, p), 0)
             closed = ch.average_fidelity_closed(kind, p, ts)
             worst = max(worst, float(np.max(np.abs(num - closed))))
             if kind == "PF":
-                bf = ch.average_fidelities(us, ch.lift(ch.make_channel("BF", p), 0, 3))
+                bf = ch.average_fidelities(us, ch.make_channel("BF", p), 0)
                 flip = max(flip, float(np.max(np.abs(num - bf))))
     assert worst <= 1e-10 and flip <= 1e-12
     u = switch.switch_unitaries(0.9)
     for kind in ch.CHANNEL_KINDS:
-        lifted = ch.lift(ch.make_channel(kind, 0.74), 0, 3)
-        mean, stderr = reference.average_fidelity_monte_carlo(u, lifted, samples=100_000,
-                                                              rng=2024)
-        exact = float(ch.average_fidelities(u, lifted))
+        operators = ch.make_channel(kind, 0.74)
+        mean, stderr = reference.average_fidelity_monte_carlo(
+            u, reference.lifted_operators(operators, 0, 3), samples=100_000, rng=2024)
+        exact = float(ch.average_fidelities(u, operators, 0))
         assert abs(mean - exact) <= 3 * stderr, (kind, mean, exact, stderr)
     _ok(9, f"average fidelity, max err {worst:.2e}; PF=BF within {flip:.2e}; Monte Carlo agrees")
 
@@ -175,13 +175,12 @@ def test_criterion_10_channel_properties():
     rng = np.random.default_rng(77)
     for kind in ch.CHANNEL_KINDS:
         for p in P_SET:
-            channel = ch.make_channel(kind, p)
-            total = sum(e.conj().T @ e for e in channel.operators)
+            total = sum(e.conj().T @ e for e in ch.make_channel(kind, p))
             assert np.max(np.abs(total - np.eye(2))) <= 1e-12
-        channel = ch.make_channel(kind, 0.37)
+        operators = ch.make_channel(kind, 0.37)
         for _ in range(100):
             rho = random_density(rng, 1, rank=int(rng.integers(1, 3)))
-            out = reference.apply_kraus(rho, channel.operators)
+            out = reference.apply_kraus(rho, operators)
             assert abs(np.trace(out).real - 1.0) <= 1e-12
             assert np.max(np.abs(out - out.conj().T)) <= 1e-10
             assert np.min(np.linalg.eigvalsh(out)) >= -1e-10

@@ -103,17 +103,17 @@ GATE_TIMES = np.linspace(-10.0, 10.0, 41)
 @pytest.mark.parametrize("qubit", (0, 1))
 @pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
 def test_a_gate_block_has_the_bits_of_its_single_points(kind, qubit):
-    """(P, 1, 8, 8) rows of a lifted p stack against (N, 8, 8) unitaries, as
+    """(P, 1, 2, 2) rows of a p stack against (N, 8, 8) unitaries, as
     the gate route evaluates a block, give at every (p, t) the bits of the
     call on that one channel and that one unitary."""
-    lifted = ch.lift(ch.make_channel(kind, EDGE_P), qubit, 3)
+    operators = ch.make_channel(kind, EDGE_P)
     block = ch.average_fidelities(switch.switch_unitaries(GATE_TIMES),
-                                  tuple(e[:, None] for e in lifted))
+                                  tuple(e[:, None] for e in operators), qubit)
     assert block.shape == (len(EDGE_P), len(GATE_TIMES))
     for i, p in enumerate(EDGE_P):
-        single = ch.lift(ch.make_channel(kind, p), qubit, 3)
+        single = ch.make_channel(kind, p)
         for j, t in enumerate(GATE_TIMES.tolist()):
-            value = ch.average_fidelities(switch.switch_unitaries(t), single)
+            value = ch.average_fidelities(switch.switch_unitaries(t), single, qubit)
             assert np.float64(value).tobytes() == block[i, j].tobytes(), (p, t)
 
 
@@ -126,12 +126,12 @@ PAIR_TIMES = np.linspace(-math.pi, 2 * math.pi, 41)
 @pytest.mark.parametrize("qubit", (0, 1))
 @pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
 def test_a_concurrence_block_has_the_bits_of_its_single_points(kind, qubit):
-    """The two-branch ensembles of a lifted p stack against 41 pairs, a
+    """The two-branch ensembles of a p stack against 41 pairs, a
     (P, N, 4, 2) block, give at every (p, point) the bits of the
     concurrence of that one ensemble."""
-    lifted = ch.lift(ch.make_channel(kind, EDGE_P), qubit, 2)
+    operators = ch.make_channel(kind, EDGE_P)
     xi = ent.pair_ensembles(states.angle_qubits(PAIR_ANGLES), PAIR_TIMES,
-                            tuple(e[:, None] for e in lifted))
+                            tuple(e[:, None] for e in operators), qubit)
     assert xi.shape == (len(EDGE_P), len(PAIR_TIMES), 4, 2)
     block = ent.ensemble_concurrences(xi)
     for i, j in np.ndindex(block.shape):
@@ -160,8 +160,7 @@ def _scalar_numeric(name, a, t, spec):
     axes, and the density-matrix references."""
     channel = None if spec is None else ch.make_channel(spec.kind, spec.p)
     if name == "avg_fidelity":
-        lifted = ch.lift(channel, spec.qubit, 3)
-        return float(ch.average_fidelities(switch.switch_unitaries(t), lifted))
+        return float(ch.average_fidelities(switch.switch_unitaries(t), channel, spec.qubit))
     if name == "fidelity":
         reg = normalized(states.kron_vectors(states.angle_qubits(a), switch.KET_0,
                                              switch.KET_1))
@@ -171,7 +170,7 @@ def _scalar_numeric(name, a, t, spec):
         return float(ent.schmidt_spectra(pair)[0])
     rho = reference.densities(pair)
     if spec is not None:
-        rho = reference.apply_kraus(rho, ch.lift(channel, spec.qubit, 2))
+        rho = reference.apply_kraus(rho, reference.lifted_operators(channel, spec.qubit, 2))
     if name == "ppt":
         return float(ent.ppt_spectra(rho)[0])
     if name == "concurrence":

@@ -13,6 +13,7 @@ from reference import (
     densities,
     entropies,
     iconcurrences,
+    lifted_operators,
     normalized,
     partial_traces,
     uhlmann_concurrences,
@@ -107,7 +108,7 @@ def test_reduced_qubits_are_those_of_the_formed_reduced_states():
     amps = angle_qubits(rng.uniform(-math.pi, math.pi, 40))
     t = rng.uniform(-3.0, 6.0, 40)
     ensembles = [psi[..., None]] + [
-        ent.pair_ensembles(amps, t, ch.lift(ch.make_channel(kind, 0.3), qubit, 2))
+        ent.pair_ensembles(amps, t, ch.make_channel(kind, 0.3), qubit)
         for kind in ch.CHANNEL_KINDS for qubit in (0, 1)
     ]
     for xi in ensembles:
@@ -245,7 +246,7 @@ def test_the_two_branch_gap_meets_the_svd_reference(kind, qubit):
     a, t = _concurrence_points()
     qubits = angle_qubits(a)
     for p in CONCURRENCE_P:
-        xi = ent.pair_ensembles(qubits, t, ch.lift(ch.make_channel(kind, p), qubit, 2))
+        xi = ent.pair_ensembles(qubits, t, ch.make_channel(kind, p), qubit)
         assert xi.shape == (len(a), 4, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -254,6 +255,27 @@ def test_the_two_branch_gap_meets_the_svd_reference(kind, qubit):
         assert np.all(kernel[-2 * ZERO_ROWS:-ZERO_ROWS] == 0.0), p
         if _law_zero(kind, p):
             assert np.all(kernel == 0.0), p
+
+
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_the_branches_on_the_qubit_axis_are_the_lifted_products(kind, qubit):
+    # pair_ensembles applies each 2 x 2 operator on the noise qubit's axis;
+    # the reference lifts it to 4 x 4 with np.kron and multiplies. The
+    # ensembles are equal (== ignores the sign of a zero, which the two
+    # may give apart), and the concurrence, the reduced determinant and
+    # the ppt's least eigenvalue read from them keep every bit
+    a, t = _concurrence_points()
+    qubits = angle_qubits(a)
+    rows = tuple(e[:, None] for e in ch.make_channel(kind, CONCURRENCE_P))
+    xi = ent.pair_ensembles(qubits, t, rows, qubit)
+    psi = switched_pairs(qubits, t)[..., None]
+    lifted = np.concatenate([e @ psi for e in lifted_operators(rows, qubit, 2)], axis=-1)
+    assert xi.shape == lifted.shape == (len(CONCURRENCE_P), len(a), 4, 2)
+    assert np.array_equal(xi, lifted)
+    for kernel in (ent.ensemble_concurrences, ent.reduced_determinants,
+                   lambda x: ent.ppt_spectra(ent.ensemble_densities(x))[..., 0]):
+        assert kernel(xi).tobytes() == kernel(lifted).tobytes()
 
 
 def test_the_two_branch_gap_meets_the_svd_reference_on_gaussian_ensembles():
@@ -345,16 +367,11 @@ def test_noisy_closed_forms_match_the_numeric_pipeline():
     al, be = np.sin(a_points)[:, None], np.cos(a_points)[:, None]
     for kind in ch.CHANNEL_KINDS:
         for p in (0.0, 0.25, 0.5, 0.74, 1.0):
-            lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
-            rho = ent.ensemble_densities(ent.pair_ensembles(amps, t, lifted))
+            operators = ch.make_channel(kind, p)
+            rho = ent.ensemble_densities(ent.pair_ensembles(amps, t, operators, 0))
             num = iconcurrences(rho, "B")
             clo = 2.0 * np.sqrt(ent.noisy_determinant_closed(kind, p, t_points, al, be)).ravel()
             assert np.max(np.abs(num - clo)) <= 1e-9, (kind, p)
-
-
-def test_noisy_closed_form_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        ent.noisy_determinant_closed("XX", 0.5, 0.3, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- Entropy
@@ -504,7 +521,7 @@ def test_schmidt_and_entropy_routes_meet_a_decimal_reference_near_maximal_entang
                      zip(alpha0.tolist(), beta0.tolist(), t.tolist())], dtype=float)
     for column, name in enumerate(("schmidt", "entropy")):
         m = MEASURES[name]
-        for route in (m.numeric(a, t, None, "e"), m.closed(alpha0, beta0, t, "e")):
+        for route in (m.numeric(a, t, None, None, "e"), m.closed(alpha0, beta0, t, "e")):
             assert np.max(np.abs(route - want[:, column])) <= NEAR_MAXIMAL_BOUND, name
 
 
@@ -568,7 +585,7 @@ def test_entropy_symmetry_fails_for_mixed_joint_states():
     rho = densities(pair(math.pi / 4, math.pi / 4))
     s_a, s_b = _side_entropies(rho)
     assert abs(s_a - s_b) <= 1e-10
-    noisy = apply_kraus(rho, ch.lift(ch.make_channel("AD", 0.5), 0, 2))
+    noisy = apply_kraus(rho, lifted_operators(ch.make_channel("AD", 0.5), 0, 2))
     s_a, s_b = _side_entropies(noisy)
     assert abs(s_a - s_b) > 1e-2
 

@@ -73,8 +73,10 @@ def test_determinant_forms_hold_for_complex_phases(a, t, phi, kind, p):
     assert abs(entropy - closed["entropy"]) <= 1e-12
     fidelity = switch.switch_fidelities(switch.registers(amps), t)[0]
     assert abs(fidelity - ent.fidelity_closed(al, be, t)) <= 1e-12
-    lifted = ch.lift(ch.make_channel(kind, p), 0, 2)
-    noisy = 2.0 * math.sqrt(ent.reduced_determinants(ent.pair_ensembles(amps, t, lifted))[0])
+    operators = ch.make_channel(kind, p)
+    noisy = 2.0 * math.sqrt(
+        ent.reduced_determinants(ent.pair_ensembles(amps, t, operators, 0))[0]
+    )
     assert abs(noisy - MEASURES["iconcurrence"].noisy_closed(kind, p, t, al, be)) <= 1e-12
 
 
@@ -107,13 +109,12 @@ def test_numeric_route_never_calls_a_closed_form(monkeypatch):
     noise = ChannelSpec("AD", 0.3)
     for name, m in MEASURES.items():
         if not m.gate:
-            m.numeric(a, t, None, "e")
+            m.numeric(a, t, None, None, "e")
             run_sweep(SweepConfig(name, a_steps=2, t_steps=3))
         if m.mixed or m.gate:
             for kind in ch.CHANNEL_KINDS:
                 for qubit in (0, 1):
-                    lifted = ch.lift(ch.make_channel(kind, 0.3), qubit, 3 if m.gate else 2)
-                    m.numeric(a, t, lifted, "e")
+                    m.numeric(a, t, ch.make_channel(kind, 0.3), qubit, "e")
             run_sweep(SweepConfig(name, a_steps=2, t_steps=3, channel=noise))
         if m.mixed:
             diff_sweep(SweepConfig(name, a_steps=2, t_steps=3, channel=noise))
@@ -152,13 +153,14 @@ def test_a_compare_run_calls_each_closed_form_once_per_configuration(monkeypatch
 
 
 @pytest.mark.parametrize("name", ["iconcurrence", "avg_fidelity"])
-def test_a_sweep_lifts_its_channel_once(monkeypatch, name):
+def test_a_sweep_builds_its_channel_once(monkeypatch, name):
     calls = []
-    lift = ch.lift
-    monkeypatch.setattr(ch, "lift", lambda *args: calls.append(args) or lift(*args))
+    make_channel = ch.make_channel
+    monkeypatch.setattr(ch, "make_channel",
+                        lambda *args: calls.append(args) or make_channel(*args))
     config = SweepConfig(name, a_steps=3, t_steps=5, channel=ChannelSpec("PD", 0.4), compare=True)
     assert len(run_sweep(config).value) == 15
-    assert len(calls) == 1
+    assert calls == [("PD", (0.4,))]
 
 
 @pytest.mark.parametrize("name", ["schmidt", "concurrence"])
@@ -205,20 +207,23 @@ def probe():
 def test_concurrence_follows_the_factorization_law(probe, kind, qubit):
     # neither route uses the law; where C is small, a square root of
     # eigensolver noise would miss it by far more than 1e-12
+    # the five values of p as one stack, in the (P, 1, 2, 2) rows that a
+    # sweep's route takes: one route call and one reference pass per case
     a, t, clean = probe
     rho = reference.densities(switch.switched_pairs(states.angle_qubits(a[:DENSITY_PROBE]),
                                                     t[:DENSITY_PROBE]))
-    for p in (0.0, 0.13, 0.5, 0.74, 1.0):
-        lifted = ch.lift(ch.make_channel(kind, p), qubit, 2)
-        want = clean * _choi_concurrence(kind, p)
-        route = MEASURES["concurrence"].numeric(a, t, lifted, "e")
-        assert np.max(np.abs(route - want)) <= 1e-12, p
-        noisy = reference.apply_kraus(rho, lifted)
-        density = reference.concurrences(noisy)
-        assert np.max(np.abs(density - want[:DENSITY_PROBE])) <= 1e-12, p
+    p_values = (0.0, 0.13, 0.5, 0.74, 1.0)
+    rows = tuple(e[:, None] for e in ch.make_channel(kind, p_values))
+    want = clean * np.array([_choi_concurrence(kind, p) for p in p_values])[:, None]
+    route = MEASURES["concurrence"].numeric(a, t, rows, qubit, "e")
+    noisy = reference.apply_kraus(rho, reference.lifted_operators(rows, qubit, 2))
+    density = reference.concurrences(noisy)
+    for j, p in enumerate(p_values):
+        assert np.max(np.abs(route[j] - want[j])) <= 1e-12, p
+        assert np.max(np.abs(density[j] - want[j, :DENSITY_PROBE])) <= 1e-12, p
         for i in range(0, DENSITY_PROBE, 100):
-            single = float(reference.concurrences(reference.checked_density(noisy[i])))
-            assert abs(single - want[i]) <= 1e-12, (p, a[i], t[i])
+            single = float(reference.concurrences(reference.checked_density(noisy[j, i])))
+            assert abs(single - want[j, i]) <= 1e-12, (p, a[i], t[i])
 
 
 @pytest.mark.parametrize("name, kind", [("schmidt", None), ("iconcurrence", None)] + [
@@ -232,11 +237,11 @@ def test_determinant_routes_meet_their_closed_forms_on_the_probe(probe, name, ki
     m = MEASURES[name]
     al, be = np.sin(a), np.cos(a)
     if kind is None:
-        route, closed = m.numeric(a, t, None, "e"), m.closed(al, be, t, "e")
+        route, closed = m.numeric(a, t, None, None, "e"), m.closed(al, be, t, "e")
         assert np.max(np.abs(route - closed)) <= sweep.DEFAULT_TOLERANCE
         return
     for p in (0.0, 0.13, 0.5, 0.74, 1.0):
-        route = m.numeric(a, t, ch.lift(ch.make_channel(kind, p), 0, 2), "e")
+        route = m.numeric(a, t, ch.make_channel(kind, p), 0, "e")
         closed = m.noisy_closed(kind, p, t, al, be)
         assert np.max(np.abs(route - closed)) <= sweep.DEFAULT_TOLERANCE, p
 
@@ -259,12 +264,13 @@ def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, 
     }
     # one branch: the ppt's density matrix keeps its bits; the entropy
     # reads no eigensolve, so it is held at 1e-13 below
-    assert np.array_equal(MEASURES["ppt"].numeric(a, t, None, "e"), kernels["ppt"](rho))
+    assert np.array_equal(MEASURES["ppt"].numeric(a, t, None, None, "e"), kernels["ppt"](rho))
     for p in (None, 0.0, 0.13, 0.5, 0.74, 1.0):
-        lifted = None if p is None else ch.lift(ch.make_channel(kind, p), qubit, 2)
-        noisy = rho if p is None else reference.apply_kraus(rho, lifted)
+        operators = None if p is None else ch.make_channel(kind, p)
+        noisy = rho if p is None else reference.apply_kraus(
+            rho, reference.lifted_operators(operators, qubit, 2))
         for name, kernel in kernels.items():
-            route = MEASURES[name].numeric(a, t, lifted, "e")
+            route = MEASURES[name].numeric(a, t, operators, qubit, "e")
             assert np.max(np.abs(route - kernel(noisy))) <= 1e-13, (name, p)
 
 
@@ -282,8 +288,8 @@ def test_the_ppt_route_eigensolves_exactly_hermitian_partial_transposes(probe, k
     # the density matrices built here as it builds them: the Gram product
     # is Hermitian bit for bit, and an index swap keeps it so
     a, t, _ = probe
-    lifted = None if kind is None else ch.lift(ch.make_channel(kind, 0.37), qubit, 2)
-    rho = ent.ensemble_densities(sweep._pair_ensembles(a, t, lifted))
+    operators = None if kind is None else ch.make_channel(kind, 0.37)
+    rho = ent.ensemble_densities(sweep._pair_ensembles(a, t, operators, qubit))
     pt = states.partial_transposes(rho, 1)
     assert np.all(reference.hermitian_deviation(pt) == 0.0)
     assert np.max(np.abs(ent.ppt_spectra(rho) - reference.eigh(pt)[0])) <= PPT_EIGH_BOUND
@@ -295,7 +301,7 @@ def test_entropy_routes_agree_near_separable_points(probe, base):
     # such as (1 - root) / 2, or an eigensolve reads it, and the entropy,
     # as 0
     a, t = probe[0][:NEAR_SEPARABLE], probe[1][:NEAR_SEPARABLE]
-    route = MEASURES["entropy"].numeric(a, t, None, base)
+    route = MEASURES["entropy"].numeric(a, t, None, None, base)
     closed = MEASURES["entropy"].closed(np.sin(a), np.cos(a), t, base)
     assert np.all(route > 0.0) and np.all(closed > 0.0)
     assert np.max(np.abs(route - closed) / closed) <= 1e-12
@@ -708,10 +714,12 @@ def test_the_switched_pair_is_the_control_one_half_of_the_evolved_register(probe
 
 
 def test_sweeps_diffs_and_verify_apply_no_channel_to_a_density_matrix(monkeypatch):
-    # the pair routes read the Kraus branches E_k psi; sum_k E_k rho E_k^dagger
-    # is formed by the tests' reference alone
+    # the pair routes read the Kraus branches E_k psi, each operator on its
+    # qubit's axis; sum_k E_k rho E_k^dagger, and the operators lifted by
+    # np.kron, are formed by the tests' references alone
     calls = []
     _counting(monkeypatch, reference, "apply_kraus", calls)
+    _counting(monkeypatch, np, "kron", calls)
     noisy = [ChannelSpec(kind, 0.3, qubit) for kind in ch.CHANNEL_KINDS for qubit in (0, 1)]
     for name, m in MEASURES.items():
         for spec in noisy if m.mixed or m.gate else ():
@@ -722,8 +730,8 @@ def test_sweeps_diffs_and_verify_apply_no_channel_to_a_density_matrix(monkeypatc
     assert all(check.passed for check in sweep.verify(a_steps=3, t_steps=3))
     assert calls == []
     reference.apply_kraus(reference.checked_density(_RHO),
-                          ch.lift(ch.make_channel("AD", 0.3), 0, 2))
-    assert calls == ["apply_kraus"]
+                          reference.lifted_operators(ch.make_channel("AD", 0.3), 0, 2))
+    assert calls == ["kron"] * 4 + ["apply_kraus"]
 
 
 def test_concurrence_makes_no_eigensolve_in_a_sweep_and_one_on_a_density_matrix(monkeypatch):

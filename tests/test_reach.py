@@ -37,8 +37,6 @@ PACKAGE = Path(switchsim.__file__).parent
 #: why a statement may go unrun: no command line can reach it
 PARSER = "argparse rejects the value first, with choices= from the same table: "
 LIBRARY = "a library-only boundary: "
-KRAUS = ("KrausChannel's type guarantee: make_channel, the one way the package builds a "
-         "channel, builds complete, finite single-qubit operators of the checked p")
 
 #: (module, statement) -> the reason no command line runs it
 ALLOWED = {
@@ -65,12 +63,6 @@ ALLOWED = {
     ("sweep", 'raise ValueError(f"diff takes one value of p, got {config.channel.p!r}")'):
         LIBRARY + "--p takes one float",
     ("sweep", "destination.write(text)"): LIBRARY + "the command line writes to stdout or --out",
-    ("channels", 'raise ValueError("a channel needs at least one Kraus operator")'): KRAUS,
-    ("channels", 'raise ValueError( f"Kraus operator shape {e.shape} does not match dim '
-                 '{self.dim}" + (f" and {lead[0]} values of p" if lead else "") )'): KRAUS,
-    ("channels", 'raise ValueError( f"Kraus operators are not trace preserving: " '
-                 'f"|sum E^dag E - I| reaches {deviation:.3e}" )'): KRAUS,
-    ("linalg", 'raise ValueError(f"{what} contain NaN or Inf")'): KRAUS,
 }
 
 #: (argv, exit code): every command, measure, channel kind, noise qubit and

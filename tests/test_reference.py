@@ -1,14 +1,23 @@
+"""The matrix helpers of the tests' references (``reference.py``)."""
+
 import numpy as np
 import pytest
 from randstates import random_hermitian
-from reference import HERMITIAN_ATOL, eigh, hermitian_deviation, hermitize, require
+from reference import (
+    HERMITIAN_ATOL,
+    dagger,
+    eigh,
+    hermitian_deviation,
+    hermitize,
+    require,
+    require_finite,
+)
 
-from switchsim import linalg
 from switchsim.switch import PAULI_X, PAULI_Y, PAULI_Z
 
 
 def test_adjoint_of_y_is_itself():
-    assert np.array_equal(linalg.dagger(PAULI_Y), PAULI_Y)
+    assert np.array_equal(dagger(PAULI_Y), PAULI_Y)
 
 
 def test_pauli_x_is_an_involution():
@@ -17,7 +26,7 @@ def test_pauli_x_is_an_involution():
 
 def test_rejects_nan_entries():
     with pytest.raises(ValueError):
-        linalg.require_finite(np.array([[np.nan, 0], [0, 1]]), "matrix entries")
+        require_finite(np.array([[np.nan, 0], [0, 1]]), "matrix entries")
 
 
 def test_mismatched_products_raise_shape_errors():
@@ -29,7 +38,7 @@ def test_mismatched_products_raise_shape_errors():
 
 def test_predicates():
     assert hermitian_deviation(PAULI_Z) <= HERMITIAN_ATOL
-    assert np.max(np.abs(linalg.dagger(PAULI_Y) @ PAULI_Y - np.eye(2))) <= 1e-12
+    assert np.max(np.abs(dagger(PAULI_Y) @ PAULI_Y - np.eye(2))) <= 1e-12
     assert hermitian_deviation(np.array([[0, 1], [0, 0]])) > HERMITIAN_ATOL
 
 
@@ -45,7 +54,7 @@ def test_hermitian_deviation_and_hermitize_over_a_stack():
     # h_ij and conj(h_ji) are the same two terms added, so the bits agree
     assert np.all(hermitian_deviation(h) == 0.0)
     assert np.array_equal(hermitize(h), h)
-    assert np.array_equal(h - linalg.dagger(h), np.zeros_like(h))
+    assert np.array_equal(h - dagger(h), np.zeros_like(h))
 
 
 def test_require_reports_the_first_failing_entry():
@@ -57,7 +66,7 @@ def test_require_reports_the_first_failing_entry():
     with pytest.raises(ValueError, match=r"^bad: 7\.0$"):
         require(np.array([True, False]), 7.0, "bad: {value}")
     with pytest.raises(ValueError, match="NaN or Inf"):
-        linalg.require_finite(np.array([1.0, np.inf]), "entries")
+        require_finite(np.array([1.0, np.inf]), "entries")
 
 
 def test_eigensystem_of_pauli_z():

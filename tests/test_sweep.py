@@ -446,22 +446,21 @@ def test_the_battery_of_each_measure(measure, names):
 
 
 def _count_channel_builds(monkeypatch):
-    """Record the arguments of every make_channel and lift call."""
-    calls = {"make_channel": [], "lift": []}
-    for name, made in calls.items():
-        original = getattr(ch, name)
-        monkeypatch.setattr(ch, name, lambda *args, made=made, original=original:
-                            made.append(args) or original(*args))
+    """Record the arguments of every make_channel call."""
+    calls = []
+    make_channel = ch.make_channel
+    monkeypatch.setattr(ch, "make_channel",
+                        lambda *args: calls.append(args) or make_channel(*args))
     return calls
 
 
-def test_verify_lifts_each_average_fidelity_channel_once(monkeypatch):
+def test_verify_builds_each_average_fidelity_channel_once(monkeypatch):
     # one stack of 20 values of p per kind; the PF=BF check reuses the
     # [PF] and [BF] values
     calls = _count_channel_builds(monkeypatch)
     checks = verify(measures=["avg_fidelity"])
-    assert len(calls["lift"]) == len(calls["make_channel"]) == 4
-    assert [len(c.p) for c, *_ in calls["lift"]] == [sweep.AVG_GRID] * 4
+    p_values = tuple(np.linspace(0.0, 1.0, sweep.AVG_GRID).tolist())
+    assert calls == [(kind, p_values) for kind in ch.CHANNEL_KINDS]
     assert [c.name for c in checks][-1] == "avg_fidelity[PF=BF]"
     assert all(c.passed for c in checks)
 
@@ -470,10 +469,7 @@ def test_verify_builds_each_iconcurrence_channel_stack_once(monkeypatch):
     # one stack of the 5 NOISY_P_VALUES per kind
     calls = _count_channel_builds(monkeypatch)
     checks = verify(measures=["iconcurrence"])
-    assert calls["make_channel"] == [
-        (kind, sweep.NOISY_P_VALUES) for kind in ch.CHANNEL_KINDS
-    ]
-    assert [(c.p, qubit, n) for c, qubit, n in calls["lift"]] == [(sweep.NOISY_P_VALUES, 0, 2)] * 4
+    assert calls == [(kind, sweep.NOISY_P_VALUES) for kind in ch.CHANNEL_KINDS]
     assert all(c.passed for c in checks)
 
 
@@ -491,8 +487,8 @@ def test_a_stacked_verify_holds_no_larger_blocks(monkeypatch):
 
         monkeypatch.setattr(module, name, recorded)
 
-    record(ch, "average_fidelities", lambda u, lifted: np.broadcast_shapes(
-        u.shape, *(e.shape for e in lifted)))
+    record(ch, "average_fidelities", lambda u, operators, qubit: np.broadcast_shapes(
+        u.shape[:-2], *(e.shape[:-2] for e in operators)) + u.shape[-2:])
     record(ent, "reduced_determinants", lambda xi: xi.shape)
     assert all(c.passed for c in verify(measures=["avg_fidelity", "iconcurrence"]))
     gate, pair = sizes["average_fidelities"], sizes["reduced_determinants"]
@@ -602,22 +598,28 @@ STACKED = [name for name, m in MEASURES.items() if m.mixed or m.gate]
 P_VALUES = sweep.NOISY_P_VALUES
 
 
-def test_a_block_reads_its_rows_of_the_lifted_stacks_as_views(monkeypatch):
-    # the numeric route hands a measure the rows start:stop of each lifted
-    # operator stack, with a unit axis after them that broadcasts against
-    # the block's points
+@pytest.mark.parametrize("name", ["iconcurrence", "avg_fidelity"])
+@pytest.mark.parametrize("qubit", [0, 1])
+def test_a_block_reads_its_rows_of_the_operator_stacks_as_views(monkeypatch, name, qubit):
+    # the numeric route hands a measure the rows start:stop of each 2 x 2
+    # operator stack that make_channel built, with a unit axis after them
+    # that broadcasts against the block's points, and the noise qubit
     seen = []
-    lift, m = ch.lift, MEASURES["iconcurrence"]
-    monkeypatch.setattr(ch, "lift", lambda *args: seen.append(lift(*args)) or seen[-1])
+    make_channel, m = ch.make_channel, MEASURES[name]
+    monkeypatch.setattr(ch, "make_channel",
+                        lambda *args: seen.append(make_channel(*args)) or seen[-1])
     monkeypatch.setitem(MEASURES, m.name, replace(
-        m, numeric=lambda a, t, rows, base: seen.append(rows) or m.numeric(a, t, rows, base)))
-    numeric, _, _ = sweep._routes(SweepConfig(m.name, channel=ChannelSpec("AD", P_VALUES)))
+        m, numeric=lambda a, t, rows, q, base: seen.append((rows, q))
+        or m.numeric(a, t, rows, q, base)))
+    config = SweepConfig(m.name, channel=ChannelSpec("AD", P_VALUES, qubit))
+    numeric, _, _ = sweep._routes(config)
     assert numeric(np.array([0.3, 0.4]), np.array([0.1, 0.2]), 1, 4).shape == (3, 2)
-    lifted, rows = seen
-    assert type(rows) is tuple and len(rows) == len(lifted) == 2
-    for e, r in zip(lifted, rows):
-        assert r.shape == (3, 1, 4, 4) and not r.flags.writeable
-        assert r.base is not None and r.tobytes() == e[1:4].tobytes()
+    operators, (rows, q) = seen
+    assert q == qubit
+    assert type(rows) is tuple and len(rows) == len(operators) == 2
+    for e, r in zip(operators, rows):
+        assert r.shape == (3, 1, 2, 2) and not r.flags.writeable
+        assert r.base is e and r.tobytes() == e[1:4].tobytes()
 
 
 @pytest.mark.parametrize("qubit", [0, 1])
@@ -631,8 +633,7 @@ def test_a_p_stack_is_its_configurations_bit_for_bit(kind, qubit):
                              channel=ChannelSpec(kind, P_VALUES, qubit), compare=True)
         values, closed = sweep._columns(config)
         a, t = config.grid()
-        alone = [m.numeric(a, t, ch.lift(ch.make_channel(kind, p), qubit, 3 if m.gate else 2), "e")
-                 for p in P_VALUES]
+        alone = [m.numeric(a, t, ch.make_channel(kind, p), qubit, "e") for p in P_VALUES]
         runs = [sweep._columns(replace(config, channel=ChannelSpec(kind, p, qubit)))
                 for p in P_VALUES]
         assert np.array_equal(values, np.concatenate(alone)), name

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 from randstates import random_pure
-from reference import circuit_unitary, eigh, normalized, switch_hamiltonian, switch_unitary_oracle
+from reference import (
+    circuit_unitary,
+    dagger,
+    eigh,
+    normalized,
+    switch_hamiltonian,
+    switch_unitary_oracle,
+)
 
-from switchsim import linalg, switch
+from switchsim import switch
 from switchsim.states import angle_qubits, kron_vectors
 from switchsim.switch import (
     KET_0,
@@ -23,7 +30,7 @@ SWAP_PERMUTATION[[3, 5]] = SWAP_PERMUTATION[[5, 3]]
 
 def test_gate_constants_are_unitary():
     for g in (switch.PAULI_X, switch.PAULI_Y, switch.PAULI_Z, switch.IDENTITY_2):
-        assert np.max(np.abs(linalg.dagger(g) @ g - np.eye(2))) <= 1e-12
+        assert np.max(np.abs(dagger(g) @ g - np.eye(2))) <= 1e-12
 
 
 def test_hamiltonian_entries_and_trace():
@@ -63,7 +70,7 @@ def test_switch_unitary_is_unitary_and_identity_off_block():
     block[np.ix_([3, 5], [3, 5])] = True
     for t in rng.uniform(-10, 10, 100):
         u = switch_unitaries(float(t))
-        assert np.max(np.abs(linalg.dagger(u) @ u - np.eye(8))) <= 1e-12
+        assert np.max(np.abs(dagger(u) @ u - np.eye(8))) <= 1e-12
         outside = ~block
         assert np.array_equal(u[outside], np.eye(8, dtype=complex)[outside])
         assert u.shape == (8, 8) and eye.shape == outside.shape
