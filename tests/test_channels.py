@@ -115,12 +115,14 @@ def test_a_channel_stack_is_its_channels_bit_for_bit(kind):
         assert out[i].tobytes() == apply_kraus(rho[i], ops).tobytes()
 
 
+@pytest.mark.parametrize("p", [*EDGE_P, EDGE_P], ids=[*map(repr, EDGE_P), "stack"])
 @pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
-def test_make_channel_builds_checked_channels_at_every_edge_of_p(kind):
+def test_make_channel_builds_checked_channels_at_every_edge_of_p(kind, p):
     # what make_channel no longer checks of its own operators: a tuple of
     # read-only, finite, complete 2 x 2 matrices, one p and a stack alike
-    checked_channel(ch.make_channel(kind, EDGE_P), len(EDGE_P))
-    for p in EDGE_P:
+    if isinstance(p, tuple):
+        checked_channel(ch.make_channel(kind, p), len(p))
+    else:
         checked_channel(ch.make_channel(kind, p))
 
 
@@ -332,6 +334,20 @@ def test_average_fidelity_closed_reference_points():
         + 8
     ) / 72
     assert ch.average_fidelity_closed("PD", p, t) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_the_gate_route_meets_its_closed_form_at_every_edge_of_p(kind, qubit):
+    # the 2 x 2 operators of a p stack on either data qubit of the switch
+    # against the closed form over the same column of p; the switch
+    # exchanges the data qubits, so the form holds on both, and the
+    # largest difference seen is 2 eps
+    t = np.linspace(-10.0, 10.0, 401)
+    numeric = ch.average_fidelities(switch.switch_unitaries(t), _rows(kind), qubit)
+    closed = ch.average_fidelity_closed(kind, np.array(EDGE_P)[:, None], t)
+    assert numeric.shape == closed.shape == (len(EDGE_P), len(t))
+    assert np.max(np.abs(numeric - closed)) <= GRAM_ATOL
 
 
 def test_flip_channels_share_one_average_fidelity():

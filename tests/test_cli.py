@@ -130,6 +130,24 @@ def test_usage_errors_exit_2(capsys):
         assert message in captured.err and captured.out == ""
 
 
+#: a channel on each command that takes one
+CHANNEL_COMMANDS = {
+    "sweep": ["sweep", "--measure", "concurrence", "--t-steps", "3", "--channel", "PF"],
+    "diff": ["diff", "--measure", "iconcurrence", "--t-steps", "3", "--channel", "AD"],
+    "avg-fidelity": ["avg-fidelity", "--t-steps", "3", "--channel", "PD"],
+}
+
+
+@pytest.mark.parametrize("p", ["-0.1", "-5e-324", "1.5", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", CHANNEL_COMMANDS)
+def test_a_probability_outside_the_unit_interval_exits_2_naming_it(capsys, command, p):
+    # the channel is checked once, where its spec is built from the options
+    assert cli.main([*CHANNEL_COMMANDS[command], "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"probability must lie in [0, 1], got {float(p)!r}" in captured.err
+
+
 def test_avg_fidelity_takes_no_log_base(capsys):
     # the average fidelity has no logarithm, so a unit for one is refused
     with pytest.raises(SystemExit) as exited:

@@ -278,6 +278,26 @@ def test_the_branches_on_the_qubit_axis_are_the_lifted_products(kind, qubit):
         assert kernel(xi).tobytes() == kernel(lifted).tobytes()
 
 
+@pytest.mark.parametrize("p", CONCURRENCE_P, ids=repr)
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_one_value_of_p_branches_as_its_row_of_a_stack(kind, qubit, p):
+    # one value of p gives (2, 2) operators with no leading axis: its
+    # branches are the lifted products, and its row of the p stack bit for
+    # bit, so the kernels read from the stack hold for it too
+    a, t = _concurrence_points()
+    qubits = angle_qubits(a)
+    operators = ch.make_channel(kind, p)
+    xi = ent.pair_ensembles(qubits, t, operators, qubit)
+    psi = switched_pairs(qubits, t)[..., None]
+    lifted = np.concatenate([e @ psi for e in lifted_operators(operators, qubit, 2)], axis=-1)
+    assert xi.shape == lifted.shape == (len(a), 4, 2)
+    assert np.array_equal(xi, lifted)
+    rows = tuple(e[:, None] for e in ch.make_channel(kind, CONCURRENCE_P))
+    row = ent.pair_ensembles(qubits, t, rows, qubit)[CONCURRENCE_P.index(p)]
+    assert xi.tobytes() == row.tobytes()
+
+
 def test_the_two_branch_gap_meets_the_svd_reference_on_gaussian_ensembles():
     rng = np.random.default_rng(2000)
     xi = rng.standard_normal((20_000, 4, 2)) + 1j * rng.standard_normal((20_000, 4, 2))

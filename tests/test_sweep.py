@@ -42,6 +42,14 @@ def test_config_validation():
         ChannelSpec("PF", 0.5, qubit=2)
 
 
+@pytest.mark.parametrize("qubit", [-1, 2, 3, 0.5])
+def test_a_noise_qubit_off_the_data_qubits_is_rejected(qubit):
+    # the command line offers only 0 and 1; a library caller is told
+    with pytest.raises(ValueError) as err:
+        ChannelSpec("PF", 0.5, qubit=qubit)
+    assert str(err.value) == f"noise qubit must be 0 or 1, got {qubit}"
+
+
 def test_concurrence_sweep_peaks_at_the_half_swap():
     config = SweepConfig(measure="concurrence", a=math.pi / 4, t_steps=101, compare=True)
     record = run_sweep(config)
