@@ -33,6 +33,11 @@ beside the matmul of the operators lifted by `np.kron`
 ensembles of switched pairs under a bit flip on noise qubit 1, read from
 the gap of each 2 x 2 tau (`entanglement.ensemble_concurrences`, the
 route) beside the SVD of the tests' `reference.uhlmann_concurrences`;
+the clean ppt of 256 switched pairs, -sqrt of their
+`entanglement.reduced_determinants` (the route, with no eigensolve)
+beside the least `np.linalg.eigvalsh` eigenvalue of their partial
+transposes (`entanglement.ppt_spectra` of `entanglement.ensemble_densities`,
+the route the noisy ppt keeps);
 the concurrence of a density matrix, `reference.concurrences`, on a
 256-matrix noisy stack; the
 density-matrix check `reference.checked_density` on a 256-point stack,
@@ -107,7 +112,7 @@ POINT = {
     "noisy_determinant_closed[BF]": lambda: entanglement.noisy_determinant_closed(
         "BF", 0.3, T, AL, BE
     ),
-    "ppt_eigenvalues_closed": lambda: entanglement.ppt_eigenvalues_closed(AL, BE, T),
+    "ppt_eigenvalues_closed": lambda: reference.ppt_eigenvalues_closed(AL, BE, T),
     "concurrence_closed": lambda: entanglement.concurrence_closed(BE, T),
     "fidelity_closed": lambda: entanglement.fidelity_closed(AL, BE, T),
     "average_fidelity_closed[PD]": lambda: channels.average_fidelity_closed("PD", 0.3, T),
@@ -244,6 +249,22 @@ def test_pair_concurrences(benchmark, pair_inputs, route):
     benchmark.group = "entanglement.concurrences"
     xi = entanglement.pair_ensembles(*pair_inputs, DIFF_OPERATORS, DIFF_NOISE.qubit)
     assert benchmark(PAIR_CONCURRENCE[route], xi).shape == (256,)
+
+
+#: the clean ppt of a block of switched pairs: -sqrt(d) of the one-column
+#: ensemble (the route) and the least eigenvalue of the partial transpose
+#: of its density matrix (the eigensolve it replaced, which the noisy ppt
+#: keeps)
+CLEAN_PPT = {
+    "determinant": lambda xi: -np.sqrt(entanglement.reduced_determinants(xi)),
+    "eigvalsh": lambda xi: entanglement.ppt_spectra(entanglement.ensemble_densities(xi))[..., 0],
+}
+
+
+@pytest.mark.parametrize("route", CLEAN_PPT)
+def test_clean_ppt(benchmark, pairs, route):
+    benchmark.group = "entanglement.ppt"
+    assert benchmark(CLEAN_PPT[route], pairs[..., None]).shape == (256,)
 
 
 def test_density_concurrences(benchmark, pairs):

@@ -6,7 +6,7 @@ of the first data qubit and the switch time t. The two are cross-checked
 against each other throughout the test suite.
 
 Each numeric measure is one stacked kernel with a plural name
-(``schmidt_spectra``, ``ppt_spectra``, ``ensemble_concurrences``,
+(``schmidt_spectra``, ``ensemble_ppts``, ``ensemble_concurrences``,
 ``reduced_determinants``, ``determinant_entropies``) over arrays with one
 state per point along the leading axes; one state is the stack with no
 leading axes.
@@ -33,18 +33,25 @@ and no sqrt(1 - 4d), which cancels near d = 1/4. The I-concurrence is
 2 sqrt(d), the Schmidt coefficients of a pure pair are the square roots of
 the spectrum, and the entropy, ``determinant_entropies``, is -sum l log(l).
 
-The PPT spectrum reads the same ensemble, ``pair_ensembles``, through a
-Gram product: ``ensemble_densities`` gives the pair's density matrix
-xi xi^dagger. That product is Hermitian bit for bit, and so is its
-partial transpose, an index swap; ``ppt_spectra`` takes its eigenvalues
-alone with ``np.linalg.eigvalsh``, and neither re-checks nor symmetrises
-the matrix. Its entries are finite because the angles and times are:
-a ``SweepConfig`` checks them where they enter (see ``sweep``), and no
+The ppt, the least eigenvalue of the partial transpose, follows the
+number of columns K of the ensemble, as the concurrence does
+(``ensemble_ppts``). A pure pair, K = 1, with Schmidt coefficients s0 and
+s1 has the partial-transpose spectrum (s0^2, s1^2, s0 s1, -s0 s1), and
+s0 s1 = sqrt(d) (Vidal and Werner, PRA 65, 032314 (2002)): its ppt is
+-sqrt(d), one more map of the first qubit's (d, |r|), with no eigensolve,
+so that a small value keeps its relative digits. A noisy pair reads its
+density matrix as a Gram product: ``ensemble_densities`` gives
+xi xi^dagger, Hermitian bit for bit, and so is its partial transpose, an
+index swap; ``ppt_spectra`` takes its eigenvalues alone with
+``np.linalg.eigvalsh``, and neither re-checks nor symmetrises the matrix.
+Its entries are finite because the angles and times are: a
+``SweepConfig`` checks them where they enter (see ``sweep``), and no
 kernel or closed form here checks its input again. That is the one
-eigensolve a command makes. No kernel takes an ``einsum``, and no pair
-route a ``matmul``, so a stacked result has the bits of the same call on
-one point at a time; ``pair_ensembles`` applies each 2 x 2 Kraus
-operator along the noise qubit's axis of the pair.
+eigensolve a command makes, and only a noisy ppt makes it. No kernel
+takes an ``einsum``, and no pair route a ``matmul``, so a stacked result
+has the bits of the same call on one point at a time; ``pair_ensembles``
+applies each 2 x 2 Kraus operator along the noise qubit's axis of the
+pair.
 
 Each closed form is one definition in plain numpy: called on Python
 scalars it returns numpy floats (``np.float64``, a subclass of float), and
@@ -138,18 +145,21 @@ def ppt_spectra(rho: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(partial_transposes(rho, 1))
 
 
-def ppt_eigenvalues_closed(
-    alpha0: complex, beta0: complex, t: float
-) -> tuple[float, float, float, float]:
-    """The four closed-form partial-transpose eigenvalues of the switched
-    pair, unsorted.
+def ensemble_ppts(xi: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of the partial transpose of each 2-qubit
+    ensemble of a stack, shape (..., 4, K): the K columns xi decompose the
+    state as rho = xi xi^dagger.
 
-    For real amplitudes they are +-|beta|^2 sin(t) cos(t) and
-    (1 -+ |r|) / 2, with |r| the Bloch length of ``reduced_qubit_closed``.
+    With K = 1, a pure pair, it is -sqrt(d) of its ``reduced_determinants``
+    d: the partial transpose has the spectrum (s0^2, s1^2, s0 s1, -s0 s1)
+    over the Schmidt coefficients, and s0 s1 = sqrt(d), so the value keeps
+    its relative digits however small it is, and a product pair reads -0.0.
+    Otherwise it is the first of ``ppt_spectra`` of the density matrix
+    ``ensemble_densities`` forms, accurate in absolute terms only.
     """
-    _, root = reduced_qubit_closed(alpha0, beta0, t)
-    swap = np.float_power(abs(beta0), 2) * np.sin(t) * np.cos(t)
-    return -swap, swap, (1 - root) / 2, (1 + root) / 2
+    if xi.shape[-1] == 1:
+        return -np.sqrt(reduced_determinants(xi))
+    return ppt_spectra(ensemble_densities(xi))[..., 0]
 
 
 def fidelity_closed(alpha0: complex, beta0: complex, t: float) -> float:

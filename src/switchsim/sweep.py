@@ -5,14 +5,14 @@ Every sweep runs over the state |A>|0>|1> with |A> = sin(a)|0> + cos(a)|1>.
 Each diagnostic is one entry of the measure table ``MEASURES``: its numeric
 route, its clean and noisy closed forms, its verification tolerance and the
 states it accepts. Sweeps, diffs, ``verify`` and the command line all read
-that table. The Schmidt coefficient, the I-concurrence and the entropy are
-each one map of the first data qubit's reduced state, its determinant d and
-Bloch length |r|, applied to the numeric and to the closed (d, |r|) alike
-(see ``entanglement``). The numeric route always runs; the closed-form
-column is filled whenever the entry has a closed form for the configuration
-(clean runs for every measure, noisy runs for the I-concurrence and the
-average fidelity with noise on qubit 0). Output is deterministic: identical
-configurations produce byte-identical files.
+that table. The Schmidt coefficient, the I-concurrence, the entropy and the
+clean ppt are each one map of the first data qubit's reduced state, its
+determinant d and Bloch length |r|, applied to the numeric and to the
+closed (d, |r|) alike (see ``entanglement``). The numeric route always
+runs; the closed-form column is filled whenever the entry has a closed
+form for the configuration (clean runs for every measure, noisy runs for
+the I-concurrence and the average fidelity with noise on qubit 0). Output
+is deterministic: identical configurations produce byte-identical files.
 
 The numeric route evaluates the grid as stacked arrays, in blocks sized by
 the bytes of the route's matrices (BLOCK_POINTS (p, point) entries for a
@@ -27,13 +27,14 @@ rescaled to unit norm, and the registers, their evolution and what is
 built from them hold by construction (see ``states`` and ``switch``).
 Every pair route reads the evolved pair as its Kraus branches E_k psi
 (psi itself for a clean run), and no mixed measure forms the noisy pair
-by a channel product E_k rho E_k^dagger: the ppt reads the pair's density
-matrix as the Gram product of the branches and takes the eigenvalues of
-its partial transpose, with no eigenvectors (``np.linalg.eigvalsh``), the
-only eigensolve of a pair route; the Schmidt coefficient, the
-I-concurrence and the entropy read the first qubit's (d, |r|) from the
-branches, and the concurrence forms no density matrix. The block size
-does not change a bit of the values.
+by a channel product E_k rho E_k^dagger: the Schmidt coefficient, the
+I-concurrence, the entropy and the clean ppt, -sqrt(d), read the first
+qubit's (d, |r|) from the branches, and the concurrence forms no density
+matrix. Only the noisy ppt reads the pair's density matrix, as the Gram
+product of the branches, and takes the eigenvalues of its partial
+transpose, with no eigenvectors (``np.linalg.eigvalsh``): the only
+eigensolve of any route, so a clean run makes none. The block size does
+not change a bit of the values.
 A closed form is called once per grid, on sin a and cos a as (A, 1)
 columns, one entry per a value, and the times as a (T,) row; the (A, T)
 values it returns, a outer and t fastest, are the closed column, with
@@ -84,7 +85,6 @@ import numpy as np
 
 from . import channels as ch
 from . import entanglement as ent
-from . import pointwise as pw
 from . import states, switch
 
 #: verification gate per measure
@@ -166,10 +166,10 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "ppt",
-        numeric=lambda a, t, ops, qubit, base: ent.ppt_spectra(
-            ent.ensemble_densities(_pair_ensembles(a, t, ops, qubit))
-        )[..., 0],
-        closed=lambda al, be, t, base: pw.least(*ent.ppt_eigenvalues_closed(al, be, t)),
+        numeric=lambda a, t, ops, qubit, base: ent.ensemble_ppts(
+            _pair_ensembles(a, t, ops, qubit)
+        ),
+        closed=lambda al, be, t, base: -np.sqrt(ent.reduced_qubit_closed(al, be, t)[0]),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(

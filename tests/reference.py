@@ -22,6 +22,9 @@ along the leading axes; one matrix is the stack with no leading axes.
   route that the package's kernel ``ensemble_concurrences`` reads for
   K = 1 and 2 without an SVD, and that ``concurrences`` takes for the
   K = 4 columns of an eigensolve.
+- ``ppt_eigenvalues_closed`` is the closed partial-transpose spectrum of
+  the switched pair, all four eigenvalues, of which the package's ppt
+  reads only the least, -sqrt(d), with no eigensolve.
 - ``checked_channel`` holds a tuple of Kraus operators to what
   ``channels.make_channel`` guarantees of its own: a tuple of read-only,
   finite 2 x 2 matrices, or stacks of them, that are complete.
@@ -46,7 +49,7 @@ import math
 
 import numpy as np
 
-from switchsim.entanglement import _log_scale, reduced_determinants
+from switchsim.entanglement import _log_scale, reduced_determinants, reduced_qubit_closed
 from switchsim.switch import PAULI_Y
 
 #: tolerance on |norm^2 - 1| of an amplitude vector
@@ -259,6 +262,21 @@ def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
     terms = np.where(nonzero, w * np.log(np.where(nonzero, w, 1.0)), 0.0)
     # an eigenvalue rounding to 1+eps would otherwise leave -eps behind
     return positive(-np.sum(terms, axis=-1) * scale)
+
+
+def ppt_eigenvalues_closed(
+    alpha0: complex, beta0: complex, t: float
+) -> tuple[float, float, float, float]:
+    """The four closed-form partial-transpose eigenvalues of the switched
+    pair, unsorted, one value each or grids as ``reduced_qubit_closed``
+    gives them.
+
+    For real amplitudes they are +-|beta|^2 sin(t) cos(t) and
+    (1 -+ |r|) / 2, with |r| the Bloch length of ``reduced_qubit_closed``.
+    """
+    _, root = reduced_qubit_closed(alpha0, beta0, t)
+    swap = np.float_power(abs(beta0), 2) * np.sin(t) * np.cos(t)
+    return -swap, swap, (1 - root) / 2, (1 + root) / 2
 
 
 # --------------------------------------------------------------- channels

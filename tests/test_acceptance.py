@@ -81,9 +81,11 @@ def test_criterion_4_schmidt_closed_form():
 
 
 def test_criterion_5_ppt_closed_form():
-    num = ent.ppt_spectra(densities(_pairs(*GRID)))[:, 0]
-    clo = np.min(ent.ppt_eigenvalues_closed(AL, BE, T_GRID), axis=0).ravel()
-    worst = float(np.max(np.abs(num - clo)))
+    psi = _pairs(*GRID)
+    num = ent.ppt_spectra(densities(psi))[:, 0]
+    route = ent.ensemble_ppts(psi[..., None])
+    clo = np.min(reference.ppt_eigenvalues_closed(AL, BE, T_GRID), axis=0).ravel()
+    worst = max(float(np.max(np.abs(num - clo))), float(np.max(np.abs(route - clo))))
     assert np.min(ent.ppt_spectra(densities(_pairs(*ENDS)))[:, 0]) >= -1e-10
     assert worst <= 1e-10
     half = ent.ppt_spectra(densities(_pairs(0.0, math.pi / 4)))[0]

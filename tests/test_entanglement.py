@@ -16,6 +16,7 @@ from reference import (
     lifted_operators,
     normalized,
     partial_traces,
+    ppt_eigenvalues_closed,
     uhlmann_concurrences,
 )
 
@@ -145,15 +146,33 @@ def test_ppt_of_product_and_initial_states_is_nonnegative():
     assert ent.ppt_spectra(densities(pair(0.7, 0.0)))[0] >= -1e-10
 
 
+def test_ensemble_ppts_follows_the_column_count():
+    # one column, a pure pair, reads -sqrt(d) with no eigensolve, -0.0 for
+    # a product pair; more columns read the least eigenvalue of the
+    # partial transpose of the density matrix
+    rng = np.random.default_rng(12)
+    psi = switched_pairs(angle_qubits(rng.uniform(-math.pi, math.pi, 200)),
+                         rng.uniform(-math.pi, 2 * math.pi, 200))[..., None]
+    d = ent.reduced_determinants(psi)
+    assert ent.ensemble_ppts(psi).tobytes() == (-np.sqrt(d)).tobytes()
+    assert repr(ent.ensemble_ppts(pair(0.7, 0.0)[..., None])) == repr(np.float64(-0.0))
+    assert ent.ensemble_ppts(pair(0.0, math.pi / 4)[..., None]) == pytest.approx(-0.5, abs=1e-15)
+    for columns in (2, 4):
+        xi = np.stack([random_pure(rng, 2) for _ in range(columns * 50)]).reshape(50, columns, 4)
+        xi = np.swapaxes(xi, -1, -2) / math.sqrt(columns)
+        want = ent.ppt_spectra(ent.ensemble_densities(xi))[:, 0]
+        assert ent.ensemble_ppts(xi).tobytes() == want.tobytes()
+
+
 def test_ppt_closed_reference_points():
     al, be = amplitudes(math.pi / 4)
-    got = np.sort(np.array(ent.ppt_eigenvalues_closed(al, be, math.pi / 8)))
+    got = np.sort(np.array(ppt_eigenvalues_closed(al, be, math.pi / 8)))
     assert got[0] == pytest.approx(-0.5 * math.sin(math.pi / 8) * math.cos(math.pi / 8), abs=1e-15)
     # the swap pair cancels, so the two trace-carrying eigenvalues add to one
     assert got[0] + got[2] == pytest.approx(0.0, abs=1e-15)
     assert got[1] + got[3] == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(
-        sorted(ent.ppt_eigenvalues_closed(1.0, 0.0, 0.9)), [0, 0, 0, 1], atol=1e-15
+        sorted(ppt_eigenvalues_closed(1.0, 0.0, 0.9)), [0, 0, 0, 1], atol=1e-15
     )
 
 
@@ -162,7 +181,7 @@ def test_ppt_numeric_matches_closed_form_on_grid():
         al, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 30):
             num = ent.ppt_spectra(densities(pair(float(a), float(t))))
-            clo = np.sort(np.array(ent.ppt_eigenvalues_closed(al, be, float(t))))
+            clo = np.sort(np.array(ppt_eigenvalues_closed(al, be, float(t))))
             assert np.max(np.abs(num - clo)) <= 1e-10
 
 
@@ -273,8 +292,7 @@ def test_the_branches_on_the_qubit_axis_are_the_lifted_products(kind, qubit):
     lifted = np.concatenate([e @ psi for e in lifted_operators(rows, qubit, 2)], axis=-1)
     assert xi.shape == lifted.shape == (len(CONCURRENCE_P), len(a), 4, 2)
     assert np.array_equal(xi, lifted)
-    for kernel in (ent.ensemble_concurrences, ent.reduced_determinants,
-                   lambda x: ent.ppt_spectra(ent.ensemble_densities(x))[..., 0]):
+    for kernel in (ent.ensemble_concurrences, ent.reduced_determinants, ent.ensemble_ppts):
         assert kernel(xi).tobytes() == kernel(lifted).tobytes()
 
 
@@ -492,6 +510,40 @@ def test_determinant_entropies_meet_a_decimal_reference():
         normal = want >= tiny
         assert np.max(err[normal] / want[normal]) <= ENTROPY_REL_BOUND, base
         assert np.max(err[~normal]) <= ENTROPY_REL_BOUND * tiny, base
+
+
+#: the largest relative error of the clean ppt, -sqrt(d), against a 60-digit
+#: reference at near-separable points; 0 is seen, while eigvalsh's least
+#: eigenvalue of the same pairs is off by up to 4.5e-10 relative, since
+#: its error scales with the matrix norm, 1, not with the value
+CLEAN_PPT_REL_BOUND = 2 * np.finfo(float).eps
+
+
+def _decimal_ppt(psi) -> decimal.Decimal:
+    """-|psi00 psi11 - psi01 psi10| of one pair's amplitudes, from their
+    exact binary values, in 60-digit decimal arithmetic: -s0 s1 over its
+    Schmidt coefficients, the least eigenvalue of its partial transpose."""
+    re = [decimal.Decimal(z.real) for z in psi]
+    im = [decimal.Decimal(z.imag) for z in psi]
+    with decimal.localcontext(_CTX):
+        x = re[0] * re[3] - im[0] * im[3] - re[1] * re[2] + im[1] * im[2]
+        y = re[0] * im[3] + im[0] * re[3] - re[1] * im[2] - im[1] * re[2]
+        return -(x * x + y * y).sqrt()
+
+
+def test_clean_ppt_meets_a_decimal_reference_near_separable_points():
+    # a within 1e-9 to 1e-5 of pi/2, so beta is that small, and t in 1e-6
+    # to 1e-2: values of 1.2e-24 to 4.9e-13, each referred to the route's
+    # own float amplitudes
+    rng = np.random.default_rng(1996)
+    n = 300
+    a = math.pi / 2 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9.0, -5.0, n)
+    t = 10.0 ** rng.uniform(-6.0, -2.0, n)
+    psi = switched_pairs(angle_qubits(a), t)
+    want = np.array([float(_decimal_ppt(row)) for row in psi.tolist()])
+    route = MEASURES["ppt"].numeric(a, t, None, None, "e")
+    assert np.all(want < 0.0)
+    assert np.max(np.abs(route - want) / -want) <= CLEAN_PPT_REL_BOUND
 
 
 #: the largest absolute error of the Schmidt coefficient and the entropy,

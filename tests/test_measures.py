@@ -68,7 +68,9 @@ def test_determinant_forms_hold_for_complex_phases(a, t, phi, kind, p):
     concurrence = ent.ensemble_concurrences(psi[..., None])[0]
     assert abs(concurrence - ent.concurrence_closed(be, t)) <= 1e-12
     ppt = ent.ppt_spectra(reference.densities(psi))[0]
-    assert np.max(np.abs(ppt - np.sort(np.array(ent.ppt_eigenvalues_closed(al, be, t))))) <= 1e-12
+    spectrum = np.sort(np.array(reference.ppt_eigenvalues_closed(al, be, t)))
+    assert np.max(np.abs(ppt - spectrum)) <= 1e-12
+    assert abs(ent.ensemble_ppts(psi[..., None])[0] - closed["ppt"]) <= 1e-12
     entropy = reference.entropies(reference.partial_traces(reference.densities(psi), 2, {1}))[0]
     assert abs(entropy - closed["entropy"]) <= 1e-12
     fidelity = switch.switch_fidelities(switch.registers(amps), t)[0]
@@ -82,13 +84,17 @@ def test_determinant_forms_hold_for_complex_phases(a, t, phi, kind, p):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=angles, t=st.one_of(st.sampled_from([0.0, math.pi / 2]), times))
-def test_ppt_closed_column_is_the_least_eigenvalue_bit_for_bit(a, t):
-    # the sweep's ppt closed column takes min() of the unsorted eigenvalues;
-    # repr tells -0.0 from 0.0, which the column prints differently
+def test_ppt_closed_column_is_the_least_closed_eigenvalue(a, t):
+    # the sweep's ppt closed column is -sqrt(d) of the closed (d, |r|), the
+    # least of the four closed eigenvalues, which (1 - |r|) / 2 may undercut
+    # by its rounding (1.7e-16 is the most seen on the probe); it is -I/2
+    # bit for bit, and -0.0 at a product pair, which repr tells from 0.0
     alpha0, beta0 = math.sin(a), math.cos(a)
-    least = min(ent.ppt_eigenvalues_closed(alpha0, beta0, t))
-    ascending = np.sort(np.array(ent.ppt_eigenvalues_closed(alpha0, beta0, t)))
-    assert repr(float(least)) == repr(float(ascending[0]))
+    ppt = MEASURES["ppt"].closed(alpha0, beta0, t, "e")
+    iconcurrence = MEASURES["iconcurrence"].closed(alpha0, beta0, t, "e")
+    assert repr(ppt) == repr(-0.5 * iconcurrence)
+    least = min(reference.ppt_eigenvalues_closed(alpha0, beta0, t))
+    assert abs(ppt - least) <= 2 * np.finfo(float).eps
 
 
 def _forbidden(*args, **kwargs):
@@ -262,9 +268,8 @@ def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, 
         "ppt": lambda m: ent.ppt_spectra(m)[:, 0],
         "entropy": lambda m: reference.entropies(reference.partial_traces(m, 2, {1})),
     }
-    # one branch: the ppt's density matrix keeps its bits; the entropy
-    # reads no eigensolve, so it is held at 1e-13 below
-    assert np.array_equal(MEASURES["ppt"].numeric(a, t, None, None, "e"), kernels["ppt"](rho))
+    # one branch, the clean run, reads the ppt as -sqrt(d) with no
+    # eigensolve, and is held to the density matrix's below as well
     for p in (None, 0.0, 0.13, 0.5, 0.74, 1.0):
         operators = None if p is None else ch.make_channel(kind, p)
         noisy = rho if p is None else reference.apply_kraus(
@@ -272,6 +277,28 @@ def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, 
         for name, kernel in kernels.items():
             route = MEASURES[name].numeric(a, t, operators, qubit, "e")
             assert np.max(np.abs(route - kernel(noisy))) <= 1e-13, (name, p)
+
+
+#: largest |clean ppt route - eigvalsh of the partial transpose| allowed on
+#: the probe; the largest seen there is 5.0e-16 (numpy 2.4.6), which the
+#: eigensolve's absolute error sets
+CLEAN_PPT_EIGVALSH_BOUND = 1e-15
+
+
+def test_clean_ppt_meets_the_eigvalsh_reference_on_the_probe(probe):
+    # the route reads -sqrt(d), which is -I/2 bit for bit; the tests'
+    # eigensolve of the partial transposes of |psi><psi| is its
+    # independent check, and the closed column meets both
+    a, t, _ = probe
+    route = MEASURES["ppt"].numeric(a, t, None, None, "e")
+    iconcurrence = MEASURES["iconcurrence"].numeric(a, t, None, None, "e")
+    assert route.tobytes() == (-0.5 * iconcurrence).tobytes()
+    rho = reference.densities(switch.switched_pairs(states.angle_qubits(a), t))
+    eigvalsh = ent.ppt_spectra(rho)[:, 0]
+    assert np.max(np.abs(route - eigvalsh)) <= CLEAN_PPT_EIGVALSH_BOUND
+    closed = MEASURES["ppt"].closed(np.sin(a), np.cos(a), t, "e")
+    assert np.max(np.abs(route - closed)) <= CLEAN_PPT_EIGVALSH_BOUND
+    assert np.max(np.abs(eigvalsh - closed)) <= CLEAN_PPT_EIGVALSH_BOUND
 
 
 #: (channel kind, noise qubit): a clean run, then every kind on each qubit
@@ -329,6 +356,26 @@ def test_noise_on_the_second_qubit_is_invisible_to_entropy_and_iconcurrence(name
     assert worst <= sweep.DEFAULT_TOLERANCE
 
 
+#: p at which each channel is the identity: the flips at p = 1, the
+#: damping channels at p = 0
+NOISELESS_P = {"PF": 1.0, "BF": 1.0, "AD": 0.0, "PD": 0.0}
+#: largest ppt diff allowed at a noiseless p: its noisy half is eigvalsh's
+#: least eigenvalue, accurate in absolute terms only, and its clean half
+#: -sqrt(d); the largest seen on the 50 x 101 grid is 4.996e-16 (numpy
+#: 2.4.6), for every kind on either qubit
+NOISELESS_PPT_DIFF = 1e-15
+
+
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_a_noiseless_ppt_diff_reads_the_rounding_of_the_eigensolve(kind, qubit):
+    # the two halves of a ppt diff take two routes, so where the channel
+    # does nothing the diff is not exactly 0
+    config = SweepConfig("ppt", a_steps=50, t_steps=101,
+                         channel=ChannelSpec(kind, NOISELESS_P[kind], qubit))
+    assert np.max(diff_sweep(config).value) <= NOISELESS_PPT_DIFF
+
+
 # ------------------------- closed forms against their point-by-point code
 # The reference below is the scalar ``math`` code of each closed form (for
 # the Schmidt coefficient and the I-concurrence, of the factored forms),
@@ -352,11 +399,8 @@ def _ref_schmidt(alpha0, beta0, t):
     return tuple(map(math.sqrt, _ref_reduced_eigenvalues(alpha0, beta0, t)))
 
 
-def _ref_ppt_eigenvalues(alpha0, beta0, t):
-    x, y = abs(alpha0) ** 2, abs(beta0) ** 2
-    swap = y * math.sin(t) * math.cos(t)
-    root = math.sqrt(x**2 + 2 * x * y + y**2 * math.cos(2 * t) ** 2)
-    return -swap, swap, (1 - root) / 2, (1 + root) / 2
+def _ref_ppt(alpha0, beta0, t):
+    return -math.sqrt(_ref_reduced_qubit(alpha0, beta0, t)[0])
 
 
 def _ref_fidelity(alpha0, beta0, t):
@@ -481,7 +525,7 @@ def test_factored_forms_are_the_literal_forms_where_these_do_not_cancel():
 #: measure -> the reference value at one point (sin a, cos a, t, config)
 REFERENCE_POINT = {
     "schmidt": lambda al, be, t, c: _ref_schmidt(al, be, t)[0],
-    "ppt": lambda al, be, t, c: min(_ref_ppt_eigenvalues(al, be, t)),
+    "ppt": lambda al, be, t, c: _ref_ppt(al, be, t),
     "concurrence": lambda al, be, t, c: _ref_concurrence(be, t),
     "iconcurrence": lambda al, be, t, c: (
         _ref_iconcurrence(al, be, t) if c.channel is None
@@ -551,7 +595,7 @@ def _scalar_calls(al, be, t, kind, p):
     yield ("noisy_determinant", ent.noisy_determinant_closed(kind, p, t, al, be),
            _ref_noisy_determinant(kind, p, t, al, be))
     yield "schmidt", MEASURES["schmidt"].closed(al, be, t, "e"), _ref_schmidt(al, be, t)[0]
-    yield "ppt", ent.ppt_eigenvalues_closed(al, be, t), _ref_ppt_eigenvalues(al, be, t)
+    yield "ppt", MEASURES["ppt"].closed(al, be, t, "e"), _ref_ppt(al, be, t)
     yield "fidelity", ent.fidelity_closed(al, be, t), _ref_fidelity(al, be, t)
     yield "concurrence", ent.concurrence_closed(be, t), _ref_concurrence(be, t)
     yield ("iconcurrence", MEASURES["iconcurrence"].closed(al, be, t, "e"),
@@ -648,11 +692,15 @@ def _counting(monkeypatch, module, attr, calls):
     monkeypatch.setattr(module, attr, counted)
 
 
-def test_sweeps_make_no_density_check_and_no_eigh_and_eigvalsh_only_for_the_ppt(monkeypatch):
+def test_sweeps_make_no_density_check_and_no_eigh_and_eigvalsh_only_for_the_noisy_ppt(
+    monkeypatch,
+):
     # the matrices a sweep builds are density matrices by construction, and
-    # the one eigensolve of a sweep is the ppt's, for eigenvalues alone:
-    # one np.linalg.eigvalsh per block of the ppt route, and none elsewhere;
-    # the package holds no density-matrix check, only the tests' reference
+    # the one eigensolve of any route is the noisy ppt's, for eigenvalues
+    # alone: one np.linalg.eigvalsh per block of that route, and none
+    # elsewhere. A clean run makes none, the clean half of a diff and the
+    # clean ppt, -sqrt(d), among them, and so does verify; the package
+    # holds no density-matrix check, only the tests' reference
     calls = []
     _counting(monkeypatch, reference, "checked_density", calls)
     _counting(monkeypatch, reference, "eigh", calls)
@@ -664,19 +712,20 @@ def test_sweeps_make_no_density_check_and_no_eigh_and_eigvalsh_only_for_the_ppt(
     with monkeypatch.context() as small:
         small.setattr(sweep, "BLOCK_POINTS", 1)
         for name, m in MEASURES.items():
-            runs = [] if m.gate else [(run_sweep, SweepConfig(name, **grid, compare=True), 1)]
+            runs = [] if m.gate else [(run_sweep, SweepConfig(name, **grid, compare=True), 0)]
             if m.mixed or m.gate:
                 noisy = SweepConfig(name, **grid, channel=noise, compare=True)
-                runs += [(run_sweep, noisy, 1)]
-                runs += [(diff_sweep, noisy, 2)] if m.mixed else []  # noisy and clean
-            for run, config, passes in runs:
+                want = blocks if name == "ppt" else 0
+                runs += [(run_sweep, noisy, want)]
+                runs += [(diff_sweep, noisy, want)] if m.mixed else []  # the noisy half's
+            for run, config, want in runs:
                 calls.clear()
                 run(config)
-                want = passes * blocks if name == "ppt" else 0
                 assert calls == ["eigvalsh"] * want, (run.__name__, name, config.channel)
     calls.clear()
     assert all(check.passed for check in sweep.verify(**grid))
-    assert calls == ["eigvalsh"]  # the clean ppt record, one block
+    assert all(check.passed for check in sweep.verify())  # the default battery
+    assert calls == []
     calls.clear()
     reference.checked_density(_RHO)
     assert calls == ["checked_density", "eigvalsh"]
