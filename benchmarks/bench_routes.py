@@ -18,9 +18,9 @@ and under amplitude damping on qubit 0 where it has a noisy form, one
 call per grid; one call of each scalar closed-form entry point, and of
 each closed form of the table, at one point, the cost a caller that
 evaluates point by point pays; the switch's
-evolution, `switch.switched_pairs` on a 256-point stack (a pair route's
-block) and `switch.switch_fidelities` on 64 registers (a gate route's
-block; it evolves each register twice); the average gate fidelity
+input and evolution, `switch.registers` and `switch.switched_pairs` on a
+256-point stack (a pair route's block) and `switch.switch_fidelities` on
+64 registers (a gate route's block; it evolves each register twice); the average gate fidelity
 `channels.average_fidelities` on a 64-point gate block under one value
 of p and on a block of `verify`'s p stack, 3 values of p against 20
 times, with the channel's (P, 1, 2, 2) operator rows and its qubit,
@@ -33,8 +33,8 @@ beside the matmul of the operators lifted by `np.kron`
 ensembles of switched pairs under a bit flip on noise qubit 1, read from
 the gap of each 2 x 2 tau (`entanglement.ensemble_concurrences`, the
 route) beside the SVD of the tests' `reference.uhlmann_concurrences`;
-the clean ppt of 256 switched pairs, -sqrt of their
-`entanglement.reduced_determinants` (the route, with no eigensolve)
+the clean ppt of 256 switched pairs, -|minor| of each
+(`entanglement.ensemble_ppts`, the route, with no eigensolve)
 beside the least `np.linalg.eigvalsh` eigenvalue of their partial
 transposes (`entanglement.ppt_spectra` of `entanglement.ensemble_densities`,
 the route the noisy ppt keeps);
@@ -42,7 +42,7 @@ the concurrence of a density matrix, `reference.concurrences`, on a
 256-matrix noisy stack; the
 density-matrix check `reference.checked_density` on a 256-point stack,
 the size of a pair route's block; and the input qubits
-`states.angle_qubits` of 256 angles, the one place a sweep rescales
+`switch.angle_qubits` of 256 angles, the one place a sweep rescales
 amplitudes to unit norm.
 
     pytest benchmarks/bench_routes.py
@@ -57,7 +57,7 @@ import numpy as np
 import pytest
 import reference
 
-from switchsim import channels, entanglement, states, switch, sweep
+from switchsim import channels, entanglement, switch, sweep
 
 NOISE = sweep.ChannelSpec("AD", 0.3)
 DIFF_NOISE = sweep.ChannelSpec("BF", 0.3, qubit=1)
@@ -109,6 +109,7 @@ def test_verify(benchmark, measure):
 AL, BE, T = math.sin(0.7), math.cos(0.7), 0.41
 POINT = {
     "reduced_qubit_closed": lambda: entanglement.reduced_qubit_closed(AL, BE, T),
+    "reduced_root_closed": lambda: entanglement.reduced_root_closed(BE, T),
     "noisy_determinant_closed[BF]": lambda: entanglement.noisy_determinant_closed(
         "BF", 0.3, T, AL, BE
     ),
@@ -137,13 +138,18 @@ def test_closed_point(benchmark, name):
 def pair_inputs():
     """The amplitude pairs |A>, shape (256, 2), and the times of 256 points."""
     x = np.linspace(0.0, np.pi / 2, 256)
-    return states.angle_qubits(x), x
+    return switch.angle_qubits(x), x
 
 
 @pytest.fixture(scope="module")
 def pairs(pair_inputs):
     """256 switched pairs, shape (256, 4)."""
     return switch.switched_pairs(*pair_inputs)
+
+
+def test_registers(benchmark, pair_inputs):
+    benchmark.group = "switch"
+    assert benchmark(switch.registers, pair_inputs[0]).shape == (256, 8)
 
 
 def test_switched_pairs(benchmark, pair_inputs):
@@ -154,7 +160,7 @@ def test_switched_pairs(benchmark, pair_inputs):
 def test_switch_fidelities(benchmark):
     benchmark.group = "switch"
     x = np.linspace(0.0, np.pi / 2, sweep.BLOCK_POINTS)
-    regs = switch.registers(states.angle_qubits(x))
+    regs = switch.registers(switch.angle_qubits(x))
     assert benchmark(switch.switch_fidelities, regs, x).shape == (sweep.BLOCK_POINTS,)
 
 
@@ -252,11 +258,11 @@ def test_pair_concurrences(benchmark, pair_inputs, route):
 
 
 #: the clean ppt of a block of switched pairs: -sqrt(d) of the one-column
-#: ensemble (the route) and the least eigenvalue of the partial transpose
+#: ensemble, read as -|minor| (the route), and the least eigenvalue of the partial transpose
 #: of its density matrix (the eigensolve it replaced, which the noisy ppt
 #: keeps)
 CLEAN_PPT = {
-    "determinant": lambda xi: -np.sqrt(entanglement.reduced_determinants(xi)),
+    "determinant": entanglement.ensemble_ppts,
     "eigvalsh": lambda xi: entanglement.ppt_spectra(entanglement.ensemble_densities(xi))[..., 0],
 }
 
@@ -280,5 +286,5 @@ def test_checked_density(benchmark, pairs):
 
 
 def test_angle_qubits(benchmark, pair_inputs):
-    benchmark.group = "states"
-    assert benchmark(states.angle_qubits, pair_inputs[1]).shape == (256, 2)
+    benchmark.group = "switch"
+    assert benchmark(switch.angle_qubits, pair_inputs[1]).shape == (256, 2)

@@ -29,9 +29,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .switch import IDENTITY_2, PAULI_X, PAULI_Z
-
 CHANNEL_KINDS = ("PF", "BF", "AD", "PD")
+
+
+def _const(rows) -> np.ndarray:
+    out = np.array(rows, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+IDENTITY_2 = _const([[1, 0], [0, 1]])
+PAULI_X = _const([[0, 1], [1, 0]])
+PAULI_Z = _const([[1, 0], [0, -1]])
 
 
 def check_channel(kind: str, p) -> None:

@@ -7,9 +7,9 @@ against each other throughout the test suite.
 
 Each numeric measure is one stacked kernel with a plural name
 (``schmidt_spectra``, ``ensemble_ppts``, ``ensemble_concurrences``,
-``reduced_determinants``, ``determinant_entropies``) over arrays with one
-state per point along the leading axes; one state is the stack with no
-leading axes.
+``reduced_determinants``, ``reduced_roots``, ``determinant_entropies``)
+over arrays with one state per point along the leading axes; one state
+is the stack with no leading axes.
 
 The concurrence, the Schmidt coefficients, the I-concurrence and the
 entropy read an ensemble xi, the columns of a decomposition
@@ -30,16 +30,18 @@ coefficient, the I-concurrence and the entropy read only that state's pair
 (d, |r|), and its spectrum by one rule,
 ``_reduced_spectrum``: (2d / (1 + |r|), (1 + |r|) / 2), with no eigensolve
 and no sqrt(1 - 4d), which cancels near d = 1/4. The I-concurrence is
-2 sqrt(d), the Schmidt coefficients of a pure pair are the square roots of
-the spectrum, and the entropy, ``determinant_entropies``, is -sum l log(l).
+2 sqrt(d), from ``reduced_roots``, which reads a pure pair's sqrt(d) as
+the modulus of its one minor, with no square that could underflow; the
+Schmidt coefficients of a pure pair are the square roots of the
+spectrum, and the entropy, ``determinant_entropies``, is -sum l log(l).
 
 The ppt, the least eigenvalue of the partial transpose, follows the
 number of columns K of the ensemble, as the concurrence does
 (``ensemble_ppts``). A pure pair, K = 1, with Schmidt coefficients s0 and
 s1 has the partial-transpose spectrum (s0^2, s1^2, s0 s1, -s0 s1), and
 s0 s1 = sqrt(d) (Vidal and Werner, PRA 65, 032314 (2002)): its ppt is
--sqrt(d), one more map of the first qubit's (d, |r|), with no eigensolve,
-so that a small value keeps its relative digits. A noisy pair reads its
+-sqrt(d), -I/2 of the same ``reduced_roots``, with no eigensolve, so that
+a small value keeps its relative digits. A noisy pair reads its
 density matrix as a Gram product: ``ensemble_densities`` gives
 xi xi^dagger, Hermitian bit for bit, and so is its partial transpose, an
 index swap; ``ppt_spectra`` takes its eigenvalues alone with
@@ -62,9 +64,11 @@ the C library's pow, as Python's ``x ** 2``: ``np.power`` multiplies,
 which rounds differently on about 0.08% of doubles. The closed pair
 (d, |r|) is one function per noise configuration, a contraction of the
 Bloch vector (Nielsen and Chuang, section 8.3): ``reduced_qubit_closed``
-clean or under noise on qubit 1, and ``noisy_determinant_closed``, its d
-half under each channel on qubit 0. The measure table applies each
-measure's map of (d, |r|) to the numeric and to the closed pair alike.
+clean or under noise on qubit 1, whose sqrt(d) the clean ppt and
+I-concurrence read unsquared (``reduced_root_closed``), and
+``noisy_determinant_closed``, its d half under each channel on qubit 0.
+The measure table applies each measure's map of (d, |r|) to the numeric
+and to the closed pair alike.
 """
 
 from __future__ import annotations
@@ -74,7 +78,6 @@ from typing import Optional
 
 import numpy as np
 
-from .states import partial_transposes
 from .switch import switched_pairs
 
 #: the column pairs i < j that ``reduced_determinants`` reads, by column
@@ -117,6 +120,17 @@ def reduced_qubits(xi: np.ndarray):
     return reduced_determinants(xi), np.sqrt(z * z + 4.0 * (c.real * c.real + c.imag * c.imag))
 
 
+def reduced_roots(xi: np.ndarray) -> np.ndarray:
+    """sqrt(d) of ``reduced_determinants`` for each 2-qubit ensemble of a
+    stack, shape (..., 4, K). With one column, a pure pair psi, it is the
+    modulus of the one minor, |psi_00 psi_11 - psi_01 psi_10|, with no
+    square, so it keeps its digits where d underflows."""
+    if xi.shape[-1] == 1:
+        x00, x01, x10, x11 = np.moveaxis(xi[..., 0], -1, 0)
+        return np.abs(x00 * x11 - x01 * x10)
+    return np.sqrt(reduced_determinants(xi))
+
+
 def _reduced_spectrum(d, r):
     """The spectrum (1 -+ r) / 2 of each unit-trace 2 x 2 state with
     determinant d and Bloch length r, the small root written as
@@ -130,6 +144,14 @@ def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
     from that state's (d, |r|); shape (..., 2)."""
     spectrum = _reduced_spectrum(*reduced_qubits(psi[..., None]))
     return np.sqrt(np.stack(spectrum, axis=-1))
+
+
+def partial_transposes(m: np.ndarray, qubit: int) -> np.ndarray:
+    """Partial transpose on one qubit of each 2-qubit matrix of a stack."""
+    lead = m.shape[:-2]
+    # axes (..., row qubit 0, row qubit 1, column qubit 0, column qubit 1)
+    b = len(lead)
+    return m.reshape(lead + (2, 2, 2, 2)).swapaxes(b + qubit, b + 2 + qubit).reshape(lead + (4, 4))
 
 
 def ppt_spectra(rho: np.ndarray) -> np.ndarray:
@@ -150,15 +172,17 @@ def ensemble_ppts(xi: np.ndarray) -> np.ndarray:
     ensemble of a stack, shape (..., 4, K): the K columns xi decompose the
     state as rho = xi xi^dagger.
 
-    With K = 1, a pure pair, it is -sqrt(d) of its ``reduced_determinants``
-    d: the partial transpose has the spectrum (s0^2, s1^2, s0 s1, -s0 s1)
-    over the Schmidt coefficients, and s0 s1 = sqrt(d), so the value keeps
-    its relative digits however small it is, and a product pair reads -0.0.
+    With K = 1, a pure pair, it is -sqrt(d), the negated
+    ``reduced_roots``: the partial transpose has the spectrum
+    (s0^2, s1^2, s0 s1, -s0 s1) over the Schmidt coefficients, and
+    s0 s1 = sqrt(d), which is read as the modulus of the pair's one
+    minor, with no square, so the value keeps its relative digits however
+    small it is, -I/2 bit for bit, and a product pair reads -0.0.
     Otherwise it is the first of ``ppt_spectra`` of the density matrix
     ``ensemble_densities`` forms, accurate in absolute terms only.
     """
     if xi.shape[-1] == 1:
-        return -np.sqrt(reduced_determinants(xi))
+        return -reduced_roots(xi)
     return ppt_spectra(ensemble_densities(xi))[..., 0]
 
 
@@ -219,15 +243,22 @@ def concurrence_closed(beta0: complex, t: float) -> float:
     return abs(np.float_power(beta0, 2) * np.sin(2 * t))
 
 
+def reduced_root_closed(beta0: complex, t: float) -> float:
+    """Closed-form sqrt(d) of the first data qubit's reduced state of the
+    switched pair, clean or under noise on qubit 1, which leaves it as it
+    is: q = |sin(t) beta| |cos(t) beta|, with no square, so it keeps its
+    digits where d = q q underflows."""
+    return abs(np.sin(t) * beta0) * abs(np.cos(t) * beta0)
+
+
 def reduced_qubit_closed(alpha0: complex, beta0: complex, t: float):
     """Closed-form (d, |r|) of the first data qubit's reduced state of the
     switched pair, clean or under noise on qubit 1, which leaves it as it
-    is: d = q q with q = |sin(t) beta| |cos(t) beta|, so that 2 sqrt(d) is
-    2q bit for bit where q q does not underflow, and, with x = |alpha|^2
+    is: d = q q with q = ``reduced_root_closed``, and, with x = |alpha|^2
     and y = |beta|^2, |r| = sqrt(x^2 + 2 x y + y^2 cos^2(2t)); nothing
     cancels."""
     x, y = np.float_power(abs(alpha0), 2), np.float_power(abs(beta0), 2)
-    q = abs(np.sin(t) * beta0) * abs(np.cos(t) * beta0)
+    q = reduced_root_closed(beta0, t)
     cos_sq = np.float_power(np.cos(2 * t), 2)
     return q * q, np.sqrt(np.float_power(x, 2) + 2 * x * y + np.float_power(y, 2) * cos_sq)
 
@@ -303,22 +334,17 @@ def pair_ensembles(
     qubit ``qubit``, 0 or 1, which is read only with operators; shape
     (..., 4, K). The columns decompose the pair's density matrix,
     sum_k (E_k psi)(E_k psi)^dagger, which is not formed. E_k acts along
-    that qubit's axis of psi reshaped to (..., 2, 2): an entry of E_k psi
-    is E_a0 psi_0j + E_a1 psi_1j on qubit 0, two products, with no
-    ``matmul``.
+    the middle axis of psi viewed as (..., 2**qubit, 2, 2**(1 - qubit)),
+    the noise qubit's: an entry of E_k psi is E_a0 psi_0j + E_a1 psi_1j
+    on qubit 0, two products, with no ``matmul``.
     """
     psi = switched_pairs(a_amps, t)
     if operators is None:
         return psi[..., None]
-    # the pair as (..., noise qubit, other qubit), and each branch back
-    x = psi.reshape(psi.shape[:-1] + (2, 2))
-    if qubit == 1:
-        x = x.swapaxes(-1, -2)
-    x0, x1 = x[..., None, 0, :], x[..., None, 1, :]
-    branches = [e[..., :, :1] * x0 + e[..., :, 1:] * x1 for e in operators]
-    if qubit == 1:
-        branches = [y.swapaxes(-1, -2) for y in branches]
-    return np.stack([y.reshape(y.shape[:-2] + (4,)) for y in branches], axis=-1)
+    x = psi.reshape(psi.shape[:-1] + (2**qubit, 2, 2 ** (1 - qubit)))
+    x0, x1 = x[..., :1, :], x[..., 1:, :]
+    branches = [e[..., None, :, :1] * x0 + e[..., None, :, 1:] * x1 for e in operators]
+    return np.stack([y.reshape(y.shape[:-3] + (4,)) for y in branches], axis=-1)
 
 
 def ensemble_densities(xi: np.ndarray) -> np.ndarray:

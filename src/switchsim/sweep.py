@@ -22,15 +22,16 @@ checked once, where it enters: a ``SweepConfig`` rejects a non-finite a,
 t_min or t_max, a reversed or overflowing time span and a grid too small
 or too large, its ``ChannelSpec`` a p outside [0, 1], and ``verify`` and
 ``emit`` their own arguments. Nothing past them checks it again:
-``states.angle_qubits`` builds the qubits |A> from finite angles, each
+``switch.angle_qubits`` builds the qubits |A> from finite angles, each
 rescaled to unit norm, and the registers, their evolution and what is
-built from them hold by construction (see ``states`` and ``switch``).
+built from them hold by construction (see ``switch``).
 Every pair route reads the evolved pair as its Kraus branches E_k psi
 (psi itself for a clean run), and no mixed measure forms the noisy pair
 by a channel product E_k rho E_k^dagger: the Schmidt coefficient, the
 I-concurrence, the entropy and the clean ppt, -sqrt(d), read the first
-qubit's (d, |r|) from the branches, and the concurrence forms no density
-matrix. Only the noisy ppt reads the pair's density matrix, as the Gram
+qubit's (d, |r|) from the branches, a clean pair's sqrt(d) as the
+modulus of its one minor, and the concurrence forms no density matrix.
+Only the noisy ppt reads the pair's density matrix, as the Gram
 product of the branches, and takes the eigenvalues of its partial
 transpose, with no eigenvectors (``np.linalg.eigvalsh``): the only
 eigensolve of any route, so a clean run makes none. The block size does
@@ -85,7 +86,7 @@ import numpy as np
 
 from . import channels as ch
 from . import entanglement as ent
-from . import states, switch
+from . import switch
 
 #: verification gate per measure
 DEFAULT_TOLERANCE = 1e-9
@@ -148,7 +149,7 @@ class Measure:
 
 def _pair_ensembles(a: np.ndarray, t: np.ndarray, operators: Optional[tuple],
                     qubit: Optional[int]) -> np.ndarray:
-    return ent.pair_ensembles(states.angle_qubits(a), t, operators, qubit)
+    return ent.pair_ensembles(switch.angle_qubits(a), t, operators, qubit)
 
 
 # The routes call through module attributes instead of holding function
@@ -157,7 +158,7 @@ MEASURES = {m.name: m for m in (
     Measure(
         "schmidt",
         numeric=lambda a, t, ops, qubit, base: ent.schmidt_spectra(
-            switch.switched_pairs(states.angle_qubits(a), t)
+            switch.switched_pairs(switch.angle_qubits(a), t)
         )[..., 0],
         closed=lambda al, be, t, base: np.sqrt(
             ent._reduced_spectrum(*ent.reduced_qubit_closed(al, be, t))[0]
@@ -169,7 +170,7 @@ MEASURES = {m.name: m for m in (
         numeric=lambda a, t, ops, qubit, base: ent.ensemble_ppts(
             _pair_ensembles(a, t, ops, qubit)
         ),
-        closed=lambda al, be, t, base: -np.sqrt(ent.reduced_qubit_closed(al, be, t)[0]),
+        closed=lambda al, be, t, base: -ent.reduced_root_closed(be, t),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
@@ -182,10 +183,10 @@ MEASURES = {m.name: m for m in (
     ),
     Measure(
         "iconcurrence",
-        numeric=lambda a, t, ops, qubit, base: 2.0 * np.sqrt(
-            ent.reduced_determinants(_pair_ensembles(a, t, ops, qubit))
+        numeric=lambda a, t, ops, qubit, base: 2.0 * ent.reduced_roots(
+            _pair_ensembles(a, t, ops, qubit)
         ),
-        closed=lambda al, be, t, base: 2.0 * np.sqrt(ent.reduced_qubit_closed(al, be, t)[0]),
+        closed=lambda al, be, t, base: 2.0 * ent.reduced_root_closed(be, t),
         noisy_closed=lambda kind, p, t, al, be: 2.0 * np.sqrt(
             ent.noisy_determinant_closed(kind, p, t, al, be)
         ),
@@ -204,7 +205,7 @@ MEASURES = {m.name: m for m in (
     Measure(
         "fidelity",
         numeric=lambda a, t, ops, qubit, base: switch.switch_fidelities(
-            switch.registers(states.angle_qubits(a)), t
+            switch.registers(switch.angle_qubits(a)), t
         ),
         closed=lambda al, be, t, base: ent.fidelity_closed(al, be, t),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=False,

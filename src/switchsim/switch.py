@@ -1,5 +1,10 @@
 """The three-qubit switch: a controlled exchange of two data qubits.
 
+Basis convention: qubit 0 is the leftmost (most significant) position, so
+an n-qubit register is indexed |0...0> .. |1...1> with qubit q contributing
+bit (n-1-q) of the basis index. Every module in the package shares this
+ordering. States are plain complex arrays.
+
 The register is |A>|B>|C> with the control C last (qubit index 2). With
 C = |0> the switch does nothing. The generator |011><101| + |101><011|
 couples exactly those two basis states, which gives a closed-form time
@@ -12,9 +17,16 @@ the moved qubit arrives as diag(1, -i) |A>.
 and copies the other six; ``switch_unitaries(t)``, one plain 8 x 8 array
 per time of ``t``, is the full unitary, which the gate route needs. Every
 function takes stacks, one register or time per point along the leading
-axes; one register is the stack with no leading axes. The times are
-finite: a ``SweepConfig`` checks them, and their span, where they enter
-(see ``sweep``), so no function here checks them again.
+axes; one register is the stack with no leading axes. The angles and
+times are finite: a ``SweepConfig`` checks them, and the times' span,
+where they enter (see ``sweep``), so no function here checks them again.
+``angle_qubits`` rescales each input qubit to unit norm, the one place
+amplitudes are renormalized, never inside arithmetic, so norm-breaking
+bugs stay visible to the tests. Every later stage builds its result from
+those qubits, so the norm holds there by construction, up to rounding:
+the ``registers`` that place them, their ``evolved`` image under a
+unitary, and ``entanglement``'s Kraus branches of a normalized vector
+under a channel that ``channels.make_channel`` builds complete.
 """
 
 from __future__ import annotations
@@ -23,21 +35,13 @@ import math
 
 import numpy as np
 
-from .states import _frozen, kron_vectors
 
-
-def _const(rows) -> np.ndarray:
-    return _frozen(np.array(rows, dtype=complex))
-
-
-PAULI_X = _const([[0, 1], [1, 0]])
-# sign convention: +i in the top row; the concurrence spin flip applies it
-# twice, so the overall sign never matters downstream
-PAULI_Y = _const([[0, 1j], [-1j, 0]])
-PAULI_Z = _const([[1, 0], [0, -1]])
-IDENTITY_2 = _const([[1, 0], [0, 1]])
-KET_0 = _const([1, 0])
-KET_1 = _const([0, 1])
+def angle_qubits(a) -> np.ndarray:
+    """sin(a)|0> + cos(a)|1> for each finite angle of a stack, each divided
+    by its norm, which rounding leaves off 1 (the bits of the outputs
+    depend on it); shape (..., 2)."""
+    amps = np.stack([np.sin(a), np.cos(a)], axis=-1).astype(complex)
+    return amps / np.sqrt(np.sum(np.abs(amps) ** 2, axis=-1))[..., None]
 
 
 def switch_unitaries(t) -> np.ndarray:
@@ -92,9 +96,12 @@ def switch_fidelities(regs: np.ndarray, t) -> np.ndarray:
 
 def registers(a_amps: np.ndarray) -> np.ndarray:
     """The switch input |A>|0>|1> for each |A> of a stack of normalized
-    amplitude pairs, as from ``states.angle_qubits``; the product of
-    normalized qubits is normalized, so it is not checked again."""
-    return kron_vectors(a_amps, KET_0, KET_1)
+    amplitude pairs, as from ``angle_qubits``: zeros but for |A>'s
+    amplitudes, at |001> and |101> (indices 1 and 5); a normalized qubit
+    placed in a register is normalized, so it is not checked again."""
+    regs = np.zeros(a_amps.shape[:-1] + (8,), dtype=complex)
+    regs[..., 1::4] = a_amps
+    return regs
 
 
 def switched_pairs(a_amps: np.ndarray, t) -> np.ndarray:

@@ -10,7 +10,10 @@ along the leading axes; one matrix is the stack with no leading axes.
 - ``require`` raises on the first failing entry of a stack of checks,
   ``require_finite`` on a stack with a NaN or Inf entry, and ``dagger``
   is the adjoint of each matrix of a stack; ``normalized`` checks a
-  stack of amplitude vectors and rescales them.
+  stack of amplitude vectors and rescales them, and ``kron_vectors`` is
+  their Kronecker product, with the kets ``KET_0`` and ``KET_1``, which
+  builds any product register, as the package's ``switch.registers``
+  places the amplitudes of its one input.
 - ``checked_density`` checks a stack as density matrices, and
   ``require_psd`` its least eigenvalues; ``densities`` forms |psi><psi|,
   and ``partial_traces`` traces qubits out.
@@ -50,7 +53,6 @@ import math
 import numpy as np
 
 from switchsim.entanglement import _log_scale, reduced_determinants, reduced_qubit_closed
-from switchsim.switch import PAULI_Y
 
 #: tolerance on |norm^2 - 1| of an amplitude vector
 NORM_ATOL = 1e-10
@@ -66,6 +68,11 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 #: ``_ensemble`` drops them from V sqrt(w), where their
 #: eigenvectors would otherwise enter at about sqrt(1e-16) = 1e-8
 ENSEMBLE_WEIGHT_FLOOR = 1e-15
+KET_0 = np.array([1, 0], dtype=complex)
+KET_1 = np.array([0, 1], dtype=complex)
+# sign convention: +i in the top row; the concurrence spin flip applies it
+# twice, so the overall sign never matters downstream
+PAULI_Y = np.array([[0, 1j], [-1j, 0]])
 #: the two-qubit spin flip Y x Y of the concurrence
 SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
 
@@ -136,6 +143,16 @@ def normalized(amps: np.ndarray) -> np.ndarray:
     require(np.abs(norm_sq - 1.0) <= NORM_ATOL, norm_sq,
             "state is not normalized: sum |amp|^2 = {value!r}")
     return amps / np.sqrt(norm_sq)[..., None]
+
+
+def kron_vectors(*vectors: np.ndarray) -> np.ndarray:
+    """Kronecker product of amplitude vectors, taken along the last axis and
+    broadcast over the leading ones."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = out[..., :, None] * v[..., None, :]
+        out = out.reshape(out.shape[:-2] + (-1,))
+    return out
 
 
 def checked_density(m: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from reference import densities, partial_traces
 from switchsim import channels as ch
 from switchsim import entanglement as ent
 from switchsim import switch
-from switchsim.states import angle_qubits
+from switchsim.switch import angle_qubits
 
 A_GRID = np.linspace(0.0, math.pi / 2, 50)
 T_GRID = np.linspace(0.0, math.pi / 2, 50)

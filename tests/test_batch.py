@@ -8,11 +8,19 @@ import math
 import numpy as np
 import pytest
 import reference
-from reference import DENSITY_ATOL, NORM_ATOL, PSD_EIGENVALUE_FLOOR, normalized
+from reference import (
+    DENSITY_ATOL,
+    KET_0,
+    KET_1,
+    NORM_ATOL,
+    PSD_EIGENVALUE_FLOOR,
+    kron_vectors,
+    normalized,
+)
 
 from switchsim import channels as ch
 from switchsim import entanglement as ent
-from switchsim import states, switch
+from switchsim import switch
 from switchsim.sweep import BLOCK_POINTS, MEASURES, ChannelSpec, SweepConfig, diff_sweep, run_sweep
 
 #: the corrupted point: neither the first nor the last of its stack
@@ -23,7 +31,7 @@ def _pairs(n=7):
     """n valid switched pairs as a stack of amplitude vectors, shape (n, 4)."""
     a = np.linspace(0.1, 1.4, n)
     t = np.linspace(0.2, 1.3, n)
-    return switch.switched_pairs(states.angle_qubits(a), t)
+    return switch.switched_pairs(switch.angle_qubits(a), t)
 
 
 def _raises_like(stacked_call, scalar_call):
@@ -130,7 +138,7 @@ def test_a_concurrence_block_has_the_bits_of_its_single_points(kind, qubit):
     (P, N, 4, 2) block, give at every (p, point) the bits of the
     concurrence of that one ensemble."""
     operators = ch.make_channel(kind, EDGE_P)
-    xi = ent.pair_ensembles(states.angle_qubits(PAIR_ANGLES), PAIR_TIMES,
+    xi = ent.pair_ensembles(switch.angle_qubits(PAIR_ANGLES), PAIR_TIMES,
                             tuple(e[:, None] for e in operators), qubit)
     assert xi.shape == (len(EDGE_P), len(PAIR_TIMES), 4, 2)
     block = ent.ensemble_concurrences(xi)
@@ -162,10 +170,9 @@ def _scalar_numeric(name, a, t, spec):
     if name == "avg_fidelity":
         return float(ch.average_fidelities(switch.switch_unitaries(t), channel, spec.qubit))
     if name == "fidelity":
-        reg = normalized(states.kron_vectors(states.angle_qubits(a), switch.KET_0,
-                                             switch.KET_1))
+        reg = normalized(kron_vectors(switch.angle_qubits(a), KET_0, KET_1))
         return float(switch.switch_fidelities(reg, t))
-    pair = switch.switched_pairs(states.angle_qubits(a), t)
+    pair = switch.switched_pairs(switch.angle_qubits(a), t)
     if name == "schmidt":
         return float(ent.schmidt_spectra(pair)[0])
     rho = reference.densities(pair)

@@ -7,6 +7,7 @@ from reference import (
     apply_kraus,
     average_fidelities_gram,
     average_fidelity_monte_carlo,
+    KET_1,
     checked_channel,
     densities,
     lifted_operators,
@@ -15,7 +16,7 @@ from reference import (
 from switchsim import channels as ch
 from switchsim import switch
 from switchsim.sweep import ChannelSpec
-from switchsim.switch import KET_1, PAULI_X, PAULI_Z
+from switchsim.channels import PAULI_X, PAULI_Z
 
 P_GRID = (0.0, 0.25, 0.5, 0.74, 1.0)
 #: each end of [0, 1], the least subnormal, a tiny normal, the middle and

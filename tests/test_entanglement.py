@@ -15,6 +15,7 @@ from reference import (
     iconcurrences,
     lifted_operators,
     normalized,
+    kron_vectors,
     partial_traces,
     ppt_eigenvalues_closed,
     uhlmann_concurrences,
@@ -23,9 +24,8 @@ from reference import (
 from switchsim import channels as ch
 from switchsim import cli
 from switchsim import entanglement as ent
-from switchsim.states import angle_qubits, kron_vectors
 from switchsim.sweep import MEASURES
-from switchsim.switch import switched_pairs
+from switchsim.switch import angle_qubits, switched_pairs
 
 SQ2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
@@ -144,6 +144,70 @@ def test_ppt_of_product_and_initial_states_is_nonnegative():
     rng = np.random.default_rng(5)
     assert ent.ppt_spectra(densities(product(rng)))[0] >= -1e-10
     assert ent.ppt_spectra(densities(pair(0.7, 0.0)))[0] >= -1e-10
+
+
+def test_partial_transpose_leaves_diagonal_states_alone():
+    rho = checked_density(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    for q in (0, 1):
+        assert np.array_equal(ent.partial_transposes(rho, q), rho)
+
+
+def test_partial_transpose_matches_reference_on_switched_pair():
+    a, t = 0.6, 0.8
+    al, be = math.sin(a), math.cos(a)
+    s, c = math.sin(t), math.cos(t)
+    v = np.array([al, -1j * s * be, c * be, 0.0])
+    rho = checked_density(np.outer(v, v.conj()))
+    expected = np.array(
+        [
+            [al**2, 1j * s * be * al, al * c * be, 1j * s * be * c * be],
+            [-1j * al * s * be, (s * be) ** 2, 0, 0],
+            [c * be * al, 0, (c * be) ** 2, 0],
+            [-1j * c * be * s * be, 0, 0, 0],
+        ]
+    )
+    # transposing the first qubit produces the reference matrix; transposing
+    # the second gives its transpose, so the two share one spectrum
+    pt0 = ent.partial_transposes(rho, 0)
+    pt1 = ent.partial_transposes(rho, 1)
+    assert np.allclose(pt0, expected, atol=1e-14)
+    assert np.allclose(pt1, expected.T, atol=1e-14)
+    assert np.allclose(np.linalg.eigvalsh(pt0), np.linalg.eigvalsh(pt1), atol=1e-14)
+
+
+def _pt_oracle(m, qubit):
+    # independent reshape-based partial transpose
+    r = m.reshape(2, 2, 2, 2)  # (a, b, a', b')
+    r = r.transpose(2, 1, 0, 3) if qubit == 0 else r.transpose(0, 3, 2, 1)
+    return r.reshape(4, 4)
+
+
+def test_partial_transpose_matches_reshape_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        rho = densities(random_pure(rng, 2))
+        for q in (0, 1):
+            assert np.array_equal(ent.partial_transposes(rho, q), _pt_oracle(rho, q))
+
+
+def test_partial_transpose_is_an_involution():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        rho = densities(random_pure(rng, 2))
+        for q in (0, 1):
+            once = ent.partial_transposes(rho, q)
+            assert np.array_equal(_pt_oracle(once, q), rho)
+    # through the density-matrix check when the intermediate stays a valid state
+    rho = densities(normalized(kron_vectors(np.array([0.6, 0.8], dtype=complex), np.array([1, 1j]) / SQ2)))
+    for q in (0, 1):
+        once = ent.partial_transposes(rho, q)
+        assert np.array_equal(ent.partial_transposes(checked_density(once), q), rho)
+
+
+def test_partial_transpose_of_bell_state_has_negative_eigenvalue():
+    rho = bell_density()
+    w = np.linalg.eigvalsh(ent.partial_transposes(rho, 1))
+    assert w[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ensemble_ppts_follows_the_column_count():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from switchsim import channels as ch
 from switchsim import cli
 from switchsim import entanglement as ent
-from switchsim import states, sweep, switch
+from switchsim import sweep, switch
 from switchsim.sweep import MEASURES, ChannelSpec, SweepConfig, diff_sweep, run_sweep
 
 #: (measure, channel kind or None): every closed form the table holds,
@@ -85,7 +85,7 @@ def test_determinant_forms_hold_for_complex_phases(a, t, phi, kind, p):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=angles, t=st.one_of(st.sampled_from([0.0, math.pi / 2]), times))
 def test_ppt_closed_column_is_the_least_closed_eigenvalue(a, t):
-    # the sweep's ppt closed column is -sqrt(d) of the closed (d, |r|), the
+    # the sweep's ppt closed column is -sqrt(d), the closed q unsquared, the
     # least of the four closed eigenvalues, which (1 - |r|) / 2 may undercut
     # by its rounding (1.7e-16 is the most seen on the probe); it is -I/2
     # bit for bit, and -0.0 at a product pair, which repr tells from 0.0
@@ -95,6 +95,24 @@ def test_ppt_closed_column_is_the_least_closed_eigenvalue(a, t):
     assert repr(ppt) == repr(-0.5 * iconcurrence)
     least = min(reference.ppt_eigenvalues_closed(alpha0, beta0, t))
     assert abs(ppt - least) <= 2 * np.finfo(float).eps
+
+
+def test_the_clean_ppt_and_iconcurrence_keep_their_digits_where_d_underflows():
+    # at a = pi/2 and t = 1e-140, 2e-140, sqrt(d) is about 4e-173, so d
+    # underflows to 0; both routes read sqrt(d) with no square, as the
+    # concurrence reads tau, and the ppt stays -I/2 bit for bit
+    grid = dict(a=1.5707963267948966, t_min=1e-140, t_max=2e-140, t_steps=2, compare=True)
+    ppt, icon, conc = (run_sweep(SweepConfig(name, **grid))
+                       for name in ("ppt", "iconcurrence", "concurrence"))
+    amps = switch.angle_qubits(ppt.a)
+    assert np.all(ent.reduced_determinants(ent.pair_ensembles(amps, ppt.t)) == 0.0)
+    assert np.all(ent.reduced_qubit_closed(amps[:, 0], amps[:, 1], ppt.t)[0] == 0.0)
+    assert np.all(conc.value > 1e-173) and np.all(conc.value_closed > 1e-173)
+    # 2 |minor| is |tau| of the pure pair bit for bit
+    assert icon.value.tobytes() == conc.value.tobytes()
+    assert np.all(np.abs(icon.value_closed - conc.value_closed) <= 4e-16 * conc.value_closed)
+    for column in ("value", "value_closed"):
+        assert getattr(ppt, column).tobytes() == (-0.5 * getattr(icon, column)).tobytes()
 
 
 def _forbidden(*args, **kwargs):
@@ -108,7 +126,7 @@ CLOSED_FORMS = [(module, attr) for module in (ent, ch) for attr in dir(module)
 
 def test_numeric_route_never_calls_a_closed_form(monkeypatch):
     names = {attr for _, attr in CLOSED_FORMS}
-    assert {"reduced_qubit_closed", "noisy_determinant_closed"} <= names
+    assert {"reduced_qubit_closed", "reduced_root_closed", "noisy_determinant_closed"} <= names
     for module, attr in CLOSED_FORMS:
         monkeypatch.setattr(module, attr, _forbidden)
     a, t = np.linspace(0.1, 1.4, 5), np.linspace(-1.0, 2.0, 5)
@@ -154,8 +172,8 @@ def test_a_compare_run_calls_each_closed_form_once_per_configuration(monkeypatch
     assert len(capsys.readouterr().out.splitlines()) == 16
     counts = Counter(calls)
     assert counts and set(counts.values()) == {1}, counts
-    if run[0] == "diff":
-        assert {"reduced_qubit_closed", "noisy_determinant_closed"} <= set(counts)
+    if run[0] == "diff":  # the clean I-concurrence reads sqrt(d) unsquared
+        assert {"reduced_root_closed", "noisy_determinant_closed"} <= set(counts)
 
 
 @pytest.mark.parametrize("name", ["iconcurrence", "avg_fidelity"])
@@ -216,7 +234,7 @@ def test_concurrence_follows_the_factorization_law(probe, kind, qubit):
     # the five values of p as one stack, in the (P, 1, 2, 2) rows that a
     # sweep's route takes: one route call and one reference pass per case
     a, t, clean = probe
-    rho = reference.densities(switch.switched_pairs(states.angle_qubits(a[:DENSITY_PROBE]),
+    rho = reference.densities(switch.switched_pairs(switch.angle_qubits(a[:DENSITY_PROBE]),
                                                     t[:DENSITY_PROBE]))
     p_values = (0.0, 0.13, 0.5, 0.74, 1.0)
     rows = tuple(e[:, None] for e in ch.make_channel(kind, p_values))
@@ -263,7 +281,7 @@ def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, 
     # at 1e-13. The reference runs on the DENSITY_PROBE points, for time,
     # as in the test above
     a, t = probe[0][:DENSITY_PROBE], probe[1][:DENSITY_PROBE]
-    rho = reference.densities(switch.switched_pairs(states.angle_qubits(a), t))
+    rho = reference.densities(switch.switched_pairs(switch.angle_qubits(a), t))
     kernels = {
         "ppt": lambda m: ent.ppt_spectra(m)[:, 0],
         "entropy": lambda m: reference.entropies(reference.partial_traces(m, 2, {1})),
@@ -293,7 +311,7 @@ def test_clean_ppt_meets_the_eigvalsh_reference_on_the_probe(probe):
     route = MEASURES["ppt"].numeric(a, t, None, None, "e")
     iconcurrence = MEASURES["iconcurrence"].numeric(a, t, None, None, "e")
     assert route.tobytes() == (-0.5 * iconcurrence).tobytes()
-    rho = reference.densities(switch.switched_pairs(states.angle_qubits(a), t))
+    rho = reference.densities(switch.switched_pairs(switch.angle_qubits(a), t))
     eigvalsh = ent.ppt_spectra(rho)[:, 0]
     assert np.max(np.abs(route - eigvalsh)) <= CLEAN_PPT_EIGVALSH_BOUND
     closed = MEASURES["ppt"].closed(np.sin(a), np.cos(a), t, "e")
@@ -317,7 +335,7 @@ def test_the_ppt_route_eigensolves_exactly_hermitian_partial_transposes(probe, k
     a, t, _ = probe
     operators = None if kind is None else ch.make_channel(kind, 0.37)
     rho = ent.ensemble_densities(sweep._pair_ensembles(a, t, operators, qubit))
-    pt = states.partial_transposes(rho, 1)
+    pt = ent.partial_transposes(rho, 1)
     assert np.all(reference.hermitian_deviation(pt) == 0.0)
     assert np.max(np.abs(ent.ppt_spectra(rho) - reference.eigh(pt)[0])) <= PPT_EIGH_BOUND
 
@@ -752,9 +770,9 @@ def test_the_switched_pair_is_the_control_one_half_of_the_evolved_register(probe
     # the control stays |1> exactly, so the pair carries all of the mass
     # and is the odd half of the full evolution by the 8 x 8 unitary
     a, t, _ = probe
-    regs = switch.registers(states.angle_qubits(a))
+    regs = switch.registers(switch.angle_qubits(a))
     assert np.all(switch.evolved(regs, t)[..., 0::2] == 0)
-    pairs = switch.switched_pairs(states.angle_qubits(a), t)
+    pairs = switch.switched_pairs(switch.angle_qubits(a), t)
     full = (switch.switch_unitaries(t) @ regs[..., None])[..., 0]
     assert np.all(full[..., 0::2] == 0)
     assert np.max(np.abs(pairs - full[..., 1::2])) <= 1e-15
@@ -821,7 +839,7 @@ def test_determinant_routes_make_no_eigensolve_in_a_sweep_and_one_on_a_density_m
                                      channel=ChannelSpec(kind, 0.3, qubit), compare=True)
                 run_sweep(config)
                 diff_sweep(config)
-    ent.schmidt_spectra(switch.switched_pairs(states.angle_qubits(0.4), 0.3))
+    ent.schmidt_spectra(switch.switched_pairs(switch.angle_qubits(0.4), 0.3))
     assert calls == []
     rho = reference.checked_density(_RHO)
     for measure in (reference.iconcurrences, reference.entropies):

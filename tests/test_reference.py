@@ -1,19 +1,25 @@
 """The matrix helpers of the tests' references (``reference.py``)."""
 
+import math
+
 import numpy as np
 import pytest
 from randstates import random_hermitian
 from reference import (
     HERMITIAN_ATOL,
+    KET_0,
+    KET_1,
+    PAULI_Y,
     dagger,
     eigh,
     hermitian_deviation,
     hermitize,
+    kron_vectors,
     require,
     require_finite,
 )
 
-from switchsim.switch import PAULI_X, PAULI_Y, PAULI_Z
+from switchsim.channels import PAULI_X, PAULI_Z
 
 
 def test_adjoint_of_y_is_itself():
@@ -98,3 +104,17 @@ def test_eigensystem_reconstructs_random_hermitian():
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_kron_vectors_places_first_qubit_most_significant():
+    reg = kron_vectors(np.array([0.6, 0.8], dtype=complex), KET_0, KET_1)
+    assert reg.shape == (8,)
+    # |A>|0>|1>: the |001> slot carries A's |0> amplitude
+    assert reg[0b001] == pytest.approx(0.6)
+    assert reg[0b101] == pytest.approx(0.8)
+
+
+def test_kron_vectors_products():
+    assert np.array_equal(kron_vectors(KET_0, KET_0), [1, 0, 0, 0])
+    plus = np.array([1, 1], dtype=complex) / math.sqrt(2.0)
+    assert np.allclose(kron_vectors(plus, plus), [0.5] * 4, atol=1e-15)

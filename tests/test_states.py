@@ -4,10 +4,17 @@ import math
 import numpy as np
 import pytest
 from randstates import random_density, random_pure
-from reference import checked_density, densities, normalized, partial_traces
+from reference import (
+    KET_0,
+    KET_1,
+    checked_density,
+    densities,
+    kron_vectors,
+    normalized,
+    partial_traces,
+)
 
-from switchsim.states import angle_qubits, kron_vectors, partial_transposes
-from switchsim.switch import KET_0, KET_1, evolved, registers, switch_unitaries
+from switchsim.switch import angle_qubits, evolved, registers, switch_unitaries
 
 SQ2 = math.sqrt(2.0)
 
@@ -18,26 +25,6 @@ def bell_state() -> np.ndarray:
 
 def _qubit(alpha, beta) -> np.ndarray:
     return normalized(np.array([alpha, beta], dtype=complex))
-
-
-def test_angle_qubits():
-    assert np.allclose(angle_qubits(0.0), [0, 1], atol=1e-15)
-    assert np.allclose(angle_qubits(math.pi / 2), [1, 0], atol=1e-15)
-    assert np.allclose(angle_qubits(math.pi / 4), [SQ2 / 2, SQ2 / 2], atol=1e-15)
-
-
-def test_kron_vectors_places_first_qubit_most_significant():
-    reg = kron_vectors(_qubit(0.6, 0.8), KET_0, KET_1)
-    assert reg.shape == (8,)
-    # |A>|0>|1>: the |001> slot carries A's |0> amplitude
-    assert reg[0b001] == pytest.approx(0.6)
-    assert reg[0b101] == pytest.approx(0.8)
-
-
-def test_kron_vectors_products():
-    assert np.array_equal(kron_vectors(KET_0, KET_0), [1, 0, 0, 0])
-    plus = _qubit(1 / SQ2, 1 / SQ2)
-    assert np.allclose(kron_vectors(plus, plus), [0.5] * 4, atol=1e-15)
 
 
 def test_densities():
@@ -134,70 +121,6 @@ def test_partial_trace_matches_index_loop_reference():
             for discard in itertools.combinations(range(n), size):
                 got = partial_traces(rho, n, set(discard))
                 assert np.array_equal(got, _partial_trace_loop(rho, n, set(discard)))
-
-
-def test_partial_transpose_leaves_diagonal_states_alone():
-    rho = checked_density(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
-    for q in (0, 1):
-        assert np.array_equal(partial_transposes(rho, q), rho)
-
-
-def test_partial_transpose_matches_reference_on_switched_pair():
-    a, t = 0.6, 0.8
-    al, be = math.sin(a), math.cos(a)
-    s, c = math.sin(t), math.cos(t)
-    v = np.array([al, -1j * s * be, c * be, 0.0])
-    rho = checked_density(np.outer(v, v.conj()))
-    expected = np.array(
-        [
-            [al**2, 1j * s * be * al, al * c * be, 1j * s * be * c * be],
-            [-1j * al * s * be, (s * be) ** 2, 0, 0],
-            [c * be * al, 0, (c * be) ** 2, 0],
-            [-1j * c * be * s * be, 0, 0, 0],
-        ]
-    )
-    # transposing the first qubit produces the reference matrix; transposing
-    # the second gives its transpose, so the two share one spectrum
-    pt0 = partial_transposes(rho, 0)
-    pt1 = partial_transposes(rho, 1)
-    assert np.allclose(pt0, expected, atol=1e-14)
-    assert np.allclose(pt1, expected.T, atol=1e-14)
-    assert np.allclose(np.linalg.eigvalsh(pt0), np.linalg.eigvalsh(pt1), atol=1e-14)
-
-
-def _pt_oracle(m, qubit):
-    # independent reshape-based partial transpose
-    r = m.reshape(2, 2, 2, 2)  # (a, b, a', b')
-    r = r.transpose(2, 1, 0, 3) if qubit == 0 else r.transpose(0, 3, 2, 1)
-    return r.reshape(4, 4)
-
-
-def test_partial_transpose_matches_reshape_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        rho = densities(random_pure(rng, 2))
-        for q in (0, 1):
-            assert np.array_equal(partial_transposes(rho, q), _pt_oracle(rho, q))
-
-
-def test_partial_transpose_is_an_involution():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        rho = densities(random_pure(rng, 2))
-        for q in (0, 1):
-            once = partial_transposes(rho, q)
-            assert np.array_equal(_pt_oracle(once, q), rho)
-    # through the density-matrix check when the intermediate stays a valid state
-    rho = densities(normalized(kron_vectors(_qubit(0.6, 0.8), _qubit(1 / SQ2, 1j / SQ2))))
-    for q in (0, 1):
-        once = partial_transposes(rho, q)
-        assert np.array_equal(partial_transposes(checked_density(once), q), rho)
-
-
-def test_partial_transpose_of_bell_state_has_negative_eigenvalue():
-    rho = densities(bell_state())
-    w = np.linalg.eigvalsh(partial_transposes(rho, 1))
-    assert w[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def _data_qubits(rng, n):

@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 from randstates import random_pure
 from reference import (
+    KET_0,
+    KET_1,
+    PAULI_Y,
     circuit_unitary,
     dagger,
     eigh,
+    kron_vectors,
     normalized,
     switch_hamiltonian,
     switch_unitary_oracle,
 )
 
-from switchsim import switch
-from switchsim.states import angle_qubits, kron_vectors
+from switchsim import channels
 from switchsim.switch import (
-    KET_0,
-    KET_1,
+    angle_qubits,
     evolved,
     overlaps,
+    registers,
     switch_fidelities,
     switch_unitaries,
     switched_pairs,
@@ -29,8 +32,31 @@ SWAP_PERMUTATION[[3, 5]] = SWAP_PERMUTATION[[5, 3]]
 
 
 def test_gate_constants_are_unitary():
-    for g in (switch.PAULI_X, switch.PAULI_Y, switch.PAULI_Z, switch.IDENTITY_2):
+    for g in (channels.PAULI_X, PAULI_Y, channels.PAULI_Z, channels.IDENTITY_2):
         assert np.max(np.abs(dagger(g) @ g - np.eye(2))) <= 1e-12
+
+
+def test_angle_qubits():
+    sq2 = math.sqrt(2.0)
+    assert np.allclose(angle_qubits(0.0), [0, 1], atol=1e-15)
+    assert np.allclose(angle_qubits(math.pi / 2), [1, 0], atol=1e-15)
+    assert np.allclose(angle_qubits(math.pi / 4), [sq2 / 2, sq2 / 2], atol=1e-15)
+
+
+def test_registers_are_the_kronecker_product_of_the_input():
+    # seeded complex qubits with negative real and imaginary parts, as a
+    # stack and one at a time
+    rng = np.random.default_rng(61)
+    qubits = rng.uniform(-1, 1, (40, 2)) + 1j * rng.uniform(-1, 1, (40, 2))
+    qubits /= np.linalg.norm(qubits, axis=-1, keepdims=True)
+    assert np.any(qubits.real < 0) and np.any(qubits.imag < 0)
+    assert np.array_equal(registers(qubits), kron_vectors(qubits, KET_0, KET_1))
+    assert np.array_equal(registers(qubits.reshape(5, 8, 2)),
+                          kron_vectors(qubits.reshape(5, 8, 2), KET_0, KET_1))
+    for q in qubits:
+        reg = registers(q)
+        assert reg.shape == (8,)
+        assert np.array_equal(reg, kron_vectors(q, KET_0, KET_1))
 
 
 def test_hamiltonian_entries_and_trace():
