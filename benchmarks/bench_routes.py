@@ -1,8 +1,9 @@
-"""Numeric routes of a sweep: each measure's stacked route through
-`sweep._evaluate` on a 50 x 101 grid, clean, and under amplitude damping
-where the route accepts a channel, in the blocks `sweep._routes` sizes,
-plus the concurrence under a bit flip on noise qubit 1 (the configuration
-of the benchmark's `diff` commands) and the I-concurrence under amplitude
+"""Numeric routes of a sweep: each measure's values through
+`sweep._columns` with no closed column (no `compare`) on a 50 x 101 grid,
+clean, and under amplitude damping where the route accepts a channel, in
+its blocks of (p, a) rows, a as a column and t as a row, plus the
+concurrence under a bit flip on noise qubit 1 (the configuration of the
+benchmark's `diff` commands) and the I-concurrence under amplitude
 damping on qubit 0 on a 9 x 50 grid (the shape of a noisy configuration
 of `verify`); `verify` of the average fidelity and of the I-concurrence
 alone, whose noisy records each evaluate a stack of p values at once; the
@@ -13,8 +14,9 @@ branches (`entanglement.pair_ensembles`, `reduced_qubits` and
 the eigensolve `reference.entropies` of the reduced states that
 `reference.apply_kraus` and `reference.partial_traces` form (the tests'
 density-matrix references, `tests/reference.py`); each closed form
-of the table through `sweep._closed_column` on the 50 x 101 grid, clean,
-and under amplitude damping on qubit 0 where it has a noisy form, one
+of the table on the axes of the 50 x 101 grid, sin a and cos a as (50, 1)
+columns and t as a (101,) row, clean, and under amplitude damping on
+qubit 0, with p as a (1, 1, 1) column, where it has a noisy form, one
 call per grid; one call of each scalar closed-form entry point, and of
 each closed form of the table, at one point, the cost a caller that
 evaluates point by point pays; the switch's
@@ -78,10 +80,8 @@ def _route_id(name, spec, grid):
 def test_route(benchmark, name, spec, grid):
     benchmark.group = "sweep.routes"
     config = sweep.SweepConfig(name, a_steps=grid[0], t_steps=grid[1], channel=spec)
-    numeric, _, block = sweep._routes(config)
-    a, t = config.grid()
-    values = benchmark(sweep._evaluate, numeric, a, t, 1, block)
-    assert values.shape == (grid[0] * grid[1],)
+    values, closed = benchmark(sweep._columns, config)
+    assert values.shape == (grid[0] * grid[1],) and closed is None
 
 
 CLOSED = [(name, None) for name, m in sweep.MEASURES.items() if m.closed is not None]
@@ -93,10 +93,14 @@ CLOSED += [(name, NOISE) for name, m in sweep.MEASURES.items() if m.noisy_closed
 )
 def test_closed_column(benchmark, name, spec):
     benchmark.group = "sweep.closed"
-    config = sweep.SweepConfig(name, a_steps=50, t_steps=101, channel=spec, compare=True)
-    _, closed, _ = sweep._routes(config)
-    column = benchmark(sweep._closed_column, config, closed)
-    assert column.shape == (5050,)
+    config = sweep.SweepConfig(name, a_steps=50, t_steps=101, channel=spec)
+    m, a, t = sweep.MEASURES[name], config.a_values()[:, None], config.t_values()
+    al, be = np.sin(a), np.cos(a)
+    if spec is None:
+        values = benchmark(m.closed, al, be, t, config.log_base)
+    else:
+        values = benchmark(m.noisy_closed, spec.kind, np.array([[[spec.p]]]), t, al, be)
+    assert np.broadcast_shapes(np.shape(values), (1, 50, 101)) == (1, 50, 101)
 
 
 @pytest.mark.parametrize("measure", ["avg_fidelity", "iconcurrence"])
@@ -110,6 +114,7 @@ AL, BE, T = math.sin(0.7), math.cos(0.7), 0.41
 POINT = {
     "reduced_qubit_closed": lambda: entanglement.reduced_qubit_closed(AL, BE, T),
     "reduced_root_closed": lambda: entanglement.reduced_root_closed(BE, T),
+    "bloch_length_closed": lambda: entanglement.bloch_length_closed(AL, BE, T),
     "noisy_determinant_closed[BF]": lambda: entanglement.noisy_determinant_closed(
         "BF", 0.3, T, AL, BE
     ),

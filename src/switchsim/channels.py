@@ -20,9 +20,10 @@ finite, from a kind and p that a ``ChannelSpec`` has checked (see
 act on, and none embeds them into a register: a sweep reads the Kraus
 branches E_k psi of the evolved pair (``entanglement.pair_ensembles``),
 and ``average_fidelities`` reads each target unitary's overlap from its
-2 x 2 partial trace, with no matrix product. A sweep's routes slice rows
-of p from the stacks to broadcast against a stack of points, so that
-they evaluate (p, point) blocks with each point's state built once.
+2 x 2 partial trace, with no matrix product. A sweep repeats the stacks
+once per value of a and hands each block its (p, a) rows, with a unit
+axis after them, to broadcast against a row of times, so that each input
+qubit is built once per row (see ``sweep``).
 """
 
 from __future__ import annotations

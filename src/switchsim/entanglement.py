@@ -33,7 +33,10 @@ and no sqrt(1 - 4d), which cancels near d = 1/4. The I-concurrence is
 2 sqrt(d), from ``reduced_roots``, which reads a pure pair's sqrt(d) as
 the modulus of its one minor, with no square that could underflow; the
 Schmidt coefficients of a pure pair are the square roots of the
-spectrum, and the entropy, ``determinant_entropies``, is -sum l log(l).
+spectrum, the small one read from that minor, or its closed modulus,
+prescaled by a power of two so that d does not underflow
+(``_least_coefficients``), and the entropy, ``determinant_entropies``, is
+-sum l log(l).
 
 The ppt, the least eigenvalue of the partial transpose, follows the
 number of columns K of the ensemble, as the concurrence does
@@ -138,12 +141,29 @@ def _reduced_spectrum(d, r):
     return 2.0 * d / (1.0 + r), (1.0 + r) / 2.0
 
 
+def _least_coefficients(re, im, r):
+    """sqrt of the small root of ``_reduced_spectrum(d, r)`` with
+    d = |re + i im|^2, sqrt(d) a pure pair's minor or its closed modulus:
+    read at 2^-k (re, im), k the exponent of max(|re|, |im|), whose square
+    cannot underflow, and scaled back by 2^k. Powers of two scale exactly,
+    so wherever d is a normal double the result has the bits of the
+    unscaled sqrt, and where d underflows it keeps its digits."""
+    _, k = np.frexp(np.maximum(np.abs(re), np.abs(im)))
+    re, im = np.ldexp(re, -k), np.ldexp(im, -k)
+    return np.ldexp(np.sqrt(_reduced_spectrum(re * re + im * im, r)[0]), k)
+
+
 def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
     """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of a
     stack, the square roots of the spectrum of its reduced state, read
-    from that state's (d, |r|); shape (..., 2)."""
-    spectrum = _reduced_spectrum(*reduced_qubits(psi[..., None]))
-    return np.sqrt(np.stack(spectrum, axis=-1))
+    from that state's (d, |r|), the small one by ``_least_coefficients``
+    of the pair's one minor m = psi_00 psi_11 - psi_01 psi_10, d = |m|^2;
+    shape (..., 2)."""
+    x00, x01, x10, x11 = np.moveaxis(psi, -1, 0)
+    m = x00 * x11 - x01 * x10
+    d, r = reduced_qubits(psi[..., None])
+    _, large = _reduced_spectrum(d, r)
+    return np.stack([_least_coefficients(m.real, m.imag, r), np.sqrt(large)], axis=-1)
 
 
 def partial_transposes(m: np.ndarray, qubit: int) -> np.ndarray:
@@ -251,16 +271,22 @@ def reduced_root_closed(beta0: complex, t: float) -> float:
     return abs(np.sin(t) * beta0) * abs(np.cos(t) * beta0)
 
 
+def bloch_length_closed(alpha0: complex, beta0: complex, t: float) -> float:
+    """Closed-form Bloch length |r| of the first data qubit's reduced state
+    of the switched pair, clean or under noise on qubit 1, which leaves it
+    as it is: with x = |alpha|^2 and y = |beta|^2,
+    |r| = sqrt(x^2 + 2 x y + y^2 cos^2(2t)); nothing cancels."""
+    x, y = np.float_power(abs(alpha0), 2), np.float_power(abs(beta0), 2)
+    cos_sq = np.float_power(np.cos(2 * t), 2)
+    return np.sqrt(np.float_power(x, 2) + 2 * x * y + np.float_power(y, 2) * cos_sq)
+
+
 def reduced_qubit_closed(alpha0: complex, beta0: complex, t: float):
     """Closed-form (d, |r|) of the first data qubit's reduced state of the
-    switched pair, clean or under noise on qubit 1, which leaves it as it
-    is: d = q q with q = ``reduced_root_closed``, and, with x = |alpha|^2
-    and y = |beta|^2, |r| = sqrt(x^2 + 2 x y + y^2 cos^2(2t)); nothing
-    cancels."""
-    x, y = np.float_power(abs(alpha0), 2), np.float_power(abs(beta0), 2)
+    switched pair, clean or under noise on qubit 1: d = q q with
+    q = ``reduced_root_closed``, and |r| = ``bloch_length_closed``."""
     q = reduced_root_closed(beta0, t)
-    cos_sq = np.float_power(np.cos(2 * t), 2)
-    return q * q, np.sqrt(np.float_power(x, 2) + 2 * x * y + np.float_power(y, 2) * cos_sq)
+    return q * q, bloch_length_closed(alpha0, beta0, t)
 
 
 def noisy_determinant_closed(

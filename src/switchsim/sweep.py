@@ -14,10 +14,12 @@ form for the configuration (clean runs for every measure, noisy runs for
 the I-concurrence and the average fidelity with noise on qubit 0). Output
 is deterministic: identical configurations produce byte-identical files.
 
-The numeric route evaluates the grid as stacked arrays, in blocks sized by
-the bytes of the route's matrices (BLOCK_POINTS (p, point) entries for a
-gate route, 4 times that for a pair route), so that the memory it holds
-does not grow with the grid or with the number of values of p. Input is
+Both routes take the grid as its axes: the values of a as an (A, 1)
+column and the times as a (T,) row, which broadcast to the (A, T) grid,
+a outer and t fastest. The numeric route evaluates it in blocks sized by
+the bytes of the route's matrices (BLOCK_POINTS entries for a gate route,
+4 times that for a pair route), so that the memory it holds does not
+grow with the grid or with the number of values of p. Input is
 checked once, where it enters: a ``SweepConfig`` rejects a non-finite a,
 t_min or t_max, a reversed or overflowing time span and a grid too small
 or too large, its ``ChannelSpec`` a p outside [0, 1], and ``verify`` and
@@ -36,12 +38,11 @@ product of the branches, and takes the eigenvalues of its partial
 transpose, with no eigenvectors (``np.linalg.eigvalsh``): the only
 eigensolve of any route, so a clean run makes none. The block size does
 not change a bit of the values.
-A closed form is called once per grid, on sin a and cos a as (A, 1)
-columns, one entry per a value, and the times as a (T,) row; the (A, T)
-values it returns, a outer and t fastest, are the closed column, with
-the bits of the closed form at each single point, since both are the
-same numpy code (see ``entanglement``). A grid may hold at most
-MAX_GRID_POINTS points.
+A closed form is called once per grid, on sin a and cos a as the column
+and on the row of times; the (A, T) values it returns are the closed
+column, with the bits of the closed form at each single point, since
+both are the same numpy code (see ``entanglement``). A grid may hold at
+most MAX_GRID_POINTS points.
 
 p stacks. A ``SweepConfig`` is a whole run: its ``ChannelSpec`` holds
 one value of the channel strength p or a tuple of P values, a p stack,
@@ -49,19 +50,21 @@ and the config is checked once, when it is built. Sweeps, diffs and
 ``verify`` share one path, ``_columns``: the numeric values and closed
 column of one config, compared as |numeric - closed|. It builds the
 channel once, as (P, 2, 2) stacks of the Kraus operators at its P values
-of p (see ``channels``). The numeric route runs over the flattened
-(p, point) axis, p outer, in blocks of whole rows of p, or of pieces of
-one row where a row does not fit, so that a block holds no more entries,
-and no more bytes, whatever P is. A block builds each point's state once
-and applies its rows of the operator stacks by broadcasting, on the
-noise qubit's axis: the rows start:stop of each stack, with a unit axis
-after them, shape (P, 1, 2, 2), against the block's points. A noisy
-closed form takes p as a (P, 1, 1) column and gives the (P, A, T) closed
-column in one call. Every value has the bits of the config with that one
-value of p. A sweep or diff takes one value of p; ``verify`` gives each
-noisy record one config with a p stack. A diff first subtracts the clean
-config's columns. A sweep or diff returns them as one columnar record,
-``Sweep``, with the t and a of each point; ``verify`` builds none.
+of p (see ``channels``), and repeats each matrix once per value of a
+into one read-only stack per operator, a matrix per (p, a) row. The
+numeric route runs over those rows, p outer, in blocks of as many whole
+rows as fit, or of pieces of one row where a row does not fit, so that a
+block holds no more entries, and no more bytes, whatever P is. A block
+hands the measure its (R, 1) column of a, its (T',) row of times and its
+(R, 1, 2, 2) rows of each operator stack, which broadcast: each input
+qubit |A> is built once per row, not once per point, and each operator
+applies on the noise qubit's axis. A noisy closed form takes p as a
+(P, 1, 1) column and gives the (P, A, T) closed column in one call.
+Every value has the bits of the config with that one value of p. A
+sweep or diff takes one value of p; ``verify`` gives each noisy record
+one config with a p stack. A diff first subtracts the clean config's
+columns. A sweep or diff returns them as one columnar record, ``Sweep``,
+with the t and a of each point; ``verify`` builds none.
 
 Emission writes the text itself, from the columns, and formats each
 distinct bit pattern once (by bits, not by value: 0.0 and -0.0 have
@@ -116,14 +119,16 @@ FORMATS = ("csv", "json")
 class Measure:
     """One diagnostic: how to compute it twice, and how close the two must be.
 
-    ``numeric(a, t, operators, qubit, log_base)`` computes the values at
-    the points (a[i], t[i]) of two equal-length arrays from the evolved
-    states, as one stack; ``operators`` is the tuple of a channel's 2 x 2
-    Kraus operators (``channels.make_channel``) acting on data qubit
+    ``numeric(a, t, operators, qubit, log_base)`` computes the values from
+    the evolved states, as one stack, on the grid's axes: ``a`` an (R, 1)
+    column of angles and ``t`` a (T,) row of times give (R, T) values, and
+    any arrays that broadcast alike, flat (a, t) points among them, give
+    their broadcast shape. ``operators`` is the tuple of a channel's
+    2 x 2 Kraus operators (``channels.make_channel``) acting on data qubit
     ``qubit``, or None, with ``qubit`` None, for a clean run: one matrix
-    each, or rows of P matrices shaped (P, 1, 2, 2) to broadcast against
-    the points, which give (P, N) values. The gate route and the pair
-    routes take the same operators.
+    each, or (R, 1, 2, 2) rows, one matrix per row of a, that broadcast
+    against the times. The gate route and the pair routes take the same
+    operators.
     ``closed(alpha0, beta0, t, log_base)`` is the clean closed form and
     ``noisy_closed(kind, p, t, alpha0, beta0)`` the closed form under
     noise on qubit 0, either None or called once per grid: ``alpha0`` and
@@ -160,8 +165,8 @@ MEASURES = {m.name: m for m in (
         numeric=lambda a, t, ops, qubit, base: ent.schmidt_spectra(
             switch.switched_pairs(switch.angle_qubits(a), t)
         )[..., 0],
-        closed=lambda al, be, t, base: np.sqrt(
-            ent._reduced_spectrum(*ent.reduced_qubit_closed(al, be, t))[0]
+        closed=lambda al, be, t, base: ent._least_coefficients(
+            ent.reduced_root_closed(be, t), 0.0, ent.bloch_length_closed(al, be, t)
         ),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=False,
     ),
@@ -333,77 +338,42 @@ class Sweep:
         return self.t, self.a, self.value, self.value_closed, self.abs_err
 
 
-Numeric = Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
-Closed = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
 def _p_count(config: SweepConfig) -> int:
     """The number of values of p ``config`` runs over: 1 for a clean run."""
     return 1 if config.channel is None else np.size(config.channel.p)
 
 
-def _routes(config: SweepConfig) -> tuple[Numeric, Optional[Closed], int]:
-    """The numeric route of ``config`` as a function of stacked (a, t) and
-    of a range start:stop of its values of p; its closed form as a function
-    of (sin a, cos a, t) over the grid, (P, A, T) values for a p stack of P
-    values (see Measure); and the number of (p, point) entries the numeric
-    route takes per block (see BLOCK_POINTS). The closed form is None
-    without ``compare`` or where the table has none (noise on qubit 1
-    included). The channel is built here, once for the whole p stack, and
-    each block takes its (P, 1, 2, 2) rows of it with the noise qubit; the
-    config was checked when it was built."""
-    m, spec, base = MEASURES[config.measure], config.channel, config.log_base
-    operators, qubit, closed = None, None, None
-    if spec is not None:
-        p = tuple(np.ravel(spec.p).tolist())
-        operators, qubit = ch.make_channel(spec.kind, p), spec.qubit
-    block = BLOCK_POINTS if m.gate else 4 * BLOCK_POINTS
-
-    def numeric(a: np.ndarray, t: np.ndarray, start: int, stop: int) -> np.ndarray:
-        rows = None if operators is None else tuple(e[start:stop, None] for e in operators)
-        return m.numeric(a, t, rows, qubit, base)
-
-    if config.compare and spec is None and m.closed is not None:
-        closed = lambda al, be, t: m.closed(al, be, t, base)
-    elif config.compare and spec is not None and spec.qubit == 0 and m.noisy_closed is not None:
-        column = np.array(p)[:, None, None]
-        closed = lambda al, be, t: m.noisy_closed(spec.kind, column, t, al, be)
-    return numeric, closed, block
-
-
-def _evaluate(numeric: Numeric, a: np.ndarray, t: np.ndarray, p_count: int,
-              block: int) -> np.ndarray:
-    """The numeric route at the grid points (a, t) under each of ``p_count``
-    values of p, over the flattened (p, point) axis, p outer, in blocks of
-    at most ``block`` entries: as many whole rows of p as fit in a block,
-    or pieces of one row where a row does not fit. A block builds the
-    state of each of its points once, for all of its values of p."""
-    n = len(a)
-    rows, step = max(1, block // n), min(block, n)
-    values = []
-    for p0 in range(0, p_count, rows):
-        p1 = min(p0 + rows, p_count)
-        for i in range(0, n, step):
-            values.append(numeric(a[i:i + step], t[i:i + step], p0, p1).ravel())
-    return np.concatenate(values)
-
-
-def _closed_column(config: SweepConfig, closed: Closed) -> np.ndarray:
-    """``closed`` at every grid point of ``config`` under each of its
-    values of p, p outer, then a, t fastest, from one call; sin a and cos a
-    are computed once per a value."""
-    a = config.a_values()[:, None]
-    values = closed(np.sin(a), np.cos(a), config.t_values())
-    return np.broadcast_to(values, (_p_count(config), config.a_steps, config.t_steps)).ravel()
-
-
 def _columns(config: SweepConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The numeric values of ``config`` over its grid under each of its
-    values of p, p outer, and their closed column, or None where
-    ``_routes`` gives no closed form."""
-    numeric, closed, block = _routes(config)
-    values = _evaluate(numeric, *config.grid(), _p_count(config), block)
-    return values, None if closed is None else _closed_column(config, closed)
+    """The numeric values of ``config`` under each of its values of p, p
+    outer, then a, t fastest, and their closed column, or None without
+    ``compare`` or where the table has none (noise on qubit 1 included):
+    both routes on the grid's axes, in the numeric route's blocks of
+    (p, a) rows (see the module's "p stacks"). The config was checked when
+    it was built."""
+    m, spec, base = MEASURES[config.measure], config.channel, config.log_base
+    a, t = config.a_values()[:, None], config.t_values()
+    rows, operators, qubit, closed = a, None, None, None
+    if spec is not None:
+        p = np.ravel(spec.p)
+        rows, qubit = np.tile(a, (len(p), 1)), spec.qubit
+        operators = tuple(np.repeat(e, len(a), axis=0)
+                          for e in ch.make_channel(spec.kind, tuple(p.tolist())))
+        for e in operators:
+            e.setflags(write=False)
+    block = BLOCK_POINTS if m.gate else 4 * BLOCK_POINTS
+    n, step = max(1, block // len(t)), min(block, len(t))
+    values = np.empty((len(rows), len(t)))
+    for r in range(0, len(rows), n):
+        ops = None if operators is None else tuple(e[r:r + n, None] for e in operators)
+        for j in range(0, len(t), step):
+            values[r:r + n, j:j + step] = m.numeric(rows[r:r + n], t[j:j + step], ops, qubit, base)
+    if config.compare and spec is None and m.closed is not None:
+        closed = m.closed(np.sin(a), np.cos(a), t, base)
+    elif config.compare and spec is not None and spec.qubit == 0 and m.noisy_closed is not None:
+        closed = m.noisy_closed(spec.kind, p[:, None, None], t, np.sin(a), np.cos(a))
+    if closed is not None:
+        closed = np.broadcast_to(closed, (_p_count(config), len(a), len(t))).ravel()
+    return values.ravel(), closed
 
 
 def _sweep(config: SweepConfig, values: np.ndarray, closed: Optional[np.ndarray]) -> Sweep:

@@ -64,7 +64,9 @@ def switch_unitaries(t) -> np.ndarray:
 
 def evolved(amps: np.ndarray, t) -> np.ndarray:
     """U(t) applied to each normalized 3-qubit amplitude vector of a stack,
-    as from ``registers``; ``t`` is one time or one per vector. Only
+    as from ``registers``, at the times ``t``, whose shape broadcasts
+    against the stack's: a column of registers and a row of times give
+    the register at every time. Only
     amplitudes 3 and 5 move, by the 2 x 2 block of ``switch_unitaries``; a
     unitary image of a normalized vector is normalized, so the result is
     not checked again."""

@@ -115,6 +115,38 @@ def test_the_clean_ppt_and_iconcurrence_keep_their_digits_where_d_underflows():
         assert getattr(ppt, column).tobytes() == (-0.5 * getattr(icon, column)).tobytes()
 
 
+def test_the_schmidt_coefficient_keeps_its_digits_where_d_underflows():
+    # at a = pi/2 and t = 1e-140, 2e-140, d underflows to 0; both routes
+    # read the least Schmidt coefficient s0 from sqrt(d) prescaled by a
+    # power of two, and hold s0 s1 = C / 2 of the pure pair
+    grid = dict(a=1.5707963267948966, t_min=1e-140, t_max=2e-140, t_steps=2, compare=True)
+    schmidt, conc = (run_sweep(SweepConfig(name, **grid)) for name in ("schmidt", "concurrence"))
+    s1 = ent.schmidt_spectra(switch.switched_pairs(switch.angle_qubits(schmidt.a), schmidt.t))
+    for column in ("value", "value_closed"):
+        s0, c = getattr(schmidt, column), getattr(conc, column)
+        assert np.all(s0 > 1e-173), column
+        assert np.all(np.abs(s0 - c / (2.0 * s1[:, 1])) <= 4 * np.finfo(float).eps * s0), column
+
+
+def test_the_prescaled_schmidt_coefficient_has_the_unscaled_bits_where_d_is_normal():
+    # a power of two scales exactly, so wherever d is a normal double the
+    # least coefficient is the plain sqrt of the small root, bit for bit
+    rng = np.random.default_rng(46)
+    a, t = rng.uniform(-math.pi, math.pi, 20_000), rng.uniform(-math.pi, 2 * math.pi, 20_000)
+    psi = switch.switched_pairs(switch.angle_qubits(a), t)
+    d, r = ent.reduced_qubits(psi[..., None])
+    al, be = np.sin(a), np.cos(a)
+    d_closed, r_closed = ent.reduced_qubit_closed(al, be, t)
+    normal = (d > 1e-300) & (d_closed > 1e-300)
+    assert np.count_nonzero(normal) > 19_000
+    plain = np.sqrt(ent._reduced_spectrum(d, r)[0])
+    plain_closed = np.sqrt(ent._reduced_spectrum(d_closed, r_closed)[0])
+    numeric = ent.schmidt_spectra(psi)[..., 0]
+    closed = MEASURES["schmidt"].closed(al, be, t, "e")
+    assert numeric[normal].tobytes() == plain[normal].tobytes()
+    assert closed[normal].tobytes() == plain_closed[normal].tobytes()
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("a closed form ran on the numeric route")
 
@@ -126,7 +158,8 @@ CLOSED_FORMS = [(module, attr) for module in (ent, ch) for attr in dir(module)
 
 def test_numeric_route_never_calls_a_closed_form(monkeypatch):
     names = {attr for _, attr in CLOSED_FORMS}
-    assert {"reduced_qubit_closed", "reduced_root_closed", "noisy_determinant_closed"} <= names
+    assert {"reduced_qubit_closed", "reduced_root_closed", "bloch_length_closed",
+            "noisy_determinant_closed"} <= names
     for module, attr in CLOSED_FORMS:
         monkeypatch.setattr(module, attr, _forbidden)
     a, t = np.linspace(0.1, 1.4, 5), np.linspace(-1.0, 2.0, 5)
@@ -592,11 +625,12 @@ def test_closed_column_is_the_point_by_point_loop_bit_for_bit(name, noise, base)
     channel = None if noise is None else ChannelSpec(*noise)
     for grid in GRIDS:
         config = SweepConfig(name, channel=channel, log_base=base, compare=True, **grid)
-        _, closed, _ = sweep._routes(config)
-        column = sweep._closed_column(config, closed)
-        # the route's noisy closed form reads p as a (1, 1, 1) column; the
+        _, column = sweep._columns(config)
+        # the sweep's noisy closed form reads p as a (1, 1, 1) column; the
         # single-point call takes it as a float
-        if noise is not None:
+        if noise is None:
+            closed = lambda al, be, t: MEASURES[name].closed(al, be, t, base)
+        else:
             closed = lambda al, be, t: MEASURES[name].noisy_closed(*noise, t, al, be)
         points = _reference_column(config, closed)
         assert column.dtype == points.dtype and column.shape == points.shape
@@ -726,7 +760,7 @@ def test_sweeps_make_no_density_check_and_no_eigh_and_eigvalsh_only_for_the_nois
     _counting(monkeypatch, np.linalg, "eigvalsh", calls)
     noise = ChannelSpec("PF", 0.3)
     grid = dict(a_steps=3, t_steps=5)
-    blocks = 4  # 15 points, 4 to a pair block below
+    blocks = 6  # 3 rows of 5 times, in pieces of 4 and 1 to a pair block below
     with monkeypatch.context() as small:
         small.setattr(sweep, "BLOCK_POINTS", 1)
         for name, m in MEASURES.items():

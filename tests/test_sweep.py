@@ -10,7 +10,7 @@ import pytest
 
 from switchsim import entanglement as ent
 from switchsim import channels as ch
-from switchsim import sweep
+from switchsim import sweep, switch
 from switchsim.sweep import (
     MAX_GRID_POINTS,
     MEASURES,
@@ -502,9 +502,9 @@ def test_a_stacked_verify_holds_no_larger_blocks(monkeypatch):
     gate, pair = sizes["average_fidelities"], sizes["reduced_determinants"]
     assert max(math.prod(s) for s in gate) <= sweep.BLOCK_POINTS
     assert max(math.prod(s) for s in pair) <= 4 * sweep.BLOCK_POINTS
-    # 20 times per p: three rows of p per block of the gate route; 450
-    # points per p: pieces of one row for a pair route
-    assert (3, 20) in gate and (1, 256) in pair
+    # rows of (p, a): 20 times a row, three rows to a block of the gate
+    # route; 50 times a row, five rows to a block of a pair route
+    assert (3, 20) in gate and (5, 50) in pair
 
 
 def test_verify_rejects_unknown_measures():
@@ -535,12 +535,12 @@ def test_fidelity_closed_form_holds_where_sin_t_is_negative():
 
 def _nan_at_an_interior_point(monkeypatch, kernel):
     """Rebind the package kernel ``ent.<kernel>`` to one that returns NaN at
-    the fifth point of each call."""
+    the fifth point of each call, whose values are a block's (R, T')."""
     original = getattr(ent, kernel)
 
     def patched(xi):
         values = original(xi)
-        values[4] = math.nan
+        values.flat[4] = math.nan
         return values
 
     monkeypatch.setattr(ent, kernel, patched)
@@ -580,26 +580,45 @@ ROUTES = [
 ]
 
 
+#: block sizes (sweep.BLOCK_POINTS) that split the rows of a grid of 17
+#: or 5 times into pieces, and that take several whole rows of 5 times
+SPLIT_SIZES = (1, 3, 7)
+
+
 @pytest.mark.parametrize(
     "name, spec", ROUTES,
     ids=[n if s is None else f"{n}[{s.kind}_q{s.qubit}]" for n, s in ROUTES],
 )
-def test_values_do_not_depend_on_the_block_size(name, spec):
+def test_values_do_not_depend_on_the_block_size(monkeypatch, name, spec):
     # the same bits whatever the block, so block sizes never move an output
     # byte; tobytes also tells -0.0 from 0.0, which print differently
     config = SweepConfig(name, a_steps=3, t_steps=17, t_min=-3.0, t_max=6.0, channel=spec)
-    numeric, _, block = sweep._routes(config)
-    a, t = config.grid()
-    blocked = sweep._evaluate(numeric, a, t, 1, block)
+    blocked, _ = sweep._columns(config)
     assert blocked.shape == (51,)
-    assert sweep._evaluate(numeric, a, t, 1, 1).tobytes() == blocked.tobytes()
+    for size in SPLIT_SIZES:
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", size)
+        assert sweep._columns(config)[0].tobytes() == blocked.tobytes(), size
 
 
-def test_pair_routes_take_four_times_the_points_of_a_gate_route():
+def _block_calls(monkeypatch, m):
+    """Rebind measure ``m``'s numeric route to one that records the
+    arguments of each call, one per block, and return the record."""
+    calls = []
+    monkeypatch.setitem(MEASURES, m.name, replace(
+        m, numeric=lambda a, t, rows, q, base: calls.append((a, t, rows, q))
+        or m.numeric(a, t, rows, q, base)))
+    return calls
+
+
+def test_pair_routes_take_four_times_the_points_of_a_gate_route(monkeypatch):
+    # a row of 1,000 times, in pieces of the block's size
     noise = ChannelSpec("PF", 0.3)
-    for name, m in MEASURES.items():
-        *_, block = sweep._routes(SweepConfig(name, channel=noise if m.gate else None))
-        assert block == (sweep.BLOCK_POINTS if m.gate else 4 * sweep.BLOCK_POINTS)
+    for name, m in list(MEASURES.items()):
+        calls = _block_calls(monkeypatch, m)
+        sweep._columns(SweepConfig(name, t_steps=1000, channel=noise if m.gate else None))
+        a, t, _, _ = calls[0]
+        assert a.shape == (1, 1)
+        assert t.shape == ((sweep.BLOCK_POINTS if m.gate else 4 * sweep.BLOCK_POINTS),)
 
 
 STACKED = [name for name, m in MEASURES.items() if m.mixed or m.gate]
@@ -609,30 +628,38 @@ P_VALUES = sweep.NOISY_P_VALUES
 @pytest.mark.parametrize("name", ["iconcurrence", "avg_fidelity"])
 @pytest.mark.parametrize("qubit", [0, 1])
 def test_a_block_reads_its_rows_of_the_operator_stacks_as_views(monkeypatch, name, qubit):
-    # the numeric route hands a measure the rows start:stop of each 2 x 2
-    # operator stack that make_channel built, with a unit axis after them
-    # that broadcasts against the block's points, and the noise qubit
+    # the numeric route hands a measure, per block, its column of a, its
+    # row of t, the noise qubit, and its rows of each 2 x 2 operator stack
+    # that make_channel built, repeated once per value of a, with a unit
+    # axis after them that broadcasts against the times: read-only views of
+    # one stack per operator, (p, a) rows, p outer
     seen = []
     make_channel, m = ch.make_channel, MEASURES[name]
     monkeypatch.setattr(ch, "make_channel",
                         lambda *args: seen.append(make_channel(*args)) or seen[-1])
-    monkeypatch.setitem(MEASURES, m.name, replace(
-        m, numeric=lambda a, t, rows, q, base: seen.append((rows, q))
-        or m.numeric(a, t, rows, q, base)))
-    config = SweepConfig(m.name, channel=ChannelSpec("AD", P_VALUES, qubit))
-    numeric, _, _ = sweep._routes(config)
-    assert numeric(np.array([0.3, 0.4]), np.array([0.1, 0.2]), 1, 4).shape == (3, 2)
-    operators, (rows, q) = seen
-    assert q == qubit
-    assert type(rows) is tuple and len(rows) == len(operators) == 2
-    for e, r in zip(operators, rows):
-        assert r.shape == (3, 1, 2, 2) and not r.flags.writeable
-        assert r.base is e and r.tobytes() == e[1:4].tobytes()
+    calls = _block_calls(monkeypatch, m)
+    times = 20 if m.gate else 80  # three rows to a block
+    config = SweepConfig(m.name, a_steps=3, t_steps=times,
+                         channel=ChannelSpec("AD", P_VALUES, qubit))
+    assert sweep._columns(config)[0].shape == (len(P_VALUES) * 3 * times,)
+    [operators] = seen
+    a_rows = np.tile(config.a_values(), len(P_VALUES))
+    assert len(calls) == 5
+    for i, (a, t, rows, q) in enumerate(calls):
+        assert a.shape == (3, 1) and a[:, 0].tobytes() == a_rows[3 * i:3 * i + 3].tobytes()
+        assert t.tobytes() == config.t_values().tobytes()
+        assert q == qubit
+        assert type(rows) is tuple and len(rows) == len(operators) == 2
+        for e, r, first in zip(operators, rows, calls[0][2]):
+            assert r.shape == (3, 1, 2, 2) and not r.flags.writeable
+            assert r.base is first.base and r.base.shape == (15, 2, 2)
+            assert not r.base.flags.writeable
+            assert r.tobytes() == np.repeat(e, 3, axis=0)[3 * i:3 * i + 3].tobytes()
 
 
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
-def test_a_p_stack_is_its_configurations_bit_for_bit(kind, qubit):
+def test_a_p_stack_is_its_configurations_bit_for_bit(monkeypatch, kind, qubit):
     # every stacked route and closed column against the route under each
     # channel alone, and against the config at each single p
     for name in STACKED:
@@ -646,8 +673,10 @@ def test_a_p_stack_is_its_configurations_bit_for_bit(kind, qubit):
                 for p in P_VALUES]
         assert np.array_equal(values, np.concatenate(alone)), name
         assert values.tobytes() == np.concatenate([v for v, _ in runs]).tobytes(), name
-        numeric, _, block = sweep._routes(config)
-        assert sweep._evaluate(numeric, a, t, len(P_VALUES), 7).tobytes() == values.tobytes()
+        with monkeypatch.context() as small:
+            for size in SPLIT_SIZES:
+                small.setattr(sweep, "BLOCK_POINTS", size)
+                assert sweep._columns(config)[0].tobytes() == values.tobytes(), (name, size)
         if qubit == 1 or m.noisy_closed is None:
             assert closed is None and all(c is None for _, c in runs), name
             continue
@@ -658,3 +687,20 @@ def test_a_p_stack_is_its_configurations_bit_for_bit(kind, qubit):
         assert np.array_equal(closed, np.concatenate(points)), name
         assert closed.tobytes() == np.concatenate([c for _, c in runs]).tobytes(), name
 
+
+def test_each_input_qubit_is_built_once_per_row(monkeypatch):
+    # the numeric route takes a as a column and t as a row, so a block
+    # builds each |A> once per (p, a) row, not once per point
+    entries = []
+    angle_qubits = switch.angle_qubits
+    monkeypatch.setattr(switch, "angle_qubits",
+                        lambda a: entries.append(np.size(a)) or angle_qubits(a))
+    for name, m in MEASURES.items():
+        if not m.gate:
+            entries.clear()
+            run_sweep(SweepConfig(name, a_steps=3, t_steps=17, compare=True))
+            assert sum(entries) == 3, name
+    entries.clear()
+    sweep._columns(SweepConfig("iconcurrence", a_steps=3, t_steps=17,
+                               channel=ChannelSpec("AD", P_VALUES)))
+    assert sum(entries) == 3 * len(P_VALUES)

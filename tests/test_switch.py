@@ -9,9 +9,11 @@ from reference import (
     PAULI_Y,
     circuit_unitary,
     dagger,
+    densities,
     eigh,
     kron_vectors,
     normalized,
+    partial_traces,
     switch_hamiltonian,
     switch_unitary_oracle,
 )
@@ -284,3 +286,48 @@ def test_switched_pair_amplitudes():
     al, be = math.sin(a), math.cos(a)
     expected = np.array([al, -1j * math.sin(t) * be, math.cos(t) * be, 0.0])
     assert np.allclose(pair, expected, atol=1e-14)
+
+
+def _data_qubits(rng, n):
+    """n random pairs of data qubits |a>, |b> as two (n, 2) stacks."""
+    a = np.stack([random_pure(rng, 1) for _ in range(2 * n)])
+    return a[:n], a[n:]
+
+
+def test_the_switch_keeps_its_control_exactly_in_one():
+    rng = np.random.default_rng(9)
+    a, b = _data_qubits(rng, 50)
+    t = rng.uniform(-3 * math.pi, 3 * math.pi, 50)
+    out = evolved(kron_vectors(a, b, KET_1), t)
+    # the even amplitudes, where the control is |0>, are exact zeros
+    assert np.all(out[:, 0::2] == 0)
+    # for the paper's input |A>|0>|1> the odd half is the switched pair
+    al, be = math.sin(0.6), math.cos(0.6)
+    pair = evolved(registers(angle_qubits(0.6)), 0.8)[1::2]
+    expected = np.array([al, -1j * math.sin(0.8) * be, math.cos(0.8) * be, 0.0])
+    assert np.allclose(pair, expected, atol=1e-14)
+
+
+def test_a_control_in_zero_leaves_the_register_unchanged():
+    rng = np.random.default_rng(17)
+    a, b = _data_qubits(rng, 50)
+    regs = kron_vectors(a, b, KET_0)
+    out = evolved(regs, rng.uniform(-3 * math.pi, 3 * math.pi, 50))
+    # the six amplitudes the switch does not move keep their bits; the two
+    # it rotates, |011> and |101>, are zeros before and after (a rotated
+    # zero may come out as -0.0)
+    kept = [0, 1, 2, 4, 6, 7]
+    assert out[:, kept].tobytes() == regs[:, kept].tobytes()
+    assert np.all(out[:, [3, 5]] == 0) and np.all(regs[:, [3, 5]] == 0)
+
+
+def test_the_odd_half_is_the_partial_trace_over_the_control():
+    # the full 8 x 8 unitary is the independent route to the register
+    rng = np.random.default_rng(23)
+    a, b = _data_qubits(rng, 50)
+    regs = kron_vectors(a, b, KET_1)
+    t = rng.uniform(-3 * math.pi, 3 * math.pi, 50)
+    full = (switch_unitaries(t) @ regs[..., None])[..., 0]
+    traced = partial_traces(densities(full), 3, {2})
+    odd = densities(evolved(regs, t)[..., 1::2])
+    assert np.max(np.abs(odd - traced)) <= 1e-15
