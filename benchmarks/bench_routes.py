@@ -5,8 +5,11 @@ its blocks of (p, a) rows, a as a column and t as a row, plus the
 concurrence under a bit flip on noise qubit 1 (the configuration of the
 benchmark's `diff` commands) and the I-concurrence under amplitude
 damping on qubit 0 on a 9 x 50 grid (the shape of a noisy configuration
-of `verify`); `verify` of the average fidelity and of the I-concurrence
-alone, whose noisy records each evaluate a stack of p values at once; the
+of `verify`); the two stages of a numeric route on one 256-point block,
+4 rows of a against 64 times, each state of `sweep.STATES` built alone
+and each measure's kernel alone on its state; `verify` of the average
+fidelity and of the I-concurrence alone, whose noisy records each
+evaluate a stack of p values at once; the
 first qubit's entropy of 256 switched pairs under
 amplitude damping on qubit 0, read from the pair (d, |r|) of the Kraus
 branches (`entanglement.pair_ensembles`, `reduced_qubits` and
@@ -80,8 +83,41 @@ def _route_id(name, spec, grid):
 def test_route(benchmark, name, spec, grid):
     benchmark.group = "sweep.routes"
     config = sweep.SweepConfig(name, a_steps=grid[0], t_steps=grid[1], channel=spec)
-    values, closed = benchmark(sweep._columns, config)
+    [(values, closed)] = benchmark(sweep._columns, [config])
     assert values.shape == (grid[0] * grid[1],) and closed is None
+
+
+#: one 256-point block, 4 rows of a against 64 times, for each state of
+#: `sweep.STATES`, built with the operators and noise qubit of its entry
+#: of BLOCK_NOISE: the clean pair, which every pair kernel reads, the
+#: registers, and the gate under NOISE's kind at one value of p per row
+BLOCK_A = np.linspace(0.0, np.pi / 2, 4)[:, None]
+BLOCK_T = np.linspace(0.0, np.pi / 2, 64)
+BLOCK_NOISE = {
+    "pair": (None, None),
+    "register": (None, None),
+    "gate": (tuple(e[:, None] for e in channels.make_channel(NOISE.kind, (0.1, 0.3, 0.5, 0.7))),
+             NOISE.qubit),
+}
+#: (state, measure): each state built alone (measure None), then each
+#: measure's kernel alone on its state's block
+BLOCK_STAGES = [(state, None) for state in sweep.STATES] + [
+    (m.state, name) for name, m in sweep.MEASURES.items()
+]
+
+
+@pytest.mark.parametrize("state, name", BLOCK_STAGES,
+                         ids=[s if n is None else f"{s}.{n}" for s, n in BLOCK_STAGES])
+def test_block_stage(benchmark, state, name):
+    benchmark.group = "sweep.states"
+    operators, qubit = BLOCK_NOISE[state]
+    build = sweep.STATES[state]
+    if name is None:
+        assert np.all(np.isfinite(benchmark(build, BLOCK_A, BLOCK_T, operators, qubit)))
+        return
+    x = build(BLOCK_A, BLOCK_T, operators, qubit)
+    values = benchmark(sweep.MEASURES[name].kernel, x, BLOCK_T, operators, qubit, "e")
+    assert values.shape == (4, 64)
 
 
 CLOSED = [(name, None) for name, m in sweep.MEASURES.items() if m.closed is not None]

@@ -7,7 +7,8 @@ against each other throughout the test suite.
 
 Each numeric measure is one stacked kernel with a plural name
 (``schmidt_spectra``, ``ensemble_ppts``, ``ensemble_concurrences``,
-``reduced_determinants``, ``reduced_roots``, ``determinant_entropies``)
+``reduced_determinants``, ``bloch_lengths``, ``reduced_roots``,
+``determinant_entropies``)
 over arrays with one state per point along the leading axes; one state
 is the stack with no leading axes.
 
@@ -21,20 +22,23 @@ formula, sigma_1 - sigma_2 over the singular values of the K x K matrix
 tau = xi^T (Y x Y) xi, which it builds entrywise (Y x Y is
 antidiagonal) and, for the two branches of every channel, reads with no
 SVD as the gap sigma_1^2 - sigma_2^2 over sigma_1 + sigma_2, each a root
-of a sum of nonnegative terms. ``reduced_determinants`` is the
+of a sum of nonnegative terms, from tau prescaled by a power of two so
+that no square underflows. ``reduced_determinants`` is the
 determinant of the first qubit's reduced state X X^dagger, with X = xi
 reshaped to (..., 2, 2K): by Cauchy-Binet a sum of squared 2 x 2 minors
-of X, so nothing cancels. ``reduced_qubits`` adds the length |r| of its
-Bloch vector, the root of a sum of squares over the rows of X. The Schmidt
+of X (``_reduced_minors``), so nothing cancels. ``bloch_lengths`` is the
+length |r| of its Bloch vector, the root of a sum of squares over the
+rows of X, and ``reduced_qubits`` the pair (d, |r|). The Schmidt
 coefficient, the I-concurrence and the entropy read only that state's pair
 (d, |r|), and its spectrum by one rule,
 ``_reduced_spectrum``: (2d / (1 + |r|), (1 + |r|) / 2), with no eigensolve
 and no sqrt(1 - 4d), which cancels near d = 1/4. The I-concurrence is
 2 sqrt(d), from ``reduced_roots``, which reads a pure pair's sqrt(d) as
-the modulus of its one minor, with no square that could underflow; the
+the modulus of its one minor, and a noisy pair's from its minors
+prescaled by a power of two, with no square that could underflow; the
 Schmidt coefficients of a pure pair are the square roots of the
-spectrum, the small one read from that minor, or its closed modulus,
-prescaled by a power of two so that d does not underflow
+spectrum, read from |r| and, the small one, from that minor, or its
+closed modulus, prescaled by a power of two so that d does not underflow
 (``_least_coefficients``), and the entropy, ``determinant_entropies``, is
 -sum l log(l).
 
@@ -88,17 +92,12 @@ from .switch import switched_pairs
 _COLUMN_PAIRS = {}
 
 
-def reduced_determinants(xi: np.ndarray) -> np.ndarray:
-    """det of the first qubit's reduced state X X^dagger for each 2-qubit
-    ensemble of a stack, shape (..., 4, K), with X = xi reshaped to
-    (..., 2, 2K): its columns <j|_1 E_k psi decompose the partial trace
-    over the second qubit.
-
-    By Cauchy-Binet the determinant is the sum over column pairs i < j of
-    |X_0i X_1j - X_0j X_1i|^2. Every term is nonnegative, so nothing
-    cancels: 1 - purity = 2 det of the formed matrix would lose a small
-    determinant to rounding near 1.
-    """
+def _reduced_minors(xi: np.ndarray) -> np.ndarray:
+    """The 2 x 2 minors X_0i X_1j - X_0j X_1i of X = xi reshaped to
+    (..., 2, 2K), over its column pairs i < j, for each 2-qubit ensemble
+    of a stack, shape (..., 4, K); shape (..., K (2K - 1)). With one
+    column, a pure pair psi, the one minor is
+    psi_00 psi_11 - psi_01 psi_10."""
     x = xi.reshape(xi.shape[:-2] + (2, -1))
     pairs = _COLUMN_PAIRS.get(x.shape[-1])
     if pairs is None:
@@ -106,32 +105,68 @@ def reduced_determinants(xi: np.ndarray) -> np.ndarray:
         for index in pairs:
             index.setflags(write=False)
     i, j = pairs
-    m = x[..., 0, i] * x[..., 1, j] - x[..., 0, j] * x[..., 1, i]
+    return x[..., 0, i] * x[..., 1, j] - x[..., 0, j] * x[..., 1, i]
+
+
+def _prescaled(z: np.ndarray, axes: int):
+    """(2^-k z, k) for a complex stack ``z`` whose last ``axes`` axes hold
+    one point's entries, k the exponent (``np.frexp``) of the point's
+    largest |re| or |im|, so that no square of an entry underflows: a
+    power of two scales exactly, wherever nothing under- or overflows."""
+    parts = np.ascontiguousarray(z).view(float)
+    _, k = np.frexp(np.max(np.abs(parts), axis=tuple(range(-axes, 0))))
+    return np.ldexp(parts, -k.reshape(k.shape + (1,) * axes)).view(complex), k
+
+
+def reduced_determinants(xi: np.ndarray) -> np.ndarray:
+    """det of the first qubit's reduced state X X^dagger for each 2-qubit
+    ensemble of a stack, shape (..., 4, K), with X = xi reshaped to
+    (..., 2, 2K): its columns <j|_1 E_k psi decompose the partial trace
+    over the second qubit.
+
+    By Cauchy-Binet the determinant is the sum over column pairs i < j of
+    |X_0i X_1j - X_0j X_1i|^2, the squared ``_reduced_minors``. Every term
+    is nonnegative, so nothing cancels: 1 - purity = 2 det of the formed
+    matrix would lose a small determinant to rounding near 1.
+    """
+    m = _reduced_minors(xi)
     return np.sum(m.real * m.real + m.imag * m.imag, axis=-1)
 
 
-def reduced_qubits(xi: np.ndarray):
-    """(d, |r|) of the first qubit's reduced state for each 2-qubit
-    ensemble of a stack: d is ``reduced_determinants``, and the Bloch
-    length |r| = sqrt((|X_0|^2 - |X_1|^2)^2 + 4 |<X_1, X_0>|^2) is read from
-    the rows X_0, X_1 of the same X, which, unlike sqrt(1 - 4d), keeps the
-    digits of a small |r|."""
+def bloch_lengths(xi: np.ndarray) -> np.ndarray:
+    """The Bloch length |r| of the first qubit's reduced state for each
+    2-qubit ensemble of a stack, shape (..., 4, K), the twin of
+    ``bloch_length_closed``: |r| = sqrt((|X_0|^2 - |X_1|^2)^2 + 4 |<X_1, X_0>|^2)
+    over the rows X_0, X_1 of X = xi reshaped to (..., 2, 2K), which,
+    unlike sqrt(1 - 4d), keeps the digits of a small |r|."""
     x = xi.reshape(xi.shape[:-2] + (2, -1))
     rows = np.sum(x.real * x.real + x.imag * x.imag, axis=-1)
     z = rows[..., 0] - rows[..., 1]
     c = np.sum(x[..., 1, :] * np.conj(x[..., 0, :]), axis=-1)
-    return reduced_determinants(xi), np.sqrt(z * z + 4.0 * (c.real * c.real + c.imag * c.imag))
+    return np.sqrt(z * z + 4.0 * (c.real * c.real + c.imag * c.imag))
+
+
+def reduced_qubits(xi: np.ndarray):
+    """(d, |r|) of the first qubit's reduced state for each 2-qubit
+    ensemble of a stack: ``reduced_determinants`` and ``bloch_lengths``."""
+    return reduced_determinants(xi), bloch_lengths(xi)
 
 
 def reduced_roots(xi: np.ndarray) -> np.ndarray:
     """sqrt(d) of ``reduced_determinants`` for each 2-qubit ensemble of a
-    stack, shape (..., 4, K). With one column, a pure pair psi, it is the
-    modulus of the one minor, |psi_00 psi_11 - psi_01 psi_10|, with no
-    square, so it keeps its digits where d underflows."""
-    if xi.shape[-1] == 1:
-        x00, x01, x10, x11 = np.moveaxis(xi[..., 0], -1, 0)
-        return np.abs(x00 * x11 - x01 * x10)
-    return np.sqrt(reduced_determinants(xi))
+    stack, shape (..., 4, K), with no square that could underflow. With
+    one column, a pure pair psi, it is the modulus of the one minor,
+    |psi_00 psi_11 - psi_01 psi_10|. Otherwise it is the root of the sum
+    of the squared minors, read at 2^-k times each minor, k the exponent
+    of the point's largest |re| or |im|, and scaled back by 2^k, as
+    ``_least_coefficients`` reads its root: powers of two scale exactly,
+    so wherever d is a normal double the result has the bits of the
+    unscaled root, and where d underflows it keeps its digits."""
+    m = _reduced_minors(xi)
+    if m.shape[-1] == 1:
+        return np.abs(m[..., 0])
+    m, k = _prescaled(m, 1)
+    return np.ldexp(np.sqrt(np.sum(m.real * m.real + m.imag * m.imag, axis=-1)), k)
 
 
 def _reduced_spectrum(d, r):
@@ -156,14 +191,13 @@ def _least_coefficients(re, im, r):
 def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
     """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of a
     stack, the square roots of the spectrum of its reduced state, read
-    from that state's (d, |r|), the small one by ``_least_coefficients``
-    of the pair's one minor m = psi_00 psi_11 - psi_01 psi_10, d = |m|^2;
-    shape (..., 2)."""
-    x00, x01, x10, x11 = np.moveaxis(psi, -1, 0)
-    m = x00 * x11 - x01 * x10
-    d, r = reduced_qubits(psi[..., None])
-    _, large = _reduced_spectrum(d, r)
-    return np.stack([_least_coefficients(m.real, m.imag, r), np.sqrt(large)], axis=-1)
+    from its Bloch length |r| and its one minor m = psi_00 psi_11 -
+    psi_01 psi_10, d = |m|^2: the small one by ``_least_coefficients``,
+    the large one as sqrt((1 + |r|) / 2), the large root of
+    ``_reduced_spectrum``; shape (..., 2)."""
+    m = _reduced_minors(psi[..., None])[..., 0]
+    r = bloch_lengths(psi[..., None])
+    return np.stack([_least_coefficients(m.real, m.imag, r), np.sqrt((1.0 + r) / 2.0)], axis=-1)
 
 
 def partial_transposes(m: np.ndarray, qubit: int) -> np.ndarray:
@@ -234,8 +268,11 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
     the gap sigma_1^2 - sigma_2^2 of tau tau^dagger over sigma_1 + sigma_2:
     two roots of sums of nonnegative terms, so a small concurrence is read
     as exactly as a large one, with no SVD and no sqrt(r0 + r1 - 2 |ad - bc|),
-    which cancels. tau = 0 (a product pair, t = 0) reads 0 and a NaN reads
-    NaN. Any other K raises ValueError.
+    which cancels. tau is read at 2^-k (``_prescaled``) and the ratio,
+    of degree 1 in tau, scaled back by 2^k, so that a concurrence whose
+    squares underflow keeps its digits, and one whose squares are normal
+    doubles its bits. tau = 0 (a product pair, t = 0) reads 0 and a NaN
+    reads NaN. Any other K raises ValueError.
     """
     # xi's rows, then tau's rows and entries, are unpacked from axes moved
     # ahead of the stack's, so that a shape other than (..., 4, 1) or
@@ -243,11 +280,10 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
     x0, x1, x2, x3 = xi.transpose(-2, *range(xi.ndim - 2), -1)
     s = x1[..., :, None] * x2[..., None, :] - x0[..., :, None] * x3[..., None, :]
     tau = s + np.swapaxes(s, -1, -2)
-    tau = tau.transpose(-2, -1, *range(tau.ndim - 2))
-    if len(tau) == 1:
-        ((a,),) = tau
-        return np.abs(a)
-    (a, b), (c, d) = tau
+    if tau.shape[-1] == 1:
+        return np.abs(tau[..., 0, 0])
+    tau, k = _prescaled(tau, 2)
+    (a, b), (c, d) = tau.transpose(-2, -1, *range(tau.ndim - 2))
     r0 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
     r1 = c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag
     g = a * np.conj(c) + b * np.conj(d)
@@ -255,7 +291,7 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
     gap = np.sqrt(z * z + 4.0 * (g.real * g.real + g.imag * g.imag))
     total = np.sqrt(r0 + r1 + 2.0 * np.abs(a * d - b * c))
     # total is 0 only where tau, and so the gap, is: 0 / 1 reads 0
-    return gap / np.where(total > 0.0, total, 1.0)
+    return np.ldexp(gap / np.where(total > 0.0, total, 1.0), k)
 
 
 def concurrence_closed(beta0: complex, t: float) -> float:

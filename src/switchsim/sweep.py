@@ -3,7 +3,8 @@ closed-form cross-checks.
 
 Every sweep runs over the state |A>|0>|1> with |A> = sin(a)|0> + cos(a)|1>.
 Each diagnostic is one entry of the measure table ``MEASURES``: its numeric
-route, its clean and noisy closed forms, its verification tolerance and the
+route, the state it reads (an entry of ``STATES``) and the kernel that reads
+it, its clean and noisy closed forms, its verification tolerance and the
 states it accepts. Sweeps, diffs, ``verify`` and the command line all read
 that table. The Schmidt coefficient, the I-concurrence, the entropy and the
 clean ppt are each one map of the first data qubit's reduced state, its
@@ -48,23 +49,28 @@ p stacks. A ``SweepConfig`` is a whole run: its ``ChannelSpec`` holds
 one value of the channel strength p or a tuple of P values, a p stack,
 and the config is checked once, when it is built. Sweeps, diffs and
 ``verify`` share one path, ``_columns``: the numeric values and closed
-column of one config, compared as |numeric - closed|. It builds the
-channel once, as (P, 2, 2) stacks of the Kraus operators at its P values
-of p (see ``channels``), and repeats each matrix once per value of a
-into one read-only stack per operator, a matrix per (p, a) row. The
-numeric route runs over those rows, p outer, in blocks of as many whole
-rows as fit, or of pieces of one row where a row does not fit, so that a
-block holds no more entries, and no more bytes, whatever P is. A block
-hands the measure its (R, 1) column of a, its (T',) row of times and its
-(R, 1, 2, 2) rows of each operator stack, which broadcast: each input
-qubit |A> is built once per row, not once per point, and each operator
-applies on the noise qubit's axis. A noisy closed form takes p as a
-(P, 1, 1) column and gives the (P, A, T) closed column in one call.
+column of each of the configs that share one state, grid and channel,
+compared as |numeric - closed|. It builds the channel once, as (P, 2, 2)
+stacks of the Kraus operators at its P values of p (see ``channels``),
+and repeats each matrix once per value of a into one read-only stack per
+operator, a matrix per (p, a) row. The numeric route runs over those
+rows, p outer, in blocks of as many whole rows as fit, or of pieces of
+one row where a row does not fit, so that a block holds no more entries,
+and no more bytes, whatever P is. A block builds its state once, from
+its (R, 1) column of a, its (T',) row of times and its (R, 1, 2, 2) rows
+of each operator stack, which broadcast: each input qubit |A> is built
+once per row, not once per point, and each operator applies on the noise
+qubit's axis. Every config's kernel then reads that state. A noisy
+closed form takes p as a (P, 1, 1) column and gives the (P, A, T) closed
+column in one call.
 Every value has the bits of the config with that one value of p. A
-sweep or diff takes one value of p; ``verify`` gives each noisy record
-one config with a p stack. A diff first subtracts the clean config's
-columns. A sweep or diff returns them as one columnar record, ``Sweep``,
-with the t and a of each point; ``verify`` builds none.
+sweep or diff takes one value of p and one config; ``verify`` gives each
+noisy record one config with a p stack, and evaluates together the
+configs of its battery that read one state on one grid under one channel:
+the five clean pair records read one pair state per block. A diff
+first subtracts the clean config's columns. A sweep or diff returns them
+as one columnar record, ``Sweep``, with the t and a of each point;
+``verify`` builds none.
 
 Emission writes the text itself, from the columns, and formats each
 distinct bit pattern once (by bits, not by value: 0.0 and -0.0 have
@@ -79,10 +85,9 @@ all-``%s`` row template per column count.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -115,20 +120,35 @@ MAX_GRID_POINTS = 1_000_000
 FORMATS = ("csv", "json")
 
 
+#: the state a numeric route reads, by name, built from a block's (R, 1)
+#: column of a, its (T',) row of times, and its operator rows and noise
+#: qubit, or None and None for a clean run: the switched pair as its Kraus
+#: branches (``entanglement.pair_ensembles``), the input registers
+#: |A>|0>|1>, or the switch's unitaries, which read the times alone. The
+#: functions call through module attributes instead of holding function
+#: objects, so that a rebound package function is called here as well.
+STATES = {
+    "pair": lambda a, t, ops, qubit: ent.pair_ensembles(switch.angle_qubits(a), t, ops, qubit),
+    "register": lambda a, t, ops, qubit: switch.registers(switch.angle_qubits(a)),
+    "gate": lambda a, t, ops, qubit: switch.switch_unitaries(t),
+}
+
+
 @dataclass(frozen=True)
 class Measure:
     """One diagnostic: how to compute it twice, and how close the two must be.
 
-    ``numeric(a, t, operators, qubit, log_base)`` computes the values from
-    the evolved states, as one stack, on the grid's axes: ``a`` an (R, 1)
-    column of angles and ``t`` a (T,) row of times give (R, T) values, and
-    any arrays that broadcast alike, flat (a, t) points among them, give
-    their broadcast shape. ``operators`` is the tuple of a channel's
-    2 x 2 Kraus operators (``channels.make_channel``) acting on data qubit
-    ``qubit``, or None, with ``qubit`` None, for a clean run: one matrix
-    each, or (R, 1, 2, 2) rows, one matrix per row of a, that broadcast
-    against the times. The gate route and the pair routes take the same
-    operators.
+    The numeric route is a state and a kernel. ``state`` names the entry of
+    ``STATES`` that builds, per block, the state the route reads, and
+    ``kernel(state, t, operators, qubit, log_base)`` computes the values
+    from it, as one stack: for a block's (R, 1) column of a and (T',) row
+    of times ``t``, (R, T') values, and for arrays that broadcast alike,
+    flat (a, t) points among them, their broadcast shape. ``operators`` is
+    the tuple of a channel's 2 x 2 Kraus operators
+    (``channels.make_channel``) acting on data qubit ``qubit``, or None,
+    with ``qubit`` None, for a clean run: one matrix each, or (R, 1, 2, 2)
+    rows, one matrix per row of a, that broadcast against the times. Every
+    measure of one state reads the same state of a block, built once.
     ``closed(alpha0, beta0, t, log_base)`` is the clean closed form and
     ``noisy_closed(kind, p, t, alpha0, beta0)`` the closed form under
     noise on qubit 0, either None or called once per grid: ``alpha0`` and
@@ -136,61 +156,51 @@ class Measure:
     ``p`` a (P, 1, 1) column of a config's p stack, and the values
     broadcast to (A, T), or (P, A, T) under noise.
     ``mixed`` says whether the numeric route accepts a noisy (mixed) pair;
-    ``gate`` marks a property of the noisy switch itself, which needs a
-    channel.
+    ``gate``, a measure of the switch's unitaries, marks a property of the
+    noisy switch itself, which needs a channel.
     """
 
     name: str
-    numeric: Callable[[np.ndarray, np.ndarray, Optional[tuple], Optional[int], str],
-                      np.ndarray]
+    state: str
+    kernel: Callable[[np.ndarray, np.ndarray, Optional[tuple], Optional[int], str],
+                     np.ndarray]
     closed: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, str], np.ndarray]]
     noisy_closed: Optional[
         Callable[[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     ]
     tolerance: float
     mixed: bool
-    gate: bool = False
+
+    @property
+    def gate(self) -> bool:
+        return self.state == "gate"
 
 
-def _pair_ensembles(a: np.ndarray, t: np.ndarray, operators: Optional[tuple],
-                    qubit: Optional[int]) -> np.ndarray:
-    return ent.pair_ensembles(switch.angle_qubits(a), t, operators, qubit)
-
-
-# The routes call through module attributes instead of holding function
-# objects, so that a rebound package function is called here as well.
+# The kernels call through module attributes as well.
 MEASURES = {m.name: m for m in (
     Measure(
-        "schmidt",
-        numeric=lambda a, t, ops, qubit, base: ent.schmidt_spectra(
-            switch.switched_pairs(switch.angle_qubits(a), t)
-        )[..., 0],
+        "schmidt", "pair",
+        kernel=lambda xi, t, ops, qubit, base: ent.schmidt_spectra(xi[..., 0])[..., 0],
         closed=lambda al, be, t, base: ent._least_coefficients(
             ent.reduced_root_closed(be, t), 0.0, ent.bloch_length_closed(al, be, t)
         ),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=False,
     ),
     Measure(
-        "ppt",
-        numeric=lambda a, t, ops, qubit, base: ent.ensemble_ppts(
-            _pair_ensembles(a, t, ops, qubit)
-        ),
+        "ppt", "pair",
+        kernel=lambda xi, t, ops, qubit, base: ent.ensemble_ppts(xi),
         closed=lambda al, be, t, base: -ent.reduced_root_closed(be, t),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
-        "concurrence",
-        numeric=lambda a, t, ops, qubit, base: ent.ensemble_concurrences(
-            _pair_ensembles(a, t, ops, qubit)
-        ),
+        "concurrence", "pair",
+        kernel=lambda xi, t, ops, qubit, base: ent.ensemble_concurrences(xi),
         closed=lambda al, be, t, base: ent.concurrence_closed(be, t),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
-        "iconcurrence",
-        numeric=lambda a, t, ops, qubit, base: 2.0 * ent.reduced_roots(
-            _pair_ensembles(a, t, ops, qubit)
-        ),
+        "iconcurrence", "pair",
+        kernel=lambda xi, t, ops, qubit, base: 2.0 * ent.reduced_roots(xi),
         closed=lambda al, be, t, base: 2.0 * ent.reduced_root_closed(be, t),
         noisy_closed=lambda kind, p, t, al, be: 2.0 * np.sqrt(
             ent.noisy_determinant_closed(kind, p, t, al, be)
@@ -198,9 +208,9 @@ MEASURES = {m.name: m for m in (
         tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
-        "entropy",
-        numeric=lambda a, t, ops, qubit, base: ent.determinant_entropies(
-            *ent.reduced_qubits(_pair_ensembles(a, t, ops, qubit)), base
+        "entropy", "pair",
+        kernel=lambda xi, t, ops, qubit, base: ent.determinant_entropies(
+            *ent.reduced_qubits(xi), base
         ),
         closed=lambda al, be, t, base: ent.determinant_entropies(
             *ent.reduced_qubit_closed(al, be, t), base
@@ -208,21 +218,17 @@ MEASURES = {m.name: m for m in (
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=True,
     ),
     Measure(
-        "fidelity",
-        numeric=lambda a, t, ops, qubit, base: switch.switch_fidelities(
-            switch.registers(switch.angle_qubits(a)), t
-        ),
+        "fidelity", "register",
+        kernel=lambda regs, t, ops, qubit, base: switch.switch_fidelities(regs, t),
         closed=lambda al, be, t, base: ent.fidelity_closed(al, be, t),
         noisy_closed=None, tolerance=DEFAULT_TOLERANCE, mixed=False,
     ),
     Measure(
-        "avg_fidelity",
-        numeric=lambda a, t, ops, qubit, base: ch.average_fidelities(
-            switch.switch_unitaries(t), ops, qubit
-        ),
+        "avg_fidelity", "gate",
+        kernel=lambda u, t, ops, qubit, base: ch.average_fidelities(u, ops, qubit),
         closed=None,
         noisy_closed=lambda kind, p, t, al, be: ch.average_fidelity_closed(kind, p, t),
-        tolerance=AVG_FIDELITY_TOLERANCE, mixed=False, gate=True,
+        tolerance=AVG_FIDELITY_TOLERANCE, mixed=False,
     ),
 )}
 
@@ -343,16 +349,20 @@ def _p_count(config: SweepConfig) -> int:
     return 1 if config.channel is None else np.size(config.channel.p)
 
 
-def _columns(config: SweepConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The numeric values of ``config`` under each of its values of p, p
-    outer, then a, t fastest, and their closed column, or None without
-    ``compare`` or where the table has none (noise on qubit 1 included):
-    both routes on the grid's axes, in the numeric route's blocks of
-    (p, a) rows (see the module's "p stacks"). The config was checked when
-    it was built."""
-    m, spec, base = MEASURES[config.measure], config.channel, config.log_base
+def _columns(configs: Sequence[SweepConfig]) -> list:
+    """The numeric values of each config of ``configs`` under each of its
+    values of p, p outer, then a, t fastest, and its closed column, or None
+    without ``compare`` or where the table has none (noise on qubit 1
+    included), as a (values, closed) pair per config, in order: both
+    routes on the grid's axes, in the numeric route's blocks of (p, a)
+    rows (see the module's "p stacks"). The configs share one state, grid
+    and channel, and differ at most in measure, log base and ``compare``:
+    each block's state is built once, and every config's kernel reads it.
+    The configs were checked when they were built."""
+    config, spec = configs[0], configs[0].channel
+    measures = [MEASURES[c.measure] for c in configs]
     a, t = config.a_values()[:, None], config.t_values()
-    rows, operators, qubit, closed = a, None, None, None
+    rows, operators, qubit = a, None, None
     if spec is not None:
         p = np.ravel(spec.p)
         rows, qubit = np.tile(a, (len(p), 1)), spec.qubit
@@ -360,20 +370,27 @@ def _columns(config: SweepConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:
                           for e in ch.make_channel(spec.kind, tuple(p.tolist())))
         for e in operators:
             e.setflags(write=False)
-    block = BLOCK_POINTS if m.gate else 4 * BLOCK_POINTS
+    state = STATES[measures[0].state]
+    block = BLOCK_POINTS if measures[0].gate else 4 * BLOCK_POINTS
     n, step = max(1, block // len(t)), min(block, len(t))
-    values = np.empty((len(rows), len(t)))
+    values = [np.empty((len(rows), len(t))) for _ in configs]
     for r in range(0, len(rows), n):
         ops = None if operators is None else tuple(e[r:r + n, None] for e in operators)
         for j in range(0, len(t), step):
-            values[r:r + n, j:j + step] = m.numeric(rows[r:r + n], t[j:j + step], ops, qubit, base)
-    if config.compare and spec is None and m.closed is not None:
-        closed = m.closed(np.sin(a), np.cos(a), t, base)
-    elif config.compare and spec is not None and spec.qubit == 0 and m.noisy_closed is not None:
-        closed = m.noisy_closed(spec.kind, p[:, None, None], t, np.sin(a), np.cos(a))
-    if closed is not None:
-        closed = np.broadcast_to(closed, (_p_count(config), len(a), len(t))).ravel()
-    return values.ravel(), closed
+            x = state(rows[r:r + n], t[j:j + step], ops, qubit)
+            for v, m, c in zip(values, measures, configs):
+                v[r:r + n, j:j + step] = m.kernel(x, t[j:j + step], ops, qubit, c.log_base)
+    columns, al, be = [], np.sin(a), np.cos(a)
+    for v, m, c in zip(values, measures, configs):
+        closed = None
+        if c.compare and spec is None and m.closed is not None:
+            closed = m.closed(al, be, t, c.log_base)
+        elif c.compare and spec is not None and spec.qubit == 0 and m.noisy_closed is not None:
+            closed = m.noisy_closed(spec.kind, p[:, None, None], t, al, be)
+        if closed is not None:
+            closed = np.broadcast_to(closed, (_p_count(c), len(a), len(t))).ravel()
+        columns.append((v.ravel(), closed))
+    return columns
 
 
 def _sweep(config: SweepConfig, values: np.ndarray, closed: Optional[np.ndarray]) -> Sweep:
@@ -390,7 +407,7 @@ def run_sweep(config: SweepConfig) -> Sweep:
     a sweep's rows have no p column, so it takes one value of p."""
     if _p_count(config) > 1:
         raise ValueError(f"a sweep takes one value of p, got {config.channel.p!r}")
-    return _sweep(config, *_columns(config))
+    return _sweep(config, *_columns([config])[0])
 
 
 def diff_sweep(config: SweepConfig) -> Sweep:
@@ -405,10 +422,10 @@ def diff_sweep(config: SweepConfig) -> Sweep:
         raise ValueError(f"diff is defined for {mixed_measures()}, got {config.measure!r}")
     if _p_count(config) > 1:
         raise ValueError(f"diff takes one value of p, got {config.channel.p!r}")
-    noisy, noisy_closed = _columns(config)
+    [(noisy, noisy_closed)] = _columns([config])
     # every mixed measure has a clean closed form; needed only with a noisy one
     clean_config = replace(config, channel=None, compare=noisy_closed is not None)
-    clean, clean_closed = _columns(clean_config)
+    [(clean, clean_closed)] = _columns([clean_config])
     closed = None if noisy_closed is None else np.abs(noisy_closed - clean_closed)
     return _sweep(config, np.abs(noisy - clean), closed)
 
@@ -480,7 +497,10 @@ def verify(
     ``inject_error`` is added to every closed-form value, so the harness
     can prove it fails when the two routes disagree. A NaN from either
     route fails its check. The columns are a sweep's, compared with no
-    rows built, as a row's abs_err; each config is evaluated once.
+    rows built, as a row's abs_err; each config is evaluated once, and
+    the configs that read one state on one grid under one channel are
+    evaluated together, so each block's state is built once for all of
+    them.
     """
     wanted = MEASURES if measures is None else measures
     unknown = set(wanted) - set(MEASURES)
@@ -490,10 +510,22 @@ def verify(
         raise ValueError(f"inject_error must be finite, got {inject_error!r}")
     _check_grid(a_steps, t_steps)  # here as well: the gate measure's records read neither
     ent._log_scale(log_base)  # validates
-    columns, checks = functools.cache(_columns), []
-    for record in _battery(wanted, a_steps, t_steps, log_base):
-        values, closed = columns(record.config)
-        reference = closed + inject_error if record.against is None else columns(record.against)[0]
+    battery = _battery(wanted, a_steps, t_steps, log_base)
+    # the configs that read one state share its blocks: one group per
+    # state and every field but those a kernel or closed form reads alone
+    groups = {}
+    for c in dict.fromkeys(c for record in battery for c in (record.config, record.against)
+                           if c is not None):
+        key = [MEASURES[c.measure].state] + [getattr(c, f.name) for f in fields(c)
+                                             if f.name not in ("measure", "log_base", "compare")]
+        groups.setdefault(tuple(key), []).append(c)
+    columns = {}
+    for group in groups.values():
+        columns.update(zip(group, _columns(group)))
+    checks = []
+    for record in battery:
+        values, closed = columns[record.config]
+        reference = closed + inject_error if record.against is None else columns[record.against][0]
         error = np.max(np.abs(values - reference))  # unlike max(), lets a NaN through to fail
         checks.append(VerifyCheck(record.name, float(error), record.tolerance))
     return checks

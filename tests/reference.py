@@ -41,6 +41,9 @@ along the leading axes; one matrix is the stack with no leading axes.
   each takes a channel's Kraus operators as a tuple of arrays of the
   state's or the target's dimension: a channel's 2 x 2 operators on one
   qubit, or ``lifted_operators`` on a register.
+- ``numeric`` is a measure's numeric route on any arrays of a and t that
+  broadcast alike: its state (``sweep.STATES``) read by its kernel, as
+  each block of a sweep reads them.
 - ``switch_hamiltonian`` is the switch's generator,
   ``switch_unitary_oracle`` its exponential from an eigensolve, and
   ``circuit_unitary`` the switch as a three-gate circuit.
@@ -53,6 +56,7 @@ import math
 import numpy as np
 
 from switchsim.entanglement import _log_scale, reduced_determinants, reduced_qubit_closed
+from switchsim.sweep import STATES
 
 #: tolerance on |norm^2 - 1| of an amplitude vector
 NORM_ATOL = 1e-10
@@ -410,6 +414,14 @@ def average_fidelity_monte_carlo(
 
 
 # ----------------------------------------------------------------- switch
+
+
+def numeric(m, a, t, operators=None, qubit=None, log_base: str = "e") -> np.ndarray:
+    """The numeric route of the measure ``m`` (a ``sweep.Measure``): the
+    kernel's values on the state its entry of ``sweep.STATES`` builds from
+    ``a``, ``t``, the channel's ``operators`` and the noise ``qubit``."""
+    state = STATES[m.state](a, t, operators, qubit)
+    return m.kernel(state, t, operators, qubit, log_base)
 
 
 def switch_hamiltonian() -> np.ndarray:

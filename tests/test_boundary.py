@@ -108,7 +108,7 @@ ROUTE_IDS = ["-".join(route[::2]) for route in ROUTES]
 
 
 class _RouteReached(Exception):
-    """Raised by a route's numeric half in place of its values."""
+    """Raised by a route's numeric half, its kernel, in place of its values."""
 
 
 @pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
@@ -122,7 +122,7 @@ def test_a_non_finite_angle_or_time_stops_before_every_route(monkeypatch, route,
         raise _RouteReached(measure)
 
     monkeypatch.setitem(sw.MEASURES, measure,
-                        dataclasses.replace(MEASURES[measure], numeric=reached))
+                        dataclasses.replace(MEASURES[measure], kernel=reached))
     argv = route + ["--a-steps", "2", "--t-steps", "3"]
     with pytest.raises(_RouteReached):
         _run(argv)

@@ -15,6 +15,7 @@ from reference import (
     iconcurrences,
     lifted_operators,
     normalized,
+    numeric,
     kron_vectors,
     partial_traces,
     ppt_eigenvalues_closed,
@@ -118,7 +119,13 @@ def test_reduced_qubits_are_those_of_the_formed_reduced_states():
                       (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
         d, length = ent.reduced_qubits(xi)
         assert np.array_equal(d, ent.reduced_determinants(xi))
+        assert np.array_equal(length, ent.bloch_lengths(xi))
         assert np.max(np.abs(length - np.linalg.norm(r, axis=-1))) <= 1e-14
+        if xi.shape[-1] == 2:
+            # read from minors prescaled by a power of two, which scales
+            # exactly: where d is a normal double, the bits of sqrt(d)
+            assert np.all(d > 1e-300)
+            assert ent.reduced_roots(xi).tobytes() == np.sqrt(d).tobytes()
 
 
 def test_schmidt_numeric_matches_closed_form_on_grid():
@@ -605,7 +612,7 @@ def test_clean_ppt_meets_a_decimal_reference_near_separable_points():
     t = 10.0 ** rng.uniform(-6.0, -2.0, n)
     psi = switched_pairs(angle_qubits(a), t)
     want = np.array([float(_decimal_ppt(row)) for row in psi.tolist()])
-    route = MEASURES["ppt"].numeric(a, t, None, None, "e")
+    route = numeric(MEASURES["ppt"], a, t, None, None, "e")
     assert np.all(want < 0.0)
     assert np.max(np.abs(route - want) / -want) <= CLEAN_PPT_REL_BOUND
 
@@ -657,7 +664,7 @@ def test_schmidt_and_entropy_routes_meet_a_decimal_reference_near_maximal_entang
                      zip(alpha0.tolist(), beta0.tolist(), t.tolist())], dtype=float)
     for column, name in enumerate(("schmidt", "entropy")):
         m = MEASURES[name]
-        for route in (m.numeric(a, t, None, None, "e"), m.closed(alpha0, beta0, t, "e")):
+        for route in (numeric(m, a, t, None, None, "e"), m.closed(alpha0, beta0, t, "e")):
             assert np.max(np.abs(route - want[:, column])) <= NEAR_MAXIMAL_BOUND, name
 
 

@@ -166,12 +166,12 @@ def test_numeric_route_never_calls_a_closed_form(monkeypatch):
     noise = ChannelSpec("AD", 0.3)
     for name, m in MEASURES.items():
         if not m.gate:
-            m.numeric(a, t, None, None, "e")
+            reference.numeric(m, a, t, None, None, "e")
             run_sweep(SweepConfig(name, a_steps=2, t_steps=3))
         if m.mixed or m.gate:
             for kind in ch.CHANNEL_KINDS:
                 for qubit in (0, 1):
-                    m.numeric(a, t, ch.make_channel(kind, 0.3), qubit, "e")
+                    reference.numeric(m, a, t, ch.make_channel(kind, 0.3), qubit, "e")
             run_sweep(SweepConfig(name, a_steps=2, t_steps=3, channel=noise))
         if m.mixed:
             diff_sweep(SweepConfig(name, a_steps=2, t_steps=3, channel=noise))
@@ -272,7 +272,7 @@ def test_concurrence_follows_the_factorization_law(probe, kind, qubit):
     p_values = (0.0, 0.13, 0.5, 0.74, 1.0)
     rows = tuple(e[:, None] for e in ch.make_channel(kind, p_values))
     want = clean * np.array([_choi_concurrence(kind, p) for p in p_values])[:, None]
-    route = MEASURES["concurrence"].numeric(a, t, rows, qubit, "e")
+    route = reference.numeric(MEASURES["concurrence"], a, t, rows, qubit, "e")
     noisy = reference.apply_kraus(rho, reference.lifted_operators(rows, qubit, 2))
     density = reference.concurrences(noisy)
     for j, p in enumerate(p_values):
@@ -294,11 +294,11 @@ def test_determinant_routes_meet_their_closed_forms_on_the_probe(probe, name, ki
     m = MEASURES[name]
     al, be = np.sin(a), np.cos(a)
     if kind is None:
-        route, closed = m.numeric(a, t, None, None, "e"), m.closed(al, be, t, "e")
+        route, closed = reference.numeric(m, a, t, None, None, "e"), m.closed(al, be, t, "e")
         assert np.max(np.abs(route - closed)) <= sweep.DEFAULT_TOLERANCE
         return
     for p in (0.0, 0.13, 0.5, 0.74, 1.0):
-        route = m.numeric(a, t, ch.make_channel(kind, p), 0, "e")
+        route = reference.numeric(m, a, t, ch.make_channel(kind, p), 0, "e")
         closed = m.noisy_closed(kind, p, t, al, be)
         assert np.max(np.abs(route - closed)) <= sweep.DEFAULT_TOLERANCE, p
 
@@ -326,7 +326,7 @@ def test_ensemble_routes_match_their_kernels_on_the_noisy_density_matrix(probe, 
         noisy = rho if p is None else reference.apply_kraus(
             rho, reference.lifted_operators(operators, qubit, 2))
         for name, kernel in kernels.items():
-            route = MEASURES[name].numeric(a, t, operators, qubit, "e")
+            route = reference.numeric(MEASURES[name], a, t, operators, qubit, "e")
             assert np.max(np.abs(route - kernel(noisy))) <= 1e-13, (name, p)
 
 
@@ -341,8 +341,8 @@ def test_clean_ppt_meets_the_eigvalsh_reference_on_the_probe(probe):
     # eigensolve of the partial transposes of |psi><psi| is its
     # independent check, and the closed column meets both
     a, t, _ = probe
-    route = MEASURES["ppt"].numeric(a, t, None, None, "e")
-    iconcurrence = MEASURES["iconcurrence"].numeric(a, t, None, None, "e")
+    route = reference.numeric(MEASURES["ppt"], a, t, None, None, "e")
+    iconcurrence = reference.numeric(MEASURES["iconcurrence"], a, t, None, None, "e")
     assert route.tobytes() == (-0.5 * iconcurrence).tobytes()
     rho = reference.densities(switch.switched_pairs(switch.angle_qubits(a), t))
     eigvalsh = ent.ppt_spectra(rho)[:, 0]
@@ -367,7 +367,7 @@ def test_the_ppt_route_eigensolves_exactly_hermitian_partial_transposes(probe, k
     # is Hermitian bit for bit, and an index swap keeps it so
     a, t, _ = probe
     operators = None if kind is None else ch.make_channel(kind, 0.37)
-    rho = ent.ensemble_densities(sweep._pair_ensembles(a, t, operators, qubit))
+    rho = ent.ensemble_densities(sweep.STATES["pair"](a, t, operators, qubit))
     pt = ent.partial_transposes(rho, 1)
     assert np.all(reference.hermitian_deviation(pt) == 0.0)
     assert np.max(np.abs(ent.ppt_spectra(rho) - reference.eigh(pt)[0])) <= PPT_EIGH_BOUND
@@ -379,7 +379,7 @@ def test_entropy_routes_agree_near_separable_points(probe, base):
     # such as (1 - root) / 2, or an eigensolve reads it, and the entropy,
     # as 0
     a, t = probe[0][:NEAR_SEPARABLE], probe[1][:NEAR_SEPARABLE]
-    route = MEASURES["entropy"].numeric(a, t, None, None, base)
+    route = reference.numeric(MEASURES["entropy"], a, t, None, None, base)
     closed = MEASURES["entropy"].closed(np.sin(a), np.cos(a), t, base)
     assert np.all(route > 0.0) and np.all(closed > 0.0)
     assert np.max(np.abs(route - closed) / closed) <= 1e-12
@@ -425,6 +425,22 @@ def test_a_noiseless_ppt_diff_reads_the_rounding_of_the_eigensolve(kind, qubit):
     config = SweepConfig("ppt", a_steps=50, t_steps=101,
                          channel=ChannelSpec(kind, NOISELESS_P[kind], qubit))
     assert np.max(diff_sweep(config).value) <= NOISELESS_PPT_DIFF
+
+
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("kind", ch.CHANNEL_KINDS)
+def test_noisy_routes_keep_their_digits_where_squares_underflow(kind, qubit):
+    # a = pi/2 and t near 1e-140: the concurrence is about 7.5e-173, whose
+    # square underflows. A noiseless channel leaves the pair's two branches
+    # psi and 0, so the noisy I-concurrence and concurrence are the clean
+    # concurrence, 2 |minor|, and must not read 0
+    grid = dict(a=math.pi / 2, t_min=1e-140, t_max=2e-140, t_steps=2)
+    clean = run_sweep(SweepConfig("concurrence", **grid)).value
+    assert np.all(clean > 7e-173)
+    spec = ChannelSpec(kind, NOISELESS_P[kind], qubit)
+    for name in ("iconcurrence", "concurrence"):
+        noisy = run_sweep(SweepConfig(name, **grid, channel=spec)).value
+        assert np.max(np.abs(noisy - clean) / clean) <= 4 * np.finfo(float).eps, name
 
 
 # ------------------------- closed forms against their point-by-point code
@@ -625,7 +641,7 @@ def test_closed_column_is_the_point_by_point_loop_bit_for_bit(name, noise, base)
     channel = None if noise is None else ChannelSpec(*noise)
     for grid in GRIDS:
         config = SweepConfig(name, channel=channel, log_base=base, compare=True, **grid)
-        _, column = sweep._columns(config)
+        [(_, column)] = sweep._columns([config])
         # the sweep's noisy closed form reads p as a (1, 1, 1) column; the
         # single-point call takes it as a float
         if noise is None:

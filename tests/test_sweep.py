@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference
 
 from switchsim import entanglement as ent
 from switchsim import channels as ch
@@ -484,7 +485,7 @@ def test_verify_builds_each_iconcurrence_channel_stack_once(monkeypatch):
 def test_a_stacked_verify_holds_no_larger_blocks(monkeypatch):
     # a block of a run spans rows of p: its stacks hold no more matrices
     # than a single configuration's, whatever the number of p
-    sizes = {"average_fidelities": [], "reduced_determinants": []}
+    sizes = {"average_fidelities": [], "reduced_roots": []}
 
     def record(module, name, shape):
         original = getattr(module, name)
@@ -497,14 +498,32 @@ def test_a_stacked_verify_holds_no_larger_blocks(monkeypatch):
 
     record(ch, "average_fidelities", lambda u, operators, qubit: np.broadcast_shapes(
         u.shape[:-2], *(e.shape[:-2] for e in operators)) + u.shape[-2:])
-    record(ent, "reduced_determinants", lambda xi: xi.shape)
+    record(ent, "reduced_roots", lambda xi: xi.shape)
     assert all(c.passed for c in verify(measures=["avg_fidelity", "iconcurrence"]))
-    gate, pair = sizes["average_fidelities"], sizes["reduced_determinants"]
+    gate, pair = sizes["average_fidelities"], sizes["reduced_roots"]
     assert max(math.prod(s) for s in gate) <= sweep.BLOCK_POINTS
     assert max(math.prod(s) for s in pair) <= 4 * sweep.BLOCK_POINTS
     # rows of (p, a): 20 times a row, three rows to a block of the gate
     # route; 50 times a row, five rows to a block of a pair route
     assert (3, 20) in gate and (5, 50) in pair
+
+
+def test_verify_builds_each_clean_pair_block_once_for_its_five_records(monkeypatch):
+    # the clean Schmidt, ppt, concurrence, I-concurrence and entropy
+    # records share a grid, so they read one pair state per block: as
+    # many clean builds as one of them alone makes
+    clean = []
+    pair_ensembles = ent.pair_ensembles
+    monkeypatch.setattr(ent, "pair_ensembles", lambda a_amps, t, operators, qubit: clean.append(
+        operators is None) or pair_ensembles(a_amps, t, operators, qubit))
+    sweep._columns([SweepConfig("ppt", a_steps=50, t_steps=50)])
+    alone = clean.count(True)
+    clean.clear()
+    checks = verify()
+    rows = 4 * sweep.BLOCK_POINTS // 50  # 5 rows of 50 times to a block
+    assert clean.count(True) == alone == math.ceil(50 / rows)
+    assert {"schmidt", "ppt", "concurrence", "iconcurrence", "entropy"} <= {c.name for c in checks}
+    assert all(c.passed for c in checks)
 
 
 def test_verify_rejects_unknown_measures():
@@ -593,20 +612,20 @@ def test_values_do_not_depend_on_the_block_size(monkeypatch, name, spec):
     # the same bits whatever the block, so block sizes never move an output
     # byte; tobytes also tells -0.0 from 0.0, which print differently
     config = SweepConfig(name, a_steps=3, t_steps=17, t_min=-3.0, t_max=6.0, channel=spec)
-    blocked, _ = sweep._columns(config)
+    [(blocked, _)] = sweep._columns([config])
     assert blocked.shape == (51,)
     for size in SPLIT_SIZES:
         monkeypatch.setattr(sweep, "BLOCK_POINTS", size)
-        assert sweep._columns(config)[0].tobytes() == blocked.tobytes(), size
+        assert sweep._columns([config])[0][0].tobytes() == blocked.tobytes(), size
 
 
 def _block_calls(monkeypatch, m):
-    """Rebind measure ``m``'s numeric route to one that records the
-    arguments of each call, one per block, and return the record."""
-    calls = []
-    monkeypatch.setitem(MEASURES, m.name, replace(
-        m, numeric=lambda a, t, rows, q, base: calls.append((a, t, rows, q))
-        or m.numeric(a, t, rows, q, base)))
+    """Rebind the function that builds measure ``m``'s state to one that
+    records the arguments of each call, one per block, and return the
+    record."""
+    calls, state = [], sweep.STATES[m.state]
+    monkeypatch.setitem(sweep.STATES, m.state, lambda a, t, rows, q: calls.append((a, t, rows, q))
+                        or state(a, t, rows, q))
     return calls
 
 
@@ -615,7 +634,7 @@ def test_pair_routes_take_four_times_the_points_of_a_gate_route(monkeypatch):
     noise = ChannelSpec("PF", 0.3)
     for name, m in list(MEASURES.items()):
         calls = _block_calls(monkeypatch, m)
-        sweep._columns(SweepConfig(name, t_steps=1000, channel=noise if m.gate else None))
+        sweep._columns([SweepConfig(name, t_steps=1000, channel=noise if m.gate else None)])
         a, t, _, _ = calls[0]
         assert a.shape == (1, 1)
         assert t.shape == ((sweep.BLOCK_POINTS if m.gate else 4 * sweep.BLOCK_POINTS),)
@@ -641,7 +660,7 @@ def test_a_block_reads_its_rows_of_the_operator_stacks_as_views(monkeypatch, nam
     times = 20 if m.gate else 80  # three rows to a block
     config = SweepConfig(m.name, a_steps=3, t_steps=times,
                          channel=ChannelSpec("AD", P_VALUES, qubit))
-    assert sweep._columns(config)[0].shape == (len(P_VALUES) * 3 * times,)
+    assert sweep._columns([config])[0][0].shape == (len(P_VALUES) * 3 * times,)
     [operators] = seen
     a_rows = np.tile(config.a_values(), len(P_VALUES))
     assert len(calls) == 5
@@ -666,17 +685,18 @@ def test_a_p_stack_is_its_configurations_bit_for_bit(monkeypatch, kind, qubit):
         m = MEASURES[name]
         config = SweepConfig(name, a_steps=3, t_steps=5, t_min=-1.0, t_max=2.0,
                              channel=ChannelSpec(kind, P_VALUES, qubit), compare=True)
-        values, closed = sweep._columns(config)
+        [(values, closed)] = sweep._columns([config])
         a, t = config.grid()
-        alone = [m.numeric(a, t, ch.make_channel(kind, p), qubit, "e") for p in P_VALUES]
-        runs = [sweep._columns(replace(config, channel=ChannelSpec(kind, p, qubit)))
+        alone = [reference.numeric(m, a, t, ch.make_channel(kind, p), qubit)
+                 for p in P_VALUES]
+        runs = [sweep._columns([replace(config, channel=ChannelSpec(kind, p, qubit))])[0]
                 for p in P_VALUES]
         assert np.array_equal(values, np.concatenate(alone)), name
         assert values.tobytes() == np.concatenate([v for v, _ in runs]).tobytes(), name
         with monkeypatch.context() as small:
             for size in SPLIT_SIZES:
                 small.setattr(sweep, "BLOCK_POINTS", size)
-                assert sweep._columns(config)[0].tobytes() == values.tobytes(), (name, size)
+                assert sweep._columns([config])[0][0].tobytes() == values.tobytes(), (name, size)
         if qubit == 1 or m.noisy_closed is None:
             assert closed is None and all(c is None for _, c in runs), name
             continue
@@ -701,6 +721,6 @@ def test_each_input_qubit_is_built_once_per_row(monkeypatch):
             run_sweep(SweepConfig(name, a_steps=3, t_steps=17, compare=True))
             assert sum(entries) == 3, name
     entries.clear()
-    sweep._columns(SweepConfig("iconcurrence", a_steps=3, t_steps=17,
-                               channel=ChannelSpec("AD", P_VALUES)))
+    sweep._columns([SweepConfig("iconcurrence", a_steps=3, t_steps=17,
+                                channel=ChannelSpec("AD", P_VALUES))])
     assert sum(entries) == 3 * len(P_VALUES)
