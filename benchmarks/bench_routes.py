@@ -24,10 +24,11 @@ call per grid; one call of each scalar closed-form entry point, and of
 each closed form of the table, at one point, the cost a caller that
 evaluates point by point pays; the switch's
 input and evolution, `switch.registers` and `switch.switched_pairs` on a
-256-point stack (a pair route's block) and `switch.switch_fidelities` on
-64 registers (a gate route's block; it evolves each register twice); the average gate fidelity
-`channels.average_fidelities` on a 64-point gate block under one value
-of p and on a block of `verify`'s p stack, 3 values of p against 20
+256-point stack and `switch.switch_fidelities` on `sweep.BLOCK_POINTS`
+registers, a block (it evolves each register twice); the average gate
+fidelity `channels.average_fidelities` on a gate block of
+`sweep.BLOCK_POINTS` times under one value of p, the block every state
+takes, and on a block of `verify`'s p stack, 3 values of p against 20
 times, with the channel's (P, 1, 2, 2) operator rows and its qubit,
 beside the Gram-matrix reference `reference.average_fidelities_gram` on
 the same rows lifted onto the register; the Kraus branches of 256
@@ -37,7 +38,9 @@ beside the matmul of the operators lifted by `np.kron`
 (`reference.lifted_operators`); the concurrence of 256 two-branch
 ensembles of switched pairs under a bit flip on noise qubit 1, read from
 the gap of each 2 x 2 tau (`entanglement.ensemble_concurrences`, the
-route) beside the SVD of the tests' `reference.uhlmann_concurrences`;
+route) beside the SVD of the tests' `reference.uhlmann_concurrences`,
+and of 256 clean switched pairs, |2m| over each pair's one minor m (the
+same kernel on one-column ensembles);
 the clean ppt of 256 switched pairs, -|minor| of each
 (`entanglement.ensemble_ppts`, the route, with no eigensolve)
 beside the least `np.linalg.eigvalsh` eigenvalue of their partial
@@ -205,8 +208,8 @@ def test_switch_fidelities(benchmark):
     assert benchmark(switch.switch_fidelities, regs, x).shape == (sweep.BLOCK_POINTS,)
 
 
-#: the gate route's blocks, (values of p, times): 64 times under one p
-#: row, a sweep's block, and 3 rows of `verify`'s stack of AVG_GRID values
+#: the gate route's blocks, (values of p, times): BLOCK_POINTS times under
+#: one p row, a sweep's block, and 3 rows of `verify`'s stack of AVG_GRID values
 #: of p against its AVG_GRID times
 GATE_BLOCKS = {
     "sweep": ((NOISE.p,), np.linspace(0.0, np.pi / 2, sweep.BLOCK_POINTS)),
@@ -312,6 +315,11 @@ CLEAN_PPT = {
 def test_clean_ppt(benchmark, pairs, route):
     benchmark.group = "entanglement.ppt"
     assert benchmark(CLEAN_PPT[route], pairs[..., None]).shape == (256,)
+
+
+def test_clean_concurrences(benchmark, pairs):
+    benchmark.group = "entanglement.concurrences"
+    assert benchmark(entanglement.ensemble_concurrences, pairs[..., None]).shape == (256,)
 
 
 def test_density_concurrences(benchmark, pairs):

@@ -22,7 +22,6 @@ import argparse
 import functools
 import math
 import sys
-from typing import Optional
 
 from . import entanglement as ent
 from . import sweep as sw
@@ -110,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p_avg, required=True)
     _add_output_flags(p_avg)
     p_avg.add_argument("--compare", action="store_true")
+    # the average fidelity has no logarithm, so avg-fidelity takes no --log-base
+    p_avg.set_defaults(measure="avg_fidelity", log_base="e")
 
     p_verify = sub.add_parser(
         "verify", help="run the closed-form-vs-numeric battery; exit 1 on failure"
@@ -158,20 +159,19 @@ def _joined_negative_floats(argv) -> list:
     return out
 
 
-def _config_from(args, measure: Optional[str] = None) -> sw.SweepConfig:
+def _config_from(args) -> sw.SweepConfig:
     channel = None
     if args.channel is not None:
         channel = sw.ChannelSpec(kind=args.channel, p=args.p, qubit=args.noise_qubit)
     return sw.SweepConfig(
-        measure=measure or args.measure,
+        measure=args.measure,
         a=args.a,
         a_steps=args.a_steps,
         t_min=args.t_min,
         t_max=args.t_max,
         t_steps=args.t_steps,
         channel=channel,
-        # the average fidelity has no logarithm, so avg-fidelity takes no --log-base
-        log_base=getattr(args, "log_base", "e"),
+        log_base=args.log_base,
         compare=args.compare,
     )
 
@@ -181,16 +181,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parser().parse_args(_joined_negative_floats(argv))
     try:
-        if args.command == "sweep":
-            sw.emit(sw.run_sweep(_config_from(args)), args.format, args.out)
+        if args.command != "verify":
+            run = sw.diff_sweep if args.command == "diff" else sw.run_sweep
+            sw.emit(run(_config_from(args)), args.format, args.out)
             return 0
-        if args.command == "diff":
-            sw.emit(sw.diff_sweep(_config_from(args)), args.format, args.out)
-            return 0
-        if args.command == "avg-fidelity":
-            sw.emit(sw.run_sweep(_config_from(args, measure="avg_fidelity")), args.format, args.out)
-            return 0
-        # verify
         checks = sw.verify(
             measures=None if args.measure is None else [args.measure],
             a_steps=args.a_steps,

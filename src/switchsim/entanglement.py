@@ -6,41 +6,44 @@ of the first data qubit and the switch time t. The two are cross-checked
 against each other throughout the test suite.
 
 Each numeric measure is one stacked kernel with a plural name
-(``schmidt_spectra``, ``ensemble_ppts``, ``ensemble_concurrences``,
-``reduced_determinants``, ``bloch_lengths``, ``reduced_roots``,
-``determinant_entropies``)
+(``least_schmidt_coefficients``, ``ensemble_ppts``,
+``ensemble_concurrences``, ``reduced_determinants``, ``bloch_lengths``,
+``reduced_roots``, ``determinant_entropies``)
 over arrays with one state per point along the leading axes; one state
 is the stack with no leading axes.
 
-The concurrence, the Schmidt coefficients, the I-concurrence and the
-entropy read an ensemble xi, the columns of a decomposition
-rho = xi xi^dagger, and take no square root of a spectrum. A sweep hands
-them the Kraus branches E_k psi of the evolved pair, which decompose the
-noisy pair's density matrix without forming it. The concurrence's
-kernel, ``ensemble_concurrences``, is Uhlmann's form of Wootters'
-formula, sigma_1 - sigma_2 over the singular values of the K x K matrix
-tau = xi^T (Y x Y) xi, which it builds entrywise (Y x Y is
-antidiagonal) and, for the two branches of every channel, reads with no
-SVD as the gap sigma_1^2 - sigma_2^2 over sigma_1 + sigma_2, each a root
-of a sum of nonnegative terms, from tau prescaled by a power of two so
-that no square underflows. ``reduced_determinants`` is the
-determinant of the first qubit's reduced state X X^dagger, with X = xi
-reshaped to (..., 2, 2K): by Cauchy-Binet a sum of squared 2 x 2 minors
-of X (``_reduced_minors``), so nothing cancels. ``bloch_lengths`` is the
-length |r| of its Bloch vector, the root of a sum of squares over the
-rows of X, and ``reduced_qubits`` the pair (d, |r|). The Schmidt
-coefficient, the I-concurrence and the entropy read only that state's pair
-(d, |r|), and its spectrum by one rule,
-``_reduced_spectrum``: (2d / (1 + |r|), (1 + |r|) / 2), with no eigensolve
-and no sqrt(1 - 4d), which cancels near d = 1/4. The I-concurrence is
-2 sqrt(d), from ``reduced_roots``, which reads a pure pair's sqrt(d) as
-the modulus of its one minor, and a noisy pair's from its minors
-prescaled by a power of two, with no square that could underflow; the
-Schmidt coefficients of a pure pair are the square roots of the
-spectrum, read from |r| and, the small one, from that minor, or its
-closed modulus, prescaled by a power of two so that d does not underflow
-(``_least_coefficients``), and the entropy, ``determinant_entropies``, is
--sum l log(l).
+The kernels read an ensemble xi, shape (..., 4, K), the columns of a
+decomposition rho = xi xi^dagger, and take no square root of a
+spectrum. A sweep hands them the clean pair psi as one column, or the
+Kraus branches E_k psi of the evolved pair, which decompose the noisy
+pair's density matrix without forming it. The first qubit's reduced
+state is X X^dagger, with X = xi reshaped to (..., 2, 2K), and its 2 x 2
+minors (``_reduced_minors``) hold its determinant: by Cauchy-Binet,
+``reduced_determinants`` is the sum of their squares, so nothing
+cancels. ``bloch_lengths`` is the length |r| of its Bloch vector, the
+root of a sum of squares over the rows of X, and ``reduced_qubits`` the
+pair (d, |r|). Its spectrum follows by one rule, ``_reduced_spectrum``:
+(2d / (1 + |r|), (1 + |r|) / 2), with no eigensolve and no
+sqrt(1 - 4d), which cancels near d = 1/4. The entropy,
+``determinant_entropies``, is -sum l log(l) over it.
+
+A pure pair has one minor, m = psi_00 psi_11 - psi_01 psi_10, and every
+kernel of a pure pair reads m from ``_reduced_minors`` and, where it
+needs it, |r| from ``bloch_lengths``, and nothing else: its concurrence
+is |2m| (Wootters, PRL 80, 2245 (1998)), its I-concurrence 2 |m|
+(``reduced_roots``), its ppt -|m| (see below), its least Schmidt
+coefficient the square root of the small root of the spectrum, read
+from m prescaled by a power of two so that d = |m|^2 does not underflow
+(``least_schmidt_coefficients`` by ``_least_coefficients``, which the
+closed column reads with the closed |m|), and its entropy the map of
+(|m|^2, |r|). A noisy pair has two columns, and its I-concurrence is the
+root of the sum of its squared minors, prescaled by a power of two so
+that no square underflows. Its concurrence, ``ensemble_concurrences``,
+is Uhlmann's form of Wootters' formula, sigma_1 - sigma_2 over the
+singular values of the 2 x 2 matrix tau = xi^T (Y x Y) xi, which it
+builds entrywise (Y x Y is antidiagonal) and reads with no SVD as the
+gap sigma_1^2 - sigma_2^2 over sigma_1 + sigma_2, each a root of a sum
+of nonnegative terms, from tau prescaled by a power of two.
 
 The ppt, the least eigenvalue of the partial transpose, follows the
 number of columns K of the ensemble, as the concurrence does
@@ -188,16 +191,13 @@ def _least_coefficients(re, im, r):
     return np.ldexp(np.sqrt(_reduced_spectrum(re * re + im * im, r)[0]), k)
 
 
-def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
-    """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of a
-    stack, the square roots of the spectrum of its reduced state, read
-    from its Bloch length |r| and its one minor m = psi_00 psi_11 -
-    psi_01 psi_10, d = |m|^2: the small one by ``_least_coefficients``,
-    the large one as sqrt((1 + |r|) / 2), the large root of
-    ``_reduced_spectrum``; shape (..., 2)."""
-    m = _reduced_minors(psi[..., None])[..., 0]
-    r = bloch_lengths(psi[..., None])
-    return np.stack([_least_coefficients(m.real, m.imag, r), np.sqrt((1.0 + r) / 2.0)], axis=-1)
+def least_schmidt_coefficients(xi: np.ndarray) -> np.ndarray:
+    """The least Schmidt coefficient of each pure pair of a stack of
+    one-column ensembles, shape (..., 4, 1): the square root of the small
+    root of its reduced state's spectrum, read by ``_least_coefficients``
+    from its one minor m, d = |m|^2, and its Bloch length |r|."""
+    m = _reduced_minors(xi)[..., 0]
+    return _least_coefficients(m.real, m.imag, bloch_lengths(xi))
 
 
 def partial_transposes(m: np.ndarray, qubit: int) -> np.ndarray:
@@ -259,7 +259,10 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
     decomposition (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307
     (2000)). Y x Y is antidiagonal (-1, 1, 1, -1), so tau = S + S^T with
     S_jk = x1_j x2_k - x0_j x3_k over the rows x_m of xi: no matrix
-    product. With K = 1 the concurrence is |tau|. With K = 2, tau =
+    product. With K = 1, a pure pair, tau = -2m over the pair's one minor
+    m (``_reduced_minors``), and the concurrence is |2m| with no tau
+    built: Wootters' 2 |psi_00 psi_11 - psi_01 psi_10|, written |2m|
+    because 2 |m| rounds apart where m is subnormal. With K = 2, tau =
     [[a, b], [c, d]], r0 = |a|^2 + |b|^2, r1 = |c|^2 + |d|^2 and
     g = a conj(c) + b conj(d),
 
@@ -274,15 +277,14 @@ def ensemble_concurrences(xi: np.ndarray) -> np.ndarray:
     doubles its bits. tau = 0 (a product pair, t = 0) reads 0 and a NaN
     reads NaN. Any other K raises ValueError.
     """
+    if xi.shape[-1] == 1:
+        return np.abs(2.0 * _reduced_minors(xi)[..., 0])
     # xi's rows, then tau's rows and entries, are unpacked from axes moved
-    # ahead of the stack's, so that a shape other than (..., 4, 1) or
-    # (..., 4, 2) raises instead of being read in part
+    # ahead of the stack's, so that a shape other than (..., 4, 2) raises
+    # instead of being read in part
     x0, x1, x2, x3 = xi.transpose(-2, *range(xi.ndim - 2), -1)
     s = x1[..., :, None] * x2[..., None, :] - x0[..., :, None] * x3[..., None, :]
-    tau = s + np.swapaxes(s, -1, -2)
-    if tau.shape[-1] == 1:
-        return np.abs(tau[..., 0, 0])
-    tau, k = _prescaled(tau, 2)
+    tau, k = _prescaled(s + np.swapaxes(s, -1, -2), 2)
     (a, b), (c, d) = tau.transpose(-2, -1, *range(tau.ndim - 2))
     r0 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
     r1 = c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag

@@ -17,10 +17,10 @@ is deterministic: identical configurations produce byte-identical files.
 
 Both routes take the grid as its axes: the values of a as an (A, 1)
 column and the times as a (T,) row, which broadcast to the (A, T) grid,
-a outer and t fastest. The numeric route evaluates it in blocks sized by
-the bytes of the route's matrices (BLOCK_POINTS entries for a gate route,
-4 times that for a pair route), so that the memory it holds does not
-grow with the grid or with the number of values of p. Input is
+a outer and t fastest. The numeric route evaluates it in blocks of at
+most BLOCK_POINTS entries, whatever the state it reads, so that the
+memory it holds does not grow with the grid or with the number of values
+of p. Input is
 checked once, where it enters: a ``SweepConfig`` rejects a non-finite a,
 t_min or t_max, a reversed or overflowing time span and a grid too small
 or too large, its ``ChannelSpec`` a p outside [0, 1], and ``verify`` and
@@ -32,8 +32,9 @@ Every pair route reads the evolved pair as its Kraus branches E_k psi
 (psi itself for a clean run), and no mixed measure forms the noisy pair
 by a channel product E_k rho E_k^dagger: the Schmidt coefficient, the
 I-concurrence, the entropy and the clean ppt, -sqrt(d), read the first
-qubit's (d, |r|) from the branches, a clean pair's sqrt(d) as the
-modulus of its one minor, and the concurrence forms no density matrix.
+qubit's (d, |r|) from the branches, and the concurrence forms no density
+matrix. Every clean pair route reads the pair's one minor m, and |r|
+where it needs it: the concurrence is |2m| and sqrt(d) is |m|.
 Only the noisy ppt reads the pair's density matrix, as the Gram
 product of the branches, and takes the eigenvalues of its partial
 transpose, with no eigenvectors (``np.linalg.eigvalsh``): the only
@@ -99,21 +100,18 @@ from . import switch
 #: verification gate per measure
 DEFAULT_TOLERANCE = 1e-9
 AVG_FIDELITY_TOLERANCE = 1e-10
-#: (p, point) entries a gate route evaluates together as one stack, at
-#: most. The 8 x 8 matrices of a gate block are its points' unitaries
-#: alone, since a channel's 2 x 2 operators are not embedded into the
-#: register; every other route measures 4 x 4 pair matrices, a quarter of
-#: the bytes, and takes 4 * BLOCK_POINTS entries, so that the matrix stacks
-#: a measure works on stay at 64 KiB per block (the 8-amplitude registers
-#: a block evolves are transient). Blocks bound the memory a sweep holds
-#: in arrays, whatever the size of its grid or the number of its values of
-#: p: the average-fidelity route holds about 1.5 KB per point at its peak
-#: (tracemalloc), and 64 points keep a sweep's peak memory at that of
-#: evaluating one point at a time (512 raised the peak RSS of four
-#: 1,001-point runs by 1.5 MB). Larger blocks
-#: pay numpy's per-call cost fewer times per grid: 1,024-point pair blocks
-#: took about 10% less time than 256 but raised peak memory by 4 to 7%
-BLOCK_POINTS = 64
+#: (p, point) entries a numeric route evaluates together as one stack, at
+#: most, whatever the state it reads. Blocks bound the memory a sweep
+#: holds in arrays, whatever the size of its grid or the number of its
+#: values of p, and pay numpy's per-call cost once per block. The gate
+#: route's 8 x 8 unitaries are the largest arrays of any block: against
+#: 64 gate points a block, 256 raised the median peak RSS of
+#: ``perfbench/run.py --workload surface_noisy``, whose passes run four
+#: 1,001-point average fidelities, from 34.1 to 34.4 MB, and took its
+#: median pass from 37.0 to 37.6 ms, within the runs' spread, and
+#: ``verify``'s from 14.6 to 12.3 ms (10 alternating runs each, on a
+#: 2-core machine)
+BLOCK_POINTS = 256
 #: largest grid (a_steps * t_steps) a sweep accepts
 MAX_GRID_POINTS = 1_000_000
 #: output formats of ``emit``
@@ -180,7 +178,7 @@ class Measure:
 MEASURES = {m.name: m for m in (
     Measure(
         "schmidt", "pair",
-        kernel=lambda xi, t, ops, qubit, base: ent.schmidt_spectra(xi[..., 0])[..., 0],
+        kernel=lambda xi, t, ops, qubit, base: ent.least_schmidt_coefficients(xi),
         closed=lambda al, be, t, base: ent._least_coefficients(
             ent.reduced_root_closed(be, t), 0.0, ent.bloch_length_closed(al, be, t)
         ),
@@ -371,8 +369,7 @@ def _columns(configs: Sequence[SweepConfig]) -> list:
         for e in operators:
             e.setflags(write=False)
     state = STATES[measures[0].state]
-    block = BLOCK_POINTS if measures[0].gate else 4 * BLOCK_POINTS
-    n, step = max(1, block // len(t)), min(block, len(t))
+    n, step = max(1, BLOCK_POINTS // len(t)), min(BLOCK_POINTS, len(t))
     values = [np.empty((len(rows), len(t))) for _ in configs]
     for r in range(0, len(rows), n):
         ops = None if operators is None else tuple(e[r:r + n, None] for e in operators)

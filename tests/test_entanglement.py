@@ -19,6 +19,7 @@ from reference import (
     kron_vectors,
     partial_traces,
     ppt_eigenvalues_closed,
+    schmidt_spectra,
     uhlmann_concurrences,
 )
 
@@ -63,24 +64,24 @@ def closed_entropy(alpha0, beta0, t, base="e"):
 
 
 def test_schmidt_of_maximally_swapped_pair():
-    got = ent.schmidt_spectra(pair(0.0, math.pi / 4))  # beta = 1
+    got = schmidt_spectra(pair(0.0, math.pi / 4))  # beta = 1
     assert got[0] == pytest.approx(1 / SQ2, abs=1e-12)
     assert got[1] == pytest.approx(1 / SQ2, abs=1e-12)
     # beside the half swap, where the determinant is about 1/4 and |r|
     # about 0, lambda0 does not pass lambda1
     t = np.linspace(math.pi / 4 - 1e-6, math.pi / 4 + 1e-6, 2001)
-    lam = ent.schmidt_spectra(switched_pairs(angle_qubits(np.zeros_like(t)), t))
+    lam = schmidt_spectra(switched_pairs(angle_qubits(np.zeros_like(t)), t))
     closed = closed_schmidt(np.zeros((1, 1)), np.ones((1, 1)), t)
     assert np.all(lam[:, 0] <= lam[:, 1]) and np.all(closed[0] <= closed[1])
 
 
 def test_schmidt_of_product_states():
     rng = np.random.default_rng(3)
-    got = ent.schmidt_spectra(product(rng))
+    got = schmidt_spectra(product(rng))
     assert got[0] == pytest.approx(0.0, abs=1e-10)
     assert got[1] == pytest.approx(1.0, abs=1e-10)
     # the switch starts from a product state
-    got = ent.schmidt_spectra(pair(0.9, 0.0))
+    got = schmidt_spectra(pair(0.9, 0.0))
     assert got[0] == 0.0
 
 
@@ -132,7 +133,7 @@ def test_schmidt_numeric_matches_closed_form_on_grid():
     for a in np.linspace(0, math.pi / 2, 30):
         al, be = amplitudes(float(a))
         for t in np.linspace(0, math.pi / 2, 30):
-            num = ent.schmidt_spectra(pair(float(a), float(t)))
+            num = schmidt_spectra(pair(float(a), float(t)))
             clo = closed_schmidt(al, be, float(t))
             assert abs(num[0] - clo[0]) <= 1e-10
             assert abs(num[1] - clo[1]) <= 1e-10
@@ -402,6 +403,56 @@ def test_one_branch_concurrence_has_the_bits_of_the_matrix_product():
     xi = ent.pair_ensembles(angle_qubits(a), t)
     product = np.abs((np.swapaxes(xi, -1, -2) @ SPIN_FLIP @ xi)[..., 0, 0])
     assert ent.ensemble_concurrences(xi).tobytes() == product.tobytes()
+
+
+def _tau_concurrences(xi):
+    """|tau| of each one-column ensemble of a stack, tau = S + S^T with
+    S = x1 x2 - x0 x3 over its rows: the clean concurrence built as the
+    two-branch kernel builds tau."""
+    x0, x1, x2, x3 = np.moveaxis(xi[..., 0], -1, 0)
+    s = x1 * x2 - x0 * x3
+    return np.abs(s + s)
+
+
+def _pure_pairs_with_small_minors():
+    """(name, one-column ensembles): the switched pairs at the probe
+    points; at a = pi/2 with t in [1e-140, 2e-140], where d underflows; at
+    t = 5e-324 and at a = -1e-320; and with a complex phase on |1> of the
+    input and t from 1e-322 to 1e-308, where every minor is subnormal."""
+    probe_a, probe_t = _concurrence_points()
+    rng = np.random.default_rng(1998)
+    n = 2_000
+    angles = rng.uniform(-math.pi, math.pi, n)
+    times = rng.uniform(-math.pi, 2 * math.pi, n)
+    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    tiny = np.exp(rng.uniform(math.log(1e-322), math.log(1e-308), n))
+    return [
+        ("probe", ent.pair_ensembles(angle_qubits(probe_a), probe_t)),
+        ("underflow", ent.pair_ensembles(angle_qubits(np.full((1, 1), math.pi / 2)),
+                                         np.linspace(1e-140, 2e-140, 101))),
+        ("t=5e-324", ent.pair_ensembles(angle_qubits(angles), 5e-324)),
+        ("a=-1e-320", ent.pair_ensembles(angle_qubits(np.full(n, -1e-320)), times)),
+        ("phase", switched_pairs(np.stack([np.sin(angles), np.cos(angles) * phases], axis=-1),
+                                 tiny)[..., None]),
+    ]
+
+
+def test_the_clean_kernels_read_the_pairs_one_minor():
+    # a pure pair's concurrence is |2m| over its one minor m, with the bits
+    # of |tau|, tau = -2m, everywhere; 2 |m| rounds apart from it where m
+    # is subnormal. Its least Schmidt coefficient is the small one of the
+    # two-coefficient reference
+    for name, xi in _pure_pairs_with_small_minors():
+        concurrence = ent.ensemble_concurrences(xi)
+        assert concurrence.tobytes() == _tau_concurrences(xi).tobytes(), name
+        schmidt = schmidt_spectra(xi[..., 0])[..., 0]
+        assert ent.least_schmidt_coefficients(xi).tobytes() == schmidt.tobytes(), name
+        minors = ent._reduced_minors(xi)[..., 0]
+        if name == "phase":
+            assert np.all(np.abs(minors) < np.finfo(float).tiny)
+            assert np.any(concurrence != 2.0 * np.abs(minors))
+        if name == "underflow":
+            assert np.all(ent.reduced_determinants(xi) == 0.0) and np.all(schmidt > 0.0)
 
 
 @pytest.mark.parametrize("branches", [1, 2])
@@ -741,7 +792,7 @@ def test_pure_state_measures_agree():
     for _ in range(25):
         psi = random_pure(rng, 2)
         rho = densities(psi)
-        schmidt = ent.schmidt_spectra(psi)
+        schmidt = schmidt_spectra(psi)
         c = float(concurrences(rho))
         ic = float(iconcurrences(rho))
         assert abs(c - ic) <= 1e-9
@@ -754,7 +805,7 @@ def test_detection_agreement_across_the_grid():
     psi = switched_pairs(angle_qubits(np.repeat(grid, 50)), np.tile(grid, 50))
     rho = densities(psi)
     ppt_says = ent.ppt_spectra(rho)[:, 0] < -1e-9
-    schmidt_says = ent.schmidt_spectra(psi)[:, 0] > 1e-9
+    schmidt_says = schmidt_spectra(psi)[:, 0] > 1e-9
     concurrence_says = concurrences(rho) > 1e-9
     assert np.array_equal(ppt_says, schmidt_says)
     assert np.array_equal(schmidt_says, concurrence_says)
@@ -769,5 +820,5 @@ def test_every_measure_vanishes_at_the_endpoints():
             assert concurrences(rho) <= 1e-9
             assert iconcurrences(rho) <= 1e-9
             assert entropies(partial_traces(rho, 2, {1})) <= 1e-9
-            assert ent.schmidt_spectra(psi)[0] <= 1e-9
+            assert schmidt_spectra(psi)[0] <= 1e-9
             assert ent.ppt_spectra(rho)[0] >= -1e-9

@@ -60,7 +60,7 @@ def test_determinant_forms_hold_for_complex_phases(a, t, phi, kind, p):
     psi = switch.switched_pairs(amps, t)
     closed = {name: m.closed(al, be, t, "e") for name, m in MEASURES.items() if m.closed}
     clean = 2.0 * math.sqrt(ent.reduced_determinants(psi[..., None])[0])
-    assert abs(ent.schmidt_spectra(psi)[0, 0] - closed["schmidt"]) <= 1e-12
+    assert abs(ent.least_schmidt_coefficients(psi[..., None])[0] - closed["schmidt"]) <= 1e-12
     assert abs(clean - closed["iconcurrence"]) <= 1e-12
     length = ent.reduced_qubits(psi[..., None])[1][0]
     assert abs(length - ent.reduced_qubit_closed(al, be, t)[1]) <= 1e-12
@@ -121,7 +121,8 @@ def test_the_schmidt_coefficient_keeps_its_digits_where_d_underflows():
     # power of two, and hold s0 s1 = C / 2 of the pure pair
     grid = dict(a=1.5707963267948966, t_min=1e-140, t_max=2e-140, t_steps=2, compare=True)
     schmidt, conc = (run_sweep(SweepConfig(name, **grid)) for name in ("schmidt", "concurrence"))
-    s1 = ent.schmidt_spectra(switch.switched_pairs(switch.angle_qubits(schmidt.a), schmidt.t))
+    pairs = switch.switched_pairs(switch.angle_qubits(schmidt.a), schmidt.t)
+    s1 = reference.schmidt_spectra(pairs)
     for column in ("value", "value_closed"):
         s0, c = getattr(schmidt, column), getattr(conc, column)
         assert np.all(s0 > 1e-173), column
@@ -141,7 +142,7 @@ def test_the_prescaled_schmidt_coefficient_has_the_unscaled_bits_where_d_is_norm
     assert np.count_nonzero(normal) > 19_000
     plain = np.sqrt(ent._reduced_spectrum(d, r)[0])
     plain_closed = np.sqrt(ent._reduced_spectrum(d_closed, r_closed)[0])
-    numeric = ent.schmidt_spectra(psi)[..., 0]
+    numeric = ent.least_schmidt_coefficients(psi[..., None])
     closed = MEASURES["schmidt"].closed(al, be, t, "e")
     assert numeric[normal].tobytes() == plain[normal].tobytes()
     assert closed[normal].tobytes() == plain_closed[normal].tobytes()
@@ -776,9 +777,9 @@ def test_sweeps_make_no_density_check_and_no_eigh_and_eigvalsh_only_for_the_nois
     _counting(monkeypatch, np.linalg, "eigvalsh", calls)
     noise = ChannelSpec("PF", 0.3)
     grid = dict(a_steps=3, t_steps=5)
-    blocks = 6  # 3 rows of 5 times, in pieces of 4 and 1 to a pair block below
+    blocks = 6  # 3 rows of 5 times, in pieces of 4 and 1 to a block below
     with monkeypatch.context() as small:
-        small.setattr(sweep, "BLOCK_POINTS", 1)
+        small.setattr(sweep, "BLOCK_POINTS", 4)
         for name, m in MEASURES.items():
             runs = [] if m.gate else [(run_sweep, SweepConfig(name, **grid, compare=True), 0)]
             if m.mixed or m.gate:
@@ -889,7 +890,7 @@ def test_determinant_routes_make_no_eigensolve_in_a_sweep_and_one_on_a_density_m
                                      channel=ChannelSpec(kind, 0.3, qubit), compare=True)
                 run_sweep(config)
                 diff_sweep(config)
-    ent.schmidt_spectra(switch.switched_pairs(switch.angle_qubits(0.4), 0.3))
+    ent.least_schmidt_coefficients(switch.switched_pairs(switch.angle_qubits(0.4), 0.3)[..., None])
     assert calls == []
     rho = reference.checked_density(_RHO)
     for measure in (reference.iconcurrences, reference.entropies):

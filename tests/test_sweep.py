@@ -501,11 +501,11 @@ def test_a_stacked_verify_holds_no_larger_blocks(monkeypatch):
     record(ent, "reduced_roots", lambda xi: xi.shape)
     assert all(c.passed for c in verify(measures=["avg_fidelity", "iconcurrence"]))
     gate, pair = sizes["average_fidelities"], sizes["reduced_roots"]
-    assert max(math.prod(s) for s in gate) <= sweep.BLOCK_POINTS
-    assert max(math.prod(s) for s in pair) <= 4 * sweep.BLOCK_POINTS
-    # rows of (p, a): 20 times a row, three rows to a block of the gate
-    # route; 50 times a row, five rows to a block of a pair route
-    assert (3, 20) in gate and (5, 50) in pair
+    assert max(math.prod(s) for s in gate + pair) <= sweep.BLOCK_POINTS
+    # rows of (p, a), as many as a block holds: 20 times a row, twelve
+    # rows to a block of the gate route; 50 times a row, five rows to a
+    # block of a pair route
+    assert (12, 20) in gate and (5, 50) in pair
 
 
 def test_verify_builds_each_clean_pair_block_once_for_its_five_records(monkeypatch):
@@ -520,7 +520,7 @@ def test_verify_builds_each_clean_pair_block_once_for_its_five_records(monkeypat
     alone = clean.count(True)
     clean.clear()
     checks = verify()
-    rows = 4 * sweep.BLOCK_POINTS // 50  # 5 rows of 50 times to a block
+    rows = sweep.BLOCK_POINTS // 50  # 5 rows of 50 times to a block
     assert clean.count(True) == alone == math.ceil(50 / rows)
     assert {"schmidt", "ppt", "concurrence", "iconcurrence", "entropy"} <= {c.name for c in checks}
     assert all(c.passed for c in checks)
@@ -629,15 +629,21 @@ def _block_calls(monkeypatch, m):
     return calls
 
 
-def test_pair_routes_take_four_times_the_points_of_a_gate_route(monkeypatch):
-    # a row of 1,000 times, in pieces of the block's size
-    noise = ChannelSpec("PF", 0.3)
+def test_every_state_takes_blocks_of_at_most_block_points_entries(monkeypatch):
+    # a row of 1,000 times in pieces of BLOCK_POINTS, and rows of 100
+    # times two whole rows to a block: the same blocks whatever the state
+    noise, stack = ChannelSpec("PF", 0.3), ChannelSpec("PF", (0.3, 0.6))
     for name, m in list(MEASURES.items()):
         calls = _block_calls(monkeypatch, m)
         sweep._columns([SweepConfig(name, t_steps=1000, channel=noise if m.gate else None)])
-        a, t, _, _ = calls[0]
-        assert a.shape == (1, 1)
-        assert t.shape == ((sweep.BLOCK_POINTS if m.gate else 4 * sweep.BLOCK_POINTS),)
+        assert [(a.shape, t.shape) for a, t, _, _ in calls] == [
+            ((1, 1), (sweep.BLOCK_POINTS,))] * 3 + [((1, 1), (1000 - 3 * sweep.BLOCK_POINTS,))]
+        calls.clear()
+        sweep._columns([SweepConfig(name, a_steps=3, t_steps=100,
+                                    channel=stack if m.mixed or m.gate else None)])
+        rows = 6 if m.mixed or m.gate else 3
+        assert [(a.shape, t.shape) for a, t, _, _ in calls] == [
+            ((min(2, rows - r), 1), (100,)) for r in range(0, rows, 2)]
 
 
 STACKED = [name for name, m in MEASURES.items() if m.mixed or m.gate]
@@ -657,7 +663,7 @@ def test_a_block_reads_its_rows_of_the_operator_stacks_as_views(monkeypatch, nam
     monkeypatch.setattr(ch, "make_channel",
                         lambda *args: seen.append(make_channel(*args)) or seen[-1])
     calls = _block_calls(monkeypatch, m)
-    times = 20 if m.gate else 80  # three rows to a block
+    times = 80  # three rows to a block, whatever the state
     config = SweepConfig(m.name, a_steps=3, t_steps=times,
                          channel=ChannelSpec("AD", P_VALUES, qubit))
     assert sweep._columns([config])[0][0].shape == (len(P_VALUES) * 3 * times,)
